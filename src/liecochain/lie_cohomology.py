@@ -5,7 +5,9 @@ A Lie algebra is given by structure constants; a subgroup by a subalgebra
 basis plus one adjoint matrix per extra connected component.  Relative
 cohomology is computed degreewise by exact kernel/image linear algebra, the
 identity component acting infinitesimally and extra components through their
-matrices.
+matrices.  The differential and the relative constraints are assembled from
+the bracket table as the images of basis monomials, once per degree, and
+handed to `linalg` as sparse rows.
 
 Differential convention, on basis tuples x_0..x_r:
     (d a)(x_0,...,x_r) = sum_{i<j} (-1)^{i+j} a([x_i,x_j], ..no x_i, x_j..)
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from . import linalg
 from .linalg import SingularMatrix
@@ -224,29 +227,10 @@ class _AltTensor:
         f = Fraction(f)
         return type(self)(self.dim, self.degree, {i: f * c for i, c in self.coeffs.items()})
 
-    def to_vector(self, index_tuples):
-        return [self.coeffs.get(t, Fraction(0)) for t in index_tuples]
-
-    @classmethod
-    def from_vector(cls, dim, degree, index_tuples, vec):
-        return cls(dim, degree, dict(zip(index_tuples, vec)))
-
 
 class AltForm(_AltTensor):
     """Alternating r-form on the algebra, rational coefficients on the
     dual-basis wedges a^{i1} ^ ... ^ a^{ir}."""
-
-    def eval_basis(self, idx):
-        s = _sort_sign(idx)
-        if s is None:
-            return Fraction(0)
-        sign, key = s
-        return sign * self.coeffs.get(key, Fraction(0))
-
-    def eval_vector_first(self, v, rest):
-        """Evaluate with vector v in the first slot and basis indices after."""
-        return sum((v[k] * self.eval_basis((k,) + tuple(rest))
-                    for k in range(self.dim) if v[k] != 0), Fraction(0))
 
 
 class AltMultiVec(_AltTensor):
@@ -280,26 +264,6 @@ def pairing(alpha, chi):
                Fraction(0))
 
 
-def ce_differential(algebra, alpha):
-    """Chevalley-Eilenberg differential of an alternating form."""
-    p = algebra.dim
-    r = alpha.degree
-    if r >= p:
-        raise DegreeOverflow("differential of a top-degree form")
-    out = {}
-    for tup in combinations(range(p), r + 1):
-        total = Fraction(0)
-        for a in range(r + 1):
-            for b in range(a + 1, r + 1):
-                rest = tup[:a] + tup[a + 1:b] + tup[b + 1:]
-                sign = -1 if (a + b) % 2 else 1
-                for k, c in algebra.bracket_basis(tup[a], tup[b]).items():
-                    total += sign * c * alpha.eval_basis((k,) + rest)
-        if total != 0:
-            out[tup] = total
-    return AltForm(p, r + 1, out)
-
-
 def wedge(alpha, beta):
     if alpha.dim != beta.dim or type(alpha) is not type(beta):
         raise ValueError("wedge needs two tensors of the same kind on one algebra")
@@ -316,73 +280,175 @@ def wedge(alpha, beta):
     return type(alpha)(alpha.dim, alpha.degree + beta.degree, out)
 
 
+# -- the complex on basis monomials ------------------------------------------
+#
+# Each linear map of the complex is given by the image of every basis
+# monomial a^t = a^{t1} ^ ... ^ a^{tr}, read off the bracket table, as a
+# sparse {index tuple: coefficient} map.  A map acts on a form by summing
+# the images of its monomials; its matrix has the images as columns.
+
+# Largest cochain space C(p, r) a cohomology computation may build: far
+# above so(5) (C(10, 5) = 252) and refused at once beyond.
+MAX_COCHAINS = 10_000
+
+
+def _check_size(p, *degrees):
+    for r in degrees:
+        if 0 <= r <= p and comb(p, r) > MAX_COCHAINS:
+            raise DegreeOverflow(
+                f"degree {r} on a {p}-dimensional algebra has C({p}, {r}) = {comb(p, r)} "
+                f"basis forms, over the limit of {MAX_COCHAINS}")
+
+
+def _put(out, idx, coeff):
+    """out[sorted idx] += coeff times the sign of the sort, unless idx repeats."""
+    s = _sort_sign(idx)
+    if s is not None:
+        sign, key = s
+        out[key] = out.get(key, 0) + sign * coeff
+
+
+def _apply(coeffs, image):
+    """sum of c * image(t) over the items t: c of coeffs, zeros dropped."""
+    out = {}
+    for t, c in coeffs.items():
+        for u, x in image(t).items():
+            out[u] = out.get(u, 0) + c * x
+    return {u: x for u, x in out.items() if x}
+
+
+def _dual_table(algebra):
+    """k -> [(i, j, c)]: the brackets [e_i, e_j] (i < j) with e_k-component c."""
+    dual = {}
+    for (i, j), rhs in algebra.brackets.items():
+        for k, c in rhs.items():
+            dual.setdefault(k, []).append((i, j, c))
+    return dual
+
+
+def _d_image(dual, t):
+    """d a^t = sum over slots m of (-1)^m a^{t1} ^ .. (d a^{tm}) .. ^ a^{tr},
+    with d a^k = -sum_{i<j} c^k_ij a^i ^ a^j."""
+    out = {}
+    for m, k in enumerate(t):
+        for i, j, c in dual.get(k, ()):
+            _put(out, t[:m] + (i, j) + t[m + 1:], c if m % 2 else -c)
+    return {u: x for u, x in out.items() if x}
+
+
+def _interior_image(v, t):
+    """i_v a^t = sum over slots m of (-1)^m v_{tm} a^{t without tm}."""
+    return {t[:m] + t[m + 1:]: v[k] if m % 2 == 0 else -v[k]
+            for m, k in enumerate(t) if v[k]}
+
+
+def _coadjoint_table(algebra, v):
+    """k -> {j: -[v, e_j]_k}, so that v.a^k = sum_j of these times a^j."""
+    table = {}
+    for (i, j), rhs in algebra.brackets.items():
+        for k, c in rhs.items():
+            row = table.setdefault(k, {})
+            if v[i]:
+                row[j] = row.get(j, 0) - v[i] * c
+            if v[j]:
+                row[i] = row.get(i, 0) + v[j] * c
+    return table
+
+
+def _action_image(table, t):
+    """v.a^t: v acts on each slot in turn."""
+    out = {}
+    for m, k in enumerate(t):
+        for j, c in table.get(k, {}).items():
+            _put(out, t[:m] + (j,) + t[m + 1:], c)
+    return {u: x for u, x in out.items() if x}
+
+
+def _pullback_image(minv, t):
+    """M.a^t = (a^{t1} o M^-1) ^ ... ^ (a^{tr} o M^-1): its coefficients are
+    the minors of M^-1 on the rows t."""
+    rows = [minv[i] for i in t]
+    support = sorted({j for row in rows for j, x in enumerate(row) if x})
+    out = {}
+    for u in combinations(support, len(t)):
+        x = linalg.det([[row[j] for j in u] for row in rows])
+        if x:
+            out[u] = x
+    return out
+
+
+class _Constraints:
+    """The conditions cutting the relative forms out of the cochains, as
+    maps on basis monomials: the interior product and the coadjoint action
+    of each subalgebra vector, and M - 1 for each component matrix M."""
+
+    def __init__(self, algebra, sub):
+        self.vectors = [list(v) for v in sub.basis]
+        self.tables = [_coadjoint_table(algebra, v) for v in self.vectors]
+        self.inverses = [linalg.inverse([list(row) for row in m]) for m in sub.component_reps]
+        self._images = {}
+
+    def images(self, t):
+        """The image of a^t under each map, in a fixed order; built once per t."""
+        images = self._images.get(t)
+        if images is None:
+            images = [_interior_image(v, t) for v in self.vectors] if t else []
+            images += [_action_image(table, t) for table in self.tables]
+            for minv in self.inverses:
+                image = _pullback_image(minv, t)
+                image[t] = image.get(t, 0) - 1
+                images.append({u: x for u, x in image.items() if x})
+            self._images[t] = images
+        return images
+
+    def rows(self, tuples):
+        """The constraint matrix on the monomials `tuples`, as sparse rows."""
+        rows = {}
+        for t in tuples:
+            for n, image in enumerate(self.images(t)):
+                for u, x in image.items():
+                    rows.setdefault((n, u), {})[t] = x
+        return list(rows.values())
+
+    def hold(self, coeffs):
+        """Does the form with these coefficients satisfy every condition?"""
+        totals = {}
+        for t, c in coeffs.items():
+            for n, image in enumerate(self.images(t)):
+                for u, x in image.items():
+                    totals[n, u] = totals.get((n, u), 0) + c * x
+        return not any(totals.values())
+
+
+def ce_differential(algebra, alpha):
+    """Chevalley-Eilenberg differential of an alternating form."""
+    if alpha.degree >= algebra.dim:
+        raise DegreeOverflow("differential of a top-degree form")
+    dual = _dual_table(algebra)
+    return AltForm(algebra.dim, alpha.degree + 1,
+                   _apply(alpha.coeffs, lambda t: _d_image(dual, t)))
+
+
 def interior(v, alpha):
     """First-slot contraction by a coordinate vector of the algebra."""
     if alpha.degree < 1:
         raise DegreeOverflow("interior product of a 0-form")
-    out = {}
-    for idx, c in alpha.coeffs.items():
-        for t, k in enumerate(idx):
-            if v[k] == 0:
-                continue
-            rest = idx[:t] + idx[t + 1:]
-            term = v[k] * c * (1 if t % 2 == 0 else -1)
-            out[rest] = out.get(rest, Fraction(0)) + term
-    return AltForm(alpha.dim, alpha.degree - 1, out)
+    return AltForm(alpha.dim, alpha.degree - 1,
+                   _apply(alpha.coeffs, lambda t: _interior_image(v, t)))
 
 
 def infinitesimal_action(algebra, v, alpha):
     """Coadjoint action (v.a)(x_1..x_r) = -sum_i a(x_1,..,[v,x_i],..,x_r)."""
-    p = algebra.dim
-    bracket_cols = [algebra.bracket(list(v), row) for row in linalg.identity(p)]
-    out = {}
-    for tup in combinations(range(p), alpha.degree):
-        total = Fraction(0)
-        for t in range(alpha.degree):
-            col = bracket_cols[tup[t]]
-            for k in range(p):
-                if col[k] == 0:
-                    continue
-                total -= col[k] * alpha.eval_basis(tup[:t] + (k,) + tup[t + 1:])
-        if total != 0:
-            out[tup] = total
-    return AltForm(p, alpha.degree, out)
+    table = _coadjoint_table(algebra, v)
+    return AltForm(algebra.dim, alpha.degree,
+                   _apply(alpha.coeffs, lambda t: _action_image(table, t)))
 
 
 def coadjoint_matrix_action(matrix, alpha):
     """(M.a)(v_1..v_r) = a(M^-1 v_1, ..., M^-1 v_r)."""
-    p = alpha.dim
     minv = linalg.inverse([list(row) for row in matrix])
-    out = {}
-    for tup in combinations(range(p), alpha.degree):
-        total = Fraction(0)
-        for src, c in alpha.coeffs.items():
-            # coefficient of alpha_src in the pullback is the (src, tup) minor
-            sub = [[minv[i][j] for j in tup] for i in src]
-            total += c * _det(sub)
-        if total != 0:
-            out[tup] = total
-    return AltForm(p, alpha.degree, out)
-
-
-def _det(m):
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    m = [list(row) for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        sel = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if sel is None:
-            return Fraction(0)
-        if sel != c:
-            m[c], m[sel] = m[sel], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
+    return AltForm(alpha.dim, alpha.degree,
+                   _apply(alpha.coeffs, lambda t: _pullback_image(minv, t)))
 
 
 def _require_valid_subgroup(algebra, sub):
@@ -395,63 +461,16 @@ def relative_basis(algebra, sub, degree, validate=True):
     """Deterministic basis of the relative forms in the given degree:
     annihilated by the subalgebra, infinitesimally invariant under it, and
     fixed by every component matrix."""
+    _check_size(algebra.dim, degree)
     if validate:
         _require_valid_subgroup(algebra, sub)
-    p = algebra.dim
-    tuples = list(combinations(range(p), degree))
-    n_cols = len(tuples)
-    col = {t: i for i, t in enumerate(tuples)}
-    rows = []
-
-    def basis_form(t):
-        return AltForm(p, degree, {t: Fraction(1)})
-
-    def add_constraint(value_of_basis_form):
-        row = [Fraction(0)] * n_cols
-        nonzero = False
-        for t in tuples:
-            v = value_of_basis_form(t)
-            if v != 0:
-                row[col[t]] = v
-                nonzero = True
-        if nonzero:
-            rows.append(row)
-
-    for v in sub.basis:
-        if degree >= 1:
-            for rest in combinations(range(p), degree - 1):
-                add_constraint(lambda t, v=v, rest=rest:
-                               basis_form(t).eval_vector_first(v, rest))
-        for tup in combinations(range(p), degree):
-            add_constraint(lambda t, v=v, tup=tup:
-                           infinitesimal_action(algebra, v, basis_form(t)).coeffs.get(tup, Fraction(0)))
-    for m in sub.component_reps:
-        for tup in combinations(range(p), degree):
-            def fixed_row(t, m=m, tup=tup):
-                acted = coadjoint_matrix_action(m, basis_form(t))
-                v = acted.coeffs.get(tup, Fraction(0))
-                if t == tup:
-                    v -= 1
-                return v
-            add_constraint(fixed_row)
-
-    if not rows:
-        vecs = [r for r in linalg.identity(n_cols)]
-    else:
-        vecs = linalg.nullspace(rows)
-    return [AltForm.from_vector(p, degree, tuples, v) for v in vecs]
+    tuples = list(combinations(range(algebra.dim), degree))
+    rows = _Constraints(algebra, sub).rows(tuples)
+    return [AltForm(algebra.dim, degree, v) for v in linalg.nullspace(rows, tuples)]
 
 
 def _satisfies_relative_constraints(algebra, sub, alpha):
-    for v in sub.basis:
-        if alpha.degree >= 1 and not interior(v, alpha).is_zero():
-            return False
-        if not infinitesimal_action(algebra, v, alpha).is_zero():
-            return False
-    for m in sub.component_reps:
-        if coadjoint_matrix_action(m, alpha) != alpha:
-            return False
-    return True
+    return _Constraints(algebra, sub).hold(alpha.coeffs)
 
 
 @dataclass
@@ -459,69 +478,60 @@ class CohomologyResult:
     degree: int
     dimension: int
     representatives: list
-    relative_dims: dict  # degree -> dim of the relative space, for context
+    relative_dims: dict  # degree -> dim of the relative space, for degrees r - 1 and r
 
 
 def relative_cohomology(algebra, sub, degree, validate=True):
-    """Relative cohomology in one degree by exact kernel/image computation."""
-    if validate:
-        _require_valid_subgroup(algebra, sub)
+    """Relative cohomology in one degree by exact kernel/image computation
+    on the relative forms of degrees r - 1 and r."""
     p = algebra.dim
     if not 0 <= degree <= p:
         raise DegreeOverflow(f"degree {degree} out of range 0..{p}")
-    basis_here = relative_basis(algebra, sub, degree, validate=False)
-    basis_below = relative_basis(algebra, sub, degree - 1, validate=False) if degree >= 1 else []
-    above_tuples = list(combinations(range(p), degree + 1))
-    here_tuples = list(combinations(range(p), degree))
+    _check_size(p, degree - 1, degree, degree + 1)
+    if validate:
+        _require_valid_subgroup(algebra, sub)
+    basis = relative_basis(algebra, sub, degree, validate=False)
+    below = relative_basis(algebra, sub, degree - 1, validate=False) if degree >= 1 else []
+    constraints = _Constraints(algebra, sub)
+    dual = _dual_table(algebra)
+    d_images = {}
 
-    if degree < p:
-        diffs = []
-        for b in basis_here:
-            db = ce_differential(algebra, b)
-            if not _satisfies_relative_constraints(algebra, sub, db):
-                raise RelativeComplexNotClosed(
-                    "differential left the relative subcomplex; subgroup data is inconsistent")
-            diffs.append(db)
-        # kernel of d on the relative space, in basis_here coordinates
-        matrix_rows = [[db.coeffs.get(t, Fraction(0)) for db in diffs] for t in above_tuples]
-        kernel_coords = (linalg.nullspace(matrix_rows) if basis_here else [])
-    else:
-        kernel_coords = [row for row in linalg.identity(len(basis_here))]
-
-    image = linalg.Echelon()
-    for b in basis_below:
-        db = ce_differential(algebra, b)
-        if not _satisfies_relative_constraints(algebra, sub, db):
+    def differential(b):
+        """d b from the images of its monomials, each built once; d b must
+        satisfy the constraints one degree up."""
+        for t in b.coeffs:
+            if t not in d_images:
+                d_images[t] = _d_image(dual, t)
+        db = _apply(b.coeffs, d_images.__getitem__)
+        if not constraints.hold(db):
             raise RelativeComplexNotClosed(
                 "differential left the relative subcomplex; subgroup data is inconsistent")
-        image.insert(db.to_vector(here_tuples))
-    image_rank = len(image)
+        return db
 
-    reps = []
+    if degree < p:
+        # kernel of d on the relative space, in coordinates on the basis
+        rows = {}
+        for i, b in enumerate(basis):
+            for u, x in differential(b).items():
+                rows.setdefault(u, {})[i] = x
+        coords = linalg.nullspace(list(rows.values()), range(len(basis)))
+        kernel = [_apply(c, lambda i: basis[i].coeffs) for c in coords]
+    else:
+        kernel = [b.coeffs for b in basis]
+
     quotient = linalg.Echelon()
-    for row in image.rows.values():
-        quotient.insert(list(row))
-    for coords in kernel_coords:
-        vec = [Fraction(0)] * len(here_tuples)
-        for c, b in zip(coords, basis_here):
-            if c != 0:
-                for i, t in enumerate(here_tuples):
-                    vec[i] += c * b.coeffs.get(t, Fraction(0))
+    for b in below:
+        quotient.insert(differential(b))
+    image_rank = len(quotient)
+    reps = []
+    for vec in kernel:
         reduced = quotient.insert(vec)
         if reduced is not None:
-            reps.append(AltForm.from_vector(p, degree, here_tuples, reduced))
+            reps.append(AltForm(p, degree, reduced))
 
-    dims = {}
-    for d in (degree - 1, degree, degree + 1):
-        if d < 0 or d > p:
-            continue
-        if d == degree:
-            dims[d] = len(basis_here)
-        elif d == degree - 1:
-            dims[d] = len(basis_below)
-        else:
-            dims[d] = len(relative_basis(algebra, sub, d, validate=False))
-    dimension = len(kernel_coords) - image_rank
+    dims = {degree - 1: len(below)} if degree >= 1 else {}
+    dims[degree] = len(basis)
+    dimension = len(kernel) - image_rank
     assert dimension == len(reps)
     return CohomologyResult(degree, dimension, reps, dims)
 

@@ -1,14 +1,25 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fraction.  Every elimination is exact, so
-rank, kernel and membership answers are decisions, not approximations.
-Pivot choice is always the first nonzero entry in column order, which makes
-all outputs deterministic.
+Matrices are lists of rows of Fraction.  A row may also be sparse: a dict
+from column keys (integers, or any keys that sort in column order, such as
+index tuples) to values.  `nullspace` takes sparse rows with the list of
+column keys, and `Echelon` gives back vectors of the kind it is given.
+
+Every elimination is fraction-free and exact, so rank, kernel and
+membership answers are decisions, not approximations.  Each row is scaled
+to integers by clearing its denominators; rows are then combined over Z
+and divided by their content (the gcd of their entries), which keeps the
+entries small in the manner of Bareiss (1968); Fractions appear only when a
+result is normalised at the end.  Pivot choice is always the first nonzero
+entry in column order.  The reduced row echelon form of a row space is
+unique, so every output equals that of Gauss-Jordan elimination in
+Fractions with the same pivot order, and all outputs are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class SingularMatrix(ValueError):
@@ -33,55 +44,160 @@ def matmul(a, b):
             for i in range(n)]
 
 
+def _integer_row(v):
+    """(row, scale): the nonzero entries of v times scale, as a sparse row
+    of integers; scale is the lcm of their denominators."""
+    items = [(c, x) for c, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x]
+    if not items:
+        return {}, 1
+    scale = lcm(*(x.denominator for _, x in items))
+    return {c: x.numerator * (scale // x.denominator) for c, x in items}, scale
+
+
+def _primitive(row, pivot):
+    """Divide a nonzero integer row by its content, pivot entry positive."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {c: x // g for c, x in row.items()}
+
+
+def _combine(a, row, b, other):
+    """a * row - b * other, zero entries dropped."""
+    out = {c: a * x for c, x in row.items()} if a != 1 else dict(row)
+    for c, x in other.items():
+        y = out.get(c, 0) - b * x
+        if y:
+            out[c] = y
+        else:
+            out.pop(c, None)
+    return out
+
+
+def _normalised(row, pivot, width=None):
+    """row / row[pivot] in Fractions: sparse, or dense if a width is given."""
+    p = row[pivot]
+    if width is None:
+        return {c: Fraction(x, p) for c, x in sorted(row.items())}
+    return [Fraction(row.get(c, 0), p) for c in range(width)]
+
+
+class Echelon:
+    """Incremental row space in reduced echelon form, for membership tests
+    and reduction modulo a growing subspace.  This is the one elimination
+    kernel: rref, rank, nullspace, inverse and det all run on it.
+
+    Rows are held as primitive integer rows with a positive pivot entry,
+    each zero in the pivot columns of the others."""
+
+    def __init__(self, rows=()):
+        self._rows = {}  # pivot column -> primitive integer row
+        self._width = 0
+        for v in rows:
+            self.insert(v)
+
+    def _reduce(self, row):
+        """(mult * row minus a combination of the held rows, mult): zero in
+        every pivot column."""
+        mult = 1
+        for c in [c for c in row if c in self._rows]:
+            held = self._rows[c]
+            a, b = held[c], row[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            row = _combine(a, row, b, held)
+            mult *= a
+        return row, mult
+
+    def _add(self, row):
+        """Hold a reduced nonzero row; clear its pivot column elsewhere."""
+        pivot = min(row)
+        row = _primitive(row, pivot)
+        a = row[pivot]
+        for c, held in list(self._rows.items()):
+            b = held.get(pivot)
+            if b:
+                g = gcd(a, b)
+                self._rows[c] = _primitive(_combine(a // g, held, b // g, row), c)
+        self._rows[pivot] = row
+        return pivot, row
+
+    def reduce(self, v):
+        """The vector in v + (row space) that is zero in every pivot column."""
+        row, scale = _integer_row(v)
+        row, mult = self._reduce(row)
+        exact = {c: Fraction(x, scale * mult) for c, x in row.items()}
+        if isinstance(v, dict):
+            return dict(sorted(exact.items()))
+        return [exact.get(c, Fraction(0)) for c in range(len(v))]
+
+    def insert(self, v):
+        """Reduce v against the space; insert the remainder if nonzero.
+        Returns the reduced vector scaled to pivot entry 1, or None if v was
+        already in the space."""
+        if not isinstance(v, dict):
+            self._width = len(v)
+        row, _ = self._reduce(_integer_row(v)[0])
+        if not row:
+            return None
+        pivot, row = self._add(row)
+        return _normalised(row, pivot, None if isinstance(v, dict) else len(v))
+
+    def contains(self, v):
+        return not self._reduce(_integer_row(v)[0])[0]
+
+    @property
+    def rows(self):
+        """pivot column -> dense row with pivot entry 1, in insertion order."""
+        return {c: _normalised(row, c, self._width) for c, row in self._rows.items()}
+
+    def __len__(self):
+        return len(self._rows)
+
+
 def rref(m):
     """Reduced row echelon form. Returns (rows, pivot_columns); m is not modified."""
-    rows = [list(r) for r in m]
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        sel = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
+    n_cols = len(m[0]) if m else 0
+    held = Echelon(m)._rows
+    pivots = sorted(held)
+    rows = [_normalised(held[c], c, n_cols) for c in pivots]
+    rows += [[Fraction(0)] * n_cols for _ in range(len(m) - len(pivots))]
     return rows, pivots
 
 
 def rank(m):
     if not m or not m[0]:
         return 0
-    return len(rref(m)[1])
+    return len(Echelon(m))
 
 
-def nullspace(m):
+def nullspace(m, columns=None):
     """Deterministic basis of {x : m x = 0}.
 
     One basis vector per free column, taken in increasing column order; the
     vector carries 1 in its own free column and 0 in the other free columns.
+    Given the ordered column keys, the rows may be sparse and the basis
+    vectors are sparse; an empty m then has the unit vectors as basis.
     """
-    if not m:
-        return []
-    n_cols = len(m[0])
-    rows, pivots = rref(m)
-    free = [c for c in range(n_cols) if c not in pivots]
+    if columns is None:
+        if not m:
+            return []
+        n_cols = len(m[0])
+        return [[v.get(c, Fraction(0)) for c in range(n_cols)]
+                for v in nullspace(m, range(n_cols))]
+    held = Echelon(m)._rows
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n_cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
+    for fc in columns:
+        if fc in held:
+            continue
+        v = {fc: Fraction(1)}
+        for pc, row in held.items():
+            x = row.get(fc)
+            if x:
+                v[pc] = Fraction(-x, row[pc])
+        basis.append(dict(sorted(v.items())))
     return basis
 
 
@@ -94,39 +210,24 @@ def inverse(m):
     return [row[n:] for row in rows]
 
 
-class Echelon:
-    """Incremental row space in reduced echelon form, for membership tests
-    and reduction modulo a growing subspace."""
+def det(m):
+    """Determinant of a square matrix.
 
-    def __init__(self):
-        self.rows = {}  # pivot column -> normalized row
-
-    def reduce(self, v):
-        v = list(v)
-        for c, row in sorted(self.rows.items()):
-            if v[c] != 0:
-                f = v[c]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def insert(self, v):
-        """Reduce v against the space; insert the remainder if nonzero.
-        Returns the reduced vector, or None if v was already in the space."""
-        v = self.reduce(v)
-        pivot = next((c for c, x in enumerate(v) if x != 0), None)
-        if pivot is None:
-            return None
-        inv = Fraction(1) / v[pivot]
-        v = [x * inv for x in v]
-        for c, row in self.rows.items():
-            if row[pivot] != 0:
-                f = row[pivot]
-                self.rows[c] = [x - f * y for x, y in zip(row, v)]
-        self.rows[pivot] = v
-        return v
-
-    def contains(self, v):
-        return all(x == 0 for x in self.reduce(v))
-
-    def __len__(self):
-        return len(self.rows)
+    Each row, reduced against the rows before it, keeps the determinant and
+    is zero in their pivot columns; taken in pivot order the reduced rows
+    form a triangular matrix, whose determinant is the signed product of
+    the pivot entries."""
+    ech = Echelon()
+    value = Fraction(1)
+    pivots = []
+    for v in m:
+        row, scale = _integer_row(v)
+        row, mult = ech._reduce(row)
+        if not row:
+            return Fraction(0)
+        pivot = min(row)
+        value *= Fraction(row[pivot], scale * mult)
+        pivots.append(pivot)
+        ech._add(row)
+    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    return -value if inversions % 2 else value

@@ -306,7 +306,8 @@ class ScalarExpr:
     def eval_at(self, point):
         d = _p_eval(self.den, point)
         if d == 0:
-            raise PoleAtPoint(f"denominator vanishes at {dict(point)}")
+            where = ", ".join(f"{name} = {Fraction(value)}" for name, value in point.items())
+            raise PoleAtPoint(f"denominator vanishes at {where}")
         return _p_eval(self.num, point) / d
 
     def function_symbols(self):

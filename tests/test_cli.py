@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,32 @@ def test_exit_codes_for_input_errors(capsys):
 def test_cohomology_degree_out_of_range_is_input_error(capsys):
     assert main(["cohomology", "--input", fixture("so3"), "--algebra", "so3",
                  "--degree", "7"]) == 2
+
+
+def test_oversized_cochain_space_refused_at_once(tmp_path, capsys):
+    # C(200, 3) = 1313400 basis 3-forms: refused before any of them is built
+    ws = tmp_path / "ab200.lch"
+    ws.write_text("lie_algebra ab { dim 200 }\n")
+    start = time.perf_counter()
+    code = main(["cohomology", "--input", str(ws), "--algebra", "ab", "--degree", "3"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert elapsed < 1
+
+
+def test_pole_at_point_reported_in_workspace_syntax(tmp_path, capsys):
+    ws = tmp_path / "pole.lch"
+    ws.write_text("""chart M { coords = [x, y] }
+lie_algebra g { dim 1 }
+vectorfield v on M = 1/x*D(y)
+action act { algebra g chart M generators = [v] orbit_dim 1 }
+point P on M = (0, 1)
+""")
+    assert main(["validate", "--input", str(ws)]) == 2
+    err = capsys.readouterr().err
+    assert "Fraction(" not in err
+    assert "denominator vanishes at x = 0, y = 1" in err
 
 
 def test_ambiguous_object_name_is_input_error(tmp_path, capsys):

@@ -176,6 +176,17 @@ def test_relative_complex_not_closed_detected():
         lc.relative_cohomology(SO3, bad, 1)
 
 
+def test_oversized_cochain_spaces_refused():
+    big = lc.LieAlgebra(200)
+    assert len(lc.relative_basis(big, TRIVIAL, 1)) == 200
+    with pytest.raises(lc.DegreeOverflow):
+        lc.relative_basis(big, TRIVIAL, 3)
+    # degree 1 needs the C(200, 2) = 19900 two-forms for the differential
+    with pytest.raises(lc.DegreeOverflow):
+        lc.relative_cohomology(big, TRIVIAL, 1)
+    assert lc.MAX_COCHAINS >= 10 * comb(10, 5)
+
+
 def test_conjugate_subgroup_relabeling():
     # automorphism sending e3 -> e1, e1 -> e2, e2 -> e3 (cyclic rotation)
     cyc = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]

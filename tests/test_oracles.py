@@ -1,0 +1,261 @@
+"""Oracle tests: the fraction-free elimination against Gauss-Jordan in
+Fractions (and sympy), the assembled CE operators against the operators
+evaluated form by form from their definitions, and pinned representatives."""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+
+import reference as ref
+from genutil import (random_altform, random_invertible, random_lie_algebra,
+                     random_rational, random_so3_automorphism, transport_algebra)
+from liecochain import dsl, linalg
+from liecochain import lie_cohomology as lc
+
+SO3 = lc.LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
+O2 = lc.SubgroupSpec.from_vectors([[0, 0, 1]], [[[-1, 0, 0], [0, 1, 0], [0, 0, -1]]])
+TRIVIAL = lc.SubgroupSpec.trivial()
+
+
+# -- elimination ---------------------------------------------------------------
+
+def random_matrix(rng):
+    """Rational matrix of a random shape, with zero rows and columns and
+    rows copied from combinations of others, so that it is often singular."""
+    n_rows, n_cols = rng.randint(0, 6), rng.randint(0, 7)
+    density = rng.choice([0.2, 0.5, 1.0])
+    m = [[random_rational(rng, 5) if rng.random() < density else Fraction(0)
+          for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 2 and rng.random() < 0.5:
+        a, b = rng.sample(range(n_rows), 2)
+        c = random_rational(rng)
+        m[b] = [x + c * y for x, y in zip(m[b], m[a])]
+    if n_rows and rng.random() < 0.3:
+        m[rng.randrange(n_rows)] = [Fraction(0)] * n_cols
+    if n_cols and rng.random() < 0.3:
+        j = rng.randrange(n_cols)
+        for row in m:
+            row[j] = Fraction(0)
+    return m
+
+
+def square_matrix(rng):
+    n = rng.randint(0, 5)
+    m = [[random_rational(rng, 4) if rng.random() < 0.7 else Fraction(0)
+          for _ in range(n)] for _ in range(n)]
+    if n >= 2 and rng.random() < 0.3:
+        m[1] = [2 * x for x in m[0]]
+    return m
+
+
+def test_rref_rank_nullspace_match_gauss_jordan():
+    rng = random.Random(23)
+    for _ in range(400):
+        m = random_matrix(rng)
+        assert linalg.rref(m) == ref.rref(m)
+        assert linalg.rank(m) == ref.rank(m)
+        assert linalg.nullspace(m) == ref.nullspace(m)
+        n_cols = len(m[0]) if m else rng.randint(0, 3)
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in m]
+        assert linalg.nullspace(sparse, range(n_cols)) == \
+            [{c: x for c, x in enumerate(v) if x} for v in ref.nullspace(m or [[0] * n_cols])]
+
+
+def test_inverse_and_det_match_gauss_jordan():
+    rng = random.Random(29)
+    singular = 0
+    for _ in range(300):
+        m = square_matrix(rng)
+        expected = ref.inverse(m)
+        if expected is None:
+            singular += 1
+            with pytest.raises(linalg.SingularMatrix):
+                linalg.inverse(m)
+        else:
+            assert linalg.inverse(m) == expected
+        assert linalg.det(m) == ref.det(m)
+    assert 20 < singular < 280
+
+
+def test_echelon_matches_gauss_jordan_dense_and_sparse():
+    rng = random.Random(31)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        ech, sparse, expected = linalg.Echelon(), linalg.Echelon(), ref.Echelon()
+        for _ in range(rng.randint(1, 8)):
+            v = random_matrix_row(rng, n, expected)
+            want = expected.insert(v)
+            assert ech.insert(v) == want
+            got = sparse.insert({c: x for c, x in enumerate(v) if x})
+            assert got == (None if want is None else {c: x for c, x in enumerate(want) if x})
+            assert ech.rows == expected.rows
+            w = random_matrix_row(rng, n, expected)
+            assert ech.reduce(w) == expected.reduce(w)
+            assert ech.contains(w) == all(x == 0 for x in expected.reduce(w))
+
+
+def random_matrix_row(rng, n, space):
+    """A random row, or one from the space held so far."""
+    if space.rows and rng.random() < 0.3:
+        v = [Fraction(0)] * n
+        for row in space.rows.values():
+            c = random_rational(rng)
+            v = [x + c * y for x, y in zip(v, row)]
+        return v
+    return [random_rational(rng, 4) if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(37)
+    for _ in range(150):
+        m = random_matrix(rng)
+        if not m or not m[0]:
+            continue
+        expected, pivots = sympy.Matrix(m).rref()
+        rows, got_pivots = linalg.rref(m)
+        assert got_pivots == list(pivots)
+        assert rows == [[Fraction(int(x.p), int(x.q)) for x in expected.row(i)]
+                        for i in range(expected.rows)]
+
+
+# -- assembled operators ---------------------------------------------------------
+
+def monomial(t):
+    return {t: Fraction(1)}
+
+
+def reference_images(alg, vectors, matrices, t):
+    """Images of a^t under the relative constraint maps, from the per-form
+    definitions, in the order of lc._Constraints.images."""
+    p, r = alg.dim, len(t)
+    images = [ref.interior(v, monomial(t), p, r) for v in vectors] if r else []
+    images += [ref.infinitesimal_action(alg.brackets, p, v, monomial(t), r) for v in vectors]
+    for m in matrices:
+        image = ref.coadjoint_matrix_action(m, monomial(t), p, r)
+        image[t] = image.get(t, 0) - 1
+        images.append({u: x for u, x in image.items() if x})
+    return images
+
+
+def assert_assembly_matches(alg, sub):
+    p = alg.dim
+    vectors = [list(v) for v in sub.basis]
+    matrices = [[list(row) for row in m] for m in sub.component_reps]
+    constraints = lc._Constraints(alg, sub)
+    dual = lc._dual_table(alg)
+    for r in range(p + 1):
+        tuples = list(combinations(range(p), r))
+        expected_rows = Counter()
+        for t in tuples:
+            if r < p:
+                assert lc._d_image(dual, t) == ref.ce_differential(alg.brackets, p, monomial(t), r)
+            images = reference_images(alg, vectors, matrices, t)
+            assert constraints.images(t) == images
+            for n, image in enumerate(images):
+                for u, x in image.items():
+                    expected_rows[n, u, t] = x
+        by_target = {}
+        for (n, u, t), x in expected_rows.items():
+            by_target.setdefault((n, u), {})[t] = x
+        assert (Counter(tuple(sorted(row.items())) for row in constraints.rows(tuples))
+                == Counter(tuple(sorted(row.items())) for row in by_target.values()))
+
+
+def assert_per_form_matches(rng, alg, sub):
+    p = alg.dim
+    for _ in range(3):
+        r = rng.randint(0, p)
+        alpha = random_altform(rng, p, r)
+        if r < p:
+            assert lc.ce_differential(alg, alpha).coeffs == \
+                ref.ce_differential(alg.brackets, p, alpha.coeffs, r)
+        for v in sub.basis:
+            if r:
+                assert lc.interior(v, alpha).coeffs == ref.interior(v, alpha.coeffs, p, r)
+            assert lc.infinitesimal_action(alg, v, alpha).coeffs == \
+                ref.infinitesimal_action(alg.brackets, p, v, alpha.coeffs, r)
+        for m in sub.component_reps:
+            assert lc.coadjoint_matrix_action(m, alpha).coeffs == \
+                ref.coadjoint_matrix_action(m, alpha.coeffs, p, r)
+
+
+def test_assembled_operators_on_random_algebras():
+    rng = random.Random(41)
+    for _ in range(25):
+        alg = random_lie_algebra(rng, 4)
+        p = alg.dim
+        # the maps need no subalgebra: any vectors and invertible matrices do
+        vectors = [[random_rational(rng) for _ in range(p)] for _ in range(rng.randint(0, 2))]
+        matrices = [random_invertible(rng, p) for _ in range(rng.randint(0, 1))]
+        sub = lc.SubgroupSpec.from_vectors(vectors, matrices)
+        assert_assembly_matches(alg, sub)
+        assert_per_form_matches(rng, alg, sub)
+
+
+def test_assembled_operators_on_so3_conjugates():
+    rng = random.Random(43)
+    for _ in range(20):
+        moved = lc.conjugate_subgroup(SO3, O2, random_so3_automorphism(rng))
+        assert_assembly_matches(SO3, moved)
+        assert_per_form_matches(rng, SO3, moved)
+        # RP^2 = SO(3)/O(2), whichever conjugate of O(2)
+        assert [lc.relative_cohomology(SO3, moved, r).dimension for r in range(4)] == [1, 0, 0, 0]
+
+
+# -- pinned representatives ---------------------------------------------------------
+
+def so(n):
+    """so(n) on the basis E_ab = e_a e_b^T - e_b e_a^T, pairs a < b in order."""
+    pairs = list(combinations(range(n), 2))
+
+    def mat(a, b):
+        m = [[0] * n for _ in range(n)]
+        m[a][b], m[b][a] = 1, -1
+        return m
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    mats = [mat(a, b) for a, b in pairs]
+    brackets = {}
+    for i, j in combinations(range(len(pairs)), 2):
+        xy, yx = mul(mats[i], mats[j]), mul(mats[j], mats[i])
+        rhs = {k: xy[a][b] - yx[a][b] for k, (a, b) in enumerate(pairs) if xy[a][b] != yx[a][b]}
+        if rhs:
+            brackets[(i, j)] = rhs
+    return lc.LieAlgebra(len(pairs), brackets)
+
+
+def _transported_so4_circle():
+    m = [[Fraction(int(i == j)) + (Fraction(1, 2) if j == i + 1 else 0)
+          - (Fraction(2, 3) if (i, j) == (5, 0) else 0) for j in range(6)] for i in range(6)]
+    v = linalg.matvec(linalg.inverse(m), [Fraction(1)] + [Fraction(0)] * 5)
+    return transport_algebra(so(4), m), lc.SubgroupSpec.from_vectors([v])
+
+
+PINNED = [
+    ("so4/circle H2", lambda: (so(4), lc.SubgroupSpec.from_vectors([[1, 0, 0, 0, 0, 0]])), 2,
+     ["a2^a4 + a3^a5"]),
+    ("so5 H2", lambda: (so(5), TRIVIAL), 2, []),
+    ("so5 H3", lambda: (so(5), TRIVIAL), 3,
+     ["a1^a2^a5 + a1^a3^a6 + a1^a4^a7 + a2^a3^a8 + a2^a4^a9 + a3^a4^a10 + a5^a6^a8"
+      " + a5^a7^a9 + a6^a7^a10 + a8^a9^a10"]),
+    ("so3/O2 H1", lambda: (SO3, O2), 1, []),
+    ("so3/O2 H2", lambda: (SO3, O2), 2, []),
+    ("aff1 H1", lambda: (lc.LieAlgebra(2, {(0, 1): {1: -1}}), TRIVIAL), 1, ["a1"]),
+    ("so4 H3", lambda: (so(4), TRIVIAL), 3,
+     ["a3^a5^a6", "a1^a2^a4 + a1^a3^a5 + a2^a3^a6 + a4^a5^a6"]),
+    ("transported so4/circle H2", _transported_so4_circle, 2,
+     ["a2^a4 + 1/2*a2^a5 + 1/2*a3^a4 + 5/4*a3^a5 + 1/2*a3^a6 + 1/2*a4^a5 + 1/4*a4^a6"]),
+]
+
+
+@pytest.mark.parametrize("name,make,degree,expected", PINNED, ids=[p[0] for p in PINNED])
+def test_pinned_representatives(name, make, degree, expected):
+    alg, sub = make()
+    res = lc.relative_cohomology(alg, sub, degree)
+    assert [dsl.altform_dsl(r) for r in res.representatives] == expected

@@ -65,8 +65,8 @@ def test_is_zero_and_equals():
 
 def test_eval_at():
     assert sf.eval_at(x * y + 3, {"x": 1, "y": 2}) == 5
-    with pytest.raises(sf.PoleAtPoint):
-        sf.eval_at(1 / x, {"x": 0})
+    with pytest.raises(sf.PoleAtPoint, match=r"^denominator vanishes at x = 0, y = -1/2$"):
+        sf.eval_at(1 / x, {"x": 0, "y": Fraction(-1, 2)})
     with pytest.raises(sf.UnresolvedFunctionSymbol):
         sf.eval_at(K, {"z": 1})
     with pytest.raises(sf.UnknownCoordinate):
