@@ -592,24 +592,31 @@ class _Parser:
                 kind, value = self._combine_product(kind, value, kind2, value2, op_tok)
             elif op == "/":
                 op_tok = self.advance()
-                kind2, value2 = self.parse_tensor_factor(chart)
-                if kind2 != "scalar":
-                    self.error("can only divide by a scalar", op_tok, ArityMismatch)
-                if sf.normalize(value2).is_zero():
-                    self.error("division by zero", op_tok)
+                _, value2 = self.parse_tensor_factor(chart, divide_tok=op_tok)
                 if kind == "scalar":
-                    value = value / value2
+                    value = value * value2
                 else:
-                    value = value.scaled(sf.ONE / sf.normalize(value2))
+                    value = value.scaled(value2)
             else:
                 break
         if sign < 0:
             value = -value
         return kind, value
 
-    def parse_tensor_factor(self, chart):
-        """Atom with postfix ^: integer power on scalars, wedge on tensors."""
+    def parse_tensor_factor(self, chart, divide_tok=None):
+        """Atom with postfix ^: integer power on scalars, wedge on tensors.
+
+        After `divide_tok` ('/') the atom must be a scalar and is inverted
+        before its powers, so that a / b^e reads as a * b^-e and a factored
+        denominator parses back factor by factor.
+        """
         kind, value = self.parse_tensor_atom(chart)
+        if divide_tok is not None:
+            if kind != "scalar":
+                self.error("can only divide by a scalar", divide_tok, ArityMismatch)
+            if value.is_zero():
+                self.error("division by zero", divide_tok)
+            value = sf.ONE / value
         while self.peek().text == "^":
             op_tok = self.advance()
             if kind == "scalar":

@@ -1,10 +1,17 @@
 """Exact scalar coefficients: fractions of differential polynomials.
 
-A value is numerator/denominator where each side is a Q-linear combination
+A value is numerator/denominator.  The numerator is a Q-linear combination
 of terms, a term being a monomial in coordinate names times a product of
 formal derivatives of function symbols (``K(z)``, ``a(x)``, ...).  Terms are
 kept sorted by a fixed total order with no zero coefficients, so structural
 equality of canonical forms is meaningful and the zero test is syntactic.
+
+The denominator is kept factored, as a sorted tuple of (factor, exponent)
+pairs; a polynomial has none.  At most one factor is a monomial (one term,
+coefficient 1, exponent 1, placed first); every other factor has several
+terms, no monomial content and lead coefficient 1.  Products add exponents,
+sums take the lcm of the factor multisets, and the quotient rule raises the
+exponent of each factor it differentiates by one, so only numerators grow.
 Fractions are never reduced by polynomial gcd; mathematical equality is
 decided by cross multiplication (`equals`).
 
@@ -15,8 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 Rational = Fraction
+
+# Largest n * t * C(n+t-1, t-1) -- term products in raising a t-term
+# numerator to the n-th power -- that `**` starts.
+MAX_POWER_WORK = 1_000_000
 
 
 class ScalarError(Exception):
@@ -36,6 +48,10 @@ class UnresolvedFunctionSymbol(ScalarError):
 
 
 class PoleAtPoint(ScalarError):
+    pass
+
+
+class PowerTooLarge(ScalarError):
     pass
 
 
@@ -68,6 +84,7 @@ class FunctionSymbol:
 #   monomial: tuple of (coordinate name, exponent>0), sorted by name
 #   symbols:  tuple of (FunctionSymbol, exponent>0), sorted
 # A polynomial is a tuple of (term key, Fraction), sorted by _term_order.
+# A denominator is a tuple of (polynomial, exponent>0), sorted by _factor_order.
 
 _EMPTY_TERM = ((), ())
 
@@ -75,6 +92,11 @@ _EMPTY_TERM = ((), ())
 def _term_order(key):
     mono, syms = key
     return ((sum(e for _, e in mono), mono), syms)
+
+
+def _factor_order(factor_exp):
+    f = factor_exp[0]
+    return len(f), [(_term_order(k), c) for k, c in f]
 
 
 def _freeze(d):
@@ -102,25 +124,23 @@ def _p_scale(p, f):
     return tuple((k, c * f) for k, c in p)
 
 
-def _mul_mono(m1, m2):
-    d = dict(m1)
-    for name, e in m2:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted(d.items()))
-
-
-def _mul_syms(s1, s2):
-    d = dict(s1)
-    for sym, e in s2:
-        d[sym] = d.get(sym, 0) + e
+def _mul_exps(a, b):
+    """Product of two sorted (variable, exponent) tuples: monomials or symbols."""
+    if not a or not b:
+        return a or b
+    d = dict(a)
+    for v, e in b:
+        d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
 
 
 def _p_mul(p, q):
+    if q == _P_ONE:
+        return p
     d = {}
     for (m1, s1), c1 in p:
         for (m2, s2), c2 in q:
-            k = (_mul_mono(m1, m2), _mul_syms(s1, s2))
+            k = (_mul_exps(m1, m2), _mul_exps(s1, s2))
             d[k] = d.get(k, Fraction(0)) + c1 * c2
     return _freeze(d)
 
@@ -140,7 +160,7 @@ def _p_partial(p, coord):
             dsym = sym.differentiate(coord)
             rest = syms[:i] + ((sym, e - 1),) if e > 1 else syms[:i]
             rest = rest + syms[i + 1:]
-            k = (mono, _mul_syms(rest, ((dsym, 1),)))
+            k = (mono, _mul_exps(rest, ((dsym, 1),)))
             d[k] = d.get(k, Fraction(0)) + c * e
     return _freeze(d)
 
@@ -160,69 +180,148 @@ def _p_eval(p, point):
     return total
 
 
-def _common_content(polys):
-    """Monomial/symbol factors present in every term of every polynomial."""
-    mono_min, sym_min = None, None
-    for p in polys:
-        for (mono, syms), _ in p:
-            md, sd = dict(mono), dict(syms)
-            if mono_min is None:
-                mono_min, sym_min = md, sd
-            else:
-                mono_min = {k: min(v, md[k]) for k, v in mono_min.items() if k in md}
-                sym_min = {k: min(v, sd[k]) for k, v in sym_min.items() if k in sd}
-            if not mono_min and not sym_min:
-                return None
-    if not mono_min and not sym_min:
-        return None
-    return mono_min or {}, sym_min or {}
+# -- term keys as monomials: content, cancellation, lcm ---------------------
 
 
-def _strip_content(p, content):
-    mono_min, sym_min = content
-    out = []
-    for (mono, syms), c in p:
-        mono = tuple((k, e - mono_min.get(k, 0)) for k, e in mono if e - mono_min.get(k, 0) > 0)
-        syms = tuple((k, e - sym_min.get(k, 0)) for k, e in syms if e - sym_min.get(k, 0) > 0)
-        out.append(((mono, syms), c))
-    return _freeze(dict(out))
+def _min_exps(a, b):
+    db = dict(b)
+    return tuple((v, min(e, db[v])) for v, e in a if v in db)
+
+
+def _max_exps(a, b):
+    d = dict(a)
+    for v, e in b:
+        if e > d.get(v, 0):
+            d[v] = e
+    return tuple(sorted(d.items()))
+
+
+def _div_exps(a, b):
+    """a / b for exponent tuples where b divides a."""
+    db = dict(b)
+    return tuple((v, e - db.get(v, 0)) for v, e in a if e > db.get(v, 0))
+
+
+def _key_mul(k1, k2):
+    return _mul_exps(k1[0], k2[0]), _mul_exps(k1[1], k2[1])
+
+
+def _key_gcd(k1, k2):
+    return _min_exps(k1[0], k2[0]), _min_exps(k1[1], k2[1])
+
+
+def _key_lcm(k1, k2):
+    return _max_exps(k1[0], k2[0]), _max_exps(k1[1], k2[1])
+
+
+def _key_div(k1, k2):
+    return _div_exps(k1[0], k2[0]), _div_exps(k1[1], k2[1])
+
+
+def _content(p):
+    """The largest term key dividing every term of the nonzero polynomial p."""
+    (mono, syms), _ = p[0]
+    for (m, s), _ in p[1:]:
+        if not mono and not syms:
+            break
+        mono, syms = _min_exps(mono, m), _min_exps(syms, s)
+    return mono, syms
+
+
+def _p_div_key(p, key):
+    if key == _EMPTY_TERM:
+        return p
+    return _freeze({_key_div(k, key): c for k, c in p})
+
+
+def _primitive(p):
+    """(content, lead, f) with p = lead * content * f for a nonzero p: its
+    monomial content, and the rest scaled to lead coefficient 1."""
+    content = _content(p)
+    rest = _p_div_key(p, content)
+    lead = rest[-1][1]
+    return content, lead, _p_scale(rest, 1 / lead)
+
+
+# -- factored denominators ---------------------------------------------------
+
+
+def _split(den):
+    """A denominator as (monomial term key, {multi-term factor: exponent})."""
+    if den and len(den[0][0]) == 1:
+        return den[0][0][0][0], dict(den[1:])
+    return _EMPTY_TERM, dict(den)
+
+
+def _new(num, den):
+    e = object.__new__(ScalarExpr)
+    object.__setattr__(e, "num", num)
+    object.__setattr__(e, "den", den)
+    return e
+
+
+def _fraction(num, mono=_EMPTY_TERM, factors=None):
+    """The canonical value num / (mono * prod(f^e for f, e in factors)).
+
+    `factors` holds monic multi-term factors with no monomial content; it is
+    consumed.  A numerator exactly proportional to a factor lowers that
+    factor's exponent, then monomial content common to the numerator and
+    `mono` cancels: the only reductions, both syntactic.
+    """
+    if not num:
+        return _new(_P_ZERO, ())
+    den = []
+    if factors:
+        if any(len(f) == len(num) for f in factors):
+            content, lead, f = _primitive(num)
+            if factors.get(f):
+                factors[f] -= 1
+                num = ((content, lead),)
+        den = sorted((fe for fe in factors.items() if fe[1]), key=_factor_order)
+    if mono != _EMPTY_TERM:
+        common = _key_gcd(_content(num), mono)
+        num, mono = _p_div_key(num, common), _key_div(mono, common)
+        if mono != _EMPTY_TERM:
+            den.insert(0, (((mono, Fraction(1)),), 1))
+    return _new(num, tuple(den))
+
+
+def _lcm(dens):
+    """The lcm of factored denominators as (mono, factors), with the
+    cofactor polynomial lcm / den of each."""
+    splits = [_split(d) for d in dens]
+    mono, factors = _EMPTY_TERM, {}
+    for m, fs in splits:
+        mono = _key_lcm(mono, m)
+        for f, e in fs.items():
+            if e > factors.get(f, 0):
+                factors[f] = e
+    cofactors = []
+    for m, fs in splits:
+        c = ((_key_div(mono, m), Fraction(1)),)
+        for f, e in factors.items():
+            for _ in range(e - fs.get(f, 0)):
+                c = _p_mul(c, f)
+        cofactors.append(c)
+    return mono, factors, cofactors
 
 
 class ScalarExpr:
-    """Canonical fraction of differential polynomials.
+    """Canonical fraction of differential polynomials with a factored
+    denominator (see the module docstring).
 
-    Canonicalization cancels common monomial/symbol content between
-    numerator and denominator and collapses exactly proportional sides;
-    no polynomial gcd is ever computed.
+    Canonicalization cancels common monomial/symbol content between the
+    numerator and the monomial factor, and lowers the exponent of a factor
+    the numerator is exactly proportional to; no polynomial gcd is ever
+    computed.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=_P_ONE):
-        if not den:
-            raise DivisionByZeroExpr("denominator normalizes to zero")
-        if not num:
-            den = _P_ONE
-        else:
-            if den != _P_ONE:
-                content = _common_content((num, den))
-                if content is not None:
-                    num = _strip_content(num, content)
-                    den = _strip_content(den, content)
-            lead = den[-1][1]
-            if lead != 1:
-                inv = Fraction(1) / lead
-                num = _p_scale(num, inv)
-                den = _p_scale(den, inv)
-            if den != _P_ONE and len(num) == len(den):
-                keys_n = [k for k, _ in num]
-                if keys_n == [k for k, _ in den]:
-                    ratio = num[0][1] / den[0][1]
-                    if all(cn == ratio * cd for (_, cn), (_, cd) in zip(num, den)):
-                        num = ((_EMPTY_TERM, ratio),)
-                        den = _P_ONE
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+    def __init__(self, num, den=()):
+        e = _fraction(num, *_split(den))
+        object.__setattr__(self, "num", e.num)
+        object.__setattr__(self, "den", e.den)
 
     def __setattr__(self, *a):
         raise AttributeError("ScalarExpr is immutable")
@@ -232,15 +331,14 @@ class ScalarExpr:
     def __add__(self, other):
         other = normalize(other)
         if self.den == other.den:
-            return ScalarExpr(_p_add(self.num, other.num), self.den)
-        return ScalarExpr(
-            _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den)),
-            _p_mul(self.den, other.den))
+            return _fraction(_p_add(self.num, other.num), *_split(self.den))
+        mono, factors, (c1, c2) = _lcm((self.den, other.den))
+        return _fraction(_p_add(_p_mul(self.num, c1), _p_mul(other.num, c2)), mono, factors)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(_p_neg(self.num), self.den)
+        return _new(_p_neg(self.num), self.den)
 
     def __sub__(self, other):
         return self + (-normalize(other))
@@ -250,38 +348,70 @@ class ScalarExpr:
 
     def __mul__(self, other):
         other = normalize(other)
-        return ScalarExpr(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
+        num = _p_mul(self.num, other.num)
+        if not self.den and not other.den:
+            return _new(num, ())
+        (m1, factors), (m2, f2) = _split(self.den), _split(other.den)
+        for f, e in f2.items():
+            factors[f] = factors.get(f, 0) + e
+        return _fraction(num, _key_mul(m1, m2), factors)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """The divisor's numerator becomes a constant, monomial content and
+        one monic factor; its denominator cancels against the dividend's
+        factors and multiplies the numerator with what is left."""
         other = normalize(other)
         if other.is_zero():
             raise DivisionByZeroExpr("division by an expression that normalizes to zero")
-        return ScalarExpr(_p_mul(self.num, other.den), _p_mul(self.den, other.num))
+        content, lead, f = _primitive(other.num)
+        mono, factors = _split(self.den)
+        if len(f) > 1:
+            factors[f] = factors.get(f, 0) + 1
+        omono, ofactors = _split(other.den)
+        mono = _key_mul(mono, content)
+        common = _key_gcd(mono, omono)
+        mono = _key_div(mono, common)
+        num = _p_mul(self.num, ((_key_div(omono, common), 1 / lead),))
+        for f, e in ofactors.items():
+            cancelled = min(e, factors.get(f, 0))
+            if cancelled:
+                factors[f] -= cancelled
+            for _ in range(e - cancelled):
+                num = _p_mul(num, f)
+        return _fraction(num, mono, factors)
 
     def __rtruediv__(self, other):
         return normalize(other) / self
 
     def __pow__(self, n):
+        """Integer power: the numerator by n successive products (refused
+        over `MAX_POWER_WORK`), the denominator by scaling its exponents."""
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
             if self.is_zero():
                 raise DivisionByZeroExpr("negative power of zero")
-            return ScalarExpr(self.den, self.num) ** (-n)
-        out = ONE
+            return (ONE / self) ** (-n)
+        if n == 0:
+            return ONE
+        t = len(self.num)
+        if t and n * t * comb(n + t - 1, t - 1) > MAX_POWER_WORK:
+            raise PowerTooLarge(
+                f"raising a {t}-term numerator to the power {n} needs "
+                f"{n} * {t} * C({n + t - 1}, {t - 1}) term products, over the limit of {MAX_POWER_WORK}")
+        num = _P_ONE
         for _ in range(n):
-            out = out * self
-        return out
+            num = _p_mul(num, self.num)
+        (mono, syms), factors = _split(self.den)
+        mono = tuple((v, e * n) for v, e in mono), tuple((v, e * n) for v, e in syms)
+        return _fraction(num, mono, {f: e * n for f, e in factors.items()})
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
         return not self.num
-
-    def is_one(self):
-        return self.num == self.den
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -296,15 +426,34 @@ class ScalarExpr:
     # -- calculus ---------------------------------------------------------
 
     def partial(self, coord):
+        """Quotient rule on the factored denominator: with D the factors
+        that depend on `coord`, (N' prod_D f - N sum_i e_i f_i' prod_{D-i} f)
+        over the denominator with each exponent in D raised by one."""
         dn = _p_partial(self.num, coord)
-        if self.den == _P_ONE:
-            return ScalarExpr(dn)
-        dd = _p_partial(self.den, coord)
-        num = _p_add(_p_mul(dn, self.den), _p_neg(_p_mul(self.num, dd)))
-        return ScalarExpr(num, _p_mul(self.den, self.den))
+        if not self.den:
+            return _new(dn, ())
+        mono, factors = _split(self.den)
+        moving = [(f, e, df) for f, e in self.den if (df := _p_partial(f, coord))]
+        num = dn
+        for f, _, _ in moving:
+            num = _p_mul(num, f)
+        for i, (_, e, df) in enumerate(moving):
+            t = _p_scale(_p_mul(self.num, df), -e)
+            for j, (g, _, _) in enumerate(moving):
+                if j != i:
+                    t = _p_mul(t, g)
+            num = _p_add(num, t)
+        for f, e, _ in moving:
+            if len(f) == 1:
+                mono = _key_mul(mono, mono)
+            else:
+                factors[f] = e + 1
+        return _fraction(num, mono, factors)
 
     def eval_at(self, point):
-        d = _p_eval(self.den, point)
+        d = Fraction(1)
+        for f, e in self.den:
+            d *= _p_eval(f, point) ** e
         if d == 0:
             where = ", ".join(f"{name} = {Fraction(value)}" for name, value in point.items())
             raise PoleAtPoint(f"denominator vanishes at {where}")
@@ -312,7 +461,7 @@ class ScalarExpr:
 
     def function_symbols(self):
         out = set()
-        for poly in (self.num, self.den):
+        for poly in (self.num, *(f for f, _ in self.den)):
             for (_, syms), _ in poly:
                 out.update(sym for sym, _ in syms)
         return out
@@ -326,7 +475,7 @@ class ScalarExpr:
 
 def _const(value):
     f = Fraction(value)
-    return ScalarExpr(((_EMPTY_TERM, f),) if f != 0 else _P_ZERO)
+    return _new(((_EMPTY_TERM, f),) if f != 0 else _P_ZERO, ())
 
 
 ZERO = _const(0)
@@ -338,13 +487,13 @@ def rational(p, q=1):
 
 
 def coordinate(name):
-    return ScalarExpr((((((name, 1),), ()), Fraction(1)),))
+    return _new((((((name, 1),), ()), Fraction(1)),), ())
 
 
 def function(name, args):
     """The undifferentiated function symbol name(args) as an expression."""
     sym = FunctionSymbol(name, tuple(args), (0,) * len(args))
-    return ScalarExpr((((() , ((sym, 1),)), Fraction(1)),))
+    return _new((((() , ((sym, 1),)), Fraction(1)),), ())
 
 
 def normalize(x):
@@ -372,9 +521,13 @@ def is_zero(e):
 
 
 def equals(e1, e2):
-    """Mathematical equality by cross multiplication (no gcd reduction)."""
+    """Mathematical equality by cross multiplication with the cofactors of
+    the lcm of the two denominators (no gcd reduction)."""
     e1, e2 = normalize(e1), normalize(e2)
-    return not _p_add(_p_mul(e1.num, e2.den), _p_neg(_p_mul(e2.num, e1.den)))
+    if e1.den == e2.den:
+        return e1.num == e2.num
+    _, _, (c1, c2) = _lcm((e1.den, e2.den))
+    return _p_mul(e1.num, c1) == _p_mul(e2.num, c2)
 
 
 def eval_at(e, point):
@@ -392,19 +545,14 @@ def proportionality(e1, e2):
 def cleared_numerators(exprs):
     """Numerator polynomials after clearing denominators across the list.
 
-    Returns raw term tuples P_i = num_i * prod(den_l for l != i); a rational
-    combination of the expressions vanishes iff the same combination of the
-    P_i does, which reduces linear dependence over Q to coefficient matching.
+    Returns raw term tuples P_i = num_i * (L / den_i), L the lcm of the
+    factored denominators; a rational combination of the expressions
+    vanishes iff the same combination of the P_i does, which reduces linear
+    dependence over Q to coefficient matching.
     """
     exprs = [normalize(e) for e in exprs]
-    out = []
-    for i, e in enumerate(exprs):
-        p = e.num
-        for l, other in enumerate(exprs):
-            if l != i:
-                p = _p_mul(p, other.den)
-        out.append(p)
-    return out
+    _, _, cofactors = _lcm([e.den for e in exprs])
+    return [_p_mul(e.num, c) for e, c in zip(exprs, cofactors)]
 
 
 # -- rendering -------------------------------------------------------------
@@ -447,11 +595,11 @@ def dsl_str(e):
     """Deterministic surface-syntax rendering; parses back to the same value."""
     e = normalize(e)
     num = _poly_dsl(e.num)
-    if e.den == _P_ONE:
+    if not e.den:
         return num
     if len(e.num) > 1:
         num = f"({num})"
-    return f"{num}/({_poly_dsl(e.den)})"
+    return num + "".join(f"/({_poly_dsl(f)})" + (f"^{k}" if k > 1 else "") for f, k in e.den)
 
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -500,6 +648,7 @@ def pretty(e):
                 parts.append((" - " if coef < 0 else " + ") + t)
         return "".join(parts)
 
-    if e.den == _P_ONE:
+    if not e.den:
         return poly(e.num)
-    return f"({poly(e.num)})/({poly(e.den)})"
+    return f"({poly(e.num)})" + "".join(
+        f"/({poly(f)})" + (str(k).translate(_SUPERSCRIPTS) if k > 1 else "") for f, k in e.den)

@@ -1,10 +1,13 @@
 """Reference implementations for oracle tests: Gauss-Jordan elimination in
-Fractions, and the CE operators evaluated form by form from their defining
-formulas.  Both are deliberately naive and independent of `liecochain`'s
-fraction-free elimination and assembled operators."""
+Fractions, the CE operators evaluated form by form from their defining
+formulas, and scalar fractions with expanded denominators.  All are
+deliberately naive and independent of `liecochain`'s fraction-free
+elimination, assembled operators and factored denominators."""
 
 from fractions import Fraction
 from itertools import combinations
+
+from liecochain import scalar_field as sf
 
 
 def rref(m):
@@ -186,3 +189,102 @@ class Echelon:
                 self.rows[c] = [x - f * y for x, y in zip(row, v)]
         self.rows[pivot] = v
         return v
+
+
+# -- scalar fractions with expanded denominators -------------------------------
+
+
+def _common_content(polys):
+    """Monomial/symbol factors present in every term of every polynomial."""
+    mono_min, sym_min = None, None
+    for p in polys:
+        for (mono, syms), _ in p:
+            md, sd = dict(mono), dict(syms)
+            if mono_min is None:
+                mono_min, sym_min = md, sd
+            else:
+                mono_min = {k: min(v, md[k]) for k, v in mono_min.items() if k in md}
+                sym_min = {k: min(v, sd[k]) for k, v in sym_min.items() if k in sd}
+    return mono_min or {}, sym_min or {}
+
+
+def _strip_content(p, content):
+    mono_min, sym_min = content
+    out = {}
+    for (mono, syms), c in p:
+        mono = tuple((k, e - mono_min.get(k, 0)) for k, e in mono if e - mono_min.get(k, 0) > 0)
+        syms = tuple((k, e - sym_min.get(k, 0)) for k, e in syms if e - sym_min.get(k, 0) > 0)
+        out[(mono, syms)] = c
+    return sf._freeze(out)
+
+
+class ExpandedFraction:
+    """Numerator and denominator both expanded polynomials (term tuples of
+    `scalar_field`): sums and products multiply whole denominators, the
+    quotient rule squares the denominator.  Canonical up to content
+    cancellation, a denominator with lead coefficient 1, and the collapse of
+    exactly proportional sides."""
+
+    def __init__(self, num, den=sf._P_ONE):
+        if not den:
+            raise ZeroDivisionError("zero denominator")
+        if not num:
+            den = sf._P_ONE
+        else:
+            content = _common_content((num, den))
+            num, den = _strip_content(num, content), _strip_content(den, content)
+            lead = den[-1][1]
+            num, den = sf._p_scale(num, 1 / lead), sf._p_scale(den, 1 / lead)
+            if len(num) == len(den) and [k for k, _ in num] == [k for k, _ in den]:
+                ratio = num[0][1] / den[0][1]
+                if all(cn == ratio * cd for (_, cn), (_, cd) in zip(num, den)):
+                    num, den = ((sf._EMPTY_TERM, ratio),), sf._P_ONE
+        self.num, self.den = num, den
+
+    @classmethod
+    def of(cls, e):
+        """The same value as the ScalarExpr e, its denominator multiplied out."""
+        den = sf._P_ONE
+        for f, k in e.den:
+            for _ in range(k):
+                den = sf._p_mul(den, f)
+        return cls(e.num, den)
+
+    def expr(self):
+        return sf.ScalarExpr(self.num) / sf.ScalarExpr(self.den)
+
+    def __add__(self, other):
+        return ExpandedFraction(
+            sf._p_add(sf._p_mul(self.num, other.den), sf._p_mul(other.num, self.den)),
+            sf._p_mul(self.den, other.den))
+
+    def __neg__(self):
+        return ExpandedFraction(sf._p_neg(self.num), self.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return ExpandedFraction(sf._p_mul(self.num, other.num), sf._p_mul(self.den, other.den))
+
+    def __truediv__(self, other):
+        return ExpandedFraction(sf._p_mul(self.num, other.den), sf._p_mul(self.den, other.num))
+
+    def __pow__(self, n):
+        base = self if n >= 0 else ExpandedFraction(self.den, self.num)
+        out = ExpandedFraction(sf._P_ONE)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def partial(self, coord):
+        dn = sf._p_partial(self.num, coord)
+        dd = sf._p_partial(self.den, coord)
+        num = sf._p_add(sf._p_mul(dn, self.den), sf._p_neg(sf._p_mul(self.num, dd)))
+        return ExpandedFraction(num, sf._p_mul(self.den, self.den))
+
+    def equals(self, other):
+        return sf._p_mul(self.num, other.den) == sf._p_mul(other.num, self.den)
+
+    def eval_at(self, point):
+        return sf._p_eval(self.num, point) / sf._p_eval(self.den, point)

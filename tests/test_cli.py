@@ -156,6 +156,17 @@ def test_oversized_cochain_space_refused_at_once(tmp_path, capsys):
     assert elapsed < 1
 
 
+def test_oversized_power_refused_at_once(tmp_path, capsys):
+    ws = tmp_path / "pow.lch"
+    ws.write_text("chart M { coords = [x, y] }\nform w on M = (x + y + 1)^3000*d(x)\n")
+    start = time.perf_counter()
+    code = main(["validate", "--input", str(ws)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert elapsed < 1
+
+
 def test_pole_at_point_reported_in_workspace_syntax(tmp_path, capsys):
     ws = tmp_path / "pole.lch"
     ws.write_text("""chart M { coords = [x, y] }

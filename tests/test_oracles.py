@@ -1,7 +1,10 @@
 """Oracle tests: the fraction-free elimination against Gauss-Jordan in
 Fractions (and sympy), the assembled CE operators against the operators
-evaluated form by form from their definitions, and pinned representatives."""
+evaluated form by form from their definitions, pinned representatives, and
+scalar arithmetic on factored denominators against expanded denominators
+(and sympy)."""
 
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,9 +14,11 @@ import pytest
 
 import reference as ref
 from genutil import (random_altform, random_invertible, random_lie_algebra,
-                     random_rational, random_so3_automorphism, transport_algebra)
+                     random_rational, random_scalar, random_so3_automorphism,
+                     transport_algebra)
 from liecochain import dsl, linalg
 from liecochain import lie_cohomology as lc
+from liecochain import scalar_field as sf
 
 SO3 = lc.LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
 O2 = lc.SubgroupSpec.from_vectors([[0, 0, 1]], [[[-1, 0, 0], [0, 1, 0], [0, 0, -1]]])
@@ -259,3 +264,98 @@ def test_pinned_representatives(name, make, degree, expected):
     alg, sub = make()
     res = lc.relative_cohomology(alg, sub, degree)
     assert [dsl.altform_dsl(r) for r in res.representatives] == expected
+
+
+# -- scalar arithmetic on factored denominators ------------------------------------
+
+COORDS = ("x", "y", "z")
+FUNCS = (("K", ("z",)), ("a", ("x",)))
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def random_tree(rng, funcs, depth=3):
+    """A random expression tree over random_scalar leaves (+ - * /, partial
+    derivatives and small powers) with its value.  A division by zero
+    becomes a product, a negative power of zero a square."""
+    if depth == 0 or rng.random() < 0.2:
+        leaf = random_scalar(rng, COORDS, funcs)
+        return ("leaf", leaf), leaf
+    op = rng.choice(["+", "-", "*", "/", "d", "d", "^"])
+    a, va = random_tree(rng, funcs, depth - 1)
+    if op == "d":
+        c = rng.choice(COORDS)
+        return ("d", a, c), sf.partial(va, c)
+    if op == "^":
+        n = rng.choice([-1, 0, 2, 3])
+        if n < 0 and va.is_zero():
+            n = 2
+        return ("^", a, n), va ** n
+    b, vb = random_tree(rng, funcs, depth - 1)
+    if op == "/" and vb.is_zero():
+        op = "*"
+    return (op, a, b), BINARY[op](va, vb)
+
+
+def evaluate(tree, leaf, partial):
+    op = tree[0]
+    if op == "leaf":
+        return leaf(tree[1])
+    if op == "d":
+        return partial(evaluate(tree[1], leaf, partial), tree[2])
+    if op == "^":
+        return evaluate(tree[1], leaf, partial) ** tree[2]
+    return BINARY[op](evaluate(tree[1], leaf, partial), evaluate(tree[2], leaf, partial))
+
+
+def random_trees(seed, count, funcs):
+    rng = random.Random(seed)
+    return [random_tree(rng, funcs) for _ in range(count)]
+
+
+def old_value(tree):
+    return evaluate(tree, ref.ExpandedFraction.of, lambda e, c: e.partial(c))
+
+
+def test_factored_matches_expanded_denominators():
+    for tree, new in random_trees(41, 150, FUNCS):
+        old = old_value(tree)
+        assert sf.equals(new, old.expr())
+        assert old.equals(ref.ExpandedFraction.of(new))
+
+
+def test_factored_matches_expanded_denominators_at_points():
+    rng = random.Random(43)
+    compared = 0
+    for tree, new in random_trees(47, 150, ()):
+        old = old_value(tree)
+        for _ in range(3):
+            point = {c: random_rational(rng, 7) for c in COORDS}
+            try:
+                want = old.eval_at(point)
+                got = new.eval_at(point)
+            except (ZeroDivisionError, sf.PoleAtPoint):
+                continue
+            assert got == want
+            compared += 1
+    assert compared > 300
+
+
+def _sympy_text(e):
+    return sf.dsl_str(e).replace("^", "**")
+
+
+def test_factored_denominators_against_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    names = {c: sympy.Symbol(c) for c in COORDS}
+    for tree, new in random_trees(53, 40, ()):
+        want = evaluate(tree, lambda e: sympy.sympify(_sympy_text(e), locals=names),
+                        lambda e, c: sympy.diff(e, names[c]))
+        got = sympy.sympify(_sympy_text(new), locals=names)
+        assert sympy.cancel(got - want) == 0
+
+
+def test_dsl_round_trip_is_structural():
+    head = "chart M { coords = [x, y, z] }\nfunction K(z)\nfunction a(x)\n"
+    for _, e in random_trees(59, 100, FUNCS):
+        ws = dsl.parse(head + f"form w on M = {sf.dsl_str(e)}\n")
+        assert ws.forms["w"].coefficient(()) == e

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liecochain import dsl
 from liecochain import scalar_field as sf
 
 from genutil import random_scalar
@@ -27,7 +28,7 @@ def test_fraction_kept_unreduced():
     assert ((y ** 2 - 1) - (y + 1) * (y - 1)).is_zero()
     assert sf.equals(e, y + 1)
     assert e != y + 1  # structurally a fraction, not the reduced polynomial
-    assert len(e.den) == 2
+    assert e.den == (((y - 1).num, 1),)  # the single factor y - 1, exponent 1
 
 
 def test_division_by_zero_expr():
@@ -85,6 +86,29 @@ def test_proportionality():
     lam = sf.proportionality(sf.partial(K, "z") * y ** 2, K * y ** 2)
     assert sf.equals(lam, sf.partial(K, "z") / K)
     assert sf.equals(lam * K * y ** 2, sf.partial(K, "z") * y ** 2)
+
+
+def test_partial_chain_adds_one_factor_per_derivative():
+    # four quotient rules on 1/r^8 raise one factor's exponent from 4 to 8;
+    # an expanded denominator would square four times, to (r^8)^16
+    ws = dsl.parse("chart M { coords = [x, y, z] }\nform w on M = 1/(x^2 + y^2 + z^2)^4\n")
+    e = ws.forms["w"].coefficient(())
+    r2 = x ** 2 + y ** 2 + z ** 2
+    assert e.den == ((r2.num, 4),)
+    for c in "xyzx":
+        e = sf.partial(e, c)
+    assert e.den == ((r2.num, 8),)
+    assert len(e.num) == 3
+    assert sf.equals(e, (-960 * y * z * (r2 - 14 * x ** 2)) / r2 ** 8)
+
+
+def test_power_work_limit():
+    base = x + y + 1
+    assert len((base ** 30).num) == 496  # 30 * 3 * C(32, 2) = 44640 term products
+    with pytest.raises(sf.PowerTooLarge, match="over the limit of"):
+        base ** 3000
+    # exponents of denominator factors only multiply
+    assert (1 / base) ** 3000 == sf.ScalarExpr(sf.ONE.num, ((base.num, 3000),))
 
 
 def test_power_negative_and_zero():
