@@ -53,6 +53,9 @@ class NonInvariantField(ActionError):
     pass
 
 
+SCALING_NEEDS_INVARIANT_FIELD = "scaling factor requires an invariant field"
+
+
 @dataclass
 class ActionSpec:
     """Chart + algebra + generators; generator i realizes basis vector e_i."""
@@ -320,6 +323,22 @@ def check_semibasic(action, eta):
     return Verdict(True)
 
 
+# Preconditions.  Each calls the public check through the module namespace,
+# so a wrapped or counted check sees every run.  A caller that has passed a
+# precondition once calls the `*_unchecked` core of each check below.
+
+
+def _require_invariant_form(action, omega):
+    inv = check_invariant_form(action, omega)
+    if not inv.ok:
+        raise InvalidInput("form is not invariant", inv)
+
+
+def _require_invariant_field(action, r, message):
+    if not check_invariant_vectorfield(action, r).ok:
+        raise NonInvariantField(message)
+
+
 def _require_invariant_vertical_chain(action, chi, sample_points):
     if chi.is_zero():
         raise InvalidInput("chain vanishes identically")
@@ -350,9 +369,7 @@ def evaluation_map(action, chi, omega, sample_points=()):
     The quotient representative is kept on the chart; semi-basic plus
     invariant certifies that it descends.
     """
-    inv = check_invariant_form(action, omega)
-    if not inv.ok:
-        raise InvalidInput("form is not invariant", inv)
+    _require_invariant_form(action, omega)
     _require_invariant_vertical_chain(action, chi, sample_points)
     n, k, q = action.chart.dim, omega.degree, chi.degree
     if k < q:
@@ -375,10 +392,14 @@ class ConditionResult:
 def cochain_condition_check(action, chi, omega, sample_points=()):
     """Residual of i_chi d(omega) - (-1)^q d(i_chi omega); zero means the
     evaluation map commutes with d on this form."""
-    inv = check_invariant_form(action, omega)
-    if not inv.ok:
-        raise InvalidInput("form is not invariant", inv)
+    _require_invariant_form(action, omega)
     _require_invariant_vertical_chain(action, chi, sample_points)
+    return cochain_condition_unchecked(action, chi, omega)
+
+
+def cochain_condition_unchecked(action, chi, omega):
+    """cochain_condition_check for an invariant form and an invariant
+    vertical chain."""
     q, n, k = chi.degree, action.chart.dim, omega.degree
     if k < q:
         raise cc.DegreeUnderflow(f"form degree {k} below chain degree {q}")
@@ -412,9 +433,7 @@ def stability_check(action, chi, fields):
     """L_R chi = 0 for each supplied invariant field R."""
     entries = []
     for i, r in enumerate(fields):
-        inv = check_invariant_vectorfield(action, r)
-        if not inv.ok:
-            raise NonInvariantField(f"field #{i} is not invariant")
+        _require_invariant_field(action, r, f"field #{i} is not invariant")
         residual = cc.lie_derivative_multivector(r, chi)
         entries.append(StabilityEntry(i, residual.is_zero(), residual))
     return StabilityResult(entries)
@@ -426,20 +445,24 @@ def scaling_factor(action, chi, r, sample_points=()):
     Existence is guaranteed for nonvanishing vertical invariant chains and
     invariant R; anything else raises NotProportional.
     """
-    inv = check_invariant_vectorfield(action, r)
-    if not inv.ok:
-        raise NonInvariantField("scaling factor requires an invariant field")
+    _require_invariant_field(action, r, SCALING_NEEDS_INVARIANT_FIELD)
     _require_invariant_vertical_chain(action, chi, sample_points)
-    lr = cc.lie_derivative_multivector(r, chi)
+    return scaling_factor_unchecked(action, chi, cc.lie_derivative_multivector(r, chi))
+
+
+def scaling_factor_unchecked(action, chi, lr):
+    """scaling_factor from lr = L_R chi, for an invariant R and an invariant
+    vertical chain."""
     if lr.is_zero():
         return sf.ZERO
     lam = multivector_proportionality(lr, chi)
     if lam is None:
         raise NotProportional("derivative of the chain is not a multiple of the chain")
     for i, g in enumerate(action.generators):
-        if not g.apply(lam).is_zero():
+        moved = g.apply(lam)
+        if not moved.is_zero():
             raise InvalidInput("scaling factor is not invariant",
-                               Verdict(False, generator=i, witness=g.apply(lam)))
+                               Verdict(False, generator=i, witness=moved))
     return lam
 
 
@@ -456,15 +479,20 @@ def integrability_check(action, chi, fields, sample_points=()):
     """Residuals Z_s(lambda_t) - Z_t(lambda_s) - lambda_[Z_s,Z_t] per pair."""
     fields = list(fields)
     lams = [scaling_factor(action, chi, z, sample_points) for z in fields]
+    return integrability_unchecked(action, chi, fields, lams)
+
+
+def integrability_unchecked(action, chi, fields, lams):
+    """integrability_check given lams[i] = lambda of fields[i], for invariant
+    fields and an invariant vertical chain."""
     pairs = []
     for s in range(len(fields)):
         for t in range(s + 1, len(fields)):
             zst = cc.lie_bracket(fields[s], fields[t])
-            inv = check_invariant_vectorfield(action, zst)
-            if not inv.ok:
-                raise NonInvariantField(f"bracket of fields #{s}, #{t} is not invariant")
-            lam_bracket = (sf.ZERO if zst.is_zero()
-                           else scaling_factor(action, chi, zst, sample_points))
+            _require_invariant_field(action, zst,
+                                     f"bracket of fields #{s}, #{t} is not invariant")
+            lam_bracket = (sf.ZERO if zst.is_zero() else scaling_factor_unchecked(
+                action, chi, cc.lie_derivative_multivector(zst, chi)))
             residual = fields[s].apply(lams[t]) - fields[t].apply(lams[s]) - lam_bracket
             pairs.append((s, t, residual))
     return IntegrabilityResult(pairs)
@@ -504,9 +532,7 @@ def rescale_verify(action, chi0, k_candidate, fields, sample_points=()):
     chi = chi0.scaled(k)
     entries = []
     for i, z in enumerate(fields):
-        inv = check_invariant_vectorfield(action, z)
-        if not inv.ok:
-            raise NonInvariantField(f"field #{i} is not invariant")
+        _require_invariant_field(action, z, f"field #{i} is not invariant")
         residual = cc.lie_derivative_multivector(z, chi)
         entries.append(RescaleEntry(i, residual.is_zero(), residual))
     return RescaleResult(entries)

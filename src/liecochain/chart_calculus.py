@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalar_field as sf
+from .linalg import _sort_sign
 
 
 class ChartError(Exception):
@@ -70,27 +71,11 @@ def _clean(coeffs):
     return {idx: c for idx, c in sorted(coeffs.items()) if not c.is_zero()}
 
 
-def _sort_tuple(idx):
-    """Sort an index tuple, returning (sign, sorted tuple) or None on repeats."""
-    idx = list(idx)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return None
-    return sign, tuple(idx)
-
-
 def _wedge_coeffs(c1, c2):
     out = {}
     for i1, a in c1.items():
         for i2, b in c2.items():
-            s = _sort_tuple(i1 + i2)
+            s = _sort_sign(i1 + i2)
             if s is None:
                 continue
             sign, idx = s
@@ -356,7 +341,7 @@ def lie_derivative_multivector(r, chi):
                 g = sf.partial(r.components[m], name)
                 if g.is_zero():
                     continue
-                s = _sort_tuple(idx[:t] + (m,) + idx[t + 1:])
+                s = _sort_sign(idx[:t] + (m,) + idx[t + 1:])
                 if s is None:
                     continue
                 sign, new = s

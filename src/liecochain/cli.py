@@ -1,5 +1,7 @@
 """Command-line front end: load a workspace file, run one command, print a
-text or JSON report with deterministic exit codes.
+text or JSON report with deterministic exit codes.  The argument parser is
+built once per process, on the first call of `main`; everything read from
+the input lives for one call.
 
 Exit codes: 0 all verdicts pass, 1 at least one mathematical verdict fails
 (an obstruction or a violated identity is a finding, not a crash), 2 input
@@ -10,11 +12,11 @@ unless LIECOCHAIN_TIMING=1.  LIECOCHAIN_COLOR=0 disables text styling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from . import action_analysis as aa
@@ -23,15 +25,6 @@ from . import dsl
 from . import scalar_field as sf
 from .lie_cohomology import (CohomologyError, SubgroupSpec, relative_cohomology,
                              validate_lie_algebra)
-
-
-@dataclass
-class RunConfig:
-    input: str
-    command: str
-    format: str
-    names: dict
-    verbosity: int
 
 
 class InputError(Exception):
@@ -233,6 +226,9 @@ def _cmd_check_cochain(ws, names):
     fields = [_get(ws.vector_fields, n, "field") for n in field_names]
     verdicts = []
 
+    # Every check below rests on the chain precondition, so it runs once
+    # here; each form and field then runs its own precondition once, and
+    # L_R chi gives both the stability verdict and lambda_R.
     try:
         aa._require_invariant_vertical_chain(action, chain, points)
     except aa.InvalidInput as exc:
@@ -247,33 +243,40 @@ def _cmd_check_cochain(ws, names):
 
     for n, omega in zip(form_names, forms):
         try:
-            res = aa.cochain_condition_check(action, chain, omega, points)
+            aa._require_invariant_form(action, omega)
+            res = aa.cochain_condition_unchecked(action, chain, omega)
             verdicts.append(_verdict(
                 "cochain_condition", n, res.ok,
                 witness=None if res.ok else _residual_str(res.residual),
                 _pretty=None if res.ok else _pretty_str(res.residual)))
         except aa.InvalidInput as exc:
             verdicts.append(_verdict("cochain_condition", n, False, reason=str(exc)))
+    lams = []   # per field: lambda_R, or the error scaling_factor raises for R
     for n, r in zip(field_names, fields):
         try:
-            entries = aa.stability_check(action, chain, [r]).entries
-            e = entries[0]
+            e = aa.stability_check(action, chain, [r]).entries[0]
             verdicts.append(_verdict(
                 "stability", n, e.ok,
                 witness=None if e.ok else _residual_str(e.residual),
                 _pretty=None if e.ok else _pretty_str(e.residual)))
         except aa.NonInvariantField as exc:
             verdicts.append(_verdict("stability", n, False, reason=str(exc)))
+            lams.append(aa.NonInvariantField(aa.SCALING_NEEDS_INVARIANT_FIELD))
             continue
         try:
-            lam = aa.scaling_factor(action, chain, r, points)
+            lam = aa.scaling_factor_unchecked(action, chain, e.residual)
             verdicts.append(_verdict("scaling_factor", n, True, witness=sf.dsl_str(lam),
                                      _pretty=sf.pretty(lam)))
         except (aa.NotProportional, aa.InvalidInput) as exc:
             verdicts.append(_verdict("scaling_factor", n, False, reason=str(exc)))
+            lam = exc
+        lams.append(lam)
     if len(fields) >= 2:
         try:
-            res = aa.integrability_check(action, chain, fields, points)
+            failed = next((lam for lam in lams if isinstance(lam, aa.ActionError)), None)
+            if failed is not None:
+                raise failed
+            res = aa.integrability_unchecked(action, chain, fields, lams)
             for s, t, residual in res.pairs:
                 verdicts.append(_verdict(
                     "integrability", f"{field_names[s]},{field_names[t]}",
@@ -350,6 +353,7 @@ def _cmd_report(ws, names):
 # -- driver -----------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="workspace file, or - for stdin")
@@ -430,7 +434,7 @@ def _use_color():
     return os.environ.get("LIECOCHAIN_COLOR", "1") != "0" and sys.stdout.isatty()
 
 
-def _print_text(command, verdicts, verbose):
+def _print_text(verdicts):
     color = _use_color()
     styles = {"pass": "32", "fail": "31", "skipped": "33"}
     for v in verdicts:
@@ -465,32 +469,29 @@ def _emit_json(command, verdicts, elapsed_ms):
     print(json.dumps(report, indent=2))
 
 
-def run(config, args):
+def run(args):
     started = time.perf_counter()
-    ws = _load_workspace(config.input)
+    ws = _load_workspace(args.input)
     verdicts = _dispatch(ws, args)
     elapsed_ms = 0
     if os.environ.get("LIECOCHAIN_TIMING") == "1":
         elapsed_ms = int((time.perf_counter() - started) * 1000)
-    if config.format == "json":
-        _emit_json(config.command, verdicts, elapsed_ms)
+    if args.format == "json":
+        _emit_json(args.command, verdicts, elapsed_ms)
     else:
-        if config.verbosity:
-            print(f"liecochain {__version__} | {config.command} | {ws.source_name}")
-        _print_text(config.command, verdicts, config.verbosity)
+        if args.verbose:
+            print(f"liecochain {__version__} | {args.command} | {ws.source_name}")
+        _print_text(verdicts)
     return 1 if any(v["verdict"] == "fail" for v in verdicts) else 0
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = RunConfig(input=args.input, command=args.command, format=args.format,
-                       names=vars(args), verbosity=args.verbose)
     try:
-        return run(config, args)
+        return run(args)
     except (InputError, dsl.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

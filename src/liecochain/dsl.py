@@ -57,47 +57,47 @@ _KEYWORDS = {
 }
 _RESERVED = _KEYWORDS | {"d", "D", "wedge"}
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|[{}\[\]()=,+\-*/^]")
+# One pass over the whole text: a token (the group names are the token
+# kinds), a run of blanks, a comment up to the end of its line, a newline,
+# or any other character, which is an error.
+_SCAN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>[0-9]+)"
+                      r"|(?P<op>[{}\[\]()=,+\-*/^])|[ \t\r]+|#[^\n]*"
+                      r"|(?P<newline>\n)|(?P<bad>.)")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str   # name | int | op | eof
-    text: str
-    line: int
-    column: int
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind, text, line, column):
+        self.kind = kind      # name | int | op | eof
+        self.text = text
+        self.line = line
+        self.column = column
 
     def span(self, file):
         return SourceSpan(file, self.line, self.column, max(len(self.text), 1))
 
 
 def _tokenize(text, file):
+    """Tokens of `text`, then two EOF tokens, so that `peek(1)` stays in range."""
     tokens = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        pos = 0
-        while pos < len(line):
-            ch = line[pos]
-            if ch in " \t\r":
-                pos += 1
-                continue
-            if ch == "#":
-                break
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise ParseError(f"unexpected character {ch!r}",
-                                 SourceSpan(file, line_no, pos + 1, 1))
-            text_tok = m.group(0)
-            if text_tok[0].isdigit():
-                kind = "int"
-            elif text_tok[0].isalpha() or text_tok[0] == "_":
-                kind = "name"
-            else:
-                kind = "op"
-            tokens.append(Token(kind, text_tok, line_no, pos + 1))
-            pos = m.end()
+    line, line_start = 1, 0
+    for m in _SCAN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "newline":
+            line += 1
+            line_start = m.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             SourceSpan(file, line, m.start() - line_start + 1, 1))
+        else:
+            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
     last = tokens[-1] if tokens else None
-    tokens.append(Token("eof", "", last.line if last else 1,
-                        (last.column + len(last.text)) if last else 1))
+    eof = Token("eof", "", last.line if last else 1,
+                (last.column + len(last.text)) if last else 1)
+    tokens += (eof, eof)
     return tokens
 
 
@@ -181,7 +181,7 @@ class _Parser:
     # -- token plumbing --------------------------------------------------
 
     def peek(self, offset=0):
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
+        return self.tokens[self.i + offset]
 
     def advance(self):
         tok = self.tokens[self.i]

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .linalg import SingularMatrix
+from .linalg import SingularMatrix, _sort_sign
 
 
 class CohomologyError(Exception):
@@ -235,21 +235,6 @@ class AltForm(_AltTensor):
 
 class AltMultiVec(_AltTensor):
     """Constant alternating q-vector on the algebra."""
-
-
-def _sort_sign(idx):
-    idx = list(idx)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return None
-    return sign, tuple(idx)
 
 
 def basis_covector(dim, i):

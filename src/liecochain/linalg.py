@@ -44,6 +44,23 @@ def matmul(a, b):
             for i in range(n)]
 
 
+def _sort_sign(idx):
+    """Sort an index tuple, returning (sign of the sorting permutation, sorted
+    tuple), or None if an index repeats."""
+    idx = list(idx)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return None
+    return sign, tuple(idx)
+
+
 def _integer_row(v):
     """(row, scale): the nonzero entries of v times scale, as a sparse row
     of integers; scale is the lcm of their denominators."""

@@ -78,7 +78,7 @@ def _lie_derivative_leibniz(x, omega):
                 g = sf.partial(x.components[m], name)
                 if g.is_zero():
                     continue
-                s = cc._sort_tuple(idx[:t] + (j,) + idx[t + 1:])
+                s = linalg._sort_sign(idx[:t] + (j,) + idx[t + 1:])
                 if s is None:
                     continue
                 sign, new = s

@@ -1,12 +1,16 @@
 """Reference implementations for oracle tests: Gauss-Jordan elimination in
 Fractions, the CE operators evaluated form by form from their defining
-formulas, and scalar fractions with expanded denominators.  All are
+formulas, scalar fractions with expanded denominators, and the workspace
+tokenizer that scans line by line and character by character.  All are
 deliberately naive and independent of `liecochain`'s fraction-free
-elimination, assembled operators and factored denominators."""
+elimination, assembled operators, factored denominators and one-pass
+scanner."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
+from liecochain import dsl
 from liecochain import scalar_field as sf
 
 
@@ -288,3 +292,38 @@ class ExpandedFraction:
 
     def eval_at(self, point):
         return sf._p_eval(self.num, point) / sf._p_eval(self.den, point)
+
+
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|[{}\[\]()=,+\-*/^]")
+
+
+def tokenize(text, file):
+    """(kind, text, line, column) of each token, then one EOF entry;
+    `dsl.ParseError` at the first character that starts no token."""
+    tokens = []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        pos = 0
+        while pos < len(line):
+            ch = line[pos]
+            if ch in " \t\r":
+                pos += 1
+                continue
+            if ch == "#":
+                break
+            m = _TOKEN_RE.match(line, pos)
+            if not m:
+                raise dsl.ParseError(f"unexpected character {ch!r}",
+                                     dsl.SourceSpan(file, line_no, pos + 1, 1))
+            text_tok = m.group(0)
+            if text_tok[0].isdigit():
+                kind = "int"
+            elif text_tok[0].isalpha() or text_tok[0] == "_":
+                kind = "name"
+            else:
+                kind = "op"
+            tokens.append((kind, text_tok, line_no, pos + 1))
+            pos = m.end()
+    last = tokens[-1] if tokens else None
+    tokens.append(("eof", "", last[2] if last else 1,
+                   (last[3] + len(last[1])) if last else 1))
+    return tokens

@@ -351,3 +351,113 @@ def test_report_with_components(capsys):
     report = json.loads(out)
     assert report["verdicts"][0]["dims"] == {"isotropy": 1, "A_rel": 0, "H": 0}
     assert report["verdicts"][-1]["witness"] == "no invariant chain can exist"
+
+
+# -- check cochain failure paths, pinned byte for byte ------------------------
+
+COCHAIN_WS = """chart M { coords = [x, y, z] }
+function K(z)
+lie_algebra solv2 {
+  dim 2
+  bracket [1,2] = -e2
+}
+vectorfield v1 on M = x*D(x) + y*D(y)
+vectorfield v2 on M = D(x)
+action act { algebra solv2 chart M generators = [v1, v2] orbit_dim 2 }
+chain chi on M = K(z)*y^2*D(x)^D(y)
+chain twisted on M = y*D(x)^D(y)
+chain slanted on M = y*D(x)^D(z)
+vectorfield Z1 on M = y*D(y)
+vectorfield W on M = x*D(z)
+vectorfield S on M = z*D(z)
+form omega on M = (1/y)*d(x)^d(z)
+form alpha on M = d(x)
+point P on M = (0, 1, 0)
+"""
+
+COCHAIN_FAILURES = [
+    # W is not invariant ([v2, W] = D(z)), nor is alpha (L_v1 dx = dx)
+    ("cochain_field_not_invariant", 1, ["--chain", "chi", "--forms", "omega", "alpha",
+                                        "--fields", "Z1", "W", "S"]),
+    # L_S chi replaced by one with a D(x)^D(z) part (see below)
+    ("cochain_not_proportional", 1, ["--chain", "chi", "--forms", "omega",
+                                     "--fields", "Z1", "S"]),
+    # L_v1 (y D(x)^D(y)) = -y D(x)^D(y)
+    ("cochain_chain_not_invariant", 1, ["--chain", "twisted", "--forms", "omega",
+                                        "--fields", "Z1", "S"]),
+    # y D(x)^D(z) is invariant, but not a multiple of v1^v2 = -y D(x)^D(y)
+    ("cochain_chain_not_vertical", 1, ["--chain", "slanted", "--forms", "omega",
+                                       "--fields", "Z1", "S"]),
+]
+
+
+def _skew_lie_derivative(monkeypatch):
+    """For an invariant R and an invariant vertical chain J w, L_R (J w) =
+    R(J) w is always a multiple of the chain, so the NotProportional path
+    is reached by adding y D(x)^D(z) to L_S chi."""
+    from liecochain import chart_calculus as cc
+    from liecochain import dsl
+
+    ws = dsl.parse(COCHAIN_WS)
+    s_field, extra = ws.vector_fields["S"], ws.chains["slanted"]
+    original = cc.lie_derivative_multivector
+
+    def skewed(x, chi):
+        out = original(x, chi)
+        return out + extra if x == s_field else out
+    monkeypatch.setattr(cc, "lie_derivative_multivector", skewed)
+
+
+@pytest.mark.parametrize("name,expected_code,argv", COCHAIN_FAILURES,
+                         ids=[c[0] for c in COCHAIN_FAILURES])
+def test_check_cochain_failure_paths(name, expected_code, argv, tmp_path, capsys,
+                                     monkeypatch):
+    ws = tmp_path / "cochain.lch"
+    ws.write_text(COCHAIN_WS)
+    if name == "cochain_not_proportional":
+        _skew_lie_derivative(monkeypatch)
+    code, out = run_cli(["check", "cochain", "--input", str(ws), "--action", "act",
+                         "--points", "P", "--format", "json"] + argv, capsys)
+    assert code == expected_code
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_check_cochain_runs_each_precondition_once(capsys, monkeypatch):
+    # one chain precondition, one invariance check per field and one for
+    # [Z1, Z2], and L_R chi once per field beside the two generators' L_g chi
+    from liecochain import action_analysis as aa
+    from liecochain import chart_calculus as cc
+
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("check_invariant_multivector", "check_vertical",
+                 "check_invariant_vectorfield"):
+        count(aa, name)
+    count(cc, "lie_derivative_multivector")
+    code, out = run_cli(["check", "cochain", "--input", fixture("solvable"),
+                         "--action", "act", "--chain", "chi", "--forms", "omega",
+                         "--fields", "Z1", "Z2", "--points", "P", "--format", "json"],
+                        capsys)
+    assert code == 1
+    assert out == (GOLDEN / "solvable_cochain.json").read_text()
+    assert calls == {"check_invariant_multivector": 1, "check_vertical": 1,
+                     "check_invariant_vectorfield": 3, "lie_derivative_multivector": 4}
+
+
+def test_parser_reused_across_calls(capsys):
+    # one process: a usage error, --help, then a golden command
+    assert main(["check", "cochain", "--input", fixture("intro"), "--bogus"]) == 2
+    assert main(["--help"]) == 0
+    assert "usage: liecochain" in capsys.readouterr().out
+    name, expected_code, argv = next(g for g in GOLDEN_RUNS if g[0] == "intro_cochain")
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == expected_code
+    assert out == (GOLDEN / f"{name}.json").read_text()

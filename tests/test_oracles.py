@@ -2,10 +2,11 @@
 Fractions (and sympy), the assembled CE operators against the operators
 evaluated form by form from their definitions, pinned representatives, and
 scalar arithmetic on factored denominators against expanded denominators
-(and sympy)."""
+(and sympy), and the one-pass tokenizer against the line-by-line one."""
 
 import operator
 import random
+from pathlib import Path
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -359,3 +360,58 @@ def test_dsl_round_trip_is_structural():
     for _, e in random_trees(59, 100, FUNCS):
         ws = dsl.parse(head + f"form w on M = {sf.dsl_str(e)}\n")
         assert ws.forms["w"].coefficient(()) == e
+
+
+# -- tokenizer ------------------------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _scan(text):
+    """`dsl._tokenize` as (kind, text, line, column) tuples without the
+    second, padding EOF token, or the error message and span."""
+    try:
+        tokens = dsl._tokenize(text, "ws.lch")
+    except dsl.ParseError as exc:
+        return str(exc), exc.span
+    assert tokens[-1] is tokens[-2] and tokens[-1].kind == "eof"
+    return [(t.kind, t.text, t.line, t.column) for t in tokens[:-1]]
+
+
+def _scan_reference(text):
+    try:
+        return ref.tokenize(text, "ws.lch")
+    except dsl.ParseError as exc:
+        return str(exc), exc.span
+
+
+TOKENIZER_EDGE_CASES = [
+    "", "\n", "\n\n  \n", "# only a comment", "# one\n# two\n", "x # tail\ny",
+    "chart M {\r\n  coords = [x, y]\r\n}\r\n", "\tform w on M = d(x)\t\n",
+    "a1_b2 12x x12 _", "1/2*x^-3", "x\r", "  \t  ", "é", "x = 1 é", "a\nb\n  .",
+    "x\x0cy", "x\x0by", "x\u2028y", "D(x)^D(y) # é\n;", "chain c on M = D(x)\n\n\n",
+]
+
+
+@pytest.mark.parametrize("text", TOKENIZER_EDGE_CASES + [
+    (FIXTURES / name).read_text() for name in sorted(p.name for p in FIXTURES.glob("*.lch"))])
+def test_tokenizer_matches_reference(text):
+    assert _scan(text) == _scan_reference(text)
+
+
+def test_tokenizer_matches_reference_on_random_text():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    fragments = ["chart", "M", "D(x)", "d(y)", "x1", "_a", "12", "e2", " ", "\t", "\r",
+                 "\n", "\r\n", "# note ", "#", "{", "}", "[", "]", "=", ",", "^", "-",
+                 "/", "*", "+", ".", ";", "é", "\x0b", "\u2028", "'"]
+    texts = st.one_of(
+        st.text(alphabet="abxyzKDd_0129{}[]()=,+-*/^ \t\r\n#.;@é\x0b\x0c\u2028'",
+                max_size=60),
+        st.lists(st.sampled_from(fragments), max_size=40).map("".join))
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(texts)
+    def check(text):
+        assert _scan(text) == _scan_reference(text)
+    check()
