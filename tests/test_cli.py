@@ -461,3 +461,35 @@ def test_parser_reused_across_calls(capsys):
     code, out = run_cli(argv + ["--format", "json"], capsys)
     assert code == expected_code
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+# -- text output, pinned byte for byte ----------------------------------------
+#
+# Text with -v and no color, for every command pinned in JSON above.  The
+# header names the input file; it is written relative to the tests directory.
+
+
+@pytest.mark.parametrize("name,expected_code,argv",
+                         GOLDEN_RUNS, ids=[g[0] for g in GOLDEN_RUNS])
+def test_golden_text(name, expected_code, argv, capsys, monkeypatch):
+    monkeypatch.setenv("LIECOCHAIN_COLOR", "0")
+    code, out = run_cli(argv + ["-v"], capsys)
+    assert code == expected_code
+    assert out.replace(str(HERE), "tests") == \
+        (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,expected_code,argv", COCHAIN_FAILURES,
+                         ids=[c[0] for c in COCHAIN_FAILURES])
+def test_check_cochain_failure_paths_text(name, expected_code, argv, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.setenv("LIECOCHAIN_COLOR", "0")
+    ws = tmp_path / "cochain.lch"
+    ws.write_text(COCHAIN_WS)
+    if name == "cochain_not_proportional":
+        _skew_lie_derivative(monkeypatch)
+    code, out = run_cli(["check", "cochain", "--input", str(ws), "--action", "act",
+                         "--points", "P", "-v"] + argv, capsys)
+    assert code == expected_code
+    assert out.replace(str(tmp_path), "tmp") == \
+        (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

@@ -202,3 +202,42 @@ def test_pretty_primes():
     assert "′′" in sf.pretty(d2)
     g = sf.function("g", ("x", "y"))
     assert "∂" in sf.pretty(sf.partial(g, "x"))
+
+
+# Each display rule, pinned: (workspace syntax in, Unicode display, workspace
+# syntax out).  Superscript exponents, factored denominators, one to four
+# primes, mixed partials, and a one-term numerator over a factor, which the
+# display wraps as (x)/(y) and the workspace syntax writes as x/(y).
+RENDERINGS = [
+    ('0', '0', '0'),
+    ('-3/4', '-3/4', '-3/4'),
+    ('x', 'x', 'x'),
+    ('-x', '-x', '-x'),
+    ('x^2*y^3 - 3*x + 1', '1 - 3·x + x²·y³', '1 - 3*x + x^2*y^3'),
+    ('2/3*x*y^10 - z', '-z + 2/3·x·y¹⁰', '-z + 2/3*x*y^10'),
+    ('1/(x^2 + y^2)^4', '(1)/(x² + y²)⁴', '1/(x^2 + y^2)^4'),
+    ('(x + 1)/(y*z)', '(1 + x)/(y·z)', '(1 + x)/(y*z)'),
+    ('x/y', '(x)/(y)', 'x/(y)'),
+    ('-x/(y + 1)', '(-x)/(1 + y)', '-x/(1 + y)'),
+    ('x*y/(x + y)^2/(y - z)', '(-x·y)/(x + y)²/(-y + z)', '-x*y/(x + y)^2/(-y + z)'),
+    ('f(x)^3', 'f(x)³', 'f(x)^3'),
+    ('D(f(x),x)', 'f′(x)', 'D(f(x),x)'),
+    ('D(D(f(x),x),x)^2', 'f′′(x)²', 'D(D(f(x),x),x)^2'),
+    ('D(D(D(f(x),x),x),x)', 'f′′′(x)', 'D(D(D(f(x),x),x),x)'),
+    ('D(D(D(D(f(x),x),x),x),x)', '∂⁴f/∂x⁴(x)', 'D(D(D(D(f(x),x),x),x),x)'),
+    ('D(D(K(x,y),x),y)', '∂²K/∂x∂y(x,y)', 'D(D(K(x,y),x),y)'),
+    ('D(D(K(x,y),x),x)', '∂²K/∂x²(x,y)', 'D(D(K(x,y),x),x)'),
+    ('-1/2*D(K(x,y),y)*x^2', '-1/2·x²·∂K/∂y(x,y)', '-1/2*x^2*D(K(x,y),y)'),
+    ('K(x,y)/(1 + x^2)', '(K(x,y))/(1 + x²)', 'K(x,y)/(1 + x^2)'),
+    ('3*D(f(x),x)/(f(x))^11', '(3·f′(x))/(f(x)¹¹)', '3*D(f(x),x)/(f(x)^11)'),
+]
+
+
+@pytest.mark.parametrize("text,shown,plain", RENDERINGS, ids=[r[0] for r in RENDERINGS])
+def test_rendering_styles(text, shown, plain):
+    ws = dsl.parse("chart M { coords = [x, y, z] }\nfunction f(x)\nfunction K(x, y)\n"
+                   f"form w on M = {text}\n")
+    e = ws.forms["w"].coefficient(())
+    assert sf.pretty(e) == shown
+    assert str(e) == shown
+    assert sf.dsl_str(e) == plain
