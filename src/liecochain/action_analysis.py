@@ -33,14 +33,6 @@ class InvalidInput(ActionError):
         self.verdict = verdict
 
 
-class HomomorphismViolation(ActionError):
-    pass
-
-
-class RankDeficit(ActionError):
-    pass
-
-
 class NotProportional(ActionError):
     pass
 
@@ -120,21 +112,6 @@ def validate_action(action, sample_points=()):
         rank_failures=rank_failures,
         effective=not kernel,
         kernel_basis=kernel)
-
-
-def require_valid_action(action, sample_points=()):
-    """Raise-style variant of validate_action for callers that cannot
-    proceed with a broken action."""
-    report = validate_action(action, sample_points)
-    if report.bracket_violations:
-        i, j, residual = report.bracket_violations[0]
-        raise HomomorphismViolation(
-            f"generators {i + 1}, {j + 1} do not realize the bracket; "
-            f"residual components {[str(c) for c in residual.components]}")
-    if report.rank_failures:
-        point, r = report.rank_failures[0]
-        raise RankDeficit(f"generator rank {r} != {action.orbit_dim} at {point}")
-    return report
 
 
 def _symbolic_generator_kernel(action):
@@ -498,22 +475,6 @@ def integrability_unchecked(action, chi, fields, lams):
     return IntegrabilityResult(pairs)
 
 
-@dataclass
-class RescaleEntry:
-    index: int
-    ok: bool
-    residual: cc.MultiVectorField
-
-
-@dataclass
-class RescaleResult:
-    entries: list
-
-    @property
-    def ok(self):
-        return all(e.ok for e in self.entries)
-
-
 def rescale_verify(action, chi0, k_candidate, fields, sample_points=()):
     """Does chi = K * chi0 satisfy L_Z chi = 0 for each supplied Z?
 
@@ -529,13 +490,7 @@ def rescale_verify(action, chi0, k_candidate, fields, sample_points=()):
             raise InvalidInput("rescaling function is not invariant",
                                Verdict(False, generator=i, witness=dk))
     _require_invariant_vertical_chain(action, chi0, sample_points)
-    chi = chi0.scaled(k)
-    entries = []
-    for i, z in enumerate(fields):
-        _require_invariant_field(action, z, f"field #{i} is not invariant")
-        residual = cc.lie_derivative_multivector(z, chi)
-        entries.append(RescaleEntry(i, residual.is_zero(), residual))
-    return RescaleResult(entries)
+    return stability_check(action, chi0.scaled(k), fields)
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Symbolic tensor calculus on a single coordinate chart.
 
 Vector fields, differential forms and multivector fields carry ScalarExpr
-coefficients indexed by strictly increasing coordinate-index tuples.  The
+coefficients; forms and multivector fields are `linalg.AltTensor`s over
+`scalar_field`, indexed by strictly increasing coordinate-index tuples.  The
 interior product by a multivector fills the leading slots of the form in
 order: for decomposable chi = X1^...^Xq,  (i_chi w)(Y...) = w(X1,...,Xq,Y...).
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalar_field as sf
-from .linalg import _sort_sign
+from .linalg import AltTensor, _sort_sign
 
 
 class ChartError(Exception):
@@ -45,6 +46,9 @@ class Chart:
     def dim(self):
         return len(self.coordinates)
 
+    def __str__(self):
+        return str(self.coordinates)
+
     def index(self, name):
         try:
             return self.coordinates.index(name)
@@ -63,24 +67,8 @@ class Chart:
 
 def _same_chart(a, b):
     if a.chart != b.chart:
-        raise ChartMismatch(f"{a.chart.coordinates} vs {b.chart.coordinates}")
+        raise ChartMismatch(f"{a.chart} vs {b.chart}")
     return a.chart
-
-
-def _clean(coeffs):
-    return {idx: c for idx, c in sorted(coeffs.items()) if not c.is_zero()}
-
-
-def _wedge_coeffs(c1, c2):
-    out = {}
-    for i1, a in c1.items():
-        for i2, b in c2.items():
-            s = _sort_sign(i1 + i2)
-            if s is None:
-                continue
-            sign, idx = s
-            out[idx] = out.get(idx, sf.ZERO) + sf.rational(sign) * a * b
-    return out
 
 
 def _contract_basis(coeffs, j):
@@ -96,75 +84,27 @@ def _contract_basis(coeffs, j):
     return out
 
 
-class _Tensor:
-    """Shared container behaviour for forms and multivectors."""
-
-    kind = "tensor"
-
-    def __init__(self, chart, degree, coeffs):
-        if not 0 <= degree <= chart.dim:
-            raise DegreeOverflow(f"degree {degree} on a {chart.dim}-chart")
-        coeffs = {idx: sf.normalize(c) for idx, c in coeffs.items()}
-        for idx in coeffs:
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"bad index tuple {idx} for degree {degree}")
-            if any(not 0 <= i < chart.dim for i in idx):
-                raise ValueError(f"index out of range in {idx}")
-        self.chart = chart
-        self.degree = degree
-        self.coeffs = _clean(coeffs)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def coefficient(self, idx):
-        return self.coeffs.get(tuple(idx), sf.ZERO)
-
-    def __eq__(self, other):
-        return (type(self) is type(other) and self.chart == other.chart
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((type(self), self.chart, self.degree, tuple(self.coeffs.items())))
-
-    def __add__(self, other):
-        _same_chart(self, other)
-        if type(self) is not type(other) or self.degree != other.degree:
-            raise ValueError(f"cannot add {self.kind}s of different kind or degree")
-        d = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            d[idx] = d.get(idx, sf.ZERO) + c
-        return type(self)(self.chart, self.degree, d)
-
-    def __neg__(self):
-        return type(self)(self.chart, self.degree, {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, f):
-        f = sf.normalize(f)
-        return type(self)(self.chart, self.degree, {i: f * c for i, c in self.coeffs.items()})
-
-    def __repr__(self):
-        from .dsl import tensor_dsl
-        return f"{type(self).__name__}({tensor_dsl(self)!r})"
+def _repr(obj):
+    from .dsl import tensor_dsl
+    return f"{type(obj).__name__}({tensor_dsl(obj)!r})"
 
 
-class DiffForm(_Tensor):
-    kind = "form"
+class DiffForm(AltTensor):
+    """Differential form: ScalarExpr coefficients on dx_{i1}^...^dx_{ik}."""
 
-    @classmethod
-    def zero(cls, chart, degree):
-        return cls(chart, degree, {})
+    kind, ring, noun = "form", sf, "chart"
+    DegreeOverflow, Mismatch = DegreeOverflow, ChartMismatch
+    chart = property(lambda self: self.space)
+    __repr__ = _repr
 
 
-class MultiVectorField(_Tensor):
-    kind = "chain"
+class MultiVectorField(AltTensor):
+    """Multivector field: ScalarExpr coefficients on D(x_{i1})^...^D(x_{iq})."""
 
-    @classmethod
-    def zero(cls, chart, degree):
-        return cls(chart, degree, {})
+    kind, ring, noun = "chain", sf, "chart"
+    DegreeOverflow, Mismatch = DegreeOverflow, ChartMismatch
+    chart = property(lambda self: self.space)
+    __repr__ = _repr
 
 
 class VectorField:
@@ -213,15 +153,7 @@ class VectorField:
                 out = out + comp * sf.partial(f, self.chart.coordinates[i])
         return out
 
-    def __repr__(self):
-        from .dsl import tensor_dsl
-        return f"VectorField({tensor_dsl(self.as_multivector())!r})"
-
-
-def basis_vector(chart, name):
-    comps = [sf.ZERO] * chart.dim
-    comps[chart.index(name)] = sf.ONE
-    return VectorField(chart, comps)
+    __repr__ = _repr
 
 
 def scalar_form(chart, f):
@@ -248,22 +180,12 @@ def d_exterior(omega):
     return DiffForm(chart, omega.degree + 1, out)
 
 
-def wedge(a, b):
-    """Wedge product of two forms or two multivectors."""
-    chart = _same_chart(a, b)
-    if type(a) is not type(b):
-        raise ValueError("wedge requires two forms or two multivectors")
-    if a.degree + b.degree > chart.dim:
-        raise DegreeOverflow("wedge degree exceeds chart dimension")
-    return type(a)(chart, a.degree + b.degree, _wedge_coeffs(a.coeffs, b.coeffs))
-
-
 def wedge_vectorfields(fields):
     """The multivector X1 ^ X2 ^ ... ^ Xq."""
     fields = list(fields)
     out = fields[0].as_multivector()
     for x in fields[1:]:
-        out = wedge(out, x.as_multivector())
+        out = out.wedge(x.as_multivector())
     return out
 
 
@@ -347,11 +269,6 @@ def lie_derivative_multivector(r, chi):
                 sign, new = s
                 acc(new, sf.rational(-sign) * j_coeff * g)
     return MultiVectorField(chart, chi.degree, out)
-
-
-def evaluate_vectorfield_at(x, point):
-    pt = x.chart.point_map(point)
-    return [c.eval_at(pt) for c in x.components]
 
 
 def jacobian_at(x, point):

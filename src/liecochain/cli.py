@@ -76,20 +76,18 @@ def _chart_points(ws, chart):
             if ws.charts[chart_name] == chart]
 
 
-def _residual_str(obj):
-    if isinstance(obj, (cc.DiffForm, cc.MultiVectorField, cc.VectorField)):
-        return dsl.tensor_dsl(obj)
+def _text(obj, style):
+    """A scalar or tensor in a style: workspace syntax or display notation."""
     if isinstance(obj, sf.ScalarExpr):
-        return sf.dsl_str(obj)
-    return str(obj)
+        return sf.render(obj, style)
+    return dsl.render_tensor(obj, style)
 
 
-def _pretty_str(obj):
-    if isinstance(obj, (cc.DiffForm, cc.MultiVectorField, cc.VectorField)):
-        return dsl.tensor_pretty(obj)
-    if isinstance(obj, sf.ScalarExpr):
-        return sf.pretty(obj)
-    return str(obj)
+def _shown(obj, prefix=""):
+    """The witness fields of a verdict: workspace syntax for JSON, display
+    notation for text."""
+    return {"witness": prefix + _text(obj, sf.PLAIN),
+            "_pretty": prefix + _text(obj, sf.UNICODE)}
 
 
 # -- commands ---------------------------------------------------------------
@@ -112,7 +110,7 @@ def _cmd_validate(ws, names):
         if rep.bracket_violations:
             i, j, res = rep.bracket_violations[0]
             witness = (f"[{decl.generators[i]}, {decl.generators[j]}]: "
-                       f"{_residual_str(res)}")
+                       f"{_text(res, sf.PLAIN)}")
         verdicts.append(_verdict("action_brackets", name, not rep.bracket_violations,
                                  witness=witness))
         if samples:
@@ -145,16 +143,14 @@ def _cmd_cohomology(ws, names):
     return [_verdict("cohomology", f"{subject} degree {degree}", True,
                      dims={"A_rel": result.relative_dims[degree], "H": result.dimension},
                      representatives=[dsl.altform_dsl(r) for r in result.representatives],
-                     _pretty_representatives=[dsl.altform_pretty(r)
+                     _pretty_representatives=[dsl.render_altform(r, sf.UNICODE)
                                               for r in result.representatives])]
 
 
 def _cmd_isotropy(ws, names):
     decl = _get(ws.actions, names["action"], "action")
     point_name = names["point"]
-    chart_name, values = _get(ws.points, point_name, "point")
-    if ws.charts[chart_name] != decl.spec.chart:
-        raise InputError(f"point {point_name!r} is not on the action's chart")
+    [values] = _points_for(ws, [point_name], decl.spec.chart)
     sample = aa.isotropy_algebra_at(decl.spec, values)
     sample = aa.fixed_space_at(decl.spec, sample)
     dims = {"isotropy": len(sample.isotropy_basis),
@@ -180,16 +176,6 @@ def _cmd_check_simple(ws, names):
     action = decl.spec
     obj_kind, obj = _find_object(ws, names["object"])
     subject = names["object"]
-    if kind == "invariant":
-        checker = {"form": aa.check_invariant_form,
-                   "field": aa.check_invariant_vectorfield,
-                   "chain": aa.check_invariant_multivector}[obj_kind]
-        v = checker(action, obj)
-        witness = pretty = None
-        if not v.ok:
-            witness = f"generator {v.generator + 1}: {_residual_str(v.witness)}"
-            pretty = f"generator {v.generator + 1}: {_pretty_str(v.witness)}"
-        return [_verdict("invariant", subject, v.ok, witness=witness, _pretty=pretty)]
     if kind == "vertical":
         if obj_kind != "chain":
             raise InputError("vertical applies to a chain")
@@ -198,21 +184,20 @@ def _cmd_check_simple(ws, names):
             res = aa.check_vertical(action, obj, points)
         except aa.NoFrameFound as exc:
             return [_verdict("vertical", subject, False, reason=str(exc))]
-        witness = sf.dsl_str(res.factor) if res.ok else None
-        pretty = sf.pretty(res.factor) if res.ok else None
-        frame = [i + 1 for i in res.frame] if res.ok else None
-        return [_verdict("vertical", subject, res.ok, witness=witness, frame=frame,
-                         reason=res.reason or None, _pretty=pretty)]
-    if kind == "semibasic":
+        if not res.ok:
+            return [_verdict("vertical", subject, False, reason=res.reason)]
+        return [_verdict("vertical", subject, True, frame=[i + 1 for i in res.frame],
+                         **_shown(res.factor))]
+    if kind == "invariant":
+        v = {"form": aa.check_invariant_form,
+             "field": aa.check_invariant_vectorfield,
+             "chain": aa.check_invariant_multivector}[obj_kind](action, obj)
+    else:
         if obj_kind != "form":
             raise InputError("semibasic applies to a form")
         v = aa.check_semibasic(action, obj)
-        witness = pretty = None
-        if not v.ok:
-            witness = f"generator {v.generator + 1}: {_residual_str(v.witness)}"
-            pretty = f"generator {v.generator + 1}: {_pretty_str(v.witness)}"
-        return [_verdict("semibasic", subject, v.ok, witness=witness, _pretty=pretty)]
-    raise InputError(f"unknown check kind {kind!r}")
+    shown = {} if v.ok else _shown(v.witness, f"generator {v.generator + 1}: ")
+    return [_verdict(kind, subject, v.ok, **shown)]
 
 
 def _cmd_check_cochain(ws, names):
@@ -245,28 +230,23 @@ def _cmd_check_cochain(ws, names):
         try:
             aa._require_invariant_form(action, omega)
             res = aa.cochain_condition_unchecked(action, chain, omega)
-            verdicts.append(_verdict(
-                "cochain_condition", n, res.ok,
-                witness=None if res.ok else _residual_str(res.residual),
-                _pretty=None if res.ok else _pretty_str(res.residual)))
+            verdicts.append(_verdict("cochain_condition", n, res.ok,
+                                     **({} if res.ok else _shown(res.residual))))
         except aa.InvalidInput as exc:
             verdicts.append(_verdict("cochain_condition", n, False, reason=str(exc)))
     lams = []   # per field: lambda_R, or the error scaling_factor raises for R
     for n, r in zip(field_names, fields):
         try:
             e = aa.stability_check(action, chain, [r]).entries[0]
-            verdicts.append(_verdict(
-                "stability", n, e.ok,
-                witness=None if e.ok else _residual_str(e.residual),
-                _pretty=None if e.ok else _pretty_str(e.residual)))
+            verdicts.append(_verdict("stability", n, e.ok,
+                                     **({} if e.ok else _shown(e.residual))))
         except aa.NonInvariantField as exc:
             verdicts.append(_verdict("stability", n, False, reason=str(exc)))
             lams.append(aa.NonInvariantField(aa.SCALING_NEEDS_INVARIANT_FIELD))
             continue
         try:
             lam = aa.scaling_factor_unchecked(action, chain, e.residual)
-            verdicts.append(_verdict("scaling_factor", n, True, witness=sf.dsl_str(lam),
-                                     _pretty=sf.pretty(lam)))
+            verdicts.append(_verdict("scaling_factor", n, True, **_shown(lam)))
         except (aa.NotProportional, aa.InvalidInput) as exc:
             verdicts.append(_verdict("scaling_factor", n, False, reason=str(exc)))
             lam = exc
@@ -278,11 +258,9 @@ def _cmd_check_cochain(ws, names):
                 raise failed
             res = aa.integrability_unchecked(action, chain, fields, lams)
             for s, t, residual in res.pairs:
-                verdicts.append(_verdict(
-                    "integrability", f"{field_names[s]},{field_names[t]}",
-                    residual.is_zero(),
-                    witness=None if residual.is_zero() else sf.dsl_str(residual),
-                    _pretty=None if residual.is_zero() else sf.pretty(residual)))
+                ok = residual.is_zero()
+                verdicts.append(_verdict("integrability", f"{field_names[s]},{field_names[t]}",
+                                         ok, **({} if ok else _shown(residual))))
         except (aa.NotProportional, aa.NonInvariantField, aa.InvalidInput) as exc:
             verdicts.append(_verdict("integrability", ",".join(field_names), False,
                                      reason=str(exc)))
@@ -304,8 +282,7 @@ def _cmd_rho(ws, names):
         reason = "result is not semi-basic"
     elif not res.invariant.ok:
         reason = "result is not invariant"
-    return [_verdict("rho", names["form"], ok, witness=dsl.tensor_dsl(res.form),
-                     reason=reason, _pretty=dsl.tensor_pretty(res.form))]
+    return [_verdict("rho", names["form"], ok, reason=reason, **_shown(res.form))]
 
 
 def _cmd_certify(ws, names):
@@ -324,8 +301,7 @@ def _cmd_certify(ws, names):
     elif not res.invariance.ok:
         reason = "certificate form is not invariant"
     return [_verdict("surjective", f"{names['chain']} with {names['form']}", res.ok,
-                     witness=sf.dsl_str(res.pairing), reason=reason,
-                     _pretty=sf.pretty(res.pairing))]
+                     reason=reason, **_shown(res.pairing))]
 
 
 def _cmd_report(ws, names):

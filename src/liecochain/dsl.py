@@ -636,7 +636,7 @@ class _Parser:
                     self.error("cannot wedge with a scalar", op_tok, ArityMismatch)
                 if kind2 != kind:
                     self.error("cannot wedge a form with a chain", op_tok, ArityMismatch)
-                value = cc.wedge(value, value2)
+                value = value.wedge(value2)
         return kind, value
 
     def _combine_product(self, kind, value, kind2, value2, op_tok):
@@ -677,7 +677,7 @@ class _Parser:
             if "scalar" in (kind1, kind2) or kind1 != kind2:
                 self.error("wedge needs two forms or two chains",
                            close, ArityMismatch)
-            return kind1, cc.wedge(v1, v2)
+            return kind1, v1.wedge(v2)
         if tok.kind == "name":
             return self._name_atom(chart)
         self.error(f"unexpected token {tok.text!r} in expression")
@@ -879,146 +879,58 @@ def parse(text, filename="<input>"):
 # rendering
 
 
-def _coeff_prefix(expr):
-    """Render a scalar coefficient for use in front of a tensor atom.
-
-    Returns (sign, text or None); None means coefficient 1 (omitted).
-    """
-    s = sf.dsl_str(expr)
-    if s == "1":
-        return 1, None
-    if s == "-1":
-        return -1, None
+def _coeff_prefix(expr, style):
+    """(negative, text) for a scalar coefficient in front of a tensor atom;
+    the text is None for a unit."""
+    s = sf.render(expr, style)
+    if s in ("1", "-1"):
+        return s == "-1", None
     if s.startswith("-") and " " not in s:
-        return -1, s[1:]
+        return True, s[1:]
     if " " in s and not (s.startswith("(") and s.endswith(")")):
-        return 1, f"({s})"
-    return 1, s
+        return False, f"({s})"
+    return False, s
+
+
+def render_tensor(obj, style):
+    """A form, chain or vector field in a style (see `scalar_field`):
+    y*d(x)^d(z) in workspace syntax, y·dx∧dz in display notation."""
+    if isinstance(obj, cc.VectorField):
+        obj = obj.as_multivector()
+    if obj.degree == 0:
+        return sf.render(obj.coefficient(()), style)
+    atom = style.form if isinstance(obj, cc.DiffForm) else style.chain
+    names = obj.chart.coordinates
+    terms = []
+    for idx, coeff in obj.coeffs.items():
+        negative, text = _coeff_prefix(coeff, style)
+        body = style.wedge.join(atom(names[i]) for i in idx)
+        terms.append((negative, body if text is None else f"{text}{style.times}{body}"))
+    return sf._signed_sum(terms)
 
 
 def tensor_dsl(obj):
     """Canonical surface syntax for a form, chain or vector field."""
-    if isinstance(obj, cc.VectorField):
-        obj = obj.as_multivector()
-    atom = "d" if isinstance(obj, cc.DiffForm) else "D"
-    chart = obj.chart
-    if obj.degree == 0:
-        return sf.dsl_str(obj.coefficient(()))
-    if not obj.coeffs:
-        return "0"
-    parts = []
-    for idx, coeff in obj.coeffs.items():
-        sign, text = _coeff_prefix(coeff)
-        body = "^".join(f"{atom}({chart.coordinates[i]})" for i in idx)
-        if text is not None:
-            body = f"{text}*{body}"
-        parts.append((sign, body))
-    out = []
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            out.append(("-" if sign < 0 else "") + body)
-        else:
-            out.append((" - " if sign < 0 else " + ") + body)
-    return "".join(out)
+    return render_tensor(obj, sf.PLAIN)
 
 
-_SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-
-
-def _pretty_coeff_prefix(expr):
-    s = sf.pretty(expr)
-    if s == "1":
-        return 1, None
-    if s == "-1":
-        return -1, None
-    if s.startswith("-") and " " not in s:
-        return -1, s[1:]
-    if " " in s and not (s.startswith("(") and s.endswith(")")):
-        return 1, f"({s})"
-    return 1, s
-
-
-def tensor_pretty(obj):
-    """Display notation for tensors: dx∧dy, ∂x∧∂y."""
-    if isinstance(obj, cc.VectorField):
-        obj = obj.as_multivector()
-    chart = obj.chart
-    if obj.degree == 0:
-        return sf.pretty(obj.coefficient(()))
-    if not obj.coeffs:
-        return "0"
-    is_form = isinstance(obj, cc.DiffForm)
-    out = []
-    for i, (idx, coeff) in enumerate(obj.coeffs.items()):
-        sign, text = _pretty_coeff_prefix(coeff)
-        atoms = [("d" if is_form else "∂") + chart.coordinates[j] for j in idx]
-        body = "∧".join(atoms)
-        if text is not None:
-            body = f"{text}·{body}"
-        if i == 0:
-            out.append(("-" if sign < 0 else "") + body)
-        else:
-            out.append((" - " if sign < 0 else " + ") + body)
-    return "".join(out)
-
-
-def altform_pretty(alpha):
-    """Display notation for algebra forms: α¹∧α²."""
+def render_altform(alpha, style):
+    """A form on an algebra in a style: a1^a2, or α¹∧α² for display."""
     if alpha.degree == 0:
-        return str(alpha.coeffs.get((), Fraction(0)))
-    if not alpha.coeffs:
-        return "0"
-    out = []
-    for i, (idx, coeff) in enumerate(alpha.coeffs.items()):
-        body = "∧".join("α" + str(k + 1).translate(_SUP) for k in idx)
-        a = abs(coeff)
-        if a != 1:
-            body = f"{a}·{body}"
-        if i == 0:
-            out.append(("-" if coeff < 0 else "") + body)
-        else:
-            out.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(out)
+        return str(alpha.coefficient(()))
+    return sf._signed_sum(
+        sf._scaled(c, style.wedge.join(style.covector(k + 1) for k in idx), style)
+        for idx, c in alpha.coeffs.items())
 
 
 def altform_dsl(alpha):
     """Surface syntax for an alternating form on the algebra: a1^a2 style."""
-    if alpha.degree == 0:
-        return str(alpha.coeffs.get((), Fraction(0)))
-    if not alpha.coeffs:
-        return "0"
-    out = []
-    for i, (idx, coeff) in enumerate(alpha.coeffs.items()):
-        body = "^".join(f"a{k+1}" for k in idx)
-        a = abs(coeff)
-        if a != 1:
-            body = f"{a}*{body}"
-        if i == 0:
-            out.append(("-" if coeff < 0 else "") + body)
-        else:
-            out.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(out)
+    return render_altform(alpha, sf.PLAIN)
 
 
-def vector_dsl(v, labels=None):
+def vector_dsl(v):
     """Linear combination rendering of an algebra vector: e1 - 1/2*e2."""
-    parts = []
-    for i, c in enumerate(v):
-        if c == 0:
-            continue
-        label = labels[i] if labels else f"e{i+1}"
-        a = abs(c)
-        body = label if a == 1 else f"{a}*{label}"
-        parts.append((1 if c > 0 else -1, body))
-    if not parts:
-        return "0"
-    out = []
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            out.append(("-" if sign < 0 else "") + body)
-        else:
-            out.append((" - " if sign < 0 else " + ") + body)
-    return "".join(out)
+    return sf._signed_sum(sf._scaled(c, f"e{i+1}", sf.PLAIN) for i, c in enumerate(v) if c != 0)
 
 
 def _render_lie_algebra(name, algebra):

@@ -183,86 +183,13 @@ def validate_subgroup(algebra, sub):
     return problems
 
 
-class _AltTensor:
-    """Alternating tensor on the algebra: {increasing index tuple: Fraction}."""
-
-    def __init__(self, dim, degree, coeffs):
-        if not 0 <= degree <= dim:
-            raise DegreeOverflow(f"degree {degree} on a {dim}-dimensional algebra")
-        clean = {}
-        for idx, c in coeffs.items():
-            idx = tuple(idx)
-            if len(idx) != degree or list(idx) != sorted(set(idx)):
-                raise ValueError(f"bad index tuple {idx} for degree {degree}")
-            c = Fraction(c)
-            if c != 0:
-                clean[idx] = c
-        self.dim = dim
-        self.degree = degree
-        self.coeffs = dict(sorted(clean.items()))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (type(self) is type(other) and self.dim == other.dim
-                and self.degree == other.degree and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((type(self), self.dim, self.degree, tuple(self.coeffs.items())))
-
-    def __add__(self, other):
-        d = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            d[idx] = d.get(idx, Fraction(0)) + c
-        return type(self)(self.dim, self.degree, d)
-
-    def __neg__(self):
-        return type(self)(self.dim, self.degree, {i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, f):
-        f = Fraction(f)
-        return type(self)(self.dim, self.degree, {i: f * c for i, c in self.coeffs.items()})
-
-
-class AltForm(_AltTensor):
+class AltForm(linalg.AltTensor):
     """Alternating r-form on the algebra, rational coefficients on the
-    dual-basis wedges a^{i1} ^ ... ^ a^{ir}."""
+    dual-basis wedges a^{i1} ^ ... ^ a^{ir}; its space is the algebra's
+    dimension."""
 
-
-class AltMultiVec(_AltTensor):
-    """Constant alternating q-vector on the algebra."""
-
-
-def basis_covector(dim, i):
-    return AltForm(dim, 1, {(i,): Fraction(1)})
-
-
-def pairing(alpha, chi):
-    """Full contraction of an r-form with an r-vector."""
-    if alpha.degree != chi.degree or alpha.dim != chi.dim:
-        raise ValueError("pairing needs equal degrees on the same algebra")
-    return sum((c * alpha.coeffs.get(idx, Fraction(0)) for idx, c in chi.coeffs.items()),
-               Fraction(0))
-
-
-def wedge(alpha, beta):
-    if alpha.dim != beta.dim or type(alpha) is not type(beta):
-        raise ValueError("wedge needs two tensors of the same kind on one algebra")
-    if alpha.degree + beta.degree > alpha.dim:
-        raise DegreeOverflow("wedge degree exceeds algebra dimension")
-    out = {}
-    for i1, a in alpha.coeffs.items():
-        for i2, b in beta.coeffs.items():
-            s = _sort_sign(i1 + i2)
-            if s is None:
-                continue
-            sign, idx = s
-            out[idx] = out.get(idx, Fraction(0)) + sign * a * b
-    return type(alpha)(alpha.dim, alpha.degree + beta.degree, out)
+    kind, ring, noun = "form", linalg.RATIONALS, "algebra"
+    DegreeOverflow = DegreeOverflow
 
 
 # -- the complex on basis monomials ------------------------------------------
@@ -452,10 +379,6 @@ def relative_basis(algebra, sub, degree, validate=True):
     tuples = list(combinations(range(algebra.dim), degree))
     rows = _Constraints(algebra, sub).rows(tuples)
     return [AltForm(algebra.dim, degree, v) for v in linalg.nullspace(rows, tuples)]
-
-
-def _satisfies_relative_constraints(algebra, sub, alpha):
-    return _Constraints(algebra, sub).hold(alpha.coeffs)
 
 
 @dataclass

@@ -14,20 +14,21 @@ result is normalised at the end.  Pivot choice is always the first nonzero
 entry in column order.  The reduced row echelon form of a row space is
 unique, so every output equals that of Gauss-Jordan elimination in
 Fractions with the same pivot order, and all outputs are deterministic.
+
+`AltTensor` is the one container for alternating tensors: forms and
+multivectors on a chart, with ScalarExpr coefficients, and forms on a Lie
+algebra, with rational coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from types import SimpleNamespace
 
 
 class SingularMatrix(ValueError):
     pass
-
-
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def identity(n):
@@ -42,23 +43,6 @@ def matmul(a, b):
     n, k, p = len(a), len(b), len(b[0]) if b else 0
     return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(p)]
             for i in range(n)]
-
-
-def _sort_sign(idx):
-    """Sort an index tuple, returning (sign of the sorting permutation, sorted
-    tuple), or None if an index repeats."""
-    idx = list(idx)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
-            return None
-    return sign, tuple(idx)
 
 
 def _integer_row(v):
@@ -248,3 +232,115 @@ def det(m):
         ech._add(row)
     inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
     return -value if inversions % 2 else value
+
+
+# -- alternating tensors ------------------------------------------------------
+
+
+def _sort_sign(idx):
+    """Sort an index tuple, returning (sign of the sorting permutation, sorted
+    tuple), or None if an index repeats."""
+    idx = list(idx)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return None
+    return sign, tuple(idx)
+
+
+# The rationals as a coefficient ring, named as `scalar_field` names its own:
+# coercion, zero test and zero.
+RATIONALS = SimpleNamespace(normalize=Fraction, is_zero=lambda x: x == 0, ZERO=Fraction(0))
+
+
+class AltTensor:
+    """Alternating tensor: {strictly increasing index tuple: coefficient},
+    zero coefficients dropped, in index order.
+
+    A subclass names its coefficient ring (`ring`: `normalize`, `is_zero` and
+    `ZERO`, as in `scalar_field` or `RATIONALS`), its space (`noun`; the
+    space is a chart, whose `dim` counts its coordinates, or the dimension
+    of an algebra), its `kind` and the exceptions it raises.
+    """
+
+    Mismatch = ValueError
+
+    def __init__(self, space, degree, coeffs):
+        dim = getattr(space, "dim", space)
+        if not 0 <= degree <= dim:
+            raise self.DegreeOverflow(f"degree {degree} on a {dim}-dimensional {self.noun}")
+        ring = self.ring
+        coeffs = {idx: ring.normalize(c) for idx, c in coeffs.items()}
+        for idx in coeffs:
+            if len(idx) != degree or list(idx) != sorted(set(idx)):
+                raise ValueError(f"bad index tuple {idx} for degree {degree}")
+            if any(not 0 <= i < dim for i in idx):
+                raise ValueError(f"index out of range in {idx}")
+        self.space = space
+        self.dim = dim
+        self.degree = degree
+        self.coeffs = {idx: c for idx, c in sorted(coeffs.items()) if not ring.is_zero(c)}
+
+    @classmethod
+    def zero(cls, space, degree):
+        return cls(space, degree, {})
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def coefficient(self, idx):
+        return self.coeffs.get(tuple(idx), self.ring.ZERO)
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.space == other.space
+                and self.degree == other.degree and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((type(self), self.space, self.degree, tuple(self.coeffs.items())))
+
+    def _same_kind(self, other, what):
+        if self.space != other.space:
+            raise self.Mismatch(f"{self.space} vs {other.space}")
+        if type(self) is not type(other):
+            raise ValueError(f"cannot {what} a {self.kind} and a {other.kind}")
+
+    def __add__(self, other):
+        self._same_kind(other, "add")
+        if self.degree != other.degree:
+            raise ValueError(f"cannot add {self.kind}s of degrees {self.degree} and {other.degree}")
+        d = dict(self.coeffs)
+        zero = self.ring.ZERO
+        for idx, c in other.coeffs.items():
+            d[idx] = d.get(idx, zero) + c
+        return type(self)(self.space, self.degree, d)
+
+    def __neg__(self):
+        return type(self)(self.space, self.degree, {i: -c for i, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scaled(self, f):
+        f = self.ring.normalize(f)
+        return type(self)(self.space, self.degree, {i: f * c for i, c in self.coeffs.items()})
+
+    def wedge(self, other):
+        """The wedge product of two tensors of one kind on one space."""
+        self._same_kind(other, "wedge")
+        degree = self.degree + other.degree
+        if degree > self.dim:
+            raise self.DegreeOverflow(f"wedge degree exceeds {self.noun} dimension")
+        ring, out = self.ring, {}
+        for i1, a in self.coeffs.items():
+            for i2, b in other.coeffs.items():
+                s = _sort_sign(i1 + i2)
+                if s is not None:
+                    sign, idx = s
+                    out[idx] = out.get(idx, ring.ZERO) + ring.normalize(sign) * a * b
+        return type(self)(self.space, degree, out)

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-Rational = Fraction
+from types import SimpleNamespace
 
 # Largest n * t * C(n+t-1, t-1) -- term products in raising a t-term
 # numerator to the n-th power -- that `**` starts.
@@ -459,13 +458,6 @@ class ScalarExpr:
             raise PoleAtPoint(f"denominator vanishes at {where}")
         return _p_eval(self.num, point) / d
 
-    def function_symbols(self):
-        out = set()
-        for poly in (self.num, *(f for f, _ in self.den)):
-            for (_, syms), _ in poly:
-                out.update(sym for sym, _ in syms)
-        return out
-
     def __repr__(self):
         return f"ScalarExpr({dsl_str(self)!r})"
 
@@ -556,99 +548,94 @@ def cleared_numerators(exprs):
 
 
 # -- rendering -------------------------------------------------------------
+#
+# One walker per object kind -- `render` for scalars here; chart tensors,
+# algebra forms and algebra vectors in `dsl` -- joins its terms with
+# `_signed_sum` and reads one of two styles: PLAIN, the workspace syntax,
+# which parses back to the same value, and UNICODE, for display.
+
+_SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
-def _sym_dsl(sym, exp):
+def _sup(n):
+    return str(n).translate(_SUPERSCRIPTS)
+
+
+def _sym_plain(sym):
     s = f"{sym.name}({','.join(sym.args)})"
     for arg, order in zip(sym.args, sym.orders):
         for _ in range(order):
             s = f"D({s},{arg})"
-    return s if exp == 1 else f"{s}^{exp}"
+    return s
 
 
-def _term_dsl(key, coef):
-    mono, syms = key
-    factors = [name if e == 1 else f"{name}^{e}" for name, e in mono]
-    factors += [_sym_dsl(sym, e) for sym, e in syms]
-    if not factors:
-        return str(abs(coef))
-    a = abs(coef)
-    if a != 1:
-        factors.insert(0, str(a))
-    return "*".join(factors)
+def _sym_unicode(sym):
+    """K(z); f′(x) up to three primes; otherwise ∂²K/∂x∂y(x,y)."""
+    total = sum(sym.orders)
+    args = ",".join(sym.args)
+    if total == 0:
+        return f"{sym.name}({args})"
+    if len(sym.args) == 1 and total <= 3:
+        return f"{sym.name}{'′' * total}({args})"
+    below = "".join("∂" + a + UNICODE.power(o) for a, o in zip(sym.args, sym.orders) if o)
+    return f"∂{UNICODE.power(total)}{sym.name}/{below}({args})"
 
 
-def _poly_dsl(p):
-    if not p:
+# times, wedge: the product and wedge signs; power(n): an exponent, empty for
+# 1; symbol(sym): a function symbol; bare_monomial: a one-term numerator
+# goes without parentheses before its denominator; form, chain, covector:
+# the basis atoms of chart forms, chart chains and algebra forms.
+PLAIN = SimpleNamespace(
+    times="*", wedge="^", power=lambda n: f"^{n}" if n != 1 else "", symbol=_sym_plain,
+    bare_monomial=True, form="d({})".format, chain="D({})".format, covector="a{}".format)
+UNICODE = SimpleNamespace(
+    times="·", wedge="∧", power=lambda n: _sup(n) if n != 1 else "", symbol=_sym_unicode,
+    bare_monomial=False, form="d{}".format, chain="∂{}".format,
+    covector=lambda k: "α" + _sup(k))
+
+
+def _signed_sum(terms):
+    """Join (negative, text) terms as `a - b + c`; "0" when there are none."""
+    out = "".join((" - " if negative else " + ") + text for negative, text in terms)
+    if not out:
         return "0"
-    parts = []
-    for i, (key, coef) in enumerate(p):
-        t = _term_dsl(key, coef)
-        if i == 0:
-            parts.append("-" + t if coef < 0 else t)
-        else:
-            parts.append((" - " if coef < 0 else " + ") + t)
-    return "".join(parts)
+    return ("-" if out[1] == "-" else "") + out[3:]
+
+
+def _scaled(coef, body, style):
+    """(negative, text) for the rational coef times body; a unit is left out."""
+    a = abs(coef)
+    return coef < 0, body if a == 1 else f"{a}{style.times}{body}"
+
+
+def _term(key, coef, style):
+    mono, syms = key
+    factors = [name + style.power(e) for name, e in mono]
+    factors += [style.symbol(sym) + style.power(e) for sym, e in syms]
+    if not factors:
+        return coef < 0, str(abs(coef))
+    return _scaled(coef, style.times.join(factors), style)
+
+
+def _poly(p, style):
+    return _signed_sum(_term(key, coef, style) for key, coef in p)
+
+
+def render(e, style):
+    """e written in a style: numerator, then each denominator factor."""
+    e = normalize(e)
+    num = _poly(e.num, style)
+    if not e.den:
+        return num
+    if len(e.num) > 1 or not style.bare_monomial:
+        num = f"({num})"
+    return num + "".join(f"/({_poly(f, style)}){style.power(k)}" for f, k in e.den)
 
 
 def dsl_str(e):
     """Deterministic surface-syntax rendering; parses back to the same value."""
-    e = normalize(e)
-    num = _poly_dsl(e.num)
-    if not e.den:
-        return num
-    if len(e.num) > 1:
-        num = f"({num})"
-    return num + "".join(f"/({_poly_dsl(f)})" + (f"^{k}" if k > 1 else "") for f, k in e.den)
-
-
-_SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
-_PRIME = "′"
-_PARTIAL = "∂"
-
-
-def _sym_pretty(sym, exp):
-    total = sum(sym.orders)
-    primes = _PRIME * total
-    args = ",".join(sym.args)
-    if total == 0:
-        s = f"{sym.name}({args})"
-    elif len(sym.args) == 1 and total <= 3:
-        s = f"{sym.name}{primes}({sym.args[0]})"
-    else:
-        front = _PARTIAL + (str(total).translate(_SUPERSCRIPTS) if total > 1 else "")
-        below = "".join(_PARTIAL + a + (str(o).translate(_SUPERSCRIPTS) if o > 1 else "")
-                        for a, o in zip(sym.args, sym.orders) if o)
-        s = f"{front}{sym.name}/{below}({args})"
-    return s if exp == 1 else s + str(exp).translate(_SUPERSCRIPTS)
+    return render(e, PLAIN)
 
 
 def pretty(e):
-    e = normalize(e)
-
-    def term(key, coef):
-        mono, syms = key
-        factors = [name + (str(x).translate(_SUPERSCRIPTS) if x != 1 else "") for name, x in mono]
-        factors += [_sym_pretty(sym, x) for sym, x in syms]
-        if not factors:
-            return str(abs(coef))
-        a = abs(coef)
-        lead = "" if a == 1 else str(a) + "·"
-        return lead + "·".join(factors)
-
-    def poly(p):
-        if not p:
-            return "0"
-        parts = []
-        for i, (key, coef) in enumerate(p):
-            t = term(key, coef)
-            if i == 0:
-                parts.append("-" + t if coef < 0 else t)
-            else:
-                parts.append((" - " if coef < 0 else " + ") + t)
-        return "".join(parts)
-
-    if not e.den:
-        return poly(e.num)
-    return f"({poly(e.num)})" + "".join(
-        f"/({poly(f)})" + (str(k).translate(_SUPERSCRIPTS) if k > 1 else "") for f, k in e.den)
+    return render(e, UNICODE)

@@ -1,14 +1,85 @@
 """Seeded random generators for property suites: expressions, tensors,
 Lie algebras (valid by construction: known tables transported along random
-invertible basis changes), and rational automorphisms."""
+invertible basis changes), and rational automorphisms; and small
+constructors and checks that only the tests use."""
 
 from fractions import Fraction
 from itertools import combinations
 
+from liecochain import action_analysis as aa
 from liecochain import chart_calculus as cc
+from liecochain import lie_cohomology as lc
 from liecochain import linalg
 from liecochain import scalar_field as sf
 from liecochain.lie_cohomology import AltForm, LieAlgebra
+
+
+# -- constructors and checks only the tests use -------------------------------
+
+
+def frac_matrix(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def basis_vector(chart, name):
+    comps = [sf.ZERO] * chart.dim
+    comps[chart.index(name)] = sf.ONE
+    return cc.VectorField(chart, comps)
+
+
+def evaluate_vectorfield_at(x, point):
+    pt = x.chart.point_map(point)
+    return [c.eval_at(pt) for c in x.components]
+
+
+def basis_covector(dim, i):
+    return AltForm(dim, 1, {(i,): Fraction(1)})
+
+
+class AltMultiVec(AltForm):
+    """Constant alternating q-vector on the algebra."""
+
+    kind = "multivector"
+
+
+def pairing(alpha, chi):
+    """Full contraction of an r-form with an r-vector."""
+    if alpha.degree != chi.degree or alpha.dim != chi.dim:
+        raise ValueError("pairing needs equal degrees on the same algebra")
+    return sum((c * alpha.coefficient(idx) for idx, c in chi.coeffs.items()), Fraction(0))
+
+
+def satisfies_relative_constraints(algebra, sub, alpha):
+    """alpha is annihilated by and invariant under the subalgebra, and fixed
+    by every component matrix: the defining conditions of a relative form."""
+    for v in sub.basis:
+        if alpha.degree and not lc.interior(list(v), alpha).is_zero():
+            return False
+        if not lc.infinitesimal_action(algebra, list(v), alpha).is_zero():
+            return False
+    return all(lc.coadjoint_matrix_action(m, alpha) == alpha for m in sub.component_reps)
+
+
+class HomomorphismViolation(aa.ActionError):
+    pass
+
+
+class RankDeficit(aa.ActionError):
+    pass
+
+
+def require_valid_action(action, sample_points=()):
+    """Raise-style variant of validate_action."""
+    report = aa.validate_action(action, sample_points)
+    if report.bracket_violations:
+        i, j, residual = report.bracket_violations[0]
+        raise HomomorphismViolation(
+            f"generators {i + 1}, {j + 1} do not realize the bracket; "
+            f"residual components {[str(c) for c in residual.components]}")
+    if report.rank_failures:
+        point, r = report.rank_failures[0]
+        raise RankDeficit(f"generator rank {r} != {action.orbit_dim} at {point}")
+    return report
 
 
 def random_rational(rng, span=3):

@@ -108,11 +108,11 @@ def suite_antiderivation_chart(cases, seed=113):
         kb = rng.randint(0, n - 1 - ka)
         alpha = random_form(rng, chart, ka, FUNCS, polynomial=True)
         beta = random_form(rng, chart, kb, FUNCS, polynomial=True)
-        lhs = cc.d_exterior(cc.wedge(alpha, beta))
-        term = cc.wedge(alpha, cc.d_exterior(beta))
+        lhs = cc.d_exterior(alpha.wedge(beta))
+        term = alpha.wedge(cc.d_exterior(beta))
         if ka % 2:
             term = -term
-        rhs = cc.wedge(cc.d_exterior(alpha), beta) + term
+        rhs = cc.d_exterior(alpha).wedge(beta) + term
         assert (lhs - rhs).is_zero(), f"case {i}: antiderivation law failed (chart)"
 
 
@@ -125,11 +125,11 @@ def suite_antiderivation_ce(cases, seed=127):
         rb = rng.randint(0, p - 1 - ra)
         alpha = random_altform(rng, p, ra)
         beta = random_altform(rng, p, rb)
-        lhs = lc.ce_differential(alg, lc.wedge(alpha, beta))
-        term = lc.wedge(alpha, lc.ce_differential(alg, beta))
+        lhs = lc.ce_differential(alg, alpha.wedge(beta))
+        term = alpha.wedge(lc.ce_differential(alg, beta))
         if ra % 2:
             term = term.scaled(-1)
-        rhs = lc.wedge(lc.ce_differential(alg, alpha), beta) + term
+        rhs = lc.ce_differential(alg, alpha).wedge(beta) + term
         assert lhs == rhs, f"case {i}: antiderivation law failed (algebra)"
 
 

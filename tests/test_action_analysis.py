@@ -7,6 +7,8 @@ from liecochain import chart_calculus as cc
 from liecochain import scalar_field as sf
 from liecochain.lie_cohomology import LieAlgebra
 
+from genutil import HomomorphismViolation, RankDeficit, basis_vector, require_valid_action
+
 M3 = cc.Chart(("x", "y", "z"))
 N2 = cc.Chart(("x", "y"))
 x, y = sf.coordinate("x"), sf.coordinate("y")
@@ -15,21 +17,21 @@ x, y = sf.coordinate("x"), sf.coordinate("y")
 def intro_action():
     """Translations of the (y, z) plane on a 3-chart; abelian, free, q=2."""
     return aa.ActionSpec(M3, LieAlgebra(2),
-                         (cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")), 2)
+                         (basis_vector(M3, "y"), basis_vector(M3, "z")), 2)
 
 
 def solvable_action():
     """(a,b)*(x,y,z) = (ax+b, ay, z): generators x dx + y dy and dx, q=2."""
     algebra = LieAlgebra(2, {(0, 1): {1: -1}})
     v1 = cc.VectorField(M3, [x, y, sf.ZERO])
-    v2 = cc.basis_vector(M3, "x")
+    v2 = basis_vector(M3, "x")
     return aa.ActionSpec(M3, algebra, (v1, v2), 2)
 
 
 def shear_action():
     """(a,b)*(x,y) = (x+ay+b, y): generators y dx and dx, q=1."""
     return aa.ActionSpec(N2, LieAlgebra(2),
-                         (cc.VectorField(N2, [y, sf.ZERO]), cc.basis_vector(N2, "x")), 1)
+                         (cc.VectorField(N2, [y, sf.ZERO]), basis_vector(N2, "x")), 1)
 
 
 def solvable_chain(kfunc=True):
@@ -53,7 +55,7 @@ def test_validate_solvable_action():
 def test_validate_wrong_bracket_sign():
     algebra = LieAlgebra(2, {(0, 1): {1: 1}})  # sign flipped
     v1 = cc.VectorField(M3, [x, y, sf.ZERO])
-    v2 = cc.basis_vector(M3, "x")
+    v2 = basis_vector(M3, "x")
     rep = aa.validate_action(aa.ActionSpec(M3, algebra, (v1, v2), 2))
     assert not rep.ok
     (i, j, residual), = rep.bracket_violations
@@ -69,17 +71,17 @@ def test_validate_rank_deficit():
 def test_require_valid_action_raises():
     algebra = LieAlgebra(2, {(0, 1): {1: 1}})
     v1 = cc.VectorField(M3, [x, y, sf.ZERO])
-    v2 = cc.basis_vector(M3, "x")
-    with pytest.raises(aa.HomomorphismViolation):
-        aa.require_valid_action(aa.ActionSpec(M3, algebra, (v1, v2), 2))
-    with pytest.raises(aa.RankDeficit):
-        aa.require_valid_action(solvable_action(), [(0, 0, 0)])
-    assert aa.require_valid_action(solvable_action(), [(0, 1, 0)]).ok
+    v2 = basis_vector(M3, "x")
+    with pytest.raises(HomomorphismViolation):
+        require_valid_action(aa.ActionSpec(M3, algebra, (v1, v2), 2))
+    with pytest.raises(RankDeficit):
+        require_valid_action(solvable_action(), [(0, 0, 0)])
+    assert require_valid_action(solvable_action(), [(0, 1, 0)]).ok
 
 
 def test_validate_ineffective_action():
     algebra = LieAlgebra(2)
-    dx = cc.basis_vector(N2, "x")
+    dx = basis_vector(N2, "x")
     rep = aa.validate_action(aa.ActionSpec(N2, algebra, (dx, dx.scaled(2)), 1))
     assert not rep.effective
     assert rep.kernel_basis == [[Fraction(-2), Fraction(1)]]
@@ -119,7 +121,7 @@ def test_fixed_space_free_point():
 
 def test_fixed_space_rotation_translation():
     rot3 = cc.VectorField(M3, [-y, x, sf.ZERO])
-    action = aa.ActionSpec(M3, LieAlgebra(2), (rot3, cc.basis_vector(M3, "z")), 2)
+    action = aa.ActionSpec(M3, LieAlgebra(2), (rot3, basis_vector(M3, "z")), 2)
     sample = aa.isotropy_algebra_at(action, (0, 0, 0))
     filled = aa.fixed_space_at(action, sample)
     assert filled.fixed_tangent == [[0, 0, 1]]
@@ -183,7 +185,7 @@ def test_noninvariant_form_witness():
 
 def test_vertical_intro():
     action = intro_action()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     res = aa.check_vertical(action, chi)
     assert res.ok and res.frame == (0, 1) and sf.equals(res.factor, 1)
 
@@ -196,13 +198,13 @@ def test_vertical_solvable_factor():
 
 
 def test_not_vertical():
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "x"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "x"), basis_vector(M3, "z")])
     res = aa.check_vertical(solvable_action(), chi, [(0, 1, 0)])
     assert not res.ok
 
 
 def test_no_frame_found():
-    dx = cc.basis_vector(N2, "x")
+    dx = basis_vector(N2, "x")
     action = aa.ActionSpec(N2, LieAlgebra(2), (dx, dx.scaled(2)), 1)
     degenerate = aa.ActionSpec(N2, LieAlgebra(2), (dx, dx.scaled(2)), 2)
     with pytest.raises(aa.NoFrameFound):
@@ -226,7 +228,7 @@ def test_semibasic():
 def test_rho_intro_values():
     action = intro_action()
     alpha, nu = intro_forms()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     res_a = aa.evaluation_map(action, chi, alpha)
     assert res_a.sign == 1 and res_a.basic
     assert res_a.form.degree == 0
@@ -239,7 +241,7 @@ def test_rho_intro_values():
 
 def test_rho_zero_form():
     action = intro_action()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     res = aa.evaluation_map(action, chi, cc.DiffForm.zero(M3, 2))
     assert res.form.is_zero()
 
@@ -275,7 +277,7 @@ def test_rho_rejects_noninvariant():
 def test_cochain_condition_intro():
     action = intro_action()
     alpha, nu = intro_forms()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     assert aa.cochain_condition_check(action, chi, alpha).ok
     assert aa.cochain_condition_check(action, chi, nu).ok
     # both sides of the degree-2 identity equal c'(x) dx
@@ -327,14 +329,14 @@ def test_stability_shear_holds():
 
 def test_stability_intro_holds():
     action = intro_action()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     R = cc.VectorField(M3, [x, sf.ZERO, sf.ZERO])
     assert aa.stability_check(action, chi, [R]).ok
 
 
 def test_stability_rejects_noninvariant_field():
     action = intro_action()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     with pytest.raises(aa.NonInvariantField):
         aa.stability_check(action, chi, [cc.VectorField(M3, [sf.ZERO, y ** 2, sf.ZERO])])
 
@@ -349,7 +351,7 @@ def test_scaling_factors_solvable():
     hdz = cc.VectorField(M3, [sf.ZERO, sf.ZERO, h])
     lam = aa.scaling_factor(action, chi, hdz, [(0, 1, 0)])
     assert sf.equals(lam, h * sf.partial(K, "z") / K)
-    dx_gen = cc.basis_vector(M3, "x")
+    dx_gen = basis_vector(M3, "x")
     f = sf.function("f", ("z",))
     fydx = cc.VectorField(M3, [f * y, sf.ZERO, sf.ZERO])
     assert aa.scaling_factor(action, chi, fydx, [(0, 1, 0)]).is_zero()
@@ -390,8 +392,8 @@ def test_integrability_single_field_vacuous():
 
 def test_integrability_intro_all_zero():
     action = intro_action()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
-    fields = [cc.VectorField(M3, [x, sf.ZERO, sf.ZERO]), cc.basis_vector(M3, "y")]
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
+    fields = [cc.VectorField(M3, [x, sf.ZERO, sf.ZERO]), basis_vector(M3, "y")]
     res = aa.integrability_check(action, chi, fields)
     assert res.ok
 
@@ -399,7 +401,7 @@ def test_integrability_intro_all_zero():
 def test_rescale_solvable():
     action = solvable_action()
     chi0 = solvable_chain(kfunc=False)
-    dz = cc.basis_vector(M3, "z")
+    dz = basis_vector(M3, "z")
     ydy = cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])
     assert aa.rescale_verify(action, chi0, sf.rational(1, 3), [dz], [(0, 1, 0)]).ok
     res = aa.rescale_verify(action, chi0, sf.rational(1, 3), [dz, ydy], [(0, 1, 0)])
@@ -429,7 +431,7 @@ def test_rescale_rejects_zero_and_noninvariant():
 
 def test_surjectivity_intro():
     action = intro_action()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     alpha = cc.DiffForm(M3, 2, {(1, 2): sf.ONE})
     assert aa.surjectivity_certificate(action, chi, alpha).ok
     doubled = cc.DiffForm(M3, 2, {(1, 2): sf.rational(2)})
@@ -485,7 +487,7 @@ def test_stability_predicts_cochain_condition():
 def test_cochain_condition_descends_from_top_degree():
     """A q=1 translation action on a 3-chart: the condition checked on
     invariant (n-1)-forms also holds on lower degrees down to q."""
-    action = aa.ActionSpec(M3, LieAlgebra(1), (cc.basis_vector(M3, "z"),), 1)
+    action = aa.ActionSpec(M3, LieAlgebra(1), (basis_vector(M3, "z"),), 1)
     chi = cc.MultiVectorField(M3, 1, {(2,): sf.ONE})  # the generator itself
     f = sf.function("f", ("x", "y"))
     g = sf.function("g", ("x", "y"))
@@ -504,13 +506,13 @@ def test_pairing_form_wedge_semibasic_is_invariant():
     """alpha with alpha(chi) = 1 wedged with a semi-basic invariant form of
     complementary degree is an invariant top form."""
     action = intro_action()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     alpha = cc.DiffForm(M3, 2, {(1, 2): sf.ONE})
     mu = cc.DiffForm(M3, 1, {(0,): sf.function("A", ("x",))})
     assert aa.check_semibasic(action, mu).ok
     assert aa.check_invariant_form(action, mu).ok
     assert sf.equals(cc.interior_multivector(chi, alpha).coefficient(()), 1)
-    nu = cc.wedge(alpha, mu)
+    nu = alpha.wedge(mu)
     assert aa.check_invariant_form(action, nu).ok
 
 
@@ -518,7 +520,7 @@ def test_sign_coherence_d_commutes_with_rho():
     """d(rho(omega)) equals rho(d omega) whenever the cochain condition
     holds, including the degree-shift sign bookkeeping."""
     action = intro_action()
-    chi = cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")])
+    chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     alpha, _ = intro_forms()
     assert aa.cochain_condition_check(action, chi, alpha).ok
     d_rho = cc.d_exterior(aa.evaluation_map(action, chi, alpha).form)
@@ -613,7 +615,7 @@ def test_invariant_chain_implies_nonzero_relative_space():
     K = sf.function("K", ("y",))
     cases = [
         (intro_action(),
-         cc.wedge_vectorfields([cc.basis_vector(M3, "y"), cc.basis_vector(M3, "z")]),
+         cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")]),
          [(0, 0, 0), (1, 2, 3)]),
         (shear_action(), cc.MultiVectorField(N2, 1, {(0,): K}), [(0, 1), (3, -2)]),
         (solvable_action(), solvable_chain(), [(0, 1, 0), (2, -1, 5)]),

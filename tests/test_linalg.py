@@ -4,9 +4,11 @@ import pytest
 
 from liecochain import linalg
 
+from genutil import frac_matrix
+
 
 def F(rows):
-    return linalg.frac_matrix(rows)
+    return frac_matrix(rows)
 
 
 def test_rref_and_rank():
