@@ -638,4 +638,5 @@ def dsl_str(e):
 
 
 def pretty(e):
+    """Display notation: superscript exponents, primes and ∂, `·` for products."""
     return render(e, UNICODE)
