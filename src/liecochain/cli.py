@@ -1,7 +1,9 @@
 """Command-line front end: load a workspace file, run one command, print a
-text or JSON report with deterministic exit codes.  The argument parser is
-built once per process, on the first call of `main`; everything read from
-the input lives for one call.
+text or JSON report with deterministic exit codes.  The commands and their
+flags come from the check table `dsl.CHECKS`; the argument parser is built
+from it once per process, on the first call of `main`, and every name is
+looked up by `dsl.resolve_check`.  Everything read from the input lives for
+one call.
 
 Exit codes: 0 all verdicts pass, 1 at least one mathematical verdict fails
 (an obstruction or a violated identity is a finding, not a crash), 2 input
@@ -55,22 +57,6 @@ def _load_workspace(path):
     return dsl.parse(text, name)
 
 
-def _get(store, name, what):
-    if name not in store:
-        raise InputError(f"unknown {what} {name!r}")
-    return store[name]
-
-
-def _points_for(ws, names, chart=None):
-    out = []
-    for n in names or []:
-        chart_name, values = _get(ws.points, n, "point")
-        if chart is not None and ws.charts[chart_name] != chart:
-            raise InputError(f"point {n!r} is not on the action's chart")
-        out.append(values)
-    return out
-
-
 def _chart_points(ws, chart):
     return [values for (chart_name, values) in ws.points.values()
             if ws.charts[chart_name] == chart]
@@ -91,9 +77,12 @@ def _shown(obj, prefix=""):
 
 
 # -- commands ---------------------------------------------------------------
+#
+# Each command gets the workspace, its arguments as written (`names`, by
+# slot name of `dsl.CHECKS`) and the declarations they name (`got`).
 
 
-def _cmd_validate(ws, names):
+def _cmd_validate(ws, names, got):
     verdicts = []
     for name, algebra in ws.lie_algebras.items():
         rep = validate_lie_algebra(algebra)
@@ -130,16 +119,15 @@ def _cmd_validate(ws, names):
     return verdicts
 
 
-def _cmd_cohomology(ws, names):
-    algebra = _get(ws.lie_algebras, names["algebra"], "lie_algebra")
-    if names.get("subgroup"):
-        sub = _get(ws.subgroups, names["subgroup"], "subgroup").spec
+def _cmd_cohomology(ws, names, got):
+    if got["subgroup"]:
+        sub = got["subgroup"].spec
         subject = f"{names['algebra']} rel {names['subgroup']}"
     else:
         sub = SubgroupSpec.trivial()
         subject = names["algebra"]
     degree = names["degree"]
-    result = relative_cohomology(algebra, sub, degree)
+    result = relative_cohomology(got["algebra"], sub, degree)
     return [_verdict("cohomology", f"{subject} degree {degree}", True,
                      dims={"A_rel": result.relative_dims[degree], "H": result.dimension},
                      representatives=[dsl.altform_dsl(r) for r in result.representatives],
@@ -147,68 +135,51 @@ def _cmd_cohomology(ws, names):
                                               for r in result.representatives])]
 
 
-def _cmd_isotropy(ws, names):
-    decl = _get(ws.actions, names["action"], "action")
-    point_name = names["point"]
-    [values] = _points_for(ws, [point_name], decl.spec.chart)
-    sample = aa.isotropy_algebra_at(decl.spec, values)
-    sample = aa.fixed_space_at(decl.spec, sample)
+def _cmd_isotropy(ws, names, got):
+    action = got["action"].spec
+    sample = aa.fixed_space_at(action, aa.isotropy_algebra_at(action, got["point"]))
     dims = {"isotropy": len(sample.isotropy_basis),
             "fixed_tangent": len(sample.fixed_tangent),
             "fixed_vertical": len(sample.fixed_vertical)}
     witness = "; ".join(dsl.vector_dsl(v) for v in sample.isotropy_basis) or None
-    return [_verdict("isotropy", names["action"], True, point=point_name,
+    return [_verdict("isotropy", names["action"], True, point=names["point"],
                      dims=dims, witness=witness)]
 
 
-def _find_object(ws, name):
-    try:
-        return ws.find_object(name)
-    except KeyError:
-        raise InputError(f"unknown form/field/chain {name!r}") from None
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _cmd_check_simple(ws, names):
-    kind = names["kind"]
-    decl = _get(ws.actions, names["action"], "action")
-    action = decl.spec
-    obj_kind, obj = _find_object(ws, names["object"])
+def _cmd_vertical(ws, names, got):
     subject = names["object"]
-    if kind == "vertical":
-        if obj_kind != "chain":
-            raise InputError("vertical applies to a chain")
-        points = _points_for(ws, names.get("points"), action.chart)
-        try:
-            res = aa.check_vertical(action, obj, points)
-        except aa.NoFrameFound as exc:
-            return [_verdict("vertical", subject, False, reason=str(exc))]
-        if not res.ok:
-            return [_verdict("vertical", subject, False, reason=res.reason)]
-        return [_verdict("vertical", subject, True, frame=[i + 1 for i in res.frame],
-                         **_shown(res.factor))]
-    if kind == "invariant":
-        v = {"form": aa.check_invariant_form,
-             "field": aa.check_invariant_vectorfield,
-             "chain": aa.check_invariant_multivector}[obj_kind](action, obj)
-    else:
-        if obj_kind != "form":
-            raise InputError("semibasic applies to a form")
-        v = aa.check_semibasic(action, obj)
+    try:
+        res = aa.check_vertical(got["action"].spec, got["object"], got["points"])
+    except aa.NoFrameFound as exc:
+        return [_verdict("vertical", subject, False, reason=str(exc))]
+    if not res.ok:
+        return [_verdict("vertical", subject, False, reason=res.reason)]
+    return [_verdict("vertical", subject, True, frame=[i + 1 for i in res.frame],
+                     **_shown(res.factor))]
+
+
+def _generator_verdict(check, subject, v):
     shown = {} if v.ok else _shown(v.witness, f"generator {v.generator + 1}: ")
-    return [_verdict(kind, subject, v.ok, **shown)]
+    return [_verdict(check, subject, v.ok, **shown)]
 
 
-def _cmd_check_cochain(ws, names):
-    decl = _get(ws.actions, names["action"], "action")
-    action = decl.spec
-    chain = _get(ws.chains, names["chain"], "chain")
-    form_names = names.get("forms") or []
-    field_names = names.get("fields") or []
-    points = _points_for(ws, names.get("points"), action.chart)
-    forms = [_get(ws.forms, n, "form") for n in form_names]
-    fields = [_get(ws.vector_fields, n, "field") for n in field_names]
+def _cmd_invariant(ws, names, got):
+    obj_kind, obj = got["object"]
+    v = {"form": aa.check_invariant_form,
+         "field": aa.check_invariant_vectorfield,
+         "chain": aa.check_invariant_multivector}[obj_kind](got["action"].spec, obj)
+    return _generator_verdict("invariant", names["object"], v)
+
+
+def _cmd_semibasic(ws, names, got):
+    v = aa.check_semibasic(got["action"].spec, got["object"])
+    return _generator_verdict("semibasic", names["object"], v)
+
+
+def _cmd_check_cochain(ws, names, got):
+    action, chain, points = got["action"].spec, got["chain"], got["points"]
+    form_names, field_names = names["forms"], names["fields"]
+    forms, fields = got["forms"], got["fields"]
     verdicts = []
 
     # Every check below rests on the chain precondition, so it runs once
@@ -267,13 +238,9 @@ def _cmd_check_cochain(ws, names):
     return verdicts
 
 
-def _cmd_rho(ws, names):
-    decl = _get(ws.actions, names["action"], "action")
-    chain = _get(ws.chains, names["chain"], "chain")
-    form = _get(ws.forms, names["form"], "form")
-    points = _points_for(ws, names.get("points"), decl.spec.chart)
+def _cmd_rho(ws, names, got):
     try:
-        res = aa.evaluation_map(decl.spec, chain, form, points)
+        res = aa.evaluation_map(got["action"].spec, got["chain"], got["form"], got["points"])
     except aa.InvalidInput as exc:
         return [_verdict("rho", names["form"], False, reason=str(exc))]
     ok = res.basic
@@ -285,13 +252,10 @@ def _cmd_rho(ws, names):
     return [_verdict("rho", names["form"], ok, reason=reason, **_shown(res.form))]
 
 
-def _cmd_certify(ws, names):
-    decl = _get(ws.actions, names["action"], "action")
-    chain = _get(ws.chains, names["chain"], "chain")
-    form = _get(ws.forms, names["form"], "form")
-    points = _points_for(ws, names.get("points"), decl.spec.chart)
+def _cmd_certify(ws, names, got):
     try:
-        res = aa.surjectivity_certificate(decl.spec, chain, form, points)
+        res = aa.surjectivity_certificate(got["action"].spec, got["chain"], got["form"],
+                                          got["points"])
     except aa.InvalidInput as exc:
         return [_verdict("surjective", f"{names['chain']} with {names['form']}",
                          False, reason=str(exc))]
@@ -304,16 +268,12 @@ def _cmd_certify(ws, names):
                      reason=reason, **_shown(res.pairing))]
 
 
-def _cmd_report(ws, names):
-    decl = _get(ws.actions, names["action"], "action")
-    action = decl.spec
+def _cmd_report(ws, names, got):
     point_names = names["points"]
     comps = None
-    if names.get("components"):
-        sub = _get(ws.subgroups, names["components"], "subgroup")
-        comps = [sub.spec.component_reps] * len(point_names)
-    values = _points_for(ws, point_names, action.chart)
-    report = aa.obstruction_report(action, values, comps)
+    if got["components"]:
+        comps = [got["components"].spec.component_reps] * len(point_names)
+    report = aa.obstruction_report(got["action"].spec, got["points"], comps)
     verdicts = []
     for pname, p in zip(point_names, report.points):
         ok = p.relative_dim > 0 and p.cohomology_dim > 0
@@ -329,8 +289,17 @@ def _cmd_report(ws, names):
 # -- driver -----------------------------------------------------------------
 
 
+_RUNNERS = {"validate": _cmd_validate, "cohomology": _cmd_cohomology,
+            "isotropy": _cmd_isotropy, "invariant": _cmd_invariant,
+            "vertical": _cmd_vertical, "semibasic": _cmd_semibasic,
+            "cochain": _cmd_check_cochain, "rho": _cmd_rho, "surjective": _cmd_certify,
+            "report": _cmd_report}
+
+
 @functools.cache
 def _build_parser():
+    """The parser for every check of `dsl.CHECKS` that has a command, with a
+    `--name` flag per slot."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="workspace file, or - for stdin")
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -340,70 +309,28 @@ def _build_parser():
         prog="liecochain",
         description="exact checks for evaluation cochain maps of group actions")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", parents=[common])
-
-    p = sub.add_parser("cohomology", parents=[common])
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--subgroup")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = sub.add_parser("isotropy", parents=[common])
-    p.add_argument("--action", required=True)
-    p.add_argument("--point", required=True)
-
-    p = sub.add_parser("check", parents=[common])
-    p.add_argument("kind", choices=("invariant", "vertical", "semibasic", "cochain"))
-    p.add_argument("--action", required=True)
-    p.add_argument("--object")
-    p.add_argument("--chain")
-    p.add_argument("--forms", nargs="*")
-    p.add_argument("--fields", nargs="*")
-    p.add_argument("--points", nargs="*")
-
-    p = sub.add_parser("rho", parents=[common])
-    p.add_argument("--action", required=True)
-    p.add_argument("--chain", required=True)
-    p.add_argument("--form", required=True)
-    p.add_argument("--points", nargs="*")
-
-    p = sub.add_parser("certify", parents=[common])
-    p.add_argument("what", choices=("surjective",))
-    p.add_argument("--action", required=True)
-    p.add_argument("--chain", required=True)
-    p.add_argument("--form", required=True)
-    p.add_argument("--points", nargs="*")
-
-    p = sub.add_parser("report", parents=[common])
-    p.add_argument("--action", required=True)
-    p.add_argument("--points", nargs="+", required=True)
-    p.add_argument("--components")
+    groups = {}   # first word of a two-word command -> its subparsers
+    for kind, check in dsl.CHECKS.items():
+        if not check.command:
+            continue
+        word, *rest = check.command
+        if rest:
+            if word not in groups:
+                groups[word] = sub.add_parser(word).add_subparsers(dest="kind", required=True)
+            p = groups[word].add_parser(rest[0], parents=[common])
+        else:
+            p = sub.add_parser(word, parents=[common])
+        p.set_defaults(kind=kind)
+        for slot in check.slots:
+            p.add_argument(f"--{slot.name}", required=slot.count in "1+",
+                           nargs=slot.count if slot.many else None,
+                           default=() if slot.many else None,
+                           type=int if slot.ref == "int" else None)
     return parser
 
 
-def _dispatch(ws, args):
-    names = vars(args)
-    if args.command == "validate":
-        return _cmd_validate(ws, names)
-    if args.command == "cohomology":
-        return _cmd_cohomology(ws, names)
-    if args.command == "isotropy":
-        return _cmd_isotropy(ws, names)
-    if args.command == "check":
-        if args.kind == "cochain":
-            if not args.chain:
-                raise InputError("check cochain needs --chain")
-            return _cmd_check_cochain(ws, names)
-        if not args.object:
-            raise InputError(f"check {args.kind} needs --object")
-        return _cmd_check_simple(ws, names)
-    if args.command == "rho":
-        return _cmd_rho(ws, names)
-    if args.command == "certify":
-        return _cmd_certify(ws, names)
-    if args.command == "report":
-        return _cmd_report(ws, names)
-    raise InputError(f"unknown command {args.command!r}")
+def _fail(cls, message, slot, index):
+    raise InputError(message)
 
 
 def _use_color():
@@ -448,7 +375,9 @@ def _emit_json(command, verdicts, elapsed_ms):
 def run(args):
     started = time.perf_counter()
     ws = _load_workspace(args.input)
-    verdicts = _dispatch(ws, args)
+    names = {slot.name: getattr(args, slot.name) for slot in dsl.CHECKS[args.kind].slots}
+    got = dsl.resolve_check(ws, args.kind, names, _fail)
+    verdicts = _RUNNERS[args.kind](ws, names, got)
     elapsed_ms = 0
     if os.environ.get("LIECOCHAIN_TIMING") == "1":
         elapsed_ms = int((time.perf_counter() - started) * 1000)

@@ -133,9 +133,11 @@ class ActionDecl:
 @dataclass
 class CheckDecl:
     kind: str
-    args: tuple                  # members: ("name", str) or ("int", int)
-    kwargs: dict                 # keyword -> tuple of names
+    values: dict                 # slot name -> name, integer or tuple of names
     span: SourceSpan = dfield(compare=False, default=None)
+
+
+OBJECT_KINDS = ("form", "field", "chain")   # what an `object` reference names
 
 
 @dataclass
@@ -153,18 +155,127 @@ class Workspace:
     checks: list = dfield(default_factory=list)
     order: list = dfield(default_factory=list)     # (kind, name-or-index)
 
-    def find_object(self, name):
-        """Resolve a name across forms, vector fields and chains."""
-        hits = [(kind, store[name])
-                for kind, store in (("form", self.forms),
-                                    ("field", self.vector_fields),
-                                    ("chain", self.chains))
-                if name in store]
+    def find_object(self, name, kinds=OBJECT_KINDS):
+        """(kind, value) for the declaration of `name` among `kinds`, which
+        are reference kinds of `CHECKS`: KeyError if none declares it,
+        ValueError if more than one does."""
+        stores = {"lie_algebra": self.lie_algebras, "subgroup": self.subgroups,
+                  "action": self.actions, "point": self.points, "form": self.forms,
+                  "field": self.vector_fields, "chain": self.chains}
+        hits = [(kind, stores[kind][name]) for kind in kinds if name in stores[kind]]
         if not hits:
             raise KeyError(name)
         if len(hits) > 1:
             raise ValueError(f"name {name!r} is ambiguous across kinds")
         return hits[0]
+
+
+# ---------------------------------------------------------------------------
+# the checks
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One argument of a check: the command line's `--name` flag, and in a
+    `check` directive a positional argument or the keyword list `name=[...]`."""
+    name: str
+    ref: str          # lie_algebra, subgroup, int, action, point, object, chain, form or field
+    count: str = "1"  # "1" exactly one, "?" at most one, "*" any number, "+" at least one
+
+    @property
+    def many(self):
+        return self.count in "*+"
+
+
+@dataclass(frozen=True)
+class Check:
+    slots: tuple
+    command: tuple = ()   # the command-line words; () for a check with no command
+
+    @property
+    def positional(self):
+        """How many slots a directive writes positionally: the single slots
+        before the first list; every later slot is a keyword list, holding
+        exactly one name for a single slot."""
+        return next((i for i, s in enumerate(self.slots) if s.many), len(self.slots))
+
+
+_ACTION = Slot("action", "action")
+_CHAIN = Slot("chain", "chain")
+_FORM = Slot("form", "form")
+_FIELDS = Slot("fields", "field", "*")
+_POINTS = Slot("points", "point", "*")
+
+# Every check's arguments, for the workspace parser and the command line.
+# An action or algebra comes first where there is one: each point must lie
+# on the action's chart, and each subgroup be of its algebra.
+CHECKS = {
+    "validate": Check((), ("validate",)),
+    "cohomology": Check((Slot("algebra", "lie_algebra"), Slot("subgroup", "subgroup", "?"),
+                         Slot("degree", "int")), ("cohomology",)),
+    "isotropy": Check((_ACTION, Slot("point", "point")), ("isotropy",)),
+    "invariant": Check((_ACTION, Slot("object", "object")), ("check", "invariant")),
+    "vertical": Check((_ACTION, Slot("object", "chain"), _POINTS), ("check", "vertical")),
+    "semibasic": Check((_ACTION, Slot("object", "form")), ("check", "semibasic")),
+    "cochain": Check((_ACTION, _CHAIN, Slot("forms", "form", "*"), _FIELDS, _POINTS),
+                     ("check", "cochain")),
+    "rho": Check((_ACTION, _CHAIN, _FORM, _POINTS), ("rho",)),
+    "lambda": Check((_ACTION, _CHAIN, Slot("field", "field"), _POINTS)),
+    "surjective": Check((_ACTION, _CHAIN, _FORM, _POINTS), ("certify", "surjective")),
+    "integrability": Check((_ACTION, _CHAIN, _FIELDS, _POINTS)),
+    "rescale": Check((_ACTION, _CHAIN, _FORM, _FIELDS, _POINTS)),
+    "report": Check((_ACTION, Slot("points", "point", "+"),
+                     Slot("components", "subgroup", "?")), ("report",)),
+}
+
+
+def resolve_check(ws, kind, values, fail):
+    """The declarations named by the arguments of check `kind`, by slot name:
+    None for an absent single slot, a list for a list slot, and (kind,
+    value) for an `object` slot.
+
+    `values` maps slot names to what was written: a name, an integer or a
+    sequence of names.  Every point must lie on the action's chart, and
+    every subgroup be of the action's or the named algebra.  A bad name is
+    reported by `fail(cls, message, slot name, index in the slot)`, which
+    raises the caller's error.
+    """
+    out, home = {}, {}   # home: the action's chart and the algebra, once known
+    for slot in CHECKS[kind].slots:
+        given = values.get(slot.name)
+        if slot.many:
+            out[slot.name] = [_resolve(ws, slot, name, i, home, fail)
+                              for i, name in enumerate(given or ())]
+        else:
+            out[slot.name] = None if given is None else _resolve(ws, slot, given, 0, home, fail)
+        if slot.ref == "action" and given is not None:
+            home = {"chart": out[slot.name].spec.chart, "algebra": out[slot.name].algebra}
+        elif slot.ref == "lie_algebra" and given is not None:
+            home = {"algebra": given}
+    return out
+
+
+def _resolve(ws, slot, name, index, home, fail):
+    if slot.ref == "int":
+        return name
+    kinds = OBJECT_KINDS if slot.ref == "object" else (slot.ref,)
+    try:
+        kind, value = ws.find_object(name, kinds)
+    except KeyError:
+        fail(UnknownReference, f"unknown {'/'.join(kinds)} {name!r}", slot.name, index)
+    except ValueError as exc:
+        fail(ParseError, str(exc), slot.name, index)
+    if slot.ref == "object":
+        return kind, value
+    if slot.ref == "point":
+        chart_name, value = value
+        if "chart" in home and ws.charts[chart_name] != home["chart"]:
+            fail(ArityMismatch, f"point {name!r} is not on the action's chart",
+                 slot.name, index)
+    if slot.ref == "subgroup" and "algebra" in home and value.algebra != home["algebra"]:
+        fail(ArityMismatch, f"subgroup {name!r} is not a subgroup of {home['algebra']!r}",
+             slot.name, index)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +336,19 @@ class _Parser:
         if name not in store:
             self.error(f"unknown {kind} {name!r}", name_tok, UnknownReference)
         return store[name]
+
+    def comma_list(self, open_text, item, close_text, empty=False):
+        """`item()` for each entry of a comma-separated list between the
+        tokens `open_text` and `close_text`; an empty list only if `empty`."""
+        self.expect(open_text)
+        items = []
+        if not (empty and self.peek().text == close_text):
+            items.append(item())
+            while self.peek().text == ",":
+                self.advance()
+                items.append(item())
+        self.expect(close_text)
+        return items
 
     def rational(self):
         neg = False
@@ -345,9 +469,9 @@ class _Parser:
         self.expect("{")
         self.expect("span")
         self.expect("=")
-        self.expect("[")
         indices = []
-        while self.peek().text != "]":
+
+        def index():
             tok = self.peek()
             idx = self.expect_int("a basis index")
             if not 1 <= idx <= algebra.dim:
@@ -355,9 +479,7 @@ class _Parser:
             if idx in indices:
                 self.error(f"repeated index {idx} in span", tok, DuplicateName)
             indices.append(idx)
-            if self.peek().text == ",":
-                self.advance()
-        self.expect("]")
+        self.comma_list("[", index, "]", empty=True)
         components = []
         while self.peek().text == "component":
             self.advance()
@@ -375,21 +497,8 @@ class _Parser:
                      "subgroup")
 
     def parse_matrix(self, dim):
-        open_tok = self.expect("[")
-        rows = []
-        while True:
-            self.expect("[")
-            row = [self.rational()]
-            while self.peek().text == ",":
-                self.advance()
-                row.append(self.rational())
-            self.expect("]")
-            rows.append(row)
-            if self.peek().text == ",":
-                self.advance()
-                continue
-            break
-        self.expect("]")
+        open_tok = self.peek()
+        rows = self.comma_list("[", lambda: self.comma_list("[", self.rational, "]"), "]")
         if len(rows) != dim or any(len(r) != dim for r in rows):
             self.error(f"component matrix must be {dim}x{dim}", open_tok, ArityMismatch)
         return rows
@@ -400,32 +509,23 @@ class _Parser:
         self.expect("{")
         self.expect("coords")
         self.expect("=")
-        self.expect("[")
         coords = []
-        while True:
+
+        def coordinate():
             tok = self.expect_name("a coordinate name")
             if tok.text in _RESERVED:
                 self.error(f"{tok.text!r} is reserved and cannot be a coordinate", tok)
             if tok.text in coords:
                 self.error(f"repeated coordinate {tok.text!r}", tok, DuplicateName)
             coords.append(tok.text)
-            if self.peek().text == ",":
-                self.advance()
-                continue
-            break
-        self.expect("]")
+        self.comma_list("[", coordinate, "]")
         self.expect("}")
         self.declare(self.ws.charts, name_tok, cc.Chart(tuple(coords)), "chart")
 
     def parse_function(self):
         self.expect("function")
         name_tok = self.expect_name("a function name")
-        self.expect("(")
-        args = [self.expect_name("a coordinate name").text]
-        while self.peek().text == ",":
-            self.advance()
-            args.append(self.expect_name("a coordinate name").text)
-        self.expect(")")
+        args = self.comma_list("(", self._coordinate_name, ")")
         known = {c for chart in self.ws.charts.values() for c in chart.coordinates}
         for a in args:
             if a not in known:
@@ -435,6 +535,9 @@ class _Parser:
             self.error("function arguments must be distinct", name_tok, DuplicateName)
         self.declare(self.ws.functions, name_tok,
                      FunctionDecl(name_tok.text, tuple(args)), "function")
+
+    def _coordinate_name(self):
+        return self.expect_name("a coordinate name").text
 
     def _on_chart(self):
         self.expect("on")
@@ -492,9 +595,9 @@ class _Parser:
         chart = self.lookup(self.ws.charts, chart_tok, "chart")
         self.expect("generators")
         self.expect("=")
-        self.expect("[")
         gen_names, gens = [], []
-        while True:
+
+        def generator():
             tok = self.expect_name("a vector field name")
             vf = self.lookup(self.ws.vector_fields, tok, "vectorfield")
             if vf.chart != chart:
@@ -502,11 +605,7 @@ class _Parser:
                            tok, ArityMismatch)
             gen_names.append(tok.text)
             gens.append(vf)
-            if self.peek().text == ",":
-                self.advance()
-                continue
-            break
-        self.expect("]")
+        self.comma_list("[", generator, "]")
         self.expect("orbit_dim")
         q_tok = self.peek()
         q = self.expect_int("the orbit dimension")
@@ -528,12 +627,8 @@ class _Parser:
         chart_tok = self.expect_name("a chart name")
         chart = self.lookup(self.ws.charts, chart_tok, "chart")
         self.expect("=")
-        open_tok = self.expect("(")
-        values = [self.rational()]
-        while self.peek().text == ",":
-            self.advance()
-            values.append(self.rational())
-        self.expect(")")
+        open_tok = self.peek()
+        values = self.comma_list("(", self.rational, ")")
         if len(values) != chart.dim:
             self.error(f"point needs {chart.dim} coordinates, got {len(values)}",
                        open_tok, ArityMismatch)
@@ -719,12 +814,7 @@ class _Parser:
         name = tok.text
         if self.peek().text == "(":
             decl = self.lookup(self.ws.functions, tok, "function")
-            self.advance()
-            args = [self.expect_name("a coordinate name").text]
-            while self.peek().text == ",":
-                self.advance()
-                args.append(self.expect_name("a coordinate name").text)
-            self.expect(")")
+            args = self.comma_list("(", self._coordinate_name, ")")
             if tuple(args) != decl.args:
                 self.error(f"{name} is declared with arguments ({', '.join(decl.args)})",
                            tok, ArityMismatch)
@@ -755,119 +845,81 @@ class _Parser:
 
     # -- check directives ----------------------------------------------------
 
-    _CHECK_KINDS = {
-        # kind: (positional reference kinds, allowed keyword lists)
-        "validate": ((), ()),
-        "cohomology": (("lie_algebra", "subgroup?", "int"), ()),
-        "isotropy": (("action", "point"), ()),
-        "invariant": (("action", "object"), ()),
-        "vertical": (("action", "chain"), ("points",)),
-        "semibasic": (("action", "form"), ()),
-        "cochain": (("action", "chain"), ("forms", "fields", "points")),
-        "rho": (("action", "chain", "form"), ("points",)),
-        "lambda": (("action", "chain", "field"), ("points",)),
-        "surjective": (("action", "chain", "form"), ("points",)),
-        "integrability": (("action", "chain"), ("fields", "points")),
-        "rescale": (("action", "chain", "form"), ("fields", "points")),
-        "report": (("action",), ("points", "components")),
-    }
-
-    _KW_ELEMENT_KINDS = {
-        "points": "point", "forms": "form", "fields": "field",
-        "components": "subgroup",
-    }
-
     def parse_check(self):
         self.expect("check")
         kind_tok = self.expect_name("a check kind")
         kind = kind_tok.text
-        if kind not in self._CHECK_KINDS:
+        if kind not in CHECKS:
             self.error(f"unknown check kind {kind!r}", kind_tok, UnknownReference)
-        self.expect("(")
-        args, kwargs = [], {}
-        arg_tokens = []
-        if self.peek().text != ")":
-            while True:
-                tok = self.peek()
-                if tok.kind == "int":
-                    self.advance()
-                    args.append(("int", int(tok.text)))
-                    arg_tokens.append(tok)
-                elif tok.kind == "name" and self.peek(1).text == "=":
-                    self.advance()
-                    self.advance()
-                    self.expect("[")
-                    names = []
-                    while self.peek().text != "]":
-                        names.append(self.expect_name("a name"))
-                        if self.peek().text == ",":
-                            self.advance()
-                    self.expect("]")
-                    if tok.text in kwargs:
-                        self.error(f"duplicate keyword {tok.text!r}", tok, DuplicateName)
-                    kwargs[tok.text] = (tok, tuple(names))
-                elif tok.kind == "name":
-                    self.advance()
-                    args.append(("name", tok.text))
-                    arg_tokens.append(tok)
-                else:
-                    self.error(f"unexpected token {tok.text!r} in check arguments")
-                if self.peek().text == ",":
-                    self.advance()
-                    continue
-                break
-        self.expect(")")
-        self._validate_check(kind, kind_tok, args, arg_tokens, kwargs)
-        decl = CheckDecl(kind, tuple(args),
-                         {k: tuple(t.text for t in names) for k, (_, names) in kwargs.items()},
-                         kind_tok.span(self.file))
-        self.ws.checks.append(decl)
+        check = CHECKS[kind]
+        items = self.comma_list("(", self._check_argument, ")", empty=True)
+        positional = [tok for kw_tok, tok in items if kw_tok is None]
+        keywords = [(kw_tok, toks) for kw_tok, toks in items if kw_tok is not None]
+        where = self._check_positional(kind_tok, check, positional)
+        self._check_keywords(kind_tok, check, keywords, where)
+        values = {}
+        for slot in check.slots:
+            if slot.name in where:
+                toks = where[slot.name]
+                values[slot.name] = (tuple(t.text for t in toks) if slot.many
+                                     else int(toks[0].text) if slot.ref == "int"
+                                     else toks[0].text)
+        resolve_check(self.ws, kind, values,
+                      lambda cls, message, slot, i: self.error(message, where[slot][i], cls))
+        self.ws.checks.append(CheckDecl(kind, values, kind_tok.span(self.file)))
         self.ws.order.append(("check", len(self.ws.checks) - 1))
 
-    def _resolve_ref(self, ref_kind, tok):
-        stores = {
-            "lie_algebra": self.ws.lie_algebras, "subgroup": self.ws.subgroups,
-            "action": self.ws.actions, "point": self.ws.points,
-            "form": self.ws.forms, "field": self.ws.vector_fields,
-            "chain": self.ws.chains, "chart": self.ws.charts,
-        }
-        if ref_kind == "object":
-            try:
-                self.ws.find_object(tok.text)
-            except KeyError:
-                self.error(f"unknown form/field/chain {tok.text!r}", tok, UnknownReference)
-            except ValueError:
-                self.error(f"{tok.text!r} is ambiguous across kinds", tok)
-            return
-        self.lookup(stores[ref_kind], tok, ref_kind)
+    def _check_argument(self):
+        """(None, token) for a positional argument, (keyword token, name
+        tokens) for a keyword list."""
+        tok = self.peek()
+        if tok.kind == "name" and self.peek(1).text == "=":
+            self.advance()
+            self.advance()
+            return tok, self.comma_list("[", lambda: self.expect_name("a name"), "]",
+                                        empty=True)
+        if tok.kind not in ("int", "name"):
+            self.error(f"unexpected token {tok.text!r} in check arguments")
+        return None, self.advance()
 
-    def _validate_check(self, kind, kind_tok, args, arg_tokens, kwargs):
-        positional, allowed_kw = self._CHECK_KINDS[kind]
-        required = [p for p in positional if not p.endswith("?")]
-        if not (len(required) <= len(args) <= len(positional)):
-            self.error(f"check {kind} takes {len(required)}..{len(positional)} "
-                       f"positional arguments, got {len(args)}", kind_tok, ArityMismatch)
-        # optional slots are filled left to right against the declared kinds
-        slots = list(positional)
-        if len(args) < len(slots):
-            opt = [i for i, p in enumerate(slots) if p.endswith("?")]
-            for i in reversed(opt[:len(slots) - len(args)]):
-                del slots[i]
-        for (arg_kind, value), slot, tok in zip(args, slots, arg_tokens):
-            slot = slot.rstrip("?")
-            if slot == "int":
-                if arg_kind != "int":
-                    self.error("expected an integer here", tok, ArityMismatch)
-            else:
-                if arg_kind != "name":
-                    self.error(f"expected a {slot} name here", tok, ArityMismatch)
-                self._resolve_ref(slot, tok)
-        for kw, (kw_tok, names) in kwargs.items():
-            if kw not in allowed_kw:
-                self.error(f"check {kind} does not take keyword {kw!r}",
+    def _check_positional(self, kind_tok, check, tokens):
+        """Slot name -> [token] for the positional arguments; optional slots
+        are left out from the left when arguments are missing."""
+        slots = list(check.slots[:check.positional])
+        required = [s for s in slots if s.count == "1"]
+        if not len(required) <= len(tokens) <= len(slots):
+            self.error(f"check {kind_tok.text} takes {len(required)}..{len(slots)} "
+                       f"positional arguments, got {len(tokens)}", kind_tok, ArityMismatch)
+        optional = [i for i, s in enumerate(slots) if s.count == "?"]
+        for i in reversed(optional[:len(slots) - len(tokens)]):
+            del slots[i]
+        for slot, tok in zip(slots, tokens):
+            if slot.ref == "int" and tok.kind != "int":
+                self.error("expected an integer here", tok, ArityMismatch)
+            if slot.ref != "int" and tok.kind != "name":
+                self.error(f"expected a {slot.ref} name here", tok, ArityMismatch)
+        return {slot.name: [tok] for slot, tok in zip(slots, tokens)}
+
+    def _check_keywords(self, kind_tok, check, keywords, where):
+        """Add slot name -> name tokens for the keyword lists to `where`."""
+        slots = {s.name: s for s in check.slots[check.positional:]}
+        for kw_tok, toks in keywords:
+            kw = kw_tok.text
+            if kw not in slots:
+                self.error(f"check {kind_tok.text} does not take keyword {kw!r}",
                            kw_tok, ArityMismatch)
-            for tok in names:
-                self._resolve_ref(self._KW_ELEMENT_KINDS[kw], tok)
+            if kw in where:
+                self.error(f"duplicate keyword {kw!r}", kw_tok, DuplicateName)
+            slot = slots[kw]
+            if not slot.many and len(toks) != 1:
+                self.error(f"{kw} takes exactly one name", kw_tok, ArityMismatch)
+            if slot.count == "+" and not toks:
+                self.error(f"{kw} takes at least one name", kw_tok, ArityMismatch)
+            where[kw] = toks
+        for slot in slots.values():
+            if slot.count in "1+" and slot.name not in where:
+                self.error(f"check {kind_tok.text} needs {slot.name}=[...]",
+                           kind_tok, ArityMismatch)
 
 
 def parse(text, filename="<input>"):
@@ -955,8 +1007,16 @@ def _render_subgroup(decl):
 
 
 def _render_check(decl):
-    parts = [str(v) if k == "int" else v for k, v in decl.args]
-    parts += [f"{kw}=[{', '.join(names)}]" for kw, names in decl.kwargs.items()]
+    check = CHECKS[decl.kind]
+    parts = []
+    for i, slot in enumerate(check.slots):
+        if slot.name not in decl.values:
+            continue
+        value = decl.values[slot.name]
+        if i < check.positional:
+            parts.append(str(value))
+        else:
+            parts.append(f"{slot.name}=[{', '.join(value if slot.many else [value])}]")
     return f"check {decl.kind}({', '.join(parts)})"
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from liecochain import cli, dsl
 from liecochain.cli import main
 
 HERE = Path(__file__).parent
@@ -211,6 +212,19 @@ point P on N = (0, 0)
     assert "chart" in capsys.readouterr().err
 
 
+def test_subgroup_of_another_algebra_is_input_error(tmp_path, capsys):
+    ws = tmp_path / "two_algebras.lch"
+    ws.write_text((FIXTURES / "rotations.lch").read_text()
+                  + "lie_algebra ab2 { dim 2 }\n"
+                  "subgroup s2 of ab2 { span = [1] component [[-1,0],[0,1]] }\n")
+    assert main(["report", "--input", str(ws), "--action", "rot", "--points", "P",
+                 "--components", "s2"]) == 2
+    assert main(["cohomology", "--input", str(ws), "--algebra", "so3",
+                 "--subgroup", "s2", "--degree", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == \
+        ["error: subgroup 's2' is not a subgroup of 'so3'"] * 2
+
+
 def test_verbose_header(capsys, monkeypatch):
     monkeypatch.setenv("LIECOCHAIN_COLOR", "0")
     code, out = run_cli(["validate", "--input", fixture("so3"), "-v"], capsys)
@@ -351,6 +365,68 @@ def test_report_with_components(capsys):
     report = json.loads(out)
     assert report["verdicts"][0]["dims"] == {"isotropy": 1, "A_rel": 0, "H": 0}
     assert report["verdicts"][-1]["witness"] == "no invariant chain can exist"
+
+
+# -- one table for the workspace language and the command line ----------------
+
+
+def _directive_argv(path, decl):
+    """A check directive spelled as a command: one --slot per argument."""
+    check = dsl.CHECKS[decl.kind]
+    argv = [*check.command, "--input", str(path)]
+    for slot in check.slots:
+        if slot.name in decl.values:
+            value = decl.values[slot.name]
+            argv += [f"--{slot.name}", *(value if slot.many else [str(value)])]
+    return argv
+
+
+DIRECTIVES = [(path, decl) for path in sorted(FIXTURES.glob("*.lch"))
+              for decl in dsl.parse(path.read_text(), path.name).checks
+              if dsl.CHECKS[decl.kind].command]
+
+
+@pytest.mark.parametrize("path,decl", DIRECTIVES,
+                         ids=[f"{p.stem}:{d.span.line}:{d.kind}" for p, d in DIRECTIVES])
+def test_fixture_directives_run_on_the_command_line(path, decl, capsys):
+    assert main(_directive_argv(path, decl)) in (0, 1)
+
+
+REJECTED = [
+    # a flag of another check
+    ["check", "invariant", "--input", fixture("solvable"), "--action", "act",
+     "--object", "chi", "--forms", "zzz", "--chain", "nope"],
+    # verticality is a property of chains
+    ["check", "vertical", "--input", fixture("solvable"), "--action", "act",
+     "--object", "omega"],
+    ["check", "cochain", "--input", fixture("solvable"), "--action", "act",
+     "--forms", "omega"],
+    ["report", "--input", fixture("rotations"), "--action", "rot", "--points", "P",
+     "--components"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=["extra_flags", "vertical_form",
+                                                "cochain_no_chain", "components_no_name"])
+def test_argv_outside_the_table_is_rejected(argv, capsys):
+    assert main(argv) == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = []
+    for line in block.strip().splitlines():
+        if line.startswith("liecochain "):
+            commands.append(line)
+        else:
+            commands[-1] += " " + line      # a continued command
+    kinds = set()
+    for line in commands:
+        for token in ("[", "]", "..."):
+            line = line.replace(token, " ")
+        kinds.add(cli._build_parser().parse_args(line.split()[1:]).kind)
+    assert kinds == {kind for kind, check in dsl.CHECKS.items() if check.command}
 
 
 # -- check cochain failure paths, pinned byte for byte ------------------------

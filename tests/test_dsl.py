@@ -112,6 +112,13 @@ def test_render_deterministic():
 # --- error corpus: each entry is (text, expected exception, expected line) ---
 
 GOOD_HEADER = "chart M { coords = [x, y, z] }\nfunction K(z)\n"
+# an action, two subgroups and two points; a check directive after it is on CHECK_LINE
+CHECK_HEADER = GOOD_HEADER + (
+    "lie_algebra g { dim 1 }\nvectorfield v on M = D(x)\n"
+    "action act { algebra g chart M generators = [v] orbit_dim 1 }\n"
+    "subgroup s of g { span = [1] }\nsubgroup t of g { span = [] }\n"
+    "point P on M = (1, 2, 3)\npoint Q on M = (0, 0, 0)\n")
+CHECK_LINE = CHECK_HEADER.count("\n") + 1
 
 ERROR_CORPUS = [
     # tokenizer and syntax
@@ -174,6 +181,31 @@ ERROR_CORPUS = [
     (GOOD_HEADER + "form f on M = (x - x)^-1", dsl.ParseError, 3),
     (GOOD_HEADER + "form f on M = d(x)^d(y)^d(x)^d(y)", dsl.ParseError, 3),
     (GOOD_HEADER + "lie_algebra g { dim 2 bracket [1,2] = 1/0*e1 }", dsl.ParseError, 3),
+    # comma lists: a comma between entries, none after the last
+    (CHECK_HEADER + "check report(act, points=[P Q])", dsl.ParseError, CHECK_LINE),
+    (CHECK_HEADER + "check report(act, points=[P, Q,])", dsl.ParseError, CHECK_LINE),
+    (GOOD_HEADER + "lie_algebra g { dim 2 }\nsubgroup s of g { span = [1 2] }",
+     dsl.ParseError, 4),
+    (GOOD_HEADER + "lie_algebra g { dim 2 }\nsubgroup s of g { span = [1, 2,] }",
+     dsl.ParseError, 4),
+    (GOOD_HEADER + "point P on M = (1, 2, 3,)", dsl.ParseError, 3),
+    # check arguments follow dsl.CHECKS, as on the command line
+    (CHECK_HEADER + "chart N { coords = [u] }\npoint R on N = (0)\n"
+     "check report(act, points=[P, R])", dsl.ArityMismatch, CHECK_LINE + 2),
+    (CHECK_HEADER + "chart N { coords = [u] }\npoint R on N = (0)\n"
+     "check isotropy(act, R)", dsl.ArityMismatch, CHECK_LINE + 2),
+    (CHECK_HEADER + "check report(act)", dsl.ArityMismatch, CHECK_LINE),
+    (CHECK_HEADER + "check report(act, points=[])", dsl.ArityMismatch, CHECK_LINE),
+    (CHECK_HEADER + "check report(act, points=[P], components=[])",
+     dsl.ArityMismatch, CHECK_LINE),
+    (CHECK_HEADER + "check report(act, points=[P], components=[s, t])",
+     dsl.ArityMismatch, CHECK_LINE),
+    (CHECK_HEADER + "check report(act, points=[P], components=[nosuch])",
+     dsl.UnknownReference, CHECK_LINE),
+    (CHECK_HEADER + "lie_algebra h { dim 2 }\nsubgroup u of h { span = [1] }\n"
+     "check report(act, points=[P], components=[u])", dsl.ArityMismatch, CHECK_LINE + 2),
+    (CHECK_HEADER + "lie_algebra h { dim 2 }\ncheck cohomology(h, s, 1)",
+     dsl.ArityMismatch, CHECK_LINE + 1),
 ]
 
 
