@@ -90,7 +90,7 @@ def validate_action(action, sample_points=()):
     bracket_violations = []
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            expect = cc.VectorField(action.chart, [sf.ZERO] * action.chart.dim)
+            expect = cc.MultiVectorField.zero(action.chart, 1)
             for k, c in alg.bracket_basis(i, j).items():
                 expect = expect + gens[k].scaled(sf.rational(c))
             residual = cc.lie_bracket(gens[i], gens[j]) - expect
@@ -169,7 +169,7 @@ def fixed_space_at(action, sample, tangent_reps=()):
     point = sample.point
     rows = []
     for xi in sample.isotropy_basis:
-        vf = cc.VectorField(chart, [sf.ZERO] * chart.dim)
+        vf = cc.MultiVectorField.zero(chart, 1)
         for i, c in enumerate(xi):
             if c != 0:
                 vf = vf + action.generators[i].scaled(sf.rational(c))
@@ -209,28 +209,26 @@ def _intersect(basis_a, basis_b, n):
     return out
 
 
-def check_invariant_form(action, omega):
+def _each_generator(action, residual_of):
+    """Verdict on residual_of(X) for the generators X in order: the first
+    nonzero residual fails it, with its generator's index."""
     for i, g in enumerate(action.generators):
-        residual = cc.lie_derivative_form(g, omega)
+        residual = residual_of(g)
         if not residual.is_zero():
             return Verdict(False, generator=i, witness=residual)
     return Verdict(True)
+
+
+def check_invariant_form(action, omega):
+    return _each_generator(action, lambda g: cc.lie_derivative_form(g, omega))
 
 
 def check_invariant_vectorfield(action, r):
-    for i, g in enumerate(action.generators):
-        residual = cc.lie_bracket(g, r)
-        if not residual.is_zero():
-            return Verdict(False, generator=i, witness=residual)
-    return Verdict(True)
+    return _each_generator(action, lambda g: cc.lie_bracket(g, r))
 
 
 def check_invariant_multivector(action, chi):
-    for i, g in enumerate(action.generators):
-        residual = cc.lie_derivative_multivector(g, chi)
-        if not residual.is_zero():
-            return Verdict(False, generator=i, witness=residual)
-    return Verdict(True)
+    return _each_generator(action, lambda g: cc.lie_derivative_multivector(g, chi))
 
 
 def multivector_proportionality(chi, w):
@@ -293,11 +291,7 @@ def check_vertical(action, chi, sample_points=()):
 def check_semibasic(action, eta):
     if eta.degree == 0:
         return Verdict(True)
-    for i, g in enumerate(action.generators):
-        residual = cc.interior_vector(g, eta)
-        if not residual.is_zero():
-            return Verdict(False, generator=i, witness=residual)
-    return Verdict(True)
+    return _each_generator(action, lambda g: cc.interior_multivector(g, eta))
 
 
 # Preconditions.  Each calls the public check through the module namespace,
@@ -435,11 +429,9 @@ def scaling_factor_unchecked(action, chi, lr):
     lam = multivector_proportionality(lr, chi)
     if lam is None:
         raise NotProportional("derivative of the chain is not a multiple of the chain")
-    for i, g in enumerate(action.generators):
-        moved = g.apply(lam)
-        if not moved.is_zero():
-            raise InvalidInput("scaling factor is not invariant",
-                               Verdict(False, generator=i, witness=moved))
+    inv = _each_generator(action, lambda g: g.apply(lam))
+    if not inv.ok:
+        raise InvalidInput("scaling factor is not invariant", inv)
     return lam
 
 
@@ -484,11 +476,9 @@ def rescale_verify(action, chi0, k_candidate, fields, sample_points=()):
     k = sf.normalize(k_candidate)
     if k.is_zero():
         raise InvalidInput("rescaling by zero leaves no nonvanishing chain")
-    for i, g in enumerate(action.generators):
-        dk = g.apply(k)
-        if not dk.is_zero():
-            raise InvalidInput("rescaling function is not invariant",
-                               Verdict(False, generator=i, witness=dk))
+    inv = _each_generator(action, lambda g: g.apply(k))
+    if not inv.ok:
+        raise InvalidInput("rescaling function is not invariant", inv)
     _require_invariant_vertical_chain(action, chi0, sample_points)
     return stability_check(action, chi0.scaled(k), fields)
 

@@ -1,10 +1,11 @@
 """Symbolic tensor calculus on a single coordinate chart.
 
-Vector fields, differential forms and multivector fields carry ScalarExpr
-coefficients; forms and multivector fields are `linalg.AltTensor`s over
-`scalar_field`, indexed by strictly increasing coordinate-index tuples.  The
-interior product by a multivector fills the leading slots of the form in
-order: for decomposable chi = X1^...^Xq,  (i_chi w)(Y...) = w(X1,...,Xq,Y...).
+Differential forms and multivector fields carry ScalarExpr coefficients;
+both are `linalg.AltTensor`s over `scalar_field`, indexed by strictly
+increasing coordinate-index tuples, and a vector field is a multivector
+field of degree 1.  The one interior product fills the leading slots of the
+form in order: for decomposable chi = X1^...^Xq,
+(i_chi w)(Y...) = w(X1,...,Xq,Y...).
 """
 
 from __future__ import annotations
@@ -99,61 +100,41 @@ class DiffForm(AltTensor):
 
 
 class MultiVectorField(AltTensor):
-    """Multivector field: ScalarExpr coefficients on D(x_{i1})^...^D(x_{iq})."""
+    """Multivector field: ScalarExpr coefficients on D(x_{i1})^...^D(x_{iq}).
+
+    A vector field is a multivector field of degree 1 (see `vector_field`).
+    """
 
     kind, ring, noun = "chain", sf, "chart"
     DegreeOverflow, Mismatch = DegreeOverflow, ChartMismatch
     chart = property(lambda self: self.space)
     __repr__ = _repr
 
+    def _require_vector(self):
+        if self.degree != 1:
+            raise ValueError(f"a vector field has degree 1, not {self.degree}")
 
-class VectorField:
-    """Vector field with one ScalarExpr component per chart coordinate."""
-
-    def __init__(self, chart, components):
-        components = tuple(sf.normalize(c) for c in components)
-        if len(components) != chart.dim:
-            raise ValueError("one component per coordinate")
-        self.chart = chart
-        self.components = components
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        return (isinstance(other, VectorField) and self.chart == other.chart
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.chart, self.components))
-
-    def __add__(self, other):
-        _same_chart(self, other)
-        return VectorField(self.chart, [a + b for a, b in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return VectorField(self.chart, [-c for c in self.components])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scaled(self, f):
-        f = sf.normalize(f)
-        return VectorField(self.chart, [f * c for c in self.components])
-
-    def as_multivector(self):
-        return MultiVectorField(self.chart, 1,
-                                {(i,): c for i, c in enumerate(self.components)})
+    @property
+    def components(self):
+        """A vector field's coefficients, one per chart coordinate."""
+        self._require_vector()
+        return tuple(self.coefficient((i,)) for i in range(self.dim))
 
     def apply(self, f):
-        """Directional derivative X(f) of a scalar expression."""
+        """Directional derivative X(f) of a scalar expression by a vector field."""
+        self._require_vector()
         out = sf.ZERO
-        for i, comp in enumerate(self.components):
-            if not comp.is_zero():
-                out = out + comp * sf.partial(f, self.chart.coordinates[i])
+        for (i,), comp in self.coeffs.items():
+            out = out + comp * sf.partial(f, self.chart.coordinates[i])
         return out
 
-    __repr__ = _repr
+
+def vector_field(chart, components):
+    """The vector field with one component per chart coordinate."""
+    components = tuple(components)
+    if len(components) != chart.dim:
+        raise ValueError("one component per coordinate")
+    return MultiVectorField(chart, 1, {(i,): c for i, c in enumerate(components)})
 
 
 def scalar_form(chart, f):
@@ -183,36 +164,23 @@ def d_exterior(omega):
 def wedge_vectorfields(fields):
     """The multivector X1 ^ X2 ^ ... ^ Xq."""
     fields = list(fields)
-    out = fields[0].as_multivector()
+    out = fields[0]
     for x in fields[1:]:
-        out = out.wedge(x.as_multivector())
+        out = out.wedge(x)
     return out
 
 
 def lie_bracket(x, y):
     chart = _same_chart(x, y)
+    xc, yc = x.components, y.components
     comps = []
     for i in range(chart.dim):
         acc = sf.ZERO
         for j, name in enumerate(chart.coordinates):
-            acc = acc + x.components[j] * sf.partial(y.components[i], name)
-            acc = acc - y.components[j] * sf.partial(x.components[i], name)
+            acc = acc + xc[j] * sf.partial(yc[i], name)
+            acc = acc - yc[j] * sf.partial(xc[i], name)
         comps.append(acc)
-    return VectorField(chart, comps)
-
-
-def interior_vector(x, omega):
-    """First-slot contraction (i_X w)(Y...) = w(X, Y...)."""
-    chart = _same_chart(x, omega)
-    if omega.degree < 1:
-        raise DegreeUnderflow("interior product of a 0-form")
-    out = {}
-    for j, comp in enumerate(x.components):
-        if comp.is_zero():
-            continue
-        for idx, c in _contract_basis(omega.coeffs, j).items():
-            out[idx] = out.get(idx, sf.ZERO) + comp * c
-    return DiffForm(chart, omega.degree - 1, out)
+    return vector_field(chart, comps)
 
 
 def interior_multivector(chi, omega):
@@ -236,9 +204,9 @@ def lie_derivative_form(x, omega):
     k = omega.degree
     parts = []
     if k < chart.dim:
-        parts.append(interior_vector(x, d_exterior(omega)))
+        parts.append(interior_multivector(x, d_exterior(omega)))
     if k > 0:
-        parts.append(d_exterior(interior_vector(x, omega)))
+        parts.append(d_exterior(interior_multivector(x, omega)))
     out = DiffForm.zero(chart, k)
     for p in parts:
         out = out + p
@@ -259,8 +227,8 @@ def lie_derivative_multivector(r, chi):
         # [R, d/dx_j] = -sum_m d_j(R^m) d/dx_m, slotted into each factor
         for t, j in enumerate(idx):
             name = chart.coordinates[j]
-            for m in range(chart.dim):
-                g = sf.partial(r.components[m], name)
+            for (m,), rm in r.coeffs.items():
+                g = sf.partial(rm, name)
                 if g.is_zero():
                     continue
                 s = _sort_sign(idx[:t] + (m,) + idx[t + 1:])
@@ -274,6 +242,5 @@ def lie_derivative_multivector(r, chi):
 def jacobian_at(x, point):
     """Exact matrix of partials: entry (i, j) = d_j X^i at the point."""
     pt = x.chart.point_map(point)
-    return [[sf.partial(x.components[i], name).eval_at(pt)
-             for name in x.chart.coordinates]
-            for i in range(x.chart.dim)]
+    return [[sf.partial(c, name).eval_at(pt) for name in x.chart.coordinates]
+            for c in x.components]

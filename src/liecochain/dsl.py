@@ -265,13 +265,14 @@ def _resolve(ws, slot, name, index, home, fail):
         fail(UnknownReference, f"unknown {'/'.join(kinds)} {name!r}", slot.name, index)
     except ValueError as exc:
         fail(ParseError, str(exc), slot.name, index)
+    if "chart" in home and kind in ("point", *OBJECT_KINDS):
+        if (ws.charts[value[0]] if kind == "point" else value.chart) != home["chart"]:
+            fail(ArityMismatch, f"{kind} {name!r} is not on the action's chart",
+                 slot.name, index)
     if slot.ref == "object":
         return kind, value
     if slot.ref == "point":
-        chart_name, value = value
-        if "chart" in home and ws.charts[chart_name] != home["chart"]:
-            fail(ArityMismatch, f"point {name!r} is not on the action's chart",
-                 slot.name, index)
+        return value[1]
     if slot.ref == "subgroup" and "algebra" in home and value.algebra != home["algebra"]:
         fail(ArityMismatch, f"subgroup {name!r} is not a subgroup of {home['algebra']!r}",
              slot.name, index)
@@ -439,15 +440,7 @@ class _Parser:
                 break
             coeff = Fraction(1)
             if self.peek().kind == "int":
-                num = self.expect_int()
-                den = 1
-                if self.peek().text == "/":
-                    self.advance()
-                    den_tok = self.peek()
-                    den = self.expect_int("a denominator")
-                    if den == 0:
-                        self.error("zero denominator", den_tok)
-                coeff = Fraction(num, den)
+                coeff = self.rational()
                 self.expect("*", what="'*' before the basis symbol")
             tok = self.expect_name("a basis symbol e1..e%d" % dim)
             m = re.fullmatch(r"e([0-9]+)", tok.text)
@@ -555,9 +548,7 @@ class _Parser:
         if kind != "chain" or value.degree != 1:
             self.error("a vector field must be a degree-1 chain expression",
                        name_tok, ArityMismatch)
-        comps = [value.coefficient((i,)) for i in range(chart.dim)]
-        self.declare(self.ws.vector_fields, name_tok, cc.VectorField(chart, comps),
-                     "vectorfield")
+        self.declare(self.ws.vector_fields, name_tok, value, "vectorfield")
 
     def parse_form(self):
         self.expect("form")
@@ -759,7 +750,7 @@ class _Parser:
             self.advance()
             return "scalar", sf.rational(int(tok.text))
         if tok.text == "d":
-            return "form", self._basis_atom(chart, as_form=True)
+            return "form", self._basis_form(chart)
         if tok.text == "D":
             return self._derivative_or_basis(chart)
         if tok.text == "wedge":
@@ -777,17 +768,15 @@ class _Parser:
             return self._name_atom(chart)
         self.error(f"unexpected token {tok.text!r} in expression")
 
-    def _basis_atom(self, chart, as_form):
-        tok = self.advance()  # 'd' or 'D'
+    def _basis_form(self, chart):
+        self.advance()  # 'd'
         self.expect("(")
         coord_tok = self.expect_name("a coordinate name")
         if coord_tok.text not in chart.coordinates:
             self.error(f"unknown coordinate {coord_tok.text!r}", coord_tok, UnknownReference)
         self.expect(")")
         i = chart.index(coord_tok.text)
-        if as_form:
-            return cc.DiffForm(chart, 1, {(i,): sf.ONE})
-        return cc.MultiVectorField(chart, 1, {(i,): sf.ONE})
+        return cc.DiffForm(chart, 1, {(i,): sf.ONE})
 
     def _derivative_or_basis(self, chart):
         """D(coord) is a chain atom; D(expr, coord) a formal derivative."""
@@ -825,23 +814,13 @@ class _Parser:
             return "scalar", sf.function(name, decl.args)
         if name in chart.coordinates:
             return "scalar", sf.coordinate(name)
-        if name in self.ws.vector_fields:
-            vf = self.ws.vector_fields[name]
-            self._check_chart(vf.chart, chart, tok)
-            return "chain", vf.as_multivector()
-        if name in self.ws.chains:
-            chain = self.ws.chains[name]
-            self._check_chart(chain.chart, chart, tok)
-            return "chain", chain
-        if name in self.ws.forms:
-            form = self.ws.forms[name]
-            self._check_chart(form.chart, chart, tok)
-            return "form", form
+        for kind, store in (("chain", self.ws.vector_fields), ("chain", self.ws.chains),
+                            ("form", self.ws.forms)):
+            if name in store:
+                if store[name].chart != chart:
+                    self.error(f"{name!r} lives on a different chart", tok, ArityMismatch)
+                return kind, store[name]
         self.error(f"unknown name {name!r}", tok, UnknownReference)
-
-    def _check_chart(self, obj_chart, chart, tok):
-        if obj_chart != chart:
-            self.error(f"{tok.text!r} lives on a different chart", tok, ArityMismatch)
 
     # -- check directives ----------------------------------------------------
 
@@ -947,8 +926,6 @@ def _coeff_prefix(expr, style):
 def render_tensor(obj, style):
     """A form, chain or vector field in a style (see `scalar_field`):
     y*d(x)^d(z) in workspace syntax, y·dx∧dz in display notation."""
-    if isinstance(obj, cc.VectorField):
-        obj = obj.as_multivector()
     if obj.degree == 0:
         return sf.render(obj.coefficient(()), style)
     atom = style.form if isinstance(obj, cc.DiffForm) else style.chain

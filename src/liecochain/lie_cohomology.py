@@ -51,11 +51,10 @@ class LieAlgebra:
     self-brackets are implicit.
     """
 
-    def __init__(self, dim, brackets=None, labels=None):
+    def __init__(self, dim, brackets=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
         self.dim = dim
-        self.labels = tuple(labels) if labels else tuple(f"e{i+1}" for i in range(dim))
         table = {}
         for (i, j), rhs in (brackets or {}).items():
             if not 0 <= i < j < dim:
@@ -91,7 +90,7 @@ class LieAlgebra:
 
     def __eq__(self, other):
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self.brackets == other.brackets and self.labels == other.labels)
+                and self.brackets == other.brackets)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim}, brackets={self.brackets!r})"

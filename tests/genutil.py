@@ -24,7 +24,7 @@ def frac_matrix(rows):
 def basis_vector(chart, name):
     comps = [sf.ZERO] * chart.dim
     comps[chart.index(name)] = sf.ONE
-    return cc.VectorField(chart, comps)
+    return cc.vector_field(chart, comps)
 
 
 def evaluate_vectorfield_at(x, point):
@@ -137,7 +137,7 @@ def random_vectorfield(rng, chart, funcs=(), polynomial=False):
         else:
             comps.append(random_scalar(rng, chart.coordinates, funcs,
                                        allow_fraction=not polynomial))
-    return cc.VectorField(chart, comps)
+    return cc.vector_field(chart, comps)
 
 
 def random_altform(rng, dim, degree):

@@ -140,9 +140,9 @@ def suite_interior_commutator(cases, seed=131):
         x = random_vectorfield(rng, chart, polynomial=True)
         y = random_vectorfield(rng, chart, polynomial=True)
         omega = random_form(rng, chart, rng.randint(1, chart.dim), polynomial=True)
-        lhs = (cc.lie_derivative_form(x, cc.interior_vector(y, omega))
-               - cc.interior_vector(y, cc.lie_derivative_form(x, omega)))
-        rhs = cc.interior_vector(cc.lie_bracket(x, y), omega)
+        lhs = (cc.lie_derivative_form(x, cc.interior_multivector(y, omega))
+               - cc.interior_multivector(y, cc.lie_derivative_form(x, omega)))
+        rhs = cc.interior_multivector(cc.lie_bracket(x, y), omega)
         assert (lhs - rhs).is_zero(), f"case {i}: [L_X, i_Y] != i_[X,Y]"
 
 

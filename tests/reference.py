@@ -1,15 +1,17 @@
 """Reference implementations for oracle tests: Gauss-Jordan elimination in
 Fractions, the CE operators evaluated form by form from their defining
-formulas, scalar fractions with expanded denominators, and the workspace
-tokenizer that scans line by line and character by character.  All are
-deliberately naive and independent of `liecochain`'s fraction-free
-elimination, assembled operators, factored denominators and one-pass
-scanner."""
+formulas, the interior product of a chart form by one vector field,
+scalar fractions with expanded denominators, and the workspace tokenizer
+that scans line by line and character by character.  All are deliberately
+naive and independent of `liecochain`'s fraction-free elimination,
+assembled operators, iterated contraction, factored denominators and
+one-pass scanner."""
 
 import re
 from fractions import Fraction
 from itertools import combinations
 
+from liecochain import chart_calculus as cc
 from liecochain import dsl
 from liecochain import scalar_field as sf
 
@@ -165,6 +167,25 @@ def coadjoint_matrix_action(matrix, coeffs, dim, degree):
         if total:
             out[tup] = total
     return out
+
+
+def interior_vector(x, omega):
+    """First-slot contraction (i_X w)(Y...) = w(X, Y...) of a chart form by
+    a vector field, one component of X at a time."""
+    if omega.degree < 1:
+        raise cc.DegreeUnderflow("interior product of a 0-form")
+    out = {}
+    for j, comp in enumerate(x.components):
+        if comp.is_zero():
+            continue
+        for idx, c in omega.coeffs.items():
+            if j not in idx:
+                continue
+            t = idx.index(j)
+            term = comp * c if t % 2 == 0 else -(comp * c)
+            rest = idx[:t] + idx[t + 1:]
+            out[rest] = out.get(rest, sf.ZERO) + term
+    return cc.DiffForm(omega.chart, omega.degree - 1, out)
 
 
 class Echelon:

@@ -23,7 +23,7 @@ def intro_action():
 def solvable_action():
     """(a,b)*(x,y,z) = (ax+b, ay, z): generators x dx + y dy and dx, q=2."""
     algebra = LieAlgebra(2, {(0, 1): {1: -1}})
-    v1 = cc.VectorField(M3, [x, y, sf.ZERO])
+    v1 = cc.vector_field(M3, [x, y, sf.ZERO])
     v2 = basis_vector(M3, "x")
     return aa.ActionSpec(M3, algebra, (v1, v2), 2)
 
@@ -31,7 +31,7 @@ def solvable_action():
 def shear_action():
     """(a,b)*(x,y) = (x+ay+b, y): generators y dx and dx, q=1."""
     return aa.ActionSpec(N2, LieAlgebra(2),
-                         (cc.VectorField(N2, [y, sf.ZERO]), basis_vector(N2, "x")), 1)
+                         (cc.vector_field(N2, [y, sf.ZERO]), basis_vector(N2, "x")), 1)
 
 
 def solvable_chain(kfunc=True):
@@ -54,7 +54,7 @@ def test_validate_solvable_action():
 
 def test_validate_wrong_bracket_sign():
     algebra = LieAlgebra(2, {(0, 1): {1: 1}})  # sign flipped
-    v1 = cc.VectorField(M3, [x, y, sf.ZERO])
+    v1 = cc.vector_field(M3, [x, y, sf.ZERO])
     v2 = basis_vector(M3, "x")
     rep = aa.validate_action(aa.ActionSpec(M3, algebra, (v1, v2), 2))
     assert not rep.ok
@@ -70,7 +70,7 @@ def test_validate_rank_deficit():
 
 def test_require_valid_action_raises():
     algebra = LieAlgebra(2, {(0, 1): {1: 1}})
-    v1 = cc.VectorField(M3, [x, y, sf.ZERO])
+    v1 = cc.vector_field(M3, [x, y, sf.ZERO])
     v2 = basis_vector(M3, "x")
     with pytest.raises(HomomorphismViolation):
         require_valid_action(aa.ActionSpec(M3, algebra, (v1, v2), 2))
@@ -96,7 +96,7 @@ def test_isotropy_free_actions():
 
 
 def test_isotropy_rotation_at_origin():
-    rot = cc.VectorField(N2, [-y, x])
+    rot = cc.vector_field(N2, [-y, x])
     action = aa.ActionSpec(N2, LieAlgebra(1), (rot,), 1)
     sample = aa.isotropy_algebra_at(action, (0, 0))
     assert sample.isotropy_basis == [[Fraction(1)]]
@@ -120,7 +120,7 @@ def test_fixed_space_free_point():
 
 
 def test_fixed_space_rotation_translation():
-    rot3 = cc.VectorField(M3, [-y, x, sf.ZERO])
+    rot3 = cc.vector_field(M3, [-y, x, sf.ZERO])
     action = aa.ActionSpec(M3, LieAlgebra(2), (rot3, basis_vector(M3, "z")), 2)
     sample = aa.isotropy_algebra_at(action, (0, 0, 0))
     filled = aa.fixed_space_at(action, sample)
@@ -159,9 +159,9 @@ def test_invariant_forms_intro():
 def test_invariant_fields_solvable():
     action = solvable_action()
     f, g, h = (sf.function(n, ("z",)) for n in "fgh")
-    R = cc.VectorField(M3, [f * y, g * y, h])
+    R = cc.vector_field(M3, [f * y, g * y, h])
     assert aa.check_invariant_vectorfield(action, R).ok
-    bad = cc.VectorField(M3, [x ** 2, sf.ZERO, sf.ZERO])
+    bad = cc.vector_field(M3, [x ** 2, sf.ZERO, sf.ZERO])
     v = aa.check_invariant_vectorfield(action, bad)
     assert not v.ok and v.witness is not None
 
@@ -314,7 +314,7 @@ def test_cochain_condition_shear_invariant_forms():
 def test_stability_solvable_residual():
     action = solvable_action()
     chi = solvable_chain()
-    ydy = cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])
+    ydy = cc.vector_field(M3, [sf.ZERO, y, sf.ZERO])
     res = aa.stability_check(action, chi, [ydy])
     assert not res.ok
     assert res.entries[0].residual == chi
@@ -323,14 +323,14 @@ def test_stability_solvable_residual():
 def test_stability_shear_holds():
     action = shear_action()
     chi = cc.MultiVectorField(N2, 1, {(0,): sf.function("K", ("y",))})
-    R = cc.VectorField(N2, [sf.function("a", ("y",)), sf.ZERO])
+    R = cc.vector_field(N2, [sf.function("a", ("y",)), sf.ZERO])
     assert aa.stability_check(action, chi, [R]).ok
 
 
 def test_stability_intro_holds():
     action = intro_action()
     chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
-    R = cc.VectorField(M3, [x, sf.ZERO, sf.ZERO])
+    R = cc.vector_field(M3, [x, sf.ZERO, sf.ZERO])
     assert aa.stability_check(action, chi, [R]).ok
 
 
@@ -338,7 +338,7 @@ def test_stability_rejects_noninvariant_field():
     action = intro_action()
     chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
     with pytest.raises(aa.NonInvariantField):
-        aa.stability_check(action, chi, [cc.VectorField(M3, [sf.ZERO, y ** 2, sf.ZERO])])
+        aa.stability_check(action, chi, [cc.vector_field(M3, [sf.ZERO, y ** 2, sf.ZERO])])
 
 
 def test_scaling_factors_solvable():
@@ -346,22 +346,22 @@ def test_scaling_factors_solvable():
     chi = solvable_chain()
     K = sf.function("K", ("z",))
     h = sf.function("h", ("z",))
-    ydy = cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])
+    ydy = cc.vector_field(M3, [sf.ZERO, y, sf.ZERO])
     assert sf.equals(aa.scaling_factor(action, chi, ydy, [(0, 1, 0)]), 1)
-    hdz = cc.VectorField(M3, [sf.ZERO, sf.ZERO, h])
+    hdz = cc.vector_field(M3, [sf.ZERO, sf.ZERO, h])
     lam = aa.scaling_factor(action, chi, hdz, [(0, 1, 0)])
     assert sf.equals(lam, h * sf.partial(K, "z") / K)
     dx_gen = basis_vector(M3, "x")
     f = sf.function("f", ("z",))
-    fydx = cc.VectorField(M3, [f * y, sf.ZERO, sf.ZERO])
+    fydx = cc.vector_field(M3, [f * y, sf.ZERO, sf.ZERO])
     assert aa.scaling_factor(action, chi, fydx, [(0, 1, 0)]).is_zero()
 
 
 def test_scaling_linearity():
     action = solvable_action()
     chi = solvable_chain()
-    ydy = cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])
-    hdz = cc.VectorField(M3, [sf.ZERO, sf.ZERO, sf.function("h", ("z",))])
+    ydy = cc.vector_field(M3, [sf.ZERO, y, sf.ZERO])
+    hdz = cc.vector_field(M3, [sf.ZERO, sf.ZERO, sf.function("h", ("z",))])
     lam1 = aa.scaling_factor(action, chi, ydy, [(0, 1, 0)])
     lam2 = aa.scaling_factor(action, chi, hdz, [(0, 1, 0)])
     lam_sum = aa.scaling_factor(action, chi, ydy + hdz, [(0, 1, 0)])
@@ -376,8 +376,8 @@ def test_scaling_linearity():
 def test_integrability_solvable():
     action = solvable_action()
     chi = solvable_chain()
-    ydy = cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])
-    hdz = cc.VectorField(M3, [sf.ZERO, sf.ZERO, sf.function("h", ("z",))])
+    ydy = cc.vector_field(M3, [sf.ZERO, y, sf.ZERO])
+    hdz = cc.vector_field(M3, [sf.ZERO, sf.ZERO, sf.function("h", ("z",))])
     res = aa.integrability_check(action, chi, [ydy, hdz], [(0, 1, 0)])
     assert res.ok
     assert [(s, t) for s, t, _ in res.pairs] == [(0, 1)]
@@ -386,14 +386,14 @@ def test_integrability_solvable():
 def test_integrability_single_field_vacuous():
     action = solvable_action()
     res = aa.integrability_check(action, solvable_chain(),
-                                 [cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])], [(0, 1, 0)])
+                                 [cc.vector_field(M3, [sf.ZERO, y, sf.ZERO])], [(0, 1, 0)])
     assert res.pairs == [] and res.ok
 
 
 def test_integrability_intro_all_zero():
     action = intro_action()
     chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
-    fields = [cc.VectorField(M3, [x, sf.ZERO, sf.ZERO]), basis_vector(M3, "y")]
+    fields = [cc.vector_field(M3, [x, sf.ZERO, sf.ZERO]), basis_vector(M3, "y")]
     res = aa.integrability_check(action, chi, fields)
     assert res.ok
 
@@ -402,7 +402,7 @@ def test_rescale_solvable():
     action = solvable_action()
     chi0 = solvable_chain(kfunc=False)
     dz = basis_vector(M3, "z")
-    ydy = cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])
+    ydy = cc.vector_field(M3, [sf.ZERO, y, sf.ZERO])
     assert aa.rescale_verify(action, chi0, sf.rational(1, 3), [dz], [(0, 1, 0)]).ok
     res = aa.rescale_verify(action, chi0, sf.rational(1, 3), [dz, ydy], [(0, 1, 0)])
     assert not res.ok
@@ -413,7 +413,7 @@ def test_rescale_shear_arbitrary_k():
     action = shear_action()
     chi0 = cc.MultiVectorField(N2, 1, {(0,): sf.ONE})
     K = sf.function("K", ("y",))
-    R = cc.VectorField(N2, [sf.function("a", ("y",)), sf.ZERO])
+    R = cc.vector_field(N2, [sf.function("a", ("y",)), sf.ZERO])
     assert aa.rescale_verify(action, chi0, K, [R]).ok
 
 
@@ -464,7 +464,7 @@ def test_stability_predicts_cochain_condition():
     action = shear_action()
     K = sf.function("K", ("y",))
     chi = cc.MultiVectorField(N2, 1, {(0,): K})
-    family = [cc.VectorField(N2, [sf.function("a", ("y",)), sf.ZERO])]
+    family = [cc.vector_field(N2, [sf.function("a", ("y",)), sf.ZERO])]
     assert aa.stability_check(action, chi, family).ok
     for omega in (cc.DiffForm(N2, 1, {(1,): sf.function("b", ("y",))}),
                   cc.DiffForm(N2, 2, {(0, 1): sf.function("c", ("y",))})):
@@ -474,7 +474,7 @@ def test_stability_predicts_cochain_condition():
     # basis of invariant forms contains a witness that fails the condition
     action = solvable_action()
     chi0 = solvable_chain(kfunc=False)
-    ydy = cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])
+    ydy = cc.vector_field(M3, [sf.ZERO, y, sf.ZERO])
     for k_candidate in (sf.ONE, sf.rational(5), sf.rational(1, 7)):
         res = aa.rescale_verify(action, chi0, k_candidate, [ydy], [(0, 1, 0)])
         assert not res.ok
@@ -544,7 +544,7 @@ def test_isotropy_members_vanish_nonmembers_do_not():
     sample = aa.isotropy_algebra_at(action, point)
     pt = action.chart.point_map(point)
     for xi in sample.isotropy_basis:
-        combo = cc.VectorField(N2, [sf.ZERO, sf.ZERO])
+        combo = cc.vector_field(N2, [sf.ZERO, sf.ZERO])
         for c, g in zip(xi, action.generators):
             combo = combo + g.scaled(sf.rational(c))
         assert all(comp.eval_at(pt) == 0 for comp in combo.components)
@@ -557,9 +557,9 @@ def rotation_action():
     """so(3) rotations of 3-space; orbits are spheres, q = 2."""
     z = sf.coordinate("z")
     algebra = LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
-    r1 = cc.VectorField(M3, [sf.ZERO, -z, y])
-    r2 = cc.VectorField(M3, [z, sf.ZERO, -x])
-    r3 = cc.VectorField(M3, [y, -x, sf.ZERO])
+    r1 = cc.vector_field(M3, [sf.ZERO, -z, y])
+    r2 = cc.vector_field(M3, [z, sf.ZERO, -x])
+    r3 = cc.vector_field(M3, [y, -x, sf.ZERO])
     return aa.ActionSpec(M3, algebra, (r1, r2, r3), 2)
 
 
@@ -588,7 +588,7 @@ def test_rotation_scaling_factors_and_integrability():
     action = rotation_action()
     chi = sphere_area_chain()
     z = sf.coordinate("z")
-    euler = cc.VectorField(M3, [x, y, z])
+    euler = cc.vector_field(M3, [x, y, z])
     rsq = x ** 2 + y ** 2 + z ** 2
     scaled_euler = euler.scaled(rsq)
     assert aa.check_invariant_vectorfield(action, euler).ok
@@ -655,7 +655,7 @@ def test_obstruction_intro():
 def test_obstruction_no_invariant_chain():
     # rotations of the plane, q = 1: at the origin the isotropy is all of
     # so(2) and the relative space in degree 1 is zero
-    rot = cc.VectorField(N2, [-y, x])
+    rot = cc.vector_field(N2, [-y, x])
     action = aa.ActionSpec(N2, LieAlgebra(1), (rot,), 1)
     report = aa.obstruction_report(action, [(0, 0)])
     assert report.verdict == aa.NO_INVARIANT_CHAIN

@@ -7,6 +7,7 @@ import pytest
 from liecochain import chart_calculus as cc
 from liecochain import scalar_field as sf
 
+import reference as ref
 from genutil import (basis_vector, evaluate_vectorfield_at, random_form, random_scalar,
                      random_vectorfield)
 
@@ -54,13 +55,27 @@ def test_wedge_signs():
 
 
 def test_lie_bracket():
-    ydy = cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])
+    ydy = cc.vector_field(M3, [sf.ZERO, y, sf.ZERO])
     dy = basis_vector(M3, "y")
     assert cc.lie_bracket(ydy, dy) == -dy
-    scale = cc.VectorField(M3, [x, y, sf.ZERO])
+    scale = cc.vector_field(M3, [x, y, sf.ZERO])
     dxv = basis_vector(M3, "x")
     assert cc.lie_bracket(scale, dxv) == -dxv
     assert cc.lie_bracket(basis_vector(M3, "y"), basis_vector(M3, "z")).is_zero()
+
+
+def test_vector_field_is_a_degree_one_chain():
+    v = cc.vector_field(M3, [y, sf.ZERO, x])
+    assert v == cc.MultiVectorField(M3, 1, {(0,): y, (2,): x})
+    assert v.components == (y, sf.ZERO, x)
+    assert sf.equals(v.apply(x * z), y * z + x * x)
+    with pytest.raises(ValueError):
+        cc.vector_field(M3, [x, y])
+    two = cc.MultiVectorField(M3, 2, {(0, 1): x})
+    with pytest.raises(ValueError):
+        two.components
+    with pytest.raises(ValueError):
+        two.apply(y)
 
 
 def test_chart_mismatch():
@@ -71,14 +86,14 @@ def test_chart_mismatch():
 
 def test_interior_vector():
     dy_dz = dform(M3, 2, {(1, 2): sf.ONE})
-    assert cc.interior_vector(basis_vector(M3, "y"), dy_dz).coeffs == {(2,): sf.ONE}
-    assert cc.interior_vector(basis_vector(M3, "x"), dy_dz).is_zero()
-    adx = cc.VectorField(M3, [a, sf.ZERO, sf.ZERO])
+    assert cc.interior_multivector(basis_vector(M3, "y"), dy_dz).coeffs == {(2,): sf.ONE}
+    assert cc.interior_multivector(basis_vector(M3, "x"), dy_dz).is_zero()
+    adx = cc.vector_field(M3, [a, sf.ZERO, sf.ZERO])
     dx_dy = dform(M3, 2, {(0, 1): sf.ONE})
-    got = cc.interior_vector(adx, dx_dy)
+    got = cc.interior_multivector(adx, dx_dy)
     assert got.coeffs.keys() == {(1,)} and sf.equals(got.coefficient((1,)), a)
     with pytest.raises(cc.DegreeUnderflow):
-        cc.interior_vector(adx, cc.scalar_form(M3, x))
+        cc.interior_multivector(adx, cc.scalar_form(M3, x))
 
 
 def test_interior_multivector_intro_values():
@@ -100,7 +115,7 @@ def test_interior_multivector_intro_values():
 def test_lie_derivative_form():
     alpha = dform(M3, 2, {(0, 1): a})
     assert cc.lie_derivative_form(basis_vector(M3, "y"), alpha).is_zero()
-    xdx = cc.VectorField(M3, [x, sf.ZERO, sf.ZERO])
+    xdx = cc.vector_field(M3, [x, sf.ZERO, sf.ZERO])
     dx = dform(M3, 1, {(0,): sf.ONE})
     assert cc.lie_derivative_form(xdx, dx) == dx
 
@@ -119,14 +134,14 @@ def test_lie_derivative_form_leibniz_randomized():
 
 def test_lie_derivative_multivector_known_cases():
     chi = cc.MultiVectorField(M3, 2, {(0, 1): K * y ** 2})
-    ydy = cc.VectorField(M3, [sf.ZERO, y, sf.ZERO])
+    ydy = cc.vector_field(M3, [sf.ZERO, y, sf.ZERO])
     assert cc.lie_derivative_multivector(ydy, chi) == chi
 
     N = cc.Chart(("x", "y"))
     Ky = sf.function("K", ("y",))
     ay = sf.function("a", ("y",))
     chain = cc.MultiVectorField(N, 1, {(0,): Ky})
-    field = cc.VectorField(N, [ay, sf.ZERO])
+    field = cc.vector_field(N, [ay, sf.ZERO])
     assert cc.lie_derivative_multivector(field, chain).is_zero()
 
     frame = cc.wedge_vectorfields([basis_vector(M3, "x"), basis_vector(M3, "y")])
@@ -135,7 +150,7 @@ def test_lie_derivative_multivector_known_cases():
 
 def test_evaluate_and_jacobian():
     P2 = cc.Chart(("x", "y"))
-    rot = cc.VectorField(P2, [-sf.coordinate("y"), sf.coordinate("x")])
+    rot = cc.vector_field(P2, [-sf.coordinate("y"), sf.coordinate("x")])
     assert evaluate_vectorfield_at(rot, (1, 0)) == [0, 1]
     assert cc.jacobian_at(rot, (0, 0)) == [[0, -1], [1, 0]]
     assert evaluate_vectorfield_at(basis_vector(M3, "y"), (5, 5, 5)) == [0, 1, 0]
@@ -180,9 +195,9 @@ def test_commutator_identities_randomized():
         Y = random_vectorfield(rng, M3, funcs, polynomial=True)
         omega = random_form(rng, M3, rng.randint(1, 2), funcs, polynomial=True)
         # [L_X, i_Y] = i_[X,Y]
-        lhs = (cc.interior_vector(Y, cc.lie_derivative_form(X, omega))
-               - cc.lie_derivative_form(X, cc.interior_vector(Y, omega)))
-        rhs = -cc.interior_vector(cc.lie_bracket(X, Y), omega)
+        lhs = (cc.interior_multivector(Y, cc.lie_derivative_form(X, omega))
+               - cc.lie_derivative_form(X, cc.interior_multivector(Y, omega)))
+        rhs = -cc.interior_multivector(cc.lie_bracket(X, Y), omega)
         assert (lhs - rhs).is_zero()
         # L_[X,Y] = L_X L_Y - L_Y L_X
         lhs2 = cc.lie_derivative_form(cc.lie_bracket(X, Y), omega)
@@ -205,9 +220,9 @@ def test_jacobi_randomized():
 
 def test_jacobi_with_fraction_components():
     yexp = sf.coordinate("y")
-    X = cc.VectorField(M3, [1 / (1 + yexp ** 2), sf.ZERO, sf.ZERO])
-    Y = cc.VectorField(M3, [sf.ZERO, x * yexp, sf.ZERO])
-    Z = cc.VectorField(M3, [yexp, sf.ZERO, x])
+    X = cc.vector_field(M3, [1 / (1 + yexp ** 2), sf.ZERO, sf.ZERO])
+    Y = cc.vector_field(M3, [sf.ZERO, x * yexp, sf.ZERO])
+    Z = cc.vector_field(M3, [yexp, sf.ZERO, x])
     total = (cc.lie_bracket(cc.lie_bracket(X, Y), Z)
              + cc.lie_bracket(cc.lie_bracket(Y, Z), X)
              + cc.lie_bracket(cc.lie_bracket(Z, X), Y))
@@ -229,7 +244,7 @@ def test_contraction_matches_iterated_interior():
         via_multi = cc.interior_multivector(chi, omega)
         via_iter = omega
         for f in fields:
-            via_iter = cc.interior_vector(f, via_iter)
+            via_iter = ref.interior_vector(f, via_iter)
         assert (via_multi - via_iter).is_zero()
 
 

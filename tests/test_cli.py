@@ -212,6 +212,39 @@ point P on N = (0, 0)
     assert "chart" in capsys.readouterr().err
 
 
+WRONG_CHART = [
+    (["check", "invariant", "--object", "cN"], "chain 'cN'"),
+    (["check", "invariant", "--object", "fN"], "form 'fN'"),
+    (["check", "invariant", "--object", "RN"], "field 'RN'"),
+    (["check", "vertical", "--object", "cN"], "chain 'cN'"),
+    (["check", "semibasic", "--object", "fN"], "form 'fN'"),
+    (["rho", "--chain", "cN", "--form", "f"], "chain 'cN'"),
+    (["rho", "--chain", "chi", "--form", "fN"], "form 'fN'"),
+    (["check", "cochain", "--chain", "cN", "--forms", "f"], "chain 'cN'"),
+    (["check", "cochain", "--chain", "chi", "--forms", "fN"], "form 'fN'"),
+    (["check", "cochain", "--chain", "chi", "--forms", "f", "--fields", "RN"], "field 'RN'"),
+    (["certify", "surjective", "--chain", "chi", "--form", "fN"], "form 'fN'"),
+]
+
+
+@pytest.mark.parametrize("argv,named", WRONG_CHART)
+def test_tensor_on_wrong_chart_is_input_error(argv, named, tmp_path, capsys):
+    ws = tmp_path / "two_charts.lch"
+    ws.write_text("""chart M { coords = [x, y, z] }
+chart N { coords = [u, v] }
+lie_algebra g { dim 1 }
+vectorfield w on M = D(y)
+action act { algebra g chart M generators = [w] orbit_dim 1 }
+chain chi on M = D(y)
+form f on M = d(y)
+chain cN on N = D(u)
+form fN on N = d(u)
+vectorfield RN on N = D(v)
+""")
+    assert main(argv + ["--input", str(ws), "--action", "act"]) == 2
+    assert capsys.readouterr().err == f"error: {named} is not on the action's chart\n"
+
+
 def test_subgroup_of_another_algebra_is_input_error(tmp_path, capsys):
     ws = tmp_path / "two_algebras.lch"
     ws.write_text((FIXTURES / "rotations.lch").read_text()

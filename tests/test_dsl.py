@@ -41,6 +41,12 @@ def test_parse_builds_engine_objects():
     assert ws.points["Q"] == ("M", (2, -1, 5))
 
 
+def test_vectorfield_is_the_degree_one_chain():
+    ws = dsl.parse("chart M { coords = [x, y] }\n"
+                   "vectorfield v on M = y*D(x)\nchain c on M = y*D(x)\n")
+    assert ws.vector_fields["v"] == ws.chains["c"]
+
+
 def test_parse_subgroups():
     ws = load("so3")
     so2 = ws.subgroups["so2"]
@@ -119,6 +125,10 @@ CHECK_HEADER = GOOD_HEADER + (
     "subgroup s of g { span = [1] }\nsubgroup t of g { span = [] }\n"
     "point P on M = (1, 2, 3)\npoint Q on M = (0, 0, 0)\n")
 CHECK_LINE = CHECK_HEADER.count("\n") + 1
+# a chain and a form on M, and a form, chain and field on a second chart N
+OTHER_CHART_HEADER = CHECK_HEADER + (
+    "chain chi on M = D(x)\nform f on M = d(x)\nchart N { coords = [u] }\n"
+    "form w on N = d(u)\nchain c on N = D(u)\nvectorfield R on N = u*D(u)\n")
 
 ERROR_CORPUS = [
     # tokenizer and syntax
@@ -206,6 +216,13 @@ ERROR_CORPUS = [
      "check report(act, points=[P], components=[u])", dsl.ArityMismatch, CHECK_LINE + 2),
     (CHECK_HEADER + "lie_algebra h { dim 2 }\ncheck cohomology(h, s, 1)",
      dsl.ArityMismatch, CHECK_LINE + 1),
+    # a form, chain or field on a chart other than the action's
+    *((OTHER_CHART_HEADER + line, dsl.ArityMismatch, CHECK_LINE + 6) for line in (
+        "check invariant(act, c)", "check invariant(act, w)", "check invariant(act, R)",
+        "check vertical(act, c)", "check semibasic(act, w)", "check rho(act, chi, w)",
+        "check cochain(act, c, forms=[f])", "check cochain(act, chi, forms=[w])",
+        "check cochain(act, chi, forms=[f], fields=[R])",
+        "check lambda(act, chi, R)")),
 ]
 
 
