@@ -157,17 +157,14 @@ class Workspace:
 
     def find_object(self, name, kinds=OBJECT_KINDS):
         """(kind, value) for the declaration of `name` among `kinds`, which
-        are reference kinds of `CHECKS`: KeyError if none declares it,
-        ValueError if more than one does."""
+        are reference kinds of `CHECKS`: KeyError if none declares it."""
         stores = {"lie_algebra": self.lie_algebras, "subgroup": self.subgroups,
                   "action": self.actions, "point": self.points, "form": self.forms,
                   "field": self.vector_fields, "chain": self.chains}
-        hits = [(kind, stores[kind][name]) for kind in kinds if name in stores[kind]]
-        if not hits:
-            raise KeyError(name)
-        if len(hits) > 1:
-            raise ValueError(f"name {name!r} is ambiguous across kinds")
-        return hits[0]
+        for kind in kinds:
+            if name in stores[kind]:
+                return kind, stores[kind][name]
+        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +260,6 @@ def _resolve(ws, slot, name, index, home, fail):
         kind, value = ws.find_object(name, kinds)
     except KeyError:
         fail(UnknownReference, f"unknown {'/'.join(kinds)} {name!r}", slot.name, index)
-    except ValueError as exc:
-        fail(ParseError, str(exc), slot.name, index)
     if "chart" in home and kind in ("point", *OBJECT_KINDS):
         if (ws.charts[value[0]] if kind == "point" else value.chart) != home["chart"]:
             fail(ArityMismatch, f"{kind} {name!r} is not on the action's chart",
@@ -289,6 +284,7 @@ class _Parser:
         self.i = 0
         self.file = file
         self.ws = Workspace(source_name=file)
+        self.names = {}  # declared name or chart coordinate -> its kind
 
     # -- token plumbing --------------------------------------------------
 
@@ -327,8 +323,12 @@ class _Parser:
         name = name_tok.text
         if name in _RESERVED:
             self.error(f"{name!r} is reserved and cannot name a {kind}", name_tok)
-        if name in store:
+        held = self.names.get(name)
+        if held == kind:
             self.error(f"duplicate {kind} name {name!r}", name_tok, DuplicateName)
+        if held:
+            self.error(f"{name!r} already names a {held}", name_tok, DuplicateName)
+        self.names[name] = kind
         store[name] = value
         self.ws.order.append((kind, name))
 
@@ -510,9 +510,14 @@ class _Parser:
                 self.error(f"{tok.text!r} is reserved and cannot be a coordinate", tok)
             if tok.text in coords:
                 self.error(f"repeated coordinate {tok.text!r}", tok, DuplicateName)
+            held = self.names.get(tok.text)
+            if held not in (None, "coordinate"):
+                self.error(f"{tok.text!r} already names a {held}", tok, DuplicateName)
             coords.append(tok.text)
         self.comma_list("[", coordinate, "]")
         self.expect("}")
+        for c in coords:
+            self.names[c] = "coordinate"
         self.declare(self.ws.charts, name_tok, cc.Chart(tuple(coords)), "chart")
 
     def parse_function(self):

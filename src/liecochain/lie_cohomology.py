@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .linalg import SingularMatrix, _sort_sign
+from .linalg import SingularMatrix, _accumulate, _contract
 
 
 class CohomologyError(Exception):
@@ -211,14 +211,6 @@ def _check_size(p, *degrees):
                 f"basis forms, over the limit of {MAX_COCHAINS}")
 
 
-def _put(out, idx, coeff):
-    """out[sorted idx] += coeff times the sign of the sort, unless idx repeats."""
-    s = _sort_sign(idx)
-    if s is not None:
-        sign, key = s
-        out[key] = out.get(key, 0) + sign * coeff
-
-
 def _apply(coeffs, image):
     """sum of c * image(t) over the items t: c of coeffs, zeros dropped."""
     out = {}
@@ -238,19 +230,17 @@ def _dual_table(algebra):
 
 
 def _d_image(dual, t):
-    """d a^t = sum over slots m of (-1)^m a^{t1} ^ .. (d a^{tm}) .. ^ a^{tr},
-    with d a^k = -sum_{i<j} c^k_ij a^i ^ a^j."""
-    out = {}
-    for m, k in enumerate(t):
-        for i, j, c in dual.get(k, ()):
-            _put(out, t[:m] + (i, j) + t[m + 1:], c if m % 2 else -c)
+    """d a^t = sum over slots m of (-1)^m a^{t1} ^ .. (d a^{tm}) .. ^ a^{tr}, with
+    d a^k = -sum_{i<j} c^k_ij a^i ^ a^j: (-1)^m moves a^i before the m factors."""
+    out = _accumulate(((i,) + t[:m] + (j,) + t[m + 1:], -c)
+                      for m, k in enumerate(t) for i, j, c in dual.get(k, ()))
     return {u: x for u, x in out.items() if x}
 
 
 def _interior_image(v, t):
-    """i_v a^t = sum over slots m of (-1)^m v_{tm} a^{t without tm}."""
-    return {t[:m] + t[m + 1:]: v[k] if m % 2 == 0 else -v[k]
-            for m, k in enumerate(t) if v[k]}
+    """i_v a^t = sum over k in t of s v_k a^rest, where a^t = s a^k ^ a^rest."""
+    return {rest: v[k] if sign > 0 else -v[k]
+            for k in t if v[k] for sign, rest in [_contract(t, (k,))]}
 
 
 def _coadjoint_table(algebra, v):
@@ -268,10 +258,8 @@ def _coadjoint_table(algebra, v):
 
 def _action_image(table, t):
     """v.a^t: v acts on each slot in turn."""
-    out = {}
-    for m, k in enumerate(t):
-        for j, c in table.get(k, {}).items():
-            _put(out, t[:m] + (j,) + t[m + 1:], c)
+    out = _accumulate((t[:m] + (j,) + t[m + 1:], c)
+                      for m, k in enumerate(t) for j, c in table.get(k, {}).items())
     return {u: x for u, x in out.items() if x}
 
 

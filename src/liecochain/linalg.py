@@ -17,7 +17,9 @@ Fractions with the same pivot order, and all outputs are deterministic.
 
 `AltTensor` is the one container for alternating tensors: forms and
 multivectors on a chart, with ScalarExpr coefficients, and forms on a Lie
-algebra, with rational coefficients.
+algebra, with rational coefficients.  Every sign of a basis monomial comes
+from `_sort_sign` through two rules: `_accumulate` sums terms on unsorted
+index tuples, and `_contract` splits e^I = sign * e^J ^ e^rest.
 """
 
 from __future__ import annotations
@@ -230,8 +232,7 @@ def det(m):
         value *= Fraction(row[pivot], scale * mult)
         pivots.append(pivot)
         ech._add(row)
-    inversions = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
-    return -value if inversions % 2 else value
+    return _sort_sign(pivots)[0] * value
 
 
 # -- alternating tensors ------------------------------------------------------
@@ -252,6 +253,28 @@ def _sort_sign(idx):
         if a == b:
             return None
     return sign, tuple(idx)
+
+
+def _accumulate(terms):
+    """{sorted tuple: sum} over the (index tuple, coefficient) pairs in order,
+    each signed by the sort of its tuple; a repeated index adds nothing."""
+    out = {}
+    for idx, c in terms:
+        s = _sort_sign(idx)
+        if s is not None:
+            sign, key = s
+            c = c if sign > 0 else -c
+            out[key] = out[key] + c if key in out else c
+    return out
+
+
+def _contract(idx, j):
+    """(sign, rest) with e^idx = sign * e^j ^ e^rest, for index tuples idx
+    and j, or None when j is not inside idx."""
+    rest = tuple(i for i in idx if i not in j)
+    if len(rest) + len(j) != len(idx):
+        return None
+    return _sort_sign(j + rest)[0], rest
 
 
 # The rationals as a coefficient ring, named as `scalar_field` names its own:
@@ -336,11 +359,6 @@ class AltTensor:
         degree = self.degree + other.degree
         if degree > self.dim:
             raise self.DegreeOverflow(f"wedge degree exceeds {self.noun} dimension")
-        ring, out = self.ring, {}
-        for i1, a in self.coeffs.items():
-            for i2, b in other.coeffs.items():
-                s = _sort_sign(i1 + i2)
-                if s is not None:
-                    sign, idx = s
-                    out[idx] = out.get(idx, ring.ZERO) + ring.normalize(sign) * a * b
-        return type(self)(self.space, degree, out)
+        return type(self)(self.space, degree, _accumulate(
+            (i1 + i2, a * b) for i1, a in self.coeffs.items()
+            for i2, b in other.coeffs.items() if set(i1).isdisjoint(i2)))

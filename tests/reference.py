@@ -1,11 +1,13 @@
 """Reference implementations for oracle tests: Gauss-Jordan elimination in
 Fractions, the CE operators evaluated form by form from their defining
-formulas, the interior product of a chart form by one vector field,
-scalar fractions with expanded denominators, and the workspace tokenizer
-that scans line by line and character by character.  All are deliberately
-naive and independent of `liecochain`'s fraction-free elimination,
-assembled operators, iterated contraction, factored denominators and
-one-pass scanner."""
+formulas, the interior product of a chart form by one vector field, the
+Lie bracket of two vector fields component by component, the sign of a
+permutation by counting inversions, scalar fractions with expanded
+denominators, and the workspace tokenizer that scans line by line and
+character by character.  All are deliberately naive and independent of
+`liecochain`'s fraction-free elimination, assembled operators, signed
+monomial rules, Lie derivative, factored denominators and one-pass
+scanner."""
 
 import re
 from fractions import Fraction
@@ -186,6 +188,26 @@ def interior_vector(x, omega):
             rest = idx[:t] + idx[t + 1:]
             out[rest] = out.get(rest, sf.ZERO) + term
     return cc.DiffForm(omega.chart, omega.degree - 1, out)
+
+
+def lie_bracket(x, y):
+    """[X, Y]^i = sum_j X^j d_j(Y^i) - Y^j d_j(X^i), one component at a time."""
+    chart = x.chart
+    xc, yc = x.components, y.components
+    comps = []
+    for i in range(chart.dim):
+        acc = sf.ZERO
+        for j, name in enumerate(chart.coordinates):
+            acc = acc + xc[j] * sf.partial(yc[i], name)
+            acc = acc - yc[j] * sf.partial(xc[i], name)
+        comps.append(acc)
+    return cc.vector_field(chart, comps)
+
+
+def inversion_sign(seq):
+    """(-1) to the number of pairs of entries of seq that are out of order."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return -1 if inversions % 2 else 1
 
 
 class Echelon:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -246,6 +247,28 @@ def test_contraction_matches_iterated_interior():
         for f in fields:
             via_iter = ref.interior_vector(f, via_iter)
         assert (via_multi - via_iter).is_zero()
+
+
+def test_lie_bracket_matches_component_oracle():
+    """The bracket as the Lie derivative of a degree-1 chain equals the
+    component formula, on fields with function symbols and factored
+    denominators."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    g = sf.function("g", ("x", "y"))
+    atoms = st.sampled_from([x, y, z, a, K, g, sf.partial(K, "z"), sf.partial(g, "y")])
+    terms = st.builds(lambda c, factors: math.prod(factors, start=sf.rational(c)),
+                      st.integers(-3, 3), st.lists(atoms, max_size=2))
+    factors = st.sampled_from([sf.ONE + x ** 2, y + z, z, K + 1, (y - a) ** 2])
+    scalars = st.builds(lambda ts, den: sum(ts, sf.ZERO) / math.prod(den, start=sf.ONE),
+                        st.lists(terms, max_size=2), st.lists(factors, max_size=2))
+    fields = st.lists(scalars, min_size=3, max_size=3).map(lambda cs: cc.vector_field(M3, cs))
+
+    @hypothesis.settings(max_examples=40, deadline=None, database=None)
+    @hypothesis.given(fields, fields)
+    def check(u, v):
+        assert (cc.lie_bracket(u, v) - ref.lie_bracket(u, v)).is_zero()
+    check()
 
 
 def test_full_pairing_matches_determinant_oracle():

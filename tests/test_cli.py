@@ -193,7 +193,7 @@ chain T on M = D(x)
 """)
     assert main(["check", "invariant", "--input", str(ws),
                  "--action", "act", "--object", "T"]) == 2
-    assert "ambiguous" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {ws}:6:7: 'T' already names a form\n"
 
 
 def test_point_on_wrong_chart_is_input_error(tmp_path, capsys):

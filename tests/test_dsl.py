@@ -160,6 +160,10 @@ ERROR_CORPUS = [
     (GOOD_HEADER + "form f on M = x\nform f on M = y", dsl.DuplicateName, 4),
     (GOOD_HEADER + "point P on M = (1,2,3)\npoint P on M = (0,0,0)",
      dsl.DuplicateName, 4),
+    # one namespace for declared names and chart coordinates
+    (GOOD_HEADER + "vectorfield T on M = D(x)\nchain T on M = D(y)", dsl.DuplicateName, 4),
+    (GOOD_HEADER + "chain x on M = D(y)", dsl.DuplicateName, 3),
+    (GOOD_HEADER + "form f on M = x\nchart N { coords = [u, f] }", dsl.DuplicateName, 4),
     # arity and typing
     (GOOD_HEADER + "function g(z)\nform f on M = K(x)", dsl.ArityMismatch, 4),
     (GOOD_HEADER + "point P on M = (1, 2)", dsl.ArityMismatch, 3),

@@ -1,8 +1,9 @@
 """Oracle tests: the fraction-free elimination against Gauss-Jordan in
 Fractions (and sympy), the assembled CE operators against the operators
-evaluated form by form from their definitions, pinned representatives, and
-scalar arithmetic on factored denominators against expanded denominators
-(and sympy), and the one-pass tokenizer against the line-by-line one."""
+evaluated form by form from their definitions, pinned representatives, the
+contraction signs of basis monomials against inversion counts, scalar
+arithmetic on factored denominators against expanded denominators (and
+sympy), and the one-pass tokenizer against the line-by-line one."""
 
 import operator
 import random
@@ -17,6 +18,7 @@ import reference as ref
 from genutil import (random_altform, random_invertible, random_lie_algebra,
                      random_rational, random_scalar, random_so3_automorphism,
                      transport_algebra)
+from liecochain import chart_calculus as cc
 from liecochain import dsl, linalg
 from liecochain import lie_cohomology as lc
 from liecochain import scalar_field as sf
@@ -210,6 +212,36 @@ def test_assembled_operators_on_so3_conjugates():
         assert_per_form_matches(rng, SO3, moved)
         # RP^2 = SO(3)/O(2), whichever conjugate of O(2)
         assert [lc.relative_cohomology(SO3, moved, r).dimension for r in range(4)] == [1, 0, 0, 0]
+
+
+# -- contraction signs of basis monomials --------------------------------------------
+
+def test_basis_contraction_signs_match_inversion_count():
+    """On every chart of dimension at most 5 and every pair of basis
+    monomials: contracting d(I) by D(J), and a^I by e_j for j in J in turn,
+    gives the inversion-count sign of J followed by I without J, times the
+    monomial on I without J, when J is inside I, and zero otherwise."""
+    for n in range(1, 6):
+        chart = cc.Chart(tuple("xyzuv"[:n]))
+        unit = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+        for k in range(n + 1):
+            for big in combinations(range(n), k):
+                form = cc.DiffForm(chart, k, {big: sf.ONE})
+                alpha = lc.AltForm(n, k, {big: 1})
+                for q in range(k + 1):
+                    for small in combinations(range(n), q):
+                        chain = cc.MultiVectorField(chart, q, {small: sf.ONE})
+                        got = cc.interior_multivector(chain, form).coeffs
+                        if not set(small) <= set(big):
+                            assert got == {}
+                            continue
+                        rest = tuple(i for i in big if i not in small)
+                        sign = ref.inversion_sign(small + rest)
+                        assert got == {rest: sf.rational(sign)}
+                        contracted = alpha
+                        for j in small:
+                            contracted = lc.interior(unit[j], contracted)
+                        assert contracted.coeffs == {rest: sign}
 
 
 # -- pinned representatives ---------------------------------------------------------

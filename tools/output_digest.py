@@ -11,7 +11,9 @@ For each seed 0-4 the digest covers:
   standard input, once as JSON and once as text with `-v` and
   LIECOCHAIN_COLOR=0: exit code, standard output and standard error;
 - the rendered output of every `chart_swell` job, or the exception it raised;
-- `dsl.render` of every workspace either workload generates.
+- the cohomology dimension, the relative dimensions and the rendered
+  representatives of every `ce_spectrum` job, or the exception it raised;
+- `dsl.render` of every workspace the three workloads generate.
 
 It prints the number of outputs and one sha256 over all of them, each
 preceded by a label that names its seed and source.  Run it on two commits
@@ -31,6 +33,7 @@ sys.path[:0] = [os.path.join(ROOT, "bench"), os.path.join(ROOT, "src")]
 os.environ["LIECOCHAIN_COLOR"] = "0"
 os.environ.pop("LIECOCHAIN_TIMING", None)
 
+import ce_spectrum  # noqa: E402
 import chart_swell  # noqa: E402
 import cli_workspaces  # noqa: E402
 from liecochain import cli, dsl  # noqa: E402
@@ -51,11 +54,16 @@ def _cli(argv, text):
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-def _job_output(job):
+def _job_output(job, summary=lambda result: ""):
     try:
-        return job.render(job.run())
+        result = job.run()
+        return summary(result) + job.render(result)
     except Exception as exc:  # a raised job is an output too
         return f"raised {type(exc).__name__}: {exc}"
+
+
+def _cohomology(result):
+    return f"H {result.dimension}\nrelative_dims {result.relative_dims}\n"
 
 
 def outputs(seed):
@@ -69,7 +77,11 @@ def outputs(seed):
     workspaces = {name: dsl.parse(text, name) for name, text in swell_texts.items()}
     for job in chart_swell.make_jobs(workspaces, swell_plan):
         yield f"seed {seed} chart_swell {job.name}", _job_output(job)
-    for name, text in {**texts, **swell_texts}.items():
+    spectrum_texts, spectrum_plan = ce_spectrum.generate(seed)
+    workspaces = {name: dsl.parse(text, name) for name, text in spectrum_texts.items()}
+    for job in ce_spectrum.make_jobs(workspaces, spectrum_plan):
+        yield f"seed {seed} ce_spectrum {job.name}", _job_output(job, _cohomology)
+    for name, text in {**texts, **swell_texts, **spectrum_texts}.items():
         yield f"seed {seed} render {name}", dsl.render(dsl.parse(text, name))
 
 
