@@ -117,23 +117,14 @@ def validate_action(action, sample_points=()):
 def _symbolic_generator_kernel(action):
     """Rational vectors xi with sum_i xi_i * generator_i identically zero."""
     p = len(action.generators)
-    keys = {}
-    cols = [{} for _ in range(p)]
+    rows = {}  # (component, term key) -> sparse row {generator: coefficient}
     for comp_idx in range(action.chart.dim):
         cleared = sf.cleared_numerators([g.components[comp_idx] for g in action.generators])
         for gi, poly in enumerate(cleared):
             for key, c in poly:
-                cols[gi][(comp_idx, key)] = c
-    for col in cols:
-        for k in col:
-            keys.setdefault(k, len(keys))
-    if not keys:
-        return [list(v) for v in linalg.identity(p)]
-    matrix = [[Fraction(0)] * p for _ in keys]
-    for gi, col in enumerate(cols):
-        for k, c in col.items():
-            matrix[keys[k]][gi] = c
-    return linalg.nullspace(matrix)
+                rows.setdefault((comp_idx, key), {})[gi] = c
+    return [[v.get(gi, Fraction(0)) for gi in range(p)]
+            for v in linalg.nullspace(list(rows.values()), range(p))]
 
 
 @dataclass

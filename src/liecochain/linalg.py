@@ -58,7 +58,9 @@ def _integer_row(v):
 
 
 def _primitive(row, pivot):
-    """Divide a nonzero integer row by its content, pivot entry positive."""
+    """Divide a nonzero integer row by its content, pivot entry positive;
+    the row itself if its content is 1.  With `_integer_row` this is the
+    one content helper: `scalar_field` keeps its polynomials in this form."""
     g = gcd(*row.values())
     if row[pivot] < 0:
         g = -g

@@ -2,9 +2,15 @@
 
 A value is numerator/denominator.  The numerator is a Q-linear combination
 of terms, a term being a monomial in coordinate names times a product of
-formal derivatives of function symbols (``K(z)``, ``a(x)``, ...).  Terms are
-kept sorted by a fixed total order with no zero coefficients, so structural
-equality of canonical forms is meaningful and the zero test is syntactic.
+formal derivatives of function symbols (``K(z)``, ``a(x)``, ...).  A
+polynomial is stored as one rational content times a primitive integer
+polynomial whose monomials are packed exponent vectors, ints over the
+variables that occur (Monagan and Pearce, CASC 2007; Maple 14, 2009): a
+product multiplies the contents once and then adds ints and multiplies
+ints.  A field that an exponent would overflow is widened, never wrapped.
+The form is canonical, so structural equality is meaningful and the zero
+test is syntactic; Fraction appears only in contents, in `eval_at`, in
+rendering and in the term tuples of `_terms` and `cleared_numerators`.
 
 The denominator is kept factored, as a sorted tuple of (factor, exponent)
 pairs; a polynomial has none.  At most one factor is a monomial (one term,
@@ -22,8 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, gcd, lcm, prod
+from operator import or_
 from types import SimpleNamespace
+
+from .linalg import _combine, _integer_row, _primitive
 
 # Largest n * t * C(n+t-1, t-1) -- term products in raising a t-term
 # numerator to the n-th power -- that `**` starts.
@@ -79,13 +89,53 @@ class FunctionSymbol:
         return FunctionSymbol(self.name, self.args, orders)
 
 
-# A term key is (monomial, symbols):
-#   monomial: tuple of (coordinate name, exponent>0), sorted by name
-#   symbols:  tuple of (FunctionSymbol, exponent>0), sorted
-# A polynomial is a tuple of (term key, Fraction), sorted by _term_order.
+# A polynomial is a _Poly, content * sum(x * X^k for k, x in terms.items()):
+#   vs       the variables that occur: coordinate names sorted, then
+#            FunctionSymbols sorted (_var_order)
+#   w        the width in bits of every exponent field: max(_MIN_WIDTH, b + 1)
+#            for b the bit length of the largest exponent, so that adding two
+#            keys of one layout (vs, w) never carries into the next field
+#   terms    packed key -> nonzero int, the exponent of vs[i] in bits i*w up;
+#            the ints have gcd 1, and the one at the largest key (the
+#            lexicographically largest exponent vector, vs[-1] first) is > 0
+#   content  a Fraction, zero only for the zero polynomial
+# Each result moves to the layout its own terms need, so equal values have
+# equal representations.  A terms dict is never changed once made: scaling
+# and negation share it.  A monomial is a dict {variable: exponent > 0}.
+# A term key is a monomial as rendered, (coordinates, symbols): two tuples
+# of (variable, exponent), each sorted.  `_terms` lists a polynomial's terms
+# in _term_order, the order of rendering, of denominator factors
+# (_factor_order) and of the lead term that makes a factor monic.
 # A denominator is a tuple of (polynomial, exponent>0), sorted by _factor_order.
 
-_EMPTY_TERM = ((), ())
+_MIN_WIDTH = 8
+
+
+class _Poly:
+    __slots__ = ("vs", "w", "content", "terms")
+
+    def __init__(self, vs, w, content, terms):
+        self.vs, self.w, self.content, self.terms = vs, w, content, terms
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not _Poly:
+            return NotImplemented
+        return self is other or (self.terms == other.terms and self.vs == other.vs
+                                 and self.w == other.w and self.content == other.content)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+_P_ZERO = _Poly((), _MIN_WIDTH, Fraction(0), {})
+_P_ONE = _Poly((), _MIN_WIDTH, Fraction(1), {0: 1})
+
+
+def _var_order(v):
+    return v.__class__ is FunctionSymbol, v
 
 
 def _term_order(key):
@@ -93,163 +143,241 @@ def _term_order(key):
     return ((sum(e for _, e in mono), mono), syms)
 
 
+def _width(e):
+    """The field width for a largest exponent e."""
+    return max(_MIN_WIDTH, e.bit_length() + 1)
+
+
+def _exps(p, k):
+    """The monomial of p's packed key k, its variables in _var_order."""
+    mask = (1 << p.w) - 1
+    return {v: e for i, v in enumerate(p.vs) if (e := k >> i * p.w & mask)}
+
+
+def _pack(mono, vs, w):
+    return sum(e << vs.index(v) * w for v, e in mono.items())
+
+
+def _repack(terms, vs, w, to_vs, to_w):
+    """terms over the layout (vs, w) moved to (to_vs, to_w), which holds
+    every variable that occurs; the order of the keys is kept."""
+    if w == to_w and (to_vs[:len(vs)] == vs or vs[:len(to_vs)] == to_vs):
+        return terms
+    mask, at = (1 << w) - 1, {v: j * to_w for j, v in enumerate(to_vs)}
+    moves = [(i * w, at[v]) for i, v in enumerate(vs) if v in at]
+    out = {}
+    for k, x in terms.items():
+        n = 0
+        for src, dst in moves:
+            n |= (k >> src & mask) << dst
+        out[n] = x
+    return out
+
+
+def _make(vs, w, content, terms):
+    """The canonical polynomial content * terms, terms a dict from keys of
+    the layout (vs, w) to nonzero ints: the integer content moves out, and
+    the layout is cut to the variables that occur, each field as wide as
+    the largest exponent needs."""
+    if not terms:
+        return _P_ZERO
+    pivot = max(terms)
+    primitive = _primitive(terms, pivot)
+    if primitive is not terms:
+        content *= terms[pivot] // primitive[pivot]
+        terms = primitive
+    if vs:
+        used, mask = reduce(or_, terms), (1 << w) - 1
+        fields = [used >> i * w & mask for i in range(len(vs))]
+        to_w = _width(max(fields))
+        if to_w != w or not all(fields):
+            to_vs = tuple(v for v, f in zip(vs, fields) if f)
+            terms, vs, w = _repack(terms, vs, w, to_vs, to_w), to_vs, to_w
+    return _Poly(vs, w, content, terms)
+
+
+def _join(p, q):
+    """The layout of p and q together, and the terms of each over it."""
+    vs = p.vs
+    if vs != q.vs:
+        union = set(vs).union(q.vs)
+        if len(union) > len(vs):
+            vs = q.vs if len(union) == len(q.vs) else tuple(sorted(union, key=_var_order))
+    w = max(p.w, q.w)
+    return vs, w, _repack(p.terms, p.vs, p.w, vs, w), _repack(q.terms, q.vs, q.w, vs, w)
+
+
+def _monomial(mono, coef=Fraction(1)):
+    """The one-term polynomial coef * mono."""
+    vs = tuple(sorted(mono, key=_var_order))
+    w = _width(max(mono.values(), default=0))
+    return _Poly(vs, w, coef, {_pack(mono, vs, w): 1})
+
+
+def _from_terms(items):
+    """The polynomial of (term key, rational) pairs with distinct keys."""
+    monos = [(dict(m + s), Fraction(c)) for (m, s), c in items if c]
+    vs = tuple(sorted({v for m, _ in monos for v in m}, key=_var_order))
+    w = _width(max((e for m, _ in monos for e in m.values()), default=0))
+    row, scale = _integer_row({_pack(m, vs, w): c for m, c in monos})
+    return _make(vs, w, Fraction(1, scale), row)
+
+
+def _terms(p):
+    """p as (term key, Fraction) pairs sorted by _term_order."""
+    mask, fields = (1 << p.w) - 1, list(zip(p.vs, range(0, len(p.vs) * p.w, p.w)))
+    n = sum(1 for v in p.vs if v.__class__ is str)
+    coords, syms = fields[:n], fields[n:]
+    num, den = p.content.numerator, p.content.denominator
+    out = []
+    for k, x in p.terms.items():
+        key = (tuple([(v, e) for v, s in coords if (e := k >> s & mask)]),
+               tuple([(v, e) for v, s in syms if (e := k >> s & mask)]))
+        out.append((key, Fraction(num * x, den)))
+    out.sort(key=lambda kc: _term_order(kc[0]))
+    return tuple(out)
+
+
 def _factor_order(factor_exp):
     f = factor_exp[0]
-    return len(f), [(_term_order(k), c) for k, c in f]
-
-
-def _freeze(d):
-    return tuple(sorted(((k, c) for k, c in d.items() if c != 0), key=lambda kc: _term_order(kc[0])))
-
-
-_P_ZERO = ()
-_P_ONE = ((_EMPTY_TERM, Fraction(1)),)
-
-
-def _p_add(p, q):
-    d = dict(p)
-    for k, c in q:
-        d[k] = d.get(k, Fraction(0)) + c
-    return _freeze(d)
-
-
-def _p_neg(p):
-    return tuple((k, -c) for k, c in p)
+    return len(f), [(_term_order(k), c) for k, c in _terms(f)]
 
 
 def _p_scale(p, f):
-    if f == 0:
+    if f == 0 or not p.terms:
         return _P_ZERO
-    return tuple((k, c * f) for k, c in p)
+    return _Poly(p.vs, p.w, p.content * f, p.terms)
 
 
-def _mul_exps(a, b):
-    """Product of two sorted (variable, exponent) tuples: monomials or symbols."""
-    if not a or not b:
-        return a or b
-    d = dict(a)
-    for v, e in b:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
+def _p_add(p, q):
+    """Both integer parts scaled by the lcm of the content denominators,
+    added, and the content taken out again."""
+    if not q.terms:
+        return p
+    if not p.terms:
+        return q
+    vs, w, a, b = _join(p, q)
+    cp, cq = p.content, q.content
+    den = lcm(cp.denominator, cq.denominator)
+    m, n = cp.numerator * (den // cp.denominator), cq.numerator * (den // cq.denominator)
+    g = gcd(m, n)
+    return _make(vs, w, Fraction(g, den), _combine(m // g, a, -n // g, b))
 
 
 def _p_mul(p, q):
-    if q == _P_ONE:
-        return p
-    d = {}
-    for (m1, s1), c1 in p:
-        for (m2, s2), c2 in q:
-            k = (_mul_exps(m1, m2), _mul_exps(s1, s2))
-            d[k] = d.get(k, Fraction(0)) + c1 * c2
-    return _freeze(d)
+    """The contents multiply once; packed keys add, integers multiply."""
+    if not q.vs:
+        return _p_scale(p, q.content)
+    if not p.vs:
+        return _p_scale(q, p.content)
+    vs, w, a, b = _join(p, q)
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    get = out.get
+    for k1, x1 in b.items():
+        for k2, x2 in a.items():
+            k = k1 + k2
+            out[k] = get(k, 0) + x1 * x2
+    if len(b) > 1:
+        out = {k: x for k, x in out.items() if x}
+    return _make(vs, w, p.content * q.content, out)
 
 
 def _p_partial(p, coord):
-    d = {}
-    for (mono, syms), c in p:
-        for i, (name, e) in enumerate(mono):
-            if name != coord:
-                continue
-            rest = mono[:i] + ((name, e - 1),) + mono[i + 1:] if e > 1 else mono[:i] + mono[i + 1:]
-            k = (rest, syms)
-            d[k] = d.get(k, Fraction(0)) + c * e
-        for i, (sym, e) in enumerate(syms):
-            if coord not in sym.args:
-                continue
-            dsym = sym.differentiate(coord)
-            rest = syms[:i] + ((sym, e - 1),) if e > 1 else syms[:i]
-            rest = rest + syms[i + 1:]
-            k = (mono, _mul_exps(rest, ((dsym, 1),)))
-            d[k] = d.get(k, Fraction(0)) + c * e
-    return _freeze(d)
+    """Each variable that depends on coord -- the coordinate, and function
+    symbols with coord among their arguments -- loses one from its exponent,
+    which multiplies the term; a symbol's derivative gains one."""
+    steps = [(v, None) if v.__class__ is str else (v, v.differentiate(coord))
+             for v in p.vs if v == coord or v.__class__ is not str and coord in v.args]
+    if not steps:
+        return _P_ZERO
+    vs, w = p.vs, p.w
+    new = {dv for _, dv in steps if dv is not None and dv not in vs}
+    if new:
+        vs = tuple(sorted(new.union(vs), key=_var_order))
+    terms = _repack(p.terms, p.vs, w, vs, w)
+    mask = (1 << w) - 1
+    out = {}
+    get = out.get
+    for v, dv in steps:
+        src = vs.index(v) * w
+        step = (0 if dv is None else 1 << vs.index(dv) * w) - (1 << src)
+        for k, x in terms.items():
+            if e := k >> src & mask:
+                out[k + step] = get(k + step, 0) + x * e
+    return _make(vs, w, p.content, {k: x for k, x in out.items() if x})
 
 
 def _p_eval(p, point):
-    total = Fraction(0)
-    for (mono, syms), c in p:
-        if syms:
-            sym = syms[0][0]
-            raise UnresolvedFunctionSymbol(f"{sym.name}({', '.join(sym.args)}) has no value")
-        v = c
-        for name, e in mono:
-            if name not in point:
-                raise UnknownCoordinate(name)
-            v *= Fraction(point[name]) ** e
-        total += v
-    return total
+    if any(v.__class__ is not str or v not in point for v in p.vs):
+        for (mono, syms), _ in _terms(p):
+            if syms:
+                sym = syms[0][0]
+                raise UnresolvedFunctionSymbol(f"{sym.name}({', '.join(sym.args)}) has no value")
+            for name, _ in mono:
+                if name not in point:
+                    raise UnknownCoordinate(name)
+    # in integers: the value a/b of each variable, to the power e, is
+    # a^e b^(top - e) over b^top, top being the variable's largest exponent
+    w, mask = p.w, (1 << p.w) - 1
+    values = [Fraction(point[v]) for v in p.vs]
+    values = [(a.numerator, a.denominator, max(k >> i * w & mask for k in p.terms))
+              for i, a in enumerate(values)]
+    total = 0
+    for k, x in p.terms.items():
+        for a, b, top in values:
+            e = k & mask
+            x *= a ** e * b ** (top - e)
+            k >>= w
+        total += x
+    return p.content * Fraction(total, prod(b ** top for _, b, top in values))
 
 
-# -- term keys as monomials: content, cancellation, lcm ---------------------
+# -- monomials: content, cancellation, lcm -----------------------------------
 
 
-def _min_exps(a, b):
-    db = dict(b)
-    return tuple((v, min(e, db[v])) for v, e in a if v in db)
+def _mono_mul(a, b):
+    return {v: a.get(v, 0) + b.get(v, 0) for v in {**a, **b}}
 
 
-def _max_exps(a, b):
-    d = dict(a)
-    for v, e in b:
-        if e > d.get(v, 0):
-            d[v] = e
-    return tuple(sorted(d.items()))
+def _mono_gcd(a, b):
+    return {v: min(e, b[v]) for v, e in a.items() if v in b}
 
 
-def _div_exps(a, b):
-    """a / b for exponent tuples where b divides a."""
-    db = dict(b)
-    return tuple((v, e - db.get(v, 0)) for v, e in a if e > db.get(v, 0))
+def _mono_lcm(a, b):
+    return {v: max(a.get(v, 0), b.get(v, 0)) for v in {**a, **b}}
 
 
-def _key_mul(k1, k2):
-    return _mul_exps(k1[0], k2[0]), _mul_exps(k1[1], k2[1])
-
-
-def _key_gcd(k1, k2):
-    return _min_exps(k1[0], k2[0]), _min_exps(k1[1], k2[1])
-
-
-def _key_lcm(k1, k2):
-    return _max_exps(k1[0], k2[0]), _max_exps(k1[1], k2[1])
-
-
-def _key_div(k1, k2):
-    return _div_exps(k1[0], k2[0]), _div_exps(k1[1], k2[1])
+def _mono_div(a, b):
+    """a / b where b divides a."""
+    return {v: e - b.get(v, 0) for v, e in a.items() if e > b.get(v, 0)}
 
 
 def _content(p):
-    """The largest term key dividing every term of the nonzero polynomial p."""
-    (mono, syms), _ = p[0]
-    for (m, s), _ in p[1:]:
-        if not mono and not syms:
-            break
-        mono, syms = _min_exps(mono, m), _min_exps(syms, s)
-    return mono, syms
+    """The largest monomial dividing every term of the nonzero polynomial p."""
+    if 0 in p.terms:
+        return {}
+    mask = (1 << p.w) - 1
+    return {v: e for i, v in enumerate(p.vs) if (e := min(k >> i * p.w & mask for k in p.terms))}
 
 
-def _p_div_key(p, key):
-    if key == _EMPTY_TERM:
+def _p_div_mono(p, mono):
+    if not mono:
         return p
-    return _freeze({_key_div(k, key): c for k, c in p})
-
-
-def _primitive(p):
-    """(content, lead, f) with p = lead * content * f for a nonzero p: its
-    monomial content, and the rest scaled to lead coefficient 1."""
-    content = _content(p)
-    rest = _p_div_key(p, content)
-    lead = rest[-1][1]
-    return content, lead, _p_scale(rest, 1 / lead)
+    packed = _pack(mono, p.vs, p.w)
+    return _make(p.vs, p.w, p.content, {k - packed: x for k, x in p.terms.items()})
 
 
 # -- factored denominators ---------------------------------------------------
 
 
 def _split(den):
-    """A denominator as (monomial term key, {multi-term factor: exponent})."""
+    """A denominator as (monomial, {multi-term factor: exponent})."""
     if den and len(den[0][0]) == 1:
-        return den[0][0][0][0], dict(den[1:])
-    return _EMPTY_TERM, dict(den)
+        f = den[0][0]
+        return _exps(f, next(iter(f.terms))), dict(den[1:])
+    return {}, dict(den)
 
 
 def _new(num, den):
@@ -259,7 +387,7 @@ def _new(num, den):
     return e
 
 
-def _fraction(num, mono=_EMPTY_TERM, factors=None):
+def _fraction(num, mono, factors):
     """The canonical value num / (mono * prod(f^e for f, e in factors)).
 
     `factors` holds monic multi-term factors with no monomial content; it is
@@ -272,16 +400,23 @@ def _fraction(num, mono=_EMPTY_TERM, factors=None):
     den = []
     if factors:
         if any(len(f) == len(num) for f in factors):
-            content, lead, f = _primitive(num)
-            if factors.get(f):
-                factors[f] -= 1
-                num = ((content, lead),)
-        den = sorted((fe for fe in factors.items() if fe[1]), key=_factor_order)
-    if mono != _EMPTY_TERM:
-        common = _key_gcd(_content(num), mono)
-        num, mono = _p_div_key(num, common), _key_div(mono, common)
-        if mono != _EMPTY_TERM:
-            den.insert(0, (((mono, Fraction(1)),), 1))
+            # num over its content has the integer part of the monic factor
+            # it is proportional to, if any
+            content = _content(num)
+            rest = _p_div_mono(num, content)
+            for f, e in factors.items():
+                if e and f.terms == rest.terms and f.vs == rest.vs and f.w == rest.w:
+                    factors[f] -= 1
+                    num = _monomial(content, num.content / f.content)
+                    break
+        den = [fe for fe in factors.items() if fe[1]]
+        if len(den) > 1:
+            den.sort(key=_factor_order)
+    if mono:
+        common = _mono_gcd(_content(num), mono)
+        num, mono = _p_div_mono(num, common), _mono_div(mono, common)
+        if mono:
+            den.insert(0, (_monomial(mono), 1))
     return _new(num, tuple(den))
 
 
@@ -289,15 +424,15 @@ def _lcm(dens):
     """The lcm of factored denominators as (mono, factors), with the
     cofactor polynomial lcm / den of each."""
     splits = [_split(d) for d in dens]
-    mono, factors = _EMPTY_TERM, {}
+    mono, factors = {}, {}
     for m, fs in splits:
-        mono = _key_lcm(mono, m)
+        mono = _mono_lcm(mono, m)
         for f, e in fs.items():
             if e > factors.get(f, 0):
                 factors[f] = e
     cofactors = []
     for m, fs in splits:
-        c = ((_key_div(mono, m), Fraction(1)),)
+        c = _monomial(_mono_div(mono, m))
         for f, e in factors.items():
             for _ in range(e - fs.get(f, 0)):
                 c = _p_mul(c, f)
@@ -318,7 +453,10 @@ class ScalarExpr:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=()):
-        e = _fraction(num, *_split(den))
+        """The value of canonical term tuples (`_terms`): num over the
+        factors of den, a tuple of (term tuple, exponent)."""
+        den = tuple((_from_terms(f), k) for f, k in den)
+        e = _fraction(_from_terms(num), *_split(den))
         object.__setattr__(self, "num", e.num)
         object.__setattr__(self, "den", e.den)
 
@@ -337,7 +475,7 @@ class ScalarExpr:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(_p_neg(self.num), self.den)
+        return _new(_p_scale(self.num, -1), self.den)
 
     def __sub__(self, other):
         return self + (-normalize(other))
@@ -353,7 +491,7 @@ class ScalarExpr:
         (m1, factors), (m2, f2) = _split(self.den), _split(other.den)
         for f, e in f2.items():
             factors[f] = factors.get(f, 0) + e
-        return _fraction(num, _key_mul(m1, m2), factors)
+        return _fraction(num, _mono_mul(m1, m2), factors)
 
     __rmul__ = __mul__
 
@@ -364,15 +502,18 @@ class ScalarExpr:
         other = normalize(other)
         if other.is_zero():
             raise DivisionByZeroExpr("division by an expression that normalizes to zero")
-        content, lead, f = _primitive(other.num)
+        content = _content(other.num)
+        f = _p_div_mono(other.num, content)
+        lead = _terms(f)[-1][1]  # of the last term in _term_order
+        f = _p_scale(f, 1 / lead)
         mono, factors = _split(self.den)
         if len(f) > 1:
             factors[f] = factors.get(f, 0) + 1
         omono, ofactors = _split(other.den)
-        mono = _key_mul(mono, content)
-        common = _key_gcd(mono, omono)
-        mono = _key_div(mono, common)
-        num = _p_mul(self.num, ((_key_div(omono, common), 1 / lead),))
+        mono = _mono_mul(mono, content)
+        common = _mono_gcd(mono, omono)
+        mono = _mono_div(mono, common)
+        num = _p_mul(self.num, _monomial(_mono_div(omono, common), 1 / lead))
         for f, e in ofactors.items():
             cancelled = min(e, factors.get(f, 0))
             if cancelled:
@@ -386,7 +527,8 @@ class ScalarExpr:
 
     def __pow__(self, n):
         """Integer power: the numerator by n successive products (refused
-        over `MAX_POWER_WORK`), the denominator by scaling its exponents."""
+        over `MAX_POWER_WORK`), the denominator and a one-term numerator by
+        scaling their exponents."""
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
@@ -400,12 +542,17 @@ class ScalarExpr:
             raise PowerTooLarge(
                 f"raising a {t}-term numerator to the power {n} needs "
                 f"{n} * {t} * C({n + t - 1}, {t - 1}) term products, over the limit of {MAX_POWER_WORK}")
-        num = _P_ONE
-        for _ in range(n):
-            num = _p_mul(num, self.num)
-        (mono, syms), factors = _split(self.den)
-        mono = tuple((v, e * n) for v, e in mono), tuple((v, e * n) for v, e in syms)
-        return _fraction(num, mono, {f: e * n for f, e in factors.items()})
+        if t == 1:
+            p = self.num
+            num = _monomial({v: e * n for v, e in _exps(p, next(iter(p.terms))).items()},
+                            p.content ** n)
+        else:
+            num = _P_ONE
+            for _ in range(n):
+                num = _p_mul(num, self.num)
+        mono, factors = _split(self.den)
+        return _fraction(num, {v: e * n for v, e in mono.items()},
+                         {f: e * n for f, e in factors.items()})
 
     # -- predicates ------------------------------------------------------
 
@@ -444,7 +591,7 @@ class ScalarExpr:
             num = _p_add(num, t)
         for f, e, _ in moving:
             if len(f) == 1:
-                mono = _key_mul(mono, mono)
+                mono = _mono_mul(mono, mono)
             else:
                 factors[f] = e + 1
         return _fraction(num, mono, factors)
@@ -467,7 +614,7 @@ class ScalarExpr:
 
 def _const(value):
     f = Fraction(value)
-    return _new(((_EMPTY_TERM, f),) if f != 0 else _P_ZERO, ())
+    return _new(_Poly((), _MIN_WIDTH, f, {0: 1}) if f != 0 else _P_ZERO, ())
 
 
 ZERO = _const(0)
@@ -479,13 +626,13 @@ def rational(p, q=1):
 
 
 def coordinate(name):
-    return _new((((((name, 1),), ()), Fraction(1)),), ())
+    return _new(_Poly((name,), _MIN_WIDTH, Fraction(1), {1: 1}), ())
 
 
 def function(name, args):
     """The undifferentiated function symbol name(args) as an expression."""
     sym = FunctionSymbol(name, tuple(args), (0,) * len(args))
-    return _new((((() , ((sym, 1),)), Fraction(1)),), ())
+    return _new(_Poly((sym,), _MIN_WIDTH, Fraction(1), {1: 1}), ())
 
 
 def normalize(x):
@@ -537,14 +684,14 @@ def proportionality(e1, e2):
 def cleared_numerators(exprs):
     """Numerator polynomials after clearing denominators across the list.
 
-    Returns raw term tuples P_i = num_i * (L / den_i), L the lcm of the
+    Returns term tuples (`_terms`) P_i = num_i * (L / den_i), L the lcm of the
     factored denominators; a rational combination of the expressions
     vanishes iff the same combination of the P_i does, which reduces linear
     dependence over Q to coefficient matching.
     """
     exprs = [normalize(e) for e in exprs]
     _, _, cofactors = _lcm([e.den for e in exprs])
-    return [_p_mul(e.num, c) for e, c in zip(exprs, cofactors)]
+    return [_terms(_p_mul(e.num, c)) for e, c in zip(exprs, cofactors)]
 
 
 # -- rendering -------------------------------------------------------------
@@ -618,7 +765,7 @@ def _term(key, coef, style):
 
 
 def _poly(p, style):
-    return _signed_sum(_term(key, coef, style) for key, coef in p)
+    return _signed_sum(_term(key, coef, style) for key, coef in _terms(p))
 
 
 def render(e, style):

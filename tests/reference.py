@@ -3,10 +3,11 @@ Fractions, the CE operators evaluated form by form from their defining
 formulas, the interior product of a chart form by one vector field, the
 Lie bracket of two vector fields component by component, the sign of a
 permutation by counting inversions, scalar fractions with expanded
-denominators, and the workspace tokenizer that scans line by line and
-character by character.  All are deliberately naive and independent of
-`liecochain`'s fraction-free elimination, assembled operators, signed
-monomial rules, Lie derivative, factored denominators and one-pass
+denominators over polynomials held as sorted (term, Fraction) tuples, and
+the workspace tokenizer that scans line by line and character by
+character.  All are deliberately naive and independent of `liecochain`'s
+fraction-free elimination, assembled operators, signed monomial rules, Lie
+derivative, factored denominators, packed integer polynomials and one-pass
 scanner."""
 
 import re
@@ -239,6 +240,102 @@ class Echelon:
 
 
 # -- scalar fractions with expanded denominators -------------------------------
+#
+# A polynomial is a tuple of (term key, Fraction) sorted by _term_order, with
+# no zero coefficients: `scalar_field`'s term tuples (`sf._terms`), kept here
+# with their own arithmetic so that no helper is shared with the code under
+# test.  A term key is (monomial, symbols), each a sorted tuple of
+# (variable, exponent > 0); variables are coordinate names and
+# `sf.FunctionSymbol`s.
+
+_EMPTY_TERM = ((), ())
+
+
+def _term_order(key):
+    mono, syms = key
+    return ((sum(e for _, e in mono), mono), syms)
+
+
+def _freeze(d):
+    return tuple(sorted(((k, c) for k, c in d.items() if c != 0),
+                        key=lambda kc: _term_order(kc[0])))
+
+
+_P_ZERO = ()
+_P_ONE = ((_EMPTY_TERM, Fraction(1)),)
+
+
+def _p_add(p, q):
+    d = dict(p)
+    for k, c in q:
+        d[k] = d.get(k, Fraction(0)) + c
+    return _freeze(d)
+
+
+def _p_neg(p):
+    return tuple((k, -c) for k, c in p)
+
+
+def _p_scale(p, f):
+    if f == 0:
+        return _P_ZERO
+    return tuple((k, c * f) for k, c in p)
+
+
+def _mul_exps(a, b):
+    """Product of two sorted (variable, exponent) tuples: monomials or symbols."""
+    if not a or not b:
+        return a or b
+    d = dict(a)
+    for v, e in b:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def _p_mul(p, q):
+    if q == _P_ONE:
+        return p
+    d = {}
+    for (m1, s1), c1 in p:
+        for (m2, s2), c2 in q:
+            k = (_mul_exps(m1, m2), _mul_exps(s1, s2))
+            d[k] = d.get(k, Fraction(0)) + c1 * c2
+    return _freeze(d)
+
+
+def _p_partial(p, coord):
+    d = {}
+    for (mono, syms), c in p:
+        for i, (name, e) in enumerate(mono):
+            if name != coord:
+                continue
+            rest = mono[:i] + ((name, e - 1),) + mono[i + 1:] if e > 1 else mono[:i] + mono[i + 1:]
+            k = (rest, syms)
+            d[k] = d.get(k, Fraction(0)) + c * e
+        for i, (sym, e) in enumerate(syms):
+            if coord not in sym.args:
+                continue
+            dsym = sym.differentiate(coord)
+            rest = syms[:i] + ((sym, e - 1),) if e > 1 else syms[:i]
+            rest = rest + syms[i + 1:]
+            k = (mono, _mul_exps(rest, ((dsym, 1),)))
+            d[k] = d.get(k, Fraction(0)) + c * e
+    return _freeze(d)
+
+
+def _p_eval(p, point):
+    total = Fraction(0)
+    for (mono, syms), c in p:
+        if syms:
+            sym = syms[0][0]
+            raise sf.UnresolvedFunctionSymbol(f"{sym.name}({', '.join(sym.args)}) has no value")
+        v = c
+        for name, e in mono:
+            if name not in point:
+                raise sf.UnknownCoordinate(name)
+            v *= Fraction(point[name]) ** e
+        total += v
+    return total
 
 
 def _common_content(polys):
@@ -262,79 +359,86 @@ def _strip_content(p, content):
         mono = tuple((k, e - mono_min.get(k, 0)) for k, e in mono if e - mono_min.get(k, 0) > 0)
         syms = tuple((k, e - sym_min.get(k, 0)) for k, e in syms if e - sym_min.get(k, 0) > 0)
         out[(mono, syms)] = c
-    return sf._freeze(out)
+    return _freeze(out)
+
+
+def view(e):
+    """The ScalarExpr e as term tuples: (numerator, ((factor, exponent), ...));
+    `sf.ScalarExpr(*view(e)) == e`."""
+    return sf._terms(e.num), tuple((sf._terms(f), k) for f, k in e.den)
 
 
 class ExpandedFraction:
-    """Numerator and denominator both expanded polynomials (term tuples of
-    `scalar_field`): sums and products multiply whole denominators, the
-    quotient rule squares the denominator.  Canonical up to content
-    cancellation, a denominator with lead coefficient 1, and the collapse of
-    exactly proportional sides."""
+    """Numerator and denominator both expanded polynomials (term tuples):
+    sums and products multiply whole denominators, the quotient rule
+    squares the denominator.  Canonical up to content cancellation, a
+    denominator with lead coefficient 1, and the collapse of exactly
+    proportional sides."""
 
-    def __init__(self, num, den=sf._P_ONE):
+    def __init__(self, num, den=_P_ONE):
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            den = sf._P_ONE
+            den = _P_ONE
         else:
             content = _common_content((num, den))
             num, den = _strip_content(num, content), _strip_content(den, content)
             lead = den[-1][1]
-            num, den = sf._p_scale(num, 1 / lead), sf._p_scale(den, 1 / lead)
+            num, den = _p_scale(num, 1 / lead), _p_scale(den, 1 / lead)
             if len(num) == len(den) and [k for k, _ in num] == [k for k, _ in den]:
                 ratio = num[0][1] / den[0][1]
                 if all(cn == ratio * cd for (_, cn), (_, cd) in zip(num, den)):
-                    num, den = ((sf._EMPTY_TERM, ratio),), sf._P_ONE
+                    num, den = ((_EMPTY_TERM, ratio),), _P_ONE
         self.num, self.den = num, den
 
     @classmethod
     def of(cls, e):
         """The same value as the ScalarExpr e, its denominator multiplied out."""
-        den = sf._P_ONE
-        for f, k in e.den:
+        num, factors = view(e)
+        den = _P_ONE
+        for f, k in factors:
             for _ in range(k):
-                den = sf._p_mul(den, f)
-        return cls(e.num, den)
+                den = _p_mul(den, f)
+        return cls(num, den)
 
     def expr(self):
         return sf.ScalarExpr(self.num) / sf.ScalarExpr(self.den)
 
     def __add__(self, other):
         return ExpandedFraction(
-            sf._p_add(sf._p_mul(self.num, other.den), sf._p_mul(other.num, self.den)),
-            sf._p_mul(self.den, other.den))
+            _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den)),
+            _p_mul(self.den, other.den))
 
     def __neg__(self):
-        return ExpandedFraction(sf._p_neg(self.num), self.den)
+        return ExpandedFraction(_p_neg(self.num), self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return ExpandedFraction(sf._p_mul(self.num, other.num), sf._p_mul(self.den, other.den))
+        return ExpandedFraction(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
 
     def __truediv__(self, other):
-        return ExpandedFraction(sf._p_mul(self.num, other.den), sf._p_mul(self.den, other.num))
+        return ExpandedFraction(_p_mul(self.num, other.den), _p_mul(self.den, other.num))
 
     def __pow__(self, n):
         base = self if n >= 0 else ExpandedFraction(self.den, self.num)
-        out = ExpandedFraction(sf._P_ONE)
+        out = ExpandedFraction(_P_ONE)
         for _ in range(abs(n)):
             out = out * base
         return out
 
     def partial(self, coord):
-        dn = sf._p_partial(self.num, coord)
-        dd = sf._p_partial(self.den, coord)
-        num = sf._p_add(sf._p_mul(dn, self.den), sf._p_neg(sf._p_mul(self.num, dd)))
-        return ExpandedFraction(num, sf._p_mul(self.den, self.den))
+        dn = _p_partial(self.num, coord)
+        dd = _p_partial(self.den, coord)
+        num = _p_add(_p_mul(dn, self.den), _p_neg(_p_mul(self.num, dd)))
+        return ExpandedFraction(num, _p_mul(self.den, self.den))
 
     def equals(self, other):
-        return sf._p_mul(self.num, other.den) == sf._p_mul(other.num, self.den)
+        return _p_mul(self.num, other.den) == _p_mul(other.num, self.den)
 
     def eval_at(self, point):
-        return sf._p_eval(self.num, point) / sf._p_eval(self.den, point)
+        return _p_eval(self.num, point) / _p_eval(self.den, point)
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|[{}\[\]()=,+\-*/^]")

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from liecochain import dsl
+from liecochain import cli, dsl
 from liecochain import scalar_field as sf
 
 from genutil import random_scalar
+import reference as ref
 
 x, y, z = sf.coordinate("x"), sf.coordinate("y"), sf.coordinate("z")
 K = sf.function("K", ("z",))
@@ -31,6 +32,12 @@ def test_fraction_kept_unreduced():
     assert e.den == (((y - 1).num, 1),)  # the single factor y - 1, exponent 1
 
 
+def test_numerator_proportional_to_a_factor_cancels():
+    # 2x + 1 is kept as the monic factor x + 1/2
+    assert (6 * x + 3) / (2 * x + 1) == 3
+    assert ((6 * x + 3) * y) / ((2 * x + 1) * y ** 2) == 3 / y
+
+
 def test_division_by_zero_expr():
     with pytest.raises(sf.DivisionByZeroExpr):
         x / (y - y)
@@ -45,7 +52,7 @@ def test_partial_leibniz():
 def test_partial_formal_prime():
     d = sf.partial(K * y ** 2, "z")
     prime = sf.FunctionSymbol("K", ("z",), (1,))
-    assert d.num[0][0][1] == ((prime, 1),)
+    assert ref.view(d)[0][0][0][1] == ((prime, 1),)
     assert sf.dsl_str(d) == "y^2*D(K(z),z)"
 
 
@@ -108,7 +115,7 @@ def test_power_work_limit():
     with pytest.raises(sf.PowerTooLarge, match="over the limit of"):
         base ** 3000
     # exponents of denominator factors only multiply
-    assert (1 / base) ** 3000 == sf.ScalarExpr(sf.ONE.num, ((base.num, 3000),))
+    assert (1 / base) ** 3000 == sf.ScalarExpr(ref.view(sf.ONE)[0], ((ref.view(base)[0], 3000),))
 
 
 def test_power_negative_and_zero():
@@ -188,6 +195,11 @@ def test_cleared_numerators():
     f2 = (2 * y + 2) / (x + 1)
     q1, q2 = sf.cleared_numerators([f1, f2])
     assert sf.equals(2 * sf.ScalarExpr(q1) - sf.ScalarExpr(q2), 0)
+    # exact rationals at this boundary, one per term
+    r1, r2 = sf.cleared_numerators([x / 3 + y / 2, sf.rational(-5, 7) / (x + 1)])
+    assert r1 == ((((("x", 1),), ()), Fraction(1, 3)), (((("y", 1),), ()), Fraction(1, 2)),
+                  (((("x", 1), ("y", 1)), ()), Fraction(1, 2)), (((("x", 2),), ()), Fraction(1, 3)))
+    assert r2 == ((((), ()), Fraction(-5, 7)),)
 
 
 def test_dsl_rendering_deterministic():
@@ -230,6 +242,11 @@ RENDERINGS = [
     ('-1/2*D(K(x,y),y)*x^2', '-1/2·x²·∂K/∂y(x,y)', '-1/2*x^2*D(K(x,y),y)'),
     ('K(x,y)/(1 + x^2)', '(K(x,y))/(1 + x²)', 'K(x,y)/(1 + x^2)'),
     ('3*D(f(x),x)/(f(x))^11', '(3·f′(x))/(f(x)¹¹)', '3*D(f(x),x)/(f(x)^11)'),
+    # the lead term that makes a factor monic is the last in degree order
+    # (x^2), not in lexicographic order (y)
+    ('1/(2*x^2 + 3*y)', '(1/2)/(3/2·y + x²)', '1/2/(3/2*y + x^2)'),
+    ('(y + x^2)/(3*y - 2*x^2)/z', '(-1/2·y - 1/2·x²)/(z)/(-3/2·y + x²)',
+     '(-1/2*y - 1/2*x^2)/(z)/(-3/2*y + x^2)'),
 ]
 
 
@@ -241,3 +258,141 @@ def test_rendering_styles(text, shown, plain):
     assert sf.pretty(e) == shown
     assert str(e) == shown
     assert sf.dsl_str(e) == plain
+
+
+# -- packed exponent fields widen and never wrap -------------------------------
+
+
+def _sympy_of(e, sympy):
+    """e as a sympy expression, built from its term tuples."""
+    def poly(p):
+        total = sympy.Integer(0)
+        for (mono, syms), c in p:
+            t = sympy.Rational(c.numerator, c.denominator)
+            for name, k in mono:
+                t *= sympy.Symbol(name) ** k
+            for sym, k in syms:
+                f = sympy.Function(sym.name)(*map(sympy.Symbol, sym.args))
+                orders = [(sympy.Symbol(a), o) for a, o in zip(sym.args, sym.orders) if o]
+                t *= (sympy.Derivative(f, *orders) if orders else f) ** k
+            total += t
+        return total
+    num, den = ref.view(e)
+    out = poly(num)
+    for f, k in den:
+        out /= poly(f) ** k
+    return out
+
+
+def _x_to(n):
+    """x^n built from its term tuple, without `**`."""
+    return sf.ScalarExpr(((((("x", n),), ()), Fraction(1)),))
+
+
+def test_exponent_field_widens_for_a_product():
+    e = x ** 40000 * x ** 40000
+    assert e == x ** 80000 == _x_to(80000)
+    assert ref.view(e)[0] == ref._p_mul(ref.view(x ** 40000)[0], ref.view(x ** 40000)[0])
+    d = sf.partial(e, "x")
+    assert d == 80000 * _x_to(79999)
+    assert ref.view(d)[0] == ref._p_partial(ref.view(e)[0], "x") == \
+        ((((("x", 79999),), ()), Fraction(80000)),)
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
+    assert sympy.expand(_sympy_of(d, sympy) - sympy.diff(X ** 40000 * X ** 40000, X)) == 0
+
+
+@pytest.mark.parametrize("n", [63, 64, 127, 128, 255, 256])
+def test_full_exponent_field_does_not_carry_into_the_next(n):
+    # x's field sits below y's; x^n * x^n must not leave a carry in y's field
+    a, b = x ** n * y + 1, x ** n * z - y
+    e = a * b
+    assert ref.view(e)[0] == ref._p_mul(ref.view(a)[0], ref.view(b)[0])
+    assert ref.view(e)[0][-1] == (((("x", 2 * n), ("y", 1), ("z", 1)), ()), Fraction(1))
+    assert sf.equals(sf.partial(e, "y"), x ** n * b - a)
+
+
+def test_product_over_forty_coordinates():
+    names = [f"c{i}" for i in range(40)]
+    e, want = sf.ONE, ref._P_ONE
+    for i, name in enumerate(names):
+        f = sf.coordinate(name) ** (i % 7 + 1)
+        e, want = e * f, ref._p_mul(want, ref.view(f)[0])
+    g = sf.coordinate("c0") + sf.coordinate("c39") - 3
+    e, want = e * g * g, ref._p_mul(ref._p_mul(want, ref.view(g)[0]), ref.view(g)[0])
+    assert ref.view(e)[0] == want and len(e.num) == 6
+    d = sf.partial(e, "c20")
+    assert ref.view(d)[0] == ref._p_partial(want, "c20")
+    point = {name: Fraction(i + 1, 3) for i, name in enumerate(names)}
+    assert sf.eval_at(d, point) == ref._p_eval(ref.view(d)[0], point)
+    sympy = pytest.importorskip("sympy")
+    cs = [sympy.Symbol(name) for name in names]
+    product = sympy.Mul(*(c ** (i % 7 + 1) for i, c in enumerate(cs)))
+    want_d = sympy.diff(product * (cs[0] + cs[39] - 3) ** 2, cs[20])
+    assert sympy.expand(_sympy_of(d, sympy) - want_d) == 0
+
+
+def test_twelfth_derivative_of_a_function_symbol():
+    twelfth = sf.FunctionSymbol("K", ("z",), (12,))
+    e, want = z ** 3 * K, ref.view(z ** 3 * K)[0]
+    # K^130 needs a wider field than K^127 and its derivatives add symbols
+    wide, wide_want = z ** 3 * K ** 130, ref.view(z ** 3 * K ** 130)[0]
+    for _ in range(12):
+        e, want = sf.partial(e, "z"), ref._p_partial(want, "z")
+        wide, wide_want = sf.partial(wide, "z"), ref._p_partial(wide_want, "z")
+        assert ref.view(e)[0] == want
+        assert ref.view(wide)[0] == wide_want
+    assert ref.view(e)[0][-1] == (((("z", 3),), ((twelfth, 1),)), Fraction(1))
+    assert len(wide.num) == 205
+    sympy = pytest.importorskip("sympy")
+    Z = sympy.Symbol("z")
+    want_e = sympy.diff(Z ** 3 * sympy.Function("K")(Z), Z, 12)
+    assert sympy.expand(_sympy_of(e, sympy) - want_e) == 0
+
+
+def test_term_tuples_round_trip():
+    rng = random.Random(23)
+    funcs = (("K", ("z",)), ("g", ("x", "y")))
+    for _ in range(100):
+        e = random_scalar(rng, ("x", "y", "z"), funcs) / (x ** 2 + y + 1)
+        assert sf.ScalarExpr(*ref.view(e)) == e
+        assert all(type(c) is Fraction for _, c in ref.view(e)[0])
+
+
+def _fresh_workspace(tag, n=10):
+    """A workspace over n coordinates and n functions whose names no other
+    workspace uses, with an action so that validation and the invariance
+    check differentiate and clear denominators."""
+    cs = [f"{tag}c{i}" for i in range(n)]
+    fs = [f"{tag}f{i}({c})" for i, c in enumerate(cs)]
+    terms = [f"{fs[i]}*{cs[i - 1]}^2" for i in range(n)]
+    terms[0] += f"/({cs[0]}^2 + {cs[1]}^2 + 1)"
+    return "\n".join([
+        f"chart M {{ coords = [{', '.join(cs)}] }}",
+        *(f"function {f}" for f in fs),
+        "lie_algebra u1 {\n  dim 1\n}",
+        f"vectorfield v on M = {cs[0]}*D({cs[1]}) - {cs[1]}*D({cs[0]})",
+        "action act { algebra u1 chart M generators = [v] orbit_dim 1 }",
+        f"form w on M = {' + '.join(terms)}",
+        f"point P on M = ({', '.join(str(i + 1) for i in range(n))})",
+        "check validate()", ""])
+
+
+def _module_containers():
+    return {name: len(value) for name, value in vars(sf).items()
+            if isinstance(value, (dict, list, set))}
+
+
+def test_no_state_outlives_a_call(tmp_path, capsys):
+    # 50 fresh coordinate names and 50 fresh function names over five calls
+    before = _module_containers()
+    constants = [len(p.terms) for p in (sf._P_ZERO, sf._P_ONE)]
+    for tag in "pqrst":
+        path = tmp_path / f"{tag}.lch"
+        path.write_text(_fresh_workspace(tag))
+        assert cli.main(["validate", "--input", str(path)]) == 0
+        assert cli.main(["check", "invariant", "--input", str(path),
+                         "--action", "act", "--object", "w"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+    assert _module_containers() == before
+    assert [len(p.terms) for p in (sf._P_ZERO, sf._P_ONE)] == constants
