@@ -175,9 +175,7 @@ def fixed_space_at(action, sample, tangent_reps=()):
 
     # vertical part: intersect with the span of the generators at the point
     pt = chart.point_map(point)
-    vert = linalg.Echelon()
-    for g in action.generators:
-        vert.insert([c.eval_at(pt) for c in g.components])
+    vert = linalg.Echelon([c.eval_at(pt) for c in g.components] for g in action.generators)
     fixed_vertical = _intersect(fixed_tangent, [list(r) for r in vert.rows.values()], chart.dim)
     return IsotropySample(point, sample.isotropy_basis, fixed_tangent, fixed_vertical,
                           sample.component_reps)

@@ -7,7 +7,12 @@ cohomology is computed degreewise by exact kernel/image linear algebra, the
 identity component acting infinitesimally and extra components through their
 matrices.  The differential and the relative constraints are assembled from
 the bracket table as the images of basis monomials, once per degree, and
-handed to `linalg` as sparse rows.
+handed to `linalg` as sparse rows of integers: the structure constants are
+scaled by the lcm of their denominators, subalgebra vectors are primitive
+and component inverses integral, which changes no kernel or image.  The
+relative forms and the kernel of d are primitive integer vectors
+(`linalg.kernel`); Fractions appear only in the representatives, and the
+public per-form operators divide by the scale once at the end.
 
 Differential convention, on basis tuples x_0..x_r:
     (d a)(x_0,...,x_r) = sum_{i<j} (-1)^{i+j} a([x_i,x_j], ..no x_i, x_j..)
@@ -17,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
 from . import linalg
-from .linalg import SingularMatrix, _accumulate, _contract
+from .linalg import SingularMatrix, _accumulate, _contract, _integer_row, _primitive
 
 
 class CohomologyError(Exception):
@@ -158,15 +164,12 @@ def validate_subgroup(algebra, sub):
     problems = []
     n = algebra.dim
     basis = [list(v) for v in sub.basis]
-    if basis and linalg.rank(basis) != len(basis):
+    span = linalg.Echelon(basis)
+    if len(span) != len(basis):
         problems.append("subalgebra basis vectors are linearly dependent")
-    span = linalg.Echelon()
-    for v in basis:
-        span.insert(v)
-    for a in range(len(basis)):
-        for b in range(a + 1, len(basis)):
-            if not span.contains(algebra.bracket(basis[a], basis[b])):
-                problems.append(f"subalgebra not closed under bracket at pair ({a}, {b})")
+    for a, b in combinations(range(len(basis)), 2):
+        if not span.contains(algebra.bracket(basis[a], basis[b])):
+            problems.append(f"subalgebra not closed under bracket at pair ({a}, {b})")
     for m_idx, m in enumerate(sub.component_reps):
         m = [list(row) for row in m]
         try:
@@ -220,12 +223,19 @@ def _apply(coeffs, image):
     return {u: x for u, x in out.items() if x}
 
 
-def _dual_table(algebra):
+def _integer_brackets(algebra):
+    """(brackets, scale): {(i, j, k): c} with c the e_k-component of
+    [e_i, e_j] (i < j) times scale, the lcm of the denominators, as ints.
+    Scaling changes no kernel or image."""
+    return _integer_row({(i, j, k): c for (i, j), rhs in algebra.brackets.items()
+                         for k, c in rhs.items()})
+
+
+def _dual_table(brackets):
     """k -> [(i, j, c)]: the brackets [e_i, e_j] (i < j) with e_k-component c."""
     dual = {}
-    for (i, j), rhs in algebra.brackets.items():
-        for k, c in rhs.items():
-            dual.setdefault(k, []).append((i, j, c))
+    for (i, j, k), c in brackets.items():
+        dual.setdefault(k, []).append((i, j, c))
     return dual
 
 
@@ -243,16 +253,15 @@ def _interior_image(v, t):
             for k in t if v[k] for sign, rest in [_contract(t, (k,))]}
 
 
-def _coadjoint_table(algebra, v):
+def _coadjoint_table(brackets, v):
     """k -> {j: -[v, e_j]_k}, so that v.a^k = sum_j of these times a^j."""
     table = {}
-    for (i, j), rhs in algebra.brackets.items():
-        for k, c in rhs.items():
-            row = table.setdefault(k, {})
-            if v[i]:
-                row[j] = row.get(j, 0) - v[i] * c
-            if v[j]:
-                row[i] = row.get(i, 0) + v[j] * c
+    for (i, j, k), c in brackets.items():
+        row = table.setdefault(k, {})
+        if v[i]:
+            row[j] = row.get(j, 0) - v[i] * c
+        if v[j]:
+            row[i] = row.get(i, 0) + v[j] * c
     return table
 
 
@@ -264,68 +273,81 @@ def _action_image(table, t):
 
 
 def _pullback_image(minv, t):
-    """M.a^t = (a^{t1} o M^-1) ^ ... ^ (a^{tr} o M^-1): its coefficients are
-    the minors of M^-1 on the rows t."""
-    rows = [minv[i] for i in t]
-    support = sorted({j for row in rows for j, x in enumerate(row) if x})
-    out = {}
-    for u in combinations(support, len(t)):
-        x = linalg.det([[row[j] for j in u] for row in rows])
-        if x:
-            out[u] = x
+    """M.a^t = (a^{t1} o M^-1) ^ ... ^ (a^{tr} o M^-1), the factors, rows of
+    M^-1, wedged on in turn."""
+    out = {(): 1}
+    for i in t:
+        out = _accumulate((u + (j,), c * x) for u, c in out.items()
+                          for j, x in enumerate(minv[i]) if x)
+        out = {u: x for u, x in out.items() if x}
     return out
+
+
+def _primitive_vector(v):
+    """A nonzero multiple of v as a dense primitive integer vector."""
+    row = _integer_row(v)[0]
+    row = _primitive(row, min(row)) if row else row
+    return [row.get(i, 0) for i in range(len(v))]
 
 
 class _Constraints:
     """The conditions cutting the relative forms out of the cochains, as
     maps on basis monomials: the interior product and the coadjoint action
-    of each subalgebra vector, and M - 1 for each component matrix M."""
+    of each subalgebra vector, and M - 1 for each component matrix M.  Each
+    map is scaled to integers: the vectors are primitive, the bracket table
+    is integral, and for M^-1 = N / s the map is N - s^r in degree r."""
 
-    def __init__(self, algebra, sub):
-        self.vectors = [list(v) for v in sub.basis]
-        self.tables = [_coadjoint_table(algebra, v) for v in self.vectors]
-        self.inverses = [linalg.inverse([list(row) for row in m]) for m in sub.component_reps]
+    def __init__(self, algebra, sub, brackets):
+        self.dim = algebra.dim
+        self.vectors = [_primitive_vector(v) for v in sub.basis]
+        self.tables = [_coadjoint_table(brackets, v) for v in self.vectors]
+        self.inverses = []
+        for m in sub.component_reps:
+            n = len(m)
+            flat, s = _integer_row(sum(linalg.inverse([list(row) for row in m]), []))
+            self.inverses.append(
+                ([[flat.get(i * n + j, 0) for j in range(n)] for i in range(n)], s))
         self._images = {}
 
     def images(self, t):
-        """The image of a^t under each map, in a fixed order; built once per t."""
+        """The images of a^t under the maps, numbered in a fixed order, as one
+        sparse map {(number, monomial): coefficient}; built once per t."""
         images = self._images.get(t)
         if images is None:
-            images = [_interior_image(v, t) for v in self.vectors] if t else []
-            images += [_action_image(table, t) for table in self.tables]
-            for minv in self.inverses:
+            maps = [_interior_image(v, t) for v in self.vectors] if t else []
+            maps += [_action_image(table, t) for table in self.tables]
+            for minv, s in self.inverses:
                 image = _pullback_image(minv, t)
-                image[t] = image.get(t, 0) - 1
-                images.append({u: x for u, x in image.items() if x})
+                image[t] = image.get(t, 0) - s ** len(t)
+                maps.append(image)
+            images = {(n, u): x for n, image in enumerate(maps) for u, x in image.items() if x}
             self._images[t] = images
         return images
 
-    def rows(self, tuples):
-        """The constraint matrix on the monomials `tuples`, as sparse rows."""
+    def rows(self, degree):
+        """The constraint matrix on the monomials of the degree, as sparse
+        rows, and those monomials in order: the columns."""
+        tuples = list(combinations(range(self.dim), degree))
         rows = {}
         for t in tuples:
-            for n, image in enumerate(self.images(t)):
-                for u, x in image.items():
-                    rows.setdefault((n, u), {})[t] = x
-        return list(rows.values())
+            for key, x in self.images(t).items():
+                rows.setdefault(key, {})[t] = x
+        return list(rows.values()), tuples
 
     def hold(self, coeffs):
         """Does the form with these coefficients satisfy every condition?"""
-        totals = {}
-        for t, c in coeffs.items():
-            for n, image in enumerate(self.images(t)):
-                for u, x in image.items():
-                    totals[n, u] = totals.get((n, u), 0) + c * x
-        return not any(totals.values())
+        return not _apply(coeffs, self.images)
 
 
 def ce_differential(algebra, alpha):
     """Chevalley-Eilenberg differential of an alternating form."""
     if alpha.degree >= algebra.dim:
         raise DegreeOverflow("differential of a top-degree form")
-    dual = _dual_table(algebra)
-    return AltForm(algebra.dim, alpha.degree + 1,
+    brackets, scale = _integer_brackets(algebra)
+    dual = _dual_table(brackets)
+    form = AltForm(algebra.dim, alpha.degree + 1,
                    _apply(alpha.coeffs, lambda t: _d_image(dual, t)))
+    return form if scale == 1 else form.scaled(Fraction(1, scale))
 
 
 def interior(v, alpha):
@@ -338,9 +360,11 @@ def interior(v, alpha):
 
 def infinitesimal_action(algebra, v, alpha):
     """Coadjoint action (v.a)(x_1..x_r) = -sum_i a(x_1,..,[v,x_i],..,x_r)."""
-    table = _coadjoint_table(algebra, v)
-    return AltForm(algebra.dim, alpha.degree,
+    brackets, scale = _integer_brackets(algebra)
+    table = _coadjoint_table(brackets, v)
+    form = AltForm(algebra.dim, alpha.degree,
                    _apply(alpha.coeffs, lambda t: _action_image(table, t)))
+    return form if scale == 1 else form.scaled(Fraction(1, scale))
 
 
 def coadjoint_matrix_action(matrix, alpha):
@@ -363,8 +387,7 @@ def relative_basis(algebra, sub, degree, validate=True):
     _check_size(algebra.dim, degree)
     if validate:
         _require_valid_subgroup(algebra, sub)
-    tuples = list(combinations(range(algebra.dim), degree))
-    rows = _Constraints(algebra, sub).rows(tuples)
+    rows, tuples = _Constraints(algebra, sub, _integer_brackets(algebra)[0]).rows(degree)
     return [AltForm(algebra.dim, degree, v) for v in linalg.nullspace(rows, tuples)]
 
 
@@ -385,19 +408,17 @@ def relative_cohomology(algebra, sub, degree, validate=True):
     _check_size(p, degree - 1, degree, degree + 1)
     if validate:
         _require_valid_subgroup(algebra, sub)
-    basis = relative_basis(algebra, sub, degree, validate=False)
-    below = relative_basis(algebra, sub, degree - 1, validate=False) if degree >= 1 else []
-    constraints = _Constraints(algebra, sub)
-    dual = _dual_table(algebra)
-    d_images = {}
+    brackets = _integer_brackets(algebra)[0]
+    constraints = _Constraints(algebra, sub, brackets)
+    basis = linalg.kernel(*constraints.rows(degree))
+    below = linalg.kernel(*constraints.rows(degree - 1)) if degree >= 1 else []
+    dual = _dual_table(brackets)
+    d_image = cache(lambda t: _d_image(dual, t))
 
     def differential(b):
         """d b from the images of its monomials, each built once; d b must
         satisfy the constraints one degree up."""
-        for t in b.coeffs:
-            if t not in d_images:
-                d_images[t] = _d_image(dual, t)
-        db = _apply(b.coeffs, d_images.__getitem__)
+        db = _apply(b, d_image)
         if not constraints.hold(db):
             raise RelativeComplexNotClosed(
                 "differential left the relative subcomplex; subgroup data is inconsistent")
@@ -409,25 +430,17 @@ def relative_cohomology(algebra, sub, degree, validate=True):
         for i, b in enumerate(basis):
             for u, x in differential(b).items():
                 rows.setdefault(u, {})[i] = x
-        coords = linalg.nullspace(list(rows.values()), range(len(basis)))
-        kernel = [_apply(c, lambda i: basis[i].coeffs) for c in coords]
+        coords = linalg.kernel(list(rows.values()), range(len(basis)))
+        kernel = [_apply(c, basis.__getitem__) for c in coords]
     else:
-        kernel = [b.coeffs for b in basis]
+        kernel = basis
 
-    quotient = linalg.Echelon()
-    for b in below:
-        quotient.insert(differential(b))
-    image_rank = len(quotient)
-    reps = []
-    for vec in kernel:
-        reduced = quotient.insert(vec)
-        if reduced is not None:
-            reps.append(AltForm(p, degree, reduced))
-
-    dims = {degree - 1: len(below)} if degree >= 1 else {}
-    dims[degree] = len(basis)
-    dimension = len(kernel) - image_rank
+    quotient = linalg.Echelon([differential(b) for b in below])
+    dimension = len(kernel) - len(quotient)
+    reps = [AltForm(p, degree, r) for r in map(quotient.insert, kernel) if r is not None]
     assert dimension == len(reps)
+
+    dims = {r: len(forms) for r, forms in [(degree - 1, below), (degree, basis)] if r >= 0}
     return CohomologyResult(degree, dimension, reps, dims)
 
 

@@ -2,8 +2,8 @@
 
 Matrices are lists of rows of Fraction.  A row may also be sparse: a dict
 from column keys (integers, or any keys that sort in column order, such as
-index tuples) to values.  `nullspace` takes sparse rows with the list of
-column keys, and `Echelon` gives back vectors of the kind it is given.
+index tuples) to values.  `kernel` and `nullspace` take sparse rows with the
+list of column keys, and `Echelon` gives back vectors of the kind it is given.
 
 Every elimination is fraction-free and exact, so rank, kernel and
 membership answers are decisions, not approximations.  Each row is scaled
@@ -92,7 +92,7 @@ def _normalised(row, pivot, width=None):
 class Echelon:
     """Incremental row space in reduced echelon form, for membership tests
     and reduction modulo a growing subspace.  This is the one elimination
-    kernel: rref, rank, nullspace, inverse and det all run on it.
+    kernel: rref, rank, kernel, nullspace and inverse run on it.
 
     Rows are held as primitive integer rows with a positive pivot entry,
     each zero in the pivot columns of the others."""
@@ -101,7 +101,7 @@ class Echelon:
         self._rows = {}  # pivot column -> primitive integer row
         self._width = 0
         for v in rows:
-            self.insert(v)
+            self._hold(v)
 
     def _reduce(self, row):
         """(mult * row minus a combination of the held rows, mult): zero in
@@ -138,17 +138,20 @@ class Echelon:
             return dict(sorted(exact.items()))
         return [exact.get(c, Fraction(0)) for c in range(len(v))]
 
+    def _hold(self, v):
+        """Reduce v against the space and hold the remainder if nonzero:
+        (pivot, primitive integer row), or None if v was in the space."""
+        if not isinstance(v, dict):
+            self._width = len(v)
+        row, _ = self._reduce(_integer_row(v)[0])
+        return self._add(row) if row else None
+
     def insert(self, v):
         """Reduce v against the space; insert the remainder if nonzero.
         Returns the reduced vector scaled to pivot entry 1, or None if v was
         already in the space."""
-        if not isinstance(v, dict):
-            self._width = len(v)
-        row, _ = self._reduce(_integer_row(v)[0])
-        if not row:
-            return None
-        pivot, row = self._add(row)
-        return _normalised(row, pivot, None if isinstance(v, dict) else len(v))
+        held = self._hold(v)
+        return held and _normalised(held[1], held[0], None if isinstance(v, dict) else len(v))
 
     def contains(self, v):
         return not self._reduce(_integer_row(v)[0])[0]
@@ -178,11 +181,26 @@ def rank(m):
     return len(Echelon(m))
 
 
-def nullspace(m, columns=None):
-    """Deterministic basis of {x : m x = 0}.
+def kernel(rows, columns):
+    """Integer basis of {x : rows x = 0}, for sparse rows and the ordered
+    column keys: one primitive sparse vector per free column, taken in
+    increasing column order.  Its free column is its last key and holds a
+    positive entry, and the other free columns hold 0."""
+    held = Echelon(rows)._rows
+    basis = []
+    for fc in (c for c in columns if c not in held):
+        pivots = [(pc, row[pc], x) for pc, row in held.items() if (x := row.get(fc))]
+        scale = lcm(*(p for _, p, _ in pivots))
+        v = {pc: -x * (scale // p) for pc, p, x in pivots}
+        v[fc] = scale
+        basis.append(dict(sorted(_primitive(v, fc).items())))
+    return basis
 
-    One basis vector per free column, taken in increasing column order; the
-    vector carries 1 in its own free column and 0 in the other free columns.
+
+def nullspace(m, columns=None):
+    """Deterministic basis of {x : m x = 0}: the `kernel`, each vector in
+    Fractions with 1 in its own free column (and 0 in the other ones).
+
     Given the ordered column keys, the rows may be sparse and the basis
     vectors are sparse; an empty m then has the unit vectors as basis.
     """
@@ -192,18 +210,8 @@ def nullspace(m, columns=None):
         n_cols = len(m[0])
         return [[v.get(c, Fraction(0)) for c in range(n_cols)]
                 for v in nullspace(m, range(n_cols))]
-    held = Echelon(m)._rows
-    basis = []
-    for fc in columns:
-        if fc in held:
-            continue
-        v = {fc: Fraction(1)}
-        for pc, row in held.items():
-            x = row.get(fc)
-            if x:
-                v[pc] = Fraction(-x, row[pc])
-        basis.append(dict(sorted(v.items())))
-    return basis
+    return [{c: Fraction(x, v[fc]) for c, x in v.items()}
+            for v in kernel(m, columns) for fc in [next(reversed(v))]]
 
 
 def inverse(m):
@@ -213,28 +221,6 @@ def inverse(m):
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     return [row[n:] for row in rows]
-
-
-def det(m):
-    """Determinant of a square matrix.
-
-    Each row, reduced against the rows before it, keeps the determinant and
-    is zero in their pivot columns; taken in pivot order the reduced rows
-    form a triangular matrix, whose determinant is the signed product of
-    the pivot entries."""
-    ech = Echelon()
-    value = Fraction(1)
-    pivots = []
-    for v in m:
-        row, scale = _integer_row(v)
-        row, mult = ech._reduce(row)
-        if not row:
-            return Fraction(0)
-        pivot = min(row)
-        value *= Fraction(row[pivot], scale * mult)
-        pivots.append(pivot)
-        ech._add(row)
-    return _sort_sign(pivots)[0] * value
 
 
 # -- alternating tensors ------------------------------------------------------

@@ -39,6 +39,11 @@ from .linalg import _combine, _integer_row, _primitive
 # numerator to the n-th power -- that `**` starts.
 MAX_POWER_WORK = 1_000_000
 
+# Largest number of term products -- each numerator's terms times the terms
+# of its cofactor, at most the product of the cofactor's factor lengths --
+# that bringing fractions to their common denominator starts.
+MAX_SUM_WORK = 30_000
+
 
 class ScalarError(Exception):
     pass
@@ -61,6 +66,10 @@ class PoleAtPoint(ScalarError):
 
 
 class PowerTooLarge(ScalarError):
+    pass
+
+
+class SumTooLarge(ScalarError):
     pass
 
 
@@ -420,16 +429,25 @@ def _fraction(num, mono, factors):
     return _new(num, tuple(den))
 
 
-def _lcm(dens):
-    """The lcm of factored denominators as (mono, factors), with the
-    cofactor polynomial lcm / den of each."""
-    splits = [_split(d) for d in dens]
+def _lcm(exprs):
+    """The lcm of the expressions' factored denominators as (mono, factors),
+    with the cofactor polynomial lcm / den of each; refused when multiplying
+    the numerators by their cofactors could take over MAX_SUM_WORK term
+    products."""
+    splits = [_split(e.den) for e in exprs]
     mono, factors = {}, {}
     for m, fs in splits:
         mono = _mono_lcm(mono, m)
         for f, e in fs.items():
             if e > factors.get(f, 0):
                 factors[f] = e
+    work = sum(len(e.num) * prod(len(f) ** (k - fs.get(f, 0)) for f, k in factors.items())
+               for e, (_, fs) in zip(exprs, splits))
+    if work > MAX_SUM_WORK:
+        raise SumTooLarge(
+            f"bringing {len(exprs)} fractions to the common denominator of their "
+            f"{len(factors)} factors needs up to {work} term products, "
+            f"over the limit of {MAX_SUM_WORK}")
     cofactors = []
     for m, fs in splits:
         c = _monomial(_mono_div(mono, m))
@@ -469,7 +487,7 @@ class ScalarExpr:
         other = normalize(other)
         if self.den == other.den:
             return _fraction(_p_add(self.num, other.num), *_split(self.den))
-        mono, factors, (c1, c2) = _lcm((self.den, other.den))
+        mono, factors, (c1, c2) = _lcm((self, other))
         return _fraction(_p_add(_p_mul(self.num, c1), _p_mul(other.num, c2)), mono, factors)
 
     __radd__ = __add__
@@ -665,7 +683,7 @@ def equals(e1, e2):
     e1, e2 = normalize(e1), normalize(e2)
     if e1.den == e2.den:
         return e1.num == e2.num
-    _, _, (c1, c2) = _lcm((e1.den, e2.den))
+    _, _, (c1, c2) = _lcm((e1, e2))
     return _p_mul(e1.num, c1) == _p_mul(e2.num, c2)
 
 
@@ -690,7 +708,7 @@ def cleared_numerators(exprs):
     dependence over Q to coefficient matching.
     """
     exprs = [normalize(e) for e in exprs]
-    _, _, cofactors = _lcm([e.den for e in exprs])
+    _, _, cofactors = _lcm(exprs)
     return [_terms(_p_mul(e.num, c)) for e, c in zip(exprs, cofactors)]
 
 

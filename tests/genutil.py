@@ -172,6 +172,28 @@ _TEMPLATES = {
 }
 
 
+def so(n):
+    """so(n) on the basis E_ab = e_a e_b^T - e_b e_a^T, pairs a < b in order."""
+    pairs = list(combinations(range(n), 2))
+
+    def mat(a, b):
+        m = [[0] * n for _ in range(n)]
+        m[a][b], m[b][a] = 1, -1
+        return m
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    mats = [mat(a, b) for a, b in pairs]
+    brackets = {}
+    for i, j in combinations(range(len(pairs)), 2):
+        xy, yx = mul(mats[i], mats[j]), mul(mats[j], mats[i])
+        rhs = {k: xy[a][b] - yx[a][b] for k, (a, b) in enumerate(pairs) if xy[a][b] != yx[a][b]}
+        if rhs:
+            brackets[(i, j)] = rhs
+    return LieAlgebra(len(pairs), brackets)
+
+
 def transport_algebra(algebra, matrix):
     """Structure constants in the basis f_i = matrix * e_i (columns)."""
     n = algebra.dim

@@ -1,6 +1,7 @@
 """Reference implementations for oracle tests: Gauss-Jordan elimination in
 Fractions, the CE operators evaluated form by form from their defining
-formulas, the interior product of a chart form by one vector field, the
+formulas, relative CE cohomology in Fractions on those operators, the
+interior product of a chart form by one vector field, the
 Lie bracket of two vector fields component by component, the sign of a
 permutation by counting inversions, scalar fractions with expanded
 denominators over polynomials held as sorted (term, Fraction) tuples, and
@@ -111,21 +112,24 @@ def _eval_basis(coeffs, idx):
 def _bracket(brackets, dim, u, v):
     out = [Fraction(0)] * dim
     for (i, j), rhs in brackets.items():
+        x = u[i] * v[j] - u[j] * v[i]
         for k, c in rhs.items():
-            out[k] += (u[i] * v[j] - u[j] * v[i]) * c
+            out[k] += x * c
     return out
 
 
 def ce_differential(brackets, dim, coeffs, degree):
     """(d a)(x_0..x_r) = sum_{i<j} (-1)^{i+j} a([x_i, x_j], ..no x_i, x_j..)."""
     e = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    basis_brackets = {(i, j): _bracket(brackets, dim, e[i], e[j])
+                      for i, j in combinations(range(dim), 2)}
     out = {}
     for tup in combinations(range(dim), degree + 1):
         total = Fraction(0)
         for a in range(degree + 1):
             for b in range(a + 1, degree + 1):
                 rest = tup[:a] + tup[a + 1:b] + tup[b + 1:]
-                br = _bracket(brackets, dim, e[tup[a]], e[tup[b]])
+                br = basis_brackets[tup[a], tup[b]]
                 for k in range(dim):
                     if br[k]:
                         total += (-1) ** (a + b) * br[k] * _eval_basis(coeffs, (k,) + rest)
@@ -147,11 +151,12 @@ def interior(v, coeffs, dim, degree):
 def infinitesimal_action(brackets, dim, v, coeffs, degree):
     """(v.a)(x_1..x_r) = -sum_i a(x_1, .., [v, x_i], .., x_r)."""
     e = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    columns = [_bracket(brackets, dim, v, e[i]) for i in range(dim)]
     out = {}
     for tup in combinations(range(dim), degree):
         total = Fraction(0)
         for t in range(degree):
-            col = _bracket(brackets, dim, v, e[tup[t]])
+            col = columns[tup[t]]
             for k in range(dim):
                 if col[k]:
                     total -= col[k] * _eval_basis(coeffs, tup[:t] + (k,) + tup[t + 1:])
@@ -170,6 +175,90 @@ def coadjoint_matrix_action(matrix, coeffs, dim, degree):
         if total:
             out[tup] = total
     return out
+
+
+# -- the relative Chevalley-Eilenberg complex in Fractions ----------------------
+#
+# Relative cohomology as the program computed it before its complex moved to
+# integers: the structure constants and every constraint map in Fractions,
+# the relative forms as the pivot-normalised nullspace of the constraint
+# matrix, and the kernel of d reduced modulo the image of the forms one degree
+# down.  The maps are the per-form definitions above, applied to basis
+# monomials; every elimination is the Gauss-Jordan one above.  Forms are
+# {increasing index tuple: Fraction} dicts.
+
+
+class RelativeComplexNotClosed(Exception):
+    pass
+
+
+def relative_constraints(brackets, dim, vectors, matrices, coeffs, degree):
+    """The images of a form under the maps whose kernels cut out the relative
+    forms, in this order: the interior product by each subalgebra vector (in
+    positive degree), the coadjoint action of each, and M - 1 for each
+    component matrix M."""
+    images = [interior(v, coeffs, dim, degree) for v in vectors] if degree else []
+    images += [infinitesimal_action(brackets, dim, v, coeffs, degree) for v in vectors]
+    for m in matrices:
+        image = coadjoint_matrix_action(m, coeffs, dim, degree)
+        for t, c in coeffs.items():
+            image[t] = image.get(t, Fraction(0)) - c
+        images.append({u: x for u, x in image.items() if x})
+    return images
+
+
+def relative_forms(brackets, dim, vectors, matrices, degree):
+    """Basis of the relative forms of the degree, each with 1 in its free
+    column of the constraint matrix."""
+    tuples = list(combinations(range(dim), degree))
+    columns = [relative_constraints(brackets, dim, vectors, matrices, {t: Fraction(1)}, degree)
+               for t in tuples]
+    keys = sorted({(n, u) for col in columns for n, image in enumerate(col) for u in image})
+    matrix = [[col[n].get(u, Fraction(0)) for col in columns] for n, u in keys]
+    basis = nullspace(matrix or [[Fraction(0)] * len(tuples)])
+    return [{t: x for t, x in zip(tuples, v) if x} for v in basis]
+
+
+def relative_cohomology(brackets, dim, vectors, matrices, degree):
+    """(dimension, {degree: dimension of the relative forms} for degrees r - 1
+    and r, representatives); RelativeComplexNotClosed when d takes a relative
+    form out of the relative forms."""
+    basis = relative_forms(brackets, dim, vectors, matrices, degree)
+    below = relative_forms(brackets, dim, vectors, matrices, degree - 1) if degree else []
+
+    def differential(b, r):
+        db = ce_differential(brackets, dim, b, r)
+        if any(relative_constraints(brackets, dim, vectors, matrices, db, r + 1)):
+            raise RelativeComplexNotClosed(f"d leaves the relative forms in degree {r + 1}")
+        return db
+
+    if degree < dim:
+        images = [differential(b, degree) for b in basis]
+        matrix = [[image.get(u, Fraction(0)) for image in images]
+                  for u in combinations(range(dim), degree + 1)]
+        kernel = []
+        for c in (nullspace(matrix) if basis else []):
+            form = {}
+            for x, b in zip(c, basis):
+                for t, y in b.items():
+                    form[t] = form.get(t, Fraction(0)) + x * y
+            kernel.append({t: y for t, y in form.items() if y})
+    else:
+        kernel = basis
+    tuples = list(combinations(range(dim), degree))
+    quotient = Echelon()
+    for b in below:
+        db = differential(b, degree - 1)
+        quotient.insert([db.get(t, Fraction(0)) for t in tuples])
+    image_rank = len(quotient.rows)
+    reps = []
+    for form in kernel:
+        reduced = quotient.insert([form.get(t, Fraction(0)) for t in tuples])
+        if reduced is not None:
+            reps.append({t: x for t, x in zip(tuples, reduced) if x})
+    dims = {degree - 1: len(below)} if degree else {}
+    dims[degree] = len(basis)
+    return len(kernel) - image_rank, dims, reps
 
 
 def interior_vector(x, omega):

@@ -168,6 +168,38 @@ def test_oversized_power_refused_at_once(tmp_path, capsys):
     assert elapsed < 1
 
 
+def _sum_workspace(n):
+    """A form summing n fractions f_i(c_i)*c_{i-1}^2/(c_i^2 + c_{i-1}^2 + 1)
+    over n coordinates: its common denominator has n factors."""
+    cs = [f"c{i}" for i in range(n)]
+    terms = [f"f{i}({cs[i]})*{cs[i - 1]}^2/({cs[i]}^2 + {cs[i - 1]}^2 + 1)" for i in range(n)]
+    return "\n".join([
+        f"chart M {{ coords = [{', '.join(cs)}] }}",
+        *(f"function f{i}({c})" for i, c in enumerate(cs)),
+        "lie_algebra u1 { dim 1 }",
+        "vectorfield v on M = c0*D(c1) - c1*D(c0)",
+        "action act { algebra u1 chart M generators = [v] orbit_dim 1 }",
+        f"form w on M = {' + '.join(terms)}", ""])
+
+
+def test_oversized_sum_refused_at_once(tmp_path, capsys):
+    argv = ["check", "invariant", "--action", "act", "--object", "w"]
+    ws = tmp_path / "sum10.lch"
+    ws.write_text(_sum_workspace(10))
+    start = time.perf_counter()
+    code = main(argv + ["--input", str(ws)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "over the limit of 30000" in err
+    assert elapsed < 1
+    ws = tmp_path / "sum4.lch"
+    ws.write_text(_sum_workspace(4))
+    assert main(argv + ["--input", str(ws)]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out
+
+
 def test_pole_at_point_reported_in_workspace_syntax(tmp_path, capsys):
     ws = tmp_path / "pole.lch"
     ws.write_text("""chart M { coords = [x, y] }

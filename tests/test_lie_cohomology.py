@@ -9,7 +9,7 @@ from liecochain import lie_cohomology as lc
 from liecochain import linalg
 
 from genutil import (AltMultiVec, basis_covector, pairing, random_altform, random_lie_algebra,
-                     random_so3_automorphism, satisfies_relative_constraints,
+                     random_so3_automorphism, satisfies_relative_constraints, so,
                      transport_algebra)
 
 SO3 = lc.LieAlgebra(3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}})
@@ -289,3 +289,61 @@ def test_pairing_and_multivec():
     assert pairing(a(1).wedge(a(3)), chi) == 0
     assert AltMultiVec(3, 1, {(0,): Fraction(1)}).wedge(
         AltMultiVec(3, 1, {(1,): Fraction(1)})) == chi.scaled(Fraction(1, 2))
+
+
+def _fractions_built(monkeypatch, call):
+    """The result of call() and the number of Fractions constructed in it."""
+    count = [0]
+    construct = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return construct(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    # From Python 3.12 the results of arithmetic are built by
+    # _from_coprime_ints, which bypasses __new__.
+    if "_from_coprime_ints" in vars(Fraction):
+        from_coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            count[0] += 1
+            return from_coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    try:
+        result = call()
+    finally:
+        monkeypatch.undo()
+    return result, count[0]
+
+
+def test_fraction_count_includes_arithmetic(monkeypatch):
+    """Two explicit constructions and one sum: the count sees all three."""
+    total, count = _fractions_built(monkeypatch, lambda: Fraction(1, 2) + Fraction(1, 3))
+    assert (total, count) == (Fraction(5, 6), 3)
+    product, count = _fractions_built(monkeypatch, lambda: 3 * total)
+    assert (product, count) == (Fraction(5, 2), 1)
+
+
+@pytest.mark.parametrize("n,degree,built", [(4, 3, 10), (5, 2, 0)])
+def test_integer_complex_builds_fractions_only_for_representatives(monkeypatch, n, degree,
+                                                                   built):
+    """The relative complex stays in integers from the bracket table to the
+    echelon: a Fraction is built twice per coefficient of a representative
+    (the reduced vector scaled to pivot 1, then AltForm's coercion), and
+    nowhere else.  The count repeats exactly."""
+    alg = so(n)
+    for _ in range(2):
+        res, count = _fractions_built(
+            monkeypatch, lambda: lc.relative_cohomology(alg, TRIVIAL, degree))
+        assert count == built
+        assert count <= 2 * sum(len(rep.coeffs) for rep in res.representatives)
+    rows = [{0: 2, 3: -4}, {1: 6, 2: 3}, {0: 1, 1: 1, 3: 5}, {0: 3, 1: 1, 2: 0, 3: 1}]
+    dense = [[row.get(c, 0) for c in range(4)] for row in rows]
+    for m in (rows, dense):
+        ech, count = _fractions_built(monkeypatch, lambda: linalg.Echelon(m))
+        assert (len(ech), count) == (3, 0)
+    basis, count = _fractions_built(monkeypatch, lambda: linalg.kernel(rows, range(4)))
+    assert (basis, count) == ([{0: 2, 1: -7, 2: 14, 3: 1}], 0)
+

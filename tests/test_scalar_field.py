@@ -109,6 +109,22 @@ def test_partial_chain_adds_one_factor_per_derivative():
     assert sf.equals(e, (-960 * y * z * (r2 - 14 * x ** 2)) / r2 ** 8)
 
 
+def test_sum_work_limit():
+    """Bringing fractions to a common denominator is refused before any
+    product when each numerator's terms times the product of its cofactor's
+    factor lengths add up to over MAX_SUM_WORK: in sums, `equals` and
+    `cleared_numerators` alike."""
+    other = 1 / (x + y ** 2 + 2) / (x + y ** 3 + 3) / (x ** 2 + y ** 3 + 5)
+    small = (x + y + 1) ** 30 / (x ** 2 + y + 1)  # 496 terms: 496 * 27 + 1 * 3 products
+    large = (x + y + 1) ** 60 / (x ** 2 + y + 1)  # 1891 terms: 1891 * 27 + 1 * 3
+    point = {"x": 2, "y": 3}
+    assert (small + other).eval_at(point) == small.eval_at(point) + other.eval_at(point)
+    for op in (lambda e, f: e + f, sf.equals, lambda e, f: sf.cleared_numerators([e, f])):
+        with pytest.raises(sf.SumTooLarge,
+                           match="needs up to 51060 term products, over the limit of 30000"):
+            op(large, other)
+
+
 def test_power_work_limit():
     base = x + y + 1
     assert len((base ** 30).num) == 496  # 30 * 3 * C(32, 2) = 44640 term products
