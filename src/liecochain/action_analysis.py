@@ -11,7 +11,7 @@ algebra at user-supplied sample points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,11 +26,7 @@ class ActionError(Exception):
 
 
 class InvalidInput(ActionError):
-    """A checked precondition failed; carries the failing verdict."""
-
-    def __init__(self, message, verdict=None):
-        super().__init__(message)
-        self.verdict = verdict
+    """A checked precondition failed."""
 
 
 class NotProportional(ActionError):
@@ -74,20 +70,17 @@ class Verdict:
     witness: object = None         # residual tensor/expression on failure
 
 
-@dataclass
-class ActionValidation:
-    ok: bool
-    bracket_violations: list = field(default_factory=list)  # (i, j, residual field)
-    rank_failures: list = field(default_factory=list)       # (point, observed rank)
-    effective: bool = True
-    kernel_basis: list = field(default_factory=list)
+def _generators_at(action, point):
+    """Row i: the components of generator i at the point."""
+    pt = action.chart.point_map(point)
+    return [[c.eval_at(pt) for c in g.components] for g in action.generators]
 
 
-def validate_action(action, sample_points=()):
-    """Bracket-homomorphism check (symbolic), orbit rank at sample points,
-    and a symbolic effectiveness test (kernel of the generator map)."""
+def bracket_violations(action):
+    """(i, j, residual field) for each pair of generators whose bracket is
+    not the combination the structure constants ask for."""
     alg, gens = action.algebra, action.generators
-    bracket_violations = []
+    violations = []
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             expect = cc.MultiVectorField.zero(action.chart, 1)
@@ -95,27 +88,25 @@ def validate_action(action, sample_points=()):
                 expect = expect + gens[k].scaled(sf.rational(c))
             residual = cc.lie_bracket(gens[i], gens[j]) - expect
             if not residual.is_zero():
-                bracket_violations.append((i, j, residual))
+                violations.append((i, j, residual))
+    return violations
 
-    rank_failures = []
+
+def rank_failures(action, sample_points):
+    """(point, observed rank) for each sample point where the generators do
+    not span a space of the orbit dimension."""
+    failures = []
     for point in sample_points:
-        pt = action.chart.point_map(point)
-        matrix = [[c.eval_at(pt) for c in g.components] for g in gens]
-        r = linalg.rank(matrix)
+        r = linalg.rank(_generators_at(action, point))
         if r != action.orbit_dim:
-            rank_failures.append((tuple(pt[c] for c in action.chart.coordinates), r))
-
-    kernel = _symbolic_generator_kernel(action)
-    return ActionValidation(
-        ok=not bracket_violations and not rank_failures,
-        bracket_violations=bracket_violations,
-        rank_failures=rank_failures,
-        effective=not kernel,
-        kernel_basis=kernel)
+            pt = action.chart.point_map(point)
+            failures.append((tuple(pt[c] for c in action.chart.coordinates), r))
+    return failures
 
 
-def _symbolic_generator_kernel(action):
-    """Rational vectors xi with sum_i xi_i * generator_i identically zero."""
+def generator_kernel(action):
+    """Rational vectors xi with sum_i xi_i * generator_i identically zero;
+    none for an effective action."""
     p = len(action.generators)
     rows = {}  # (component, term key) -> sparse row {generator: coefficient}
     for comp_idx in range(action.chart.dim):
@@ -127,58 +118,32 @@ def _symbolic_generator_kernel(action):
             for v in linalg.nullspace(list(rows.values()), range(p))]
 
 
-@dataclass
-class IsotropySample:
-    point: tuple
-    isotropy_basis: list                        # vectors in the algebra
-    fixed_tangent: list | None = None           # basis of the fixed tangent subspace
-    fixed_vertical: list | None = None          # its intersection with the orbit directions
-    component_reps: tuple = ()                  # adjoint matrices for extra components
-
-
-def isotropy_algebra_at(action, point, component_reps=()):
-    """Exact kernel of xi -> sum_i xi_i generator_i(point)."""
-    pt = action.chart.point_map(point)
-    cols = [[c.eval_at(pt) for c in g.components] for g in action.generators]
+def isotropy_algebra_at(action, point):
+    """Basis of the exact kernel of xi -> sum_i xi_i generator_i(point)."""
     # rows indexed by chart coordinate, columns by algebra basis
-    matrix = [[cols[i][j] for i in range(len(cols))] for j in range(action.chart.dim)]
-    basis = linalg.nullspace(matrix)
-    return IsotropySample(
-        point=tuple(pt[c] for c in action.chart.coordinates),
-        isotropy_basis=basis,
-        component_reps=tuple(component_reps))
+    return linalg.nullspace([list(col) for col in zip(*_generators_at(action, point))])
 
 
-def fixed_space_at(action, sample, tangent_reps=()):
-    """Fill in the fixed-point subspaces of the linear isotropy action.
-
-    The identity component acts through the Jacobians of the vanishing
-    generators; extra components act through user-supplied n x n tangent
-    matrices, whose fixed spaces are intersected in.
-    """
+def fixed_space_at(action, point, isotropy_basis):
+    """(fixed tangent, fixed vertical): bases of the subspace of the tangent
+    space at the point fixed by the linear isotropy action, which acts
+    through the Jacobians of the vanishing generators, and of its
+    intersection with the orbit directions."""
     chart = action.chart
-    point = sample.point
     rows = []
-    for xi in sample.isotropy_basis:
+    for xi in isotropy_basis:
         vf = cc.MultiVectorField.zero(chart, 1)
         for i, c in enumerate(xi):
             if c != 0:
                 vf = vf + action.generators[i].scaled(sf.rational(c))
         rows.extend(cc.jacobian_at(vf, point))
-    for m in tangent_reps:
-        for i in range(chart.dim):
-            rows.append([Fraction(m[i][j]) - (1 if i == j else 0) for j in range(chart.dim)])
     if rows:
         fixed_tangent = linalg.nullspace(rows)
     else:
         fixed_tangent = [list(v) for v in linalg.identity(chart.dim)]
-
-    # vertical part: intersect with the span of the generators at the point
-    pt = chart.point_map(point)
-    vert = linalg.Echelon([c.eval_at(pt) for c in g.components] for g in action.generators)
-    fixed_vertical = _intersect(fixed_tangent, [list(r) for r in vert.rows.values()], chart.dim)
-    return IsotropySample(point, sample.isotropy_basis, fixed_tangent, fixed_vertical,
-                          sample.component_reps)
+    vert = linalg.Echelon(_generators_at(action, point))
+    return fixed_tangent, _intersect(fixed_tangent, [list(r) for r in vert.rows.values()],
+                                     chart.dim)
 
 
 def _intersect(basis_a, basis_b, n):
@@ -212,10 +177,6 @@ def check_invariant_form(action, omega):
     return _each_generator(action, lambda g: cc.lie_derivative_form(g, omega))
 
 
-def check_invariant_vectorfield(action, r):
-    return _each_generator(action, lambda g: cc.lie_bracket(g, r))
-
-
 def check_invariant_multivector(action, chi):
     return _each_generator(action, lambda g: cc.lie_derivative_multivector(g, chi))
 
@@ -232,20 +193,13 @@ def multivector_proportionality(chi, w):
     return lam
 
 
-@dataclass
-class VerticalResult:
-    ok: bool
-    frame: tuple | None = None     # generator indices of the chosen local frame
-    factor: object = None          # chi = factor * wedge(frame)
-    reason: str = ""
-
-
 def check_vertical(action, chi, sample_points=()):
     """Find a q-subset of generators framing chi: chi = J * X_{i1}^...^X_{iq}.
 
     With sample points, a candidate frame must have a nonzero wedge at some
     sample; without, symbolic nonzeroness of the wedge is used.  Returns the
-    frame and the factor J on success.
+    frame (generator indices) and the factor J, or None when chi is a
+    multiple of no frame.
     """
     q = chi.degree
     if q != action.orbit_dim:
@@ -273,8 +227,8 @@ def check_vertical(action, chi, sample_points=()):
     for subset, w in candidates:
         lam = multivector_proportionality(chi, w)
         if lam is not None:
-            return VerticalResult(True, frame=subset, factor=lam)
-    return VerticalResult(False, reason="chain is not proportional to any generator frame")
+            return subset, lam
+    return None
 
 
 def check_semibasic(action, eta):
@@ -289,26 +243,22 @@ def check_semibasic(action, eta):
 
 
 def _require_invariant_form(action, omega):
-    inv = check_invariant_form(action, omega)
-    if not inv.ok:
-        raise InvalidInput("form is not invariant", inv)
+    if not check_invariant_form(action, omega).ok:
+        raise InvalidInput("form is not invariant")
 
 
 def _require_invariant_field(action, r, message):
-    if not check_invariant_vectorfield(action, r).ok:
+    if not check_invariant_multivector(action, r).ok:
         raise NonInvariantField(message)
 
 
 def _require_invariant_vertical_chain(action, chi, sample_points):
     if chi.is_zero():
         raise InvalidInput("chain vanishes identically")
-    v = check_invariant_multivector(action, chi)
-    if not v.ok:
-        raise InvalidInput("chain is not invariant", v)
-    vert = check_vertical(action, chi, sample_points)
-    if not vert.ok:
-        raise InvalidInput("chain is not vertical", vert)
-    return vert
+    if not check_invariant_multivector(action, chi).ok:
+        raise InvalidInput("chain is not invariant")
+    if check_vertical(action, chi, sample_points) is None:
+        raise InvalidInput("chain is not vertical")
 
 
 @dataclass
@@ -375,7 +325,6 @@ def cochain_condition_unchecked(action, chi, omega):
 
 @dataclass
 class StabilityEntry:
-    index: int
     ok: bool
     residual: cc.MultiVectorField
 
@@ -395,7 +344,7 @@ def stability_check(action, chi, fields):
     for i, r in enumerate(fields):
         _require_invariant_field(action, r, f"field #{i} is not invariant")
         residual = cc.lie_derivative_multivector(r, chi)
-        entries.append(StabilityEntry(i, residual.is_zero(), residual))
+        entries.append(StabilityEntry(residual.is_zero(), residual))
     return StabilityResult(entries)
 
 
@@ -418,9 +367,8 @@ def scaling_factor_unchecked(action, chi, lr):
     lam = multivector_proportionality(lr, chi)
     if lam is None:
         raise NotProportional("derivative of the chain is not a multiple of the chain")
-    inv = _each_generator(action, lambda g: g.apply(lam))
-    if not inv.ok:
-        raise InvalidInput("scaling factor is not invariant", inv)
+    if not _each_generator(action, lambda g: g.apply(lam)).ok:
+        raise InvalidInput("scaling factor is not invariant")
     return lam
 
 
@@ -465,9 +413,8 @@ def rescale_verify(action, chi0, k_candidate, fields, sample_points=()):
     k = sf.normalize(k_candidate)
     if k.is_zero():
         raise InvalidInput("rescaling by zero leaves no nonvanishing chain")
-    inv = _each_generator(action, lambda g: g.apply(k))
-    if not inv.ok:
-        raise InvalidInput("rescaling function is not invariant", inv)
+    if not _each_generator(action, lambda g: g.apply(k)).ok:
+        raise InvalidInput("rescaling function is not invariant")
     _require_invariant_vertical_chain(action, chi0, sample_points)
     return stability_check(action, chi0.scaled(k), fields)
 
@@ -497,7 +444,6 @@ NO_COCHAIN_MAP = "no cochain map can exist"
 
 @dataclass
 class PointObstruction:
-    point: tuple
     isotropy_dim: int
     relative_dim: int      # dim of degree-q relative forms for the isotropy subgroup
     cohomology_dim: int    # dim of degree-q relative cohomology
@@ -513,23 +459,20 @@ class CochainReport:
         return self.verdict == UNOBSTRUCTED
 
 
-def obstruction_report(action, sample_points, component_reps=None):
+def obstruction_report(action, sample_points, component_reps=()):
     """Per-point isotropy cohomology in the orbit degree, with the verdict:
     a vanishing relative space forbids any invariant chain, a vanishing
-    cohomology forbids any cochain map."""
+    cohomology forbids any cochain map.  The component matrices, in the
+    algebra, join the isotropy subgroup at every point."""
     q = action.orbit_dim
     results = []
     verdict = UNOBSTRUCTED
-    for idx, point in enumerate(sample_points):
-        reps = ()
-        if component_reps:
-            reps = tuple(component_reps[idx]) if idx < len(component_reps) else ()
-        sample = isotropy_algebra_at(action, point, reps)
-        sub = SubgroupSpec.from_vectors(sample.isotropy_basis, reps)
+    for point in sample_points:
+        basis = isotropy_algebra_at(action, point)
+        sub = SubgroupSpec.from_vectors(basis, component_reps)
         h = relative_cohomology(action.algebra, sub, q)
         a_dim = h.relative_dims[q]
-        results.append(PointObstruction(sample.point, len(sample.isotropy_basis),
-                                        a_dim, h.dimension))
+        results.append(PointObstruction(len(basis), a_dim, h.dimension))
         if a_dim == 0:
             verdict = NO_INVARIANT_CHAIN
         elif h.dimension == 0 and verdict != NO_INVARIANT_CHAIN:

@@ -94,28 +94,27 @@ def _cmd_validate(ws, names, got):
     for name, decl in ws.actions.items():
         action = decl.spec
         samples = _chart_points(ws, action.chart)
-        rep = aa.validate_action(action, samples)
+        violations = aa.bracket_violations(action)
         witness = None
-        if rep.bracket_violations:
-            i, j, res = rep.bracket_violations[0]
+        if violations:
+            i, j, res = violations[0]
             witness = (f"[{decl.generators[i]}, {decl.generators[j]}]: "
                        f"{_text(res, sf.PLAIN)}")
-        verdicts.append(_verdict("action_brackets", name, not rep.bracket_violations,
-                                 witness=witness))
+        verdicts.append(_verdict("action_brackets", name, not violations, witness=witness))
+        failures = aa.rank_failures(action, samples)
         if samples:
-            ok = not rep.rank_failures
             witness = None
-            if rep.rank_failures:
-                pt, r = rep.rank_failures[0]
+            if failures:
+                pt, r = failures[0]
                 coords = ", ".join(str(v) for v in pt)
                 witness = f"rank {r} != {action.orbit_dim} at ({coords})"
-            verdicts.append(_verdict("action_rank", name, ok, witness=witness))
+            verdicts.append(_verdict("action_rank", name, not failures, witness=witness))
         else:
             verdicts.append(_verdict("action_rank", name, "skipped",
                                      reason="no sample points declared on the chart"))
-        verdicts.append(_verdict("action_effective", name, rep.effective,
-                                 witness=None if rep.effective else
-                                 "; ".join(dsl.vector_dsl(v) for v in rep.kernel_basis)))
+        kernel = aa.generator_kernel(action)
+        verdicts.append(_verdict("action_effective", name, not kernel,
+                                 witness="; ".join(dsl.vector_dsl(v) for v in kernel) or None))
     return verdicts
 
 
@@ -137,11 +136,11 @@ def _cmd_cohomology(ws, names, got):
 
 def _cmd_isotropy(ws, names, got):
     action = got["action"].spec
-    sample = aa.fixed_space_at(action, aa.isotropy_algebra_at(action, got["point"]))
-    dims = {"isotropy": len(sample.isotropy_basis),
-            "fixed_tangent": len(sample.fixed_tangent),
-            "fixed_vertical": len(sample.fixed_vertical)}
-    witness = "; ".join(dsl.vector_dsl(v) for v in sample.isotropy_basis) or None
+    basis = aa.isotropy_algebra_at(action, got["point"])
+    tangent, vertical = aa.fixed_space_at(action, got["point"], basis)
+    dims = {"isotropy": len(basis), "fixed_tangent": len(tangent),
+            "fixed_vertical": len(vertical)}
+    witness = "; ".join(dsl.vector_dsl(v) for v in basis) or None
     return [_verdict("isotropy", names["action"], True, point=names["point"],
                      dims=dims, witness=witness)]
 
@@ -149,13 +148,15 @@ def _cmd_isotropy(ws, names, got):
 def _cmd_vertical(ws, names, got):
     subject = names["object"]
     try:
-        res = aa.check_vertical(got["action"].spec, got["object"], got["points"])
+        found = aa.check_vertical(got["action"].spec, got["object"], got["points"])
     except aa.NoFrameFound as exc:
         return [_verdict("vertical", subject, False, reason=str(exc))]
-    if not res.ok:
-        return [_verdict("vertical", subject, False, reason=res.reason)]
-    return [_verdict("vertical", subject, True, frame=[i + 1 for i in res.frame],
-                     **_shown(res.factor))]
+    if found is None:
+        return [_verdict("vertical", subject, False,
+                         reason="chain is not proportional to any generator frame")]
+    frame, factor = found
+    return [_verdict("vertical", subject, True, frame=[i + 1 for i in frame],
+                     **_shown(factor))]
 
 
 def _generator_verdict(check, subject, v):
@@ -165,9 +166,8 @@ def _generator_verdict(check, subject, v):
 
 def _cmd_invariant(ws, names, got):
     obj_kind, obj = got["object"]
-    v = {"form": aa.check_invariant_form,
-         "field": aa.check_invariant_vectorfield,
-         "chain": aa.check_invariant_multivector}[obj_kind](got["action"].spec, obj)
+    check = aa.check_invariant_form if obj_kind == "form" else aa.check_invariant_multivector
+    v = check(got["action"].spec, obj)
     return _generator_verdict("invariant", names["object"], v)
 
 
@@ -270,9 +270,7 @@ def _cmd_certify(ws, names, got):
 
 def _cmd_report(ws, names, got):
     point_names = names["points"]
-    comps = None
-    if got["components"]:
-        comps = [got["components"].spec.component_reps] * len(point_names)
+    comps = got["components"].spec.component_reps if got["components"] else ()
     report = aa.obstruction_report(got["action"].spec, got["points"], comps)
     verdicts = []
     for pname, p in zip(point_names, report.points):

@@ -380,13 +380,12 @@ def _require_valid_subgroup(algebra, sub):
         raise InvalidSubgroup("; ".join(problems))
 
 
-def relative_basis(algebra, sub, degree, validate=True):
+def relative_basis(algebra, sub, degree):
     """Deterministic basis of the relative forms in the given degree:
     annihilated by the subalgebra, infinitesimally invariant under it, and
     fixed by every component matrix."""
     _check_size(algebra.dim, degree)
-    if validate:
-        _require_valid_subgroup(algebra, sub)
+    _require_valid_subgroup(algebra, sub)
     rows, tuples = _Constraints(algebra, sub, _integer_brackets(algebra)[0]).rows(degree)
     return [AltForm(algebra.dim, degree, v) for v in linalg.nullspace(rows, tuples)]
 
@@ -399,15 +398,14 @@ class CohomologyResult:
     relative_dims: dict  # degree -> dim of the relative space, for degrees r - 1 and r
 
 
-def relative_cohomology(algebra, sub, degree, validate=True):
+def relative_cohomology(algebra, sub, degree):
     """Relative cohomology in one degree by exact kernel/image computation
     on the relative forms of degrees r - 1 and r."""
     p = algebra.dim
     if not 0 <= degree <= p:
         raise DegreeOverflow(f"degree {degree} out of range 0..{p}")
     _check_size(p, degree - 1, degree, degree + 1)
-    if validate:
-        _require_valid_subgroup(algebra, sub)
+    _require_valid_subgroup(algebra, sub)
     brackets = _integer_brackets(algebra)[0]
     constraints = _Constraints(algebra, sub, brackets)
     basis = linalg.kernel(*constraints.rows(degree))

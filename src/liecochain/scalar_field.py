@@ -44,6 +44,11 @@ MAX_POWER_WORK = 1_000_000
 # that bringing fractions to their common denominator starts.
 MAX_SUM_WORK = 30_000
 
+# Largest number of term products that the quotient rule of `partial`
+# starts: for each product it forms, the terms of its first operand times
+# the product of the lengths of the factors that multiply it.
+MAX_PARTIAL_WORK = 30_000
+
 
 class ScalarError(Exception):
     pass
@@ -70,6 +75,10 @@ class PowerTooLarge(ScalarError):
 
 
 class SumTooLarge(ScalarError):
+    pass
+
+
+class PartialTooLarge(ScalarError):
     pass
 
 
@@ -592,12 +601,21 @@ class ScalarExpr:
     def partial(self, coord):
         """Quotient rule on the factored denominator: with D the factors
         that depend on `coord`, (N' prod_D f - N sum_i e_i f_i' prod_{D-i} f)
-        over the denominator with each exponent in D raised by one."""
+        over the denominator with each exponent in D raised by one; refused
+        before any product over `MAX_PARTIAL_WORK`."""
         dn = _p_partial(self.num, coord)
         if not self.den:
             return _new(dn, ())
         mono, factors = _split(self.den)
         moving = [(f, e, df) for f, e in self.den if (df := _p_partial(f, coord))]
+        size = prod(len(f) for f, _, _ in moving)
+        work = len(dn) * size + sum(len(self.num) * len(df) * size // len(f)
+                                    for f, _, df in moving)
+        if work > MAX_PARTIAL_WORK:
+            raise PartialTooLarge(
+                f"differentiating by {coord}, with {len(moving)} denominator factors that "
+                f"depend on it, needs up to {work} term products, over the limit of "
+                f"{MAX_PARTIAL_WORK}")
         num = dn
         for f, _, _ in moving:
             num = _p_mul(num, f)
@@ -662,14 +680,9 @@ def normalize(x):
     raise TypeError(f"cannot interpret {type(x).__name__} as a scalar expression")
 
 
-def partial(e, coord, coords=None):
-    """Formal partial derivative of e by the named coordinate.
-
-    When `coords` (the chart's coordinate names) is given, membership is
-    enforced; otherwise any identifier is accepted as a coordinate.
-    """
-    if coords is not None and coord not in coords:
-        raise UnknownCoordinate(coord)
+def partial(e, coord):
+    """Formal partial derivative of e by the named coordinate; any
+    identifier is accepted as a coordinate."""
     return normalize(e).partial(coord)
 
 
@@ -685,18 +698,6 @@ def equals(e1, e2):
         return e1.num == e2.num
     _, _, (c1, c2) = _lcm((e1, e2))
     return _p_mul(e1.num, c1) == _p_mul(e2.num, c2)
-
-
-def eval_at(e, point):
-    return normalize(e).eval_at(point)
-
-
-def proportionality(e1, e2):
-    """The factor lambda with e1 = lambda * e2, as an exact fraction."""
-    e2 = normalize(e2)
-    if e2.is_zero():
-        raise DivisionByZeroExpr("proportionality against the zero expression")
-    return normalize(e1) / e2
 
 
 def cleared_numerators(exprs):

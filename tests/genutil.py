@@ -5,6 +5,7 @@ constructors and checks that only the tests use."""
 
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 from liecochain import action_analysis as aa
 from liecochain import chart_calculus as cc
@@ -60,6 +61,13 @@ def satisfies_relative_constraints(algebra, sub, alpha):
     return all(lc.coadjoint_matrix_action(m, alpha) == alpha for m in sub.component_reps)
 
 
+def subgroup_unchecked():
+    """Within the `with` block, `relative_basis` and `relative_cohomology`
+    skip subgroup validation, so inconsistent data reaches the check that
+    d keeps the relative forms."""
+    return mock.patch.object(lc, "_require_valid_subgroup", lambda algebra, sub: None)
+
+
 class HomomorphismViolation(aa.ActionError):
     pass
 
@@ -69,17 +77,25 @@ class RankDeficit(aa.ActionError):
 
 
 def require_valid_action(action, sample_points=()):
-    """Raise-style variant of validate_action."""
-    report = aa.validate_action(action, sample_points)
-    if report.bracket_violations:
-        i, j, residual = report.bracket_violations[0]
+    """Raise on the first bracket violation, then on the first rank failure."""
+    for i, j, residual in aa.bracket_violations(action):
         raise HomomorphismViolation(
             f"generators {i + 1}, {j + 1} do not realize the bracket; "
             f"residual components {[str(c) for c in residual.components]}")
-    if report.rank_failures:
-        point, r = report.rank_failures[0]
+    for point, r in aa.rank_failures(action, sample_points):
         raise RankDeficit(f"generator rank {r} != {action.orbit_dim} at {point}")
-    return report
+
+
+def eval_at(e, point):
+    return sf.normalize(e).eval_at(point)
+
+
+def proportionality(e1, e2):
+    """The factor lambda with e1 = lambda * e2, as an exact fraction."""
+    e2 = sf.normalize(e2)
+    if e2.is_zero():
+        raise sf.DivisionByZeroExpr("proportionality against the zero expression")
+    return sf.normalize(e1) / e2
 
 
 def random_rational(rng, span=3):

@@ -39,33 +39,35 @@ def solvable_chain(kfunc=True):
     return cc.MultiVectorField(M3, 2, {(0, 1): coeff})
 
 
-# -- validate_action ---------------------------------------------------------
+# -- bracket violations, rank failures, generator kernel ---------------------
 
 
 def test_validate_intro_action():
-    rep = aa.validate_action(intro_action(), [(0, 0, 0), (1, 2, 3)])
-    assert rep.ok and rep.effective and not rep.bracket_violations
+    action = intro_action()
+    assert not aa.bracket_violations(action)
+    assert not aa.rank_failures(action, [(0, 0, 0), (1, 2, 3)])
+    assert not aa.generator_kernel(action)
 
 
 def test_validate_solvable_action():
-    rep = aa.validate_action(solvable_action(), [(0, 1, 0), (2, 3, 1)])
-    assert rep.ok and rep.effective
+    action = solvable_action()
+    assert not aa.bracket_violations(action)
+    assert not aa.rank_failures(action, [(0, 1, 0), (2, 3, 1)])
+    assert not aa.generator_kernel(action)
 
 
 def test_validate_wrong_bracket_sign():
     algebra = LieAlgebra(2, {(0, 1): {1: 1}})  # sign flipped
     v1 = cc.vector_field(M3, [x, y, sf.ZERO])
     v2 = basis_vector(M3, "x")
-    rep = aa.validate_action(aa.ActionSpec(M3, algebra, (v1, v2), 2))
-    assert not rep.ok
-    (i, j, residual), = rep.bracket_violations
+    (i, j, residual), = aa.bracket_violations(aa.ActionSpec(M3, algebra, (v1, v2), 2))
     assert (i, j) == (0, 1)
     assert sf.equals(residual.components[0], -2)
 
 
 def test_validate_rank_deficit():
-    rep = aa.validate_action(solvable_action(), [(0, 0, 0)])  # orbit collapses at y=0
-    assert rep.rank_failures and rep.rank_failures[0][1] == 1
+    # the orbit collapses at y = 0
+    assert aa.rank_failures(solvable_action(), [(0, 0, 0)]) == [((0, 0, 0), 1)]
 
 
 def test_require_valid_action_raises():
@@ -76,63 +78,53 @@ def test_require_valid_action_raises():
         require_valid_action(aa.ActionSpec(M3, algebra, (v1, v2), 2))
     with pytest.raises(RankDeficit):
         require_valid_action(solvable_action(), [(0, 0, 0)])
-    assert require_valid_action(solvable_action(), [(0, 1, 0)]).ok
+    require_valid_action(solvable_action(), [(0, 1, 0)])
 
 
 def test_validate_ineffective_action():
     algebra = LieAlgebra(2)
     dx = basis_vector(N2, "x")
-    rep = aa.validate_action(aa.ActionSpec(N2, algebra, (dx, dx.scaled(2)), 1))
-    assert not rep.effective
-    assert rep.kernel_basis == [[Fraction(-2), Fraction(1)]]
+    kernel = aa.generator_kernel(aa.ActionSpec(N2, algebra, (dx, dx.scaled(2)), 1))
+    assert kernel == [[Fraction(-2), Fraction(1)]]
 
 
 # -- isotropy and fixed spaces ------------------------------------------------
 
 
 def test_isotropy_free_actions():
-    assert aa.isotropy_algebra_at(intro_action(), (4, 5, 6)).isotropy_basis == []
-    assert aa.isotropy_algebra_at(solvable_action(), (0, 1, 0)).isotropy_basis == []
+    assert aa.isotropy_algebra_at(intro_action(), (4, 5, 6)) == []
+    assert aa.isotropy_algebra_at(solvable_action(), (0, 1, 0)) == []
 
 
 def test_isotropy_rotation_at_origin():
     rot = cc.vector_field(N2, [-y, x])
     action = aa.ActionSpec(N2, LieAlgebra(1), (rot,), 1)
-    sample = aa.isotropy_algebra_at(action, (0, 0))
-    assert sample.isotropy_basis == [[Fraction(1)]]
-    filled = aa.fixed_space_at(action, sample)
-    assert filled.fixed_tangent == []
+    basis = aa.isotropy_algebra_at(action, (0, 0))
+    assert basis == [[Fraction(1)]]
+    fixed_tangent, _ = aa.fixed_space_at(action, (0, 0), basis)
+    assert fixed_tangent == []
 
 
 def test_isotropy_shear_everywhere():
-    sample = aa.isotropy_algebra_at(shear_action(), (5, 2))
-    assert sample.isotropy_basis == [[Fraction(-1, 2), Fraction(1)]]
-    combo = [sum((Fraction(c) * g for c, g in zip(sample.isotropy_basis[0], [2, 1])),
+    basis = aa.isotropy_algebra_at(shear_action(), (5, 2))
+    assert basis == [[Fraction(-1, 2), Fraction(1)]]
+    combo = [sum((Fraction(c) * g for c, g in zip(basis[0], [2, 1])),
                  Fraction(0))]
     assert combo == [Fraction(0)]
 
 
 def test_fixed_space_free_point():
-    sample = aa.isotropy_algebra_at(intro_action(), (0, 0, 0))
-    filled = aa.fixed_space_at(intro_action(), sample)
-    assert len(filled.fixed_tangent) == 3
-    assert len(filled.fixed_vertical) == 2
+    basis = aa.isotropy_algebra_at(intro_action(), (0, 0, 0))
+    fixed_tangent, fixed_vertical = aa.fixed_space_at(intro_action(), (0, 0, 0), basis)
+    assert len(fixed_tangent) == 3
+    assert len(fixed_vertical) == 2
 
 
 def test_fixed_space_rotation_translation():
     rot3 = cc.vector_field(M3, [-y, x, sf.ZERO])
     action = aa.ActionSpec(M3, LieAlgebra(2), (rot3, basis_vector(M3, "z")), 2)
-    sample = aa.isotropy_algebra_at(action, (0, 0, 0))
-    filled = aa.fixed_space_at(action, sample)
-    assert filled.fixed_tangent == [[0, 0, 1]]
-    assert filled.fixed_vertical == [[0, 0, 1]]
-
-
-def test_fixed_space_with_tangent_reps():
-    sample = aa.isotropy_algebra_at(intro_action(), (0, 0, 0))
-    mirror = [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    filled = aa.fixed_space_at(intro_action(), sample, tangent_reps=[mirror])
-    assert filled.fixed_tangent == [[0, 1, 0], [0, 0, 1]]
+    basis = aa.isotropy_algebra_at(action, (0, 0, 0))
+    assert aa.fixed_space_at(action, (0, 0, 0), basis) == ([[0, 0, 1]], [[0, 0, 1]])
 
 
 # -- invariance checks --------------------------------------------------------
@@ -160,9 +152,9 @@ def test_invariant_fields_solvable():
     action = solvable_action()
     f, g, h = (sf.function(n, ("z",)) for n in "fgh")
     R = cc.vector_field(M3, [f * y, g * y, h])
-    assert aa.check_invariant_vectorfield(action, R).ok
+    assert aa.check_invariant_multivector(action, R).ok
     bad = cc.vector_field(M3, [x ** 2, sf.ZERO, sf.ZERO])
-    v = aa.check_invariant_vectorfield(action, bad)
+    v = aa.check_invariant_multivector(action, bad)
     assert not v.ok and v.witness is not None
 
 
@@ -186,21 +178,19 @@ def test_noninvariant_form_witness():
 def test_vertical_intro():
     action = intro_action()
     chi = cc.wedge_vectorfields([basis_vector(M3, "y"), basis_vector(M3, "z")])
-    res = aa.check_vertical(action, chi)
-    assert res.ok and res.frame == (0, 1) and sf.equals(res.factor, 1)
+    frame, factor = aa.check_vertical(action, chi)
+    assert frame == (0, 1) and sf.equals(factor, 1)
 
 
 def test_vertical_solvable_factor():
-    res = aa.check_vertical(solvable_action(), solvable_chain(), [(0, 1, 0)])
-    assert res.ok
+    _, factor = aa.check_vertical(solvable_action(), solvable_chain(), [(0, 1, 0)])
     K = sf.function("K", ("z",))
-    assert sf.equals(res.factor, -y * K)
+    assert sf.equals(factor, -y * K)
 
 
 def test_not_vertical():
     chi = cc.wedge_vectorfields([basis_vector(M3, "x"), basis_vector(M3, "z")])
-    res = aa.check_vertical(solvable_action(), chi, [(0, 1, 0)])
-    assert not res.ok
+    assert aa.check_vertical(solvable_action(), chi, [(0, 1, 0)]) is None
 
 
 def test_no_frame_found():
@@ -541,9 +531,8 @@ def test_sign_coherence_d_commutes_with_rho():
 def test_isotropy_members_vanish_nonmembers_do_not():
     action = shear_action()
     point = (5, 2)
-    sample = aa.isotropy_algebra_at(action, point)
     pt = action.chart.point_map(point)
-    for xi in sample.isotropy_basis:
+    for xi in aa.isotropy_algebra_at(action, point):
         combo = cc.vector_field(N2, [sf.ZERO, sf.ZERO])
         for c, g in zip(xi, action.generators):
             combo = combo + g.scaled(sf.rational(c))
@@ -572,16 +561,17 @@ def sphere_area_chain():
 def test_rotation_chain_invariant_and_vertical():
     action = rotation_action()
     chi = sphere_area_chain()
-    assert aa.validate_action(action, [(0, 0, 1), (1, 0, 0)]).ok
+    assert not aa.bracket_violations(action)
+    assert not aa.rank_failures(action, [(0, 0, 1), (1, 0, 0)])
     assert aa.check_invariant_multivector(action, chi).ok
     # at the z-pole the frame {r1, r2} works and r1^r2 = z * chi
-    res = aa.check_vertical(action, chi, [(0, 0, 1)])
-    assert res.ok and res.frame == (0, 1)
-    assert sf.equals(res.factor, 1 / sf.coordinate("z"))
+    frame, factor = aa.check_vertical(action, chi, [(0, 0, 1)])
+    assert frame == (0, 1)
+    assert sf.equals(factor, 1 / sf.coordinate("z"))
     # at the x-pole that frame degenerates and {r2, r3} is selected instead
-    res_x = aa.check_vertical(action, chi, [(1, 0, 0)])
-    assert res_x.ok and res_x.frame == (1, 2)
-    assert sf.equals(res_x.factor, -1 / x)
+    frame, factor = aa.check_vertical(action, chi, [(1, 0, 0)])
+    assert frame == (1, 2)
+    assert sf.equals(factor, -1 / x)
 
 
 def test_rotation_scaling_factors_and_integrability():
@@ -591,8 +581,8 @@ def test_rotation_scaling_factors_and_integrability():
     euler = cc.vector_field(M3, [x, y, z])
     rsq = x ** 2 + y ** 2 + z ** 2
     scaled_euler = euler.scaled(rsq)
-    assert aa.check_invariant_vectorfield(action, euler).ok
-    assert aa.check_invariant_vectorfield(action, scaled_euler).ok
+    assert aa.check_invariant_multivector(action, euler).ok
+    assert aa.check_invariant_multivector(action, scaled_euler).ok
     lam = aa.scaling_factor(action, chi, euler, [(0, 0, 1)])
     assert sf.equals(lam, -1)
     lam2 = aa.scaling_factor(action, chi, scaled_euler, [(0, 0, 1)])
@@ -623,7 +613,7 @@ def test_invariant_chain_implies_nonzero_relative_space():
     ]
     for action, chi, points in cases:
         assert aa.check_invariant_multivector(action, chi).ok
-        assert aa.check_vertical(action, chi, points).ok
+        assert aa.check_vertical(action, chi, points) is not None
         report = aa.obstruction_report(action, points)
         for p in report.points:
             assert p.relative_dim > 0
@@ -665,7 +655,7 @@ def test_obstruction_no_invariant_chain():
 def test_obstruction_with_component_reps():
     action = intro_action()
     flip = ((-1, 0), (0, 1))
-    report = aa.obstruction_report(action, [(0, 0, 0)], [ (flip,) ])
+    report = aa.obstruction_report(action, [(0, 0, 0)], (flip,))
     # the flip negates e1, so no invariant 2-form on the algebra survives
     assert report.points[0].relative_dim == 0
     assert report.verdict == aa.NO_INVARIANT_CHAIN

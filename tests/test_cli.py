@@ -183,16 +183,19 @@ def _sum_workspace(n):
 
 
 def test_oversized_sum_refused_at_once(tmp_path, capsys):
+    # ten coordinates are refused as the form is parsed, by the sum limit;
+    # eight parse, and a partial derivative in the check is refused
     argv = ["check", "invariant", "--action", "act", "--object", "w"]
-    ws = tmp_path / "sum10.lch"
-    ws.write_text(_sum_workspace(10))
-    start = time.perf_counter()
-    code = main(argv + ["--input", str(ws)])
-    elapsed = time.perf_counter() - start
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "over the limit of 30000" in err
-    assert elapsed < 1
+    for n, refused in ((10, "bringing"), (8, "differentiating")):
+        ws = tmp_path / f"sum{n}.lch"
+        ws.write_text(_sum_workspace(n))
+        start = time.perf_counter()
+        code = main(argv + ["--input", str(ws)])
+        elapsed = time.perf_counter() - start
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and refused in err and "over the limit of 30000" in err
+        assert elapsed < 1
     ws = tmp_path / "sum4.lch"
     ws.write_text(_sum_workspace(4))
     assert main(argv + ["--input", str(ws)]) in (0, 1)
@@ -564,8 +567,8 @@ def test_check_cochain_failure_paths(name, expected_code, argv, tmp_path, capsys
 
 
 def test_check_cochain_runs_each_precondition_once(capsys, monkeypatch):
-    # one chain precondition, one invariance check per field and one for
-    # [Z1, Z2], and L_R chi once per field beside the two generators' L_g chi
+    # one invariance check each for the chain, Z1, Z2 and [Z1, Z2]; L_g of
+    # each of the four for the two generators g, and L_R chi once per field
     from liecochain import action_analysis as aa
     from liecochain import chart_calculus as cc
 
@@ -579,8 +582,7 @@ def test_check_cochain_runs_each_precondition_once(capsys, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("check_invariant_multivector", "check_vertical",
-                 "check_invariant_vectorfield"):
+    for name in ("check_invariant_multivector", "check_vertical"):
         count(aa, name)
     count(cc, "lie_derivative_multivector")
     code, out = run_cli(["check", "cochain", "--input", fixture("solvable"),
@@ -589,8 +591,8 @@ def test_check_cochain_runs_each_precondition_once(capsys, monkeypatch):
                         capsys)
     assert code == 1
     assert out == (GOLDEN / "solvable_cochain.json").read_text()
-    assert calls == {"check_invariant_multivector": 1, "check_vertical": 1,
-                     "check_invariant_vectorfield": 3, "lie_derivative_multivector": 4}
+    assert calls == {"check_invariant_multivector": 4, "check_vertical": 1,
+                     "lie_derivative_multivector": 10}
 
 
 def test_parser_reused_across_calls(capsys):
@@ -631,6 +633,58 @@ def test_check_cochain_failure_paths_text(name, expected_code, argv, tmp_path, c
         _skew_lie_derivative(monkeypatch)
     code, out = run_cli(["check", "cochain", "--input", str(ws), "--action", "act",
                          "--points", "P", "-v"] + argv, capsys)
+    assert code == expected_code
+    assert out.replace(str(tmp_path), "tmp") == \
+        (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# -- failure verdicts of the other checks, pinned byte for byte ---------------
+
+VALIDATE_WS = """chart M { coords = [x, y] }
+chart N { coords = [u, v] }
+lie_algebra ab2 { dim 2 }
+lie_algebra u1 { dim 1 }
+vectorfield X1 on M = D(x)
+vectorfield X2 on M = D(y) + x*D(x)
+vectorfield R on M = x*D(y) - y*D(x)
+vectorfield U on N = D(u)
+action sheared { algebra ab2 chart M generators = [X1, X2] orbit_dim 2 }
+action pinned { algebra u1 chart M generators = [R] orbit_dim 1 }
+action doubled { algebra ab2 chart N generators = [U, U] orbit_dim 1 }
+point O on M = (0, 0)
+"""
+
+FAILURE_RUNS = [
+    # [X1, X2] = D(x), not 0; R vanishes at O; U, U has the kernel e1 - e2,
+    # and N has no sample points
+    ("validate_failures", 1, VALIDATE_WS, ["validate"]),
+    # y D(x)^D(z) is invariant, but not a multiple of v1^v2 = -y D(x)^D(y)
+    ("vertical_not_proportional", 1, COCHAIN_WS,
+     ["check", "vertical", "--action", "act", "--object", "slanted", "--points", "P"]),
+    # v1^v2 = -y D(x)^D(y) vanishes at y = 0
+    ("vertical_no_frame", 1, COCHAIN_WS + "point O on M = (0, 0, 0)\n",
+     ["check", "vertical", "--action", "act", "--object", "chi", "--points", "O"]),
+    # [v2, W] = D(z)
+    ("invariant_field_fails", 1, COCHAIN_WS,
+     ["check", "invariant", "--action", "act", "--object", "W"]),
+    # L_v1 (y D(x)^D(y)) = -y D(x)^D(y)
+    ("invariant_chain_fails", 1, COCHAIN_WS,
+     ["check", "invariant", "--action", "act", "--object", "twisted"]),
+]
+
+
+@pytest.mark.parametrize("name,expected_code,text,argv", FAILURE_RUNS,
+                         ids=[c[0] for c in FAILURE_RUNS])
+def test_failure_verdicts_golden(name, expected_code, text, argv, tmp_path, capsys,
+                                 monkeypatch):
+    monkeypatch.setenv("LIECOCHAIN_COLOR", "0")
+    ws = tmp_path / "failure.lch"
+    ws.write_text(text)
+    argv = argv + ["--input", str(ws)]
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert (code, capsys.readouterr().err) == (expected_code, "")
+    assert out == (GOLDEN / f"{name}.json").read_text()
+    code, out = run_cli(argv + ["-v"], capsys)
     assert code == expected_code
     assert out.replace(str(tmp_path), "tmp") == \
         (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from liecochain import chart_calculus as cc
 from liecochain import cli, dsl
 from liecochain import scalar_field as sf
 
-from genutil import random_scalar
+from genutil import eval_at, proportionality, random_scalar
 import reference as ref
 
 x, y, z = sf.coordinate("x"), sf.coordinate("y"), sf.coordinate("z")
@@ -42,7 +43,7 @@ def test_division_by_zero_expr():
     with pytest.raises(sf.DivisionByZeroExpr):
         x / (y - y)
     with pytest.raises(sf.DivisionByZeroExpr):
-        sf.proportionality(x, sf.ZERO)
+        proportionality(x, sf.ZERO)
 
 
 def test_partial_leibniz():
@@ -61,8 +62,9 @@ def test_partial_constant():
 
 
 def test_partial_unknown_coordinate():
+    # the chart, not `partial`, decides which names are coordinates
     with pytest.raises(sf.UnknownCoordinate):
-        sf.partial(x, "w", coords=("x", "y"))
+        cc.Chart(("x", "y")).index("w")
 
 
 def test_is_zero_and_equals():
@@ -72,25 +74,25 @@ def test_is_zero_and_equals():
 
 
 def test_eval_at():
-    assert sf.eval_at(x * y + 3, {"x": 1, "y": 2}) == 5
+    assert eval_at(x * y + 3, {"x": 1, "y": 2}) == 5
     with pytest.raises(sf.PoleAtPoint, match=r"^denominator vanishes at x = 0, y = -1/2$"):
-        sf.eval_at(1 / x, {"x": 0, "y": Fraction(-1, 2)})
+        eval_at(1 / x, {"x": 0, "y": Fraction(-1, 2)})
     with pytest.raises(sf.UnresolvedFunctionSymbol):
-        sf.eval_at(K, {"z": 1})
+        eval_at(K, {"z": 1})
     with pytest.raises(sf.UnknownCoordinate):
-        sf.eval_at(x * y, {"x": 1})
+        eval_at(x * y, {"x": 1})
 
 
 def test_eval_exact_rationals():
     e = (x ** 2 - y) / (x + 1)
-    assert sf.eval_at(e, {"x": Fraction(1, 2), "y": Fraction(1, 3)}) == \
+    assert eval_at(e, {"x": Fraction(1, 2), "y": Fraction(1, 3)}) == \
         (Fraction(1, 4) - Fraction(1, 3)) / Fraction(3, 2)
 
 
 def test_proportionality():
-    assert sf.equals(sf.proportionality(2 * K * y ** 2, K * y ** 2), 2)
-    assert sf.proportionality(sf.ZERO, y).is_zero()
-    lam = sf.proportionality(sf.partial(K, "z") * y ** 2, K * y ** 2)
+    assert sf.equals(proportionality(2 * K * y ** 2, K * y ** 2), 2)
+    assert proportionality(sf.ZERO, y).is_zero()
+    lam = proportionality(sf.partial(K, "z") * y ** 2, K * y ** 2)
     assert sf.equals(lam, sf.partial(K, "z") / K)
     assert sf.equals(lam * K * y ** 2, sf.partial(K, "z") * y ** 2)
 
@@ -123,6 +125,22 @@ def test_sum_work_limit():
         with pytest.raises(sf.SumTooLarge,
                            match="needs up to 51060 term products, over the limit of 30000"):
             op(large, other)
+
+
+def test_partial_work_limit():
+    """The quotient rule is refused before any product when the products it
+    forms -- each at most its first operand's terms times the product of
+    the moving factors' lengths -- add up to over MAX_PARTIAL_WORK."""
+    inv = 1 / (x ** 2 + y + 1) / (x + y ** 2 + 2) / (x ** 2 + y ** 3 + 5)
+    num = (x + y + 1) ** 30  # 465 * 27 + 496 * 3 * 9 = 25947 products
+    point = {"x": 2, "y": 3}
+    d = 1 / inv
+    want = (num.partial("x").eval_at(point) * d.eval_at(point)
+            - num.eval_at(point) * d.partial("x").eval_at(point)) / d.eval_at(point) ** 2
+    assert sf.partial(num * inv, "x").eval_at(point) == want
+    with pytest.raises(sf.PartialTooLarge,
+                       match="needs up to 45387 term products, over the limit of 30000"):
+        sf.partial((x + y + 1) ** 40 * inv, "x")
 
 
 def test_power_work_limit():
@@ -340,7 +358,7 @@ def test_product_over_forty_coordinates():
     d = sf.partial(e, "c20")
     assert ref.view(d)[0] == ref._p_partial(want, "c20")
     point = {name: Fraction(i + 1, 3) for i, name in enumerate(names)}
-    assert sf.eval_at(d, point) == ref._p_eval(ref.view(d)[0], point)
+    assert eval_at(d, point) == ref._p_eval(ref.view(d)[0], point)
     sympy = pytest.importorskip("sympy")
     cs = [sympy.Symbol(name) for name in names]
     product = sympy.Mul(*(c ** (i % 7 + 1) for i, c in enumerate(cs)))
