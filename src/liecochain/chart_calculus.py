@@ -125,10 +125,6 @@ def vector_field(chart, components):
     return MultiVectorField(chart, 1, {(i,): c for i, c in enumerate(components)})
 
 
-def scalar_form(chart, f):
-    return DiffForm(chart, 0, {(): sf.normalize(f)})
-
-
 def d_exterior(omega):
     """Exterior derivative, coefficientwise d(f dx_I) = df ^ dx_I."""
     chart = omega.chart

@@ -106,27 +106,16 @@ def _tokenize(text, file):
 
 
 @dataclass
-class FunctionDecl:
-    name: str
-    args: tuple
-
-
-@dataclass
 class SubgroupDecl:
-    name: str
     algebra: str
-    span_indices: tuple          # 1-based basis indices
-    components: tuple            # matrices as tuples of tuples of Fraction
-    spec: SubgroupSpec
+    spec: SubgroupSpec           # its basis holds the span's unit vectors as written
 
 
 @dataclass
 class ActionDecl:
-    name: str
     algebra: str
     chart: str
     generators: tuple            # vector field names
-    orbit_dim: int
     spec: ActionSpec
 
 
@@ -144,7 +133,7 @@ OBJECT_KINDS = ("form", "field", "chain")   # what an `object` reference names
 class Workspace:
     source_name: str = dfield(compare=False, default="<input>")
     charts: dict = dfield(default_factory=dict)
-    functions: dict = dfield(default_factory=dict)
+    functions: dict = dfield(default_factory=dict)  # name -> argument names
     lie_algebras: dict = dfield(default_factory=dict)
     subgroups: dict = dfield(default_factory=dict)
     vector_fields: dict = dfield(default_factory=dict)
@@ -278,6 +267,24 @@ def _resolve(ws, slot, name, index, home, fail):
 # parser
 
 
+def _kind(value):
+    """"scalar" for a ScalarExpr, else the tensor's kind: "form" or "chain"."""
+    return "scalar" if isinstance(value, sf.ScalarExpr) else value.kind
+
+
+def _degree_zero(cls, chart, f):
+    """The scalar `f` as a tensor of degree 0 of class `cls`."""
+    return cls(chart, 0, {(): f})
+
+
+# declaration keyword -> (its noun, the tensor class, the Workspace store)
+_TENSOR_DECLS = {
+    "vectorfield": ("a vector field", cc.MultiVectorField, "vector_fields"),
+    "form": ("a form", cc.DiffForm, "forms"),
+    "chain": ("a chain", cc.MultiVectorField, "chains"),
+}
+
+
 class _Parser:
     def __init__(self, text, file):
         self.tokens = _tokenize(text, file)
@@ -375,9 +382,7 @@ class _Parser:
             "subgroup": self.parse_subgroup,
             "chart": self.parse_chart,
             "function": self.parse_function,
-            "vectorfield": self.parse_vectorfield,
-            "form": self.parse_form,
-            "chain": self.parse_chain,
+            **dict.fromkeys(_TENSOR_DECLS, self.parse_tensor),
             "action": self.parse_action,
             "point": self.parse_point,
             "check": self.parse_check,
@@ -478,16 +483,9 @@ class _Parser:
             self.advance()
             components.append(self.parse_matrix(algebra.dim))
         self.expect("}")
-        basis = []
-        for idx in indices:
-            v = [Fraction(0)] * algebra.dim
-            v[idx - 1] = Fraction(1)
-            basis.append(v)
+        basis = [[int(k == idx) for k in range(1, algebra.dim + 1)] for idx in indices]
         spec = SubgroupSpec.from_vectors(basis, components)
-        self.declare(self.ws.subgroups, name_tok,
-                     SubgroupDecl(name_tok.text, alg_tok.text, tuple(indices),
-                                  tuple(tuple(tuple(r) for r in m) for m in components), spec),
-                     "subgroup")
+        self.declare(self.ws.subgroups, name_tok, SubgroupDecl(alg_tok.text, spec), "subgroup")
 
     def parse_matrix(self, dim):
         open_tok = self.peek()
@@ -531,53 +529,30 @@ class _Parser:
                            name_tok, UnknownReference)
         if len(set(args)) != len(args):
             self.error("function arguments must be distinct", name_tok, DuplicateName)
-        self.declare(self.ws.functions, name_tok,
-                     FunctionDecl(name_tok.text, tuple(args)), "function")
+        self.declare(self.ws.functions, name_tok, tuple(args), "function")
 
     def _coordinate_name(self):
         return self.expect_name("a coordinate name").text
 
-    def _on_chart(self):
+    def parse_tensor(self):
+        keyword = self.advance().text
+        noun, cls, store = _TENSOR_DECLS[keyword]
+        name_tok = self.expect_name(f"{noun} name")
         self.expect("on")
-        chart_tok = self.expect_name("a chart name")
-        return self.lookup(self.ws.charts, chart_tok, "chart")
-
-    def parse_vectorfield(self):
-        self.expect("vectorfield")
-        name_tok = self.expect_name("a vector field name")
-        chart = self._on_chart()
+        chart = self.lookup(self.ws.charts, self.expect_name("a chart name"), "chart")
         self.expect("=")
-        kind, value = self.parse_tensor_rhs(chart)
-        if kind == "scalar":
-            self.error("a vector field needs D(coordinate) terms", name_tok, ArityMismatch)
-        if kind != "chain" or value.degree != 1:
-            self.error("a vector field must be a degree-1 chain expression",
-                       name_tok, ArityMismatch)
-        self.declare(self.ws.vector_fields, name_tok, value, "vectorfield")
-
-    def parse_form(self):
-        self.expect("form")
-        name_tok = self.expect_name("a form name")
-        chart = self._on_chart()
-        self.expect("=")
-        kind, value = self.parse_tensor_rhs(chart)
-        if kind == "scalar":
-            value = cc.scalar_form(chart, value)
-        elif kind != "form":
-            self.error("a form cannot contain chain atoms", name_tok, ArityMismatch)
-        self.declare(self.ws.forms, name_tok, value, "form")
-
-    def parse_chain(self):
-        self.expect("chain")
-        name_tok = self.expect_name("a chain name")
-        chart = self._on_chart()
-        self.expect("=")
-        kind, value = self.parse_tensor_rhs(chart)
-        if kind == "scalar":
-            value = cc.MultiVectorField(chart, 0, {(): sf.normalize(value)})
-        elif kind != "chain":
-            self.error("a chain cannot contain form atoms", name_tok, ArityMismatch)
-        self.declare(self.ws.chains, name_tok, value, "chain")
+        value = self.parse_tensor_rhs(chart)
+        kind = _kind(value)
+        if keyword == "vectorfield":
+            if kind != "chain" or value.degree != 1:
+                self.error("a vector field needs D(coordinate) terms" if kind == "scalar"
+                           else "a vector field must be a degree-1 chain expression",
+                           name_tok, ArityMismatch)
+        elif kind == "scalar":
+            value = _degree_zero(cls, chart, value)
+        elif kind != cls.kind:
+            self.error(f"{noun} cannot contain {kind} atoms", name_tok, ArityMismatch)
+        self.declare(getattr(self.ws, store), name_tok, value, keyword)
 
     def parse_action(self):
         self.expect("action")
@@ -613,8 +588,7 @@ class _Parser:
             self.error("orbit dimension out of range", q_tok, ArityMismatch)
         spec = ActionSpec(chart, algebra, tuple(gens), q)
         self.declare(self.ws.actions, name_tok,
-                     ActionDecl(name_tok.text, alg_tok.text, chart_tok.text,
-                                tuple(gen_names), q, spec), "action")
+                     ActionDecl(alg_tok.text, chart_tok.text, tuple(gen_names), spec), "action")
 
     def parse_point(self):
         self.expect("point")
@@ -643,56 +617,44 @@ class _Parser:
             self.error(str(exc), tok)
 
     def parse_tensor_expr(self, chart):
-        """Sum level.  Returns ("scalar", ScalarExpr) or ("form"/"chain", tensor)."""
-        kind, value = self.parse_tensor_term(chart)
+        """Sum level: a ScalarExpr, or a form or chain (see `_kind`)."""
+        value = self.parse_tensor_term(chart)
         while self.peek().text in {"+", "-"}:
             op_tok = self.advance()
-            kind2, value2 = self.parse_tensor_term(chart)
-            kind, value = self._combine_sum(kind, value, kind2, value2, op_tok)
-        return kind, value
+            other = self.parse_tensor_term(chart)
+            value = self._sum(value, -other if op_tok.text == "-" else other, op_tok)
+        return value
 
-    def _combine_sum(self, kind, value, kind2, value2, op_tok):
-        if op_tok.text == "-":
-            value2 = -value2
-        if kind == "scalar" and kind2 == "scalar":
-            return "scalar", value + value2
-        for k, v, ko, vo in ((kind, value, kind2, value2), (kind2, value2, kind, value)):
-            if k == "scalar" and ko in {"form", "chain"} and vo.degree == 0:
-                wrapped = (cc.scalar_form(vo.chart, v) if ko == "form"
-                           else cc.MultiVectorField(vo.chart, 0, {(): sf.normalize(v)}))
-                return ko, wrapped + vo
-        if kind != kind2:
+    def _sum(self, a, b, op_tok):
+        """a + b; a scalar joins a tensor of degree 0."""
+        ka, kb = _kind(a), _kind(b)
+        if ka == kb == "scalar":
+            return a + b
+        if "scalar" in (ka, kb):
+            f, t = (a, b) if ka == "scalar" else (b, a)
+            if t.degree == 0:
+                return _degree_zero(type(t), t.chart, f) + t
+        if ka != kb:
             self.error("cannot add a form and a chain", op_tok, ArityMismatch)
-        if value.degree != value2.degree:
-            self.error(f"cannot add degrees {value.degree} and {value2.degree}",
-                       op_tok, ArityMismatch)
-        return kind, value + value2
+        if a.degree != b.degree:
+            self.error(f"cannot add degrees {a.degree} and {b.degree}", op_tok, ArityMismatch)
+        return a + b
 
     def parse_tensor_term(self, chart):
         """Product level: factors joined by * and /."""
-        sign = 1
-        while self.peek().text == "-":
-            self.advance()
-            sign = -sign
-        kind, value = self.parse_tensor_factor(chart)
-        while True:
-            op = self.peek().text
-            if op == "*":
-                op_tok = self.advance()
-                kind2, value2 = self.parse_tensor_factor(chart)
-                kind, value = self._combine_product(kind, value, kind2, value2, op_tok)
-            elif op == "/":
-                op_tok = self.advance()
-                _, value2 = self.parse_tensor_factor(chart, divide_tok=op_tok)
-                if kind == "scalar":
-                    value = value * value2
-                else:
-                    value = value.scaled(value2)
-            else:
-                break
-        if sign < 0:
-            value = -value
-        return kind, value
+        value = self.parse_tensor_factor(chart)
+        while self.peek().text in {"*", "/"}:
+            op_tok = self.advance()
+            divide_tok = op_tok if op_tok.text == "/" else None
+            value = self._product(value, self.parse_tensor_factor(chart, divide_tok), op_tok)
+        return value
+
+    def _product(self, a, b, op_tok):
+        if _kind(a) == "scalar":
+            return a * b if _kind(b) == "scalar" else b.scaled(a)
+        if _kind(b) == "scalar":
+            return a.scaled(b)
+        self.error("use '^' to wedge tensors, '*' is for scalar factors", op_tok, ArityMismatch)
 
     def parse_tensor_factor(self, chart, divide_tok=None):
         """Atom with postfix ^: integer power on scalars, wedge on tensors.
@@ -701,7 +663,8 @@ class _Parser:
         before its powers, so that a / b^e reads as a * b^-e and a factored
         denominator parses back factor by factor.
         """
-        kind, value = self.parse_tensor_atom(chart)
+        value = self.parse_tensor_atom(chart)
+        kind = _kind(value)
         if divide_tok is not None:
             if kind != "scalar":
                 self.error("can only divide by a scalar", divide_tok, ArityMismatch)
@@ -711,64 +674,50 @@ class _Parser:
         while self.peek().text == "^":
             op_tok = self.advance()
             if kind == "scalar":
-                exp_tok = self.peek()
-                neg = False
-                if exp_tok.text == "-":
+                neg = self.peek().text == "-"
+                if neg:
                     self.advance()
-                    neg = True
-                    exp_tok = self.peek()
+                exp_tok = self.peek()
                 if exp_tok.kind != "int":
                     self.error("power of a scalar needs an integer exponent", exp_tok)
                 e = self.expect_int()
                 value = value ** (-e if neg else e)
             else:
-                kind2, value2 = self.parse_tensor_atom(chart)
-                if kind2 == "scalar":
+                other = self.parse_tensor_atom(chart)
+                if _kind(other) == "scalar":
                     self.error("cannot wedge with a scalar", op_tok, ArityMismatch)
-                if kind2 != kind:
+                if _kind(other) != kind:
                     self.error("cannot wedge a form with a chain", op_tok, ArityMismatch)
-                value = value.wedge(value2)
-        return kind, value
-
-    def _combine_product(self, kind, value, kind2, value2, op_tok):
-        if kind == "scalar" and kind2 == "scalar":
-            return "scalar", value * value2
-        if kind == "scalar":
-            return kind2, value2.scaled(value)
-        if kind2 == "scalar":
-            return kind, value.scaled(value2)
-        self.error("use '^' to wedge tensors, '*' is for scalar factors",
-                   op_tok, ArityMismatch)
+                value = value.wedge(other)
+        return value
 
     def parse_tensor_atom(self, chart):
         tok = self.peek()
         if tok.text == "(":
             self.advance()
-            kind, value = self.parse_tensor_expr(chart)
+            value = self.parse_tensor_expr(chart)
             self.expect(")")
-            return kind, value
+            return value
         if tok.text == "-":
             self.advance()
-            kind, value = self.parse_tensor_factor(chart)
-            return kind, -value
+            return -self.parse_tensor_factor(chart)
         if tok.kind == "int":
             self.advance()
-            return "scalar", sf.rational(int(tok.text))
+            return sf.rational(int(tok.text))
         if tok.text == "d":
-            return "form", self._basis_form(chart)
+            return self._basis_form(chart)
         if tok.text == "D":
             return self._derivative_or_basis(chart)
         if tok.text == "wedge":
             self.advance()
             self.expect("(")
-            kind1, v1 = self.parse_tensor_expr(chart)
+            v1 = self.parse_tensor_expr(chart)
             self.expect(",")
-            kind2, v2 = self.parse_tensor_expr(chart)
+            v2 = self.parse_tensor_expr(chart)
             close = self.expect(")")
-            if "scalar" in (kind1, kind2) or kind1 != kind2:
-                self.error("wedge needs two forms or two chains",
-                           close, ArityMismatch)
-            return kind1, v1.wedge(v2)
+            if _kind(v1) == "scalar" or _kind(v1) != _kind(v2):
+                self.error("wedge needs two forms or two chains", close, ArityMismatch)
+            return v1.wedge(v2)
         if tok.kind == "name":
             return self._name_atom(chart)
         self.error(f"unexpected token {tok.text!r} in expression")
@@ -792,40 +741,39 @@ class _Parser:
             coord_tok = self.advance()
             self.advance()  # ')'
             i = chart.index(coord_tok.text)
-            return "chain", cc.MultiVectorField(chart, 1, {(i,): sf.ONE})
-        kind, inner = self.parse_tensor_expr(chart)
-        if kind != "scalar":
+            return cc.MultiVectorField(chart, 1, {(i,): sf.ONE})
+        inner = self.parse_tensor_expr(chart)
+        if _kind(inner) != "scalar":
             self.error("formal derivative applies to scalars", d_tok, ArityMismatch)
         self.expect(",")
         coord_tok = self.expect_name("a coordinate name")
         if coord_tok.text not in chart.coordinates:
             self.error(f"unknown coordinate {coord_tok.text!r}", coord_tok, UnknownReference)
         self.expect(")")
-        return "scalar", sf.partial(inner, coord_tok.text)
+        return sf.partial(inner, coord_tok.text)
 
     def _name_atom(self, chart):
         tok = self.advance()
         name = tok.text
         if self.peek().text == "(":
-            decl = self.lookup(self.ws.functions, tok, "function")
-            args = self.comma_list("(", self._coordinate_name, ")")
-            if tuple(args) != decl.args:
-                self.error(f"{name} is declared with arguments ({', '.join(decl.args)})",
+            args = self.lookup(self.ws.functions, tok, "function")
+            if tuple(self.comma_list("(", self._coordinate_name, ")")) != args:
+                self.error(f"{name} is declared with arguments ({', '.join(args)})",
                            tok, ArityMismatch)
-            missing = [a for a in decl.args if a not in chart.coordinates]
+            missing = [a for a in args if a not in chart.coordinates]
             if missing:
                 self.error(f"{name} depends on {missing[0]!r}, which is not a "
                            f"coordinate of this chart", tok, ArityMismatch)
-            return "scalar", sf.function(name, decl.args)
+            return sf.function(name, args)
         if name in chart.coordinates:
-            return "scalar", sf.coordinate(name)
-        for kind, store in (("chain", self.ws.vector_fields), ("chain", self.ws.chains),
-                            ("form", self.ws.forms)):
-            if name in store:
-                if store[name].chart != chart:
-                    self.error(f"{name!r} lives on a different chart", tok, ArityMismatch)
-                return kind, store[name]
-        self.error(f"unknown name {name!r}", tok, UnknownReference)
+            return sf.coordinate(name)
+        try:
+            _, value = self.ws.find_object(name)
+        except KeyError:
+            self.error(f"unknown name {name!r}", tok, UnknownReference)
+        if value.chart != chart:
+            self.error(f"{name!r} lives on a different chart", tok, ArityMismatch)
+        return value
 
     # -- check directives ----------------------------------------------------
 
@@ -978,10 +926,10 @@ def _render_lie_algebra(name, algebra):
     return "\n".join(lines)
 
 
-def _render_subgroup(decl):
-    span = ", ".join(str(i) for i in decl.span_indices)
-    lines = [f"subgroup {decl.name} of {decl.algebra} {{", f"  span = [{span}]"]
-    for m in decl.components:
+def _render_subgroup(name, decl):
+    span = ", ".join(str(v.index(1) + 1) for v in decl.spec.basis)
+    lines = [f"subgroup {name} of {decl.algebra} {{", f"  span = [{span}]"]
+    for m in decl.spec.component_reps:
         rows = ",".join("[" + ",".join(str(x) for x in row) + "]" for row in m)
         lines.append(f"  component [{rows}]")
     lines.append("}")
@@ -1010,27 +958,19 @@ def render(ws):
             chart = ws.charts[key]
             lines.append(f"chart {key} {{ coords = [{', '.join(chart.coordinates)}] }}")
         elif kind == "function":
-            decl = ws.functions[key]
-            lines.append(f"function {decl.name}({', '.join(decl.args)})")
+            lines.append(f"function {key}({', '.join(ws.functions[key])})")
         elif kind == "lie_algebra":
             lines.append(_render_lie_algebra(key, ws.lie_algebras[key]))
         elif kind == "subgroup":
-            lines.append(_render_subgroup(ws.subgroups[key]))
-        elif kind == "vectorfield":
-            vf = ws.vector_fields[key]
-            chart_name = _chart_name(ws, vf.chart)
-            lines.append(f"vectorfield {key} on {chart_name} = {tensor_dsl(vf)}")
-        elif kind == "form":
-            form = ws.forms[key]
-            lines.append(f"form {key} on {_chart_name(ws, form.chart)} = {tensor_dsl(form)}")
-        elif kind == "chain":
-            chain = ws.chains[key]
-            lines.append(f"chain {key} on {_chart_name(ws, chain.chart)} = {tensor_dsl(chain)}")
+            lines.append(_render_subgroup(key, ws.subgroups[key]))
+        elif kind in _TENSOR_DECLS:
+            obj = getattr(ws, _TENSOR_DECLS[kind][2])[key]
+            lines.append(f"{kind} {key} on {_chart_name(ws, obj.chart)} = {_declared_tensor(obj)}")
         elif kind == "action":
             decl = ws.actions[key]
             lines.append(
                 f"action {key} {{ algebra {decl.algebra} chart {decl.chart} "
-                f"generators = [{', '.join(decl.generators)}] orbit_dim {decl.orbit_dim} }}")
+                f"generators = [{', '.join(decl.generators)}] orbit_dim {decl.spec.orbit_dim} }}")
         elif kind == "point":
             chart_name, values = ws.points[key]
             vals = ", ".join(str(v) for v in values)
@@ -1038,6 +978,15 @@ def render(ws):
         elif kind == "check":
             lines.append(_render_check(ws.checks[key]))
     return "\n".join(lines) + "\n"
+
+
+def _declared_tensor(obj):
+    """`tensor_dsl`, but a zero tensor of positive degree as 0 times its
+    first basis atoms, so that its kind and degree parse back."""
+    if obj.is_zero() and obj.degree:
+        unit = type(obj)(obj.chart, obj.degree, {tuple(range(obj.degree)): sf.ONE})
+        return "0*" + tensor_dsl(unit)
+    return tensor_dsl(obj)
 
 
 def _chart_name(ws, chart):

@@ -209,7 +209,7 @@ def test_semibasic():
     A = sf.function("A", ("x",))
     assert aa.check_semibasic(action, cc.DiffForm(M3, 1, {(0,): A})).ok
     assert not aa.check_semibasic(action, cc.DiffForm(M3, 1, {(1,): sf.ONE})).ok
-    assert aa.check_semibasic(action, cc.scalar_form(M3, x)).ok
+    assert aa.check_semibasic(action, cc.DiffForm(M3, 0, {(): x})).ok
 
 
 # -- evaluation map -------------------------------------------------------------

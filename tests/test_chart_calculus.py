@@ -33,9 +33,9 @@ def test_d_exterior_intro_two_form():
 
 
 def test_d_of_constant_and_d_squared():
-    const = cc.scalar_form(M3, sf.rational(5))
+    const = cc.DiffForm(M3, 0, {(): sf.rational(5)})
     assert cc.d_exterior(const).is_zero()
-    f = cc.scalar_form(M3, K * x * y)
+    f = cc.DiffForm(M3, 0, {(): K * x * y})
     assert cc.d_exterior(cc.d_exterior(f)).is_zero()
 
 
@@ -94,7 +94,7 @@ def test_interior_vector():
     got = cc.interior_multivector(adx, dx_dy)
     assert got.coeffs.keys() == {(1,)} and sf.equals(got.coefficient((1,)), a)
     with pytest.raises(cc.DegreeUnderflow):
-        cc.interior_multivector(adx, cc.scalar_form(M3, x))
+        cc.interior_multivector(adx, cc.DiffForm(M3, 0, {(): x}))
 
 
 def test_interior_multivector_intro_values():

@@ -7,6 +7,7 @@ from liecochain import dsl
 from liecochain import scalar_field as sf
 
 FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = Path(__file__).parent / "golden"
 FIXTURE_NAMES = ["intro", "solvable", "abelian_shear", "so3"]
 
 
@@ -50,7 +51,7 @@ def test_vectorfield_is_the_degree_one_chain():
 def test_parse_subgroups():
     ws = load("so3")
     so2 = ws.subgroups["so2"]
-    assert so2.span_indices == (3,)
+    assert so2.spec.basis == ((0, 0, 1),)
     o2 = ws.subgroups["o2"]
     assert len(o2.spec.component_reps) == 1
     assert o2.spec.component_reps[0][0][0] == -1
@@ -227,6 +228,24 @@ ERROR_CORPUS = [
         "check cochain(act, c, forms=[f])", "check cochain(act, chi, forms=[w])",
         "check cochain(act, chi, forms=[f], fields=[R])",
         "check lambda(act, chi, R)")),
+    # the expression rules: kinds, leading minus signs and declared tensors
+    (GOOD_HEADER + "form f on M = d(x) + D(x)", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "form f on M = x + d(x)", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "form f on M = x/d(x)", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "form f on M = -x/-d(y)", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "form f on M = wedge(x, d(y))", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "form f on M = D(d(x), x)", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "form f on M = D(x)", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "chain c on M = d(x)", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "form f on M = -d(x) * d(y)", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "chain c on M = -D(x) - -x*D(x)^D(y)", dsl.ArityMismatch, 3),
+    (GOOD_HEADER + "chart N { coords = [u] }\nform w on N = d(u)\nform f on M = x*w",
+     dsl.ArityMismatch, 5),
+    (GOOD_HEADER + "chart N { coords = [u] }\nform f on N = K(z)*d(u)", dsl.ArityMismatch, 4),
+    (GOOD_HEADER + "chart N { coords = [u] }\nvectorfield v on N = D(u)\n"
+     "lie_algebra g { dim 1 }\naction a { algebra g chart M generators = [v] orbit_dim 1 }",
+     dsl.ArityMismatch, 6),
+    (GOOD_HEADER + "form f on M = x + )", dsl.ParseError, 3),
 ]
 
 
@@ -242,8 +261,41 @@ def test_error_spans_point_at_offending_line(text, exc, line):
     assert err.span.column >= 1 and err.span.length >= 1
 
 
+def _error_line(text):
+    try:
+        dsl.parse(text, "mutant.lch")
+    except dsl.ParseError as err:
+        return f"{type(err).__name__} {err}"
+    return "accepted"
+
+
+def test_error_messages_match_golden():
+    """The class, span and message of every ERROR_CORPUS row, one line each
+    in corpus order, are those in tests/golden/parse_errors.txt."""
+    expected = (GOLDEN / "parse_errors.txt").read_text().splitlines()
+    assert [_error_line(text) for text, _, _ in ERROR_CORPUS] == expected
+
+
 def test_error_corpus_is_large_enough():
     assert len(ERROR_CORPUS) >= 30
+
+
+# accepted inputs that mix kinds or signs, and the last line of their rendering
+MIXED_RENDERINGS = [
+    ("form f0 on M = x\nform f on M = y + f0", "form f on M = x + y"),
+    ("form f0 on M = x\nform f on M = f0 + y", "form f on M = x + y"),
+    ("chain c0 on M = x\nchain c on M = c0 + 1", "chain c on M = 1 + x"),
+    ("chain c0 on M = x\nchain c on M = 1 + c0", "chain c on M = 1 + x"),
+    ("form f on M = x * -d(y)", "form f on M = -x*d(y)"),
+    ("form f on M = -x^2*d(y)/-K(z)", "form f on M = x^2/(K(z))*d(y)"),
+]
+
+
+@pytest.mark.parametrize("text,last", MIXED_RENDERINGS)
+def test_mixed_kind_rendering(text, last):
+    ws = dsl.parse(GOOD_HEADER + text)
+    assert dsl.render(ws).splitlines()[-1] == last
+    assert dsl.parse(dsl.render(ws)) == ws
 
 
 def test_fuzzed_mutations_never_escape_parse_errors():
@@ -284,6 +336,108 @@ subgroup triv of so3 { span = [] }
     assert dsl.parse(rendered) == ws
 
 
+@pytest.mark.parametrize("decl,rendered", [
+    ("vectorfield v on M = 0*D(y)", "vectorfield v on M = 0*D(x)"),
+    ("chain c on M = 0*D(x)", "chain c on M = 0*D(x)"),
+    ("chain c on M = D(x)^D(y) + D(y)^D(x)", "chain c on M = 0*D(x)^D(y)"),
+    ("chain c on M = 0*D(z)^D(y)^D(x)", "chain c on M = 0*D(x)^D(y)^D(z)"),
+    ("form f on M = d(z) - d(z)", "form f on M = 0*d(x)"),
+    ("form f on M = 0*d(x)^d(z)", "form f on M = 0*d(x)^d(y)"),
+    ("form f on M = x*d(x)^d(y)^d(z) - x*d(x)^d(y)^d(z)", "form f on M = 0*d(x)^d(y)^d(z)"),
+    ("form f on M = x - x", "form f on M = 0"),
+])
+def test_zero_tensors_round_trip(decl, rendered):
+    ws = dsl.parse(GOOD_HEADER + decl)
+    assert dsl.render(ws).splitlines()[-1] == rendered
+    assert dsl.parse(dsl.render(ws)) == ws
+
+
+def _workspace_texts(st):
+    """Workspace texts: one or two charts of 1-3 coordinates, a function
+    symbol, a Lie algebra with subgroups (spans out of order, component
+    matrices), an action, forms, chains and vector fields that are sums of
+    0-3 terms with rational coefficients (zero allowed), quotients and
+    derivatives of the function symbol, and rational points."""
+
+    def rational(draw):
+        num, den = draw(st.integers(-4, 4)), draw(st.integers(1, 3))
+        return str(num) if den == 1 else f"{num}/{den}"
+
+    def basis(atom, coords):
+        return "^".join(f"{atom}({c})" for c in coords)
+
+    def tensor(draw, atom, coords, degree, scalars):
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            factors = [rational(draw), *draw(st.lists(st.sampled_from(scalars), max_size=2))]
+            if degree:
+                factors.append(basis(atom, draw(st.permutations(coords))[:degree]))
+            terms.append("*".join(factors))
+        return " + ".join(terms) or ("0*" + basis(atom, coords[:degree]) if degree else "0")
+
+    @st.composite
+    def workspaces(draw):
+        lines = []
+        charts = {"M": draw(st.permutations(["x", "y", "z"]))[:draw(st.integers(1, 3))]}
+        if draw(st.booleans()):
+            charts["N"] = ["u", "w"][:draw(st.integers(1, 2))]
+        for name, coords in charts.items():
+            lines.append(f"chart {name} {{ coords = [{', '.join(coords)}] }}")
+        k = charts["M"][-1]
+        lines.append(f"function K({k})")
+        scalars = {name: [*coords, f"{coords[0]}^2", f"({coords[-1]} + 1)", f"1/({coords[0]} - 2)"]
+                   for name, coords in charts.items()}
+        scalars["M"] += [f"K({k})", f"D(K({k}),{k})", f"1/K({k})"]
+        dim = draw(st.integers(1, 3))
+        brackets = "".join(f" bracket [{i},{j}] = {rational(draw)}*e{draw(st.integers(1, dim))}"
+                           for i in range(1, dim + 1) for j in range(i + 1, dim + 1))
+        lines.append(f"lie_algebra g {{ dim {dim}{brackets} }}")
+        for s in range(draw(st.integers(0, 2))):
+            span = draw(st.permutations(range(1, dim + 1)))[:draw(st.integers(0, dim))]
+            components = "".join(
+                " component [" + ",".join(
+                    "[" + ",".join(rational(draw) for _ in range(dim)) + "]"
+                    for _ in range(dim)) + "]"
+                for _ in range(draw(st.integers(0, 2))))
+            lines.append(f"subgroup s{s} of g {{ span = [{', '.join(map(str, span))}]"
+                         f"{components} }}")
+        coords = charts["M"]
+        for i in range(dim):
+            lines.append(f"vectorfield X{i} on M = {tensor(draw, 'D', coords, 1, scalars['M'])}")
+        lines.append(f"action a {{ algebra g chart M generators = "
+                     f"[{', '.join(f'X{i}' for i in range(dim))}] "
+                     f"orbit_dim {draw(st.integers(1, min(dim, len(coords))))} }}")
+        for i in range(draw(st.integers(0, 4))):
+            chart = draw(st.sampled_from(sorted(charts)))
+            coords = charts[chart]
+            kind = draw(st.sampled_from(["form", "chain", "vectorfield"]))
+            degree = 1 if kind == "vectorfield" else draw(st.integers(0, len(coords)))
+            atom = "d" if kind == "form" else "D"
+            lines.append(f"{kind} t{i} on {chart} = "
+                         f"{tensor(draw, atom, coords, degree, scalars[chart])}")
+        for i in range(draw(st.integers(0, 2))):
+            chart = draw(st.sampled_from(sorted(charts)))
+            values = ", ".join(rational(draw) for _ in charts[chart])
+            lines.append(f"point P{i} on {chart} = ({values})")
+        return "\n".join(lines) + "\n"
+
+    return workspaces()
+
+
+def test_render_round_trips_on_generated_workspaces():
+    """parse(render(ws)) == ws, zero tensors of every degree included."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(_workspace_texts(hypothesis.strategies))
+    def check(text):
+        ws = dsl.parse(text)
+        rendered = dsl.render(ws)
+        assert dsl.parse(rendered, "<render>") == ws
+        assert dsl.render(dsl.parse(rendered)) == rendered
+    check()
+
+
 def test_forward_reference_rejected():
     text = "chart M { coords = [x] }\nform f on M = g + x\nform g on M = x\n"
     with pytest.raises(dsl.UnknownReference) as info:
@@ -299,7 +453,7 @@ def test_tensor_dsl_rendering():
     form = cc.DiffForm(M, 2, {(0, 1): sf.rational(-1)})
     assert dsl.tensor_dsl(form) == "-d(x)^d(y)"
     assert dsl.tensor_dsl(cc.DiffForm.zero(M, 1)) == "0"
-    zero_form = cc.scalar_form(M, sf.rational(1, 3))
+    zero_form = cc.DiffForm(M, 0, {(): sf.rational(1, 3)})
     assert dsl.tensor_dsl(zero_form) == "1/3"
 
 
