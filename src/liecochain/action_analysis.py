@@ -125,10 +125,12 @@ def isotropy_algebra_at(action, point):
 
 
 def fixed_space_at(action, point, isotropy_basis):
-    """(fixed tangent, fixed vertical): bases of the subspace of the tangent
-    space at the point fixed by the linear isotropy action, which acts
-    through the Jacobians of the vanishing generators, and of its
-    intersection with the orbit directions."""
+    """(dim fixed tangent, dim fixed vertical) at the point.  The isotropy
+    algebra acts on the tangent space through the Jacobians of its vanishing
+    fields, stacked in J: v is fixed iff J v = 0.  For the generators' values
+    G, v = G^T c is fixed iff J G^T c = 0, and the kernel of c -> G^T c lies
+    in that of J G^T, so the fixed vertical space has dimension
+    rank G - rank(J G^T)."""
     chart = action.chart
     rows = []
     for xi in isotropy_basis:
@@ -137,30 +139,9 @@ def fixed_space_at(action, point, isotropy_basis):
             if c != 0:
                 vf = vf + action.generators[i].scaled(sf.rational(c))
         rows.extend(cc.jacobian_at(vf, point))
-    if rows:
-        fixed_tangent = linalg.nullspace(rows)
-    else:
-        fixed_tangent = [list(v) for v in linalg.identity(chart.dim)]
-    vert = linalg.Echelon(_generators_at(action, point))
-    return fixed_tangent, _intersect(fixed_tangent, [list(r) for r in vert.rows.values()],
-                                     chart.dim)
-
-
-def _intersect(basis_a, basis_b, n):
-    """Basis of span(a) meet span(b), deterministic."""
-    if not basis_a or not basis_b:
-        return []
-    cols = [list(v) for v in basis_a] + [list(v) for v in basis_b]
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(n)]
-    out = []
-    ech = linalg.Echelon()
-    for sol in linalg.nullspace(matrix):
-        v = [sum((sol[i] * basis_a[i][r] for i in range(len(basis_a))), Fraction(0))
-             for r in range(n)]
-        reduced = ech.insert(v)
-        if reduced is not None:
-            out.append(reduced)
-    return out
+    values = _generators_at(action, point)
+    return (chart.dim - linalg.rank(rows),
+            linalg.rank(values) - linalg.rank(linalg.matmul(rows, list(zip(*values)))))
 
 
 def _each_generator(action, residual_of):
@@ -193,41 +174,39 @@ def multivector_proportionality(chi, w):
     return lam
 
 
+def _vanishes_at(w, pt):
+    """Whether w counts as zero at the point: no coefficient is nonzero
+    there before one without a value (a pole, an unresolved symbol)."""
+    try:
+        return all(c.eval_at(pt) == 0 for c in w.coeffs.values())
+    except (sf.UnresolvedFunctionSymbol, sf.PoleAtPoint):
+        return True
+
+
 def check_vertical(action, chi, sample_points=()):
     """Find a q-subset of generators framing chi: chi = J * X_{i1}^...^X_{iq}.
 
-    With sample points, a candidate frame must have a nonzero wedge at some
-    sample; without, symbolic nonzeroness of the wedge is used.  Returns the
-    frame (generator indices) and the factor J, or None when chi is a
-    multiple of no frame.
+    The subsets are tried in order.  A candidate frame has a nonzero wedge:
+    nonzero at some sample point, or symbolically nonzero without samples.
+    Returns the first candidate frame (generator indices) that chi is a
+    multiple of, with the factor J, or None when there is none; raises
+    NoFrameFound when no subset is a candidate.
     """
     q = chi.degree
     if q != action.orbit_dim:
         raise InvalidInput(f"chain degree {q} differs from orbit dimension {action.orbit_dim}")
-    candidates = []
+    pts = [action.chart.point_map(p) for p in sample_points]
+    degenerate = True
     for subset in combinations(range(len(action.generators)), q):
         w = cc.wedge_vectorfields([action.generators[i] for i in subset])
-        if w.is_zero():
+        if w.is_zero() or (pts and all(_vanishes_at(w, pt) for pt in pts)):
             continue
-        if sample_points:
-            pts = [action.chart.point_map(p) for p in sample_points]
-            ok_at = False
-            for pt in pts:
-                try:
-                    if any(c.eval_at(pt) != 0 for c in w.coeffs.values()):
-                        ok_at = True
-                        break
-                except (sf.UnresolvedFunctionSymbol, sf.PoleAtPoint):
-                    continue
-            if not ok_at:
-                continue
-        candidates.append((subset, w))
-    if not candidates:
-        raise NoFrameFound("every generator subset of orbit size is degenerate")
-    for subset, w in candidates:
+        degenerate = False
         lam = multivector_proportionality(chi, w)
         if lam is not None:
             return subset, lam
+    if degenerate:
+        raise NoFrameFound("every generator subset of orbit size is degenerate")
     return None
 
 

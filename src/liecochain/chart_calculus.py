@@ -58,9 +58,7 @@ class Chart:
             raise sf.UnknownCoordinate(name) from None
 
     def point_map(self, point):
-        """Accepts a coordinate->value mapping or a value sequence."""
-        if isinstance(point, dict):
-            return {k: Fraction(v) for k, v in point.items()}
+        """The coordinate -> Fraction mapping of a value sequence."""
         point = tuple(point)
         if len(point) != self.dim:
             raise ValueError(f"point needs {self.dim} coordinates, got {len(point)}")

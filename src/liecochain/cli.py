@@ -138,8 +138,7 @@ def _cmd_isotropy(ws, names, got):
     action = got["action"].spec
     basis = aa.isotropy_algebra_at(action, got["point"])
     tangent, vertical = aa.fixed_space_at(action, got["point"], basis)
-    dims = {"isotropy": len(basis), "fixed_tangent": len(tangent),
-            "fixed_vertical": len(vertical)}
+    dims = {"isotropy": len(basis), "fixed_tangent": tangent, "fixed_vertical": vertical}
     witness = "; ".join(dsl.vector_dsl(v) for v in basis) or None
     return [_verdict("isotropy", names["action"], True, point=names["point"],
                      dims=dims, witness=witness)]
@@ -395,10 +394,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return run(args)
-    except (InputError, dsl.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (aa.ActionError, CohomologyError, sf.ScalarError, cc.ChartError) as exc:
+    except (InputError, dsl.ParseError, aa.ActionError, CohomologyError, sf.ScalarError,
+            cc.ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

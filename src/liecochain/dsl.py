@@ -634,6 +634,8 @@ class _Parser:
             f, t = (a, b) if ka == "scalar" else (b, a)
             if t.degree == 0:
                 return _degree_zero(type(t), t.chart, f) + t
+            self.error(f"cannot add a scalar and a {t.kind} of degree {t.degree}", op_tok,
+                       ArityMismatch)
         if ka != kb:
             self.error("cannot add a form and a chain", op_tok, ArityMismatch)
         if a.degree != b.degree:

@@ -392,7 +392,6 @@ def relative_basis(algebra, sub, degree):
 
 @dataclass
 class CohomologyResult:
-    degree: int
     dimension: int
     representatives: list
     relative_dims: dict  # degree -> dim of the relative space, for degrees r - 1 and r
@@ -439,7 +438,7 @@ def relative_cohomology(algebra, sub, degree):
     assert dimension == len(reps)
 
     dims = {r: len(forms) for r, forms in [(degree - 1, below), (degree, basis)] if r >= 0}
-    return CohomologyResult(degree, dimension, reps, dims)
+    return CohomologyResult(dimension, reps, dims)
 
 
 def conjugate_subgroup(algebra, sub, auto):

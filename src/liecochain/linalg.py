@@ -129,15 +129,6 @@ class Echelon:
         self._rows[pivot] = row
         return pivot, row
 
-    def reduce(self, v):
-        """The vector in v + (row space) that is zero in every pivot column."""
-        row, scale = _integer_row(v)
-        row, mult = self._reduce(row)
-        exact = {c: Fraction(x, scale * mult) for c, x in row.items()}
-        if isinstance(v, dict):
-            return dict(sorted(exact.items()))
-        return [exact.get(c, Fraction(0)) for c in range(len(v))]
-
     def _hold(self, v):
         """Reduce v against the space and hold the remainder if nonzero:
         (pivot, primitive integer row), or None if v was in the space."""

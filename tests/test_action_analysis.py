@@ -101,8 +101,7 @@ def test_isotropy_rotation_at_origin():
     action = aa.ActionSpec(N2, LieAlgebra(1), (rot,), 1)
     basis = aa.isotropy_algebra_at(action, (0, 0))
     assert basis == [[Fraction(1)]]
-    fixed_tangent, _ = aa.fixed_space_at(action, (0, 0), basis)
-    assert fixed_tangent == []
+    assert aa.fixed_space_at(action, (0, 0), basis) == (0, 0)
 
 
 def test_isotropy_shear_everywhere():
@@ -115,16 +114,14 @@ def test_isotropy_shear_everywhere():
 
 def test_fixed_space_free_point():
     basis = aa.isotropy_algebra_at(intro_action(), (0, 0, 0))
-    fixed_tangent, fixed_vertical = aa.fixed_space_at(intro_action(), (0, 0, 0), basis)
-    assert len(fixed_tangent) == 3
-    assert len(fixed_vertical) == 2
+    assert aa.fixed_space_at(intro_action(), (0, 0, 0), basis) == (3, 2)
 
 
 def test_fixed_space_rotation_translation():
     rot3 = cc.vector_field(M3, [-y, x, sf.ZERO])
     action = aa.ActionSpec(M3, LieAlgebra(2), (rot3, basis_vector(M3, "z")), 2)
     basis = aa.isotropy_algebra_at(action, (0, 0, 0))
-    assert aa.fixed_space_at(action, (0, 0, 0), basis) == ([[0, 0, 1]], [[0, 0, 1]])
+    assert aa.fixed_space_at(action, (0, 0, 0), basis) == (1, 1)
 
 
 # -- invariance checks --------------------------------------------------------

