@@ -120,27 +120,32 @@ def generator_kernel(action):
 
 def isotropy_algebra_at(action, point):
     """Basis of the exact kernel of xi -> sum_i xi_i generator_i(point)."""
+    return _isotropy(_generators_at(action, point))
+
+
+def _isotropy(values):
     # rows indexed by chart coordinate, columns by algebra basis
-    return linalg.nullspace([list(col) for col in zip(*_generators_at(action, point))])
+    return linalg.nullspace([list(col) for col in zip(*values)])
 
 
-def fixed_space_at(action, point, isotropy_basis):
-    """(dim fixed tangent, dim fixed vertical) at the point.  The isotropy
-    algebra acts on the tangent space through the Jacobians of its vanishing
-    fields, stacked in J: v is fixed iff J v = 0.  For the generators' values
-    G, v = G^T c is fixed iff J G^T c = 0, and the kernel of c -> G^T c lies
-    in that of J G^T, so the fixed vertical space has dimension
-    rank G - rank(J G^T)."""
+def fixed_space_at(action, point):
+    """(isotropy basis, dim fixed tangent, dim fixed vertical) at the point,
+    the generators evaluated there once.  The isotropy algebra acts on the
+    tangent space through the Jacobians of its vanishing fields, stacked in
+    J: v is fixed iff J v = 0.  For the generators' values G, v = G^T c is
+    fixed iff J G^T c = 0, and the kernel of c -> G^T c lies in that of
+    J G^T, so the fixed vertical space has dimension rank G - rank(J G^T)."""
     chart = action.chart
+    values = _generators_at(action, point)
+    basis = _isotropy(values)
     rows = []
-    for xi in isotropy_basis:
+    for xi in basis:
         vf = cc.MultiVectorField.zero(chart, 1)
         for i, c in enumerate(xi):
             if c != 0:
                 vf = vf + action.generators[i].scaled(sf.rational(c))
         rows.extend(cc.jacobian_at(vf, point))
-    values = _generators_at(action, point)
-    return (chart.dim - linalg.rank(rows),
+    return (basis, chart.dim - linalg.rank(rows),
             linalg.rank(values) - linalg.rank(linalg.matmul(rows, list(zip(*values)))))
 
 
@@ -155,11 +160,13 @@ def _each_generator(action, residual_of):
 
 
 def check_invariant_form(action, omega):
-    return _each_generator(action, lambda g: cc.lie_derivative_form(g, omega))
+    partials = {}   # one table of omega's partials for every generator
+    return _each_generator(action, lambda g: cc.lie_derivative_form(g, omega, partials))
 
 
 def check_invariant_multivector(action, chi):
-    return _each_generator(action, lambda g: cc.lie_derivative_multivector(g, chi))
+    partials = {}
+    return _each_generator(action, lambda g: cc.lie_derivative_multivector(g, chi, partials))
 
 
 def multivector_proportionality(chi, w):

@@ -5,8 +5,13 @@ both are `linalg.AltTensor`s over `scalar_field`, indexed by strictly
 increasing coordinate-index tuples, and a vector field is a multivector
 field of degree 1.  The one interior product fills the leading slots of the
 form in order: for decomposable chi = X1^...^Xq,
-(i_chi w)(Y...) = w(X1,...,Xq,Y...).  The bracket [X, Y] is L_X Y, the Lie
-derivative of a degree-1 chain; every sign comes from `linalg`'s rules.
+(i_chi w)(Y...) = w(X1,...,Xq,Y...).  One kernel takes the Lie derivative
+of a form or a chain: X on each coefficient, and in each basis factor
+[X, d/dx_j] = -sum_m d_j(X^m) d/dx_m for a chain, L_X dx_j = sum_m
+d_m(X^j) dx_m for a form.  It reads the partials of the coefficients from
+a table that the caller may share: an invariance check passes one table to
+the derivative along every generator.  The bracket [X, Y] is L_X Y, the
+Lie derivative of a degree-1 chain; every sign comes from `linalg`'s rules.
 """
 
 from __future__ import annotations
@@ -169,37 +174,43 @@ def interior_multivector(chi, omega):
     return DiffForm(chart, omega.degree - chi.degree, _accumulate(terms))
 
 
-def lie_derivative_form(x, omega):
-    """Cartan formula L_X = i_X d + d i_X; X(f) on 0-forms."""
-    chart = _same_chart(x, omega)
-    out = DiffForm.zero(chart, omega.degree)
-    if omega.degree < chart.dim:
-        out = out + interior_multivector(x, d_exterior(omega))
-    if omega.degree > 0:
-        out = out + d_exterior(interior_multivector(x, omega))
-    return out
+def lie_derivative_form(x, omega, partials=None):
+    """L_X w by the factor rule for forms; X(f) on 0-forms."""
+    return _lie_derivative(x, omega, partials)
 
 
-def lie_derivative_multivector(r, chi):
-    """Derivation extension of the bracket, plus R(J) on coefficients."""
-    return _lie_derivative(r, chi)
+def lie_derivative_multivector(r, chi, partials=None):
+    """L_R chi by the factor rule for chains."""
+    return _lie_derivative(r, chi, partials)
 
 
-def _lie_derivative(r, chi):
-    """L_R chi: R on each coefficient, and [R, d/dx_j] = -sum_m d_j(R^m) d/dx_m
-    in each factor.  `lie_bracket` calls it directly, so that a trace counts
-    the calls of `lie_derivative_multivector` its callers make, and no more."""
-    chart = _same_chart(r, chi)
+def _lie_derivative(r, t, partials=None):
+    """L_R t for a form or a chain.  `partials` maps (index tuple, coordinate
+    index) to the partial of t's coefficient, filled on first use.
+    `lie_bracket` calls this directly, so that a trace counts the calls of
+    the two entry points their callers make, and no more."""
+    chart = _same_chart(r, t)
+    names, form = chart.coordinates, t.kind == "form"
+    partials = {} if partials is None else partials
+    jac = {}   # (i, k) -> d_k R^i, for this call
     terms = []
-    for idx, a in chi.coeffs.items():
-        terms.append((idx, r.apply(a)))
-        for t, j in enumerate(idx):
-            for (m,), rm in r.coeffs.items():
-                if m == j or m not in idx:
-                    g = sf.partial(rm, chart.coordinates[j])
+    for idx, a in t.coeffs.items():
+        ra = sf.ZERO
+        for (m,), rm in r.coeffs.items():
+            if (idx, m) not in partials:
+                partials[idx, m] = a.partial(names[m])
+            ra = ra + rm * partials[idx, m]
+        terms.append((idx, ra))
+        for s, j in enumerate(idx):
+            for m in range(chart.dim):
+                i, k = (j, m) if form else (m, j)
+                if (i,) in r.coeffs and (m == j or m not in idx):
+                    if (i, k) not in jac:
+                        jac[i, k] = r.coeffs[i,].partial(names[k])
+                    g = jac[i, k]
                     if not g.is_zero():
-                        terms.append((idx[:t] + (m,) + idx[t + 1:], -(a * g)))
-    return MultiVectorField(chart, chi.degree, _accumulate(terms))
+                        terms.append((idx[:s] + (m,) + idx[s + 1:], a * g if form else -(a * g)))
+    return type(t)(chart, t.degree, _accumulate(terms))
 
 
 def jacobian_at(x, point):

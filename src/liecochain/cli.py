@@ -136,8 +136,7 @@ def _cmd_cohomology(ws, names, got):
 
 def _cmd_isotropy(ws, names, got):
     action = got["action"].spec
-    basis = aa.isotropy_algebra_at(action, got["point"])
-    tangent, vertical = aa.fixed_space_at(action, got["point"], basis)
+    basis, tangent, vertical = aa.fixed_space_at(action, got["point"])
     dims = {"isotropy": len(basis), "fixed_tangent": tangent, "fixed_vertical": vertical}
     witness = "; ".join(dsl.vector_dsl(v) for v in basis) or None
     return [_verdict("isotropy", names["action"], True, point=names["point"],

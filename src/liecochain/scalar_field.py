@@ -494,6 +494,8 @@ class ScalarExpr:
 
     def __add__(self, other):
         other = normalize(other)
+        if not (self.num and other.num):
+            return self if other.is_zero() else other
         if self.den == other.den:
             return _fraction(_p_add(self.num, other.num), *_split(self.den))
         mono, factors, (c1, c2) = _lcm((self, other))

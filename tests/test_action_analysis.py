@@ -1,9 +1,12 @@
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liecochain import action_analysis as aa
 from liecochain import chart_calculus as cc
+from liecochain import dsl
 from liecochain import scalar_field as sf
 from liecochain.lie_cohomology import LieAlgebra
 
@@ -99,9 +102,8 @@ def test_isotropy_free_actions():
 def test_isotropy_rotation_at_origin():
     rot = cc.vector_field(N2, [-y, x])
     action = aa.ActionSpec(N2, LieAlgebra(1), (rot,), 1)
-    basis = aa.isotropy_algebra_at(action, (0, 0))
-    assert basis == [[Fraction(1)]]
-    assert aa.fixed_space_at(action, (0, 0), basis) == (0, 0)
+    assert aa.isotropy_algebra_at(action, (0, 0)) == [[Fraction(1)]]
+    assert aa.fixed_space_at(action, (0, 0)) == ([[Fraction(1)]], 0, 0)
 
 
 def test_isotropy_shear_everywhere():
@@ -113,15 +115,14 @@ def test_isotropy_shear_everywhere():
 
 
 def test_fixed_space_free_point():
-    basis = aa.isotropy_algebra_at(intro_action(), (0, 0, 0))
-    assert aa.fixed_space_at(intro_action(), (0, 0, 0), basis) == (3, 2)
+    assert aa.fixed_space_at(intro_action(), (0, 0, 0)) == ([], 3, 2)
 
 
 def test_fixed_space_rotation_translation():
     rot3 = cc.vector_field(M3, [-y, x, sf.ZERO])
     action = aa.ActionSpec(M3, LieAlgebra(2), (rot3, basis_vector(M3, "z")), 2)
-    basis = aa.isotropy_algebra_at(action, (0, 0, 0))
-    assert aa.fixed_space_at(action, (0, 0, 0), basis) == (1, 1)
+    basis, tangent_dim, vertical_dim = aa.fixed_space_at(action, (0, 0, 0))
+    assert (len(basis), tangent_dim, vertical_dim) == (1, 1, 1)
 
 
 # -- invariance checks --------------------------------------------------------
@@ -656,3 +657,63 @@ def test_obstruction_with_component_reps():
     # the flip negates e1, so no invariant 2-form on the algebra survives
     assert report.points[0].relative_dim == 0
     assert report.verdict == aa.NO_INVARIANT_CHAIN
+
+
+# -- work of the invariance checks, counted on the chart_swell workspace ------
+#
+# Deterministic counts in place of wall time: polynomial products, and the
+# partials taken of each tensor coefficient.  One table of a tensor's
+# partials serves every generator of a check, and adding zero builds nothing.
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def swell_counts(monkeypatch):
+    """The chart_swell workspace of seed 12, and counters on `_p_mul` and on
+    `ScalarExpr.partial` by (expression, coordinate)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import chart_swell
+
+    texts, _ = chart_swell.generate(12)
+    ws = dsl.parse(next(iter(texts.values())))
+    counts = {"mul": 0, "partial": Counter()}
+    p_mul, partial = sf._p_mul, sf.ScalarExpr.partial
+
+    def counted_mul(p, q):
+        counts["mul"] += 1
+        return p_mul(p, q)
+
+    def counted_partial(e, coord):
+        counts["partial"][e, coord] += 1
+        return partial(e, coord)
+    monkeypatch.setattr(sf, "_p_mul", counted_mul)
+    monkeypatch.setattr(sf.ScalarExpr, "partial", counted_partial)
+    return ws, counts
+
+
+@pytest.mark.parametrize("check,bound", [
+    ("multivector", 48), ("form", 48), ("cochain", 120)])
+def test_invariance_checks_differentiate_each_coefficient_once(swell_counts, check, bound):
+    ws, counts = swell_counts
+    rot, chi, sigma0 = ws.actions["rot"].spec, ws.chains["chi"], ws.forms["sigma0"]
+    run = {"multivector": lambda: aa.check_invariant_multivector(rot, chi).ok,
+           "form": lambda: aa.check_invariant_form(rot, sigma0).ok,
+           "cochain": lambda: not aa.cochain_condition_check(rot, chi, sigma0).ok}[check]
+    assert run()
+    assert counts["mul"] <= bound
+    tensor = sigma0 if check == "form" else chi
+    taken = [n for (e, _), n in counts["partial"].items() if e in tensor.coeffs.values()]
+    assert len(taken) == len(tensor.coeffs) * 3
+    assert max(taken) == 1
+
+
+def test_adding_zero_builds_nothing(swell_counts):
+    _, counts = swell_counts
+    x, y, z = (sf.coordinate(c) for c in "xyz")
+    e = sf.ONE / (x ** 2 + y ** 2 + z ** 2) ** 2
+    counts["mul"] = 0
+    total = sf.ZERO + e
+    assert counts["mul"] == 0
+    assert (total.num, total.den) == (e.num, e.den)
+    assert e + sf.ZERO is e and sf.ZERO + e is e

@@ -417,6 +417,27 @@ def test_rotation_isotropy_at_pole(capsys):
     assert v["witness"] == "e3"
 
 
+def test_isotropy_evaluates_generators_once(capsys, monkeypatch):
+    # the isotropy basis and both fixed spaces come from one evaluation
+    from liecochain import action_analysis as aa
+
+    calls = []
+    original = aa._generators_at
+
+    def counted(action, point):
+        calls.append(point)
+        return original(action, point)
+    monkeypatch.setattr(aa, "_generators_at", counted)
+    name, expected_code, argv = next(g for g in GOLDEN_RUNS if g[0] == "shear_isotropy")
+    code, out = run_cli(argv + ["--format", "json"], capsys)
+    assert (code, out) == (expected_code, (GOLDEN / f"{name}.json").read_text())
+    assert len(calls) == 1
+    code, out = run_cli(["isotropy", "--input", fixture("rotations"),
+                         "--action", "rot", "--point", "P"], capsys)
+    assert code == 0
+    assert len(calls) == 2
+
+
 def test_report_with_components(capsys):
     # connected circle isotropy leaves a one-dimensional relative space
     code, out = run_cli(["report", "--input", fixture("rotations"),
@@ -546,8 +567,8 @@ def _skew_lie_derivative(monkeypatch):
     s_field, extra = ws.vector_fields["S"], ws.chains["slanted"]
     original = cc.lie_derivative_multivector
 
-    def skewed(x, chi):
-        out = original(x, chi)
+    def skewed(x, chi, *rest):
+        out = original(x, chi, *rest)
         return out + extra if x == s_field else out
     monkeypatch.setattr(cc, "lie_derivative_multivector", skewed)
 
@@ -743,10 +764,12 @@ def test_failure_verdicts_golden(name, expected_code, text, argv, tmp_path, caps
     ws = tmp_path / "failure.lch"
     ws.write_text(text)
     argv = argv + ["--input", str(ws)]
-    code, out = run_cli(argv + ["--format", "json"], capsys)
-    assert (code, capsys.readouterr().err) == (expected_code, "")
+    code = main(argv + ["--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (expected_code, "")
     assert out == (GOLDEN / f"{name}.json").read_text()
-    code, out = run_cli(argv + ["-v"], capsys)
-    assert code == expected_code
+    code = main(argv + ["-v"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (expected_code, "")
     assert out.replace(str(tmp_path), "tmp") == \
         (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

@@ -143,7 +143,8 @@ def test_rref_matches_sympy():
 # -- fixed spaces at a point ---------------------------------------------------
 
 def test_fixed_space_dimensions_match_sympy_ranks():
-    """With the isotropy basis from sympy: dim T = n - rank J and
+    """The isotropy basis is a basis of sympy's kernel of G^T, and with
+    sympy's basis: dim T = n - rank J and
     dim(T meet V) = dim T + rank G - rank[basis of T; G] in sympy, for J the
     stacked Jacobians of the isotropy fields and G the generators' values,
     on polynomial generators at rational points where many of them
@@ -204,9 +205,10 @@ def test_fixed_space_dimensions_match_sympy_ranks():
         stacked = sympy.Matrix.vstack(g, *[v.T for v in tangent])
         dim_tv = dim_t + g.rank() - stacked.rank()
 
-        basis = [[Fraction(int(x.p), int(x.q)) for x in xi] for xi in isotropy]
-        assert len(aa.isotropy_algebra_at(action, point)) == len(basis)
-        assert aa.fixed_space_at(action, point, basis) == (dim_t, dim_tv)
+        basis, tangent_dim, vertical_dim = aa.fixed_space_at(action, point)
+        assert len(basis) == len(aa.isotropy_algebra_at(action, point)) == len(isotropy)
+        assert all((g.T * sympy.Matrix(xi)).is_zero_matrix for xi in basis)
+        assert (tangent_dim, vertical_dim) == (dim_t, dim_tv)
     check()
 
 
