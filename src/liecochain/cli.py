@@ -2,8 +2,12 @@
 text or JSON report with deterministic exit codes.  The commands and their
 flags come from the check table `dsl.CHECKS`; the argument parser is built
 from it once per process, on the first call of `main`, and every name is
-looked up by `dsl.resolve_check`.  Everything read from the input lives for
-one call.
+looked up by `dsl.resolve_check`.  `validate` parses the workspace, which
+builds every declaration; every other command loads it (`dsl.load`), so
+that only the declarations its runner is given are built, and an error in
+a field, form or chain that depends on values is reported only if the
+command reads it.  Display notation is rendered only for text output.
+Everything read from the input lives for one call.
 
 Exit codes: 0 all verdicts pass, 1 at least one mathematical verdict fails
 (an obstruction or a violated identity is a finding, not a crash), 2 input
@@ -43,7 +47,10 @@ def _verdict(check, subject, ok, **extra):
     return v
 
 
-def _load_workspace(path):
+def _load_workspace(path, kind):
+    """The workspace at `path` (- for stdin): `validate` parses it, building
+    every declaration; every other command loads it, building only what it
+    reads."""
     if path == "-":
         text = sys.stdin.read()
         name = "<stdin>"
@@ -54,7 +61,7 @@ def _load_workspace(path):
         except OSError as exc:
             raise InputError(f"cannot read {path}: {exc.strerror}") from exc
         name = path
-    return dsl.parse(text, name)
+    return (dsl.parse if kind == "validate" else dsl.load)(text, name)
 
 
 def _chart_points(ws, chart):
@@ -70,10 +77,10 @@ def _text(obj, style):
 
 
 def _shown(obj, prefix=""):
-    """The witness fields of a verdict: workspace syntax for JSON, display
-    notation for text."""
+    """The witness fields of a verdict: workspace syntax for JSON, and for
+    text a function that renders display notation."""
     return {"witness": prefix + _text(obj, sf.PLAIN),
-            "_pretty": prefix + _text(obj, sf.UNICODE)}
+            "_pretty": lambda: prefix + _text(obj, sf.UNICODE)}
 
 
 # -- commands ---------------------------------------------------------------
@@ -130,8 +137,8 @@ def _cmd_cohomology(ws, names, got):
     return [_verdict("cohomology", f"{subject} degree {degree}", True,
                      dims={"A_rel": result.relative_dims[degree], "H": result.dimension},
                      representatives=[dsl.altform_dsl(r) for r in result.representatives],
-                     _pretty_representatives=[dsl.render_altform(r, sf.UNICODE)
-                                              for r in result.representatives])]
+                     _pretty_representatives=lambda: [dsl.render_altform(r, sf.UNICODE)
+                                                      for r in result.representatives])]
 
 
 def _cmd_isotropy(ws, names, got):
@@ -345,10 +352,12 @@ def _print_text(verdicts):
             line += f" at {v['point']}"
         if v.get("dims"):
             line += " " + " ".join(f"{k}={n}" for k, n in v["dims"].items())
-        reps = v.get("_pretty_representatives") or v.get("representatives")
+        pretty = v.get("_pretty_representatives")
+        reps = pretty() if pretty else v.get("representatives")
         if reps:
             line += " reps: " + ", ".join(reps)
-        witness = v.get("_pretty") or v.get("witness")
+        pretty = v.get("_pretty")
+        witness = pretty() if pretty else v.get("witness")
         if witness:
             line += f" | {witness}"
         if v.get("reason"):
@@ -370,7 +379,7 @@ def _emit_json(command, verdicts, elapsed_ms):
 
 def run(args):
     started = time.perf_counter()
-    ws = _load_workspace(args.input)
+    ws = _load_workspace(args.input, args.kind)
     names = {slot.name: getattr(args, slot.name) for slot in dsl.CHECKS[args.kind].slots}
     got = dsl.resolve_check(ws, args.kind, names, _fail)
     verdicts = _RUNNERS[args.kind](ws, names, got)

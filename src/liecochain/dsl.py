@@ -6,10 +6,19 @@ Declarations must appear before use (no forward references).  Scalar
 subexpressions share one surface syntax (`K(z)`, `D(K(z),z)`, `p/q`, `^`);
 `d(x)` is a form atom, `D(x)` a chain atom, and `^` between tensor atoms is
 the wedge.
+
+One recursive-descent walk reads the text and reports every error of
+syntax, names, kinds, degrees, charts, duplicates and check directives.
+`parse` computes each field, form, chain and action as the walk declares
+it.  `load` only records how to: each is built when first read, and the
+errors that depend on values (a zero divisor, a power, sum or derivative
+over its work budget) are reported then, with the same message and span.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
@@ -57,52 +66,74 @@ _KEYWORDS = {
 }
 _RESERVED = _KEYWORDS | {"d", "D", "wedge"}
 
-# One pass over the whole text: a token (the group names are the token
-# kinds), a run of blanks, a comment up to the end of its line, a newline,
-# or any other character, which is an error.
-_SCAN_RE = re.compile(r"(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>[0-9]+)"
-                      r"|(?P<op>[{}\[\]()=,+\-*/^])|[ \t\r]+|#[^\n]*"
-                      r"|(?P<newline>\n)|(?P<bad>.)")
-
-
-class Token:
-    __slots__ = ("kind", "text", "line", "column")
-
-    def __init__(self, kind, text, line, column):
-        self.kind = kind      # name | int | op | eof
-        self.text = text
-        self.line = line
-        self.column = column
-
-    def span(self, file):
-        return SourceSpan(file, self.line, self.column, max(len(self.text), 1))
+# One match per token: the blanks and comments before it, then the token:
+# a name, an integer, an operator, any other character (an error), or ""
+# at the end of the text.  Each match starts where the last one ended.
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*"
+                       r"([A-Za-z_][A-Za-z_0-9]*|[0-9]+|[{}\[\]()=,+\-*/^]|.|\Z)")
+_BAD_RE = re.compile(r"[^A-Za-z_0-9{}\[\]()=,+\-*/^]")
 
 
 def _tokenize(text, file):
-    """Tokens of `text`, then two EOF tokens, so that `peek(1)` stays in range."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _SCAN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}",
-                             SourceSpan(file, line, m.start() - line_start + 1, 1))
-        else:
-            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
-    last = tokens[-1] if tokens else None
-    eof = Token("eof", "", last.line if last else 1,
-                (last.column + len(last.text)) if last else 1)
-    tokens += (eof, eof)
+    """The token texts of `text`, then at least two "" for its end, so that
+    a look one token ahead stays in range.  A name is a token that
+    `str.isidentifier` accepts, an integer one that `str.isdigit` does."""
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")
+    if _BAD_RE.search("".join(tokens)):
+        i = next(i for i, t in enumerate(tokens) if _BAD_RE.match(t))
+        raise ParseError(f"unexpected character {tokens[i]!r}", _Source(text, file).span(i))
     return tokens
+
+
+class _Source:
+    """A workspace text and its file name: where each token is, found only
+    when an error needs a span."""
+
+    __slots__ = ("text", "file")
+
+    def __init__(self, text, file):
+        self.text, self.file = text, file
+
+    def span(self, i):
+        """The span of token i; the end of the text is placed just after
+        the last token."""
+        start, length, end = 0, 1, 0
+        for k, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            token = m.group(1)
+            if k == i or not token:
+                start, length = (m.start(1), len(token)) if token else (end, 1)
+                break
+            end = m.end(1)
+        line = self.text.count("\n", 0, start) + 1
+        return SourceSpan(self.file, line, start - self.text.rfind("\n", 0, start), length)
 
 
 # ---------------------------------------------------------------------------
 # workspace model
+
+
+class _Pending:
+    """A field, form or chain, or a part of one, not built yet: its kind
+    ("scalar", "form" or "chain"), degree and chart are known from the
+    walk, and `build()` computes its value."""
+
+    __slots__ = ("kind", "degree", "chart", "build")
+
+    def __init__(self, kind, degree, chart, build):
+        self.kind, self.degree, self.chart, self.build = kind, degree, chart, build
+
+
+class _Store(dict):
+    """The fields, forms or chains of a loaded workspace: each is built when
+    `store[name]` first reads it, and kept."""
+
+    def __getitem__(self, name):
+        value = dict.__getitem__(self, name)
+        if value.__class__ is _Pending:
+            value = value.build()
+            dict.__setitem__(self, name, value)
+        return value
 
 
 @dataclass
@@ -116,14 +147,24 @@ class ActionDecl:
     algebra: str
     chart: str
     generators: tuple            # vector field names
-    spec: ActionSpec
+    orbit_dim: int
+    build: object = dfield(repr=False, compare=False)   # () -> `spec`
+
+    @functools.cached_property
+    def spec(self):
+        """The ActionSpec, built when first read."""
+        return self.build()
 
 
 @dataclass
 class CheckDecl:
     kind: str
     values: dict                 # slot name -> name, integer or tuple of names
-    span: SourceSpan = dfield(compare=False, default=None)
+    where: object = dfield(compare=False, repr=False)   # () -> the span of the kind
+
+    @property
+    def span(self):
+        return self.where()
 
 
 OBJECT_KINDS = ("form", "field", "chain")   # what an `object` reference names
@@ -144,15 +185,21 @@ class Workspace:
     checks: list = dfield(default_factory=list)
     order: list = dfield(default_factory=list)     # (kind, name-or-index)
 
+    def store(self, kind):
+        """The declarations of a reference kind of `CHECKS`, by name."""
+        return {"lie_algebra": self.lie_algebras, "subgroup": self.subgroups,
+                "action": self.actions, "point": self.points, "form": self.forms,
+                "field": self.vector_fields, "chain": self.chains}[kind]
+
     def find_object(self, name, kinds=OBJECT_KINDS):
-        """(kind, value) for the declaration of `name` among `kinds`, which
-        are reference kinds of `CHECKS`: KeyError if none declares it."""
-        stores = {"lie_algebra": self.lie_algebras, "subgroup": self.subgroups,
-                  "action": self.actions, "point": self.points, "form": self.forms,
-                  "field": self.vector_fields, "chain": self.chains}
+        """(kind, entry) for the declaration of `name` among `kinds`, which
+        are reference kinds of `CHECKS`: KeyError if none declares it.  The
+        entry is as stored, so a field, form or chain that `load` left
+        unbuilt is a `_Pending`; `store(kind)[name]` builds it."""
         for kind in kinds:
-            if name in stores[kind]:
-                return kind, stores[kind][name]
+            store = self.store(kind)
+            if name in store:
+                return kind, dict.__getitem__(store, name)
         raise KeyError(name)
 
 
@@ -215,7 +262,7 @@ CHECKS = {
 }
 
 
-def resolve_check(ws, kind, values, fail):
+def resolve_check(ws, kind, values, fail, read=True):
     """The declarations named by the arguments of check `kind`, by slot name:
     None for an absent single slot, a list for a list slot, and (kind,
     value) for an `object` slot.
@@ -224,43 +271,47 @@ def resolve_check(ws, kind, values, fail):
     sequence of names.  Every point must lie on the action's chart, and
     every subgroup be of the action's or the named algebra.  A bad name is
     reported by `fail(cls, message, slot name, index in the slot)`, which
-    raises the caller's error.
+    raises the caller's error.  Only the declarations returned are built;
+    with `read=False` the names are checked and nothing is built.
     """
     out, home = {}, {}   # home: the action's chart and the algebra, once known
     for slot in CHECKS[kind].slots:
         given = values.get(slot.name)
         if slot.many:
-            out[slot.name] = [_resolve(ws, slot, name, i, home, fail)
+            out[slot.name] = [_resolve(ws, slot, name, i, home, fail, read)
                               for i, name in enumerate(given or ())]
         else:
-            out[slot.name] = None if given is None else _resolve(ws, slot, given, 0, home, fail)
+            out[slot.name] = (None if given is None
+                              else _resolve(ws, slot, given, 0, home, fail, read))
         if slot.ref == "action" and given is not None:
-            home = {"chart": out[slot.name].spec.chart, "algebra": out[slot.name].algebra}
+            decl = ws.actions[given]
+            home = {"chart": ws.charts[decl.chart], "algebra": decl.algebra}
         elif slot.ref == "lie_algebra" and given is not None:
             home = {"algebra": given}
     return out
 
 
-def _resolve(ws, slot, name, index, home, fail):
+def _resolve(ws, slot, name, index, home, fail, read):
     if slot.ref == "int":
         return name
     kinds = OBJECT_KINDS if slot.ref == "object" else (slot.ref,)
     try:
-        kind, value = ws.find_object(name, kinds)
+        kind, entry = ws.find_object(name, kinds)
     except KeyError:
         fail(UnknownReference, f"unknown {'/'.join(kinds)} {name!r}", slot.name, index)
     if "chart" in home and kind in ("point", *OBJECT_KINDS):
-        if (ws.charts[value[0]] if kind == "point" else value.chart) != home["chart"]:
+        if (ws.charts[entry[0]] if kind == "point" else entry.chart) != home["chart"]:
             fail(ArityMismatch, f"{kind} {name!r} is not on the action's chart",
                  slot.name, index)
-    if slot.ref == "object":
-        return kind, value
-    if slot.ref == "point":
-        return value[1]
-    if slot.ref == "subgroup" and "algebra" in home and value.algebra != home["algebra"]:
+    if slot.ref == "subgroup" and "algebra" in home and entry.algebra != home["algebra"]:
         fail(ArityMismatch, f"subgroup {name!r} is not a subgroup of {home['algebra']!r}",
              slot.name, index)
-    return value
+    if not read:
+        return None
+    if slot.ref == "point":
+        return entry[1]
+    value = ws.store(kind)[name]
+    return (kind, value) if slot.ref == "object" else value
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +319,25 @@ def _resolve(ws, slot, name, index, home, fail):
 
 
 def _kind(value):
-    """"scalar" for a ScalarExpr, else the tensor's kind: "form" or "chain"."""
+    """"scalar" for a ScalarExpr, else the kind of the tensor or `_Pending`:
+    "scalar", "form" or "chain"."""
     return "scalar" if isinstance(value, sf.ScalarExpr) else value.kind
 
 
-def _degree_zero(cls, chart, f):
-    """The scalar `f` as a tensor of degree 0 of class `cls`."""
-    return cls(chart, 0, {(): f})
+def _run(source, at, fn, operands):
+    """fn of the operands' values; a ScalarError or ChartError becomes a
+    ParseError at token `at` of `source`."""
+    values = [o.build() if o.__class__ is _Pending else o for o in operands]
+    try:
+        return fn(*values)
+    except (sf.ScalarError, cc.ChartError) as exc:
+        raise ParseError(str(exc), source.span(at)) from None
+
+
+def _invert(f):
+    if f.is_zero():
+        raise sf.DivisionByZeroExpr("division by zero")
+    return sf.ONE / f
 
 
 # declaration keyword -> (its noun, the tensor class, the Workspace store)
@@ -283,15 +346,23 @@ _TENSOR_DECLS = {
     "form": ("a form", cc.DiffForm, "forms"),
     "chain": ("a chain", cc.MultiVectorField, "chains"),
 }
+_CLASSES = {"form": cc.DiffForm, "chain": cc.MultiVectorField}
 
 
 class _Parser:
-    def __init__(self, text, file):
+    """The walk over one text.  A token is its text in `tokens`, found by
+    its index; "" is the end of the text."""
+
+    def __init__(self, text, file, lazy):
         self.tokens = _tokenize(text, file)
         self.i = 0
-        self.file = file
-        self.ws = Workspace(source_name=file)
+        self.source = _Source(text, file)
+        self.lazy = lazy
+        tensors = _Store if lazy else dict
+        self.ws = Workspace(source_name=file, vector_fields=tensors(), forms=tensors(),
+                            chains=tensors())
         self.names = {}  # declared name or chart coordinate -> its kind
+        self.chart = self.rhs_start = None   # of the tensor being declared
 
     # -- token plumbing --------------------------------------------------
 
@@ -299,60 +370,58 @@ class _Parser:
         return self.tokens[self.i + offset]
 
     def advance(self):
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        """The index of the current token, then step past it."""
+        i = self.i
+        if self.tokens[i]:
             self.i += 1
-        return tok
+        return i
 
-    def error(self, message, tok=None, cls=ParseError):
-        tok = tok or self.peek()
-        raise cls(message, tok.span(self.file))
+    def error(self, message, at=None, cls=ParseError):
+        raise cls(message, self.source.span(self.i if at is None else at))
 
-    def expect(self, text=None, kind=None, what=None):
-        tok = self.peek()
-        if text is not None and tok.text != text:
-            self.error(f"expected {what or repr(text)}, found {tok.text!r}")
-        if kind is not None and tok.kind != kind:
-            self.error(f"expected {what or kind}, found {tok.text!r}")
+    def expect(self, text, what=None):
+        if self.peek() != text:
+            self.error(f"expected {what or repr(text)}, found {self.peek()!r}")
         return self.advance()
 
     def expect_int(self, what="an integer"):
-        tok = self.expect(kind="int", what=what)
-        return int(tok.text)
+        if not self.peek().isdigit():
+            self.error(f"expected {what}, found {self.peek()!r}")
+        return int(self.tokens[self.advance()])
 
     def expect_name(self, what="a name"):
-        tok = self.peek()
-        if tok.kind != "name":
-            self.error(f"expected {what}, found {tok.text!r}")
+        if not self.peek().isidentifier():
+            self.error(f"expected {what}, found {self.peek()!r}")
         return self.advance()
 
-    def declare(self, store, name_tok, value, kind):
-        name = name_tok.text
+    def declare(self, store, name_at, value, kind):
+        name = self.tokens[name_at]
         if name in _RESERVED:
-            self.error(f"{name!r} is reserved and cannot name a {kind}", name_tok)
+            self.error(f"{name!r} is reserved and cannot name a {kind}", name_at)
         held = self.names.get(name)
         if held == kind:
-            self.error(f"duplicate {kind} name {name!r}", name_tok, DuplicateName)
+            self.error(f"duplicate {kind} name {name!r}", name_at, DuplicateName)
         if held:
-            self.error(f"{name!r} already names a {held}", name_tok, DuplicateName)
+            self.error(f"{name!r} already names a {held}", name_at, DuplicateName)
         self.names[name] = kind
         store[name] = value
         self.ws.order.append((kind, name))
 
-    def lookup(self, store, name_tok, kind):
-        name = name_tok.text
+    def lookup(self, store, name_at, kind):
+        """The declaration named by token `name_at`, as stored: not built."""
+        name = self.tokens[name_at]
         if name not in store:
-            self.error(f"unknown {kind} {name!r}", name_tok, UnknownReference)
-        return store[name]
+            self.error(f"unknown {kind} {name!r}", name_at, UnknownReference)
+        return dict.__getitem__(store, name)
 
     def comma_list(self, open_text, item, close_text, empty=False):
         """`item()` for each entry of a comma-separated list between the
         tokens `open_text` and `close_text`; an empty list only if `empty`."""
         self.expect(open_text)
         items = []
-        if not (empty and self.peek().text == close_text):
+        if not (empty and self.peek() == close_text):
             items.append(item())
-            while self.peek().text == ",":
+            while self.peek() == ",":
                 self.advance()
                 items.append(item())
         self.expect(close_text)
@@ -360,17 +429,17 @@ class _Parser:
 
     def rational(self):
         neg = False
-        if self.peek().text == "-":
+        if self.peek() == "-":
             self.advance()
             neg = True
         num = self.expect_int("a rational number")
         den = 1
-        if self.peek().text == "/":
+        if self.peek() == "/":
             self.advance()
-            den_tok = self.peek()
+            den_at = self.i
             den = self.expect_int("a denominator")
             if den == 0:
-                self.error("zero denominator", den_tok)
+                self.error("zero denominator", den_at)
         value = Fraction(num, den)
         return -value if neg else value
 
@@ -387,11 +456,10 @@ class _Parser:
             "point": self.parse_point,
             "check": self.parse_check,
         }
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            handler = handlers.get(tok.text)
+        while self.peek():
+            handler = handlers.get(self.peek())
             if handler is None:
-                self.error(f"expected a declaration keyword, found {tok.text!r}")
+                self.error(f"expected a declaration keyword, found {self.peek()!r}")
             handler()
         return self.ws
 
@@ -399,34 +467,34 @@ class _Parser:
 
     def parse_lie_algebra(self):
         self.expect("lie_algebra")
-        name_tok = self.expect_name("an algebra name")
+        name_at = self.expect_name("an algebra name")
         self.expect("{")
         self.expect("dim")
-        dim_tok = self.peek()
+        dim_at = self.i
         dim = self.expect_int("the dimension")
         if dim < 1:
-            self.error("dimension must be positive", dim_tok)
+            self.error("dimension must be positive", dim_at)
         brackets = {}
-        while self.peek().text == "bracket":
+        while self.peek() == "bracket":
             self.advance()
             self.expect("[")
-            i_tok = self.peek()
+            i_at = self.i
             i = self.expect_int("a basis index")
             self.expect(",")
-            j_tok = self.peek()
+            j_at = self.i
             j = self.expect_int("a basis index")
             self.expect("]")
             if not 1 <= i <= dim or not 1 <= j <= dim:
-                self.error("basis index out of range", i_tok if not 1 <= i <= dim else j_tok)
+                self.error("basis index out of range", i_at if not 1 <= i <= dim else j_at)
             if i >= j:
                 self.error("bracket indices must satisfy i < j (antisymmetry fixes the rest)",
-                           i_tok)
+                           i_at)
             if (i - 1, j - 1) in brackets:
-                self.error(f"duplicate bracket [{i},{j}]", i_tok, DuplicateName)
+                self.error(f"duplicate bracket [{i},{j}]", i_at, DuplicateName)
             self.expect("=")
             brackets[(i - 1, j - 1)] = self.parse_lincomb(dim)
         self.expect("}")
-        self.declare(self.ws.lie_algebras, name_tok, LieAlgebra(dim, brackets), "lie_algebra")
+        self.declare(self.ws.lie_algebras, name_at, LieAlgebra(dim, brackets), "lie_algebra")
 
     def parse_lincomb(self, dim):
         """Linear combination of basis symbols e1..ep with rational coefficients."""
@@ -434,431 +502,471 @@ class _Parser:
         first = True
         while True:
             sign = Fraction(1)
-            if self.peek().text == "-":
+            if self.peek() == "-":
                 self.advance()
                 sign = Fraction(-1)
-            elif self.peek().text == "+":
+            elif self.peek() == "+":
                 if first:
                     self.error("a linear combination cannot start with '+'")
                 self.advance()
             elif not first:
                 break
             coeff = Fraction(1)
-            if self.peek().kind == "int":
+            if self.peek().isdigit():
                 coeff = self.rational()
                 self.expect("*", what="'*' before the basis symbol")
-            tok = self.expect_name("a basis symbol e1..e%d" % dim)
-            m = re.fullmatch(r"e([0-9]+)", tok.text)
+            at = self.expect_name("a basis symbol e1..e%d" % dim)
+            m = re.fullmatch(r"e([0-9]+)", self.tokens[at])
             if not m or not 1 <= int(m.group(1)) <= dim:
-                self.error(f"expected a basis symbol e1..e{dim}", tok)
+                self.error(f"expected a basis symbol e1..e{dim}", at)
             k = int(m.group(1)) - 1
             out[k] = out.get(k, Fraction(0)) + sign * coeff
             first = False
-            if self.peek().text not in {"+", "-"}:
+            if self.peek() not in {"+", "-"}:
                 break
         return {k: c for k, c in out.items() if c != 0}
 
     def parse_subgroup(self):
         self.expect("subgroup")
-        name_tok = self.expect_name("a subgroup name")
+        name_at = self.expect_name("a subgroup name")
         self.expect("of")
-        alg_tok = self.expect_name("an algebra name")
-        algebra = self.lookup(self.ws.lie_algebras, alg_tok, "lie_algebra")
+        alg_at = self.expect_name("an algebra name")
+        algebra = self.lookup(self.ws.lie_algebras, alg_at, "lie_algebra")
         self.expect("{")
         self.expect("span")
         self.expect("=")
         indices = []
 
         def index():
-            tok = self.peek()
+            at = self.i
             idx = self.expect_int("a basis index")
             if not 1 <= idx <= algebra.dim:
-                self.error("basis index out of range", tok)
+                self.error("basis index out of range", at)
             if idx in indices:
-                self.error(f"repeated index {idx} in span", tok, DuplicateName)
+                self.error(f"repeated index {idx} in span", at, DuplicateName)
             indices.append(idx)
         self.comma_list("[", index, "]", empty=True)
         components = []
-        while self.peek().text == "component":
+        while self.peek() == "component":
             self.advance()
             components.append(self.parse_matrix(algebra.dim))
         self.expect("}")
         basis = [[int(k == idx) for k in range(1, algebra.dim + 1)] for idx in indices]
         spec = SubgroupSpec.from_vectors(basis, components)
-        self.declare(self.ws.subgroups, name_tok, SubgroupDecl(alg_tok.text, spec), "subgroup")
+        self.declare(self.ws.subgroups, name_at, SubgroupDecl(self.tokens[alg_at], spec),
+                     "subgroup")
 
     def parse_matrix(self, dim):
-        open_tok = self.peek()
+        open_at = self.i
         rows = self.comma_list("[", lambda: self.comma_list("[", self.rational, "]"), "]")
         if len(rows) != dim or any(len(r) != dim for r in rows):
-            self.error(f"component matrix must be {dim}x{dim}", open_tok, ArityMismatch)
+            self.error(f"component matrix must be {dim}x{dim}", open_at, ArityMismatch)
         return rows
 
     def parse_chart(self):
         self.expect("chart")
-        name_tok = self.expect_name("a chart name")
+        name_at = self.expect_name("a chart name")
         self.expect("{")
         self.expect("coords")
         self.expect("=")
         coords = []
 
         def coordinate():
-            tok = self.expect_name("a coordinate name")
-            if tok.text in _RESERVED:
-                self.error(f"{tok.text!r} is reserved and cannot be a coordinate", tok)
-            if tok.text in coords:
-                self.error(f"repeated coordinate {tok.text!r}", tok, DuplicateName)
-            held = self.names.get(tok.text)
+            at = self.expect_name("a coordinate name")
+            name = self.tokens[at]
+            if name in _RESERVED:
+                self.error(f"{name!r} is reserved and cannot be a coordinate", at)
+            if name in coords:
+                self.error(f"repeated coordinate {name!r}", at, DuplicateName)
+            held = self.names.get(name)
             if held not in (None, "coordinate"):
-                self.error(f"{tok.text!r} already names a {held}", tok, DuplicateName)
-            coords.append(tok.text)
+                self.error(f"{name!r} already names a {held}", at, DuplicateName)
+            coords.append(name)
         self.comma_list("[", coordinate, "]")
         self.expect("}")
         for c in coords:
             self.names[c] = "coordinate"
-        self.declare(self.ws.charts, name_tok, cc.Chart(tuple(coords)), "chart")
+        self.declare(self.ws.charts, name_at, cc.Chart(tuple(coords)), "chart")
 
     def parse_function(self):
         self.expect("function")
-        name_tok = self.expect_name("a function name")
+        name_at = self.expect_name("a function name")
         args = self.comma_list("(", self._coordinate_name, ")")
         known = {c for chart in self.ws.charts.values() for c in chart.coordinates}
         for a in args:
             if a not in known:
                 self.error(f"unknown coordinate {a!r} in function declaration",
-                           name_tok, UnknownReference)
+                           name_at, UnknownReference)
         if len(set(args)) != len(args):
-            self.error("function arguments must be distinct", name_tok, DuplicateName)
-        self.declare(self.ws.functions, name_tok, tuple(args), "function")
+            self.error("function arguments must be distinct", name_at, DuplicateName)
+        self.declare(self.ws.functions, name_at, tuple(args), "function")
 
     def _coordinate_name(self):
-        return self.expect_name("a coordinate name").text
+        return self.tokens[self.expect_name("a coordinate name")]
 
     def parse_tensor(self):
-        keyword = self.advance().text
+        keyword = self.tokens[self.advance()]
         noun, cls, store = _TENSOR_DECLS[keyword]
-        name_tok = self.expect_name(f"{noun} name")
+        name_at = self.expect_name(f"{noun} name")
         self.expect("on")
         chart = self.lookup(self.ws.charts, self.expect_name("a chart name"), "chart")
         self.expect("=")
-        value = self.parse_tensor_rhs(chart)
+        self.chart, self.rhs_start = chart, self.i
+        value = self.parse_tensor_expr()
         kind = _kind(value)
         if keyword == "vectorfield":
             if kind != "chain" or value.degree != 1:
                 self.error("a vector field needs D(coordinate) terms" if kind == "scalar"
                            else "a vector field must be a degree-1 chain expression",
-                           name_tok, ArityMismatch)
+                           name_at, ArityMismatch)
         elif kind == "scalar":
-            value = _degree_zero(cls, chart, value)
+            value = self._apply(cls.kind, 0, lambda f: cls(chart, 0, {(): f}), value)
         elif kind != cls.kind:
-            self.error(f"{noun} cannot contain {kind} atoms", name_tok, ArityMismatch)
-        self.declare(getattr(self.ws, store), name_tok, value, keyword)
+            self.error(f"{noun} cannot contain {kind} atoms", name_at, ArityMismatch)
+        self.declare(getattr(self.ws, store), name_at, value, keyword)
 
     def parse_action(self):
         self.expect("action")
-        name_tok = self.expect_name("an action name")
+        name_at = self.expect_name("an action name")
         self.expect("{")
         self.expect("algebra")
-        alg_tok = self.expect_name("an algebra name")
-        algebra = self.lookup(self.ws.lie_algebras, alg_tok, "lie_algebra")
+        alg_at = self.expect_name("an algebra name")
+        algebra = self.lookup(self.ws.lie_algebras, alg_at, "lie_algebra")
         self.expect("chart")
-        chart_tok = self.expect_name("a chart name")
-        chart = self.lookup(self.ws.charts, chart_tok, "chart")
+        chart_at = self.expect_name("a chart name")
+        chart = self.lookup(self.ws.charts, chart_at, "chart")
         self.expect("generators")
         self.expect("=")
-        gen_names, gens = [], []
 
         def generator():
-            tok = self.expect_name("a vector field name")
-            vf = self.lookup(self.ws.vector_fields, tok, "vectorfield")
-            if vf.chart != chart:
-                self.error(f"generator {tok.text!r} lives on a different chart",
-                           tok, ArityMismatch)
-            gen_names.append(tok.text)
-            gens.append(vf)
-        self.comma_list("[", generator, "]")
+            at = self.expect_name("a vector field name")
+            if self.lookup(self.ws.vector_fields, at, "vectorfield").chart != chart:
+                self.error(f"generator {self.tokens[at]!r} lives on a different chart",
+                           at, ArityMismatch)
+            return self.tokens[at]
+        names = tuple(self.comma_list("[", generator, "]"))
         self.expect("orbit_dim")
-        q_tok = self.peek()
+        q_at = self.i
         q = self.expect_int("the orbit dimension")
         self.expect("}")
-        if len(gens) != algebra.dim:
-            self.error(f"need {algebra.dim} generators for {alg_tok.text!r}, got {len(gens)}",
-                       name_tok, ArityMismatch)
+        if len(names) != algebra.dim:
+            self.error(f"need {algebra.dim} generators for {self.tokens[alg_at]!r}, "
+                       f"got {len(names)}", name_at, ArityMismatch)
         if not 1 <= q <= min(algebra.dim, chart.dim):
-            self.error("orbit dimension out of range", q_tok, ArityMismatch)
-        spec = ActionSpec(chart, algebra, tuple(gens), q)
-        self.declare(self.ws.actions, name_tok,
-                     ActionDecl(alg_tok.text, chart_tok.text, tuple(gen_names), spec), "action")
+            self.error("orbit dimension out of range", q_at, ArityMismatch)
+        fields = self.ws.vector_fields
+        decl = ActionDecl(self.tokens[alg_at], self.tokens[chart_at], names, q,
+                          lambda: ActionSpec(chart, algebra, tuple(fields[g] for g in names), q))
+        if not self.lazy:
+            decl.spec   # read, so built as it is declared
+        self.declare(self.ws.actions, name_at, decl, "action")
 
     def parse_point(self):
         self.expect("point")
-        name_tok = self.expect_name("a point name")
+        name_at = self.expect_name("a point name")
         self.expect("on")
-        chart_tok = self.expect_name("a chart name")
-        chart = self.lookup(self.ws.charts, chart_tok, "chart")
+        chart_at = self.expect_name("a chart name")
+        chart = self.lookup(self.ws.charts, chart_at, "chart")
         self.expect("=")
-        open_tok = self.peek()
+        open_at = self.i
         values = self.comma_list("(", self.rational, ")")
         if len(values) != chart.dim:
             self.error(f"point needs {chart.dim} coordinates, got {len(values)}",
-                       open_tok, ArityMismatch)
-        self.declare(self.ws.points, name_tok, (chart_tok.text, tuple(values)), "point")
+                       open_at, ArityMismatch)
+        self.declare(self.ws.points, name_at, (self.tokens[chart_at], tuple(values)), "point")
 
     # -- tensor/scalar expressions -----------------------------------------
+    #
+    # An expression's value is a ScalarExpr, a form or a chain, or with
+    # `lazy` a `_Pending` one; its kind and degree are known at once.
 
-    def parse_tensor_rhs(self, chart):
-        """Top-level expression entry; arithmetic failures (zero divisors,
-        degree overflow) surface as parse errors at the current token."""
-        start = self.peek()
-        try:
-            return self.parse_tensor_expr(chart)
-        except (sf.ScalarError, cc.ChartError) as exc:
-            tok = self.peek() if self.peek().kind != "eof" else start
-            self.error(str(exc), tok)
+    def _here(self):
+        """Where an arithmetic failure is reported: the current token, or the
+        start of the right-hand side at the end of the text."""
+        return self.i if self.peek() else self.rhs_start
 
-    def parse_tensor_expr(self, chart):
-        """Sum level: a ScalarExpr, or a form or chain (see `_kind`)."""
-        value = self.parse_tensor_term(chart)
-        while self.peek().text in {"+", "-"}:
-            op_tok = self.advance()
-            other = self.parse_tensor_term(chart)
-            value = self._sum(value, -other if op_tok.text == "-" else other, op_tok)
+    def _apply(self, kind, degree, fn, *operands, at=None):
+        """fn(*operands), of the given kind and degree: computed now, or on
+        first read when `lazy`.  A ScalarError or ChartError is reported at
+        token `at`, by default `_here()`: the same token either way."""
+        if at is None:
+            at = self._here()
+        if self.lazy:
+            return _Pending(kind, degree, self.chart,
+                            functools.partial(_run, self.source, at, fn, operands))
+        return _run(self.source, at, fn, operands)
+
+    def parse_tensor_expr(self):
+        """Sum level."""
+        value = self.parse_tensor_term()
+        while self.peek() in {"+", "-"}:
+            op_at = self.advance()
+            other = self.parse_tensor_term()
+            value = self._sum(value, other, op_at, self.tokens[op_at] == "-")
         return value
 
-    def _sum(self, a, b, op_tok):
-        """a + b; a scalar joins a tensor of degree 0."""
+    def _sum(self, a, b, op_at, negate):
+        """a + b, or a + (-b) if `negate`; a scalar joins a tensor of degree 0."""
         ka, kb = _kind(a), _kind(b)
+        add = operator.add
         if ka == kb == "scalar":
-            return a + b
-        if "scalar" in (ka, kb):
-            f, t = (a, b) if ka == "scalar" else (b, a)
-            if t.degree == 0:
-                return _degree_zero(type(t), t.chart, f) + t
-            self.error(f"cannot add a scalar and a {t.kind} of degree {t.degree}", op_tok,
-                       ArityMismatch)
-        if ka != kb:
-            self.error("cannot add a form and a chain", op_tok, ArityMismatch)
-        if a.degree != b.degree:
-            self.error(f"cannot add degrees {a.degree} and {b.degree}", op_tok, ArityMismatch)
-        return a + b
+            kind, degree = "scalar", 0
+        elif "scalar" in (ka, kb):
+            t = b if ka == "scalar" else a
+            if t.degree != 0:
+                self.error(f"cannot add a scalar and a {t.kind} of degree {t.degree}", op_at,
+                           ArityMismatch)
+            kind, degree, cls, chart = t.kind, 0, _CLASSES[t.kind], self.chart
+            if ka == "scalar":
+                add = lambda f, u: cls(chart, 0, {(): f}) + u   # noqa: E731
+            else:
+                add = lambda u, f: cls(chart, 0, {(): f}) + u   # noqa: E731
+        elif ka != kb:
+            self.error("cannot add a form and a chain", op_at, ArityMismatch)
+        elif a.degree != b.degree:
+            self.error(f"cannot add degrees {a.degree} and {b.degree}", op_at, ArityMismatch)
+        else:
+            kind, degree = ka, a.degree
+        fn = (lambda x, y: add(x, -y)) if negate else add
+        return self._apply(kind, degree, fn, a, b)
 
-    def parse_tensor_term(self, chart):
+    def parse_tensor_term(self):
         """Product level: factors joined by * and /."""
-        value = self.parse_tensor_factor(chart)
-        while self.peek().text in {"*", "/"}:
-            op_tok = self.advance()
-            divide_tok = op_tok if op_tok.text == "/" else None
-            value = self._product(value, self.parse_tensor_factor(chart, divide_tok), op_tok)
+        value = self.parse_tensor_factor()
+        while self.peek() in {"*", "/"}:
+            op_at = self.advance()
+            divide_at = op_at if self.tokens[op_at] == "/" else None
+            value = self._product(value, self.parse_tensor_factor(divide_at), op_at)
         return value
 
-    def _product(self, a, b, op_tok):
-        if _kind(a) == "scalar":
-            return a * b if _kind(b) == "scalar" else b.scaled(a)
-        if _kind(b) == "scalar":
-            return a.scaled(b)
-        self.error("use '^' to wedge tensors, '*' is for scalar factors", op_tok, ArityMismatch)
+    def _product(self, a, b, op_at):
+        ka, kb = _kind(a), _kind(b)
+        if ka == "scalar":
+            if kb == "scalar":
+                return self._apply("scalar", 0, operator.mul, a, b)
+            return self._apply(kb, b.degree, lambda f, t: t.scaled(f), a, b)
+        if kb == "scalar":
+            return self._apply(ka, a.degree, lambda t, f: t.scaled(f), a, b)
+        self.error("use '^' to wedge tensors, '*' is for scalar factors", op_at, ArityMismatch)
 
-    def parse_tensor_factor(self, chart, divide_tok=None):
+    def parse_tensor_factor(self, divide_at=None):
         """Atom with postfix ^: integer power on scalars, wedge on tensors.
 
-        After `divide_tok` ('/') the atom must be a scalar and is inverted
+        After `divide_at` ('/') the atom must be a scalar and is inverted
         before its powers, so that a / b^e reads as a * b^-e and a factored
         denominator parses back factor by factor.
         """
-        value = self.parse_tensor_atom(chart)
+        value = self.parse_tensor_atom()
         kind = _kind(value)
-        if divide_tok is not None:
+        if divide_at is not None:
             if kind != "scalar":
-                self.error("can only divide by a scalar", divide_tok, ArityMismatch)
-            if value.is_zero():
-                self.error("division by zero", divide_tok)
-            value = sf.ONE / value
-        while self.peek().text == "^":
-            op_tok = self.advance()
+                self.error("can only divide by a scalar", divide_at, ArityMismatch)
+            value = self._apply("scalar", 0, _invert, value, at=divide_at)
+        while self.peek() == "^":
+            op_at = self.advance()
             if kind == "scalar":
-                neg = self.peek().text == "-"
+                neg = self.peek() == "-"
                 if neg:
                     self.advance()
-                exp_tok = self.peek()
-                if exp_tok.kind != "int":
-                    self.error("power of a scalar needs an integer exponent", exp_tok)
+                if not self.peek().isdigit():
+                    self.error("power of a scalar needs an integer exponent")
                 e = self.expect_int()
-                value = value ** (-e if neg else e)
+                value = self._apply("scalar", 0, operator.pow, value, -e if neg else e)
             else:
-                other = self.parse_tensor_atom(chart)
+                other = self.parse_tensor_atom()
                 if _kind(other) == "scalar":
-                    self.error("cannot wedge with a scalar", op_tok, ArityMismatch)
+                    self.error("cannot wedge with a scalar", op_at, ArityMismatch)
                 if _kind(other) != kind:
-                    self.error("cannot wedge a form with a chain", op_tok, ArityMismatch)
-                value = value.wedge(other)
+                    self.error("cannot wedge a form with a chain", op_at, ArityMismatch)
+                value = self._wedge(value, other)
         return value
 
-    def parse_tensor_atom(self, chart):
+    def _wedge(self, a, b):
+        degree = a.degree + b.degree
+        if degree > self.chart.dim:   # the error AltTensor.wedge raises
+            self.error("wedge degree exceeds chart dimension", self._here())
+        return self._apply(a.kind, degree, lambda s, t: s.wedge(t), a, b)
+
+    def parse_tensor_atom(self):
         tok = self.peek()
-        if tok.text == "(":
+        if tok == "(":
             self.advance()
-            value = self.parse_tensor_expr(chart)
+            value = self.parse_tensor_expr()
             self.expect(")")
             return value
-        if tok.text == "-":
+        if tok == "-":
             self.advance()
-            return -self.parse_tensor_factor(chart)
-        if tok.kind == "int":
+            value = self.parse_tensor_factor()
+            kind = _kind(value)
+            return self._apply(kind, 0 if kind == "scalar" else value.degree, operator.neg,
+                               value)
+        if tok.isdigit():
             self.advance()
-            return sf.rational(int(tok.text))
-        if tok.text == "d":
-            return self._basis_form(chart)
-        if tok.text == "D":
-            return self._derivative_or_basis(chart)
-        if tok.text == "wedge":
+            return self._apply("scalar", 0, sf.rational, int(tok))
+        if tok == "d":
+            return self._basis_form()
+        if tok == "D":
+            return self._derivative_or_basis()
+        if tok == "wedge":
             self.advance()
             self.expect("(")
-            v1 = self.parse_tensor_expr(chart)
+            v1 = self.parse_tensor_expr()
             self.expect(",")
-            v2 = self.parse_tensor_expr(chart)
-            close = self.expect(")")
+            v2 = self.parse_tensor_expr()
+            close_at = self.expect(")")
             if _kind(v1) == "scalar" or _kind(v1) != _kind(v2):
-                self.error("wedge needs two forms or two chains", close, ArityMismatch)
-            return v1.wedge(v2)
-        if tok.kind == "name":
-            return self._name_atom(chart)
-        self.error(f"unexpected token {tok.text!r} in expression")
+                self.error("wedge needs two forms or two chains", close_at, ArityMismatch)
+            return self._wedge(v1, v2)
+        if tok.isidentifier():
+            return self._name_atom()
+        self.error(f"unexpected token {tok!r} in expression")
 
-    def _basis_form(self, chart):
+    def _basis_form(self):
         self.advance()  # 'd'
         self.expect("(")
-        coord_tok = self.expect_name("a coordinate name")
-        if coord_tok.text not in chart.coordinates:
-            self.error(f"unknown coordinate {coord_tok.text!r}", coord_tok, UnknownReference)
+        coord = self._chart_coordinate()
         self.expect(")")
-        i = chart.index(coord_tok.text)
-        return cc.DiffForm(chart, 1, {(i,): sf.ONE})
+        i = self.chart.index(coord)
+        return self._apply("form", 1, cc.DiffForm, self.chart, 1, {(i,): sf.ONE})
 
-    def _derivative_or_basis(self, chart):
+    def _chart_coordinate(self):
+        at = self.expect_name("a coordinate name")
+        if self.tokens[at] not in self.chart.coordinates:
+            self.error(f"unknown coordinate {self.tokens[at]!r}", at, UnknownReference)
+        return self.tokens[at]
+
+    def _derivative_or_basis(self):
         """D(coord) is a chain atom; D(expr, coord) a formal derivative."""
-        d_tok = self.advance()
+        d_at = self.advance()
         self.expect("(")
-        if (self.peek().kind == "name" and self.peek().text in chart.coordinates
-                and self.peek(1).text == ")"):
-            coord_tok = self.advance()
+        if self.peek() in self.chart.coordinates and self.peek(1) == ")":
+            i = self.chart.index(self.tokens[self.advance()])
             self.advance()  # ')'
-            i = chart.index(coord_tok.text)
-            return cc.MultiVectorField(chart, 1, {(i,): sf.ONE})
-        inner = self.parse_tensor_expr(chart)
+            return self._apply("chain", 1, cc.MultiVectorField, self.chart, 1, {(i,): sf.ONE})
+        inner = self.parse_tensor_expr()
         if _kind(inner) != "scalar":
-            self.error("formal derivative applies to scalars", d_tok, ArityMismatch)
+            self.error("formal derivative applies to scalars", d_at, ArityMismatch)
         self.expect(",")
-        coord_tok = self.expect_name("a coordinate name")
-        if coord_tok.text not in chart.coordinates:
-            self.error(f"unknown coordinate {coord_tok.text!r}", coord_tok, UnknownReference)
+        coord = self._chart_coordinate()
         self.expect(")")
-        return sf.partial(inner, coord_tok.text)
+        return self._apply("scalar", 0, sf.partial, inner, coord)
 
-    def _name_atom(self, chart):
-        tok = self.advance()
-        name = tok.text
-        if self.peek().text == "(":
-            args = self.lookup(self.ws.functions, tok, "function")
+    def _name_atom(self):
+        at = self.advance()
+        name = self.tokens[at]
+        if self.peek() == "(":
+            args = self.lookup(self.ws.functions, at, "function")
             if tuple(self.comma_list("(", self._coordinate_name, ")")) != args:
                 self.error(f"{name} is declared with arguments ({', '.join(args)})",
-                           tok, ArityMismatch)
-            missing = [a for a in args if a not in chart.coordinates]
+                           at, ArityMismatch)
+            missing = [a for a in args if a not in self.chart.coordinates]
             if missing:
                 self.error(f"{name} depends on {missing[0]!r}, which is not a "
-                           f"coordinate of this chart", tok, ArityMismatch)
-            return sf.function(name, args)
-        if name in chart.coordinates:
-            return sf.coordinate(name)
+                           f"coordinate of this chart", at, ArityMismatch)
+            return self._apply("scalar", 0, sf.function, name, args)
+        if name in self.chart.coordinates:
+            return self._apply("scalar", 0, sf.coordinate, name)
         try:
-            _, value = self.ws.find_object(name)
+            kind, entry = self.ws.find_object(name)
         except KeyError:
-            self.error(f"unknown name {name!r}", tok, UnknownReference)
-        if value.chart != chart:
-            self.error(f"{name!r} lives on a different chart", tok, ArityMismatch)
-        return value
+            self.error(f"unknown name {name!r}", at, UnknownReference)
+        if entry.chart != self.chart:
+            self.error(f"{name!r} lives on a different chart", at, ArityMismatch)
+        if entry.__class__ is _Pending:
+            return _Pending(entry.kind, entry.degree, entry.chart,
+                            functools.partial(self.ws.store(kind).__getitem__, name))
+        return entry
 
     # -- check directives ----------------------------------------------------
 
     def parse_check(self):
         self.expect("check")
-        kind_tok = self.expect_name("a check kind")
-        kind = kind_tok.text
+        kind_at = self.expect_name("a check kind")
+        kind = self.tokens[kind_at]
         if kind not in CHECKS:
-            self.error(f"unknown check kind {kind!r}", kind_tok, UnknownReference)
+            self.error(f"unknown check kind {kind!r}", kind_at, UnknownReference)
         check = CHECKS[kind]
         items = self.comma_list("(", self._check_argument, ")", empty=True)
-        positional = [tok for kw_tok, tok in items if kw_tok is None]
-        keywords = [(kw_tok, toks) for kw_tok, toks in items if kw_tok is not None]
-        where = self._check_positional(kind_tok, check, positional)
-        self._check_keywords(kind_tok, check, keywords, where)
+        positional = [at for kw_at, at in items if kw_at is None]
+        keywords = [(kw_at, ats) for kw_at, ats in items if kw_at is not None]
+        where = self._check_positional(kind_at, check, positional)
+        self._check_keywords(kind_at, check, keywords, where)
         values = {}
         for slot in check.slots:
             if slot.name in where:
-                toks = where[slot.name]
-                values[slot.name] = (tuple(t.text for t in toks) if slot.many
-                                     else int(toks[0].text) if slot.ref == "int"
-                                     else toks[0].text)
+                texts = [self.tokens[at] for at in where[slot.name]]
+                values[slot.name] = (tuple(texts) if slot.many
+                                     else int(texts[0]) if slot.ref == "int" else texts[0])
         resolve_check(self.ws, kind, values,
-                      lambda cls, message, slot, i: self.error(message, where[slot][i], cls))
-        self.ws.checks.append(CheckDecl(kind, values, kind_tok.span(self.file)))
+                      lambda cls, message, slot, i: self.error(message, where[slot][i], cls),
+                      read=False)
+        self.ws.checks.append(CheckDecl(kind, values, functools.partial(self.source.span, kind_at)))
         self.ws.order.append(("check", len(self.ws.checks) - 1))
 
     def _check_argument(self):
         """(None, token) for a positional argument, (keyword token, name
         tokens) for a keyword list."""
         tok = self.peek()
-        if tok.kind == "name" and self.peek(1).text == "=":
+        if tok.isidentifier() and self.peek(1) == "=":
+            kw_at = self.advance()
             self.advance()
-            self.advance()
-            return tok, self.comma_list("[", lambda: self.expect_name("a name"), "]",
-                                        empty=True)
-        if tok.kind not in ("int", "name"):
-            self.error(f"unexpected token {tok.text!r} in check arguments")
+            return kw_at, self.comma_list("[", self.expect_name, "]", empty=True)
+        if not (tok.isdigit() or tok.isidentifier()):
+            self.error(f"unexpected token {tok!r} in check arguments")
         return None, self.advance()
 
-    def _check_positional(self, kind_tok, check, tokens):
+    def _check_positional(self, kind_at, check, ats):
         """Slot name -> [token] for the positional arguments; optional slots
         are left out from the left when arguments are missing."""
         slots = list(check.slots[:check.positional])
         required = [s for s in slots if s.count == "1"]
-        if not len(required) <= len(tokens) <= len(slots):
-            self.error(f"check {kind_tok.text} takes {len(required)}..{len(slots)} "
-                       f"positional arguments, got {len(tokens)}", kind_tok, ArityMismatch)
+        if not len(required) <= len(ats) <= len(slots):
+            self.error(f"check {self.tokens[kind_at]} takes {len(required)}..{len(slots)} "
+                       f"positional arguments, got {len(ats)}", kind_at, ArityMismatch)
         optional = [i for i, s in enumerate(slots) if s.count == "?"]
-        for i in reversed(optional[:len(slots) - len(tokens)]):
+        for i in reversed(optional[:len(slots) - len(ats)]):
             del slots[i]
-        for slot, tok in zip(slots, tokens):
-            if slot.ref == "int" and tok.kind != "int":
-                self.error("expected an integer here", tok, ArityMismatch)
-            if slot.ref != "int" and tok.kind != "name":
-                self.error(f"expected a {slot.ref} name here", tok, ArityMismatch)
-        return {slot.name: [tok] for slot, tok in zip(slots, tokens)}
+        for slot, at in zip(slots, ats):
+            if slot.ref == "int" and not self.tokens[at].isdigit():
+                self.error("expected an integer here", at, ArityMismatch)
+            if slot.ref != "int" and not self.tokens[at].isidentifier():
+                self.error(f"expected a {slot.ref} name here", at, ArityMismatch)
+        return {slot.name: [at] for slot, at in zip(slots, ats)}
 
-    def _check_keywords(self, kind_tok, check, keywords, where):
+    def _check_keywords(self, kind_at, check, keywords, where):
         """Add slot name -> name tokens for the keyword lists to `where`."""
         slots = {s.name: s for s in check.slots[check.positional:]}
-        for kw_tok, toks in keywords:
-            kw = kw_tok.text
+        for kw_at, ats in keywords:
+            kw = self.tokens[kw_at]
             if kw not in slots:
-                self.error(f"check {kind_tok.text} does not take keyword {kw!r}",
-                           kw_tok, ArityMismatch)
+                self.error(f"check {self.tokens[kind_at]} does not take keyword {kw!r}",
+                           kw_at, ArityMismatch)
             if kw in where:
-                self.error(f"duplicate keyword {kw!r}", kw_tok, DuplicateName)
+                self.error(f"duplicate keyword {kw!r}", kw_at, DuplicateName)
             slot = slots[kw]
-            if not slot.many and len(toks) != 1:
-                self.error(f"{kw} takes exactly one name", kw_tok, ArityMismatch)
-            if slot.count == "+" and not toks:
-                self.error(f"{kw} takes at least one name", kw_tok, ArityMismatch)
-            where[kw] = toks
+            if not slot.many and len(ats) != 1:
+                self.error(f"{kw} takes exactly one name", kw_at, ArityMismatch)
+            if slot.count == "+" and not ats:
+                self.error(f"{kw} takes at least one name", kw_at, ArityMismatch)
+            where[kw] = ats
         for slot in slots.values():
             if slot.count in "1+" and slot.name not in where:
-                self.error(f"check {kind_tok.text} needs {slot.name}=[...]",
-                           kind_tok, ArityMismatch)
+                self.error(f"check {self.tokens[kind_at]} needs {slot.name}=[...]",
+                           kind_at, ArityMismatch)
 
 
 def parse(text, filename="<input>"):
-    """Parse workspace text, raising ParseError subclasses with source spans."""
-    return _Parser(text, filename).parse_file()
+    """Parse workspace text, raising ParseError subclasses with source spans;
+    every declaration is built as it is declared."""
+    return _Parser(text, filename, lazy=False).parse_file()
+
+
+def load(text, filename="<input>"):
+    """`parse`, but each field, form, chain and action is built when first
+    read (see `_Store` and `ActionDecl.spec`).  The walk reports the same
+    errors at once, except those that depend on values, which come at
+    first read."""
+    return _Parser(text, filename, lazy=True).parse_file()
 
 
 # ---------------------------------------------------------------------------
@@ -972,7 +1080,7 @@ def render(ws):
             decl = ws.actions[key]
             lines.append(
                 f"action {key} {{ algebra {decl.algebra} chart {decl.chart} "
-                f"generators = [{', '.join(decl.generators)}] orbit_dim {decl.spec.orbit_dim} }}")
+                f"generators = [{', '.join(decl.generators)}] orbit_dim {decl.orbit_dim} }}")
         elif kind == "point":
             chart_name, values = ws.points[key]
             vals = ", ".join(str(v) for v in values)

@@ -130,10 +130,14 @@ _MIN_WIDTH = 8
 
 
 class _Poly:
-    __slots__ = ("vs", "w", "content", "terms")
+    """Never changed once made, so its hash is computed once, when first
+    asked for."""
+
+    __slots__ = ("vs", "w", "content", "terms", "_hash")
 
     def __init__(self, vs, w, content, terms):
         self.vs, self.w, self.content, self.terms = vs, w, content, terms
+        self._hash = None
 
     def __len__(self):
         return len(self.terms)
@@ -145,7 +149,9 @@ class _Poly:
                                  and self.w == other.w and self.content == other.content)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
 
 _P_ZERO = _Poly((), _MIN_WIDTH, Fraction(0), {})

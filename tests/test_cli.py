@@ -183,8 +183,8 @@ def _sum_workspace(n):
 
 
 def test_oversized_sum_refused_at_once(tmp_path, capsys):
-    # ten coordinates are refused as the form is parsed, by the sum limit;
-    # eight parse, and a partial derivative in the check is refused
+    # ten coordinates are refused when the check reads the form, by the sum
+    # limit; eight build, and a partial derivative in the check is refused
     argv = ["check", "invariant", "--action", "act", "--object", "w"]
     for n, refused in ((10, "bringing"), (8, "differentiating")):
         ws = tmp_path / f"sum{n}.lch"
@@ -480,6 +480,117 @@ DIRECTIVES = [(path, decl) for path in sorted(FIXTURES.glob("*.lch"))
 def test_fixture_directives_run_on_the_command_line(path, decl, capsys):
     assert main(_directive_argv(path, decl)) in (0, 1)
 
+
+
+# -- a command builds only the declarations it reads ---------------------------
+
+
+def _loaded(monkeypatch):
+    """The workspaces `dsl.load` returns from here on, in call order."""
+    loaded = []
+    load = dsl.load
+
+    def spy(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
+    monkeypatch.setattr(dsl, "load", spy)
+    return loaded
+
+
+def _built(ws):
+    """The names of the fields, forms and chains of `ws` that are built."""
+    return sorted(name for store in (ws.vector_fields, ws.forms, ws.chains) for name in store
+                  if type(dict.__getitem__(store, name)) is not dsl._Pending)
+
+
+# per fixture directive: the generators of its action and the tensors it names
+DIRECTIVE_BUILDS = {
+    "abelian_shear:21:invariant": ["chi", "w1", "w2"],
+    "abelian_shear:22:cochain": ["R", "chi", "omega1", "omega2", "w1", "w2"],
+    "abelian_shear:23:surjective": ["alpha", "chi1", "w1", "w2"],
+    "abelian_shear:24:report": ["w1", "w2"],
+    "intro:19:rho": ["alpha", "chi", "v1", "v2"],
+    "intro:20:cochain": ["R1", "alpha", "chi", "nu", "v1", "v2"],
+    "intro:21:surjective": ["cert", "chi", "v1", "v2"],
+    "intro:22:report": ["v1", "v2"],
+    "rotations:20:isotropy": ["r1", "r2", "r3"],
+    "rotations:21:report": ["r1", "r2", "r3"],
+    "rotations:22:report": ["r1", "r2", "r3"],
+    "so3:14:cohomology": [],
+    "so3:15:cohomology": [],
+    "so3:16:cohomology": [],
+    "solvable:25:invariant": ["chi", "v1", "v2"],
+    "solvable:26:vertical": ["chi", "v1", "v2"],
+    "solvable:27:cochain": ["Z1", "Z2", "chi", "omega", "v1", "v2"],
+    "solvable:30:report": ["v1", "v2"],
+}
+
+
+@pytest.mark.parametrize("path,decl", DIRECTIVES,
+                         ids=[f"{p.stem}:{d.span.line}:{d.kind}" for p, d in DIRECTIVES])
+def test_fixture_directives_build_what_they_read(path, decl, capsys, monkeypatch):
+    loaded = _loaded(monkeypatch)
+    assert main(_directive_argv(path, decl)) in (0, 1)
+    if decl.kind == "validate":
+        assert loaded == []    # validate parses, which builds every declaration
+    else:
+        assert _built(loaded[0]) == DIRECTIVE_BUILDS[f"{path.stem}:{decl.span.line}:{decl.kind}"]
+
+
+def test_benchmark_commands_build_what_they_read(monkeypatch):
+    # the cli_workspaces job list of seed 12: its 54 commands' workspaces
+    # declare 313 tensors in all, and the commands build 206 of them
+    # (validate all of its own, every other command what it reads)
+    monkeypatch.syspath_prepend(str(HERE.parent / "bench"))
+    import cli_workspaces
+
+    _, plan = cli_workspaces.generate(12)
+    loaded, parsed, parse = _loaded(monkeypatch), [], dsl.parse
+    monkeypatch.setattr(dsl, "parse", lambda *args: parsed.append(parse(*args)) or parsed[-1])
+    jobs = cli_workspaces.make_jobs(None, plan)
+    assert not cli_workspaces.check(jobs, [job.run() for job in jobs], plan)
+    declared = [len(ws.vector_fields) + len(ws.forms) + len(ws.chains) for ws in loaded + parsed]
+    assert (len(jobs), sum(declared)) == (54, 313)
+    assert sum(len(_built(ws)) for ws in loaded) + sum(declared[len(loaded):]) == 206
+
+
+def test_check_invariant_builds_the_generators_and_the_object(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "rotations.lch"
+    path.write_text((FIXTURES / "rotations.lch").read_text() + (
+        "chain chi on M = 1/(x^2 + y^2 + z^2)*(x*D(y)^D(z) - y*D(x)^D(z) + z*D(x)^D(y))\n"
+        "form area on M = x*d(y)^d(z) - y*d(x)^d(z) + z*d(x)^d(y)\n"
+        "vectorfield radial on M = x*D(x) + y*D(y) + z*D(z)\n"))
+    loaded = _loaded(monkeypatch)
+    assert main(["check", "invariant", "--input", str(path), "--action", "rot",
+                 "--object", "chi"]) == 0
+    assert _built(loaded[0]) == ["chi", "r1", "r2", "r3"]
+
+
+UNREAD_POWER_WS = """chart M { coords = [x, y] }
+lie_algebra ab { dim 1 }
+vectorfield v on M = D(x)
+action act { algebra ab chart M generators = [v] orbit_dim 1 }
+point P on M = (0, 1)
+form w on M = (x + y + 1)^3000*d(x)
+"""
+
+
+def test_unread_power_is_refused_only_when_read(tmp_path, capsys, monkeypatch):
+    # validate refuses it at once (test_oversized_power_refused_at_once);
+    # commands that do not read w answer, and one that does gets parse's error
+    path = tmp_path / "pow.lch"
+    path.write_text(UNREAD_POWER_WS)
+    loaded = _loaded(monkeypatch)
+    assert main(["cohomology", "--input", str(path), "--algebra", "ab", "--degree", "1"]) == 0
+    assert main(["report", "--input", str(path), "--action", "act", "--points", "P"]) == 0
+    assert capsys.readouterr().err == ""
+    assert [_built(ws) for ws in loaded] == [[], ["v"]]
+    with pytest.raises(dsl.ParseError) as parsed:
+        dsl.parse(UNREAD_POWER_WS, str(path))
+    assert str(parsed.value).startswith(f"{path}:6:31: raising a 3-term numerator")
+    assert main(["check", "invariant", "--input", str(path), "--action", "act",
+                 "--object", "w"]) == 2
+    assert capsys.readouterr().err == f"error: {parsed.value}\n"
 
 REJECTED = [
     # a flag of another check

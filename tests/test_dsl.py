@@ -298,9 +298,8 @@ def test_mixed_kind_rendering(text, last):
     assert dsl.parse(dsl.render(ws)) == ws
 
 
-def test_fuzzed_mutations_never_escape_parse_errors():
-    """Random single-edit mutations of valid fixtures either still parse or
-    raise a ParseError subclass with a span, never a bare exception."""
+def _mutants():
+    """400 random single-edit mutations of the fixtures."""
     import random
     rng = random.Random(99)
     texts = [(FIXTURES / f"{n}.lch").read_text() for n in FIXTURE_NAMES]
@@ -310,15 +309,101 @@ def test_fuzzed_mutations_never_escape_parse_errors():
         pos = rng.randrange(len(text))
         op = rng.choice(("replace", "delete", "insert"))
         if op == "replace":
-            mutant = text[:pos] + rng.choice(alphabet) + text[pos + 1:]
+            yield text[:pos] + rng.choice(alphabet) + text[pos + 1:]
         elif op == "delete":
-            mutant = text[:pos] + text[pos + 1:]
+            yield text[:pos] + text[pos + 1:]
         else:
-            mutant = text[:pos] + rng.choice(alphabet) + text[pos:]
+            yield text[:pos] + rng.choice(alphabet) + text[pos:]
+
+
+def test_fuzzed_mutations_never_escape_parse_errors():
+    """Random single-edit mutations of valid fixtures either still parse or
+    raise a ParseError subclass with a span, never a bare exception."""
+    for mutant in _mutants():
         try:
             dsl.parse(mutant, "fuzz.lch")
         except dsl.ParseError as err:
             assert err.span is None or (err.span.line >= 1 and err.span.column >= 1)
+
+
+# --- loading: the walk at once, each field, form, chain and action on first read
+
+def _build_all(ws):
+    """Read every field, form, chain and action of `ws`, in declaration order."""
+    for kind, name in ws.order:
+        if kind in dsl._TENSOR_DECLS:
+            getattr(ws, dsl._TENSOR_DECLS[kind][2])[name]
+        elif kind == "action":
+            ws.actions[name].spec
+    return ws
+
+
+def _outcome(make):
+    """The workspace `make()` returns, or the class, message and span of the
+    ParseError it raises."""
+    try:
+        return make()
+    except dsl.ParseError as err:
+        return type(err), err.message, err.span
+
+
+def test_load_then_build_matches_parse():
+    """Loading and then reading every declaration raises what parse raises,
+    or gives an equal workspace: on every ERROR_CORPUS row, every fuzzed
+    mutant and every fixture."""
+    texts = [text for text, _, _ in ERROR_CORPUS] + list(_mutants()) + [
+        (FIXTURES / f"{n}.lch").read_text() for n in FIXTURE_NAMES]
+    errors = 0
+    for text in texts:
+        parsed = _outcome(lambda: dsl.parse(text, "mutant.lch"))
+        assert _outcome(lambda: _build_all(dsl.load(text, "mutant.lch"))) == parsed
+        errors += isinstance(parsed, tuple)
+    assert errors > len(ERROR_CORPUS)
+
+
+def test_load_keeps_no_walk_alive(monkeypatch):
+    """The builders `load` leaves hold the text, not the walk and its token
+    list: with the cycle collector off, the walk is freed as load returns."""
+    import gc
+    import weakref
+    walks = []
+    init = dsl._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        walks.append(weakref.ref(self))
+    monkeypatch.setattr(dsl._Parser, "__init__", spy)
+    text = (GOOD_HEADER + "lie_algebra g { dim 1 }\nvectorfield v on M = D(x)\n"
+            "action a { algebra g chart M generators = [v] orbit_dim 1 }\n"
+            "form f on M = K(z)/x*d(y)\nform h on M = 2 + x\nform k on M = f - y*f\n"
+            "point P on M = (1, 2, 3)\ncheck semibasic(a, k)\n")
+    gc.disable()
+    try:
+        ws = dsl.load(text, "w.lch")
+        assert walks[0]() is None
+    finally:
+        gc.enable()
+    assert _build_all(ws) == dsl.parse(text)
+
+def test_load_defers_only_value_errors():
+    """A zero divisor, a power over its budget and a sum over its budget are
+    reported when the declaration is read, with parse's message and span;
+    an error of kind or degree is reported by the walk itself."""
+    for rhs, message in (("x/(y - y)*d(x)", "3:16: division by zero"),
+                         ("(x + y + 1)^3000*d(x)", "3:31: raising a 3-term numerator"),
+                         ("(x - x)^-1", "4:1: negative power of zero"),
+                         (" + ".join(f"1/(x^2 + y + {i})" for i in range(1, 12)),
+                          "4:1: bringing 2 fractions")):
+        text = GOOD_HEADER + f"form f on M = {rhs}\nform g on M = 2*f\n"
+        with pytest.raises(dsl.ParseError, match=message):
+            dsl.parse(text, "w.lch")
+        parsed = _outcome(lambda: dsl.parse(text, "w.lch"))
+        ws = dsl.load(text, "w.lch")
+        assert ws.order[-2:] == [("form", "f"), ("form", "g")]
+        for name in ("g", "f"):   # g reads f; f fails again on its own read
+            assert _outcome(lambda: ws.forms[name]) == parsed
+    with pytest.raises(dsl.ArityMismatch, match="cannot add degrees 1 and 2"):
+        dsl.load(GOOD_HEADER + "form f on M = (x - x)^-1*d(x) + d(x)^d(y)", "w.lch")
 
 
 def test_empty_span_gives_trivial_subgroup():

@@ -586,14 +586,23 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _scan(text):
-    """`dsl._tokenize` as (kind, text, line, column) tuples without the
-    second, padding EOF token, or the error message and span."""
+    """`dsl._tokenize` as (kind, text, line, column) tuples up to the first
+    EOF token (""), each placed by `dsl._Source.span`, or the error message
+    and span."""
     try:
         tokens = dsl._tokenize(text, "ws.lch")
     except dsl.ParseError as exc:
         return str(exc), exc.span
-    assert tokens[-1] is tokens[-2] and tokens[-1].kind == "eof"
-    return [(t.kind, t.text, t.line, t.column) for t in tokens[:-1]]
+    end = tokens.index("")
+    assert tokens[end:end + 2] == ["", ""] and not any(tokens[end:])
+    source = dsl._Source(text, "ws.lch")
+
+    def kind(t):
+        return ("eof" if not t else "int" if t.isdigit() else "name" if t.isidentifier()
+                else "op")
+    spans = [source.span(i) for i in range(end + 1)]
+    assert all(s.length == max(len(t), 1) for s, t in zip(spans, tokens))
+    return [(kind(t), t, s.line, s.column) for t, s in zip(tokens, spans)]
 
 
 def _scan_reference(text):

@@ -393,6 +393,19 @@ def test_term_tuples_round_trip():
         assert all(type(c) is Fraction for _, c in ref.view(e)[0])
 
 
+def test_equal_polynomials_hash_equal():
+    """A _Poly keeps its hash once computed: equal polynomials whose terms
+    were built, or are stored, in different orders hash equal."""
+    a = (x ** 2 + 3 * y + 1).num
+    b = (1 + 3 * y + x ** 2).num
+    c = sf._Poly(a.vs, a.w, a.content, dict(reversed(list(a.terms.items()))))
+    assert list(c.terms) != list(a.terms)
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c) == hash(c)
+    assert {a: "factor"}[c] == "factor"
+    assert hash(sf._Poly(a.vs, a.w, a.content, {})) == hash(sf._P_ZERO)
+
+
 def _fresh_workspace(tag, n=10):
     """A workspace over n coordinates and n functions whose names no other
     workspace uses, with an action so that validation and the invariance
