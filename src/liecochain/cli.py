@@ -2,11 +2,12 @@
 text or JSON report with deterministic exit codes.  The commands and their
 flags come from the check table `dsl.CHECKS`; the argument parser is built
 from it once per process, on the first call of `main`, and every name is
-looked up by `dsl.resolve_check`.  `validate` parses the workspace, which
-builds every declaration; every other command loads it (`dsl.load`), so
-that only the declarations its runner is given are built, and an error in
-a field, form or chain that depends on values is reported only if the
-command reads it.  Display notation is rendered only for text output.
+looked up by `dsl.resolve_check`.  Every command loads the workspace
+(`dsl.load`), which reports every error of the walk first; `validate` then
+builds every declaration (`dsl.parse`), every other command only those its
+runner is given, so an error of value in a field, form or chain is
+reported only if the command reads it.  Display notation is rendered only
+for text output.
 Everything read from the input lives for one call.
 
 Exit codes: 0 all verdicts pass, 1 at least one mathematical verdict fails
@@ -48,9 +49,8 @@ def _verdict(check, subject, ok, **extra):
 
 
 def _load_workspace(path, kind):
-    """The workspace at `path` (- for stdin): `validate` parses it, building
-    every declaration; every other command loads it, building only what it
-    reads."""
+    """The workspace at `path` (- for stdin), loaded: `validate` builds every
+    declaration at once, every other command only what it reads."""
     if path == "-":
         text = sys.stdin.read()
         name = "<stdin>"

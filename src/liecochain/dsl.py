@@ -7,12 +7,12 @@ subexpressions share one surface syntax (`K(z)`, `D(K(z),z)`, `p/q`, `^`);
 `d(x)` is a form atom, `D(x)` a chain atom, and `^` between tensor atoms is
 the wedge.
 
-One recursive-descent walk reads the text and reports every error of
-syntax, names, kinds, degrees, charts, duplicates and check directives.
-`parse` computes each field, form, chain and action as the walk declares
-it.  `load` only records how to: each is built when first read, and the
-errors that depend on values (a zero divisor, a power, sum or derivative
-over its work budget) are reported then, with the same message and span.
+One recursive-descent walk, `load`, reports every error of syntax, names,
+kinds, degrees, charts, duplicates, check directives and nesting at once,
+and records how to build each field, form, chain and action: each is built
+on first read, by a loop, and an error of value (a zero divisor, a power,
+sum or derivative over its work budget) is reported then.  `parse` is
+`load` and a read of every declaration in text order.
 """
 
 from __future__ import annotations
@@ -116,12 +116,44 @@ class _Source:
 class _Pending:
     """A field, form or chain, or a part of one, not built yet: its kind
     ("scalar", "form" or "chain"), degree and chart are known from the
-    walk, and `build()` computes its value."""
+    walk.  Its value is `fn` of its operands' values (an operand is a
+    `_Pending` or a constant); a ScalarError or ChartError is reported at
+    token `at` of `source`.  Every name that reads a declaration shares
+    its node, which keeps its value once built."""
 
-    __slots__ = ("kind", "degree", "chart", "build")
+    __slots__ = ("kind", "degree", "chart", "fn", "operands", "source", "at", "declared", "value")
 
-    def __init__(self, kind, degree, chart, build):
-        self.kind, self.degree, self.chart, self.build = kind, degree, chart, build
+    def __init__(self, kind, degree, chart, fn, operands, source, at):
+        self.kind, self.degree, self.chart, self.fn = kind, degree, chart, fn
+        self.operands, self.source, self.at = operands, source, at
+        self.declared, self.value = False, None
+
+    def build(self):
+        """The value, from an explicit stack, operands left to right: nothing
+        recurses, however long the expression or the chain of names, and a
+        part of an expression is held only until what reads it is built."""
+        values, stack = [], [self, False]
+        while stack:
+            ready, node = stack.pop(), stack.pop()
+            if node.__class__ is not _Pending:
+                values.append(node)
+            elif ready:   # its operands' values are on top, even if another thread built it
+                k = len(values) - len(node.operands)
+                try:
+                    value = node.fn(*values[k:])
+                except (sf.ScalarError, cc.ChartError) as exc:
+                    raise ParseError(str(exc), node.source.span(node.at)) from None
+                del values[k:]
+                if node.declared:
+                    node.value = value
+                values.append(value)
+            elif node.value is not None:
+                values.append(node.value)
+            else:
+                stack += (node, True)
+                for operand in reversed(node.operands):
+                    stack += (operand, False)
+        return values[0]
 
 
 class _Store(dict):
@@ -318,22 +350,6 @@ def _resolve(ws, slot, name, index, home, fail, read):
 # parser
 
 
-def _kind(value):
-    """"scalar" for a ScalarExpr, else the kind of the tensor or `_Pending`:
-    "scalar", "form" or "chain"."""
-    return "scalar" if isinstance(value, sf.ScalarExpr) else value.kind
-
-
-def _run(source, at, fn, operands):
-    """fn of the operands' values; a ScalarError or ChartError becomes a
-    ParseError at token `at` of `source`."""
-    values = [o.build() if o.__class__ is _Pending else o for o in operands]
-    try:
-        return fn(*values)
-    except (sf.ScalarError, cc.ChartError) as exc:
-        raise ParseError(str(exc), source.span(at)) from None
-
-
 def _invert(f):
     if f.is_zero():
         raise sf.DivisionByZeroExpr("division by zero")
@@ -346,21 +362,19 @@ _TENSOR_DECLS = {
     "form": ("a form", cc.DiffForm, "forms"),
     "chain": ("a chain", cc.MultiVectorField, "chains"),
 }
-_CLASSES = {"form": cc.DiffForm, "chain": cc.MultiVectorField}
+MAX_NESTING = 100   # atoms open at once in an expression: (, unary -, D(..., x), wedge
 
 
 class _Parser:
     """The walk over one text.  A token is its text in `tokens`, found by
     its index; "" is the end of the text."""
 
-    def __init__(self, text, file, lazy):
+    def __init__(self, text, file):
         self.tokens = _tokenize(text, file)
-        self.i = 0
+        self.i = self.depth = 0   # depth: the atoms being read
         self.source = _Source(text, file)
-        self.lazy = lazy
-        tensors = _Store if lazy else dict
-        self.ws = Workspace(source_name=file, vector_fields=tensors(), forms=tensors(),
-                            chains=tensors())
+        self.ws = Workspace(source_name=file, vector_fields=_Store(), forms=_Store(),
+                            chains=_Store())
         self.names = {}  # declared name or chart coordinate -> its kind
         self.chart = self.rhs_start = None   # of the tensor being declared
 
@@ -613,7 +627,7 @@ class _Parser:
         self.expect("=")
         self.chart, self.rhs_start = chart, self.i
         value = self.parse_tensor_expr()
-        kind = _kind(value)
+        kind = value.kind
         if keyword == "vectorfield":
             if kind != "chain" or value.degree != 1:
                 self.error("a vector field needs D(coordinate) terms" if kind == "scalar"
@@ -623,6 +637,7 @@ class _Parser:
             value = self._apply(cls.kind, 0, lambda f: cls(chart, 0, {(): f}), value)
         elif kind != cls.kind:
             self.error(f"{noun} cannot contain {kind} atoms", name_at, ArityMismatch)
+        value.declared = True
         self.declare(getattr(self.ws, store), name_at, value, keyword)
 
     def parse_action(self):
@@ -657,8 +672,6 @@ class _Parser:
         fields = self.ws.vector_fields
         decl = ActionDecl(self.tokens[alg_at], self.tokens[chart_at], names, q,
                           lambda: ActionSpec(chart, algebra, tuple(fields[g] for g in names), q))
-        if not self.lazy:
-            decl.spec   # read, so built as it is declared
         self.declare(self.ws.actions, name_at, decl, "action")
 
     def parse_point(self):
@@ -677,8 +690,8 @@ class _Parser:
 
     # -- tensor/scalar expressions -----------------------------------------
     #
-    # An expression's value is a ScalarExpr, a form or a chain, or with
-    # `lazy` a `_Pending` one; its kind and degree are known at once.
+    # An expression's value is a `_Pending` ScalarExpr, form or chain; its
+    # kind and degree are known at once.
 
     def _here(self):
         """Where an arithmetic failure is reported: the current token, or the
@@ -686,15 +699,11 @@ class _Parser:
         return self.i if self.peek() else self.rhs_start
 
     def _apply(self, kind, degree, fn, *operands, at=None):
-        """fn(*operands), of the given kind and degree: computed now, or on
-        first read when `lazy`.  A ScalarError or ChartError is reported at
-        token `at`, by default `_here()`: the same token either way."""
-        if at is None:
-            at = self._here()
-        if self.lazy:
-            return _Pending(kind, degree, self.chart,
-                            functools.partial(_run, self.source, at, fn, operands))
-        return _run(self.source, at, fn, operands)
+        """fn(*operands), of the given kind and degree, computed when read.  A
+        ScalarError or ChartError is reported at token `at`, by default
+        `_here()`."""
+        return _Pending(kind, degree, self.chart, fn, operands, self.source,
+                        self._here() if at is None else at)
 
     def parse_tensor_expr(self):
         """Sum level."""
@@ -707,7 +716,7 @@ class _Parser:
 
     def _sum(self, a, b, op_at, negate):
         """a + b, or a + (-b) if `negate`; a scalar joins a tensor of degree 0."""
-        ka, kb = _kind(a), _kind(b)
+        ka, kb = a.kind, b.kind
         add = operator.add
         if ka == kb == "scalar":
             kind, degree = "scalar", 0
@@ -716,7 +725,7 @@ class _Parser:
             if t.degree != 0:
                 self.error(f"cannot add a scalar and a {t.kind} of degree {t.degree}", op_at,
                            ArityMismatch)
-            kind, degree, cls, chart = t.kind, 0, _CLASSES[t.kind], self.chart
+            kind, degree, cls, chart = t.kind, 0, _TENSOR_DECLS[t.kind][1], self.chart
             if ka == "scalar":
                 add = lambda f, u: cls(chart, 0, {(): f}) + u   # noqa: E731
             else:
@@ -740,7 +749,7 @@ class _Parser:
         return value
 
     def _product(self, a, b, op_at):
-        ka, kb = _kind(a), _kind(b)
+        ka, kb = a.kind, b.kind
         if ka == "scalar":
             if kb == "scalar":
                 return self._apply("scalar", 0, operator.mul, a, b)
@@ -757,7 +766,7 @@ class _Parser:
         denominator parses back factor by factor.
         """
         value = self.parse_tensor_atom()
-        kind = _kind(value)
+        kind = value.kind
         if divide_at is not None:
             if kind != "scalar":
                 self.error("can only divide by a scalar", divide_at, ArityMismatch)
@@ -774,9 +783,9 @@ class _Parser:
                 value = self._apply("scalar", 0, operator.pow, value, -e if neg else e)
             else:
                 other = self.parse_tensor_atom()
-                if _kind(other) == "scalar":
+                if other.kind == "scalar":
                     self.error("cannot wedge with a scalar", op_at, ArityMismatch)
-                if _kind(other) != kind:
+                if other.kind != kind:
                     self.error("cannot wedge a form with a chain", op_at, ArityMismatch)
                 value = self._wedge(value, other)
         return value
@@ -788,6 +797,16 @@ class _Parser:
         return self._apply(a.kind, degree, lambda s, t: s.wedge(t), a, b)
 
     def parse_tensor_atom(self):
+        """Every nested expression is read through here; past `MAX_NESTING`
+        open atoms, an error at the token that opens one more."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"expression nested more than {MAX_NESTING} levels deep")
+        value = self._tensor_atom()
+        self.depth -= 1
+        return value
+
+    def _tensor_atom(self):
         tok = self.peek()
         if tok == "(":
             self.advance()
@@ -797,9 +816,7 @@ class _Parser:
         if tok == "-":
             self.advance()
             value = self.parse_tensor_factor()
-            kind = _kind(value)
-            return self._apply(kind, 0 if kind == "scalar" else value.degree, operator.neg,
-                               value)
+            return self._apply(value.kind, value.degree, operator.neg, value)
         if tok.isdigit():
             self.advance()
             return self._apply("scalar", 0, sf.rational, int(tok))
@@ -814,7 +831,7 @@ class _Parser:
             self.expect(",")
             v2 = self.parse_tensor_expr()
             close_at = self.expect(")")
-            if _kind(v1) == "scalar" or _kind(v1) != _kind(v2):
+            if v1.kind == "scalar" or v1.kind != v2.kind:
                 self.error("wedge needs two forms or two chains", close_at, ArityMismatch)
             return self._wedge(v1, v2)
         if tok.isidentifier():
@@ -844,7 +861,7 @@ class _Parser:
             self.advance()  # ')'
             return self._apply("chain", 1, cc.MultiVectorField, self.chart, 1, {(i,): sf.ONE})
         inner = self.parse_tensor_expr()
-        if _kind(inner) != "scalar":
+        if inner.kind != "scalar":
             self.error("formal derivative applies to scalars", d_at, ArityMismatch)
         self.expect(",")
         coord = self._chart_coordinate()
@@ -867,14 +884,11 @@ class _Parser:
         if name in self.chart.coordinates:
             return self._apply("scalar", 0, sf.coordinate, name)
         try:
-            kind, entry = self.ws.find_object(name)
+            _, entry = self.ws.find_object(name)
         except KeyError:
             self.error(f"unknown name {name!r}", at, UnknownReference)
         if entry.chart != self.chart:
             self.error(f"{name!r} lives on a different chart", at, ArityMismatch)
-        if entry.__class__ is _Pending:
-            return _Pending(entry.kind, entry.degree, entry.chart,
-                            functools.partial(self.ws.store(kind).__getitem__, name))
         return entry
 
     # -- check directives ----------------------------------------------------
@@ -955,18 +969,24 @@ class _Parser:
                            kind_at, ArityMismatch)
 
 
-def parse(text, filename="<input>"):
-    """Parse workspace text, raising ParseError subclasses with source spans;
-    every declaration is built as it is declared."""
-    return _Parser(text, filename, lazy=False).parse_file()
-
-
 def load(text, filename="<input>"):
-    """`parse`, but each field, form, chain and action is built when first
-    read (see `_Store` and `ActionDecl.spec`).  The walk reports the same
-    errors at once, except those that depend on values, which come at
-    first read."""
-    return _Parser(text, filename, lazy=True).parse_file()
+    """The workspace of `text`, raising ParseError subclasses with source
+    spans: the walk's errors at once, and those that depend on values when
+    the field, form, chain or action is first read (see `_Store` and
+    `ActionDecl.spec`)."""
+    return _Parser(text, filename).parse_file()
+
+
+def parse(text, filename="<input>"):
+    """`load`, then a read of every field, form, chain and action in text
+    order: every error is raised now, the walk's before any of value."""
+    ws = load(text, filename)
+    for kind, name in ws.order:
+        if kind in _TENSOR_DECLS:
+            getattr(ws, _TENSOR_DECLS[kind][2])[name]
+        elif kind == "action":
+            ws.actions[name].spec
+    return ws
 
 
 # ---------------------------------------------------------------------------

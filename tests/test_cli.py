@@ -531,10 +531,11 @@ DIRECTIVE_BUILDS = {
 def test_fixture_directives_build_what_they_read(path, decl, capsys, monkeypatch):
     loaded = _loaded(monkeypatch)
     assert main(_directive_argv(path, decl)) in (0, 1)
-    if decl.kind == "validate":
-        assert loaded == []    # validate parses, which builds every declaration
+    [ws] = loaded
+    if decl.kind == "validate":   # validate loads, then builds every declaration
+        assert _built(ws) == sorted([*ws.vector_fields, *ws.forms, *ws.chains])
     else:
-        assert _built(loaded[0]) == DIRECTIVE_BUILDS[f"{path.stem}:{decl.span.line}:{decl.kind}"]
+        assert _built(ws) == DIRECTIVE_BUILDS[f"{path.stem}:{decl.span.line}:{decl.kind}"]
 
 
 def test_benchmark_commands_build_what_they_read(monkeypatch):
@@ -545,13 +546,12 @@ def test_benchmark_commands_build_what_they_read(monkeypatch):
     import cli_workspaces
 
     _, plan = cli_workspaces.generate(12)
-    loaded, parsed, parse = _loaded(monkeypatch), [], dsl.parse
-    monkeypatch.setattr(dsl, "parse", lambda *args: parsed.append(parse(*args)) or parsed[-1])
+    loaded = _loaded(monkeypatch)
     jobs = cli_workspaces.make_jobs(None, plan)
     assert not cli_workspaces.check(jobs, [job.run() for job in jobs], plan)
-    declared = [len(ws.vector_fields) + len(ws.forms) + len(ws.chains) for ws in loaded + parsed]
-    assert (len(jobs), sum(declared)) == (54, 313)
-    assert sum(len(_built(ws)) for ws in loaded) + sum(declared[len(loaded):]) == 206
+    assert len(jobs) == len(loaded) == 54
+    assert sum(len(ws.vector_fields) + len(ws.forms) + len(ws.chains) for ws in loaded) == 313
+    assert sum(len(_built(ws)) for ws in loaded) == 206
 
 
 def test_check_invariant_builds_the_generators_and_the_object(tmp_path, capsys, monkeypatch):
@@ -591,6 +591,70 @@ def test_unread_power_is_refused_only_when_read(tmp_path, capsys, monkeypatch):
     assert main(["check", "invariant", "--input", str(path), "--action", "act",
                  "--object", "w"]) == 2
     assert capsys.readouterr().err == f"error: {parsed.value}\n"
+
+
+# -- one reader: no recursion per term or declaration, one first error --------
+
+LONG_HEAD = """chart M { coords = [x, y] }
+lie_algebra g { dim 1 }
+vectorfield v on M = D(y)
+action a { algebra g chart M generators = [v] orbit_dim 1 }
+point P on M = (1, 2)
+"""
+
+
+@pytest.mark.parametrize("decls", [
+    "form f on M = (" + " + ".join(["x"] * 3000) + ")*d(x)",
+    "form f on M = " + "*".join(["x"] * 3000) + "*d(x)",
+    "form f0 on M = d(x)\n" + "\n".join(f"form f{i} on M = f{i - 1} + x*d(x)"
+                                         for i in range(1, 3000)) + "\nform f on M = f2999",
+], ids=["sum", "product", "chain"])
+def test_long_expressions_and_chains_build_without_recursion(decls, tmp_path, capsys):
+    # 3,000 terms, factors or declarations, each reading the one before
+    path = tmp_path / "long.lch"
+    path.write_text(LONG_HEAD + decls + "\n")
+    for argv in (["validate"], ["check", "invariant", "--action", "a", "--object", "f"],
+                 ["report", "--action", "a", "--points", "P"]):
+        assert main(argv + ["--input", str(path)]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("opener,closer", [("(", ")"), ("-", ""), ("D(", ", x)"),
+                                           ("wedge(", ", d(y))")])
+def test_deep_nesting_is_an_input_error(opener, closer, tmp_path, capsys):
+    path = tmp_path / "deep.lch"
+    path.write_text(LONG_HEAD + f"form f on M = {opener * 250}x{closer * 250}*d(x)\n")
+    for argv in (["validate"], ["check", "invariant", "--action", "a", "--object", "f"],
+                 ["report", "--action", "a", "--points", "P"]):
+        assert main(argv + ["--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}:6:{15 + len(opener) * dsl.MAX_NESTING}: expression nested more than")
+
+
+def test_every_command_reports_the_same_first_error(tmp_path, capsys):
+    # a zero divisor on line 5 and a syntax error on line 6: the walk's
+    # error comes first, whether the command reads f or not
+    path = tmp_path / "two.lch"
+    path.write_text("chart M { coords = [x, y] }\nlie_algebra g { dim 1 }\n"
+                    "vectorfield v on M = D(x)\n"
+                    "action a { algebra g chart M generators = [v] orbit_dim 1 }\n"
+                    "form f on M = x/(y - y)*d(x)\nform h on M = )\n")
+    errors = []
+    for argv in (["validate"], ["check", "invariant", "--action", "a", "--object", "f"]):
+        assert main(argv + ["--input", str(path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors == [f"error: {path}:6:15: unexpected token ')' in expression\n"] * 2
+
+
+def test_validate_large_abelian_algebra_at_once(tmp_path, capsys):
+    # only triples with a bracket that can fail are visited: none here
+    path = tmp_path / "ab2000.lch"
+    path.write_text("lie_algebra ab { dim 2000 }\n")
+    start = time.perf_counter()
+    assert main(["validate", "--input", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    assert "[pass] jacobi ab" in capsys.readouterr().out
+
 
 REJECTED = [
     # a flag of another check

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,8 @@ ERROR_CORPUS = [
      "lie_algebra g { dim 1 }\naction a { algebra g chart M generators = [v] orbit_dim 1 }",
      dsl.ArityMismatch, 6),
     (GOOD_HEADER + "form f on M = x + )", dsl.ParseError, 3),
+    # an expression nested past dsl.MAX_NESTING
+    (GOOD_HEADER + "form f on M = " + "(" * 250 + "x" + ")" * 250 + "*d(x)", dsl.ParseError, 3),
 ]
 
 
@@ -326,17 +329,7 @@ def test_fuzzed_mutations_never_escape_parse_errors():
             assert err.span is None or (err.span.line >= 1 and err.span.column >= 1)
 
 
-# --- loading: the walk at once, each field, form, chain and action on first read
-
-def _build_all(ws):
-    """Read every field, form, chain and action of `ws`, in declaration order."""
-    for kind, name in ws.order:
-        if kind in dsl._TENSOR_DECLS:
-            getattr(ws, dsl._TENSOR_DECLS[kind][2])[name]
-        elif kind == "action":
-            ws.actions[name].spec
-    return ws
-
+# --- one reader: `parse` is `load` plus a read of every declaration
 
 def _outcome(make):
     """The workspace `make()` returns, or the class, message and span of the
@@ -347,18 +340,90 @@ def _outcome(make):
         return type(err), err.message, err.span
 
 
-def test_load_then_build_matches_parse():
-    """Loading and then reading every declaration raises what parse raises,
-    or gives an equal workspace: on every ERROR_CORPUS row, every fuzzed
-    mutant and every fixture."""
+def _outcome_line(text):
+    """A digest of `text`, then what `parse` makes of it: the class, span and
+    message of the ParseError it raises, or the sha256 of `render`."""
+    key = hashlib.sha256(text.encode()).hexdigest()[:16]
+    try:
+        ws = dsl.parse(text, "mutant.lch")
+    except dsl.ParseError as err:
+        at = err.span and f"{err.span.line}:{err.span.column}+{err.span.length}"
+        return f"{key} {type(err).__name__} {at} {err.message}"
+    return f"{key} render {hashlib.sha256(dsl.render(ws).encode()).hexdigest()}"
+
+
+def test_parse_outcomes_match_golden():
+    """parse's outcome on every ERROR_CORPUS row, every fuzzed mutant and
+    every fixture is the one in tests/golden/parse_outcomes.txt, recorded
+    while parse still built each declaration during the walk.  Rows added
+    to the corpus since have no line there."""
+    expected = (GOLDEN / "parse_outcomes.txt").read_text().splitlines()
+    keys = {line.split()[0] for line in expected}
     texts = [text for text, _, _ in ERROR_CORPUS] + list(_mutants()) + [
-        (FIXTURES / f"{n}.lch").read_text() for n in FIXTURE_NAMES]
-    errors = 0
-    for text in texts:
-        parsed = _outcome(lambda: dsl.parse(text, "mutant.lch"))
-        assert _outcome(lambda: _build_all(dsl.load(text, "mutant.lch"))) == parsed
-        errors += isinstance(parsed, tuple)
-    assert errors > len(ERROR_CORPUS)
+        (FIXTURES / f"{n}.lch").read_text() for n in [*FIXTURE_NAMES, "rotations"]]
+    assert [line for line in map(_outcome_line, texts) if line.split()[0] in keys] == expected
+
+
+def test_nesting_bound():
+    """MAX_NESTING atoms may be open at once: the innermost atom of 99
+    parentheses is the 100th; one more level is refused at its token."""
+    ok, deep = ("form f on M = " + "(" * n + "x" + ")" * n for n in (99, 100))
+    assert dsl.parse(GOOD_HEADER + ok) == dsl.parse(GOOD_HEADER + "form f on M = x")
+    with pytest.raises(dsl.ParseError, match="3:115: expression nested more than 100 levels deep"):
+        dsl.parse(GOOD_HEADER + deep)
+
+
+def test_each_node_is_built_once(monkeypatch):
+    """Reading every declaration in reverse text order, then in order,
+    computes each `_Pending` node the walk made exactly once: a name shares
+    the node of the declaration it reads."""
+    made, computed = [], []
+    init = dsl._Pending.__init__
+
+    def spy(self, kind, degree, chart, fn, *rest):
+        init(self, kind, degree, chart, lambda *vals: computed.append(self) or fn(*vals), *rest)
+        made.append(self)
+    monkeypatch.setattr(dsl._Pending, "__init__", spy)
+    ws = dsl.load(GOOD_HEADER + "lie_algebra g { dim 2 }\nvectorfield v on M = D(x)\n"
+                  "vectorfield u on M = v - z*v\n"
+                  "action a { algebra g chart M generators = [v, u] orbit_dim 1 }\n"
+                  "form f on M = K(z)*d(x)\nform h on M = f + x*f\nform k on M = h^f - f^d(y)\n"
+                  "chain c on M = 2\nchain e on M = c^u^v + 3*u^v\n", "w.lch")
+    for kind, name in [*reversed(ws.order), *ws.order]:
+        if kind in dsl._TENSOR_DECLS:
+            getattr(ws, dsl._TENSOR_DECLS[kind][2])[name]
+        elif kind == "action":
+            ws.actions[name].spec
+    assert len(made) > 20 and sorted(map(id, computed)) == sorted(map(id, made))
+
+
+def test_concurrent_first_reads_store_equal_values():
+    """Threads reading one loaded workspace in different orders, with
+    frequent switches, all get the values parse gives."""
+    import random
+    import sys
+    import threading
+    text = GOOD_HEADER + "form f0 on M = K(z)*d(x)\n" + "".join(
+        f"form f{i} on M = f{i - 1} + x*f{i // 2}\n" for i in range(1, 200))
+    expected = dsl.parse(text).forms
+    ws, results = dsl.load(text), []
+
+    def read(seed):
+        names = list(expected)
+        random.Random(seed).shuffle(names)
+        results.append({name: ws.forms[name] for name in names})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [dict(expected)] * 8
 
 
 def test_load_keeps_no_walk_alive(monkeypatch):
@@ -383,7 +448,10 @@ def test_load_keeps_no_walk_alive(monkeypatch):
         assert walks[0]() is None
     finally:
         gc.enable()
-    assert _build_all(ws) == dsl.parse(text)
+    ws.actions["a"].spec
+    for name in ws.forms:
+        ws.forms[name]
+    assert ws == dsl.parse(text)
 
 def test_load_defers_only_value_errors():
     """A zero divisor, a power over its budget and a sum over its budget are
