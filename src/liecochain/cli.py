@@ -10,10 +10,14 @@ reported only if the command reads it.  Display notation is rendered only
 for text output.
 Everything read from the input lives for one call.
 
-Exit codes: 0 all verdicts pass, 1 at least one mathematical verdict fails
-(an obstruction or a violated identity is a finding, not a crash), 2 input
-or usage error.  JSON output is byte-identical across runs; timing_ms is 0
-unless LIECOCHAIN_TIMING=1.  LIECOCHAIN_COLOR=0 disables text styling.
+Every requested check gets a verdict: `check cochain` with no form and no
+field reports the chain's own (`chain_basis`).  The exit code is fixed
+before anything is printed: 0 all verdicts pass, 1 at least one
+mathematical verdict fails (an obstruction or a violated identity is a
+finding, not a crash), 2 input or usage error.  A reader that closes the
+output early (`| head`) changes neither the code nor standard error.  JSON
+output is byte-identical across runs; timing_ms is 0 unless
+LIECOCHAIN_TIMING=1.  LIECOCHAIN_COLOR=0 disables text styling.
 """
 
 from __future__ import annotations
@@ -92,12 +96,12 @@ def _shown(obj, prefix=""):
 def _cmd_validate(ws, names, got):
     verdicts = []
     for name, algebra in ws.lie_algebras.items():
-        rep = validate_lie_algebra(algebra)
+        violations = validate_lie_algebra(algebra)
         witness = None
-        if not rep.ok:
-            i, j, k, res = rep.violations[0]
+        if violations:
+            i, j, k, res = violations[0]
             witness = f"triple ({i+1},{j+1},{k+1}): {dsl.vector_dsl(res)}"
-        verdicts.append(_verdict("jacobi", name, rep.ok, witness=witness))
+        verdicts.append(_verdict("jacobi", name, not violations, witness=witness))
     for name, decl in ws.actions.items():
         action = decl.spec
         samples = _chart_points(ws, action.chart)
@@ -136,8 +140,8 @@ def _cmd_cohomology(ws, names, got):
     result = relative_cohomology(got["algebra"], sub, degree)
     return [_verdict("cohomology", f"{subject} degree {degree}", True,
                      dims={"A_rel": result.relative_dims[degree], "H": result.dimension},
-                     representatives=[dsl.altform_dsl(r) for r in result.representatives],
-                     _pretty_representatives=lambda: [dsl.render_altform(r, sf.UNICODE)
+                     representatives=[_text(r, sf.PLAIN) for r in result.representatives],
+                     _pretty_representatives=lambda: [_text(r, sf.UNICODE)
                                                       for r in result.representatives])]
 
 
@@ -181,65 +185,59 @@ def _cmd_semibasic(ws, names, got):
     return _generator_verdict("semibasic", names["object"], v)
 
 
+def _residual_verdict(check, subject, residual):
+    """A pass if the residual vanishes, else a fail with it as the witness."""
+    ok = residual.is_zero()
+    return _verdict(check, subject, ok, **({} if ok else _shown(residual)))
+
+
 def _cmd_check_cochain(ws, names, got):
-    action, chain, points = got["action"].spec, got["chain"], got["points"]
-    form_names, field_names = names["forms"], names["fields"]
-    forms, fields = got["forms"], got["fields"]
-    verdicts = []
-
-    # Every check below rests on the chain precondition, so it runs once
-    # here; each form and field then runs its own precondition once, and
-    # L_R chi gives both the stability verdict and lambda_R.
+    action, chain = got["action"].spec, got["chain"]
+    form_names, field_names, fields = names["forms"], names["fields"], got["fields"]
+    # The chain's precondition runs once, each form's and field's once after
+    # it, and L_R chi gives both the stability verdict and lambda_R.
     try:
-        aa._require_invariant_vertical_chain(action, chain, points)
+        aa._require_invariant_vertical_chain(action, chain, got["points"])
     except aa.InvalidInput as exc:
-        verdicts.append(_verdict("chain_basis", names["chain"], False, reason=str(exc)))
-        for n in form_names:
-            verdicts.append(_verdict("cochain_condition", n, "skipped",
-                                     reason="chain precondition failed"))
-        for n in field_names:
-            verdicts.append(_verdict("stability", n, "skipped",
-                                     reason="chain precondition failed"))
-        return verdicts
-
-    for n, omega in zip(form_names, forms):
+        skipped = {"cochain_condition": form_names, "stability": field_names}
+        return [_verdict("chain_basis", names["chain"], False, reason=str(exc))] + [
+            _verdict(check, n, "skipped", reason="chain precondition failed")
+            for check, subjects in skipped.items() for n in subjects]
+    if not form_names and not field_names:
+        return [_verdict("chain_basis", names["chain"], True)]
+    verdicts = []
+    for n, omega in zip(form_names, got["forms"]):
         try:
             aa._require_invariant_form(action, omega)
-            res = aa.cochain_condition_unchecked(action, chain, omega)
-            verdicts.append(_verdict("cochain_condition", n, res.ok,
-                                     **({} if res.ok else _shown(res.residual))))
+            res = aa.cochain_condition_unchecked(action, chain, omega).residual
+            verdicts.append(_residual_verdict("cochain_condition", n, res))
         except aa.InvalidInput as exc:
             verdicts.append(_verdict("cochain_condition", n, False, reason=str(exc)))
-    lams = []   # per field: lambda_R, or the error scaling_factor raises for R
+    lams, missing = [], None   # lambda_R per field, and the first reason one is missing
     for n, r in zip(field_names, fields):
         try:
-            e = aa.stability_check(action, chain, [r]).entries[0]
-            verdicts.append(_verdict("stability", n, e.ok,
-                                     **({} if e.ok else _shown(e.residual))))
+            lr = aa.stability_check(action, chain, [r]).entries[0].residual
         except aa.NonInvariantField as exc:
             verdicts.append(_verdict("stability", n, False, reason=str(exc)))
-            lams.append(aa.NonInvariantField(aa.SCALING_NEEDS_INVARIANT_FIELD))
+            missing = missing or aa.SCALING_NEEDS_INVARIANT_FIELD
             continue
+        verdicts.append(_residual_verdict("stability", n, lr))
         try:
-            lam = aa.scaling_factor_unchecked(action, chain, e.residual)
-            verdicts.append(_verdict("scaling_factor", n, True, **_shown(lam)))
+            lams.append(aa.scaling_factor_unchecked(action, chain, lr))
+            verdicts.append(_verdict("scaling_factor", n, True, **_shown(lams[-1])))
         except (aa.NotProportional, aa.InvalidInput) as exc:
             verdicts.append(_verdict("scaling_factor", n, False, reason=str(exc)))
-            lam = exc
-        lams.append(lam)
-    if len(fields) >= 2:
+            missing = missing or str(exc)
+    if len(fields) >= 2 and missing is None:
         try:
-            failed = next((lam for lam in lams if isinstance(lam, aa.ActionError)), None)
-            if failed is not None:
-                raise failed
-            res = aa.integrability_unchecked(action, chain, fields, lams)
-            for s, t, residual in res.pairs:
-                ok = residual.is_zero()
-                verdicts.append(_verdict("integrability", f"{field_names[s]},{field_names[t]}",
-                                         ok, **({} if ok else _shown(residual))))
+            pairs = aa.integrability_unchecked(action, chain, fields, lams).pairs
         except (aa.NotProportional, aa.NonInvariantField, aa.InvalidInput) as exc:
-            verdicts.append(_verdict("integrability", ",".join(field_names), False,
-                                     reason=str(exc)))
+            missing = str(exc)
+        else:
+            verdicts += [_residual_verdict("integrability", f"{field_names[s]},{field_names[t]}",
+                                           res) for s, t, res in pairs]
+    if len(fields) >= 2 and missing is not None:
+        verdicts.append(_verdict("integrability", ",".join(field_names), False, reason=missing))
     return verdicts
 
 
@@ -340,7 +338,7 @@ def _use_color():
     return os.environ.get("LIECOCHAIN_COLOR", "1") != "0" and sys.stdout.isatty()
 
 
-def _print_text(verdicts):
+def _text_lines(verdicts):
     color = _use_color()
     styles = {"pass": "32", "fail": "31", "skipped": "33"}
     for v in verdicts:
@@ -362,22 +360,17 @@ def _print_text(verdicts):
             line += f" | {witness}"
         if v.get("reason"):
             line += f" ({v['reason']})"
-        print(line)
+        yield line
 
 
-def _emit_json(command, verdicts, elapsed_ms):
-    public = [{k: val for k, val in v.items() if not k.startswith("_")}
-              for v in verdicts]
-    report = {
-        "tool_version": __version__,
-        "command": command,
-        "verdicts": public,
-        "timing_ms": elapsed_ms,
-    }
-    print(json.dumps(report, indent=2))
+def _json_report(command, verdicts, elapsed_ms):
+    public = [{k: val for k, val in v.items() if not k.startswith("_")} for v in verdicts]
+    return json.dumps({"tool_version": __version__, "command": command, "verdicts": public,
+                       "timing_ms": elapsed_ms}, indent=2) + "\n"
 
 
 def run(args):
+    """(exit code, standard output) of one parsed command line."""
     started = time.perf_counter()
     ws = _load_workspace(args.input, args.kind)
     names = {slot.name: getattr(args, slot.name) for slot in dsl.CHECKS[args.kind].slots}
@@ -386,26 +379,41 @@ def run(args):
     elapsed_ms = 0
     if os.environ.get("LIECOCHAIN_TIMING") == "1":
         elapsed_ms = int((time.perf_counter() - started) * 1000)
+    code = 1 if any(v["verdict"] == "fail" for v in verdicts) else 0
     if args.format == "json":
-        _emit_json(args.command, verdicts, elapsed_ms)
-    else:
-        if args.verbose:
-            print(f"liecochain {__version__} | {args.command} | {ws.source_name}")
-        _print_text(verdicts)
-    return 1 if any(v["verdict"] == "fail" for v in verdicts) else 0
+        return code, _json_report(args.command, verdicts, elapsed_ms)
+    lines = list(_text_lines(verdicts))
+    if args.verbose:
+        lines.insert(0, f"liecochain {__version__} | {args.command} | {ws.source_name}")
+    return code, "".join(f"{line}\n" for line in lines)
+
+
+def _written(code, out=""):
+    """`code`, once `out` is on standard output and flushed.  A reader that
+    is gone is not an error: the rest of the output goes to os.devnull, so
+    that the flush at exit cannot fail again."""
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    except SystemExit as exc:   # --help, or a usage error
+        return _written(exc.code if isinstance(exc.code, int) else 2)
     try:
-        return run(args)
+        code, out = run(args)
     except (InputError, dsl.ParseError, aa.ActionError, CohomologyError, sf.ScalarError,
             cc.ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return _written(code, out)
 
 
 if __name__ == "__main__":

@@ -7,12 +7,13 @@ cohomology is computed degreewise by exact kernel/image linear algebra, the
 identity component acting infinitesimally and extra components through their
 matrices.  The differential and the relative constraints are assembled from
 the bracket table as the images of basis monomials, once per degree, and
-handed to `linalg` as sparse rows of integers: the structure constants are
-scaled by the lcm of their denominators, subalgebra vectors are primitive
-and component inverses integral, which changes no kernel or image.  The
-relative forms and the kernel of d are primitive integer vectors
-(`linalg.kernel`); Fractions appear only in the representatives, and the
-public per-form operators divide by the scale once at the end.
+handed to `linalg` as sparse rows of integers: an algebra keeps its
+structure constants scaled by the lcm of their denominators, subalgebra
+vectors are primitive and component inverses integral, which changes no
+kernel or image.  The relative forms and the kernel of d are primitive
+integer vectors (`linalg.kernel`); Fractions appear only in the
+representatives, and the public per-form operators divide by the scale
+once at the end.
 
 Differential convention, on basis tuples x_0..x_r:
     (d a)(x_0,...,x_r) = sum_{i<j} (-1)^{i+j} a([x_i,x_j], ..no x_i, x_j..)
@@ -20,7 +21,7 @@ Differential convention, on basis tuples x_0..x_r:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -54,7 +55,8 @@ class LieAlgebra:
     """Structure constants c[i][j][k] for [e_i, e_j] = sum_k c_k e_k, i < j.
 
     Brackets are stored sparsely for 0-based i < j; antisymmetry and
-    self-brackets are implicit.
+    self-brackets are implicit.  `integer_brackets` holds them as one map
+    {(i, j, k): c * scale} of ints, `scale` the lcm of the denominators.
     """
 
     def __init__(self, dim, brackets=None):
@@ -72,6 +74,8 @@ class LieAlgebra:
             if rhs:
                 table[(i, j)] = rhs
         self.brackets = table
+        self.integer_brackets, self.scale = _integer_row(
+            {(i, j, k): c for (i, j), rhs in table.items() for k, c in rhs.items()})
 
     def bracket_basis(self, i, j):
         """[e_i, e_j] as a sparse {k: coefficient} map, any i, j."""
@@ -121,17 +125,12 @@ class SubgroupSpec:
         return SubgroupSpec(basis, reps)
 
 
-@dataclass
-class JacobiReport:
-    ok: bool
-    violations: list = field(default_factory=list)  # (i, j, k, residual vector)
-
-
 def validate_lie_algebra(algebra):
-    """Check the Jacobi identity on the basis triples where it can fail:
-    those with a term [[e_i, e_j], e_k] whose inner bracket has a
-    component e_m with a declared bracket [e_m, e_k].  They are visited in
-    sorted order, each residual is computed in full."""
+    """The violations of the Jacobi identity, as (i, j, k, residual vector),
+    on the basis triples where it can fail: those with a term
+    [[e_i, e_j], e_k] whose inner bracket has a component e_m with a
+    declared bracket [e_m, e_k].  They are visited in sorted order, each
+    residual is computed in full; an empty list means the identity holds."""
     n = algebra.dim
     partners = {}    # m -> every k with a declared bracket [e_m, e_k]
     for i, j in algebra.brackets:
@@ -148,7 +147,7 @@ def validate_lie_algebra(algebra):
             algebra.bracket(algebra.bracket(e[k], e[i]), e[j]))]
         if any(x != 0 for x in res):
             violations.append((i, j, k, res))
-    return JacobiReport(not violations, violations)
+    return violations
 
 
 def is_automorphism(algebra, matrix):
@@ -232,14 +231,6 @@ def _apply(coeffs, image):
     return {u: x for u, x in out.items() if x}
 
 
-def _integer_brackets(algebra):
-    """(brackets, scale): {(i, j, k): c} with c the e_k-component of
-    [e_i, e_j] (i < j) times scale, the lcm of the denominators, as ints.
-    Scaling changes no kernel or image."""
-    return _integer_row({(i, j, k): c for (i, j), rhs in algebra.brackets.items()
-                         for k, c in rhs.items()})
-
-
 def _dual_table(brackets):
     """k -> [(i, j, c)]: the brackets [e_i, e_j] (i < j) with e_k-component c."""
     dual = {}
@@ -304,12 +295,13 @@ class _Constraints:
     maps on basis monomials: the interior product and the coadjoint action
     of each subalgebra vector, and M - 1 for each component matrix M.  Each
     map is scaled to integers: the vectors are primitive, the bracket table
-    is integral, and for M^-1 = N / s the map is N - s^r in degree r."""
+    is the algebra's integer table, and for M^-1 = N / s the map is N - s^r
+    in degree r."""
 
-    def __init__(self, algebra, sub, brackets):
+    def __init__(self, algebra, sub):
         self.dim = algebra.dim
         self.vectors = [_primitive_vector(v) for v in sub.basis]
-        self.tables = [_coadjoint_table(brackets, v) for v in self.vectors]
+        self.tables = [_coadjoint_table(algebra.integer_brackets, v) for v in self.vectors]
         self.inverses = []
         for m in sub.component_reps:
             n = len(m)
@@ -352,11 +344,10 @@ def ce_differential(algebra, alpha):
     """Chevalley-Eilenberg differential of an alternating form."""
     if alpha.degree >= algebra.dim:
         raise DegreeOverflow("differential of a top-degree form")
-    brackets, scale = _integer_brackets(algebra)
-    dual = _dual_table(brackets)
+    dual = _dual_table(algebra.integer_brackets)
     form = AltForm(algebra.dim, alpha.degree + 1,
                    _apply(alpha.coeffs, lambda t: _d_image(dual, t)))
-    return form if scale == 1 else form.scaled(Fraction(1, scale))
+    return form if algebra.scale == 1 else form.scaled(Fraction(1, algebra.scale))
 
 
 def interior(v, alpha):
@@ -369,11 +360,10 @@ def interior(v, alpha):
 
 def infinitesimal_action(algebra, v, alpha):
     """Coadjoint action (v.a)(x_1..x_r) = -sum_i a(x_1,..,[v,x_i],..,x_r)."""
-    brackets, scale = _integer_brackets(algebra)
-    table = _coadjoint_table(brackets, v)
+    table = _coadjoint_table(algebra.integer_brackets, v)
     form = AltForm(algebra.dim, alpha.degree,
                    _apply(alpha.coeffs, lambda t: _action_image(table, t)))
-    return form if scale == 1 else form.scaled(Fraction(1, scale))
+    return form if algebra.scale == 1 else form.scaled(Fraction(1, algebra.scale))
 
 
 def coadjoint_matrix_action(matrix, alpha):
@@ -395,7 +385,7 @@ def relative_basis(algebra, sub, degree):
     fixed by every component matrix."""
     _check_size(algebra.dim, degree)
     _require_valid_subgroup(algebra, sub)
-    rows, tuples = _Constraints(algebra, sub, _integer_brackets(algebra)[0]).rows(degree)
+    rows, tuples = _Constraints(algebra, sub).rows(degree)
     return [AltForm(algebra.dim, degree, v) for v in linalg.nullspace(rows, tuples)]
 
 
@@ -414,11 +404,10 @@ def relative_cohomology(algebra, sub, degree):
         raise DegreeOverflow(f"degree {degree} out of range 0..{p}")
     _check_size(p, degree - 1, degree, degree + 1)
     _require_valid_subgroup(algebra, sub)
-    brackets = _integer_brackets(algebra)[0]
-    constraints = _Constraints(algebra, sub, brackets)
+    constraints = _Constraints(algebra, sub)
     basis = linalg.kernel(*constraints.rows(degree))
     below = linalg.kernel(*constraints.rows(degree - 1)) if degree >= 1 else []
-    dual = _dual_table(brackets)
+    dual = _dual_table(algebra.integer_brackets)
     d_image = cache(lambda t: _d_image(dual, t))
 
     def differential(b):

@@ -723,10 +723,11 @@ def cleared_numerators(exprs):
 
 # -- rendering -------------------------------------------------------------
 #
-# One walker per object kind -- `render` for scalars here; chart tensors,
-# algebra forms and algebra vectors in `dsl` -- joins its terms with
-# `_signed_sum` and reads one of two styles: PLAIN, the workspace syntax,
-# which parses back to the same value, and UNICODE, for display.
+# One walker per object kind -- `render` for scalars here; alternating
+# tensors (on a chart or an algebra) and algebra vectors in `dsl` -- joins
+# its terms with `_signed_sum` and reads one of two styles: PLAIN, the
+# workspace syntax, which parses back to the same value, and UNICODE, for
+# display.
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 

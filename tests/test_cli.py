@@ -928,6 +928,13 @@ FAILURE_RUNS = [
      ["certify", "surjective", "--action", "planar", "--chain", "chi", "--form", "twice"]),
     ("surjective_wrong_degree", 1, EDGE_WS,
      ["certify", "surjective", "--action", "planar", "--chain", "chi", "--form", "area"]),
+    # with no form and no field, the chain's own verdict is the one reported
+    ("cochain_chain_only", 0, COCHAIN_WS,
+     ["check", "cochain", "--action", "act", "--chain", "chi", "--points", "P"]),
+    ("cochain_chain_only_fails", 1, COCHAIN_WS,
+     ["check", "cochain", "--action", "act", "--chain", "twisted", "--points", "P"]),
+    ("cochain_chain_vanishes", 1, COCHAIN_WS + "chain nothing on M = 0*D(y)^D(z)\n",
+     ["check", "cochain", "--action", "act", "--chain", "nothing", "--forms", "omega"]),
 ]
 
 
@@ -948,3 +955,56 @@ def test_failure_verdicts_golden(name, expected_code, text, argv, tmp_path, caps
     assert (code, err) == (expected_code, "")
     assert out.replace(str(tmp_path), "tmp") == \
         (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+# -- refusals of the check layer: exit 2, one error line, no verdict ----------
+
+REFUSALS = [
+    # a 1-chain is never a multiple of a product of two generators
+    (["check", "vertical", "--action", "act", "--object", "flat"],
+     "chain degree 1 differs from orbit dimension 2"),
+    # beta = d(z) is invariant, and has a lower degree than the 2-chain chi
+    (["rho", "--action", "act", "--chain", "chi", "--form", "beta"],
+     "form degree 1 below chain degree 2"),
+    # alpha's verdict, computed before beta's refusal, is not printed
+    (["check", "cochain", "--action", "act", "--chain", "chi", "--forms", "alpha", "beta"],
+     "form degree 1 below chain degree 2"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS,
+                         ids=["vertical_degree", "rho_degree", "cochain_degree"])
+def test_check_layer_refusals(argv, message, tmp_path, capsys):
+    ws = tmp_path / "refusal.lch"
+    ws.write_text(COCHAIN_WS + "chain flat on M = D(x)\nform beta on M = d(z)\n")
+    for output in (["--format", "json"], ["-v"]):
+        assert main(argv + ["--input", str(ws)] + output) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--input", fixture("so3"), "--algebra", "so3", "--degree", "2",
+     "--format", "json"],
+    ["validate", "-v", "--input", fixture("so3")],
+    ["--help"],
+], ids=["cohomology_json", "validate_text", "help"])
+def test_closed_output_pipe_is_not_an_error(argv, unbuffered):
+    # the reader is gone before the command starts: it prints no traceback
+    # and exits with its verdicts' code
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(HERE.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "liecochain", *argv], stdout=w,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, b"")

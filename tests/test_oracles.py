@@ -231,13 +231,13 @@ def assert_assembly_matches(alg, sub):
     p = alg.dim
     vectors = [list(v) for v in sub.basis]
     matrices = [[list(row) for row in m] for m in sub.component_reps]
-    brackets, scale = lc._integer_brackets(alg)
+    brackets, scale = alg.integer_brackets, alg.scale
     assert scale == math.lcm(*(c.denominator for rhs in alg.brackets.values()
                                for c in rhs.values()))
     assert {ijk: Fraction(c, scale) for ijk, c in brackets.items()} == \
         {(i, j, k): c for (i, j), rhs in alg.brackets.items() for k, c in rhs.items()}
     assert_integers(brackets)
-    constraints = lc._Constraints(alg, sub, brackets)
+    constraints = lc._Constraints(alg, sub)
     lams = []
     for w, v in zip(constraints.vectors, vectors):
         assert_integers(dict(enumerate(w)))

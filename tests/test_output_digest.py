@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = ("1180 outputs\n"
-          "sha256 5aee628b15065d294099700b9520db4792183fae92fecd1cae63f4837239e1a2\n")
+          "sha256 73287be792a45b80a74d592f2e516ad1654fa0aed80930676eb721c98c6b315c\n")
 
 
 def test_output_digest_is_pinned():
