@@ -149,24 +149,28 @@ def fixed_space_at(action, point):
             linalg.rank(values) - linalg.rank(linalg.matmul(rows, list(zip(*values)))))
 
 
-def _each_generator(action, residual_of):
-    """Verdict on residual_of(X) for the generators X in order: the first
-    nonzero residual fails it, with its generator's index."""
+def _invariant(action, t, lie_derivative):
+    """Verdict on L_X t = 0 for the generators X in order, each decided on
+    t's cleared numerator with one table for every generator; the exact
+    derivative along the first failing generator is the witness."""
+    table = {}
     for i, g in enumerate(action.generators):
-        residual = residual_of(g)
-        if not residual.is_zero():
-            return Verdict(False, generator=i, witness=residual)
+        if not cc.lie_derivative_vanishes(g, t, table):
+            return Verdict(False, generator=i, witness=lie_derivative(g, t))
     return Verdict(True)
 
 
+def _invariant_scalar(action, f):
+    """Whether X(f) = 0 for every generator X: f as a 0-form."""
+    return check_invariant_form(action, cc.DiffForm(action.chart, 0, {(): f})).ok
+
+
 def check_invariant_form(action, omega):
-    partials = {}   # one table of omega's partials for every generator
-    return _each_generator(action, lambda g: cc.lie_derivative_form(g, omega, partials))
+    return _invariant(action, omega, cc.lie_derivative_form)
 
 
 def check_invariant_multivector(action, chi):
-    partials = {}
-    return _each_generator(action, lambda g: cc.lie_derivative_multivector(g, chi, partials))
+    return _invariant(action, chi, cc.lie_derivative_multivector)
 
 
 def multivector_proportionality(chi, w):
@@ -220,7 +224,11 @@ def check_vertical(action, chi, sample_points=()):
 def check_semibasic(action, eta):
     if eta.degree == 0:
         return Verdict(True)
-    return _each_generator(action, lambda g: cc.interior_multivector(g, eta))
+    for i, g in enumerate(action.generators):
+        residual = cc.interior_multivector(g, eta)
+        if not residual.is_zero():
+            return Verdict(False, generator=i, witness=residual)
+    return Verdict(True)
 
 
 # Preconditions.  Each calls the public check through the module namespace,
@@ -353,7 +361,7 @@ def scaling_factor_unchecked(action, chi, lr):
     lam = multivector_proportionality(lr, chi)
     if lam is None:
         raise NotProportional("derivative of the chain is not a multiple of the chain")
-    if not _each_generator(action, lambda g: g.apply(lam)).ok:
+    if not _invariant_scalar(action, lam):
         raise InvalidInput("scaling factor is not invariant")
     return lam
 
@@ -399,7 +407,7 @@ def rescale_verify(action, chi0, k_candidate, fields, sample_points=()):
     k = sf.normalize(k_candidate)
     if k.is_zero():
         raise InvalidInput("rescaling by zero leaves no nonvanishing chain")
-    if not _each_generator(action, lambda g: g.apply(k)).ok:
+    if not _invariant_scalar(action, k):
         raise InvalidInput("rescaling function is not invariant")
     _require_invariant_vertical_chain(action, chi0, sample_points)
     return stability_check(action, chi0.scaled(k), fields)

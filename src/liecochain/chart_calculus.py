@@ -9,9 +9,17 @@ form in order: for decomposable chi = X1^...^Xq,
 of a form or a chain: X on each coefficient, and in each basis factor
 [X, d/dx_j] = -sum_m d_j(X^m) d/dx_m for a chain, L_X dx_j = sum_m
 d_m(X^j) dx_m for a form.  It reads the partials of the coefficients from
-a table that the caller may share: an invariance check passes one table to
-the derivative along every generator.  The bracket [X, Y] is L_X Y, the
+a table that the caller may share.  The bracket [X, Y] is L_X Y, the
 Lie derivative of a degree-1 chain; every sign comes from `linalg`'s rules.
+
+An invariance check needs only whether L_X t = 0, and decides it without
+the derivative (`lie_derivative_vanishes`): with t = P / D over the lcm D of
+its denominators, L_X t = 0 exactly when F L_X P = g P for polynomials F and
+g made from the factors of D that X moves, which is L_X P = 0 when X(D) = 0.
+The factor rule is the kernel's, on polynomials, and one table of P and its
+partials serves every generator.  The exact kernel builds the witness of a
+failing generator, and decides for a rational X or when a limit of
+`scalar_field` refuses the cleared form.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalar_field as sf
-from .linalg import AltTensor, _accumulate, _contract
+from .linalg import AltTensor, _accumulate, _contract, _sort_sign
 
 
 class ChartError(Exception):
@@ -201,16 +209,102 @@ def _lie_derivative(r, t, partials=None):
                 partials[idx, m] = a.partial(names[m])
             ra = ra + rm * partials[idx, m]
         terms.append((idx, ra))
-        for s, j in enumerate(idx):
-            for m in range(chart.dim):
-                i, k = (j, m) if form else (m, j)
-                if (i,) in r.coeffs and (m == j or m not in idx):
-                    if (i, k) not in jac:
-                        jac[i, k] = r.coeffs[i,].partial(names[k])
-                    g = jac[i, k]
-                    if not g.is_zero():
-                        terms.append((idx[:s] + (m,) + idx[s + 1:], a * g if form else -(a * g)))
+        for sign, key, i, k in _factor_terms(r, idx, form):
+            if (i, k) not in jac:
+                jac[i, k] = r.coeffs[i,].partial(names[k])
+            g = jac[i, k]
+            if not g.is_zero():
+                terms.append((key, a * g if sign > 0 else -(a * g)))
     return type(t)(chart, t.degree, _accumulate(terms))
+
+
+def _factor_terms(r, idx, form):
+    """L_R on the basis factors of e_idx, one rule for forms and chains:
+    (sign, sorted index tuple, i, k) for each term sign * d_k R^i * e_tuple.
+    A form's factor dx_j gains d_m R^j dx_m; a chain's factor D(x_j) loses
+    d_j R^m D(x_m)."""
+    for s, j in enumerate(idx):
+        for m in range(r.dim):
+            i, k = (j, m) if form else (m, j)
+            if (i,) in r.coeffs and (m == j or m not in idx):
+                sign, key = _sort_sign(idx[:s] + (m,) + idx[s + 1:])
+                yield (sign if form else -sign), key, i, k
+
+
+def lie_derivative_vanishes(x, t, table):
+    """Whether L_X t = 0, decided without building L_X t.
+
+    With t = P / D, D the lcm of t's denominators with the variables of its
+    monomial among the factors f_i^e_i, and P a polynomial tensor, take F
+    the product of the factors that a polynomial X moves and g = sum_i e_i
+    X(f_i) F / f_i.  Then L_X t = (F L_X P - g P) / (D F), so L_X t = 0
+    exactly when F L_X P = g P: L_X P = 0 when X(D) = 0.  The table, one per
+    check, holds P, the factors of D and the partials of both for every
+    generator.  The exact kernel decides instead for a rational X, for a t
+    whose clearing the sum limit refuses, and when F L_X P and g P would
+    take over that limit.  The kernel's budget on the partials of t's
+    coefficients is applied first, in the kernel's order, so a refusal
+    reads the same."""
+    chart = _same_chart(x, t)
+    names, form = chart.coordinates, t.kind == "form"
+    if not table:
+        try:
+            numerators, table["factors"] = sf._cleared(list(t.coeffs.values()))
+        except sf.SumTooLarge:
+            table["P"] = None
+        else:
+            table["P"] = dict(zip(t.coeffs, numerators))
+            table["partials"] = {}
+    P = table["P"]
+    comps = {m: sf._polynomial(c) for (m,), c in x.coeffs.items()}
+
+    def exactly():
+        return _lie_derivative(x, t, table.setdefault("kernel", {})).is_zero()
+    if P is None or None in comps.values():
+        return exactly()
+    for a in t.coeffs.values():
+        for m in comps:
+            sf._partial_work(a, names[m])
+    partials = table["partials"]
+
+    def along(p):
+        """X(p) for a polynomial p."""
+        out = sf._P_ZERO
+        for m, c in comps.items():
+            if (p, m) not in partials:
+                partials[p, m] = sf._p_partial(p, names[m])
+            if partials[p, m].terms:
+                out = sf._p_add(out, sf._p_mul(c, partials[p, m]))
+        return out
+
+    lp, jac = {}, {}   # L_X P; (i, k) -> d_k X^i
+    for idx, p in P.items():
+        terms = [(1, idx, along(p))]
+        for sign, key, i, k in _factor_terms(x, idx, form):
+            if (i, k) not in jac:
+                jac[i, k] = sf._p_partial(comps[i], names[k])
+            if jac[i, k].terms:
+                terms.append((sign, key, sf._p_mul(p, jac[i, k])))
+        for sign, key, q in terms:
+            q = q if sign > 0 else sf._p_scale(q, -1)
+            lp[key] = sf._p_add(lp[key], q) if key in lp else q
+    moving = [(f, e, xf) for f, e in table["factors"] if (xf := along(f)).terms]
+    if not moving:
+        return not any(q.terms for q in lp.values())
+    big_f, g = sf._P_ONE, sf._P_ZERO
+    for i, (f, e, xf) in enumerate(moving):
+        big_f = sf._p_mul(big_f, f)
+        term = sf._p_scale(xf, e)
+        for j, (h, _, _) in enumerate(moving):
+            if j != i:
+                term = sf._p_mul(term, h)
+        g = sf._p_add(g, term)
+    if (len(big_f) * sum(map(len, lp.values())) + len(g) * sum(map(len, P.values()))
+            > sf.MAX_SUM_WORK):
+        return exactly()
+    zero = sf._P_ZERO
+    return all(sf._p_mul(big_f, lp.get(key, zero)) == sf._p_mul(g, P.get(key, zero))
+               for key in lp.keys() | P.keys())
 
 
 def jacobian_at(x, point):

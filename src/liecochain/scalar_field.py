@@ -616,14 +616,7 @@ class ScalarExpr:
             return _new(dn, ())
         mono, factors = _split(self.den)
         moving = [(f, e, df) for f, e in self.den if (df := _p_partial(f, coord))]
-        size = prod(len(f) for f, _, _ in moving)
-        work = len(dn) * size + sum(len(self.num) * len(df) * size // len(f)
-                                    for f, _, df in moving)
-        if work > MAX_PARTIAL_WORK:
-            raise PartialTooLarge(
-                f"differentiating by {coord}, with {len(moving)} denominator factors that "
-                f"depend on it, needs up to {work} term products, over the limit of "
-                f"{MAX_PARTIAL_WORK}")
+        _partial_work(self, coord, dn, moving)
         num = dn
         for f, _, _ in moving:
             num = _p_mul(num, f)
@@ -654,6 +647,31 @@ class ScalarExpr:
 
     def __str__(self):
         return pretty(self)
+
+
+def _partial_work(e, coord, dn=None, moving=None):
+    """PartialTooLarge when the quotient rule of `partial` by coord on e
+    would take over MAX_PARTIAL_WORK term products.  dn is the partial of
+    the numerator, and moving the factors of the denominator that depend on
+    coord, as (f, exponent, partial of f).  Without them, the work is first
+    bounded by lengths alone, a term giving at most one term per variable of
+    its polynomial, and both are formed only when that bound is over."""
+    if not e.den:
+        return
+    if moving is None:
+        size = prod(len(f) for f, _ in e.den)
+        if len(e.num) * (len(e.num.vs) + sum(len(f.vs) for f, _ in e.den)) * size \
+                <= MAX_PARTIAL_WORK:
+            return
+        dn = _p_partial(e.num, coord)
+        moving = [(f, k, df) for f, k in e.den if (df := _p_partial(f, coord))]
+    size = prod(len(f) for f, _, _ in moving)
+    work = len(dn) * size + sum(len(e.num) * len(df) * size // len(f) for f, _, df in moving)
+    if work > MAX_PARTIAL_WORK:
+        raise PartialTooLarge(
+            f"differentiating by {coord}, with {len(moving)} denominator factors that "
+            f"depend on it, needs up to {work} term products, over the limit of "
+            f"{MAX_PARTIAL_WORK}")
 
 
 def _const(value):
@@ -716,9 +734,22 @@ def cleared_numerators(exprs):
     vanishes iff the same combination of the P_i does, which reduces linear
     dependence over Q to coefficient matching.
     """
-    exprs = [normalize(e) for e in exprs]
-    _, _, cofactors = _lcm(exprs)
-    return [_terms(_p_mul(e.num, c)) for e, c in zip(exprs, cofactors)]
+    return [_terms(p) for p in _cleared([normalize(e) for e in exprs])[0]]
+
+
+def _cleared(exprs):
+    """(numerators, factors) of the expressions over L, the lcm of their
+    denominators: the polynomials num_i * (L / den_i), and L as (factor,
+    exponent) pairs, each variable of its monomial a factor of its own.
+    Refused by `_lcm`'s limit."""
+    mono, factors, cofactors = _lcm(exprs)
+    return ([_p_mul(e.num, c) for e, c in zip(exprs, cofactors)],
+            [(_monomial({v: 1}), k) for v, k in mono.items()] + list(factors.items()))
+
+
+def _polynomial(e):
+    """e's numerator polynomial when e has no denominator, else None."""
+    return None if e.den else e.num
 
 
 # -- rendering -------------------------------------------------------------

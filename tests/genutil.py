@@ -5,6 +5,8 @@ constructors and checks that only the tests use."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
+from types import SimpleNamespace
 from unittest import mock
 
 from liecochain import action_analysis as aa
@@ -269,3 +271,66 @@ def random_solv2_automorphism(rng):
     while delta == 0:
         delta = random_rational(rng)
     return [[Fraction(1), Fraction(0)], [beta, delta]]
+
+
+# -- hypothesis strategies for the decision of L_X t = 0 ----------------------
+
+
+def invariance_strategies(st):
+    """Strategies on the chart (x, y, z): `tensors`, forms and chains of
+    degree 0-3 whose coefficients have no, monomial, multi-factor or K(z)
+    denominators; `fields`, polynomial and rational vector fields; and
+    `invariants`, (generators, tensor) pairs invariant by construction:
+    r^2m sigma, r^2m vol and f(r^2) E under so(3), where sigma = x dy^dz -
+    y dx^dz + z dx^dy and E = x Dx + y Dy + z Dz, and g(z) y^2 Dx^Dy,
+    g(z)/y dx^dz, g(z)/y^2 dx^dy under solv2, whose x Dx + y Dy moves y."""
+    chart = cc.Chart(("x", "y", "z"))
+    x, y, z = (sf.coordinate(c) for c in "xyz")
+    K, a = sf.function("K", ("z",)), sf.function("a", ("x",))
+    r2 = x ** 2 + y ** 2 + z ** 2
+    atoms = st.sampled_from([x, y, z, K, a, sf.partial(K, "z")])
+    terms = st.builds(lambda c, fs: prod(fs, start=sf.rational(c)),
+                      st.integers(-3, 3), st.lists(atoms, max_size=2))
+    polys = st.lists(terms, min_size=1, max_size=3).map(lambda ts: sum(ts, sf.ZERO))
+    dens = st.sampled_from([sf.ONE, x, y * z, K, x ** 2 + 1, (x ** 2 + 1) * (y + z),
+                            K + 1, (K + z) ** 2, r2])
+    scalars = st.builds(lambda p, d: p / d, polys, dens)
+
+    def tensor(draw):
+        kind = draw(st.sampled_from([cc.DiffForm, cc.MultiVectorField]))
+        degree = draw(st.integers(0, 3))
+        tuples = list(combinations(range(3), degree))
+        idxs = draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=3, unique=True))
+        return kind(chart, degree, {idx: draw(scalars) for idx in idxs})
+
+    def field(draw):
+        comps = st.one_of(st.just(sf.ZERO), polys, scalars if draw(st.booleans()) else polys)
+        return cc.vector_field(chart, [draw(comps) for _ in range(3)])
+
+    rot = (cc.vector_field(chart, [sf.ZERO, -z, y]), cc.vector_field(chart, [z, sf.ZERO, -x]),
+           cc.vector_field(chart, [y, -x, sf.ZERO]))
+    solv2 = (cc.vector_field(chart, [x, y, sf.ZERO]), basis_vector(chart, "x"))
+    sigma = {(1, 2): x, (0, 2): -y, (0, 1): z}
+    euler = {(0,): x, (1,): y, (2,): z}
+
+    def scaled(coeffs, f):
+        return {idx: c * f for idx, c in coeffs.items()}
+
+    r_powers = st.integers(-2, 2).map(lambda m: r2 ** m)
+    r_polys = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(
+        lambda cs: sum((c * r2 ** i for i, c in enumerate(cs)), sf.ONE)).filter(
+        lambda p: not p.is_zero())
+    of_r2 = st.builds(lambda p, q: p / q, r_polys, r_polys)
+    of_z = st.builds(lambda p, d: p / d,
+                     st.sampled_from([sf.ONE, K, z * K + 1, sf.partial(K, "z")]),
+                     st.sampled_from([sf.ONE, K, K + 1, z ** 2 + 1, (z + K) ** 2]))
+    invariants = st.one_of(
+        st.builds(lambda f: (rot, cc.DiffForm(chart, 2, scaled(sigma, f))), r_powers),
+        st.builds(lambda f: (rot, cc.DiffForm(chart, 3, {(0, 1, 2): f})), r_powers),
+        st.builds(lambda f: (rot, cc.MultiVectorField(chart, 1, scaled(euler, f))), of_r2),
+        st.builds(lambda g: (solv2, cc.MultiVectorField(chart, 2, {(0, 1): g * y ** 2})), of_z),
+        st.builds(lambda g: (solv2, cc.DiffForm(chart, 2, {(0, 2): g / y})), of_z),
+        st.builds(lambda g: (solv2, cc.DiffForm(chart, 2, {(0, 1): g / y ** 2})), of_z))
+    fields = st.one_of(st.composite(field)(),
+                       st.sampled_from([basis_vector(chart, c) for c in "xyz"]))
+    return SimpleNamespace(tensors=st.composite(tensor)(), fields=fields, invariants=invariants)

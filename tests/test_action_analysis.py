@@ -10,7 +10,8 @@ from liecochain import dsl
 from liecochain import scalar_field as sf
 from liecochain.lie_cohomology import LieAlgebra
 
-from genutil import HomomorphismViolation, RankDeficit, basis_vector, require_valid_action
+from genutil import (HomomorphismViolation, RankDeficit, basis_vector, invariance_strategies,
+                     require_valid_action)
 
 M3 = cc.Chart(("x", "y", "z"))
 N2 = cc.Chart(("x", "y"))
@@ -661,51 +662,80 @@ def test_obstruction_with_component_reps():
 
 # -- work of the invariance checks, counted on the chart_swell workspace ------
 #
-# Deterministic counts in place of wall time: polynomial products, and the
-# partials taken of each tensor coefficient.  One table of a tensor's
-# partials serves every generator of a check, and adding zero builds nothing.
+# Deterministic counts in place of wall time: polynomial products, canonical
+# fractions built, and the partials taken of each tensor coefficient and of
+# each cleared numerator.  A passing check decides L_X t = 0 on t's cleared
+# numerator P, with one table of P's partials for every generator, and
+# builds no fraction; adding zero builds nothing.
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.fixture
 def swell_counts(monkeypatch):
-    """The chart_swell workspace of seed 12, and counters on `_p_mul` and on
-    `ScalarExpr.partial` by (expression, coordinate)."""
+    """The chart_swell workspace of seed 12, counters on `_p_mul`, on
+    `_fraction` and on `ScalarExpr.partial` by (expression, coordinate), the
+    (polynomial, coordinate) of each `_p_partial`, kept so that no two share
+    an id, and the tables of the decisions made."""
     monkeypatch.syspath_prepend(str(BENCH))
     import chart_swell
 
     texts, _ = chart_swell.generate(12)
     ws = dsl.parse(next(iter(texts.values())))
-    counts = {"mul": 0, "partial": Counter()}
-    p_mul, partial = sf._p_mul, sf.ScalarExpr.partial
+    counts = {"mul": 0, "fraction": 0, "partial": Counter(), "p_partial": [], "tables": []}
+    p_mul, fraction, partial, p_partial = sf._p_mul, sf._fraction, sf.ScalarExpr.partial, \
+        sf._p_partial
+    vanishes = cc.lie_derivative_vanishes
 
     def counted_mul(p, q):
         counts["mul"] += 1
         return p_mul(p, q)
 
+    def counted_fraction(*args):
+        counts["fraction"] += 1
+        return fraction(*args)
+
     def counted_partial(e, coord):
         counts["partial"][e, coord] += 1
         return partial(e, coord)
+
+    def counted_p_partial(p, coord):
+        counts["p_partial"].append((p, coord))
+        return p_partial(p, coord)
+
+    def recorded_vanishes(x, t, table):
+        if not table:
+            counts["tables"].append(table)
+        return vanishes(x, t, table)
     monkeypatch.setattr(sf, "_p_mul", counted_mul)
+    monkeypatch.setattr(sf, "_fraction", counted_fraction)
     monkeypatch.setattr(sf.ScalarExpr, "partial", counted_partial)
+    monkeypatch.setattr(sf, "_p_partial", counted_p_partial)
+    monkeypatch.setattr(cc, "lie_derivative_vanishes", recorded_vanishes)
     return ws, counts
 
 
-@pytest.mark.parametrize("check,bound", [
-    ("multivector", 48), ("form", 48), ("cochain", 120)])
-def test_invariance_checks_differentiate_each_coefficient_once(swell_counts, check, bound):
+@pytest.mark.parametrize("check,muls,fractions", [
+    ("multivector", 21, 0), ("form", 21, 0), ("cochain", 67, 26)])
+def test_invariance_checks_differentiate_each_coefficient_once(swell_counts, check, muls,
+                                                               fractions):
     ws, counts = swell_counts
     rot, chi, sigma0 = ws.actions["rot"].spec, ws.chains["chi"], ws.forms["sigma0"]
     run = {"multivector": lambda: aa.check_invariant_multivector(rot, chi).ok,
            "form": lambda: aa.check_invariant_form(rot, sigma0).ok,
            "cochain": lambda: not aa.cochain_condition_check(rot, chi, sigma0).ok}[check]
     assert run()
-    assert counts["mul"] <= bound
+    assert counts["mul"] <= muls
+    assert counts["fraction"] <= fractions
     tensor = sigma0 if check == "form" else chi
-    taken = [n for (e, _), n in counts["partial"].items() if e in tensor.coeffs.values()]
-    assert len(taken) == len(tensor.coeffs) * 3
-    assert max(taken) == 1
+    assert not any(e in tensor.coeffs.values() for e, _ in counts["partial"])
+    # the preconditions of `cochain` are one check of sigma0, then one of chi
+    tables = counts["tables"][-1:] if check != "cochain" else counts["tables"]
+    numerators = {id(p) for table in tables for p in table["P"].values()}
+    assert numerators
+    taken = Counter((id(p), c) for p, c in counts["p_partial"] if id(p) in numerators)
+    assert len(taken) == len(numerators) * 3
+    assert max(taken.values()) == 1
 
 
 def test_adding_zero_builds_nothing(swell_counts):
@@ -717,3 +747,83 @@ def test_adding_zero_builds_nothing(swell_counts):
     assert counts["mul"] == 0
     assert (total.num, total.den) == (e.num, e.den)
     assert e + sf.ZERO is e and sf.ZERO + e is e
+
+
+# -- invariance verdicts: the decision, and the exact kernel for a witness -----
+
+
+def _kernel_verdict(generators, t):
+    """The verdict of differentiating along each generator in turn with the
+    exact kernel: the first nonzero derivative fails it, as its witness."""
+    for i, g in enumerate(generators):
+        residual = cc._lie_derivative(g, t)
+        if not residual.is_zero():
+            return False, i, residual
+    return True, None, None
+
+
+def _check(generators, t):
+    action = aa.ActionSpec(t.chart, LieAlgebra(len(generators)), tuple(generators), 1)
+    check = aa.check_invariant_form if t.kind == "form" else aa.check_invariant_multivector
+    v = check(action, t)
+    return v.ok, v.generator, v.witness
+
+
+def test_invariance_verdicts_match_the_exact_kernel():
+    """Same verdict, failing generator and witness as differentiating with
+    the exact kernel along each generator in turn."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    gen = invariance_strategies(st)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(gen.tensors, st.lists(gen.fields, min_size=1, max_size=3),
+                      gen.invariants)
+    def check(t, xs, case):
+        generators, invariant = case
+        assert _check(xs, t) == _kernel_verdict(xs, t)
+        assert _check(generators, invariant) == (True, None, None)
+        # an invariant tensor with a generator that moves it put last
+        assert _check(generators + (xs[0],), invariant) == _kernel_verdict(
+            generators + (xs[0],), invariant)
+    check()
+
+
+def test_common_denominator_over_the_sum_limit_is_decided_by_the_kernel():
+    """Each coefficient 1/f_c^3, f_c = 1 + c + ... + c^9, fits; their common
+    denominator is over the sum limit, so the check differentiates with the
+    exact kernel and reaches the same verdicts."""
+    chart = cc.Chart(("x", "y", "u", "v", "w"))
+    xc, yc = sf.coordinate("x"), sf.coordinate("y")
+    coeffs = {}
+    for i, name in enumerate(("u", "v", "w"), start=2):
+        c = sf.coordinate(name)
+        coeffs[(i,)] = (sf.ONE / sum((c ** k for k in range(10)), sf.ZERO)) ** 3
+    omega = cc.DiffForm(chart, 1, coeffs)
+    with pytest.raises(sf.SumTooLarge):
+        sf.cleared_numerators(list(omega.coeffs.values()))
+    turn = cc.vector_field(chart, [-yc, xc, sf.ZERO, sf.ZERO, sf.ZERO])
+    for generators in ((turn,), (turn, basis_vector(chart, "u"))):
+        verdict = _check(generators, omega)
+        assert verdict == _kernel_verdict(generators, omega)
+    assert verdict[:2] == (False, 1)
+
+
+def test_scalar_invariance_goes_through_the_decision(monkeypatch):
+    # lambda and K are checked as 0-forms; their errors stay as they were
+    seen = []
+    vanishes = cc.lie_derivative_vanishes
+
+    def recorded(x_, t, table):
+        seen.append((t.kind, t.degree))
+        return vanishes(x_, t, table)
+    monkeypatch.setattr(cc, "lie_derivative_vanishes", recorded)
+    action = solvable_action()
+    chi0 = solvable_chain(kfunc=False)
+    with pytest.raises(aa.InvalidInput, match="^rescaling function is not invariant$"):
+        aa.rescale_verify(action, chi0, y, [], [(0, 1, 0)])
+    assert seen == [("form", 0)]
+    seen.clear()
+    with pytest.raises(aa.InvalidInput, match="^scaling factor is not invariant$"):
+        aa.scaling_factor_unchecked(action, chi0, chi0.scaled(y))
+    assert seen == [("form", 0)]

@@ -9,8 +9,8 @@ from liecochain import chart_calculus as cc
 from liecochain import scalar_field as sf
 
 import reference as ref
-from genutil import (basis_vector, evaluate_vectorfield_at, random_form, random_scalar,
-                     random_vectorfield)
+from genutil import (basis_vector, evaluate_vectorfield_at, invariance_strategies, random_form,
+                     random_scalar, random_vectorfield)
 
 M3 = cc.Chart(("x", "y", "z"))
 x, y, z = (sf.coordinate(c) for c in "xyz")
@@ -304,3 +304,73 @@ def _det(m):
         term = m[0][j] * _det(minor)
         total += term if j % 2 == 0 else -term
     return total
+
+
+# -- the decision of L_X t = 0 on the cleared numerator --------------------------
+
+
+def test_decision_matches_the_exact_kernel():
+    """lie_derivative_vanishes(X, t, table) is L_X t = 0 as the exact kernel
+    finds it, one table serving several generators: on random forms and
+    chains with monomial, multi-factor and K(z) denominators under
+    polynomial and rational fields, and on tensors invariant by
+    construction, where it decides "zero" through both of its branches."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    gen = invariance_strategies(st)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(gen.tensors, st.lists(gen.fields, min_size=1, max_size=3))
+    def random_tensors(t, xs):
+        table = {}
+        for x_ in xs:
+            assert cc.lie_derivative_vanishes(x_, t, table) == cc._lie_derivative(x_, t).is_zero()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(gen.invariants)
+    def invariant_tensors(case):
+        generators, t = case
+        table = {}
+        for g in generators:
+            assert cc._lie_derivative(g, t).is_zero()
+            assert cc.lie_derivative_vanishes(g, t, table)
+    random_tensors()
+    invariant_tensors()
+
+
+def _oversized_sum(n):
+    """The 0-form sum of f_i(c_i) c_{i-1}^2 / (c_i^2 + c_{i-1}^2 + 1) over n
+    coordinates, and the rotation c0 D(c1) - c1 D(c0)."""
+    chart = cc.Chart(tuple(f"c{i}" for i in range(n)))
+    cs = [sf.coordinate(c) for c in chart.coordinates]
+    total = sum((sf.function(f"f{i}", (f"c{i}",)) * cs[i - 1] ** 2
+                 / (cs[i] ** 2 + cs[i - 1] ** 2 + 1) for i in range(n)), sf.ZERO)
+    v = cc.vector_field(chart, [-cs[1], cs[0]] + [sf.ZERO] * (n - 2))
+    return v, cc.DiffForm(chart, 0, {(): total})
+
+
+def test_decision_refuses_an_oversized_partial_as_the_kernel_does():
+    # the first partial the kernel takes is by c0, and it is over the limit
+    v, w = _oversized_sum(8)
+    raised = []
+    for run in (lambda: cc._lie_derivative(v, w), lambda: cc.lie_derivative_vanishes(v, w, {}),
+                lambda: w.coefficient(()).partial("c0")):
+        with pytest.raises(sf.PartialTooLarge) as err:
+            run()
+        raised.append(str(err.value))
+    assert raised[0].startswith("differentiating by c0") and len(set(raised)) == 1
+
+
+def test_decision_over_the_sum_limit_falls_back_to_the_kernel(monkeypatch):
+    # x Dx moves f = 1 + x + ... + x^199, and f is the cleared numerator of
+    # h^-1 du: F L_X P and g P would take over the sum limit
+    chart = cc.Chart(("x", "u"))
+    xc, u = sf.coordinate("x"), sf.coordinate("u")
+    f = sum((xc ** k for k in range(200)), sf.ZERO)
+    h = sum((u ** k for k in range(150)), sf.ZERO)
+    t = cc.DiffForm(chart, 1, {(0,): sf.ONE / f, (1,): sf.ONE / h})
+    euler = cc.vector_field(chart, [xc, sf.ZERO])
+    kernel, calls = cc._lie_derivative, []
+    monkeypatch.setattr(cc, "_lie_derivative", lambda *args: calls.append(args) or kernel(*args))
+    assert not cc.lie_derivative_vanishes(euler, t, {})
+    assert len(calls) == 1 and not kernel(euler, t).is_zero()
