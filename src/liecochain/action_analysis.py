@@ -305,12 +305,11 @@ def cochain_condition_unchecked(action, chi, omega):
     """cochain_condition_check for an invariant form and an invariant
     vertical chain."""
     q, n, k = chi.degree, action.chart.dim, omega.degree
-    if k < q:
-        raise cc.DegreeUnderflow(f"form degree {k} below chain degree {q}")
-    # both sides have degree k+1-q; for top-degree omega the left side is 0
-    lhs = (cc.interior_multivector(chi, cc.d_exterior(omega)) if k < n
-           else cc.DiffForm.zero(action.chart, k + 1 - q))
-    rhs = cc.d_exterior(cc.interior_multivector(chi, omega))
+    # both sides have degree k+1-q and vanish below degree 0; the left side
+    # is 0 for top-degree omega, the right side for k < q (i_chi omega = 0)
+    zero = cc.DiffForm.zero(action.chart, max(k + 1 - q, 0))
+    lhs = cc.interior_multivector(chi, cc.d_exterior(omega)) if q <= k + 1 and k < n else zero
+    rhs = cc.d_exterior(cc.interior_multivector(chi, omega)) if q <= k else zero
     if q % 2:
         rhs = -rhs
     residual = lhs - rhs

@@ -8,18 +8,13 @@ form in order: for decomposable chi = X1^...^Xq,
 (i_chi w)(Y...) = w(X1,...,Xq,Y...).  One kernel takes the Lie derivative
 of a form or a chain: X on each coefficient, and in each basis factor
 [X, d/dx_j] = -sum_m d_j(X^m) d/dx_m for a chain, L_X dx_j = sum_m
-d_m(X^j) dx_m for a form.  It reads the partials of the coefficients from
-a table that the caller may share.  The bracket [X, Y] is L_X Y, the
-Lie derivative of a degree-1 chain; every sign comes from `linalg`'s rules.
+d_m(X^j) dx_m for a form.  The bracket [X, Y] is L_X Y, the Lie derivative
+of a degree-1 chain; every sign comes from `linalg`'s rules.
 
-An invariance check needs only whether L_X t = 0, and decides it without
-the derivative (`lie_derivative_vanishes`): with t = P / D over the lcm D of
-its denominators, L_X t = 0 exactly when F L_X P = g P for polynomials F and
-g made from the factors of D that X moves, which is L_X P = 0 when X(D) = 0.
-The factor rule is the kernel's, on polynomials, and one table of P and its
-partials serves every generator.  The exact kernel builds the witness of a
-failing generator, and decides for a rational X or when a limit of
-`scalar_field` refuses the cleared form.
+An invariance check needs only whether L_X t = 0 (`lie_derivative_vanishes`).
+`scalar_field.operator_vanishes` decides it on t's cleared numerator, with
+the kernel's factor rule and one table per check; the exact kernel builds
+the witness of a failing generator, and decides where that declines.
 """
 
 from __future__ import annotations
@@ -182,33 +177,26 @@ def interior_multivector(chi, omega):
     return DiffForm(chart, omega.degree - chi.degree, _accumulate(terms))
 
 
-def lie_derivative_form(x, omega, partials=None):
+def lie_derivative_form(x, omega):
     """L_X w by the factor rule for forms; X(f) on 0-forms."""
-    return _lie_derivative(x, omega, partials)
+    return _lie_derivative(x, omega)
 
 
-def lie_derivative_multivector(r, chi, partials=None):
+def lie_derivative_multivector(r, chi):
     """L_R chi by the factor rule for chains."""
-    return _lie_derivative(r, chi, partials)
+    return _lie_derivative(r, chi)
 
 
-def _lie_derivative(r, t, partials=None):
-    """L_R t for a form or a chain.  `partials` maps (index tuple, coordinate
-    index) to the partial of t's coefficient, filled on first use.
-    `lie_bracket` calls this directly, so that a trace counts the calls of
-    the two entry points their callers make, and no more."""
+def _lie_derivative(r, t):
+    """L_R t for a form or a chain.  `lie_bracket` calls this directly, so
+    that a trace counts the calls of the two entry points their callers
+    make, and no more."""
     chart = _same_chart(r, t)
     names, form = chart.coordinates, t.kind == "form"
-    partials = {} if partials is None else partials
     jac = {}   # (i, k) -> d_k R^i, for this call
     terms = []
     for idx, a in t.coeffs.items():
-        ra = sf.ZERO
-        for (m,), rm in r.coeffs.items():
-            if (idx, m) not in partials:
-                partials[idx, m] = a.partial(names[m])
-            ra = ra + rm * partials[idx, m]
-        terms.append((idx, ra))
+        terms.append((idx, r.apply(a)))
         for sign, key, i, k in _factor_terms(r, idx, form):
             if (i, k) not in jac:
                 jac[i, k] = r.coeffs[i,].partial(names[k])
@@ -232,79 +220,15 @@ def _factor_terms(r, idx, form):
 
 
 def lie_derivative_vanishes(x, t, table):
-    """Whether L_X t = 0, decided without building L_X t.
-
-    With t = P / D, D the lcm of t's denominators with the variables of its
-    monomial among the factors f_i^e_i, and P a polynomial tensor, take F
-    the product of the factors that a polynomial X moves and g = sum_i e_i
-    X(f_i) F / f_i.  Then L_X t = (F L_X P - g P) / (D F), so L_X t = 0
-    exactly when F L_X P = g P: L_X P = 0 when X(D) = 0.  The table, one per
-    check, holds P, the factors of D and the partials of both for every
-    generator.  The exact kernel decides instead for a rational X, for a t
-    whose clearing the sum limit refuses, and when F L_X P and g P would
-    take over that limit.  The kernel's budget on the partials of t's
-    coefficients is applied first, in the kernel's order, so a refusal
-    reads the same."""
-    chart = _same_chart(x, t)
-    names, form = chart.coordinates, t.kind == "form"
-    if not table:
-        try:
-            numerators, table["factors"] = sf._cleared(list(t.coeffs.values()))
-        except sf.SumTooLarge:
-            table["P"] = None
-        else:
-            table["P"] = dict(zip(t.coeffs, numerators))
-            table["partials"] = {}
-    P = table["P"]
-    comps = {m: sf._polynomial(c) for (m,), c in x.coeffs.items()}
-
-    def exactly():
-        return _lie_derivative(x, t, table.setdefault("kernel", {})).is_zero()
-    if P is None or None in comps.values():
-        return exactly()
-    for a in t.coeffs.values():
-        for m in comps:
-            sf._partial_work(a, names[m])
-    partials = table["partials"]
-
-    def along(p):
-        """X(p) for a polynomial p."""
-        out = sf._P_ZERO
-        for m, c in comps.items():
-            if (p, m) not in partials:
-                partials[p, m] = sf._p_partial(p, names[m])
-            if partials[p, m].terms:
-                out = sf._p_add(out, sf._p_mul(c, partials[p, m]))
-        return out
-
-    lp, jac = {}, {}   # L_X P; (i, k) -> d_k X^i
-    for idx, p in P.items():
-        terms = [(1, idx, along(p))]
-        for sign, key, i, k in _factor_terms(x, idx, form):
-            if (i, k) not in jac:
-                jac[i, k] = sf._p_partial(comps[i], names[k])
-            if jac[i, k].terms:
-                terms.append((sign, key, sf._p_mul(p, jac[i, k])))
-        for sign, key, q in terms:
-            q = q if sign > 0 else sf._p_scale(q, -1)
-            lp[key] = sf._p_add(lp[key], q) if key in lp else q
-    moving = [(f, e, xf) for f, e in table["factors"] if (xf := along(f)).terms]
-    if not moving:
-        return not any(q.terms for q in lp.values())
-    big_f, g = sf._P_ONE, sf._P_ZERO
-    for i, (f, e, xf) in enumerate(moving):
-        big_f = sf._p_mul(big_f, f)
-        term = sf._p_scale(xf, e)
-        for j, (h, _, _) in enumerate(moving):
-            if j != i:
-                term = sf._p_mul(term, h)
-        g = sf._p_add(g, term)
-    if (len(big_f) * sum(map(len, lp.values())) + len(g) * sum(map(len, P.values()))
-            > sf.MAX_SUM_WORK):
-        return exactly()
-    zero = sf._P_ZERO
-    return all(sf._p_mul(big_f, lp.get(key, zero)) == sf._p_mul(g, P.get(key, zero))
-               for key in lp.keys() | P.keys())
+    """Whether L_X t = 0, decided without building L_X t: on t's cleared
+    numerator by `scalar_field.operator_vanishes`, with the kernel's factor
+    rule and one table per check, or by the exact kernel where that
+    declines."""
+    form = t.kind == "form"
+    verdict = sf.operator_vanishes(t.coeffs, {m: c for (m,), c in x.coeffs.items()},
+                                   _same_chart(x, t).coordinates,
+                                   lambda idx: _factor_terms(x, idx, form), table)
+    return _lie_derivative(x, t).is_zero() if verdict is None else verdict
 
 
 def jacobian_at(x, point):

@@ -19,7 +19,9 @@ terms, no monomial content and lead coefficient 1.  Products add exponents,
 sums take the lcm of the factor multisets, and the quotient rule raises the
 exponent of each factor it differentiates by one, so only numerators grow.
 Fractions are never reduced by polynomial gcd; mathematical equality is
-decided by cross multiplication (`equals`).
+decided by cross multiplication (`equals`).  The quotient rule's polynomials
+also decide, on cleared numerators, whether a Lie derivative of a tensor of
+such values vanishes (`operator_vanishes`).
 
 All values are immutable; every operation returns a new canonical value.
 """
@@ -607,25 +609,20 @@ class ScalarExpr:
     # -- calculus ---------------------------------------------------------
 
     def partial(self, coord):
-        """Quotient rule on the factored denominator: with D the factors
-        that depend on `coord`, (N' prod_D f - N sum_i e_i f_i' prod_{D-i} f)
-        over the denominator with each exponent in D raised by one; refused
-        before any product over `MAX_PARTIAL_WORK`."""
+        """Quotient rule on the factored denominator D: with F the product
+        of the factors f_i^e_i that depend on `coord` and g = sum_i e_i f_i'
+        F / f_i (`_quotient_parts`), (F N' - g N) / (D F), each exponent in F
+        raised by one; refused before any product over `MAX_PARTIAL_WORK`."""
         dn = _p_partial(self.num, coord)
         if not self.den:
             return _new(dn, ())
         mono, factors = _split(self.den)
         moving = [(f, e, df) for f, e in self.den if (df := _p_partial(f, coord))]
         _partial_work(self, coord, dn, moving)
-        num = dn
-        for f, _, _ in moving:
-            num = _p_mul(num, f)
-        for i, (_, e, df) in enumerate(moving):
-            t = _p_scale(_p_mul(self.num, df), -e)
-            for j, (g, _, _) in enumerate(moving):
-                if j != i:
-                    t = _p_mul(t, g)
-            num = _p_add(num, t)
+        if not moving:
+            return _fraction(dn, mono, factors)
+        big_f, g = _quotient_parts(moving)
+        num = _p_add(_p_mul(big_f, dn), _p_scale(_p_mul(g, self.num), -1))
         for f, e, _ in moving:
             if len(f) == 1:
                 mono = _mono_mul(mono, mono)
@@ -672,6 +669,19 @@ def _partial_work(e, coord, dn=None, moving=None):
             f"differentiating by {coord}, with {len(moving)} denominator factors that "
             f"depend on it, needs up to {work} term products, over the limit of "
             f"{MAX_PARTIAL_WORK}")
+
+
+def _quotient_parts(moving):
+    """(F, g) for the moving factors (f_i, e_i, f_i') of a denominator: F
+    the product of the f_i, g = sum_i e_i f_i' F / f_i."""
+    big_f, g = reduce(_p_mul, (f for f, _, _ in moving)), _P_ZERO
+    for i, (_, e, df) in enumerate(moving):
+        term = _p_scale(df, e)
+        for j, (h, _, _) in enumerate(moving):
+            if j != i:
+                term = _p_mul(term, h)
+        g = _p_add(g, term)
+    return big_f, g
 
 
 def _const(value):
@@ -747,9 +757,64 @@ def _cleared(exprs):
             [(_monomial({v: 1}), k) for v, k in mono.items()] + list(factors.items()))
 
 
-def _polynomial(e):
-    """e's numerator polynomial when e has no denominator, else None."""
-    return None if e.den else e.num
+def operator_vanishes(coeffs, components, names, factor_terms, table):
+    """Whether L t = 0 for L = X on each coefficient of t plus a rule on its
+    basis factors: `factor_terms(key)` yields (sign, key', i, k) for each
+    term sign * d_k X^i * e_key' of L e_key.  t is {key: expression}, X is
+    {coordinate index: expression} over `names`.  With t = P / D over the
+    lcm D of t's denominators, the variables of its monomial among the
+    factors, F and g of the factors that X moves (`_quotient_parts`) give
+    L t = (F L P - g P) / (D F): L t = 0 exactly when F L P = g P.  The
+    table, one per check, holds P, D's factors and the partials of both.
+    None leaves the decision to the exact kernel: for a rational X, a t
+    whose clearing the sum limit refuses, or F L P and g P over that limit.
+    The kernel's budget on the partials of t's coefficients is applied
+    first, in its order, so a refusal reads the same."""
+    if not table:
+        try:
+            numerators, table["factors"] = _cleared(list(coeffs.values()))
+        except SumTooLarge:
+            table["P"] = None
+        else:
+            table["P"], table["partials"] = dict(zip(coeffs, numerators)), {}
+    P = table["P"]
+    if P is None or any(c.den for c in components.values()):
+        return None
+    for a in coeffs.values():
+        for m in components:
+            _partial_work(a, names[m])
+    comps, partials = {m: c.num for m, c in components.items()}, table["partials"]
+
+    def along(p):
+        """X(p) for a polynomial p."""
+        out = _P_ZERO
+        for m, c in comps.items():
+            if (p, m) not in partials:
+                partials[p, m] = _p_partial(p, names[m])
+            if partials[p, m].terms:
+                out = _p_add(out, _p_mul(c, partials[p, m]))
+        return out
+
+    lp, jac = {}, {}   # L P; (i, k) -> d_k X^i
+    for key, p in P.items():
+        terms = [(1, key, along(p))]
+        for sign, to, i, k in factor_terms(key):
+            if (i, k) not in jac:
+                jac[i, k] = _p_partial(comps[i], names[k])
+            if jac[i, k].terms:
+                terms.append((sign, to, _p_mul(p, jac[i, k])))
+        for sign, to, q in terms:
+            q = q if sign > 0 else _p_scale(q, -1)
+            lp[to] = _p_add(lp[to], q) if to in lp else q
+    moving = [(f, e, xf) for f, e in table["factors"] if (xf := along(f)).terms]
+    if not moving:
+        return not any(q.terms for q in lp.values())
+    big_f, g = _quotient_parts(moving)
+    if len(big_f) * sum(map(len, lp.values())) + len(g) * sum(map(len, P.values())) \
+            > MAX_SUM_WORK:
+        return None
+    return all(_p_mul(big_f, lp.get(key, _P_ZERO)) == _p_mul(g, P.get(key, _P_ZERO))
+               for key in lp.keys() | P.keys())
 
 
 # -- rendering -------------------------------------------------------------

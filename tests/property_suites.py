@@ -88,23 +88,6 @@ def suite_cartan_chart(cases, seed=109):
                 f"case {i} (polynomial={polynomial}): L_X w differs from i_X dw + d i_X w"
 
 
-def suite_shared_partials_chart(cases, seed=149):
-    """L_X t for several X with one table of t's partials equals fresh
-    calls, representation included, for forms and for chains."""
-    rng = random.Random(seed)
-    for i in range(cases):
-        chart = _charts(rng)
-        xs = [random_vectorfield(rng, chart, FUNCS) for _ in range(3)]
-        omega = random_form(rng, chart, rng.randint(0, chart.dim), FUNCS)
-        chi = random_multivector(rng, chart, rng.randint(0, chart.dim), FUNCS)
-        for derive, t in ((cc.lie_derivative_form, omega),
-                          (cc.lie_derivative_multivector, chi)):
-            table = {}
-            shared = [derive(x, t, table) for x in xs]
-            assert shared == [derive(x, t) for x in xs], \
-                f"case {i}: a shared table changed L_X of a {t.kind}"
-
-
 def suite_antiderivation_chart(cases, seed=113):
     rng = random.Random(seed)
     for i in range(cases):

@@ -287,6 +287,21 @@ def test_cochain_condition_fails_on_solvable():
     assert sf.equals(res.residual.coefficient((2,)), K)
 
 
+def test_cochain_condition_below_the_chain_degree():
+    """Below degree q, i_chi w = 0: for k = q - 1 the residual is the 0-form
+    i_chi dw, and for k < q - 1 both sides vanish."""
+    action, chi = solvable_action(), solvable_chain()
+    gamma = cc.DiffForm(M3, 1, {(0,): 1 / y})
+    res = aa.cochain_condition_check(action, chi, gamma)
+    assert (res.ok, res.residual.degree) == (False, 0)
+    assert res.residual.coefficient(()) == sf.function("K", ("z",))
+    assert aa.cochain_condition_check(action, chi, cc.DiffForm(M3, 1, {(2,): sf.ONE})).ok
+    res = aa.cochain_condition_check(action, chi, cc.DiffForm(M3, 0, {(): sf.coordinate("z")}))
+    assert res.ok and res.residual.degree == 0
+    with pytest.raises(cc.DegreeUnderflow, match="^form degree 1 below chain degree 2$"):
+        aa.evaluation_map(action, chi, gamma)
+
+
 def test_cochain_condition_shear_invariant_forms():
     action = shear_action()
     K = sf.function("K", ("y",))

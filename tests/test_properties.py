@@ -20,10 +20,6 @@ def test_cartan_chart():
     ps.suite_cartan_chart(40)
 
 
-def test_shared_partials_chart():
-    ps.suite_shared_partials_chart(40)
-
-
 def test_antiderivation_chart():
     ps.suite_antiderivation_chart(40)
 

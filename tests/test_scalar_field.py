@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -141,6 +142,21 @@ def test_partial_work_limit():
     with pytest.raises(sf.PartialTooLarge,
                        match="needs up to 45387 term products, over the limit of 30000"):
         sf.partial((x + y + 1) ** 40 * inv, "x")
+
+
+def test_quotient_rule_representation_over_several_moving_factors():
+    """The first partials and two mixed second partials of a fraction whose
+    denominator has the monomial x*z and two multi-term factors, all moving
+    under d/dx, render byte for byte as pinned."""
+    e = (x * y + K) * (1 / (x ** 2 + y ** 2 + 1)) * (1 / (x + y + 2) ** 2) / (x * z)
+    assert sf.dsl_str(e.partial("z")) == (
+        "(-K(z) + z*D(K(z),z) - x*y)/(x*z^2)/(1 + x^2 + y^2)"
+        "/(4 + 4*x + 4*y + 2*x*y + x^2 + y^2)")
+    shown = [sf.dsl_str(e.partial(c)) for c in "xyz"]
+    shown += [sf.dsl_str(e.partial("x").partial(c)) for c in "yz"]
+    assert [len(s) for s in shown] == [378, 292, 87, 1062, 684]
+    assert hashlib.sha256("\n".join(shown).encode()).hexdigest() == \
+        "75cfb1cb7388131db7eac70dae9e04789c12cb25e538d88e5367e93f950d4d44"
 
 
 def test_power_work_limit():
