@@ -173,12 +173,17 @@ def check_invariant_multivector(action, chi):
     return _invariant(action, chi, cc.lie_derivative_multivector)
 
 
-def multivector_proportionality(chi, w):
-    """Single scalar factor lambda with chi = lambda * w, or None."""
+def _factor(chi, w):
+    """chi's coefficient over w's, at w's first nonzero coefficient."""
     base_idx = next((idx for idx, c in w.coeffs.items() if not c.is_zero()), None)
     if base_idx is None:
         raise sf.DivisionByZeroExpr("proportionality against the zero multivector")
-    lam = chi.coefficient(base_idx) / w.coefficient(base_idx)
+    return chi.coefficient(base_idx) / w.coefficient(base_idx)
+
+
+def multivector_proportionality(chi, w):
+    """Single scalar factor lambda with chi = lambda * w, or None."""
+    lam = _factor(chi, w)
     residual = chi - w.scaled(lam)
     if not residual.is_zero():
         return None
@@ -194,28 +199,38 @@ def _vanishes_at(w, pt):
         return True
 
 
-def check_vertical(action, chi, sample_points=()):
+def check_vertical(action, chi, sample_points=(), factor=True):
     """Find a q-subset of generators framing chi: chi = J * X_{i1}^...^X_{iq}.
 
     The subsets are tried in order.  A candidate frame has a nonzero wedge:
     nonzero at some sample point, or symbolically nonzero without samples.
-    Returns the first candidate frame (generator indices) that chi is a
-    multiple of, with the factor J, or None when there is none; raises
-    NoFrameFound when no subset is a candidate.
+    When the generators have values at every sample point, a subset whose
+    values have rank below q at each of them is passed over before its wedge
+    is built.  Returns the first candidate frame (generator indices) that
+    chi is a multiple of, with the factor J (None unless `factor`), or None
+    when there is none; raises NoFrameFound when no subset is a candidate.
     """
     q = chi.degree
     if q != action.orbit_dim:
         raise InvalidInput(f"chain degree {q} differs from orbit dimension {action.orbit_dim}")
     pts = [action.chart.point_map(p) for p in sample_points]
+    try:
+        values = [_generators_at(action, p) for p in sample_points]
+    except (sf.UnresolvedFunctionSymbol, sf.PoleAtPoint):
+        values = None
     degenerate = True
     for subset in combinations(range(len(action.generators)), q):
+        if values and all(linalg.rank([v[i] for i in subset]) < q for v in values):
+            continue
         w = cc.wedge_vectorfields([action.generators[i] for i in subset])
-        if w.is_zero() or (pts and all(_vanishes_at(w, pt) for pt in pts)):
+        if w.is_zero() or (values is None and all(_vanishes_at(w, pt) for pt in pts)):
             continue
         degenerate = False
-        lam = multivector_proportionality(chi, w)
-        if lam is not None:
-            return subset, lam
+        multiple = sf.proportional(chi.coeffs, w.coeffs)
+        if multiple is None:   # the decision declined: the exact residual decides
+            multiple = multivector_proportionality(chi, w) is not None
+        if multiple:
+            return subset, _factor(chi, w) if factor else None
     if degenerate:
         raise NoFrameFound("every generator subset of orbit size is degenerate")
     return None
@@ -251,7 +266,7 @@ def _require_invariant_vertical_chain(action, chi, sample_points):
         raise InvalidInput("chain vanishes identically")
     if not check_invariant_multivector(action, chi).ok:
         raise InvalidInput("chain is not invariant")
-    if check_vertical(action, chi, sample_points) is None:
+    if check_vertical(action, chi, sample_points, factor=False) is None:
         raise InvalidInput("chain is not vertical")
 
 

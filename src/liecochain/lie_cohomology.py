@@ -129,24 +129,29 @@ def validate_lie_algebra(algebra):
     """The violations of the Jacobi identity, as (i, j, k, residual vector),
     on the basis triples where it can fail: those with a term
     [[e_i, e_j], e_k] whose inner bracket has a component e_m with a
-    declared bracket [e_m, e_k].  They are visited in sorted order, each
-    residual is computed in full; an empty list means the identity holds."""
-    n = algebra.dim
-    partners = {}    # m -> every k with a declared bracket [e_m, e_k]
-    for i, j in algebra.brackets:
-        partners.setdefault(i, set()).add(j)
-        partners.setdefault(j, set()).add(i)
+    declared bracket [e_m, e_k].  They are visited in sorted order; each
+    residual is summed in integers from `integer_brackets`, scale^2 times
+    the true one, and divided only when it is reported.  An empty list
+    means the identity holds."""
+    rows = {}       # (a, b) -> {c: scaled coefficient of e_c in [e_a, e_b]}, a != b
+    for (i, j, k), c in algebra.integer_brackets.items():
+        rows.setdefault((i, j), {})[k] = c
+        rows.setdefault((j, i), {})[k] = -c
+    partners = {}   # m -> every k with a declared bracket [e_m, e_k]
+    for m, k in rows:
+        partners.setdefault(m, set()).add(k)
     triples = {tuple(sorted((i, j, k))) for (i, j), rhs in algebra.brackets.items()
                for m in rhs for k in partners.get(m, ()) if k != i and k != j}
-    violations = []
+    violations, square = [], algebra.scale ** 2
     for i, j, k in sorted(triples):
-        e = {t: [Fraction(int(t == r)) for r in range(n)] for t in (i, j, k)}
-        res = [sum(t) for t in zip(
-            algebra.bracket(algebra.bracket(e[i], e[j]), e[k]),
-            algebra.bracket(algebra.bracket(e[j], e[k]), e[i]),
-            algebra.bracket(algebra.bracket(e[k], e[i]), e[j]))]
-        if any(x != 0 for x in res):
-            violations.append((i, j, k, res))
+        res = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in rows.get((a, b), {}).items():
+                for n, y in rows.get((m, c), {}).items():
+                    res[n] = res.get(n, 0) + x * y
+        if any(res.values()):
+            violations.append((i, j, k, [Fraction(res.get(n, 0), square)
+                                         for n in range(algebra.dim)]))
     return violations
 
 

@@ -19,9 +19,11 @@ terms, no monomial content and lead coefficient 1.  Products add exponents,
 sums take the lcm of the factor multisets, and the quotient rule raises the
 exponent of each factor it differentiates by one, so only numerators grow.
 Fractions are never reduced by polynomial gcd; mathematical equality is
-decided by cross multiplication (`equals`).  The quotient rule's polynomials
-also decide, on cleared numerators, whether a Lie derivative of a tensor of
-such values vanishes (`operator_vanishes`).
+decided by cross multiplication (`equals`).  Two decisions run on cleared
+numerators, as bare integer terms of one packed layout with the same
+product, partial and sum loops as the polynomials: whether a Lie derivative
+of a tensor of such values vanishes (`operator_vanishes`), and whether one
+tensor is a multiple of another (`proportional`).
 
 All values are immutable; every operation returns a new canonical value.
 """
@@ -132,14 +134,15 @@ _MIN_WIDTH = 8
 
 
 class _Poly:
-    """Never changed once made, so its hash is computed once, when first
-    asked for."""
+    """Never changed once made, so its hash, its sort key as a denominator
+    factor (`_factor_order`) and its exponent bound (`_top`) are computed
+    once, when first asked for."""
 
-    __slots__ = ("vs", "w", "content", "terms", "_hash")
+    __slots__ = ("vs", "w", "content", "terms", "_hash", "_order", "_top")
 
     def __init__(self, vs, w, content, terms):
         self.vs, self.w, self.content, self.terms = vs, w, content, terms
-        self._hash = None
+        self._hash = self._order = self._top = None
 
     def __len__(self):
         return len(self.terms)
@@ -187,8 +190,11 @@ def _pack(mono, vs, w):
 def _repack(terms, vs, w, to_vs, to_w):
     """terms over the layout (vs, w) moved to (to_vs, to_w), which holds
     every variable that occurs; the order of the keys is kept."""
-    if w == to_w and (to_vs[:len(vs)] == vs or vs[:len(to_vs)] == to_vs):
-        return terms
+    if w == to_w and vs:
+        if to_vs[:len(vs)] == vs or vs[:len(to_vs)] == to_vs:
+            return terms
+        if vs[0] in to_vs and to_vs[(j := to_vs.index(vs[0])):j + len(vs)] == vs:
+            return {k << j * w: x for k, x in terms.items()}
     mask, at = (1 << w) - 1, {v: j * to_w for j, v in enumerate(to_vs)}
     moves = [(i * w, at[v]) for i, v in enumerate(vs) if v in at]
     out = {}
@@ -266,7 +272,9 @@ def _terms(p):
 
 def _factor_order(factor_exp):
     f = factor_exp[0]
-    return len(f), [(_term_order(k), c) for k, c in _terms(f)]
+    if f._order is None:
+        f._order = len(f), tuple((_term_order(k), c) for k, c in _terms(f))
+    return f._order
 
 
 def _p_scale(p, f):
@@ -297,6 +305,34 @@ def _p_mul(p, q):
     if not p.vs:
         return _p_scale(q, p.content)
     vs, w, a, b = _join(p, q)
+    return _make(vs, w, p.content * q.content, _mul_terms(a, b))
+
+
+def _p_partial(p, coord):
+    """Each variable that depends on coord -- the coordinate, and function
+    symbols with coord among their arguments -- loses one from its exponent,
+    which multiplies the term; a symbol's derivative gains one."""
+    moving = _moving(p.vs, coord)
+    if not moving:
+        return _P_ZERO
+    vs, w = p.vs, p.w
+    new = {dv for _, dv in moving if dv is not None}.difference(vs)
+    if new:
+        vs = tuple(sorted(new.union(vs), key=_var_order))
+    return _make(vs, w, p.content,
+                 _partial_terms(_repack(p.terms, p.vs, w, vs, w), w, _steps(vs, w, moving)))
+
+
+# -- bare terms: the loops of `_p_mul` and `_p_partial` ------------------------
+#
+# Bare terms are a terms dict without content or canonical layout: keys of
+# one layout (vs, w) that the caller keeps, wide enough for every product it
+# forms, and nonzero ints.  `_Poly` arithmetic runs these loops and then
+# `_make`; the decisions below run them alone, and sum with `_combine`.
+
+
+def _mul_terms(a, b):
+    """The product of two bare terms dicts of one layout."""
     if len(a) < len(b):
         a, b = b, a
     out = {}
@@ -307,32 +343,62 @@ def _p_mul(p, q):
             out[k] = get(k, 0) + x1 * x2
     if len(b) > 1:
         out = {k: x for k, x in out.items() if x}
-    return _make(vs, w, p.content * q.content, out)
+    return out
 
 
-def _p_partial(p, coord):
-    """Each variable that depends on coord -- the coordinate, and function
-    symbols with coord among their arguments -- loses one from its exponent,
-    which multiplies the term; a symbol's derivative gains one."""
-    steps = [(v, None) if v.__class__ is str else (v, v.differentiate(coord))
-             for v in p.vs if v == coord or v.__class__ is not str and coord in v.args]
-    if not steps:
-        return _P_ZERO
-    vs, w = p.vs, p.w
-    new = {dv for _, dv in steps if dv is not None and dv not in vs}
-    if new:
-        vs = tuple(sorted(new.union(vs), key=_var_order))
-    terms = _repack(p.terms, p.vs, w, vs, w)
+def _moving(among, coord):
+    """(variable, its derivative by coord) for each variable among `among`
+    that depends on coord: the coordinate, with None, and each function
+    symbol with coord among its arguments."""
+    return [(v, None) if v.__class__ is str else (v, v.differentiate(coord)) for v in among
+            if (v == coord if v.__class__ is str else coord in v.args)]
+
+
+def _steps(vs, w, moving):
+    """(field shift, key step) for each (variable, derivative) of `moving`
+    over the layout (vs, w), which holds both."""
+    steps = []
+    for v, dv in moving:
+        i = vs.index(v) * w
+        steps.append((i, (0 if dv is None else 1 << vs.index(dv) * w) - (1 << i)))
+    return steps
+
+
+def _depends(p, coord):
+    """Whether a variable of p depends on coord."""
+    return any(v == coord if v.__class__ is str else coord in v.args for v in p.vs)
+
+
+def _partial_terms(terms, w, steps):
+    """The partial of bare terms of width w, by the `_steps` of a coordinate."""
     mask = (1 << w) - 1
     out = {}
     get = out.get
-    for v, dv in steps:
-        src = vs.index(v) * w
-        step = (0 if dv is None else 1 << vs.index(dv) * w) - (1 << src)
+    for src, step in steps:
         for k, x in terms.items():
             if e := k >> src & mask:
                 out[k + step] = get(k + step, 0) + x * e
-    return _make(vs, w, p.content, {k: x for k, x in out.items() if x})
+    return {k: x for k, x in out.items() if x}
+
+
+def _top(p):
+    """A bound on p's exponents, below twice the largest: the largest field
+    of the bitwise or of its keys."""
+    if p._top is None:
+        used, w, mask = reduce(or_, p.terms, 0), p.w, (1 << p.w) - 1
+        p._top = max((used >> i * w & mask for i in range(len(p.vs))), default=0)
+    return p._top
+
+
+def _times(terms, n):
+    return terms if n == 1 else {k: x * n for k, x in terms.items()}
+
+
+def _common_scale(contents):
+    """Integers proportional to the nonzero rational contents, the lcm of
+    their denominators times each."""
+    den = lcm(*(c.denominator for c in contents))
+    return [c.numerator * (den // c.denominator) for c in contents]
 
 
 def _p_eval(p, point):
@@ -467,7 +533,7 @@ def _lcm(exprs):
             f"over the limit of {MAX_SUM_WORK}")
     cofactors = []
     for m, fs in splits:
-        c = _monomial(_mono_div(mono, m))
+        c = _monomial(rest) if (rest := _mono_div(mono, m)) else _P_ONE
         for f, e in factors.items():
             for _ in range(e - fs.get(f, 0)):
                 c = _p_mul(c, f)
@@ -612,23 +678,42 @@ class ScalarExpr:
         """Quotient rule on the factored denominator D: with F the product
         of the factors f_i^e_i that depend on `coord` and g = sum_i e_i f_i'
         F / f_i (`_quotient_parts`), (F N' - g N) / (D F), each exponent in F
-        raised by one; refused before any product over `MAX_PARTIAL_WORK`."""
-        dn = _p_partial(self.num, coord)
+        raised by one; refused before any product over `MAX_PARTIAL_WORK`.
+        N, the f_i and their partials are bare terms of one layout."""
         if not self.den:
-            return _new(dn, ())
-        mono, factors = _split(self.den)
-        moving = [(f, e, df) for f, e in self.den if (df := _p_partial(f, coord))]
+            return _new(_p_partial(self.num, coord), ())
+        num, (mono, factors) = self.num, _split(self.den)
+        den = [(f, e) for f, e in self.den if _depends(f, coord)]
+        if not den:
+            dn = _p_partial(num, coord)
+            _partial_work(self, coord, dn, [])
+            return _fraction(dn, mono, factors)
+        polys = [num] + [f for f, _ in den]
+        variables = dict.fromkeys(v for p in polys for v in p.vs)
+        derivatives = _moving(variables, coord)
+        vs = tuple(sorted(variables.keys() | {dv for _, dv in derivatives if dv is not None},
+                          key=_var_order))
+        w = _width(sum(map(_top, polys)) + 1)
+        steps = _steps(vs, w, derivatives)
+        n = _repack(num.terms, num.vs, num.w, vs, w)
+        dn = _partial_terms(n, w, steps)
+        moving, content = [], num.content
+        for f, e in den:
+            bare = _repack(f.terms, f.vs, f.w, vs, w)
+            if df := _partial_terms(bare, w, steps):
+                moving.append((bare, e, df))
+                content *= f.content
+                if len(f) == 1:
+                    mono = _mono_mul(mono, mono)
+                else:
+                    factors[f] = e + 1
         _partial_work(self, coord, dn, moving)
         if not moving:
-            return _fraction(dn, mono, factors)
+            return _fraction(_make(vs, w, content, dn), mono, factors)
         big_f, g = _quotient_parts(moving)
-        num = _p_add(_p_mul(big_f, dn), _p_scale(_p_mul(g, self.num), -1))
-        for f, e, _ in moving:
-            if len(f) == 1:
-                mono = _mono_mul(mono, mono)
-            else:
-                factors[f] = e + 1
-        return _fraction(num, mono, factors)
+        return _fraction(_make(vs, w, content,
+                               _combine(1, _mul_terms(big_f, dn), 1, _mul_terms(g, n))),
+                         mono, factors)
 
     def eval_at(self, point):
         d = Fraction(1)
@@ -672,15 +757,15 @@ def _partial_work(e, coord, dn=None, moving=None):
 
 
 def _quotient_parts(moving):
-    """(F, g) for the moving factors (f_i, e_i, f_i') of a denominator: F
-    the product of the f_i, g = sum_i e_i f_i' F / f_i."""
-    big_f, g = reduce(_p_mul, (f for f, _, _ in moving)), _P_ZERO
+    """(F, g) for the moving factors (f_i, e_i, f_i') of a denominator, bare
+    terms of one layout: F the product of the f_i, g = sum_i e_i f_i' F / f_i."""
+    big_f, g = reduce(_mul_terms, (f for f, _, _ in moving)), {}
     for i, (_, e, df) in enumerate(moving):
-        term = _p_scale(df, e)
+        term = _times(df, e)
         for j, (h, _, _) in enumerate(moving):
             if j != i:
-                term = _p_mul(term, h)
-        g = _p_add(g, term)
+                term = _mul_terms(term, h)
+        g = _combine(1, g, -1, term)
     return big_f, g
 
 
@@ -744,17 +829,67 @@ def cleared_numerators(exprs):
     vanishes iff the same combination of the P_i does, which reduces linear
     dependence over Q to coefficient matching.
     """
-    return [_terms(p) for p in _cleared([normalize(e) for e in exprs])[0]]
+    exprs = [normalize(e) for e in exprs]
+    return [_terms(_p_mul(e.num, c)) for e, c in zip(exprs, _lcm(exprs)[2])]
 
 
-def _cleared(exprs):
-    """(numerators, factors) of the expressions over L, the lcm of their
-    denominators: the polynomials num_i * (L / den_i), and L as (factor,
-    exponent) pairs, each variable of its monomial a factor of its own.
-    Refused by `_lcm`'s limit."""
+# -- decisions on bare terms ----------------------------------------------------
+#
+# A decision clears its expressions once into bare terms of one layout of
+# its own, and then multiplies, differentiates and sums with the loops above
+# and `_combine`; it builds no `_Poly`.
+
+
+def _clear(exprs, polys=(), spare=0):
+    """The expressions over L, the lcm of their denominators, on one layout
+    (vs, w): the variables of their numerators, of L and of polys, in the
+    order met.  Returns (vs, w, top, numerators, factors): the numerators
+    num_i * (L / den_i), all times one positive integer, and the factors of
+    L as (terms, exponent), primitive, each variable of its monomial a
+    factor of its own, all bare terms; top bounds the exponents of a
+    numerator plus those of every factor, and w holds exponents up to 2 *
+    top + spare.  Refused by `_lcm`'s limit."""
     mono, factors, cofactors = _lcm(exprs)
-    return ([_p_mul(e.num, c) for e, c in zip(exprs, cofactors)],
-            [(_monomial({v: 1}), k) for v, k in mono.items()] + list(factors.items()))
+    nums = [e.num for e in exprs]
+    vs = tuple(dict.fromkeys([v for p in (*nums, *factors, *polys) for v in p.vs] + [*mono]))
+    top = max(map(_top, nums), default=0) + max(map(_top, cofactors), default=0) \
+        + sum(map(_top, factors)) + len(mono)
+    w = _width(2 * top + spare)
+    bare = [_repack(n.terms, n.vs, n.w, vs, w) for n in nums]
+    bare = [p if not c.vs else _mul_terms(p, _repack(c.terms, c.vs, c.w, vs, w))
+            for p, c in zip(bare, cofactors)]
+    scales = iter(_common_scale([n.content * c.content if c.vs else n.content
+                                 for n, c in zip(nums, cofactors) if n.terms]))
+    numerators = [_times(p, next(scales)) if p else p for p in bare]
+    return vs, w, top, numerators, (
+        [({1 << vs.index(v) * w: 1}, k) for v, k in mono.items()]
+        + [(_repack(f.terms, f.vs, f.w, vs, w), k) for f, k in factors.items()])
+
+
+def proportional(a, b):
+    """Whether a = lambda * b for some expression lambda, a and b {key:
+    expression}, a missing key meaning zero, b not all zero.  With both
+    cleared over one denominator, a = (a_0 / b_0) b exactly when A_k B_0 =
+    A_0 B_k for every key k, b_0 being b's first nonzero coefficient.  None
+    when the clearing or those products would take over MAX_SUM_WORK term
+    products."""
+    base = next((k for k, c in b.items() if c.num), None)
+    if base is None:
+        raise DivisionByZeroExpr("proportionality against zero")
+    if a.keys() | b.keys() == {base}:
+        return True
+    try:
+        *_, numerators, _ = _clear(list(a.values()) + list(b.values()))
+    except SumTooLarge:
+        return None
+    big_a, big_b = dict(zip(a, numerators)), dict(zip(b, numerators[len(a):]))
+    a0, b0 = big_a.get(base, {}), big_b[base]
+    keys = big_a.keys() | big_b.keys()
+    if sum(len(big_a.get(k, ())) * len(b0) + len(a0) * len(big_b.get(k, ())) for k in keys) \
+            > MAX_SUM_WORK:
+        return None
+    return all(_mul_terms(big_a.get(k, {}), b0) == _mul_terms(a0, big_b.get(k, {}))
+               for k in keys)
 
 
 def operator_vanishes(coeffs, components, names, factor_terms, table):
@@ -764,57 +899,117 @@ def operator_vanishes(coeffs, components, names, factor_terms, table):
     {coordinate index: expression} over `names`.  With t = P / D over the
     lcm D of t's denominators, the variables of its monomial among the
     factors, F and g of the factors that X moves (`_quotient_parts`) give
-    L t = (F L P - g P) / (D F): L t = 0 exactly when F L P = g P.  The
-    table, one per check, holds P, D's factors and the partials of both.
-    None leaves the decision to the exact kernel: for a rational X, a t
-    whose clearing the sum limit refuses, or F L P and g P over that limit.
-    The kernel's budget on the partials of t's coefficients is applied
-    first, in its order, so a refusal reads the same."""
-    if not table:
-        try:
-            numerators, table["factors"] = _cleared(list(coeffs.values()))
-        except SumTooLarge:
-            table["P"] = None
-        else:
-            table["P"], table["partials"] = dict(zip(coeffs, numerators)), {}
-    P = table["P"]
-    if P is None or any(c.den for c in components.values()):
-        return None
-    for a in coeffs.values():
-        for m in components:
-            _partial_work(a, names[m])
-    comps, partials = {m: c.num for m, c in components.items()}, table["partials"]
+    L t = (F L P - g P) / (D F): L t = 0 exactly when F L P = g P.
 
-    def along(p):
-        """X(p) for a polynomial p."""
-        out = _P_ZERO
+    The table, one per check, holds P and D's factors as bare terms of one
+    layout (`_clear`) and the partials of both.  The layout takes the
+    variables of each generator that it lacks, and the derivative of a
+    function symbol when a generator first differentiates by one of its
+    arguments, both as new fields; it widens its fields for a generator's
+    exponents, moving every term it holds.  None leaves the decision to the
+    exact kernel: for a rational X, a t whose clearing the sum limit
+    refuses, or F L P and g P over that limit.  The kernel's budget on the
+    partials of t's coefficients is applied once per coefficient and
+    coordinate, in its order, so a refusal reads the same."""
+    if not table:
+        _check_table(table, coeffs, components)
+    if table["P"] is None or any(c.den for c in components.values()):
+        return None
+    budgeted = table["budgeted"]
+    for key, a in coeffs.items():
+        for m in components:
+            if (key, m) not in budgeted:
+                _partial_work(a, names[m])
+                budgeted.add((key, m))
+    comps = _join_generator(table, components)
+    P, w, partials = table["P"], table["w"], table["partials"]
+
+    def along(terms, ref):
+        """X(terms), for P's numerator at key ref or D's factor number ref:
+        each partial is taken once per check."""
+        out = {}
         for m, c in comps.items():
-            if (p, m) not in partials:
-                partials[p, m] = _p_partial(p, names[m])
-            if partials[p, m].terms:
-                out = _p_add(out, _p_mul(c, partials[p, m]))
+            if (ref, m) not in partials:
+                partials[ref, m] = _partial_terms(terms, w, _check_steps(table, names, m))
+            if partials[ref, m]:
+                out = _combine(1, out, -1, _mul_terms(c, partials[ref, m]))
         return out
 
     lp, jac = {}, {}   # L P; (i, k) -> d_k X^i
     for key, p in P.items():
-        terms = [(1, key, along(p))]
+        terms = [(1, key, along(p, key))]
         for sign, to, i, k in factor_terms(key):
             if (i, k) not in jac:
-                jac[i, k] = _p_partial(comps[i], names[k])
-            if jac[i, k].terms:
-                terms.append((sign, to, _p_mul(p, jac[i, k])))
+                jac[i, k] = _partial_terms(comps[i], w, _check_steps(table, names, k)) \
+                    if i in comps and _depends(components[i].num, names[k]) else {}
+            if jac[i, k]:
+                terms.append((sign, to, _mul_terms(p, jac[i, k])))
         for sign, to, q in terms:
-            q = q if sign > 0 else _p_scale(q, -1)
-            lp[to] = _p_add(lp[to], q) if to in lp else q
-    moving = [(f, e, xf) for f, e in table["factors"] if (xf := along(f)).terms]
+            lp[to] = _combine(1, lp.get(to, {}), -sign, q)
+    moving = [(f, e, xf) for j, (f, e) in enumerate(table["factors"]) if (xf := along(f, j))]
     if not moving:
-        return not any(q.terms for q in lp.values())
+        return not any(lp.values())
     big_f, g = _quotient_parts(moving)
     if len(big_f) * sum(map(len, lp.values())) + len(g) * sum(map(len, P.values())) \
             > MAX_SUM_WORK:
         return None
-    return all(_p_mul(big_f, lp.get(key, _P_ZERO)) == _p_mul(g, P.get(key, _P_ZERO))
+    return all(_mul_terms(big_f, lp.get(key, {})) == _mul_terms(g, P.get(key, {}))
                for key in lp.keys() | P.keys())
+
+
+def _check_table(table, coeffs, components):
+    """Fill an empty table with t's clearing over a layout for the first
+    generator too; P is None when the sum limit refuses it."""
+    polys = [c.num for c in components.values()]
+    xtop = max(map(_top, polys), default=0)
+    try:
+        vs, w, top, numerators, factors = _clear(list(coeffs.values()), polys, xtop + 1)
+    except SumTooLarge:
+        table["P"] = None
+        return
+    table.update(P=dict(zip(coeffs, numerators)), factors=factors, vs=vs, w=w, top=top,
+                 xtop=xtop, sources=set(vs), budgeted=set(), partials={}, steps={})
+
+
+def _join_generator(table, components):
+    """X's components as bare terms of the check's layout, all times one
+    positive integer.  The layout first widens its fields if X's exponents
+    need it, moving every term it holds, and takes X's variables that it
+    lacks."""
+    polys = [c.num for c in components.values()]
+    vs, w = table["vs"], table["w"]
+    xtop = max(map(_top, polys), default=0)
+    if xtop > table["xtop"]:
+        table["xtop"] = xtop
+        wide = _width(2 * table["top"] + xtop + 1)
+        if wide > w:
+            table["P"] = {k: _repack(p, vs, w, vs, wide) for k, p in table["P"].items()}
+            table["factors"] = [(_repack(f, vs, w, vs, wide), e) for f, e in table["factors"]]
+            table["partials"].clear()
+            table["steps"].clear()
+            table["w"] = w = wide
+    sources = table["sources"]
+    if new := [v for p in polys for v in p.vs if v not in sources]:
+        sources.update(new)
+        table["vs"] = vs = vs + tuple(dict.fromkeys(v for v in new if v not in vs))
+        table["steps"].clear()
+    scales = iter(_common_scale([p.content for p in polys if p.terms]))
+    return {m: _times(_repack(p.terms, p.vs, p.w, vs, w), next(scales))
+            for m, p in zip(components, polys) if p.terms}
+
+
+def _check_steps(table, names, m):
+    """The `_steps` of names[m] for the variables that occur in the check's
+    terms, its sources, over its layout, which first takes the derivative
+    by names[m] of each function symbol among them that it lacks."""
+    steps = table["steps"]
+    if m not in steps:
+        coord, vs = names[m], table["vs"]
+        moving = _moving([v for v in vs if v in table["sources"]], coord)
+        if new := [dv for _, dv in moving if dv is not None and dv not in vs]:
+            table["vs"] = vs = vs + tuple(dict.fromkeys(new))
+        steps[m] = _steps(vs, table["w"], moving)
+    return steps[m]
 
 
 # -- rendering -------------------------------------------------------------

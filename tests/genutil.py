@@ -279,16 +279,27 @@ def random_solv2_automorphism(rng):
 def invariance_strategies(st):
     """Strategies on the chart (x, y, z): `tensors`, forms and chains of
     degree 0-3 whose coefficients have no, monomial, multi-factor or K(z)
-    denominators; `fields`, polynomial and rational vector fields; and
-    `invariants`, (generators, tensor) pairs invariant by construction:
-    r^2m sigma, r^2m vol and f(r^2) E under so(3), where sigma = x dy^dz -
-    y dx^dz + z dx^dy and E = x Dx + y Dy + z Dz, and g(z) y^2 Dx^Dy,
-    g(z)/y dx^dz, g(z)/y^2 dx^dy under solv2, whose x Dx + y Dy moves y."""
+    denominators, function symbols of one and two arguments and exponents
+    too wide for the narrowest packed field; `fields`, polynomial and
+    rational vector fields, with the same atoms; `invariants`, (generators,
+    tensor) pairs invariant by construction: r^2m sigma, r^2m vol and f(r^2)
+    E under so(3), where sigma = x dy^dz - y dx^dz + z dx^dy and E = x Dx +
+    y Dy + z Dz, g(z) y^2 Dx^Dy, g(z)/y dx^dz, g(z)/y^2 dx^dy under solv2,
+    whose x Dx + y Dy moves y, and forms of degree k whose coefficients are
+    homogeneous of degree -k over multi-term factors, under E, which moves
+    every factor; `layouts`, (generators, tensor) pairs with a tensor in x
+    and a(x) alone, a first generator that leaves it alone, and generators
+    that bring, each after the one before, coordinates, function symbols and
+    exponents that neither the tensor nor an earlier generator has; and
+    `pairs`, (a, b) tensors of one kind and degree, b nonzero, a unrelated
+    to b or a multiple of it, exactly or up to one changed coefficient."""
     chart = cc.Chart(("x", "y", "z"))
     x, y, z = (sf.coordinate(c) for c in "xyz")
     K, a = sf.function("K", ("z",)), sf.function("a", ("x",))
+    h = sf.function("h", ("x", "y"))
     r2 = x ** 2 + y ** 2 + z ** 2
-    atoms = st.sampled_from([x, y, z, K, a, sf.partial(K, "z")])
+    atoms = st.sampled_from([x, y, z, K, a, sf.partial(K, "z"), h, sf.partial(h, "y"),
+                             z ** 130])
     terms = st.builds(lambda c, fs: prod(fs, start=sf.rational(c)),
                       st.integers(-3, 3), st.lists(atoms, max_size=2))
     polys = st.lists(terms, min_size=1, max_size=3).map(lambda ts: sum(ts, sf.ZERO))
@@ -331,6 +342,51 @@ def invariance_strategies(st):
         st.builds(lambda g: (solv2, cc.MultiVectorField(chart, 2, {(0, 1): g * y ** 2})), of_z),
         st.builds(lambda g: (solv2, cc.DiffForm(chart, 2, {(0, 2): g / y})), of_z),
         st.builds(lambda g: (solv2, cc.DiffForm(chart, 2, {(0, 1): g / y ** 2})), of_z))
+    hom_dens = {1: [x ** 2 + y * z, (x + y) * (y - z)],
+                2: [(x ** 2 + y * z) * (x + z), (x + 2 * y) ** 3]}
+
+    def homogeneous_form(draw):
+        k = draw(st.integers(1, 2))
+        idxs = draw(st.lists(st.sampled_from(list(combinations(range(3), k))), min_size=1,
+                             max_size=3, unique=True))
+        coeffs = {idx: draw(st.sampled_from([x, y - 2 * z, x + y + z]))
+                  / draw(st.sampled_from(hom_dens[k])) for idx in idxs}
+        return (cc.vector_field(chart, [x, y, z]),), cc.DiffForm(chart, k, coeffs)
+
+    invariants = st.one_of(invariants, st.composite(homogeneous_form)())
+    in_x = st.builds(lambda p, d: p / d,
+                     st.sampled_from([sf.ONE, x, a, x ** 2 - 3, a * x + 1]),
+                     st.sampled_from([sf.ONE, x, x ** 2 + 1, a + 1]))
+    # the first two leave every tensor in x and a(x) alone; z^256 and z^300
+    # need fields wider than a layout for such a tensor has
+    later = [cc.vector_field(chart, [sf.ZERO, K, sf.ZERO]),
+             cc.vector_field(chart, [sf.ZERO, z ** 300, K * z]),
+             cc.vector_field(chart, [y, sf.ZERO, sf.ZERO]),
+             cc.vector_field(chart, [z ** 256 - K, sf.ZERO, sf.ONE]),
+             cc.vector_field(chart, [h * x, sf.partial(h, "x"), sf.ZERO])]
+
+    def layout_case(draw):
+        kind = draw(st.sampled_from([cc.DiffForm, cc.MultiVectorField]))
+        degree = draw(st.integers(0, 1))
+        t = kind(chart, degree, {(0,) * degree: draw(in_x)})
+        first = draw(st.sampled_from("xyz" if t.coefficient((0,) * degree) == 1 else "yz"))
+        rest = draw(st.lists(st.sampled_from(later), min_size=1, max_size=3, unique_by=id))
+        return (basis_vector(chart, first), *rest), t
+
+    def pair(draw):
+        b = draw(st.composite(tensor)().filter(lambda t: not t.is_zero()))
+        how = draw(st.sampled_from(["other", "multiple", "changed"]))
+        if how == "other":
+            tuples = list(combinations(range(3), b.degree))
+            idxs = draw(st.lists(st.sampled_from(tuples), min_size=1, max_size=3, unique=True))
+            return type(b)(chart, b.degree, {idx: draw(scalars) for idx in idxs}), b
+        a = b.scaled(draw(scalars.filter(lambda f: not f.is_zero())))
+        if how == "changed":
+            idx = draw(st.sampled_from(sorted(a.coeffs)))
+            a = type(a)(chart, a.degree, {**a.coeffs, idx: a.coeffs[idx] + draw(scalars)})
+        return a, b
+
     fields = st.one_of(st.composite(field)(),
                        st.sampled_from([basis_vector(chart, c) for c in "xyz"]))
-    return SimpleNamespace(tensors=st.composite(tensor)(), fields=fields, invariants=invariants)
+    return SimpleNamespace(tensors=st.composite(tensor)(), fields=fields, invariants=invariants,
+                           layouts=st.composite(layout_case)(), pairs=st.composite(pair)())

@@ -678,10 +678,11 @@ def test_obstruction_with_component_reps():
 # -- work of the invariance checks, counted on the chart_swell workspace ------
 #
 # Deterministic counts in place of wall time: polynomial products, canonical
-# fractions built, and the partials taken of each tensor coefficient and of
-# each cleared numerator.  A passing check decides L_X t = 0 on t's cleared
-# numerator P, with one table of P's partials for every generator, and
-# builds no fraction; adding zero builds nothing.
+# fractions and polynomials built, and the partials taken of each tensor
+# coefficient and of each cleared numerator.  A passing check decides L_X t
+# = 0 on t's cleared numerator P, bare terms of one layout, with one table
+# of P's partials for every generator: it builds no fraction, and no
+# polynomial once P is cleared; adding zero builds nothing.
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -689,17 +690,19 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 @pytest.fixture
 def swell_counts(monkeypatch):
     """The chart_swell workspace of seed 12, counters on `_p_mul`, on
-    `_fraction` and on `ScalarExpr.partial` by (expression, coordinate), the
-    (polynomial, coordinate) of each `_p_partial`, kept so that no two share
-    an id, and the tables of the decisions made."""
+    `_fraction`, on `_make` (with its count when each clearing returns) and
+    on `ScalarExpr.partial` by (expression, coordinate), the (terms, steps)
+    of each run of the shared partial loop, kept so that no two share an
+    id, and the tables of the decisions made."""
     monkeypatch.syspath_prepend(str(BENCH))
     import chart_swell
 
     texts, _ = chart_swell.generate(12)
     ws = dsl.parse(next(iter(texts.values())))
-    counts = {"mul": 0, "fraction": 0, "partial": Counter(), "p_partial": [], "tables": []}
-    p_mul, fraction, partial, p_partial = sf._p_mul, sf._fraction, sf.ScalarExpr.partial, \
-        sf._p_partial
+    counts = {"mul": 0, "fraction": 0, "make": 0, "cleared": [], "partial": Counter(),
+              "partial_terms": [], "tables": []}
+    p_mul, fraction, make, clear = sf._p_mul, sf._fraction, sf._make, sf._clear
+    partial, partial_terms = sf.ScalarExpr.partial, sf._partial_terms
     vanishes = cc.lie_derivative_vanishes
 
     def counted_mul(p, q):
@@ -710,13 +713,22 @@ def swell_counts(monkeypatch):
         counts["fraction"] += 1
         return fraction(*args)
 
+    def counted_make(*args):
+        counts["make"] += 1
+        return make(*args)
+
+    def counted_clear(*args):
+        out = clear(*args)
+        counts["cleared"].append(counts["make"])
+        return out
+
     def counted_partial(e, coord):
         counts["partial"][e, coord] += 1
         return partial(e, coord)
 
-    def counted_p_partial(p, coord):
-        counts["p_partial"].append((p, coord))
-        return p_partial(p, coord)
+    def counted_partial_terms(terms, w, steps):
+        counts["partial_terms"].append((terms, tuple(steps)))
+        return partial_terms(terms, w, steps)
 
     def recorded_vanishes(x, t, table):
         if not table:
@@ -724,14 +736,16 @@ def swell_counts(monkeypatch):
         return vanishes(x, t, table)
     monkeypatch.setattr(sf, "_p_mul", counted_mul)
     monkeypatch.setattr(sf, "_fraction", counted_fraction)
+    monkeypatch.setattr(sf, "_make", counted_make)
+    monkeypatch.setattr(sf, "_clear", counted_clear)
     monkeypatch.setattr(sf.ScalarExpr, "partial", counted_partial)
-    monkeypatch.setattr(sf, "_p_partial", counted_p_partial)
+    monkeypatch.setattr(sf, "_partial_terms", counted_partial_terms)
     monkeypatch.setattr(cc, "lie_derivative_vanishes", recorded_vanishes)
     return ws, counts
 
 
 @pytest.mark.parametrize("check,muls,fractions", [
-    ("multivector", 21, 0), ("form", 21, 0), ("cochain", 67, 26)])
+    ("multivector", 0, 0), ("form", 0, 0), ("cochain", 12, 19)])
 def test_invariance_checks_differentiate_each_coefficient_once(swell_counts, check, muls,
                                                                fractions):
     ws, counts = swell_counts
@@ -748,9 +762,17 @@ def test_invariance_checks_differentiate_each_coefficient_once(swell_counts, che
     tables = counts["tables"][-1:] if check != "cochain" else counts["tables"]
     numerators = {id(p) for table in tables for p in table["P"].values()}
     assert numerators
-    taken = Counter((id(p), c) for p, c in counts["p_partial"] if id(p) in numerators)
+    # the shared partial loop, once per cleared numerator and coordinate
+    taken = Counter((id(p), steps) for p, steps in counts["partial_terms"]
+                    if id(p) in numerators)
     assert len(taken) == len(numerators) * 3
     assert max(taken.values()) == 1
+
+
+def test_passing_check_builds_no_polynomial_after_its_clearing(swell_counts):
+    ws, counts = swell_counts
+    assert aa.check_invariant_multivector(ws.actions["rot"].spec, ws.chains["chi"]).ok
+    assert counts["cleared"] == [counts["make"]]
 
 
 def test_adding_zero_builds_nothing(swell_counts):
@@ -784,23 +806,47 @@ def _check(generators, t):
     return v.ok, v.generator, v.witness
 
 
+def _outcome(run, *args):
+    """run(*args), or the kind and message of the scalar budget it hit."""
+    try:
+        return run(*args)
+    except (sf.PartialTooLarge, sf.SumTooLarge) as err:
+        return type(err).__name__, str(err)
+
+
 def test_invariance_verdicts_match_the_exact_kernel():
     """Same verdict, failing generator and witness as differentiating with
-    the exact kernel along each generator in turn."""
+    the exact kernel along each generator in turn, or the same refusal."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     gen = invariance_strategies(st)
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
     @hypothesis.given(gen.tensors, st.lists(gen.fields, min_size=1, max_size=3),
-                      gen.invariants)
-    def check(t, xs, case):
+                      gen.invariants, gen.layouts)
+    def check(t, xs, case, layout):
         generators, invariant = case
-        assert _check(xs, t) == _kernel_verdict(xs, t)
+        assert _outcome(_check, xs, t) == _outcome(_kernel_verdict, xs, t)
         assert _check(generators, invariant) == (True, None, None)
         # an invariant tensor with a generator that moves it put last
         assert _check(generators + (xs[0],), invariant) == _kernel_verdict(
             generators + (xs[0],), invariant)
+        assert _outcome(_check, *layout) == _outcome(_kernel_verdict, *layout)
+    check()
+
+
+def test_proportionality_decision_matches_the_residual():
+    """sf.proportional decides what the exact residual of
+    multivector_proportionality decides."""
+    hypothesis = pytest.importorskip("hypothesis")
+    gen = invariance_strategies(hypothesis.strategies)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(gen.pairs)
+    def check(pair):
+        a, b = pair
+        assert sf.proportional(a.coeffs, b.coeffs) == (
+            aa.multivector_proportionality(a, b) is not None)
     check()
 
 

@@ -314,7 +314,9 @@ def test_decision_matches_the_exact_kernel():
     finds it, one table serving several generators: on random forms and
     chains with monomial, multi-factor and K(z) denominators under
     polynomial and rational fields, and on tensors invariant by
-    construction, where it decides "zero" through both of its branches."""
+    construction, where it decides "zero" through both of its branches; and
+    along generators that each bring a variable or an exponent the table's
+    layout lacks."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     gen = invariance_strategies(st)
@@ -334,8 +336,17 @@ def test_decision_matches_the_exact_kernel():
         for g in generators:
             assert cc._lie_derivative(g, t).is_zero()
             assert cc.lie_derivative_vanishes(g, t, table)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(gen.layouts)
+    def widening_layouts(case):
+        generators, t = case
+        table = {}
+        for g in generators:
+            assert cc.lie_derivative_vanishes(g, t, table) == cc._lie_derivative(g, t).is_zero()
     random_tensors()
     invariant_tensors()
+    widening_layouts()
 
 
 def _oversized_sum(n):
@@ -359,6 +370,24 @@ def test_decision_refuses_an_oversized_partial_as_the_kernel_does():
             run()
         raised.append(str(err.value))
     assert raised[0].startswith("differentiating by c0") and len(set(raised)) == 1
+
+
+def test_decision_applies_the_partial_budget_itself():
+    # (x + 1) over the twelve factors x + y_i and x - y_i: the quotient rule
+    # by x is over the limit, while F L P and g P, F = prod(x^2 - y_i^2)
+    # having 64 terms, are not, so only the decision's own budget refuses
+    chart = cc.Chart(("x",) + tuple(f"y{i}" for i in range(6)))
+    x = sf.coordinate("x")
+    e = x + 1
+    for name in chart.coordinates[1:]:
+        e = e / (x + sf.coordinate(name)) / (x - sf.coordinate(name))
+    t, v = cc.DiffForm(chart, 0, {(): e}), basis_vector(chart, "x")
+    raised = []
+    for run in (lambda: cc._lie_derivative(v, t), lambda: cc.lie_derivative_vanishes(v, t, {})):
+        with pytest.raises(sf.PartialTooLarge) as err:
+            run()
+        raised.append(str(err.value))
+    assert raised[0] == raised[1]
 
 
 def test_decision_over_the_sum_limit_falls_back_to_the_kernel(monkeypatch):

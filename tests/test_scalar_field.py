@@ -459,3 +459,31 @@ def test_no_state_outlives_a_call(tmp_path, capsys):
     assert "error" not in capsys.readouterr().err
     assert _module_containers() == before
     assert [len(p.terms) for p in (sf._P_ZERO, sf._P_ONE)] == constants
+
+
+def test_decision_widens_its_layout_for_a_later_generator():
+    # z^129 as a 0-form: D(y) leaves it alone, then z^900 D(z) forms
+    # products whose exponents the first layout's fields cannot hold
+    z = sf.coordinate("z")
+    coeffs, table = {(): z ** 129}, {}
+
+    def vanishes(components):
+        return sf.operator_vanishes(coeffs, components, ("x", "y", "z"), lambda key: (), table)
+    assert vanishes({1: sf.ONE})
+    narrow = table["w"]
+    assert not vanishes({2: z ** 900})
+    assert table["w"] > narrow and (1 << table["w"]) > 900 + 128
+    assert vanishes({0: z ** 2000})
+
+
+def test_proportional():
+    x, y = sf.coordinate("x"), sf.coordinate("y")
+    r = x ** 2 + y ** 2
+    b = {(0,): x / r, (1,): y / r}
+    assert sf.proportional({(0,): x * x, (1,): x * y}, b)
+    assert sf.proportional({}, b)
+    assert not sf.proportional({(0,): x}, b)
+    assert not sf.proportional({(0,): x, (1,): x}, b)
+    assert sf.proportional({(1,): y ** 3}, {(1,): sf.ONE / r})
+    with pytest.raises(sf.DivisionByZeroExpr):
+        sf.proportional(b, {(0,): sf.ZERO})
