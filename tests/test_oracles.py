@@ -14,6 +14,7 @@ from pathlib import Path
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -642,3 +643,226 @@ def test_tokenizer_matches_reference_on_random_text():
     def check(text):
         assert _scan(text) == _scan_reference(text)
     check()
+
+
+# -- the reader against a fold of scalar and chart operations -------------------
+#
+# A random workspace on M = (x, y, z) is written two ways: as text, and as a
+# fold of public `scalar_field` and `chart_calculus` operations over the same
+# trees, operands left to right.  Every compound expression is written inside
+# parentheses, so each operation that can fail on a value is reported either
+# at its '/' or at the ')' right after its last operand.
+
+READER_M = cc.Chart(COORDS)
+READER_CLASSES = {"form": cc.DiffForm, "chain": cc.MultiVectorField}
+
+
+class _Fails(Exception):
+    """The fold failed at the operation whose report token is at `offset`."""
+
+    def __init__(self, offset):
+        super().__init__(offset)
+        self.offset = offset
+
+
+def reader_strategies(st):
+    """`workspaces`: lists of declarations (keyword, name, tree); a tree is a
+    tuple (operation, operands...), typed as it is drawn.  The first two
+    declarations are a form and a chain of degree 0 from scalar trees, and
+    later ones read earlier ones by name."""
+    scalar_leaves = [st.integers(0, 3).map(lambda n: ("int", n)),
+                     st.sampled_from(COORDS).map(lambda c: ("coord", c)), st.just(("K",))]
+
+    def expr(draw, kind, degree, names, depth):
+        """A tree of this kind ("scalar", "form" or "chain") and degree."""
+        if kind == "scalar":
+            leaves = scalar_leaves
+            ops = ["neg", "add", "sub", "mul", "div", "divpow", "pow", "pow", "big", "partial"]
+        else:
+            named = [n for n, k, g in names if (k, g) == (kind, degree)]
+            leaves = [st.sampled_from(named).map(lambda n: ("name", n))] if named else []
+            if degree == 1:
+                leaves.append(st.sampled_from(COORDS).map(lambda c: ("basis", kind, c)))
+            ops = ["neg", "add", "sub", "mul", "div", "divpow"]
+            ops += ["wedge", "wedgecall"] if degree else ["lift"]
+        if leaves and (depth == 0 or draw(st.integers(0, 3)) == 0):
+            return draw(st.one_of(*leaves))
+        op = draw(st.sampled_from(ops)) if depth else "wedge"
+        sub = max(depth - 1, 0)
+        if op == "neg":
+            return ("neg", expr(draw, kind, degree, names, sub))
+        if op in ("add", "sub"):
+            return (op, expr(draw, kind, degree, names, sub), expr(draw, kind, degree, names, sub))
+        if op in ("lift", "mul"):   # a scalar and a tensor, in either order
+            pair = [expr(draw, "scalar", 0, names, sub), expr(draw, kind, degree, names, sub)]
+            op = draw(st.sampled_from(["add", "sub"])) if op == "lift" else op
+            return (op, *draw(st.permutations(pair)))
+        if op in ("div", "divpow"):
+            out = (op, expr(draw, kind, degree, names, sub), expr(draw, "scalar", 0, names, sub))
+            return out + ((draw(st.sampled_from([-2, -1, 2, 3])),) if op == "divpow" else ())
+        if op == "pow":
+            return ("pow", expr(draw, kind, 0, names, sub), draw(st.integers(-2, 3)))
+        if op == "big":   # over MAX_POWER_WORK unless the base has one term or none
+            return ("pow", ("add", expr(draw, kind, 0, names, sub), ("coord", "y")), 3000)
+        if op == "partial":
+            return ("partial", expr(draw, kind, 0, names, sub), draw(st.sampled_from(COORDS)))
+        left = draw(st.integers(0, degree)) if depth else 1
+        return (op, expr(draw, kind, left, names, sub),
+                expr(draw, kind, degree - left, names, sub))
+
+    @st.composite
+    def workspaces(draw):
+        names, decls = [], []
+        for i in range(draw(st.integers(2, 5))):
+            kind = ("form", "chain")[i] if i < 2 else draw(st.sampled_from(["form", "chain"]))
+            degree = draw(st.integers(0, 2)) if i >= 2 else 0
+            tree = expr(draw, kind if i >= 2 else "scalar", degree, names,
+                        draw(st.integers(1, 3)))
+            decls.append((kind, f"{kind[0]}{i}", tree))
+            names.append((f"{kind[0]}{i}", kind, degree))
+        return decls
+
+    return SimpleNamespace(workspaces=workspaces())
+
+
+def reader_text(decls):
+    """The workspace text of the declarations, and the offset of the report
+    token of each tree that can fail, by id."""
+    out, marks = ["chart M { coords = [x, y, z] }\nfunction K(z)\n"], {}
+
+    def put(s):
+        out.append(s)
+        return sum(map(len, out)) - len(s)
+
+    def emit(t):
+        op = t[0]
+        if op == "int":
+            put(str(t[1]))
+        elif op == "coord":
+            put(t[1])
+        elif op == "K":
+            put("K(z)")
+        elif op == "basis":
+            put(("d" if t[1] == "form" else "D") + f"({t[2]})")
+        elif op == "name":
+            put(t[1])
+        else:
+            put("(")
+            if op == "neg":
+                put("-")
+                emit(t[1])
+            elif op in ("add", "sub", "mul", "wedge"):
+                emit(t[1])
+                put({"add": " + ", "sub": " - ", "mul": "*", "wedge": "^"}[op])
+                emit(t[2])
+            elif op in ("div", "divpow"):
+                emit(t[1])
+                marks[id(t), "/"] = put("/")
+                emit(t[2])
+                if op == "divpow":
+                    put(f"^{t[3]}")
+            elif op == "pow":
+                emit(t[1])
+                put(f"^{t[2]}")
+            elif op == "partial":
+                put("D(")
+                emit(t[1])
+                put(f", {t[2]})")
+            elif op == "wedgecall":
+                put("wedge(")
+                emit(t[1])
+                put(", ")
+                emit(t[2])
+                put(")")
+            marks[id(t)] = put(")")
+
+    for kind, name, tree in decls:
+        put(f"{kind} {name} on M = ")
+        emit(tree)
+        put("\n")
+    return "".join(out), marks
+
+
+def reader_fold(decls, marks):
+    """{name: value} of each declaration, folded from public operations;
+    _Fails at the first operation that fails, in text order."""
+    values = {}
+
+    def lift(v, cls):
+        return cls(READER_M, 0, {(): v}) if isinstance(v, sf.ScalarExpr) else v
+
+    def at(t, key, fn, *args):
+        try:
+            return fn(*args)
+        except sf.ScalarError:
+            raise _Fails(marks[key]) from None
+
+    def fold(t):
+        op = t[0]
+        if op == "int":
+            return sf.rational(t[1])
+        if op == "coord":
+            return sf.coordinate(t[1])
+        if op == "K":
+            return sf.function("K", ("z",))
+        if op == "basis":
+            return READER_CLASSES[t[1]](READER_M, 1, {(COORDS.index(t[2]),): sf.ONE})
+        if op == "name":
+            return values[t[1]]
+        if op == "neg":
+            return -fold(t[1])
+        if op in ("pow", "partial"):
+            a = fold(t[1])
+            return at(t, id(t), operator.pow if op == "pow" else sf.partial, a, t[2])
+        a, b = fold(t[1]), fold(t[2]) if op not in ("div", "divpow") else None
+        if op in ("div", "divpow"):
+            b = at(t, (id(t), "/"), operator.truediv, sf.ONE, fold(t[2]))
+            if op == "divpow":
+                b = at(t, id(t), operator.pow, b, t[3])
+            op = "mul"
+        if op in ("add", "sub"):
+            kinds = {type(v) for v in (a, b)} - {sf.ScalarExpr}
+            if kinds:
+                cls, = kinds
+                a, b = lift(a, cls), lift(b, cls)
+            return at(t, id(t), operator.add if op == "add" else operator.sub, a, b)
+        if op == "mul":
+            if isinstance(a, sf.ScalarExpr) and isinstance(b, sf.ScalarExpr):
+                return a * b
+            s, v = (a, b) if isinstance(a, sf.ScalarExpr) else (b, a)
+            return v.scaled(s)
+        return at(t, id(t), lambda u, v: u.wedge(v), a, b)
+
+    for kind, name, tree in decls:
+        values[name] = lift(fold(tree), READER_CLASSES[kind])
+    return values
+
+
+def test_reader_matches_a_fold_of_public_operations():
+    """`dsl.parse` gives each declaration the value of the fold of its tree,
+    or, where the fold fails on a value (a zero divisor, a negative power of
+    zero, a power over MAX_POWER_WORK), raises at the same span."""
+    hypothesis = pytest.importorskip("hypothesis")
+    strategies = reader_strategies(hypothesis.strategies)
+    seen = Counter()
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(strategies.workspaces)
+    def check(decls):
+        text, marks = reader_text(decls)
+        try:
+            want = reader_fold(decls, marks)
+        except _Fails as fail:
+            with pytest.raises(dsl.ParseError) as caught:
+                dsl.parse(text, "w.lch")
+            line = text.count("\n", 0, fail.offset) + 1
+            column = fail.offset - text.rfind("\n", 0, fail.offset)
+            assert (caught.value.span.line, caught.value.span.column) == (line, column), text
+            seen["fails"] += 1
+            return
+        ws = dsl.parse(text, "w.lch")
+        for kind, name, _ in decls:
+            assert getattr(ws, kind + "s")[name] == want[name], (text, name)
+        seen["values"] += 1
+    check()
+    assert seen["fails"] > 20 and seen["values"] > 100, seen
