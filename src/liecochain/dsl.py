@@ -27,6 +27,7 @@ from . import chart_calculus as cc
 from . import scalar_field as sf
 from .action_analysis import ActionSpec
 from .lie_cohomology import AltForm, LieAlgebra, SubgroupSpec
+from .linalg import _accumulate
 
 
 @dataclass(frozen=True)
@@ -114,46 +115,89 @@ class _Source:
 
 
 class _Pending:
-    """A field, form or chain, or a part of one, not built yet: its kind
-    ("scalar", "form" or "chain"), degree and chart are known from the
-    walk.  Its value is `fn` of its operands' values (an operand is a
-    `_Pending` or a constant); a ScalarError or ChartError is reported at
-    token `at` of `source`.  Every name that reads a declaration shares
-    its node, which keeps its value once built."""
+    """A field, form or chain not built yet: its kind, degree and chart, and
+    its tape, the operations on values in text order.  Each (fn, at, a, b)
+    is fn(a, b), a ScalarError or ChartError reported at token `at`; an
+    operand is a polynomial's terms, a map {index tuple: ScalarExpr}, an
+    earlier operation's value by its place, or a plain argument, and fn None
+    reads declaration a, whose value each name shares.  The tensor is made
+    once, from `result`."""
 
-    __slots__ = ("kind", "degree", "chart", "fn", "operands", "source", "at", "declared", "value")
+    __slots__ = ("kind", "degree", "chart", "cls", "tape", "result", "source", "value")
 
-    def __init__(self, kind, degree, chart, fn, operands, source, at):
-        self.kind, self.degree, self.chart, self.fn = kind, degree, chart, fn
-        self.operands, self.source, self.at = operands, source, at
-        self.declared, self.value = False, None
+    def __init__(self, cls, degree, chart, tape, result, source):
+        self.kind, self.degree, self.chart, self.cls = cls.kind, degree, chart, cls
+        self.tape, self.result, self.source, self.value = tape, result, source, None
 
     def build(self):
-        """The value, from an explicit stack, operands left to right: nothing
-        recurses, however long the expression or the chain of names, and a
-        part of an expression is held only until what reads it is built."""
-        values, stack = [], [self, False]
+        """The value: each tape runs in order, on an explicit stack of the
+        declarations being built, so nothing recurses however long the chain
+        of names; an operation's value is held until its declaration is built."""
+        stack = [(self, [])] if self.value is None else []
         while stack:
-            ready, node = stack.pop(), stack.pop()
-            if node.__class__ is not _Pending:
-                values.append(node)
-            elif ready:   # its operands' values are on top, even if another thread built it
-                k = len(values) - len(node.operands)
+            decl, values = stack[-1]
+            tape = decl.tape
+            while len(values) < len(tape):
+                fn, at, a, b = tape[len(values)]
+                if fn is None:
+                    if a.value is None:
+                        stack.append((a, []))
+                        break
+                    values.append(a.value.coeffs)
+                    continue
                 try:
-                    value = node.fn(*values[k:])
+                    values.append(fn(_operand(a, values), _operand(b, values)))
                 except (sf.ScalarError, cc.ChartError) as exc:
-                    raise ParseError(str(exc), node.source.span(node.at)) from None
-                del values[k:]
-                if node.declared:
-                    node.value = value
-                values.append(value)
-            elif node.value is not None:
-                values.append(node.value)
+                    raise ParseError(str(exc), decl.source.span(at)) from None
             else:
-                stack += (node, True)
-                for operand in reversed(node.operands):
-                    stack += (operand, False)
-        return values[0]
+                stack.pop()
+                value = _operand(decl.result, values)
+                decl.value = decl.cls._of(decl.chart, decl.degree,
+                                          value if value.__class__ is dict else {(): value})
+        return self.value
+
+
+def _operand(x, values):
+    cls = x.__class__
+    return values[x] if cls is int else sf.polynomial(x) if cls is list else x
+
+
+# The operations on the tape: scalars are ScalarExprs, tensors maps, and a
+# scalar joins a sum as the map of degree 0.  Each rule computes what the
+# AltTensor operation computes, coefficient by coefficient, in its order.
+
+def _scale(f, t):
+    return {idx: f if c is sf.ONE else f * c for idx, c in t.items()}
+
+
+def _add(a, b):
+    out = dict(a) if a.__class__ is dict else {(): a}
+    for idx, c in sorted(b.items()) if b.__class__ is dict else (((), b),):
+        out[idx] = out[idx] + c if idx in out else c
+    return out
+
+
+def _negate(v, _):
+    """-v for a map, a polynomial's terms, or a ScalarExpr."""
+    if v.__class__ is list:
+        return [(-c, m) for c, m in v]
+    return {idx: -c for idx, c in v.items()} if v.__class__ is dict else -v
+
+
+def _subtract(a, b):
+    return _add(a, _negate(b, None))
+
+
+def _wedge(s, t):
+    return _accumulate((i + j, x if y is sf.ONE else y if x is sf.ONE else x * y)
+                       for i, x in sorted(s.items()) for j, y in sorted(t.items())
+                       if set(i).isdisjoint(j))
+
+
+def _invert(f, _):
+    if f.is_zero():
+        raise sf.DivisionByZeroExpr("division by zero")
+    return sf.ONE / f
 
 
 class _Store(dict):
@@ -351,12 +395,6 @@ def _resolve(ws, slot, name, index, home, fail, read):
 # parser
 
 
-def _invert(f):
-    if f.is_zero():
-        raise sf.DivisionByZeroExpr("division by zero")
-    return sf.ONE / f
-
-
 # declaration keyword -> (its noun, the tensor class, the Workspace store)
 _TENSOR_DECLS = {
     "vectorfield": ("a vector field", cc.MultiVectorField, "vector_fields"),
@@ -377,6 +415,7 @@ class _Parser:
         self.ws = Workspace(source_name=file, vector_fields=_Store(), forms=_Store(),
                             chains=_Store())
         self.names = {}  # declared name or chart coordinate -> its kind
+        self.symbols = {}   # function name -> its FunctionSymbol
         self.chart = self.rhs_start = None   # of the tensor being declared
 
     # -- token plumbing --------------------------------------------------
@@ -384,30 +423,25 @@ class _Parser:
     def peek(self, offset=0):
         return self.tokens[self.i + offset]
 
-    def advance(self):
-        """The index of the current token, then step past it."""
-        i = self.i
-        if self.tokens[i]:
-            self.i += 1
-        return i
-
     def error(self, message, at=None, cls=ParseError):
         raise cls(message, self.source.span(self.i if at is None else at))
 
-    def expect(self, text, what=None):
-        if self.peek() != text:
-            self.error(f"expected {what or repr(text)}, found {self.peek()!r}")
-        return self.advance()
+    def expect(self, *texts, what=None, test=None):
+        """Step past tokens that must be the texts in turn, or one that must
+        pass `test`, else an error naming `what` was expected; the index of
+        the last."""
+        for text in texts or (None,):
+            i, tok = self.i, self.tokens[self.i]
+            if not (test(tok) if test else tok == text):
+                self.error(f"expected {what or repr(text)}, found {tok!r}")
+            self.i = i + 1
+        return i
 
     def expect_int(self, what="an integer"):
-        if not self.peek().isdigit():
-            self.error(f"expected {what}, found {self.peek()!r}")
-        return int(self.tokens[self.advance()])
+        return int(self.tokens[self.expect(what=what, test=str.isdigit)])
 
     def expect_name(self, what="a name"):
-        if not self.peek().isidentifier():
-            self.error(f"expected {what}, found {self.peek()!r}")
-        return self.advance()
+        return self.expect(what=what, test=str.isidentifier)
 
     def declare(self, store, name_at, value, kind):
         name = self.tokens[name_at]
@@ -437,40 +471,29 @@ class _Parser:
         if not (empty and self.peek() == close_text):
             items.append(item())
             while self.peek() == ",":
-                self.advance()
+                self.i += 1
                 items.append(item())
         self.expect(close_text)
         return items
 
     def rational(self):
-        neg = False
-        if self.peek() == "-":
-            self.advance()
-            neg = True
-        num = self.expect_int("a rational number")
-        den = 1
+        neg = self.peek() == "-"
+        self.i += neg
+        num, den = self.expect_int("a rational number"), 1
         if self.peek() == "/":
-            self.advance()
-            den_at = self.i
+            den_at = self.i = self.i + 1
             den = self.expect_int("a denominator")
             if den == 0:
                 self.error("zero denominator", den_at)
-        value = Fraction(num, den)
-        return -value if neg else value
+        return Fraction(-num if neg else num, den)
 
     # -- entry -------------------------------------------------------------
 
     def parse_file(self):
-        handlers = {
-            "lie_algebra": self.parse_lie_algebra,
-            "subgroup": self.parse_subgroup,
-            "chart": self.parse_chart,
-            "function": self.parse_function,
-            **dict.fromkeys(_TENSOR_DECLS, self.parse_tensor),
-            "action": self.parse_action,
-            "point": self.parse_point,
-            "check": self.parse_check,
-        }
+        handlers = {"lie_algebra": self.parse_lie_algebra, "subgroup": self.parse_subgroup,
+                    "chart": self.parse_chart, "function": self.parse_function,
+                    "action": self.parse_action, "point": self.parse_point,
+                    "check": self.parse_check, **dict.fromkeys(_TENSOR_DECLS, self.parse_tensor)}
         while self.peek():
             handler = handlers.get(self.peek())
             if handler is None:
@@ -483,21 +506,16 @@ class _Parser:
     def parse_lie_algebra(self):
         self.expect("lie_algebra")
         name_at = self.expect_name("an algebra name")
-        self.expect("{")
-        self.expect("dim")
-        dim_at = self.i
-        dim = self.expect_int("the dimension")
+        self.expect("{", "dim")
+        dim_at, dim = self.i, self.expect_int("the dimension")
         if dim < 1:
             self.error("dimension must be positive", dim_at)
         brackets = {}
         while self.peek() == "bracket":
-            self.advance()
-            self.expect("[")
-            i_at = self.i
-            i = self.expect_int("a basis index")
+            self.expect("bracket", "[")
+            i_at, i = self.i, self.expect_int("a basis index")
             self.expect(",")
-            j_at = self.i
-            j = self.expect_int("a basis index")
+            j_at, j = self.i, self.expect_int("a basis index")
             self.expect("]")
             if not 1 <= i <= dim or not 1 <= j <= dim:
                 self.error("basis index out of range", i_at if not 1 <= i <= dim else j_at)
@@ -513,17 +531,12 @@ class _Parser:
 
     def parse_lincomb(self, dim):
         """Linear combination of basis symbols e1..ep with rational coefficients."""
-        out = {}
-        first = True
+        out, first = {}, True
         while True:
-            sign = Fraction(1)
-            if self.peek() == "-":
-                self.advance()
-                sign = Fraction(-1)
-            elif self.peek() == "+":
-                if first:
-                    self.error("a linear combination cannot start with '+'")
-                self.advance()
+            sign = self.peek()
+            if sign == "+" and first:
+                self.error("a linear combination cannot start with '+'")
+            self.i += sign in ("+", "-")
             coeff = Fraction(1)
             if self.peek().isdigit():
                 coeff = self.rational()
@@ -533,7 +546,7 @@ class _Parser:
             if not m or not 1 <= int(m.group(1)) <= dim:
                 self.error(f"expected a basis symbol e1..e{dim}", at)
             k = int(m.group(1)) - 1
-            out[k] = out.get(k, Fraction(0)) + sign * coeff
+            out[k] = out.get(k, Fraction(0)) + (-coeff if sign == "-" else coeff)
             first = False
             if self.peek() not in {"+", "-"}:
                 break
@@ -545,14 +558,11 @@ class _Parser:
         self.expect("of")
         alg_at = self.expect_name("an algebra name")
         algebra = self.lookup(self.ws.lie_algebras, alg_at, "lie_algebra")
-        self.expect("{")
-        self.expect("span")
-        self.expect("=")
+        self.expect("{", "span", "=")
         indices = []
 
         def index():
-            at = self.i
-            idx = self.expect_int("a basis index")
+            at, idx = self.i, self.expect_int("a basis index")
             if not 1 <= idx <= algebra.dim:
                 self.error("basis index out of range", at)
             if idx in indices:
@@ -561,7 +571,7 @@ class _Parser:
         self.comma_list("[", index, "]", empty=True)
         components = []
         while self.peek() == "component":
-            self.advance()
+            self.i += 1
             components.append(self.parse_matrix(algebra.dim))
         self.expect("}")
         basis = [[int(k == idx) for k in range(1, algebra.dim + 1)] for idx in indices]
@@ -579,9 +589,7 @@ class _Parser:
     def parse_chart(self):
         self.expect("chart")
         name_at = self.expect_name("a chart name")
-        self.expect("{")
-        self.expect("coords")
-        self.expect("=")
+        self.expect("{", "coords", "=")
         coords = []
 
         def coordinate():
@@ -604,7 +612,7 @@ class _Parser:
     def parse_function(self):
         self.expect("function")
         name_at = self.expect_name("a function name")
-        args = self.comma_list("(", self._coordinate_name, ")")
+        args = self._arguments()
         known = {c for chart in self.ws.charts.values() for c in chart.coordinates}
         for a in args:
             if a not in known:
@@ -612,47 +620,47 @@ class _Parser:
                            name_at, UnknownReference)
         if len(set(args)) != len(args):
             self.error("function arguments must be distinct", name_at, DuplicateName)
-        self.declare(self.ws.functions, name_at, tuple(args), "function")
+        self.declare(self.ws.functions, name_at, args, "function")
+        name = self.tokens[name_at]
+        self.symbols[name] = sf.FunctionSymbol(name, args, (0,) * len(args))
 
-    def _coordinate_name(self):
-        return self.tokens[self.expect_name("a coordinate name")]
+    def _arguments(self):
+        """The coordinate names in parentheses after a function's name."""
+        return tuple(self.comma_list(
+            "(", lambda: self.tokens[self.expect_name("a coordinate name")], ")"))
 
     def parse_tensor(self):
-        keyword = self.tokens[self.advance()]
+        keyword = self.tokens[self.expect_name()]
         noun, cls, store = _TENSOR_DECLS[keyword]
         name_at = self.expect_name(f"{noun} name")
         self.expect("on")
         chart_at = self.expect_name("a chart name")
         chart = self.lookup(self.ws.charts, chart_at, "chart")
         self.expect("=")
-        self.chart, self.rhs_start = chart, self.i
-        value = self.parse_tensor_expr()
-        kind = value.kind
+        self.chart, self.rhs_start, self.tape = chart, self.i, []
+        self.coords = {c: k for k, c in enumerate(chart.coordinates)}
+        kind, degree, value, self.i = self._expr(self.i)
         if keyword == "vectorfield":
-            if kind != "chain" or value.degree != 1:
+            if kind != "chain" or degree != 1:
                 self.error("a vector field needs D(coordinate) terms" if kind == "scalar"
                            else "a vector field must be a degree-1 chain expression",
                            name_at, ArityMismatch)
-        elif kind == "scalar":
-            value = self._apply(cls.kind, 0, lambda f: cls(chart, 0, {(): f}), value)
-        elif kind != cls.kind:
+        elif kind != "scalar" and kind != cls.kind:
             self.error(f"{noun} cannot contain {kind} atoms", name_at, ArityMismatch)
-        value.declared = True
-        self.declare(getattr(self.ws, store), name_at, value, keyword)
+        self.declare(getattr(self.ws, store), name_at,
+                     _Pending(cls, degree, chart, self.tape, value, self.source), keyword)
         self.ws.tensor_charts[self.tokens[name_at]] = self.tokens[chart_at]
 
     def parse_action(self):
         self.expect("action")
         name_at = self.expect_name("an action name")
-        self.expect("{")
-        self.expect("algebra")
+        self.expect("{", "algebra")
         alg_at = self.expect_name("an algebra name")
         algebra = self.lookup(self.ws.lie_algebras, alg_at, "lie_algebra")
         self.expect("chart")
         chart_at = self.expect_name("a chart name")
         chart = self.lookup(self.ws.charts, chart_at, "chart")
-        self.expect("generators")
-        self.expect("=")
+        self.expect("generators", "=")
 
         def generator():
             at = self.expect_name("a vector field name")
@@ -662,8 +670,7 @@ class _Parser:
             return self.tokens[at]
         names = tuple(self.comma_list("[", generator, "]"))
         self.expect("orbit_dim")
-        q_at = self.i
-        q = self.expect_int("the orbit dimension")
+        q_at, q = self.i, self.expect_int("the orbit dimension")
         self.expect("}")
         if len(names) != algebra.dim:
             self.error(f"need {algebra.dim} generators for {self.tokens[alg_at]!r}, "
@@ -691,206 +698,195 @@ class _Parser:
 
     # -- tensor/scalar expressions -----------------------------------------
     #
-    # An expression's value is a `_Pending` ScalarExpr, form or chain; its
-    # kind and degree are known at once.
+    # An expression is read by precedence level, the token index local, into
+    # (kind "scalar", "form" or "chain", degree, operand of `_Pending`, index
+    # after it).  Polynomials stay terms where combining them cannot fail: a
+    # sum, a product with a one-term factor, a unit monomial's power within
+    # budget, a nonzero constant divisor.  d(x), D(x) and their wedges stay
+    # maps; every other operation goes on the tape.
 
-    def _here(self):
-        """Where an arithmetic failure is reported: the current token, or the
-        start of the right-hand side at the end of the text."""
-        return self.i if self.peek() else self.rhs_start
+    def _here(self, i):
+        """Token i, or at the end of the text the start of the right-hand side."""
+        return i if self.tokens[i] else self.rhs_start
 
-    def _apply(self, kind, degree, fn, *operands, at=None):
-        """fn(*operands), of the given kind and degree, computed when read.  A
-        ScalarError or ChartError is reported at token `at`, by default
-        `_here()`."""
-        return _Pending(kind, degree, self.chart, fn, operands, self.source,
-                        self._here() if at is None else at)
+    def _put(self, fn, at, a, b=None):
+        self.tape.append((fn, at, a, b))
+        return len(self.tape) - 1
 
-    def parse_tensor_expr(self):
-        """Sum level."""
-        value = self.parse_tensor_term()
-        while self.peek() in {"+", "-"}:
-            op_at = self.advance()
-            other = self.parse_tensor_term()
-            value = self._sum(value, other, op_at, self.tokens[op_at] == "-")
-        return value
+    def _need(self, i, text):
+        if self.tokens[i] != text:
+            self.error(f"expected {text!r}, found {self.tokens[i]!r}", i)
+        return i + 1
 
-    def _sum(self, a, b, op_at, negate):
-        """a + b, or a + (-b) if `negate`; a scalar joins a tensor of degree 0."""
-        ka, kb = a.kind, b.kind
-        add = operator.add
+    def _expr(self, i):
+        """Sums of products of factors."""
+        toks, left = self.tokens, None
+        while True:
+            kind, degree, value, i = self._factor(i)
+            while (tok := toks[i]) == "*" or tok == "/":
+                at = i
+                k, d, v, i = self._factor(i + 1, at if tok == "/" else None)
+                kind, degree, value = self._product(kind, degree, value, at, k, d, v, i)
+            if left:
+                kind, degree, value = self._sum(*left, kind, degree, value, i)
+            if (tok := toks[i]) != "+" and tok != "-":
+                return kind, degree, value, i
+            left, i = (kind, degree, value, i), i + 1
+
+    def _sum(self, ka, da, a, op_at, kb, db, b, i):
+        """a + b, or a - b; a scalar joins a tensor of degree 0."""
+        fns = (operator.add, operator.sub) if ka == kb == "scalar" else (_add, _subtract)
+        negate = self.tokens[op_at] == "-"
         if ka == kb == "scalar":
-            kind, degree = "scalar", 0
+            if a.__class__ is list and b.__class__ is list:
+                return ka, 0, a + (_negate(b, None) if negate else b)
         elif "scalar" in (ka, kb):
-            t = b if ka == "scalar" else a
-            if t.degree != 0:
-                self.error(f"cannot add a scalar and a {t.kind} of degree {t.degree}", op_at,
+            ka, da = (kb, db) if ka == "scalar" else (ka, da)
+            if da:
+                self.error(f"cannot add a scalar and a {ka} of degree {da}", op_at,
                            ArityMismatch)
-            kind, degree, cls, chart = t.kind, 0, _TENSOR_DECLS[t.kind][1], self.chart
-            if ka == "scalar":
-                add = lambda f, u: cls(chart, 0, {(): f}) + u   # noqa: E731
-            else:
-                add = lambda u, f: cls(chart, 0, {(): f}) + u   # noqa: E731
         elif ka != kb:
             self.error("cannot add a form and a chain", op_at, ArityMismatch)
-        elif a.degree != b.degree:
-            self.error(f"cannot add degrees {a.degree} and {b.degree}", op_at, ArityMismatch)
-        else:
-            kind, degree = ka, a.degree
-        fn = (lambda x, y: add(x, -y)) if negate else add
-        return self._apply(kind, degree, fn, a, b)
+        elif da != db:
+            self.error(f"cannot add degrees {da} and {db}", op_at, ArityMismatch)
+        return ka, da, self._put(fns[negate], self._here(i), a, b)
 
-    def parse_tensor_term(self):
-        """Product level: factors joined by * and /."""
-        value = self.parse_tensor_factor()
-        while self.peek() in {"*", "/"}:
-            op_at = self.advance()
-            divide_at = op_at if self.tokens[op_at] == "/" else None
-            value = self._product(value, self.parse_tensor_factor(divide_at), op_at)
-        return value
-
-    def _product(self, a, b, op_at):
-        ka, kb = a.kind, b.kind
+    def _product(self, ka, da, a, op_at, kb, db, b, i):
+        if ka == kb == "scalar":
+            if a.__class__ is list and b.__class__ is list and (len(a) == 1 or len(b) == 1):
+                return ka, 0, [(x * y, m + n) for x, m in a for y, n in b]
+            return ka, 0, self._put(operator.mul, self._here(i), a, b)
         if ka == "scalar":
-            if kb == "scalar":
-                return self._apply("scalar", 0, operator.mul, a, b)
-            return self._apply(kb, b.degree, lambda f, t: t.scaled(f), a, b)
+            return kb, db, self._put(_scale, self._here(i), a, b)
         if kb == "scalar":
-            return self._apply(ka, a.degree, lambda t, f: t.scaled(f), a, b)
+            return ka, da, self._put(_scale, self._here(i), b, a)
         self.error("use '^' to wedge tensors, '*' is for scalar factors", op_at, ArityMismatch)
 
-    def parse_tensor_factor(self, divide_at=None):
-        """Atom with postfix ^: integer power on scalars, wedge on tensors.
+    def _factor(self, i, divide_at=None):
+        """An atom with postfix ^: integer power on scalars, wedge on tensors.
 
-        After `divide_at` ('/') the atom must be a scalar and is inverted
+        After '/' at `divide_at` the atom must be a scalar and is inverted
         before its powers, so that a / b^e reads as a * b^-e and a factored
         denominator parses back factor by factor.
         """
-        value = self.parse_tensor_atom()
-        kind = value.kind
+        toks = self.tokens
+        kind, degree, value, i = self._atom(i)
         if divide_at is not None:
             if kind != "scalar":
                 self.error("can only divide by a scalar", divide_at, ArityMismatch)
-            value = self._apply("scalar", 0, _invert, value, at=divide_at)
-        while self.peek() == "^":
-            op_at = self.advance()
-            if kind == "scalar":
-                neg = self.peek() == "-"
-                if neg:
-                    self.advance()
-                if not self.peek().isdigit():
-                    self.error("power of a scalar needs an integer exponent")
-                e = self.expect_int()
-                value = self._apply("scalar", 0, operator.pow, value, -e if neg else e)
+            if value.__class__ is list and not any(m for _, m in value) \
+                    and (c := sum(x for x, _ in value)):
+                value = [(Fraction(1) / c, ())]
             else:
-                other = self.parse_tensor_atom()
-                if other.kind == "scalar":
+                value = self._put(_invert, divide_at, value)
+        while toks[i] == "^":
+            op_at, i = i, i + 1
+            if kind != "scalar":
+                k, d, v, i = self._atom(i)
+                if k == "scalar":
                     self.error("cannot wedge with a scalar", op_at, ArityMismatch)
-                if other.kind != kind:
+                if k != kind:
                     self.error("cannot wedge a form with a chain", op_at, ArityMismatch)
-                value = self._wedge(value, other)
-        return value
+                degree, value = self._wedge(degree + d, value, v, i)
+                continue
+            sign = -1 if toks[i] == "-" else 1
+            i += sign < 0
+            if not toks[i].isdigit():
+                self.error("power of a scalar needs an integer exponent", i)
+            e, i = sign * int(toks[i]), i + 1
+            if value.__class__ is list and len(value) == 1 and value[0][0] in (1, -1) \
+                    and 0 <= e <= sf.MAX_POWER_WORK:   # `**` would take e products
+                (c, m), = value
+                value = [(c ** e, tuple((v, k * e) for v, k in m) if e else ())]
+            else:
+                value = self._put(lambda f, _, e=e: f ** e, self._here(i), value)
+        return kind, degree, value, i
 
-    def _wedge(self, a, b):
-        degree = a.degree + b.degree
+    def _wedge(self, degree, a, b, i):
         if degree > self.chart.dim:   # the error AltTensor.wedge raises
-            self.error("wedge degree exceeds chart dimension", self._here())
-        return self._apply(a.kind, degree, lambda s, t: s.wedge(t), a, b)
+            self.error("wedge degree exceeds chart dimension", self._here(i))
+        if a.__class__ is dict and b.__class__ is dict:   # basis atoms: one term, no sum
+            return degree, _wedge(a, b)
+        return degree, self._put(_wedge, self._here(i), a, b)
 
-    def parse_tensor_atom(self):
+    def _atom(self, i):
         """Every nested expression is read through here; past `MAX_NESTING`
         open atoms, an error at the token that opens one more."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.error(f"expression nested more than {MAX_NESTING} levels deep")
-        value = self._tensor_atom()
-        self.depth -= 1
-        return value
-
-    def _tensor_atom(self):
-        tok = self.peek()
-        if tok == "(":
-            self.advance()
-            value = self.parse_tensor_expr()
-            self.expect(")")
-            return value
-        if tok == "-":
-            self.advance()
-            value = self.parse_tensor_factor()
-            return self._apply(value.kind, value.degree, operator.neg, value)
-        if tok.isdigit():
-            self.advance()
-            return self._apply("scalar", 0, sf.rational, int(tok))
-        if tok == "d":
-            return self._basis_form()
-        if tok == "D":
-            return self._derivative_or_basis()
-        if tok == "wedge":
-            self.advance()
-            self.expect("(")
-            v1 = self.parse_tensor_expr()
-            self.expect(",")
-            v2 = self.parse_tensor_expr()
-            close_at = self.expect(")")
-            if v1.kind == "scalar" or v1.kind != v2.kind:
+            self.error(f"expression nested more than {MAX_NESTING} levels deep", i)
+        toks, tok, coords = self.tokens, self.tokens[i], self.coords
+        if tok in coords and toks[i + 1] != "(":
+            kind, degree, value, i = "scalar", 0, [(1, ((tok, 1),))], i + 1
+        elif tok == "(":
+            kind, degree, value, i = self._expr(i + 1)
+            i = self._need(i, ")")
+        elif tok == "-":
+            kind, degree, value, i = self._factor(i + 1)
+            value = (_negate(value, None) if value.__class__ in (list, dict)
+                     else self._put(_negate, self._here(i), value))
+        elif tok.isdigit():
+            kind, degree, value, i = "scalar", 0, [(int(tok), ())], i + 1
+        elif tok == "d" or tok == "D" and toks[i + 2] in coords and toks[i + 3] == ")":
+            if toks[i + 1] == "(" and toks[i + 2] in coords and toks[i + 3] == ")":
+                k, i = coords[toks[i + 2]], i + 4
+            else:
+                k, i = self._coordinate(self._need(i + 1, "("))
+                i = self._need(i, ")")
+            kind, degree, value = "form" if tok == "d" else "chain", 1, {(k,): sf.ONE}
+        elif tok == "D":   # D(expr, coordinate), a formal derivative
+            kind, degree, value, j = self._expr(self._need(i + 1, "("))
+            if kind != "scalar":
+                self.error("formal derivative applies to scalars", i, ArityMismatch)
+            k, j = self._coordinate(self._need(j, ","))
+            i = self._need(j, ")")
+            value = self._put(sf.partial, self._here(i), value, self.chart.coordinates[k])
+        elif tok == "wedge":
+            kind, degree, a, i = self._expr(self._need(i + 1, "("))
+            k, d, b, i = self._expr(self._need(i, ","))
+            close_at, i = i, self._need(i, ")")
+            if kind == "scalar" or kind != k:
                 self.error("wedge needs two forms or two chains", close_at, ArityMismatch)
-            return self._wedge(v1, v2)
-        if tok.isidentifier():
-            return self._name_atom()
-        self.error(f"unexpected token {tok!r} in expression")
+            degree, value = self._wedge(degree + d, a, b, i)
+        elif tok.isidentifier():
+            kind, degree, value, i = self._name_atom(i)
+        else:
+            self.error(f"unexpected token {tok!r} in expression", i)
+        self.depth -= 1
+        return kind, degree, value, i
 
-    def _basis_form(self):
-        self.advance()  # 'd'
-        self.expect("(")
-        coord = self._chart_coordinate()
-        self.expect(")")
-        i = self.chart.index(coord)
-        return self._apply("form", 1, cc.DiffForm, self.chart, 1, {(i,): sf.ONE})
+    def _coordinate(self, i):
+        """(index in the chart, index after it) of the coordinate at token i."""
+        name = self.tokens[i]
+        if not name.isidentifier():
+            self.error(f"expected a coordinate name, found {name!r}", i)
+        if name not in self.coords:
+            self.error(f"unknown coordinate {name!r}", i, UnknownReference)
+        return self.coords[name], i + 1
 
-    def _chart_coordinate(self):
-        at = self.expect_name("a coordinate name")
-        if self.tokens[at] not in self.chart.coordinates:
-            self.error(f"unknown coordinate {self.tokens[at]!r}", at, UnknownReference)
-        return self.tokens[at]
-
-    def _derivative_or_basis(self):
-        """D(coord) is a chain atom; D(expr, coord) a formal derivative."""
-        d_at = self.advance()
-        self.expect("(")
-        if self.peek() in self.chart.coordinates and self.peek(1) == ")":
-            i = self.chart.index(self.tokens[self.advance()])
-            self.advance()  # ')'
-            return self._apply("chain", 1, cc.MultiVectorField, self.chart, 1, {(i,): sf.ONE})
-        inner = self.parse_tensor_expr()
-        if inner.kind != "scalar":
-            self.error("formal derivative applies to scalars", d_at, ArityMismatch)
-        self.expect(",")
-        coord = self._chart_coordinate()
-        self.expect(")")
-        return self._apply("scalar", 0, sf.partial, inner, coord)
-
-    def _name_atom(self):
-        at = self.advance()
-        name = self.tokens[at]
-        if self.peek() == "(":
+    def _name_atom(self, i):
+        """A function symbol, or a field, form or chain read by name, which
+        goes on the tape."""
+        toks, at, name = self.tokens, i, self.tokens[i]
+        if toks[i + 1] == "(":
             args = self.lookup(self.ws.functions, at, "function")
-            if tuple(self.comma_list("(", self._coordinate_name, ")")) != args:
+            self.i = i + 1
+            got, i = self._arguments(), self.i
+            if got != args:
                 self.error(f"{name} is declared with arguments ({', '.join(args)})",
                            at, ArityMismatch)
-            missing = [a for a in args if a not in self.chart.coordinates]
+            missing = [a for a in args if a not in self.coords]
             if missing:
                 self.error(f"{name} depends on {missing[0]!r}, which is not a "
                            f"coordinate of this chart", at, ArityMismatch)
-            return self._apply("scalar", 0, sf.function, name, args)
-        if name in self.chart.coordinates:
-            return self._apply("scalar", 0, sf.coordinate, name)
+            return "scalar", 0, [(1, ((self.symbols[name], 1),))], i
         try:
             _, entry = self.ws.find_object(name)
         except KeyError:
             self.error(f"unknown name {name!r}", at, UnknownReference)
         if entry.chart != self.chart:
             self.error(f"{name!r} lives on a different chart", at, ArityMismatch)
-        return entry
+        return entry.kind, entry.degree, self._put(None, at, entry), i + 1
 
     # -- check directives ----------------------------------------------------
 
@@ -923,12 +919,10 @@ class _Parser:
         tokens) for a keyword list."""
         tok = self.peek()
         if tok.isidentifier() and self.peek(1) == "=":
-            kw_at = self.advance()
-            self.advance()
-            return kw_at, self.comma_list("[", self.expect_name, "]", empty=True)
+            return self.expect(tok, "=") - 1, self.comma_list("[", self.expect_name, "]", empty=True)
         if not (tok.isdigit() or tok.isidentifier()):
             self.error(f"unexpected token {tok!r} in check arguments")
-        return None, self.advance()
+        return None, self.expect(tok)
 
     def _check_positional(self, kind_at, check, ats):
         """Slot name -> [token] for the positional arguments; optional slots

@@ -284,10 +284,21 @@ class AltTensor:
                 raise ValueError(f"bad index tuple {idx} for degree {degree}")
             if any(not 0 <= i < dim for i in idx):
                 raise ValueError(f"index out of range in {idx}")
-        self.space = space
-        self.dim = dim
-        self.degree = degree
-        self.coeffs = {idx: c for idx, c in sorted(coeffs.items()) if not ring.is_zero(c)}
+        self._fill(space, degree, coeffs)
+
+    def _fill(self, space, degree, coeffs):
+        self.space, self.dim, self.degree = space, getattr(space, "dim", space), degree
+        is_zero = self.ring.is_zero
+        self.coeffs = {idx: c for idx, c in sorted(coeffs.items()) if not is_zero(c)}
+
+    @classmethod
+    def _of(cls, space, degree, coeffs):
+        """The tensor of coefficients that are already valid: index tuples
+        strictly increasing, in range and of the degree, values in the ring.
+        They are only sorted and rid of zeros; nothing is checked."""
+        out = object.__new__(cls)
+        out._fill(space, degree, coeffs)
+        return out
 
     @classmethod
     def zero(cls, space, degree):
@@ -320,17 +331,17 @@ class AltTensor:
         zero = self.ring.ZERO
         for idx, c in other.coeffs.items():
             d[idx] = d.get(idx, zero) + c
-        return type(self)(self.space, self.degree, d)
+        return self._of(self.space, self.degree, d)
 
     def __neg__(self):
-        return type(self)(self.space, self.degree, {i: -c for i, c in self.coeffs.items()})
+        return self._of(self.space, self.degree, {i: -c for i, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scaled(self, f):
         f = self.ring.normalize(f)
-        return type(self)(self.space, self.degree, {i: f * c for i, c in self.coeffs.items()})
+        return self._of(self.space, self.degree, {i: f * c for i, c in self.coeffs.items()})
 
     def wedge(self, other):
         """The wedge product of two tensors of one kind on one space."""
@@ -338,6 +349,6 @@ class AltTensor:
         degree = self.degree + other.degree
         if degree > self.dim:
             raise self.DegreeOverflow(f"wedge degree exceeds {self.noun} dimension")
-        return type(self)(self.space, degree, _accumulate(
+        return self._of(self.space, degree, _accumulate(
             (i1 + i2, a * b) for i1, a in self.coeffs.items()
             for i2, b in other.coeffs.items() if set(i1).isdisjoint(i2)))

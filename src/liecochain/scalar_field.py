@@ -246,12 +246,24 @@ def _monomial(mono, coef=Fraction(1)):
     return _Poly(vs, w, coef, {_pack(mono, vs, w): 1})
 
 
-def _from_terms(items):
-    """The polynomial of (term key, rational) pairs with distinct keys."""
-    monos = [(dict(m + s), Fraction(c)) for (m, s), c in items if c]
-    vs = tuple(sorted({v for m, _ in monos for v in m}, key=_var_order))
-    w = _width(max((e for m, _ in monos for e in m.values()), default=0))
-    row, scale = _integer_row({_pack(m, vs, w): c for m, c in monos})
+def _from_terms(terms):
+    """The polynomial sum of c * prod(v^e for v, e in mono) over the pairs
+    (c, mono) of terms: c rational, mono a sequence of (variable, exponent)
+    pairs in which a variable may repeat; monomials may repeat too."""
+    monos = []
+    for c, mono in terms:
+        if c:
+            m = {}
+            for v, e in mono:
+                m[v] = m.get(v, 0) + e
+            monos.append((c, m))
+    vs = tuple(sorted({v for _, m in monos for v in m}, key=_var_order))
+    w = _width(max((e for _, m in monos for e in m.values()), default=0))
+    at, row = {v: i * w for i, v in enumerate(vs)}, {}
+    for c, m in monos:
+        k = sum(e << at[v] for v, e in m.items())
+        row[k] = row.get(k, 0) + c
+    row, scale = _integer_row(row)
     return _make(vs, w, Fraction(1, scale), row)
 
 
@@ -556,8 +568,8 @@ class ScalarExpr:
     def __init__(self, num, den=()):
         """The value of canonical term tuples (`_terms`): num over the
         factors of den, a tuple of (term tuple, exponent)."""
-        den = tuple((_from_terms(f), k) for f, k in den)
-        e = _fraction(_from_terms(num), *_split(den))
+        den = tuple((_from_terms((c, m + s) for (m, s), c in f), k) for f, k in den)
+        e = _fraction(_from_terms((c, m + s) for (m, s), c in num), *_split(den))
         object.__setattr__(self, "num", e.num)
         object.__setattr__(self, "den", e.den)
 
@@ -780,6 +792,14 @@ ONE = _const(1)
 
 def rational(p, q=1):
     return _const(Fraction(p, q))
+
+
+def polynomial(terms):
+    """The polynomial of its terms, built in one step: (c, mono) pairs as
+    `_from_terms` reads them, so that x*y - 2*x^2 is [(1, (("x", 1), ("y",
+    1))), (-2, (("x", 2),))]; a variable is a coordinate name or a
+    FunctionSymbol."""
+    return _new(_from_terms(terms), ())
 
 
 def coordinate(name):

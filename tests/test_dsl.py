@@ -5,6 +5,7 @@ import pytest
 
 from liecochain import chart_calculus as cc
 from liecochain import dsl
+from liecochain import linalg
 from liecochain import scalar_field as sf
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -397,27 +398,78 @@ def test_nesting_bound():
 
 
 def test_each_node_is_built_once(monkeypatch):
-    """Reading every declaration in reverse text order, then in order,
-    computes each `_Pending` node the walk made exactly once: a name shares
-    the node of the declaration it reads."""
-    made, computed = [], []
-    init = dsl._Pending.__init__
-
-    def spy(self, kind, degree, chart, fn, *rest):
-        init(self, kind, degree, chart, lambda *vals: computed.append(self) or fn(*vals), *rest)
-        made.append(self)
-    monkeypatch.setattr(dsl._Pending, "__init__", spy)
+    """Reading every declaration in reverse text order, then in order, runs
+    each operation of the tapes the walk left exactly once and makes each
+    tensor once, and an operation on a name gets the very coefficients of
+    the value its declaration stores."""
     ws = dsl.load(GOOD_HEADER + "lie_algebra g { dim 2 }\nvectorfield v on M = D(x)\n"
                   "vectorfield u on M = v - z*v\n"
                   "action a { algebra g chart M generators = [v, u] orbit_dim 1 }\n"
                   "form f on M = K(z)*d(x)\nform h on M = f + x*f\nform k on M = h^f - f^d(y)\n"
+                  "form q on M = x/(y + K(z))^2*d(z) - D(x^2/y, y)*d(y)\n"
                   "chain c on M = 2\nchain e on M = c^u^v + 3*u^v\n", "w.lch")
+    stores = [getattr(ws, store) for _, _, store in dsl._TENSOR_DECLS.values()]
+    pending = [dict.__getitem__(store, name) for store in stores for name in store]
+    ran, names, made = [], [], []
+    for decl in pending:
+        tape = decl.tape
+        for k, (fn, at, a, b) in enumerate(tape):
+            if fn is not None:
+                def spy(*values, fn=fn, key=(id(decl), k), refs=(a, b), tape=tape):
+                    ran.append(key)
+                    names.extend((tape[r][2], v) for r, v in zip(refs, values)
+                                 if type(r) is int and tape[r][0] is None)
+                    return fn(*values)
+                tape[k] = (spy, at, a, b)
+    make = linalg.AltTensor._of.__func__
+    monkeypatch.setattr(linalg.AltTensor, "_of", classmethod(
+        lambda cls, *args: made.append(make(cls, *args)) or made[-1]))
     for kind, name in [*reversed(ws.order), *ws.order]:
         if kind in dsl._TENSOR_DECLS:
             getattr(ws, dsl._TENSOR_DECLS[kind][2])[name]
         elif kind == "action":
             ws.actions[name].spec
-    assert len(made) > 20 and sorted(map(id, computed)) == sorted(map(id, made))
+    ops = [(id(d), k) for d in pending for k, (fn, *_) in enumerate(d.tape) if fn is not None]
+    assert len(ops) > 10 and sorted(ran) == sorted(ops)
+    assert sorted(map(id, made)) == sorted(id(store[name]) for store in stores for name in store)
+    assert len(names) > 5 and all(value is decl.value.coeffs for decl, value in names)
+
+
+def _constructions(monkeypatch):
+    """The AltTensors made from here on, by any constructor."""
+    made = []
+    fill = linalg.AltTensor._fill
+
+    def spy(self, *args):
+        made.append(self)
+        fill(self, *args)
+    monkeypatch.setattr(linalg.AltTensor, "_fill", spy)
+    return made
+
+
+@pytest.mark.parametrize("decl", [
+    "vectorfield X1 on M = -y*D(x) + x*D(y)",
+    "chain chi on M = 1/(x^2 + y^2 + z^2)*(x*D(y)^D(z) - y*D(x)^D(z) + z*D(x)^D(y))",
+    "form omega on M = (2 - 3*z + 3*z^2)/(1 + 3*z^2 + z^4)/y*d(x)^d(z)",
+    "form w on M = wedge(f, d(y) + x*d(z)) - 2*f^d(z)/K(z) + D(K(z)*x, x)*d(x)^d(y)",
+    "chain c on M = -(x*D(x) - D(y))^(y*D(y)^D(z))/2 - D(x)^D(y)^D(z)",
+    "form s on M = x^2 + y*f0 - 1/K(z)"])
+def test_a_declaration_makes_one_tensor(decl, monkeypatch):
+    """Building one declared field, form or chain makes exactly one AltTensor:
+    the walk keeps coefficient maps and only the declaration is a tensor.
+    The names it reads are built first."""
+    ws = dsl.load(GOOD_HEADER + "form f on M = K(z)*d(x) + y*d(z)\nform f0 on M = x - 1\n"
+                  + decl + "\n", "w.lch")
+    kind, name = ws.order[-1]
+    store = getattr(ws, dsl._TENSOR_DECLS[kind][2])
+    ws.forms["f"], ws.forms["f0"]
+    made = _constructions(monkeypatch)
+    value = store[name]
+    assert made == [value]
+    monkeypatch.undo()
+    assert value == dsl.parse(GOOD_HEADER + "form f on M = K(z)*d(x) + y*d(z)\n"
+                              "form f0 on M = x - 1\n" + decl + "\n").store(
+        "field" if kind == "vectorfield" else kind)[name]
 
 
 def test_concurrent_first_reads_store_equal_values():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -60,3 +61,78 @@ def test_exactness_no_drift():
     assert linalg.rank(m) == 2
     inv = linalg.inverse(m)
     assert linalg.matmul(m, inv) == linalg.identity(2)
+
+
+# -- alternating tensors: operations skip the checks of `__init__` --------------
+
+
+def _inversions(idx):
+    return sum(a > b for k, a in enumerate(idx) for b in idx[k + 1:])
+
+
+def _validated(t, degree, coeffs):
+    """The tensor that `__init__` checks and normalises from coeffs."""
+    return type(t)(t.space, degree, coeffs)
+
+
+def _assert_operations_validate(a, b, f):
+    """`+`, `-`, negation, `scaled` and `wedge` on a and b (one kind on one
+    space) equal the validated construction of the same coefficients, with
+    entries in index order and no zero."""
+    zero = a.ring.ZERO
+    keys = a.coeffs.keys() | b.coeffs.keys()
+    results = [(-a, _validated(a, a.degree, {k: -c for k, c in a.coeffs.items()})),
+               (a.scaled(f), _validated(a, a.degree, {k: f * c for k, c in a.coeffs.items()}))]
+    if a.degree == b.degree:
+        results += [(a + b, _validated(a, a.degree, {k: a.coefficient(k) + b.coefficient(k)
+                                                     for k in keys})),
+                    (a - b, _validated(a, a.degree, {k: a.coefficient(k) - b.coefficient(k)
+                                                     for k in keys}))]
+    if a.degree + b.degree <= a.dim:
+        product = {}
+        for i, x in a.coeffs.items():
+            for j, y in b.coeffs.items():
+                if not set(i) & set(j):
+                    key = tuple(sorted(i + j))
+                    term = x * y if _inversions(i + j) % 2 == 0 else -(x * y)
+                    product[key] = product.get(key, zero) + term
+        results.append((a.wedge(b), _validated(a, a.degree + b.degree, product)))
+    for got, want in results:
+        assert got == want and type(got) is type(want) and got.dim == want.dim
+        assert list(got.coeffs) == sorted(got.coeffs)
+        assert not any(a.ring.is_zero(c) for c in got.coeffs.values())
+
+
+def test_tensor_operations_equal_the_validated_construction():
+    """On chart tensors with rational coefficients and on forms on an
+    algebra, each operation's result equals the tensor `__init__` builds."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from genutil import invariance_strategies
+    from liecochain import lie_cohomology as lc
+    from liecochain import scalar_field as sf
+    st = hypothesis.strategies
+    gen = invariance_strategies(st)
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    @st.composite
+    def altforms(draw, dim=4):
+        degree = draw(st.integers(0, dim))
+        tuples = list(combinations(range(dim), degree))
+        return lc.AltForm(dim, degree, draw(st.dictionaries(st.sampled_from(tuples), fractions,
+                                                            max_size=4)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        if data.draw(st.booleans()):
+            a = data.draw(gen.tensors)
+            b = data.draw(gen.tensors.filter(lambda t: type(t) is type(a)))
+            f = data.draw(st.sampled_from([sf.ONE, sf.ZERO, sf.rational(-2, 3), *b.coeffs.values()]))
+            if data.draw(st.booleans()):   # one degree, often cancelling
+                b = type(a)(a.space, a.degree, {**a.coeffs, **{k: -c for k, c in b.coeffs.items()
+                                                               if len(k) == a.degree}})
+        else:
+            a, b, f = data.draw(altforms()), data.draw(altforms()), data.draw(fractions)
+        _assert_operations_validate(a, b, f)
+        _assert_operations_validate(a, a, f)
+    check()
