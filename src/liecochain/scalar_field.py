@@ -408,7 +408,9 @@ def _times(terms, n):
 
 def _common_scale(contents):
     """Integers proportional to the nonzero rational contents, the lcm of
-    their denominators times each."""
+    their denominators times each; all 1 when the contents are equal."""
+    if len(contents) < 2 or len(set(contents)) == 1:
+        return [1] * len(contents)
     den = lcm(*(c.denominator for c in contents))
     return [c.numerator * (den // c.denominator) for c in contents]
 
@@ -864,12 +866,16 @@ def _clear(exprs, polys=(), spare=0):
     """The expressions over L, the lcm of their denominators, on one layout
     (vs, w): the variables of their numerators, of L and of polys, in the
     order met.  Returns (vs, w, top, numerators, factors): the numerators
-    num_i * (L / den_i), all times one positive integer, and the factors of
+    num_i * (L / den_i), all times one nonzero rational, and the factors of
     L as (terms, exponent), primitive, each variable of its monomial a
     factor of its own, all bare terms; top bounds the exponents of a
     numerator plus those of every factor, and w holds exponents up to 2 *
-    top + spare.  Refused by `_lcm`'s limit."""
-    mono, factors, cofactors = _lcm(exprs)
+    top + spare.  Refused by `_lcm`'s limit.  Without denominators L is 1:
+    no `_lcm`, no cofactor, and the numerators as they are."""
+    if not any(e.den for e in exprs):
+        mono, factors, cofactors = {}, {}, [_P_ONE] * len(exprs)
+    else:
+        mono, factors, cofactors = _lcm(exprs)
     nums = [e.num for e in exprs]
     vs = tuple(dict.fromkeys([v for p in (*nums, *factors, *polys) for v in p.vs] + [*mono]))
     top = max(map(_top, nums), default=0) + max(map(_top, cofactors), default=0) \
@@ -993,7 +999,7 @@ def _check_table(table, coeffs, components):
 
 def _join_generator(table, components):
     """X's components as bare terms of the check's layout, all times one
-    positive integer.  The layout first widens its fields if X's exponents
+    nonzero rational.  The layout first widens its fields if X's exponents
     need it, moving every term it holds, and takes X's variables that it
     lacks."""
     polys = [c.num for c in components.values()]

@@ -786,6 +786,32 @@ def test_adding_zero_builds_nothing(swell_counts):
     assert e + sf.ZERO is e and sf.ZERO + e is e
 
 
+def test_a_tensor_without_denominators_is_cleared_without_an_lcm(monkeypatch):
+    """K(y) D(x) under the shears D(x), y D(x), y^2 D(x): its clearing takes
+    the numerators as they are, with no `_lcm`, no cofactor product and no
+    rescaling, and the verdict is the exact kernel's."""
+    ws = dsl.parse("chart N { coords = [x, y] }\nfunction K(y)\nlie_algebra a3 { dim 3 }\n"
+                   "vectorfield w1 on N = D(x)\nvectorfield w2 on N = y*D(x)\n"
+                   "vectorfield w3 on N = y^2*D(x)\n"
+                   "action act { algebra a3 chart N generators = [w1, w2, w3] orbit_dim 1 }\n"
+                   "chain chi on N = K(y)*D(x)\nchain psi on N = -3*K(y)*D(x) + 3/2*y*D(y)\n")
+    calls, scales = Counter(), []
+    for name in ("_lcm", "_p_mul"):
+        def spy(*args, fn=getattr(sf, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(sf, name, spy)
+    common_scale = sf._common_scale
+    monkeypatch.setattr(sf, "_common_scale",
+                        lambda contents: scales.append(common_scale(contents)) or scales[-1])
+    act = ws.actions["act"].spec
+    assert aa.check_invariant_multivector(act, ws.chains["chi"]).ok
+    assert not calls and scales and all(set(s) == {1} for s in scales)
+    verdict = aa.check_invariant_multivector(act, ws.chains["psi"])
+    assert not calls["_lcm"] and any(set(s) != {1} for s in scales)
+    assert (verdict.ok, verdict.generator) == _kernel_verdict(act.generators, ws.chains["psi"])[:2]
+
+
 # -- invariance verdicts: the decision, and the exact kernel for a witness -----
 
 
