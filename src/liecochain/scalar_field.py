@@ -159,6 +159,7 @@ class _Poly:
         return self._hash
 
 
+_F_ONE = Fraction(1)
 _P_ZERO = _Poly((), _MIN_WIDTH, Fraction(0), {})
 _P_ONE = _Poly((), _MIN_WIDTH, Fraction(1), {0: 1})
 
@@ -248,8 +249,8 @@ def _monomial(mono, coef=Fraction(1)):
 
 def _from_terms(terms):
     """The polynomial sum of c * prod(v^e for v, e in mono) over the pairs
-    (c, mono) of terms: c rational, mono a sequence of (variable, exponent)
-    pairs in which a variable may repeat; monomials may repeat too."""
+    (c, mono) of terms: c rational, mono a sequence of (variable, exponent
+    > 0) pairs in which a variable may repeat; monomials may repeat too."""
     monos = []
     for c, mono in terms:
         if c:
@@ -257,12 +258,18 @@ def _from_terms(terms):
             for v, e in mono:
                 m[v] = m.get(v, 0) + e
             monos.append((c, m))
+    if len(monos) == 1:
+        return _monomial(monos[0][1], _F_ONE if monos[0][0] == 1 else Fraction(monos[0][0]))
     vs = tuple(sorted({v for _, m in monos for v in m}, key=_var_order))
     w = _width(max((e for _, m in monos for e in m.values()), default=0))
     at, row = {v: i * w for i, v in enumerate(vs)}, {}
     for c, m in monos:
-        k = sum(e << at[v] for v, e in m.items())
+        k = 0
+        for v, e in m.items():
+            k += e << at[v]
         row[k] = row.get(k, 0) + c
+    if all(c.__class__ is int for c in row.values()):
+        return _make(vs, w, _F_ONE, {k: c for k, c in row.items() if c})
     row, scale = _integer_row(row)
     return _make(vs, w, Fraction(1, scale), row)
 
