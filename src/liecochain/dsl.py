@@ -7,12 +7,16 @@ subexpressions share one surface syntax (`K(z)`, `D(K(z),z)`, `p/q`, `^`);
 `d(x)` is a form atom, `D(x)` a chain atom, and `^` between tensor atoms is
 the wedge.
 
-One recursive-descent walk, `load`, reports every error of syntax, names,
-kinds, degrees, charts, duplicates, check directives and nesting at once,
-and records how to build each field, form, chain and action: each is built
-on first read, by a loop, and an error of value (a zero divisor, a power,
-sum or derivative over its work budget) is reported then.  `parse` is
-`load` and a read of every declaration in text order.
+One walk, `load`, reports every error of syntax, names, kinds, degrees,
+charts, duplicates, check directives and nesting at once.  Its expression
+grammar reads by precedence level, the token index in a local variable: a
+polynomial stays a list of terms, d(x) and D(x) stay coefficient maps, and
+every other operation goes on its declaration's tape.  Each field, form,
+chain and action is built on first read: the tape runs in text order on
+{index tuple: ScalarExpr} maps, and the tensor is made once.  An error of
+value (a zero divisor, a power, sum or derivative over its work budget) is
+reported then.  `parse` is `load` and a read of every declaration in text
+order.
 """
 
 from __future__ import annotations
@@ -244,6 +248,8 @@ class CheckDecl:
 
 
 OBJECT_KINDS = ("form", "field", "chain")   # what an `object` reference names
+_STORES = {"lie_algebra": "lie_algebras", "subgroup": "subgroups", "action": "actions",
+           "point": "points", "form": "forms", "field": "vector_fields", "chain": "chains"}
 
 
 @dataclass
@@ -264,9 +270,7 @@ class Workspace:
 
     def store(self, kind):
         """The declarations of a reference kind of `CHECKS`, by name."""
-        return {"lie_algebra": self.lie_algebras, "subgroup": self.subgroups,
-                "action": self.actions, "point": self.points, "form": self.forms,
-                "field": self.vector_fields, "chain": self.chains}[kind]
+        return getattr(self, _STORES[kind])
 
     def find_object(self, name, kinds=OBJECT_KINDS):
         """(kind, entry) for the declaration of `name` among `kinds`, which
@@ -302,7 +306,7 @@ class Check:
     slots: tuple
     command: tuple = ()   # the command-line words; () for a check with no command
 
-    @property
+    @functools.cached_property
     def positional(self):
         """How many slots a directive writes positionally: the single slots
         before the first list; every later slot is a keyword list, holding

@@ -17,7 +17,9 @@ Fractions with the same pivot order, and all outputs are deterministic.
 
 `AltTensor` is the one container for alternating tensors: forms and
 multivectors on a chart, with ScalarExpr coefficients, and forms on a Lie
-algebra, with rational coefficients.  Every sign of a basis monomial comes
+algebra, with rational coefficients.  Its constructor checks and normalises
+what it is given; its operations build their results with `_of`, which only
+sorts and drops zeros.  Every sign of a basis monomial comes
 from `_sort_sign` through two rules: `_accumulate` sums terms on unsorted
 index tuples, and `_contract` splits e^I = sign * e^J ^ e^rest.
 """

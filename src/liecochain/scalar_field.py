@@ -159,7 +159,6 @@ class _Poly:
         return self._hash
 
 
-_F_ONE = Fraction(1)
 _P_ZERO = _Poly((), _MIN_WIDTH, Fraction(0), {})
 _P_ONE = _Poly((), _MIN_WIDTH, Fraction(1), {0: 1})
 
@@ -259,7 +258,7 @@ def _from_terms(terms):
                 m[v] = m.get(v, 0) + e
             monos.append((c, m))
     if len(monos) == 1:
-        return _monomial(monos[0][1], _F_ONE if monos[0][0] == 1 else Fraction(monos[0][0]))
+        return _monomial(monos[0][1], Fraction(monos[0][0]))
     vs = tuple(sorted({v for _, m in monos for v in m}, key=_var_order))
     w = _width(max((e for _, m in monos for e in m.values()), default=0))
     at, row = {v: i * w for i, v in enumerate(vs)}, {}
@@ -268,8 +267,6 @@ def _from_terms(terms):
         for v, e in m.items():
             k += e << at[v]
         row[k] = row.get(k, 0) + c
-    if all(c.__class__ is int for c in row.values()):
-        return _make(vs, w, _F_ONE, {k: c for k, c in row.items() if c})
     row, scale = _integer_row(row)
     return _make(vs, w, Fraction(1, scale), row)
 
