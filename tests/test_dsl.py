@@ -435,18 +435,6 @@ def test_each_node_is_built_once(monkeypatch):
     assert len(names) > 5 and all(value is decl.value.coeffs for decl, value in names)
 
 
-def _constructions(monkeypatch):
-    """The AltTensors made from here on, by any constructor."""
-    made = []
-    fill = linalg.AltTensor._fill
-
-    def spy(self, *args):
-        made.append(self)
-        fill(self, *args)
-    monkeypatch.setattr(linalg.AltTensor, "_fill", spy)
-    return made
-
-
 @pytest.mark.parametrize("decl", [
     "vectorfield X1 on M = -y*D(x) + x*D(y)",
     "chain chi on M = 1/(x^2 + y^2 + z^2)*(x*D(y)^D(z) - y*D(x)^D(z) + z*D(x)^D(y))",
@@ -455,21 +443,23 @@ def _constructions(monkeypatch):
     "chain c on M = -(x*D(x) - D(y))^(y*D(y)^D(z))/2 - D(x)^D(y)^D(z)",
     "form s on M = x^2 + y*f0 - 1/K(z)"])
 def test_a_declaration_makes_one_tensor(decl, monkeypatch):
-    """Building one declared field, form or chain makes exactly one AltTensor:
-    the walk keeps coefficient maps and only the declaration is a tensor.
-    The names it reads are built first."""
-    ws = dsl.load(GOOD_HEADER + "form f on M = K(z)*d(x) + y*d(z)\nform f0 on M = x - 1\n"
-                  + decl + "\n", "w.lch")
+    """Building one declared field, form or chain makes exactly one AltTensor,
+    counted on `_fill`, which every constructor runs: the walk keeps
+    coefficient maps and only the declaration is a tensor.  The names it
+    reads are built first."""
+    text = (GOOD_HEADER + "form f on M = K(z)*d(x) + y*d(z)\nform f0 on M = x - 1\n"
+            + decl + "\n")
+    ws = dsl.load(text, "w.lch")
     kind, name = ws.order[-1]
-    store = getattr(ws, dsl._TENSOR_DECLS[kind][2])
+    store = dsl._TENSOR_DECLS[kind][2]
     ws.forms["f"], ws.forms["f0"]
-    made = _constructions(monkeypatch)
-    value = store[name]
-    assert made == [value]
+    made, fill = [], linalg.AltTensor._fill
+    monkeypatch.setattr(linalg.AltTensor, "_fill",
+                        lambda self, *args: made.append(self) or fill(self, *args))
+    value = getattr(ws, store)[name]
+    assert len(made) == 1 and made[0] is value
     monkeypatch.undo()
-    assert value == dsl.parse(GOOD_HEADER + "form f on M = K(z)*d(x) + y*d(z)\n"
-                              "form f0 on M = x - 1\n" + decl + "\n").store(
-        "field" if kind == "vectorfield" else kind)[name]
+    assert value == getattr(dsl.parse(text), store)[name]
 
 
 def test_concurrent_first_reads_store_equal_values():

@@ -127,7 +127,8 @@ def test_tensor_operations_equal_the_validated_construction():
         if data.draw(st.booleans()):
             a = data.draw(gen.tensors)
             b = data.draw(gen.tensors.filter(lambda t: type(t) is type(a)))
-            f = data.draw(st.sampled_from([sf.ONE, sf.ZERO, sf.rational(-2, 3), *b.coeffs.values()]))
+            f = data.draw(st.sampled_from([sf.ONE, sf.ZERO, sf.rational(-2, 3),
+                                           *b.coeffs.values()]))
             if data.draw(st.booleans()):   # one degree, often cancelling
                 b = type(a)(a.space, a.degree, {**a.coeffs, **{k: -c for k, c in b.coeffs.items()
                                                                if len(k) == a.degree}})

@@ -14,7 +14,6 @@ from pathlib import Path
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 
@@ -665,9 +664,9 @@ class _Fails(Exception):
         self.offset = offset
 
 
-def reader_strategies(st):
-    """`workspaces`: lists of declarations (keyword, name, tree); a tree is a
-    tuple (operation, operands...), typed as it is drawn.  The first two
+def reader_workspaces(st):
+    """Lists of declarations (keyword, name, tree); a tree is a tuple
+    (operation, operands...), typed as it is drawn.  The first two
     declarations are a form and a chain of degree 0 from scalar trees, and
     later ones read earlier ones by name."""
     scalar_leaves = [st.integers(0, 3).map(lambda n: ("int", n)),
@@ -722,7 +721,7 @@ def reader_strategies(st):
             names.append((f"{kind[0]}{i}", kind, degree))
         return decls
 
-    return SimpleNamespace(workspaces=workspaces())
+    return workspaces()
 
 
 def reader_text(decls):
@@ -843,11 +842,10 @@ def test_reader_matches_a_fold_of_public_operations():
     or, where the fold fails on a value (a zero divisor, a negative power of
     zero, a power over MAX_POWER_WORK), raises at the same span."""
     hypothesis = pytest.importorskip("hypothesis")
-    strategies = reader_strategies(hypothesis.strategies)
     seen = Counter()
 
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(strategies.workspaces)
+    @hypothesis.given(reader_workspaces(hypothesis.strategies))
     def check(decls):
         text, marks = reader_text(decls)
         try:
