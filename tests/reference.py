@@ -1,15 +1,15 @@
 """Reference implementations for oracle tests: Gauss-Jordan elimination in
 Fractions, the CE operators evaluated form by form from their defining
-formulas, relative CE cohomology in Fractions on those operators, the
-interior product of a chart form by one vector field, the
-Lie bracket of two vector fields component by component, the sign of a
-permutation by counting inversions, scalar fractions with expanded
-denominators over polynomials held as sorted (term, Fraction) tuples, and
-the workspace tokenizer that scans line by line and character by
-character.  All are deliberately naive and independent of `liecochain`'s
-fraction-free elimination, assembled operators, signed monomial rules, Lie
-derivative, factored denominators, packed integer polynomials and one-pass
-scanner."""
+formulas, relative CE cohomology in Fractions on those operators, subgroup
+validation in Fractions, the interior product of a chart form by one vector
+field, the Lie bracket of two vector fields component by component, the
+sign of a permutation by counting inversions, scalar fractions with
+expanded denominators over polynomials held as sorted (term, Fraction)
+tuples, and the workspace tokenizer that scans line by line and character
+by character.  All are deliberately naive and independent of `liecochain`'s
+fraction-free elimination, assembled operators, integer subgroup checks,
+signed monomial rules, Lie derivative, factored denominators, packed
+integer polynomials and one-pass scanner."""
 
 import re
 from fractions import Fraction
@@ -259,6 +259,52 @@ def relative_cohomology(brackets, dim, vectors, matrices, degree):
     dims = {degree - 1: len(below)} if degree else {}
     dims[degree] = len(basis)
     return len(kernel) - image_rank, dims, reps
+
+
+# -- subgroup validation in Fractions ---------------------------------------------
+#
+# The checks as the program made them before they moved to integers: brackets
+# of dense Fraction vectors, Gauss-Jordan ranks for span membership, and a
+# Fraction inverse to find a singular component.
+
+
+def is_automorphism(brackets, dim, matrix):
+    """Does the matrix preserve brackets: [Mu, Mv] = M[u, v] on the basis?"""
+    e = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    cols = [[matrix[r][c] for r in range(dim)] for c in range(dim)]
+    for i, j in combinations(range(dim), 2):
+        rhs = _bracket(brackets, dim, e[i], e[j])
+        image = [sum((matrix[r][k] * rhs[k] for k in range(dim)), Fraction(0))
+                 for r in range(dim)]
+        if _bracket(brackets, dim, cols[i], cols[j]) != image:
+            return False
+    return True
+
+
+def validate_subgroup(brackets, dim, vectors, matrices):
+    """The violation strings for a subalgebra basis and component matrices,
+    in the program's order; an empty list when they define a subgroup."""
+    problems = []
+
+    def in_span(v):
+        return rank(vectors + [v]) == rank(vectors)
+
+    if rank(vectors) != len(vectors):
+        problems.append("subalgebra basis vectors are linearly dependent")
+    for a, b in combinations(range(len(vectors)), 2):
+        if not in_span(_bracket(brackets, dim, vectors[a], vectors[b])):
+            problems.append(f"subalgebra not closed under bracket at pair ({a}, {b})")
+    for m_idx, m in enumerate(matrices):
+        if inverse(m) is None:
+            problems.append(f"component matrix {m_idx} is singular")
+            continue
+        if not is_automorphism(brackets, dim, m):
+            problems.append(f"component matrix {m_idx} does not preserve brackets")
+        for v in vectors:
+            image = [sum((row[k] * v[k] for k in range(dim)), Fraction(0)) for row in m]
+            if not in_span(image):
+                problems.append(f"component matrix {m_idx} does not preserve the subalgebra")
+    return problems
 
 
 def interior_vector(x, omega):

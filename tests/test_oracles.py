@@ -1,7 +1,8 @@
 """Oracle tests: the fraction-free elimination against Gauss-Jordan in
 Fractions (and sympy), the assembled CE operators against the operators
 evaluated form by form from their definitions, the integer relative complex
-against relative cohomology in Fractions, pinned representatives, the
+against relative cohomology in Fractions, the integer subgroup checks against
+the checks in Fractions, pinned representatives, the
 contraction signs of basis monomials against inversion counts, scalar
 arithmetic on factored denominators against expanded denominators (and
 sympy), the one-pass tokenizer against the line-by-line one, and the
@@ -19,8 +20,8 @@ import pytest
 
 import reference as ref
 from genutil import (random_altform, random_invertible, random_lie_algebra,
-                     random_rational, random_scalar, random_so3_automorphism, so,
-                     subgroup_unchecked, transport_algebra)
+                     random_rational, random_scalar, random_so3_automorphism,
+                     rational_rotation, so, subgroup_unchecked, transport_algebra)
 from liecochain import action_analysis as aa
 from liecochain import chart_calculus as cc
 from liecochain import dsl, linalg
@@ -483,6 +484,69 @@ def test_both_paths_find_the_complex_not_closed():
         alg, sub = moved_case("so3", "trivial", rng, broken=True)
         assert lc.validate_subgroup(alg, sub)
         assert assert_complex_matches_reference(alg, sub, valid=False) >= 1
+
+
+# -- subgroup validation against the Fraction checks -------------------------------
+
+DEFECTS = ["singular", "dependent", "not closed", "moves the span"]
+
+
+def with_defect(rng, n, sub, defect):
+    """The subgroup with one defect put in: a singular component matrix, a
+    vector dependent on the others, random vectors (whose span is seldom
+    closed) or a random invertible component (which seldom keeps the span)."""
+    vectors = [list(v) for v in sub.basis]
+    matrices = [[list(row) for row in m] for m in sub.component_reps]
+    if defect == "singular":
+        m = random_invertible(rng, n)
+        m[-1] = [random_rational(rng) * x for x in m[0]] if n > 1 else [Fraction(0)]
+        matrices.insert(rng.randint(0, len(matrices)), m)
+    elif defect == "dependent":
+        c = random_rational(rng)
+        vectors.append([c * x for x in vectors[0]] if vectors else [Fraction(0)] * n)
+    elif defect == "not closed":
+        vectors += [[random_rational(rng) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+    else:
+        matrices.append(random_invertible(rng, n))
+    return lc.SubgroupSpec.from_vectors(vectors, matrices)
+
+
+def assert_validation_matches_reference(alg, sub):
+    vectors = [list(v) for v in sub.basis]
+    matrices = [[list(row) for row in m] for m in sub.component_reps]
+    assert lc.validate_subgroup(alg, sub) == \
+        ref.validate_subgroup(alg.brackets, alg.dim, vectors, matrices)
+    for m in matrices:
+        if ref.inverse(m) is not None:
+            assert lc.is_automorphism(alg, m) == ref.is_automorphism(alg.brackets, alg.dim, m)
+
+
+def test_subgroup_validation_matches_the_fraction_checks():
+    """The same problem strings in the same order as the checks in
+    Fractions, on the moved cases (broken or not) and on subgroups with a
+    defect put in."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(sorted(COMPLEX_CASES)),
+                      st.sampled_from(["trivial", "circle", "o2"]), st.booleans(),
+                      st.sampled_from([None] + DEFECTS), st.integers(0, 2 ** 32 - 1))
+    def check(name, kind, broken, defect, seed):
+        rng = random.Random(seed)
+        alg, sub = moved_case(name, kind, rng, broken)
+        if defect:
+            sub = with_defect(rng, alg.dim, sub, defect)
+        assert_validation_matches_reference(alg, sub)
+
+    check()
+    # rotations of so(3) preserve brackets, and the line e_2 when it is their axis
+    rng = random.Random(53)
+    for axis in (0, 1, 2):
+        turned = lc.SubgroupSpec.from_vectors([[0, 0, 1]], [rational_rotation(rng, axis)])
+        assert_validation_matches_reference(so(3), turned)
+        assert lc.validate_subgroup(so(3), turned) == (
+            [] if axis == 2 else ["component matrix 0 does not preserve the subalgebra"])
 
 
 # -- scalar arithmetic on factored denominators ------------------------------------
