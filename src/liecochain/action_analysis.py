@@ -84,7 +84,7 @@ def bracket_violations(action):
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
             expect = cc.MultiVectorField.zero(action.chart, 1)
-            for k, c in alg.bracket_basis(i, j).items():
+            for k, c in alg.brackets.get((i, j), {}).items():
                 expect = expect + gens[k].scaled(sf.rational(c))
             residual = cc.lie_bracket(gens[i], gens[j]) - expect
             if not residual.is_zero():

@@ -5,15 +5,15 @@ A Lie algebra is given by structure constants; a subgroup by a subalgebra
 basis plus one adjoint matrix per extra connected component.  Relative
 cohomology is computed degreewise by exact kernel/image linear algebra, the
 identity component acting infinitesimally and extra components through their
-matrices.  The differential and the relative constraints are assembled from
-the bracket table as the images of basis monomials, once per degree, and
-handed to `linalg` as sparse rows of integers: an algebra keeps its
-structure constants scaled by the lcm of their denominators, subalgebra
-vectors are primitive and component inverses integral, which changes no
-kernel or image.  The relative forms and the kernel of d are primitive
-integer vectors (`linalg.kernel`); Fractions appear only in the
-representatives, and the public per-form operators divide by the scale
-once at the end.
+matrices.  The subgroup is validated, and the differential and the relative
+constraints are assembled from the bracket table as the images of basis
+monomials, once per degree, all in integers: an algebra keeps its structure
+constants scaled by the lcm of their denominators, subalgebra vectors are
+primitive and component matrices and inverses integral, which changes no
+span, rank, kernel or image.  The rows go to `linalg` as sparse integer
+rows; the relative forms and the kernel of d are primitive integer vectors
+(`linalg.kernel`).  Fractions appear only in the representatives, and the
+public per-form operators divide by the scale once at the end.
 
 Differential convention, on basis tuples x_0..x_r:
     (d a)(x_0,...,x_r) = sum_{i<j} (-1)^{i+j} a([x_i,x_j], ..no x_i, x_j..)
@@ -28,7 +28,8 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .linalg import SingularMatrix, _accumulate, _contract, _integer_row, _primitive
+from .linalg import (SingularMatrix, _accumulate, _contract, _integer_inverse, _integer_matrix,
+                     _integer_row, _primitive, _replace_sign)
 
 
 class CohomologyError(Exception):
@@ -77,26 +78,9 @@ class LieAlgebra:
         self.integer_brackets, self.scale = _integer_row(
             {(i, j, k): c for (i, j), rhs in table.items() for k, c in rhs.items()})
 
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a sparse {k: coefficient} map, any i, j."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-
     def bracket(self, u, v):
         """[u, v] for dense rational coordinate vectors."""
-        out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.dim):
-                if v[j] == 0:
-                    continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] += u[i] * v[j] * c
-        return out
+        return [Fraction(x, self.scale) for x in _bracket(self.integer_brackets, u, v)]
 
     def __eq__(self, other):
         return (isinstance(other, LieAlgebra) and self.dim == other.dim
@@ -155,45 +139,48 @@ def validate_lie_algebra(algebra):
     return violations
 
 
+def _bracket(brackets, u, v):
+    """scale * [u, v] from the integer bracket table, as a dense list."""
+    out = [0] * len(u)
+    for (i, j, k), c in brackets.items():
+        if x := u[i] * v[j] - u[j] * v[i]:
+            out[k] += x * c
+    return out
+
+
 def is_automorphism(algebra, matrix):
-    """Does the matrix preserve brackets: [Mu, Mv] = M[u, v] on the basis?"""
-    n = algebra.dim
-    cols = [[matrix[r][c] for r in range(n)] for c in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = algebra.bracket(cols[i], cols[j])
-            rhs_sparse = algebra.bracket_basis(i, j)
-            rhs = [Fraction(0)] * n
-            for k, c in rhs_sparse.items():
-                for r in range(n):
-                    rhs[r] += c * matrix[r][k]
-            if lhs != rhs:
-                return False
-    return True
+    """Does the matrix preserve brackets: [Mu, Mv] = M[u, v] on the basis?
+    In integers, for M = A / l: [A e_i, A e_j] = l A [e_i, e_j]."""
+    a, scale = _integer_matrix(matrix)
+    n, table, cols = len(a), algebra.integer_brackets, list(zip(*a))
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    return all(_bracket(table, cols[i], cols[j])
+               == [scale * x for x in linalg.matvec(a, _bracket(table, unit[i], unit[j]))]
+               for i, j in combinations(range(n), 2))
 
 
 def validate_subgroup(algebra, sub):
-    """Violation strings for an invalid SubgroupSpec; empty list when valid."""
+    """Violation strings for an invalid SubgroupSpec; empty list when valid.
+    In integers: primitive vectors, integer multiples of the matrices and the
+    integer bracket table change no span, rank or bracket direction."""
     problems = []
     n = algebra.dim
-    basis = [list(v) for v in sub.basis]
+    basis = [_primitive_vector(v) for v in sub.basis]
     span = linalg.Echelon(basis)
     if len(span) != len(basis):
         problems.append("subalgebra basis vectors are linearly dependent")
     for a, b in combinations(range(len(basis)), 2):
-        if not span.contains(algebra.bracket(basis[a], basis[b])):
+        if not span.contains(_bracket(algebra.integer_brackets, basis[a], basis[b])):
             problems.append(f"subalgebra not closed under bracket at pair ({a}, {b})")
     for m_idx, m in enumerate(sub.component_reps):
-        m = [list(row) for row in m]
-        try:
-            linalg.inverse(m)
-        except SingularMatrix:
+        a, _ = _integer_matrix(m)
+        if linalg.rank(a) < n:
             problems.append(f"component matrix {m_idx} is singular")
             continue
         if not is_automorphism(algebra, m):
             problems.append(f"component matrix {m_idx} does not preserve brackets")
         for v in basis:
-            if not span.contains(linalg.matvec(m, v)):
+            if not span.contains(linalg.matvec(a, v)):
                 problems.append(f"component matrix {m_idx} does not preserve the subalgebra")
     return problems
 
@@ -244,12 +231,22 @@ def _dual_table(brackets):
     return dual
 
 
+def _replaced(t, terms):
+    """{sorted tuple: sum} over the terms (m, new, c): c times a^t with its
+    slot m replaced by the increasing tuple new, signed; zeros dropped."""
+    out = {}
+    for m, new, c in terms:
+        if s := _replace_sign(t, m, new):
+            sign, u = s
+            out[u] = out.get(u, 0) + (c if sign > 0 else -c)
+    return {u: x for u, x in out.items() if x}
+
+
 def _d_image(dual, t):
     """d a^t = sum over slots m of (-1)^m a^{t1} ^ .. (d a^{tm}) .. ^ a^{tr}, with
-    d a^k = -sum_{i<j} c^k_ij a^i ^ a^j: (-1)^m moves a^i before the m factors."""
-    out = _accumulate(((i,) + t[:m] + (j,) + t[m + 1:], -c)
-                      for m, k in enumerate(t) for i, j, c in dual.get(k, ()))
-    return {u: x for u, x in out.items() if x}
+    d a^k = -sum_{i<j} c^k_ij a^i ^ a^j in the slot of a^k."""
+    return _replaced(t, ((m, (i, j), c if m & 1 else -c)
+                         for m, k in enumerate(t) for i, j, c in dual.get(k, ())))
 
 
 def _interior_image(v, t):
@@ -272,9 +269,8 @@ def _coadjoint_table(brackets, v):
 
 def _action_image(table, t):
     """v.a^t: v acts on each slot in turn."""
-    out = _accumulate((t[:m] + (j,) + t[m + 1:], c)
-                      for m, k in enumerate(t) for j, c in table.get(k, {}).items())
-    return {u: x for u, x in out.items() if x}
+    return _replaced(t, ((m, (j,), c) for m, k in enumerate(t)
+                         for j, c in table.get(k, {}).items()))
 
 
 def _pullback_image(minv, t):
@@ -301,18 +297,14 @@ class _Constraints:
     of each subalgebra vector, and M - 1 for each component matrix M.  Each
     map is scaled to integers: the vectors are primitive, the bracket table
     is the algebra's integer table, and for M^-1 = N / s the map is N - s^r
-    in degree r."""
+    in degree r.  A trivial subgroup has no conditions and no images."""
 
     def __init__(self, algebra, sub):
         self.dim = algebra.dim
         self.vectors = [_primitive_vector(v) for v in sub.basis]
         self.tables = [_coadjoint_table(algebra.integer_brackets, v) for v in self.vectors]
-        self.inverses = []
-        for m in sub.component_reps:
-            n = len(m)
-            flat, s = _integer_row(sum(linalg.inverse([list(row) for row in m]), []))
-            self.inverses.append(
-                ([[flat.get(i * n + j, 0) for j in range(n)] for i in range(n)], s))
+        self.inverses = [_integer_inverse(m) for m in sub.component_reps]
+        self.trivial = not (self.vectors or self.inverses)
         self._images = {}
 
     def images(self, t):
@@ -335,14 +327,14 @@ class _Constraints:
         rows, and those monomials in order: the columns."""
         tuples = list(combinations(range(self.dim), degree))
         rows = {}
-        for t in tuples:
+        for t in () if self.trivial else tuples:
             for key, x in self.images(t).items():
                 rows.setdefault(key, {})[t] = x
         return list(rows.values()), tuples
 
     def hold(self, coeffs):
         """Does the form with these coefficients satisfy every condition?"""
-        return not _apply(coeffs, self.images)
+        return self.trivial or not _apply(coeffs, self.images)
 
 
 def ce_differential(algebra, alpha):

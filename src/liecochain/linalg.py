@@ -21,11 +21,14 @@ algebra, with rational coefficients.  Its constructor checks and normalises
 what it is given; its operations build their results with `_of`, which only
 sorts and drops zeros.  Every sign of a basis monomial comes
 from `_sort_sign` through two rules: `_accumulate` sums terms on unsorted
-index tuples, and `_contract` splits e^I = sign * e^J ^ e^rest.
+index tuples, and `_contract` splits e^I = sign * e^J ^ e^rest; where one
+slot of a sorted tuple is replaced by a short sorted tuple, `_replace_sign`
+gives the same sign by counting.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from types import SimpleNamespace
@@ -40,7 +43,7 @@ def identity(n):
 
 
 def matvec(m, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m]
+    return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
 def matmul(a, b):
@@ -51,12 +54,14 @@ def matmul(a, b):
 
 def _integer_row(v):
     """(row, scale): the nonzero entries of v times scale, as a sparse row
-    of integers; scale is the lcm of their denominators."""
-    items = [(c, x) for c, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x]
-    if not items:
-        return {}, 1
-    scale = lcm(*(x.denominator for _, x in items))
-    return {c: x.numerator * (scale // x.denominator) for c, x in items}, scale
+    of integers; scale is the lcm of their denominators, 1 with no pass
+    when every entry is an int."""
+    row = dict(v) if isinstance(v, dict) and all(v.values()) else {
+        c: x for c, x in (v.items() if isinstance(v, dict) else enumerate(v)) if x}
+    if set(map(type, row.values())) <= {int}:
+        return row, 1
+    scale = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (scale // x.denominator) for c, x in row.items()}, scale
 
 
 def _primitive(row, pivot):
@@ -207,13 +212,29 @@ def nullspace(m, columns=None):
             for v in kernel(m, columns) for fc in [next(reversed(v))]]
 
 
-def inverse(m):
+def _integer_matrix(m):
+    """(A, l): A = l * m in ints, for l the lcm of the denominators of m."""
     n = len(m)
-    aug = [list(row) + ident_row for row, ident_row in zip(m, identity(n))]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    flat, scale = _integer_row([x for row in m for x in row])
+    return [[flat.get(i * n + j, 0) for j in range(n)] for i in range(n)], scale
+
+
+def _integer_inverse(m):
+    """(N, s) with m^-1 = N / s, N in ints and s the lcm of the denominators
+    of m^-1, from the echelon of [l m | l I]: the held row of pivot c is
+    primitive, so its pivot entry is the lcm of those of row c of m^-1."""
+    a, scale = _integer_matrix(m)
+    n = len(a)
+    held = Echelon(row + [scale * (i == j) for j in range(n)] for i, row in enumerate(a))._rows
+    if sorted(held) != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
-    return [row[n:] for row in rows]
+    s = lcm(*(held[c][c] for c in range(n)))
+    return [[held[c].get(n + j, 0) * (s // held[c][c]) for j in range(n)] for c in range(n)], s
+
+
+def inverse(m):
+    n_mat, s = _integer_inverse(m)
+    return [[Fraction(x, s) for x in row] for row in n_mat]
 
 
 # -- alternating tensors ------------------------------------------------------
@@ -247,6 +268,21 @@ def _accumulate(terms):
             c = c if sign > 0 else -c
             out[key] = out[key] + c if key in out else c
     return out
+
+
+def _replace_sign(t, m, new):
+    """`_sort_sign` of t with its slot m replaced by new, for strictly
+    increasing t and new, by counting: an index landing at position p among
+    the rest of t passes |p - m| of them.  None if it is among them."""
+    rest = t[:m] + t[m + 1:]
+    out, start, passed = (), 0, 0
+    for x in new:
+        p = bisect_left(rest, x)
+        if p < len(rest) and rest[p] == x:
+            return None
+        out += rest[start:p] + (x,)
+        start, passed = p, passed + p - m
+    return -1 if passed & 1 else 1, out + rest[start:]
 
 
 def _contract(idx, j):

@@ -863,7 +863,7 @@ def test_invariance_verdicts_match_the_exact_kernel():
 
 def test_proportionality_decision_matches_the_residual():
     """sf.proportional decides what the exact residual of
-    multivector_proportionality decides."""
+    multivector_proportionality decides, wherever it does not decline."""
     hypothesis = pytest.importorskip("hypothesis")
     gen = invariance_strategies(hypothesis.strategies)
 
@@ -871,9 +871,30 @@ def test_proportionality_decision_matches_the_residual():
     @hypothesis.given(gen.pairs)
     def check(pair):
         a, b = pair
-        assert sf.proportional(a.coeffs, b.coeffs) == (
-            aa.multivector_proportionality(a, b) is not None)
+        decision = sf.proportional(a.coeffs, b.coeffs)
+        hypothesis.assume(decision is not None)
+        assert decision == (aa.multivector_proportionality(a, b) is not None)
     check()
+
+
+def test_proportionality_over_the_sum_limit_is_declined(monkeypatch):
+    """A pair the strategy of the property above draws: the products
+    A_k B_0 and A_0 B_k take 31,104 term products, over MAX_SUM_WORK, so
+    the decision is None; with the limit lifted it is the residual's."""
+    x, y, z = (sf.coordinate(c) for c in "xyz")
+    K, h = sf.function("K", ("z",)), sf.function("h", ("x", "y"))
+    hy = sf.partial(h, "y")
+    a = cc.DiffForm(M3, 1, {(0,): sf.ONE / (y * z), (1,): (1 - 3 * K) / (K + 1),
+                            (2,): (hy - z * hy - 1) / ((x ** 2 + 1) * (y + z))})
+    b = cc.DiffForm(M3, 1, {(0,): (3 * x * h - 3 * x - z ** 131) / (K + z) ** 2,
+                            (1,): 3 - 2 * sf.partial(K, "z"),
+                            (2,): sf.rational(-3) / (x ** 2 + y ** 2 + z ** 2)})
+    assert sf.proportional(a.coeffs, b.coeffs) is None
+    monkeypatch.setattr(sf, "MAX_SUM_WORK", 31_104)
+    assert sf.proportional(a.coeffs, b.coeffs) is False
+    assert aa.multivector_proportionality(a, b) is None
+    monkeypatch.setattr(sf, "MAX_SUM_WORK", 31_103)
+    assert sf.proportional(a.coeffs, b.coeffs) is None
 
 
 def test_common_denominator_over_the_sum_limit_is_decided_by_the_kernel():

@@ -36,7 +36,7 @@ def test_parse_builds_engine_objects():
     ws = load("solvable")
     action = ws.actions["act"].spec
     assert action.orbit_dim == 2
-    assert action.algebra.bracket_basis(0, 1) == {1: -1}
+    assert action.algebra.brackets[(0, 1)] == {1: -1}
     v1 = ws.vector_fields["v1"]
     assert sf.equals(v1.components[0], sf.coordinate("x"))
     omega = ws.forms["omega"]

@@ -325,19 +325,30 @@ def test_fraction_count_includes_arithmetic(monkeypatch):
     assert (product, count) == (Fraction(5, 2), 1)
 
 
-@pytest.mark.parametrize("n,degree,built", [(4, 3, 10), (5, 2, 0)])
-def test_integer_complex_builds_fractions_only_for_representatives(monkeypatch, n, degree,
-                                                                   built):
-    """The relative complex stays in integers from the bracket table to the
+SO4_CIRCLE = lc.SubgroupSpec.from_vectors([[1, 0, 0, 0, 0, 0]])
+# (name, algebra, subgroup, degree, Fractions built): so(3)/O(2) = RP^2 and
+# so(4)/circle = S^2 x S^3 in every degree
+FRACTION_CASES = [("so4", so(4), TRIVIAL, 3, 10), ("so5", so(5), TRIVIAL, 2, 0)]
+FRACTION_CASES += [("so3/O2", SO3, O2, r, built) for r, built in enumerate([2, 0, 0, 0])]
+FRACTION_CASES += [("so4/circle", so(4), SO4_CIRCLE, r, built)
+                   for r, built in enumerate([2, 0, 4, 2, 0, 2, 0])]
+
+
+@pytest.mark.parametrize("name,alg,sub,degree,built", FRACTION_CASES,
+                         ids=[f"{c[0]}-H{c[3]}" for c in FRACTION_CASES])
+def test_integer_complex_builds_fractions_only_for_representatives(monkeypatch, name, alg, sub,
+                                                                   degree, built):
+    """The relative complex stays in integers from the subgroup check to the
     echelon: a Fraction is built twice per coefficient of a representative
     (the reduced vector scaled to pivot 1, then AltForm's coercion), and
-    nowhere else.  The count repeats exactly."""
-    alg = so(n)
+    nowhere else; validating the subgroup builds none.  The count repeats
+    exactly."""
     for _ in range(2):
         res, count = _fractions_built(
-            monkeypatch, lambda: lc.relative_cohomology(alg, TRIVIAL, degree))
-        assert count == built
-        assert count <= 2 * sum(len(rep.coeffs) for rep in res.representatives)
+            monkeypatch, lambda: lc.relative_cohomology(alg, sub, degree))
+        assert count == built == 2 * sum(len(rep.coeffs) for rep in res.representatives)
+        problems, count = _fractions_built(monkeypatch, lambda: lc.validate_subgroup(alg, sub))
+        assert (problems, count) == ([], 0)
     rows = [{0: 2, 3: -4}, {1: 6, 2: 3}, {0: 1, 1: 1, 3: 5}, {0: 3, 1: 1, 2: 0, 3: 1}]
     dense = [[row.get(c, 0) for c in range(4)] for row in rows]
     for m in (rows, dense):
@@ -346,3 +357,36 @@ def test_integer_complex_builds_fractions_only_for_representatives(monkeypatch, 
     basis, count = _fractions_built(monkeypatch, lambda: linalg.kernel(rows, range(4)))
     assert (basis, count) == ([{0: 2, 1: -7, 2: 14, 3: 1}], 0)
 
+
+def test_no_constraint_pass_without_a_subgroup(monkeypatch):
+    """A trivial subgroup asks for no image under a constraint map, while
+    building the relative forms or checking that d keeps them; a circle
+    does."""
+    calls = []
+    images = lc._Constraints.images
+    monkeypatch.setattr(lc._Constraints, "images",
+                        lambda self, t: calls.append(t) or images(self, t))
+    for alg in (SO3, SOLV2, so(4)):
+        for r in range(alg.dim + 1):
+            lc.relative_cohomology(alg, TRIVIAL, r)
+    assert calls == []
+    lc.relative_cohomology(SO3, SO2, 1)
+    assert calls
+
+
+def test_no_fraction_inverse_or_rref_in_the_complex(monkeypatch):
+    """Validation and the relative complex invert no matrix in Fractions
+    and take no rref, for valid subgroups with rational components and
+    for invalid ones."""
+    moved = lc.conjugate_subgroup(SO3, O2, [[1, 0, 0], [0, Fraction(3, 5), Fraction(-4, 5)],
+                                            [0, Fraction(4, 5), Fraction(3, 5)]])
+    calls = []
+    for name in ("inverse", "rref"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name: calls.append(name))
+    for alg, sub in ((SO3, O2), (SO3, moved), (so(4), SO4_CIRCLE)):
+        assert lc.validate_subgroup(alg, sub) == []
+        for r in range(alg.dim + 1):
+            lc.relative_cohomology(alg, sub, r)
+    singular = lc.SubgroupSpec.from_vectors([[0, 0, 1]], [[[1, 0, 0], [0, 1, 0], [1, 0, 0]]])
+    assert lc.validate_subgroup(SO3, singular) == ["component matrix 0 is singular"]
+    assert calls == []

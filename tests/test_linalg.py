@@ -137,3 +137,20 @@ def test_tensor_operations_equal_the_validated_construction():
         _assert_operations_validate(a, b, f)
         _assert_operations_validate(a, a, f)
     check()
+
+
+def test_counted_replacement_signs_equal_the_sort():
+    """For every increasing tuple over at most 6 indices, every slot and
+    every increasing 1- or 2-index replacement: `_replace_sign` gives what
+    `_sort_sign` gives for the tuple with that slot replaced, None on a
+    repeated index included."""
+    checked = repeated = 0
+    for r in range(1, 7):
+        for t in combinations(range(6), r):
+            for m in range(r):
+                for new in [*combinations(range(6), 1), *combinations(range(6), 2)]:
+                    want = linalg._sort_sign(t[:m] + new + t[m + 1:])
+                    assert linalg._replace_sign(t, m, new) == want
+                    checked += 1
+                    repeated += want is None
+    assert (checked, 0 < repeated < checked) == (192 * 21, True)

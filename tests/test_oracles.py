@@ -228,7 +228,7 @@ def assert_assembly_matches(alg, sub):
     per-form definitions times one nonzero constant per map and degree:
     the bracket scale for d, lam for the interior product by the primitive
     multiple lam * v of v, lam times the bracket scale for the action of v,
-    and s^r for M - 1 when M^-1 = N / s."""
+    and s^r for M - 1 when M^-1 = N / s, s the lcm of its denominators."""
     p = alg.dim
     vectors = [list(v) for v in sub.basis]
     matrices = [[list(row) for row in m] for m in sub.component_reps]
@@ -248,6 +248,7 @@ def assert_assembly_matches(alg, sub):
     for (n, s), m in zip(constraints.inverses, matrices):
         assert_integers({(i, j): x for i, row in enumerate(n) for j, x in enumerate(row)})
         assert n == [[s * x for x in row] for row in ref.inverse(m)]
+        assert s == math.lcm(*(x.denominator for row in ref.inverse(m) for x in row))
     dual = lc._dual_table(brackets)
     for r in range(p + 1):
         factors = (lams if r else []) + [lam * scale for lam in lams]
