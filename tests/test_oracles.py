@@ -5,8 +5,9 @@ against relative cohomology in Fractions, the integer subgroup checks against
 the checks in Fractions, pinned representatives, the
 contraction signs of basis monomials against inversion counts, scalar
 arithmetic on factored denominators against expanded denominators (and
-sympy), the one-pass tokenizer against the line-by-line one, and the
-dimensions of the fixed spaces at a point against sympy's ranks."""
+sympy), the value and partials of a scalar at a point against sympy's
+`diff` and `subs`, the one-pass tokenizer against the line-by-line one, and
+the dimensions of the fixed spaces at a point against sympy's ranks."""
 
 import math
 import operator
@@ -148,8 +149,8 @@ def test_fixed_space_dimensions_match_sympy_ranks():
     sympy's basis: dim T = n - rank J and
     dim(T meet V) = dim T + rank G - rank[basis of T; G] in sympy, for J the
     stacked Jacobians of the isotropy fields and G the generators' values,
-    on polynomial generators at rational points where many of them
-    vanish."""
+    on generators at rational points where many of them vanish, some
+    components over a linear denominator that is nonzero there."""
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
@@ -166,10 +167,14 @@ def test_fixed_space_dimensions_match_sympy_ranks():
         exponents = st.one_of(linear, st.tuples(*[st.integers(0, 2)] * n))
         terms = st.lists(st.tuples(st.integers(-1, 1), exponents), max_size=3)
         values = st.one_of(st.tuples(*[st.integers(-1, 1)] * n), st.just((0,) * n))
-        gens = draw(st.lists(st.tuples(values, st.lists(terms, min_size=n, max_size=n)),
+        # a denominator c + s * (x_j - point_j) is c at the point
+        den = st.one_of(st.none(), st.tuples(st.sampled_from([1, 2, -1]),
+                                             st.integers(0, n - 1), st.sampled_from([-1, 1, 2])))
+        gens = draw(st.lists(st.tuples(values, st.lists(st.tuples(terms, den),
+                                                        min_size=n, max_size=n)),
                              min_size=1, max_size=3))
-        return n, point, [[[(c, (0,) * n)] + [t for t in comp if any(t[1])]
-                           for c, comp in zip(value, comps)] for value, comps in gens]
+        return n, point, [[([(c, (0,) * n)] + [t for t in comp if any(t[1])], d)
+                           for c, (comp, d) in zip(value, comps)] for value, comps in gens]
 
     @hypothesis.settings(max_examples=120, deadline=None, database=None)
     @hypothesis.given(cases())
@@ -181,7 +186,7 @@ def test_fixed_space_dimensions_match_sympy_ranks():
         fields, sym_fields = [], []
         for comps in gens:
             exprs, sym_exprs = [], []
-            for comp in comps:
+            for comp, den in comps:
                 e, u = sf.ZERO, sympy.Integer(0)
                 for c, mono in comp:
                     t, w = sf.rational(c), sympy.Integer(c)
@@ -189,6 +194,10 @@ def test_fixed_space_dimensions_match_sympy_ranks():
                         t = t * (sf.coordinate(name) - sf.rational(a)) ** k
                         w = w * (sym - at[sym]) ** k
                     e, u = e + t, u + w
+                if den:
+                    c, j, s = den
+                    e = e / (c + s * (sf.coordinate(chart.coordinates[j]) - sf.rational(point[j])))
+                    u = u / (c + s * (syms[j] - at[syms[j]]))
                 exprs.append(e)
                 sym_exprs.append(u)
             fields.append(cc.vector_field(chart, exprs))
@@ -636,6 +645,81 @@ def test_factored_denominators_against_sympy_cancel():
                         lambda e, c: sympy.diff(e, names[c]))
         got = sympy.sympify(_sympy_text(new), locals=names)
         assert sympy.cancel(got - want) == 0
+
+
+def _outcome(call):
+    """A call's value, or the class and message of the scalar error it raises."""
+    try:
+        return call()
+    except sf.ScalarError as exc:
+        return type(exc), str(exc)
+
+
+def point_jet(e, point):
+    """The value of e at the point and its partials by x, y and z there."""
+    return e.eval_at(point), tuple(sf.partial(e, c).eval_at(point) for c in COORDS)
+
+
+def test_point_jets_match_sympy():
+    """At seeded rational points, the value and the partials of a random
+    fraction with factored denominators equal sympy's `diff` and `subs` of
+    its text.  Where `eval_at` raises (a point on a denominator factor, a
+    function symbol, a coordinate without a value), the jet raises the same
+    error with the same message."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    names = {c: sympy.Symbol(c) for c in COORDS}
+    value = st.fractions(-2, 2, max_denominator=3)
+    terms = st.lists(st.tuples(st.integers(-3, 3), st.tuples(*[st.integers(0, 2)] * 3)),
+                     min_size=1, max_size=4)
+    seen = Counter()
+
+    def poly(draw, point):
+        """A random polynomial; often shifted to vanish at the point, often
+        times a function symbol."""
+        p = sf.polynomial([(c, tuple((v, k) for v, k in zip(COORDS, mono) if k))
+                           for c, mono in draw(terms)])
+        if draw(st.booleans()) and p.eval_at(point) != 0:
+            p = p - p.eval_at(point)
+        if draw(st.integers(0, 5)) == 0:
+            p = p * sf.function(*draw(st.sampled_from(FUNCS)))
+        return p
+
+    @st.composite
+    def cases(draw):
+        point = dict(zip(COORDS, draw(st.tuples(value, value, value))))
+        e = sf.ZERO
+        for _ in range(draw(st.integers(1, 2))):
+            den = sf.ONE
+            for _ in range(draw(st.integers(0, 2))):
+                if not (f := poly(draw, point)).is_zero():
+                    den = den * f ** draw(st.integers(1, 3))
+            e = e + poly(draw, point) / den
+        if draw(st.integers(0, 7)) == 0:
+            del point["z"]
+        return e, point
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        e, point = case
+        want = _outcome(lambda: e.eval_at(point))
+        got = _outcome(lambda: point_jet(e, point))
+        if isinstance(want, tuple):
+            seen[want[0].__name__] += 1
+            assert got == want
+            return
+        seen["value"] += 1
+        u = sympy.sympify(_sympy_text(e), locals=names)
+        at = {names[c]: sympy.Rational(a.numerator, a.denominator) for c, a in point.items()}
+        expected = (u.subs(at),) + tuple(sympy.diff(u, names[c]).subs(at) for c in COORDS)
+        assert got[0] == want
+        assert [sympy.Rational(x.numerator, x.denominator) for x in (got[0],) + got[1]] == \
+            list(expected)
+    check()
+    assert min(seen[k] for k in ("value", "PoleAtPoint", "UnresolvedFunctionSymbol",
+                                 "UnknownCoordinate")) >= 3, seen
 
 
 def test_dsl_round_trip_is_structural():
