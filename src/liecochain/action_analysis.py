@@ -70,10 +70,12 @@ class Verdict:
     witness: object = None         # residual tensor/expression on failure
 
 
-def _generators_at(action, point):
-    """Row i: the components of generator i at the point."""
-    pt = action.chart.point_map(point)
-    return [[c.eval_at(pt) for c in g.components] for g in action.generators]
+def _generators_at(action, point, jets=False):
+    """Row i: the components of generator i at the point, or with jets their
+    values and partials by the coordinates there (`ScalarExpr.jet_at`)."""
+    pt, names = action.chart.point_map(point), action.chart.coordinates
+    return [[c.jet_at(pt, names) if jets else c.eval_at(pt) for c in g.components]
+            for g in action.generators]
 
 
 def bracket_violations(action):
@@ -130,23 +132,27 @@ def _isotropy(values):
 
 def fixed_space_at(action, point):
     """(isotropy basis, dim fixed tangent, dim fixed vertical) at the point,
-    the generators evaluated there once.  The isotropy algebra acts on the
-    tangent space through the Jacobians of its vanishing fields, stacked in
-    J: v is fixed iff J v = 0.  For the generators' values G, v = G^T c is
-    fixed iff J G^T c = 0, and the kernel of c -> G^T c lies in that of
-    J G^T, so the fixed vertical space has dimension rank G - rank(J G^T)."""
-    chart = action.chart
-    values = _generators_at(action, point)
+    the generators evaluated there once, with their Jacobians J_i.  The
+    isotropy algebra acts on the tangent space through J(xi) = sum_i xi_i J_i
+    (the Jacobian is linear in xi) for xi in its basis, stacked in J: v is
+    fixed iff J v = 0.  For the
+    generators' values G, v = G^T c is fixed iff J G^T c = 0, and the kernel
+    of c -> G^T c lies in that of J G^T, so the fixed vertical space has
+    dimension rank G - rank(J G^T).  Every rank is taken on integer rows."""
+    n = action.chart.dim
+    jets = _generators_at(action, point, jets=True)
+    values = [[v for v, _ in row] for row in jets]
     basis = _isotropy(values)
+    jacobians = [[{j: x for j, x in enumerate(d) if x} for _, d in row] for row in jets]
     rows = []
     for xi in basis:
-        vf = cc.MultiVectorField.zero(chart, 1)
-        for i, c in enumerate(xi):
-            if c != 0:
-                vf = vf + action.generators[i].scaled(sf.rational(c))
-        rows.extend(cc.jacobian_at(vf, point))
-    return (basis, chart.dim - linalg.rank(rows),
-            linalg.rank(values) - linalg.rank(linalg.matmul(rows, list(zip(*values)))))
+        for i in range(n):
+            row = {}
+            for c, jac in zip(xi, jacobians):
+                for j, x in jac[i].items() if c else ():
+                    row[j] = row.get(j, 0) + c * x
+            rows.append(row)
+    return basis, n - linalg.rank(rows), linalg.rank(values) - linalg.product_rank(rows, values)
 
 
 def _invariant(action, t, lie_derivative):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalar_field as sf
-from .linalg import AltTensor, _accumulate, _contract, _sort_sign
+from .linalg import AltTensor, _accumulate, _contract, _replace_sign
 
 
 class ChartError(Exception):
@@ -215,7 +215,7 @@ def _factor_terms(r, idx, form):
         for m in range(r.dim):
             i, k = (j, m) if form else (m, j)
             if (i,) in r.coeffs and (m == j or m not in idx):
-                sign, key = _sort_sign(idx[:s] + (m,) + idx[s + 1:])
+                sign, key = _replace_sign(idx, s, (m,))
                 yield (sign if form else -sign), key, i, k
 
 
@@ -232,7 +232,7 @@ def lie_derivative_vanishes(x, t, table):
 
 
 def jacobian_at(x, point):
-    """Exact matrix of partials: entry (i, j) = d_j X^i at the point."""
+    """Exact matrix of partials: entry (i, j) = d_j X^i at the point, row i
+    from one jet of X^i (`ScalarExpr.jet_at`)."""
     pt = x.chart.point_map(point)
-    return [[sf.partial(c, name).eval_at(pt) for name in x.chart.coordinates]
-            for c in x.components]
+    return [c.jet_at(pt, x.chart.coordinates)[1] for c in x.components]

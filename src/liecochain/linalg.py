@@ -174,16 +174,27 @@ def rref(m):
 
 
 def rank(m):
-    if not m or not m[0]:
-        return 0
+    """The rank of dense or sparse rows."""
     return len(Echelon(m))
+
+
+def product_rank(a, b):
+    """rank(a b^T) for dense or sparse rows a and b, on integer rows: scaling
+    a row of a or of b scales a row or a column of the product, which keeps
+    its rank."""
+    a, b = ([_integer_row(r)[0] for r in m] for m in (a, b))
+    return rank([{j: x for j, r in enumerate(b)
+                  if (x := sum(v * r.get(c, 0) for c, v in row.items()))} for row in a])
 
 
 def kernel(rows, columns):
     """Integer basis of {x : rows x = 0}, for sparse rows and the ordered
     column keys: one primitive sparse vector per free column, taken in
     increasing column order.  Its free column is its last key and holds a
-    positive entry, and the other free columns hold 0."""
+    positive entry, and the other free columns hold 0.  With no rows it is
+    the unit vectors, returned at once."""
+    if not rows:
+        return [{c: 1} for c in columns]
     held = Echelon(rows)._rows
     basis = []
     for fc in (c for c in columns if c not in held):

@@ -9,7 +9,7 @@ variables that occur (Monagan and Pearce, CASC 2007; Maple 14, 2009): a
 product multiplies the contents once and then adds ints and multiplies
 ints.  A field that an exponent would overflow is widened, never wrapped.
 The form is canonical, so structural equality is meaningful and the zero
-test is syntactic; Fraction appears only in contents, in `eval_at`, in
+test is syntactic; Fraction appears only in contents, in `jet_at`, in
 rendering and in the term tuples of `_terms` and `cleared_numerators`.
 
 The denominator is kept factored, as a sorted tuple of (factor, exponent)
@@ -419,7 +419,12 @@ def _common_scale(contents):
     return [c.numerator * (den // c.denominator) for c in contents]
 
 
-def _p_eval(p, point):
+def _p_jet(p, point, coords):
+    """The value of p at the point and its partials by coords there, in one
+    pass over its terms and in integers over one denominator: the value a/b
+    of a variable, to the power e, is a^e b^(top - e) over b^top, and its
+    derivative e a^(e - 1) b^(top - e + 1), top being the variable's largest
+    exponent; both are tabled by e."""
     if any(v.__class__ is not str or v not in point for v in p.vs):
         for (mono, syms), _ in _terms(p):
             if syms:
@@ -428,20 +433,29 @@ def _p_eval(p, point):
             for name, _ in mono:
                 if name not in point:
                     raise UnknownCoordinate(name)
-    # in integers: the value a/b of each variable, to the power e, is
-    # a^e b^(top - e) over b^top, top being the variable's largest exponent
     w, mask = p.w, (1 << p.w) - 1
-    values = [Fraction(point[v]) for v in p.vs]
-    values = [(a.numerator, a.denominator, max(k >> i * w & mask for k in p.terms))
-              for i, a in enumerate(values)]
-    total = 0
+    num, den, tables, slots = p.content.numerator, p.content.denominator, [], []
+    for i, v in enumerate(p.vs):
+        a = Fraction(point[v])
+        a, b, top = a.numerator, a.denominator, max(k >> i * w & mask for k in p.terms)
+        tables.append((i * w, [a ** e * b ** (top - e) for e in range(top + 1)]))
+        den *= b ** top
+        if v in coords:
+            slots.append((coords.index(v), i,
+                          [0] + [e * a ** (e - 1) * b ** (top - e + 1) for e in range(1, top + 1)]))
+    total, grad = 0, [0] * len(coords)
     for k, x in p.terms.items():
-        for a, b, top in values:
-            e = k & mask
-            x *= a ** e * b ** (top - e)
-            k >>= w
-        total += x
-    return p.content * Fraction(total, prod(b ** top for _, b, top in values))
+        t = x
+        for s, f in tables:
+            t *= f[k >> s & mask]
+        total += t
+        for j, i, df in slots:
+            if d := df[k >> tables[i][0] & mask]:
+                t = x * d
+                for s, f in tables[:i] + tables[i + 1:]:
+                    t *= f[k >> s & mask]
+                grad[j] += t
+    return Fraction(num * total, den), [Fraction(num * g, den) for g in grad]
 
 
 # -- monomials: content, cancellation, lcm -----------------------------------
@@ -733,14 +747,25 @@ class ScalarExpr:
                                _combine(1, _mul_terms(big_f, dn), 1, _mul_terms(g, n))),
                          mono, factors)
 
-    def eval_at(self, point):
-        d = Fraction(1)
-        for f, e in self.den:
-            d *= _p_eval(f, point) ** e
+    def jet_at(self, point, coords=()):
+        """(value, partials by coords) at a rational point: the numerator and
+        each denominator factor with their partials in one pass over their
+        terms (`_p_jet`), and the quotient rule at the point,
+        grad(N/D) = grad N / D - (N/D) * sum of e * grad f / f over the
+        factors f^e of D.  The factors are evaluated first, so an error of
+        theirs comes before the pole, and the pole before an error of N."""
+        dens = [(_p_jet(f, point, coords), e) for f, e in self.den]
+        d = prod(v ** e for (v, _), e in dens)
         if d == 0:
             where = ", ".join(f"{name} = {Fraction(value)}" for name, value in point.items())
             raise PoleAtPoint(f"denominator vanishes at {where}")
-        return _p_eval(self.num, point) / d
+        n, grad = _p_jet(self.num, point, coords)
+        for (v, df), e in dens:
+            grad = [g - n * e * dg / v if dg else g for g, dg in zip(grad, df)]
+        return (n / d, [g / d for g in grad]) if dens else (n, grad)
+
+    def eval_at(self, point):
+        return self.jet_at(point)[0]
 
     def __repr__(self):
         return f"ScalarExpr({dsl_str(self)!r})"

@@ -424,9 +424,9 @@ def test_isotropy_evaluates_generators_once(capsys, monkeypatch):
     calls = []
     original = aa._generators_at
 
-    def counted(action, point):
+    def counted(action, point, **kwargs):
         calls.append(point)
-        return original(action, point)
+        return original(action, point, **kwargs)
     monkeypatch.setattr(aa, "_generators_at", counted)
     name, expected_code, argv = next(g for g in GOLDEN_RUNS if g[0] == "shear_isotropy")
     code, out = run_cli(argv + ["--format", "json"], capsys)
@@ -436,6 +436,34 @@ def test_isotropy_evaluates_generators_once(capsys, monkeypatch):
                          "--action", "rot", "--point", "P"], capsys)
     assert code == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("point,dims", [("O", (6, 0, 0)), ("P", (3, 1, 0))])
+def test_isotropy_takes_no_symbolic_partial_and_no_dense_product(tmp_path, capsys, monkeypatch,
+                                                                  point, dims):
+    # so(4) on R^4 (the cli_workspaces rot4 of seed 12), at the origin and at
+    # a generic point: the Jacobians come from the generators' jets, and
+    # J G^T from integer rows
+    from liecochain import linalg
+    from liecochain import scalar_field as sf
+    monkeypatch.syspath_prepend(str(HERE.parent / "bench"))
+    import cli_workspaces
+
+    texts, _ = cli_workspaces.generate(12)
+    path = tmp_path / "rot4.lch"
+    path.write_text(texts["rot4"])
+    calls = []
+    for owner, name in ((sf.ScalarExpr, "partial"), (linalg, "matmul")):
+        def counted(*args, _original=getattr(owner, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(owner, name, counted)
+    code, out = run_cli(["isotropy", "--input", str(path), "--action", "rot",
+                         "--point", point, "--format", "json"], capsys)
+    assert code == 0
+    got = json.loads(out)["verdicts"][0]["dims"]
+    assert (got["isotropy"], got["fixed_tangent"], got["fixed_vertical"]) == dims
+    assert calls == []
 
 
 def test_report_with_components(capsys):

@@ -656,8 +656,11 @@ def _outcome(call):
 
 
 def point_jet(e, point):
-    """The value of e at the point and its partials by x, y and z there."""
-    return e.eval_at(point), tuple(sf.partial(e, c).eval_at(point) for c in COORDS)
+    """The value of e at the point and its partials by x, y and z there, as
+    one jet, which equals the value and the symbolic partials evaluated."""
+    value, grad = e.jet_at(point, COORDS)
+    assert (value, grad) == (e.eval_at(point), [sf.partial(e, c).eval_at(point) for c in COORDS])
+    return value, tuple(grad)
 
 
 def test_point_jets_match_sympy():
