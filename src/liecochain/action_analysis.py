@@ -135,10 +135,10 @@ def fixed_space_at(action, point):
     the generators evaluated there once, with their Jacobians J_i.  The
     isotropy algebra acts on the tangent space through J(xi) = sum_i xi_i J_i
     (the Jacobian is linear in xi) for xi in its basis, stacked in J: v is
-    fixed iff J v = 0.  For the
-    generators' values G, v = G^T c is fixed iff J G^T c = 0, and the kernel
-    of c -> G^T c lies in that of J G^T, so the fixed vertical space has
-    dimension rank G - rank(J G^T).  Every rank is taken on integer rows."""
+    fixed iff J v = 0.  For the generators' values G, v = G^T c is fixed iff
+    J G^T c = 0, and the kernel of c -> G^T c lies in that of J G^T, so the
+    fixed vertical space has dimension rank G - rank(J G^T).  Every rank is
+    taken on integer rows."""
     n = action.chart.dim
     jets = _generators_at(action, point, jets=True)
     values = [[v for v, _ in row] for row in jets]
