@@ -897,6 +897,27 @@ def test_proportionality_over_the_sum_limit_is_declined(monkeypatch):
     assert sf.proportional(a.coeffs, b.coeffs) is None
 
 
+def test_generators_are_decided_in_order_one_at_a_time():
+    """(x + 1) over the twelve factors x + y_i and x - y_i: its partial by x
+    is over the limit, its partial by y0 is not.  A check that fails at
+    D(y0) never reaches D(x), so it raises nothing; D(x) first raises the
+    kernel's refusal before D(y0) is looked at."""
+    chart = cc.Chart(("x",) + tuple(f"y{i}" for i in range(6)))
+    e = x + 1
+    for name in chart.coordinates[1:]:
+        e = e / (x + sf.coordinate(name)) / (x - sf.coordinate(name))
+    t = cc.DiffForm(chart, 0, {(): e})
+    along_x, along_y0 = basis_vector(chart, "x"), basis_vector(chart, "y0")
+    ok, generator, witness = _check((along_y0, along_x), t)
+    assert (ok, generator) == (False, 0)
+    assert witness == cc._lie_derivative(along_y0, t)
+    with pytest.raises(sf.PartialTooLarge) as kernel:
+        e.partial("x")
+    with pytest.raises(sf.PartialTooLarge) as err:
+        _check((along_x, along_y0), t)
+    assert str(err.value) == str(kernel.value)
+
+
 def test_common_denominator_over_the_sum_limit_is_decided_by_the_kernel():
     """Each coefficient 1/f_c^3, f_c = 1 + c + ... + c^9, fits; their common
     denominator is over the sum limit, so the check differentiates with the
