@@ -157,11 +157,12 @@ def fixed_space_at(action, point):
 
 def _invariant(action, t, lie_derivative):
     """Verdict on L_X t = 0 for the generators X in order, each decided on
-    t's cleared numerator with one table for every generator; the exact
-    derivative along the first failing generator is the witness."""
-    table = {}
-    for i, g in enumerate(action.generators):
-        if not cc.lie_derivative_vanishes(g, t, table):
+    t's cleared numerator over one layout for every generator
+    (`lie_derivatives_vanish`), none after the first that fails; the exact
+    derivative along that generator is the witness."""
+    generators = action.generators
+    for i, (g, ok) in enumerate(zip(generators, cc.lie_derivatives_vanish(generators, t))):
+        if not ok:
             return Verdict(False, generator=i, witness=lie_derivative(g, t))
     return Verdict(True)
 

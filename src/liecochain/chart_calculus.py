@@ -11,10 +11,11 @@ of a form or a chain: X on each coefficient, and in each basis factor
 d_m(X^j) dx_m for a form.  The bracket [X, Y] is L_X Y, the Lie derivative
 of a degree-1 chain; every sign comes from `linalg`'s rules.
 
-An invariance check needs only whether L_X t = 0 (`lie_derivative_vanishes`).
-`scalar_field.operator_vanishes` decides it on t's cleared numerator, with
-the kernel's factor rule and one table per check; the exact kernel builds
-the witness of a failing generator, and decides where that declines.
+An invariance check needs only whether L_X t = 0 for each generator X
+(`lie_derivatives_vanish`).  `scalar_field.operator_vanishes` decides it on
+t's cleared numerator, with the kernel's factor rule and one layout for all
+the generators, fixed before the first; the exact kernel builds the witness
+of a failing generator, and decides where that declines.
 """
 
 from __future__ import annotations
@@ -219,16 +220,20 @@ def _factor_terms(r, idx, form):
                 yield (sign if form else -sign), key, i, k
 
 
-def lie_derivative_vanishes(x, t, table):
-    """Whether L_X t = 0, decided without building L_X t: on t's cleared
-    numerator by `scalar_field.operator_vanishes`, with the kernel's factor
-    rule and one table per check, or by the exact kernel where that
-    declines."""
-    form = t.kind == "form"
-    verdict = sf.operator_vanishes(t.coeffs, {m: c for (m,), c in x.coeffs.items()},
-                                   _same_chart(x, t).coordinates,
-                                   lambda idx: _factor_terms(x, idx, form), table)
-    return _lie_derivative(x, t).is_zero() if verdict is None else verdict
+def lie_derivatives_vanish(xs, t):
+    """Whether L_X t = 0 for each X of xs in order, yielded one at a time
+    and decided without building L_X t: on t's cleared numerator by
+    `scalar_field.operator_vanishes`, with the kernel's factor rule and one
+    layout for every X, or by the exact kernel where that declines.  X's
+    chart is checked when its turn comes."""
+    xs, form = list(xs), t.kind == "form"
+    verdicts = sf.operator_vanishes(t.coeffs, [{m: c for (m,), c in x.coeffs.items()} for x in xs],
+                                    t.chart.coordinates,
+                                    lambda n, idx: _factor_terms(xs[n], idx, form))
+    for x in xs:
+        _same_chart(x, t)
+        verdict = next(verdicts)
+        yield _lie_derivative(x, t).is_zero() if verdict is None else verdict
 
 
 def jacobian_at(x, point):

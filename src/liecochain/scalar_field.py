@@ -894,13 +894,15 @@ def cleared_numerators(exprs):
 def _clear(exprs, polys=(), spare=0):
     """The expressions over L, the lcm of their denominators, on one layout
     (vs, w): the variables of their numerators, of L and of polys, in the
-    order met.  Returns (vs, w, top, numerators, factors): the numerators
-    num_i * (L / den_i), all times one nonzero rational, and the factors of
-    L as (terms, exponent), primitive, each variable of its monomial a
-    factor of its own, all bare terms; top bounds the exponents of a
-    numerator plus those of every factor, and w holds exponents up to 2 *
-    top + spare.  Refused by `_lcm`'s limit.  Without denominators L is 1:
-    no `_lcm`, no cofactor, and the numerators as they are."""
+    order met.  Returns (vs, w, numerators, factors): the numerators num_i *
+    (L / den_i), all times one nonzero rational, and the factors of L as
+    (terms, exponent), primitive, each variable of its monomial a factor of
+    its own, all bare terms.  With top a bound on the exponents of a
+    numerator plus those of every factor, w holds exponents up to 2 * top +
+    spare; an invariance check passes every generator's components as polys,
+    and one more than their largest exponent as spare.  Refused by `_lcm`'s
+    limit.  Without denominators L is 1: no `_lcm`, no cofactor, and the
+    numerators as they are."""
     if not any(e.den for e in exprs):
         mono, factors, cofactors = {}, {}, [_P_ONE] * len(exprs)
     else:
@@ -916,7 +918,7 @@ def _clear(exprs, polys=(), spare=0):
     scales = iter(_common_scale([n.content * c.content if c.vs else n.content
                                  for n, c in zip(nums, cofactors) if n.terms]))
     numerators = [_times(p, next(scales)) if p else p for p in bare]
-    return vs, w, top, numerators, (
+    return vs, w, numerators, (
         [({1 << vs.index(v) * w: 1}, k) for v, k in mono.items()]
         + [(_repack(f.terms, f.vs, f.w, vs, w), k) for f, k in factors.items()])
 
@@ -934,7 +936,7 @@ def proportional(a, b):
     if a.keys() | b.keys() == {base}:
         return True
     try:
-        *_, numerators, _ = _clear(list(a.values()) + list(b.values()))
+        _, _, numerators, _ = _clear(list(a.values()) + list(b.values()))
     except SumTooLarge:
         return None
     big_a, big_b = dict(zip(a, numerators)), dict(zip(b, numerators[len(a):]))
@@ -947,124 +949,86 @@ def proportional(a, b):
                for k in keys)
 
 
-def operator_vanishes(coeffs, components, names, factor_terms, table):
-    """Whether L t = 0 for L = X on each coefficient of t plus a rule on its
-    basis factors: `factor_terms(key)` yields (sign, key', i, k) for each
-    term sign * d_k X^i * e_key' of L e_key.  t is {key: expression}, X is
+def operator_vanishes(coeffs, generators, names, factor_terms):
+    """For each generator X in order, whether L t = 0 for L = X on each
+    coefficient of t plus a rule on its basis factors: `factor_terms(n,
+    key)` yields (sign, key', i, k) for each term sign * d_k X^i * e_key' of
+    L e_key, X generator number n.  t is {key: expression}, each X is
     {coordinate index: expression} over `names`.  With t = P / D over the
     lcm D of t's denominators, the variables of its monomial among the
     factors, F and g of the factors that X moves (`_quotient_parts`) give
     L t = (F L P - g P) / (D F): L t = 0 exactly when F L P = g P.
 
-    The table, one per check, holds P and D's factors as bare terms of one
-    layout (`_clear`) and the partials of both.  The layout takes the
-    variables of each generator that it lacks, and the derivative of a
-    function symbol when a generator first differentiates by one of its
-    arguments, both as new fields; it widens its fields for a generator's
-    exponents, moving every term it holds.  None leaves the decision to the
-    exact kernel: for a rational X, a t whose clearing the sum limit
-    refuses, or F L P and g P over that limit.  The kernel's budget on the
-    partials of t's coefficients is applied once per coefficient and
-    coordinate, in its order, so a refusal reads the same."""
-    if not table:
-        _check_table(table, coeffs, components)
-    if table["P"] is None or any(c.den for c in components.values()):
-        return None
-    budgeted = table["budgeted"]
-    for key, a in coeffs.items():
-        for m in components:
-            if (key, m) not in budgeted:
-                _partial_work(a, names[m])
-                budgeted.add((key, m))
-    comps = _join_generator(table, components)
-    P, w, partials = table["P"], table["w"], table["partials"]
+    One layout serves the whole check, fixed before the first verdict:
+    `_clear` lays out P, D's factors and every generator's components, its
+    fields wide enough for every product formed, and one more field holds
+    the derivative by each of `names` of each function symbol among them.
+    The partials of P and of D's factors are taken once per check.  The
+    verdicts are yielded one at a time, so a refusal fires at the generator
+    whose decision meets it.  None leaves the decision to the exact kernel:
+    for a rational X, a t whose clearing the sum limit refuses, or F L P
+    and g P over that limit.  The kernel's budget on the partials of t's
+    coefficients is applied once per coefficient and coordinate, in its
+    order, so a refusal reads the same."""
+    polys = [c.num for x in generators for c in x.values()]
+    try:
+        vs, w, numerators, factors = _clear(list(coeffs.values()), polys,
+                                            max(map(_top, polys), default=0) + 1)
+    except SumTooLarge:
+        for _ in generators:
+            yield None
+        return
+    movings = [_moving(vs, coord) for coord in names]
+    vs += tuple(dict.fromkeys(dv for moving in movings for _, dv in moving
+                              if dv is not None and dv not in vs))
+    steps = [_steps(vs, w, moving) for moving in movings]
+    P, partials, budgeted = dict(zip(coeffs, numerators)), {}, set()
 
-    def along(terms, ref):
+    def along(comps, terms, ref):
         """X(terms), for P's numerator at key ref or D's factor number ref:
         each partial is taken once per check."""
         out = {}
         for m, c in comps.items():
             if (ref, m) not in partials:
-                partials[ref, m] = _partial_terms(terms, w, _check_steps(table, names, m))
+                partials[ref, m] = _partial_terms(terms, w, steps[m])
             if partials[ref, m]:
                 out = _combine(1, out, -1, _mul_terms(c, partials[ref, m]))
         return out
 
-    lp, jac = {}, {}   # L P; (i, k) -> d_k X^i
-    for key, p in P.items():
-        terms = [(1, key, along(p, key))]
-        for sign, to, i, k in factor_terms(key):
-            if (i, k) not in jac:
-                jac[i, k] = _partial_terms(comps[i], w, _check_steps(table, names, k)) \
-                    if i in comps and _depends(components[i].num, names[k]) else {}
-            if jac[i, k]:
-                terms.append((sign, to, _mul_terms(p, jac[i, k])))
-        for sign, to, q in terms:
-            lp[to] = _combine(1, lp.get(to, {}), -sign, q)
-    moving = [(f, e, xf) for j, (f, e) in enumerate(table["factors"]) if (xf := along(f, j))]
-    if not moving:
-        return not any(lp.values())
-    big_f, g = _quotient_parts(moving)
-    if len(big_f) * sum(map(len, lp.values())) + len(g) * sum(map(len, P.values())) \
-            > MAX_SUM_WORK:
-        return None
-    return all(_mul_terms(big_f, lp.get(key, {})) == _mul_terms(g, P.get(key, {}))
-               for key in lp.keys() | P.keys())
+    def decide(n, components):
+        if any(c.den for c in components.values()):
+            return None
+        for key, a in coeffs.items():
+            for m in components:
+                if (key, m) not in budgeted:
+                    _partial_work(a, names[m])
+                    budgeted.add((key, m))
+        scales = iter(_common_scale([c.num.content for c in components.values() if c.num.terms]))
+        comps = {m: _times(_repack(c.num.terms, c.num.vs, c.num.w, vs, w), next(scales))
+                 for m, c in components.items() if c.num.terms}
+        lp, jac = {}, {}   # L P; (i, k) -> d_k X^i
+        for key, p in P.items():
+            terms = [(1, key, along(comps, p, key))]
+            for sign, to, i, k in factor_terms(n, key):
+                if (i, k) not in jac:
+                    jac[i, k] = _partial_terms(comps[i], w, steps[k]) \
+                        if i in comps and _depends(components[i].num, names[k]) else {}
+                if jac[i, k]:
+                    terms.append((sign, to, _mul_terms(p, jac[i, k])))
+            for sign, to, q in terms:
+                lp[to] = _combine(1, lp.get(to, {}), -sign, q)
+        moving = [(f, e, xf) for j, (f, e) in enumerate(factors) if (xf := along(comps, f, j))]
+        if not moving:
+            return not any(lp.values())
+        big_f, g = _quotient_parts(moving)
+        if len(big_f) * sum(map(len, lp.values())) + len(g) * sum(map(len, P.values())) \
+                > MAX_SUM_WORK:
+            return None
+        return all(_mul_terms(big_f, lp.get(key, {})) == _mul_terms(g, P.get(key, {}))
+                   for key in lp.keys() | P.keys())
 
-
-def _check_table(table, coeffs, components):
-    """Fill an empty table with t's clearing over a layout for the first
-    generator too; P is None when the sum limit refuses it."""
-    polys = [c.num for c in components.values()]
-    xtop = max(map(_top, polys), default=0)
-    try:
-        vs, w, top, numerators, factors = _clear(list(coeffs.values()), polys, xtop + 1)
-    except SumTooLarge:
-        table["P"] = None
-        return
-    table.update(P=dict(zip(coeffs, numerators)), factors=factors, vs=vs, w=w, top=top,
-                 xtop=xtop, sources=set(vs), budgeted=set(), partials={}, steps={})
-
-
-def _join_generator(table, components):
-    """X's components as bare terms of the check's layout, all times one
-    nonzero rational.  The layout first widens its fields if X's exponents
-    need it, moving every term it holds, and takes X's variables that it
-    lacks."""
-    polys = [c.num for c in components.values()]
-    vs, w = table["vs"], table["w"]
-    xtop = max(map(_top, polys), default=0)
-    if xtop > table["xtop"]:
-        table["xtop"] = xtop
-        wide = _width(2 * table["top"] + xtop + 1)
-        if wide > w:
-            table["P"] = {k: _repack(p, vs, w, vs, wide) for k, p in table["P"].items()}
-            table["factors"] = [(_repack(f, vs, w, vs, wide), e) for f, e in table["factors"]]
-            table["partials"].clear()
-            table["steps"].clear()
-            table["w"] = w = wide
-    sources = table["sources"]
-    if new := [v for p in polys for v in p.vs if v not in sources]:
-        sources.update(new)
-        table["vs"] = vs = vs + tuple(dict.fromkeys(v for v in new if v not in vs))
-        table["steps"].clear()
-    scales = iter(_common_scale([p.content for p in polys if p.terms]))
-    return {m: _times(_repack(p.terms, p.vs, p.w, vs, w), next(scales))
-            for m, p in zip(components, polys) if p.terms}
-
-
-def _check_steps(table, names, m):
-    """The `_steps` of names[m] for the variables that occur in the check's
-    terms, its sources, over its layout, which first takes the derivative
-    by names[m] of each function symbol among them that it lacks."""
-    steps = table["steps"]
-    if m not in steps:
-        coord, vs = names[m], table["vs"]
-        moving = _moving([v for v in vs if v in table["sources"]], coord)
-        if new := [dv for _, dv in moving if dv is not None and dv not in vs]:
-            table["vs"] = vs = vs + tuple(dict.fromkeys(new))
-        steps[m] = _steps(vs, table["w"], moving)
-    return steps[m]
+    for n, components in enumerate(generators):
+        yield decide(n, components)
 
 
 # -- rendering -------------------------------------------------------------

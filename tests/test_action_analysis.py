@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -680,7 +681,7 @@ def test_obstruction_with_component_reps():
 # Deterministic counts in place of wall time: polynomial products, canonical
 # fractions and polynomials built, and the partials taken of each tensor
 # coefficient and of each cleared numerator.  A passing check decides L_X t
-# = 0 on t's cleared numerator P, bare terms of one layout, with one table
+# = 0 on t's cleared numerator P, bare terms of one layout, with one set
 # of P's partials for every generator: it builds no fraction, and no
 # polynomial once P is cleared; adding zero builds nothing.
 
@@ -693,17 +694,16 @@ def swell_counts(monkeypatch):
     `_fraction`, on `_make` (with its count when each clearing returns) and
     on `ScalarExpr.partial` by (expression, coordinate), the (terms, steps)
     of each run of the shared partial loop, kept so that no two share an
-    id, and the tables of the decisions made."""
+    id, and the numerators of each clearing a decision makes."""
     monkeypatch.syspath_prepend(str(BENCH))
     import chart_swell
 
     texts, _ = chart_swell.generate(12)
     ws = dsl.parse(next(iter(texts.values())))
     counts = {"mul": 0, "fraction": 0, "make": 0, "cleared": [], "partial": Counter(),
-              "partial_terms": [], "tables": []}
+              "partial_terms": [], "numerators": []}
     p_mul, fraction, make, clear = sf._p_mul, sf._fraction, sf._make, sf._clear
     partial, partial_terms = sf.ScalarExpr.partial, sf._partial_terms
-    vanishes = cc.lie_derivative_vanishes
 
     def counted_mul(p, q):
         counts["mul"] += 1
@@ -720,6 +720,8 @@ def swell_counts(monkeypatch):
     def counted_clear(*args):
         out = clear(*args)
         counts["cleared"].append(counts["make"])
+        if sys._getframe(1).f_code is sf.operator_vanishes.__code__:
+            counts["numerators"].append(out[2])
         return out
 
     def counted_partial(e, coord):
@@ -729,18 +731,12 @@ def swell_counts(monkeypatch):
     def counted_partial_terms(terms, w, steps):
         counts["partial_terms"].append((terms, tuple(steps)))
         return partial_terms(terms, w, steps)
-
-    def recorded_vanishes(x, t, table):
-        if not table:
-            counts["tables"].append(table)
-        return vanishes(x, t, table)
     monkeypatch.setattr(sf, "_p_mul", counted_mul)
     monkeypatch.setattr(sf, "_fraction", counted_fraction)
     monkeypatch.setattr(sf, "_make", counted_make)
     monkeypatch.setattr(sf, "_clear", counted_clear)
     monkeypatch.setattr(sf.ScalarExpr, "partial", counted_partial)
     monkeypatch.setattr(sf, "_partial_terms", counted_partial_terms)
-    monkeypatch.setattr(cc, "lie_derivative_vanishes", recorded_vanishes)
     return ws, counts
 
 
@@ -759,8 +755,8 @@ def test_invariance_checks_differentiate_each_coefficient_once(swell_counts, che
     tensor = sigma0 if check == "form" else chi
     assert not any(e in tensor.coeffs.values() for e, _ in counts["partial"])
     # the preconditions of `cochain` are one check of sigma0, then one of chi
-    tables = counts["tables"][-1:] if check != "cochain" else counts["tables"]
-    numerators = {id(p) for table in tables for p in table["P"].values()}
+    clearings = counts["numerators"][-1:] if check != "cochain" else counts["numerators"]
+    numerators = {id(p) for clearing in clearings for p in clearing}
     assert numerators
     # the shared partial loop, once per cleared numerator and coordinate
     taken = Counter((id(p), steps) for p, steps in counts["partial_terms"]
@@ -941,12 +937,12 @@ def test_common_denominator_over_the_sum_limit_is_decided_by_the_kernel():
 def test_scalar_invariance_goes_through_the_decision(monkeypatch):
     # lambda and K are checked as 0-forms; their errors stay as they were
     seen = []
-    vanishes = cc.lie_derivative_vanishes
+    vanishes = cc.lie_derivatives_vanish
 
-    def recorded(x_, t, table):
+    def recorded(xs, t):
         seen.append((t.kind, t.degree))
-        return vanishes(x_, t, table)
-    monkeypatch.setattr(cc, "lie_derivative_vanishes", recorded)
+        return vanishes(xs, t)
+    monkeypatch.setattr(cc, "lie_derivatives_vanish", recorded)
     action = solvable_action()
     chi0 = solvable_chain(kfunc=False)
     with pytest.raises(aa.InvalidInput, match="^rescaling function is not invariant$"):

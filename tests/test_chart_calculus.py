@@ -83,6 +83,12 @@ def test_chart_mismatch():
     other = cc.Chart(("u", "v"))
     with pytest.raises(cc.ChartMismatch):
         cc.lie_bracket(basis_vector(M3, "x"), basis_vector(other, "u"))
+    # a generator's chart is checked when its turn comes, not before
+    t = dform(M3, 0, {(): x})
+    verdicts = cc.lie_derivatives_vanish([basis_vector(M3, "x"), basis_vector(other, "u")], t)
+    assert next(verdicts) is False
+    with pytest.raises(cc.ChartMismatch):
+        next(verdicts)
 
 
 def test_interior_vector():
@@ -310,13 +316,13 @@ def _det(m):
 
 
 def test_decision_matches_the_exact_kernel():
-    """lie_derivative_vanishes(X, t, table) is L_X t = 0 as the exact kernel
-    finds it, one table serving several generators: on random forms and
-    chains with monomial, multi-factor and K(z) denominators under
+    """lie_derivatives_vanish(xs, t) is L_X t = 0 for each X as the exact
+    kernel finds it, one layout serving several generators: on random forms
+    and chains with monomial, multi-factor and K(z) denominators under
     polynomial and rational fields, and on tensors invariant by
     construction, where it decides "zero" through both of its branches; and
-    along generators that each bring a variable or an exponent the table's
-    layout lacks."""
+    along generators that each bring a variable or an exponent that t's own
+    clearing lacks."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     gen = invariance_strategies(st)
@@ -324,29 +330,26 @@ def test_decision_matches_the_exact_kernel():
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
     @hypothesis.given(gen.tensors, st.lists(gen.fields, min_size=1, max_size=3))
     def random_tensors(t, xs):
-        table = {}
-        for x_ in xs:
-            assert cc.lie_derivative_vanishes(x_, t, table) == cc._lie_derivative(x_, t).is_zero()
+        assert list(cc.lie_derivatives_vanish(xs, t)) \
+            == [cc._lie_derivative(x_, t).is_zero() for x_ in xs]
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
     @hypothesis.given(gen.invariants)
     def invariant_tensors(case):
         generators, t = case
-        table = {}
         for g in generators:
             assert cc._lie_derivative(g, t).is_zero()
-            assert cc.lie_derivative_vanishes(g, t, table)
+        assert all(cc.lie_derivatives_vanish(generators, t))
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
     @hypothesis.given(gen.layouts)
-    def widening_layouts(case):
+    def layouts(case):
         generators, t = case
-        table = {}
-        for g in generators:
-            assert cc.lie_derivative_vanishes(g, t, table) == cc._lie_derivative(g, t).is_zero()
+        assert list(cc.lie_derivatives_vanish(generators, t)) \
+            == [cc._lie_derivative(g, t).is_zero() for g in generators]
     random_tensors()
     invariant_tensors()
-    widening_layouts()
+    layouts()
 
 
 def _oversized_sum(n):
@@ -364,7 +367,8 @@ def test_decision_refuses_an_oversized_partial_as_the_kernel_does():
     # the first partial the kernel takes is by c0, and it is over the limit
     v, w = _oversized_sum(8)
     raised = []
-    for run in (lambda: cc._lie_derivative(v, w), lambda: cc.lie_derivative_vanishes(v, w, {}),
+    for run in (lambda: cc._lie_derivative(v, w),
+                lambda: next(cc.lie_derivatives_vanish([v], w)),
                 lambda: w.coefficient(()).partial("c0")):
         with pytest.raises(sf.PartialTooLarge) as err:
             run()
@@ -383,7 +387,7 @@ def test_decision_applies_the_partial_budget_itself():
         e = e / (x + sf.coordinate(name)) / (x - sf.coordinate(name))
     t, v = cc.DiffForm(chart, 0, {(): e}), basis_vector(chart, "x")
     raised = []
-    for run in (lambda: cc._lie_derivative(v, t), lambda: cc.lie_derivative_vanishes(v, t, {})):
+    for run in (lambda: cc._lie_derivative(v, t), lambda: next(cc.lie_derivatives_vanish([v], t))):
         with pytest.raises(sf.PartialTooLarge) as err:
             run()
         raised.append(str(err.value))
@@ -401,5 +405,5 @@ def test_decision_over_the_sum_limit_falls_back_to_the_kernel(monkeypatch):
     euler = cc.vector_field(chart, [xc, sf.ZERO])
     kernel, calls = cc._lie_derivative, []
     monkeypatch.setattr(cc, "_lie_derivative", lambda *args: calls.append(args) or kernel(*args))
-    assert not cc.lie_derivative_vanishes(euler, t, {})
+    assert not next(cc.lie_derivatives_vanish([euler], t))
     assert len(calls) == 1 and not kernel(euler, t).is_zero()

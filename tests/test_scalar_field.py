@@ -461,19 +461,21 @@ def test_no_state_outlives_a_call(tmp_path, capsys):
     assert [len(p.terms) for p in (sf._P_ZERO, sf._P_ONE)] == constants
 
 
-def test_decision_widens_its_layout_for_a_later_generator():
-    # z^129 as a 0-form: D(y) leaves it alone, then z^900 D(z) forms
-    # products whose exponents the first layout's fields cannot hold
-    z = sf.coordinate("z")
-    coeffs, table = {(): z ** 129}, {}
+def test_a_later_generators_exponents_fit_the_checks_layout(monkeypatch):
+    # z^129 as a 0-form: D(y) leaves it alone, then z^900 D(z) and z^2000
+    # D(x) come after it; the layout, fixed before the first verdict, holds
+    # the products of every generator
+    z, widths, clear = sf.coordinate("z"), [], sf._clear
 
-    def vanishes(components):
-        return sf.operator_vanishes(coeffs, components, ("x", "y", "z"), lambda key: (), table)
-    assert vanishes({1: sf.ONE})
-    narrow = table["w"]
-    assert not vanishes({2: z ** 900})
-    assert table["w"] > narrow and (1 << table["w"]) > 900 + 128
-    assert vanishes({0: z ** 2000})
+    def recorded_clear(*args):
+        out = clear(*args)
+        widths.append(out[1])
+        return out
+    monkeypatch.setattr(sf, "_clear", recorded_clear)
+    verdicts = sf.operator_vanishes({(): z ** 129}, [{1: sf.ONE}, {2: z ** 900}, {0: z ** 2000}],
+                                    ("x", "y", "z"), lambda n, key: ())
+    assert list(verdicts) == [True, False, True]
+    assert len(widths) == 1 and (1 << widths[0]) > 2000 + 128
 
 
 def test_proportional():

@@ -9,8 +9,8 @@ checkout given by --root (default: the one that holds this file).  The seeds
 and the run length are fixed, so that every record compares with every
 other.  It writes BENCH_<N>.json at the root of that checkout, with:
 
-- the commit (git HEAD, or null outside a git checkout), whether tracked
-  files differ from it, and a sha256 over the files under src/, which names
+- the commit (git HEAD) and whether tracked files differ from it, both
+  null outside a git checkout, and a sha256 over the files under src/, which names
   exactly the sources measured;
 - per workload, one record per run under the stable case name
   `<workload>/seed<N>`: its end-to-end metrics, its calibration speed factor
@@ -43,6 +43,15 @@ SECONDS = 30
 def _git(root, *args):
     done = subprocess.run(["git", "-C", root, *args], capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def checkout_state(root):
+    """(commit, tracked_changes): git HEAD and whether tracked files differ
+    from it, both None outside a git checkout, where nothing was checked."""
+    commit = _git(root, "rev-parse", "HEAD")
+    if commit is None:
+        return None, None
+    return commit, bool(_git(root, "status", "--porcelain", "--untracked-files=no"))
 
 
 def _sources_sha256(root):
@@ -99,10 +108,11 @@ def main(argv=None):
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    commit, tracked_changes = checkout_state(root)
     record = {
         "pr": args.pr,
-        "commit": _git(root, "rev-parse", "HEAD"),
-        "tracked_changes": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
+        "commit": commit,
+        "tracked_changes": tracked_changes,
         "src_sha256": _sources_sha256(root),
         "python": platform.python_version(),
         "seeds": list(SEEDS),
