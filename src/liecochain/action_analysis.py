@@ -12,7 +12,6 @@ algebra at user-supplied sample points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import chart_calculus as cc
@@ -116,8 +115,7 @@ def generator_kernel(action):
         for gi, poly in enumerate(cleared):
             for key, c in poly:
                 rows.setdefault((comp_idx, key), {})[gi] = c
-    return [[v.get(gi, Fraction(0)) for gi in range(p)]
-            for v in linalg.nullspace(list(rows.values()), range(p))]
+    return linalg.nullspace(list(rows.values()), range(p))
 
 
 def isotropy_algebra_at(action, point):
@@ -127,7 +125,7 @@ def isotropy_algebra_at(action, point):
 
 def _isotropy(values):
     # rows indexed by chart coordinate, columns by algebra basis
-    return linalg.nullspace([list(col) for col in zip(*values)])
+    return linalg.nullspace(list(zip(*values)), range(len(values)))
 
 
 def fixed_space_at(action, point):

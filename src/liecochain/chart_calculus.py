@@ -234,10 +234,3 @@ def lie_derivatives_vanish(xs, t):
         _same_chart(x, t)
         verdict = next(verdicts)
         yield _lie_derivative(x, t).is_zero() if verdict is None else verdict
-
-
-def jacobian_at(x, point):
-    """Exact matrix of partials: entry (i, j) = d_j X^i at the point, row i
-    from one jet of X^i (`ScalarExpr.jet_at`)."""
-    pt = x.chart.point_map(point)
-    return [c.jet_at(pt, x.chart.coordinates)[1] for c in x.components]

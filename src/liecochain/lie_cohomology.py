@@ -159,12 +159,26 @@ def is_automorphism(algebra, matrix):
                for i, j in combinations(range(n), 2))
 
 
+def _wrong_size(m, n):
+    """'RxC, not nxn' for a matrix m of R rows of C entries that is not n x n
+    (a ragged m lists each row length in C); None if it is n x n."""
+    shape = f"{len(m)}x{'/'.join(str(w) for w in sorted({len(row) for row in m}) or [0])}"
+    return None if shape == f"{n}x{n}" else f"{shape}, not {n}x{n}"
+
+
 def validate_subgroup(algebra, sub):
     """Violation strings for an invalid SubgroupSpec; empty list when valid.
-    In integers: primitive vectors, integer multiples of the matrices and the
-    integer bracket table change no span, rank or bracket direction."""
-    problems = []
+    Vectors and matrices of the wrong size are the only problems reported
+    when there are any.  In integers: primitive vectors, integer multiples
+    of the matrices and the integer bracket table change no span, rank or
+    bracket direction."""
     n = algebra.dim
+    problems = [f"subalgebra vector {i} has {len(v)} entries, not {n}"
+                for i, v in enumerate(sub.basis) if len(v) != n]
+    problems += [f"component matrix {i} is {size}"
+                 for i, m in enumerate(sub.component_reps) if (size := _wrong_size(m, n))]
+    if problems:
+        return problems
     basis = [_primitive_vector(v) for v in sub.basis]
     span = linalg.Echelon(basis)
     if len(span) != len(basis):
@@ -364,10 +378,12 @@ def infinitesimal_action(algebra, v, alpha):
 
 
 def coadjoint_matrix_action(matrix, alpha):
-    """(M.a)(v_1..v_r) = a(M^-1 v_1, ..., M^-1 v_r)."""
-    minv = linalg.inverse([list(row) for row in matrix])
-    return AltForm(alpha.dim, alpha.degree,
+    """(M.a)(v_1..v_r) = a(M^-1 v_1, ..., M^-1 v_r), for M^-1 = N / s: the
+    pullback by N, divided once by s^r."""
+    minv, s = _integer_inverse(matrix)
+    form = AltForm(alpha.dim, alpha.degree,
                    _apply(alpha.coeffs, lambda t: _pullback_image(minv, t)))
+    return form if s == 1 else form.scaled(Fraction(1, s ** alpha.degree))
 
 
 def _require_valid_subgroup(algebra, sub):
@@ -383,7 +399,8 @@ def relative_basis(algebra, sub, degree):
     _check_size(algebra.dim, degree)
     _require_valid_subgroup(algebra, sub)
     rows, tuples = _Constraints(algebra, sub).rows(degree)
-    return [AltForm(algebra.dim, degree, v) for v in linalg.nullspace(rows, tuples)]
+    return [AltForm(algebra.dim, degree, dict(zip(tuples, v)))
+            for v in linalg.nullspace(rows, tuples)]
 
 
 @dataclass
@@ -437,16 +454,20 @@ def relative_cohomology(algebra, sub, degree):
 
 
 def conjugate_subgroup(algebra, sub, auto):
-    """Transport a subgroup along a bracket-preserving invertible matrix."""
+    """Transport a subgroup along a bracket-preserving invertible matrix A:
+    vectors v to A v, components M to A M A^-1, whose column j is
+    A M N e_j / s for A^-1 = N / s."""
     auto = [list(row) for row in auto]
+    if size := _wrong_size(auto, algebra.dim):
+        raise NotAutomorphism(f"conjugating matrix is {size}")
     try:
-        inv = linalg.inverse(auto)
+        inv, s = _integer_inverse(auto)
     except SingularMatrix:
         raise NotAutomorphism("conjugating matrix is singular") from None
     if not is_automorphism(algebra, auto):
         raise NotAutomorphism("conjugating matrix does not preserve brackets")
     basis = tuple(tuple(linalg.matvec(auto, list(v))) for v in sub.basis)
-    reps = tuple(
-        tuple(tuple(row) for row in linalg.matmul(linalg.matmul(auto, [list(r) for r in m]), inv))
-        for m in sub.component_reps)
+    reps = tuple(tuple(zip(*([Fraction(x, s) for x in linalg.matvec(auto, linalg.matvec(m, col))]
+                             for col in zip(*inv))))
+                 for m in sub.component_reps)
     return SubgroupSpec(basis, reps)

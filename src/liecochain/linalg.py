@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fraction.  A row may also be sparse: a dict
-from column keys (integers, or any keys that sort in column order, such as
-index tuples) to values.  `kernel` and `nullspace` take sparse rows with the
-list of column keys, and `Echelon` gives back vectors of the kind it is given.
+Rows are sparse: dicts from column keys (integers, or any keys that sort in
+column order, such as index tuples) to values.  A list is read as the row
+of its nonzero entries keyed by position.  `kernel` and `nullspace` take the
+rows with the list of column keys; `Echelon` holds the row space and gives
+back sparse rows.
 
 Every elimination is fraction-free and exact, so rank, kernel and
 membership answers are decisions, not approximations.  Each row is scaled
@@ -38,18 +39,8 @@ class SingularMatrix(ValueError):
     pass
 
 
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def matvec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
-
-
-def matmul(a, b):
-    n, k, p = len(a), len(b), len(b[0]) if b else 0
-    return [[sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(p)]
-            for i in range(n)]
 
 
 def _integer_row(v):
@@ -88,40 +79,35 @@ def _combine(a, row, b, other):
     return out
 
 
-def _normalised(row, pivot, width=None):
-    """row / row[pivot] in Fractions: sparse, or dense if a width is given."""
+def _normalised(row, pivot):
+    """row / row[pivot] as a sparse row of Fractions in column order."""
     p = row[pivot]
-    if width is None:
-        return {c: Fraction(x, p) for c, x in sorted(row.items())}
-    return [Fraction(row.get(c, 0), p) for c in range(width)]
+    return {c: Fraction(x, p) for c, x in sorted(row.items())}
 
 
 class Echelon:
     """Incremental row space in reduced echelon form, for membership tests
     and reduction modulo a growing subspace.  This is the one elimination
-    kernel: rref, rank, kernel, nullspace and inverse run on it.
+    kernel: rank, kernel, nullspace and the integer inverse run on it.
 
     Rows are held as primitive integer rows with a positive pivot entry,
     each zero in the pivot columns of the others."""
 
     def __init__(self, rows=()):
         self._rows = {}  # pivot column -> primitive integer row
-        self._width = 0
         for v in rows:
             self._hold(v)
 
     def _reduce(self, row):
-        """(mult * row minus a combination of the held rows, mult): zero in
-        every pivot column."""
-        mult = 1
+        """A nonzero multiple of row minus a combination of the held rows:
+        zero in every pivot column."""
         for c in [c for c in row if c in self._rows]:
             held = self._rows[c]
             a, b = held[c], row[c]
             g = gcd(a, b)
             a, b = a // g, b // g
             row = _combine(a, row, b, held)
-            mult *= a
-        return row, mult
+        return row
 
     def _add(self, row):
         """Hold a reduced nonzero row; clear its pivot column elsewhere."""
@@ -139,47 +125,35 @@ class Echelon:
     def _hold(self, v):
         """Reduce v against the space and hold the remainder if nonzero:
         (pivot, primitive integer row), or None if v was in the space."""
-        if not isinstance(v, dict):
-            self._width = len(v)
-        row, _ = self._reduce(_integer_row(v)[0])
+        row = self._reduce(_integer_row(v)[0])
         return self._add(row) if row else None
 
     def insert(self, v):
         """Reduce v against the space; insert the remainder if nonzero.
-        Returns the reduced vector scaled to pivot entry 1, or None if v was
-        already in the space."""
+        Returns the reduced vector as a sparse row scaled to pivot entry 1,
+        or None if v was already in the space."""
         held = self._hold(v)
-        return held and _normalised(held[1], held[0], None if isinstance(v, dict) else len(v))
+        return held and _normalised(held[1], held[0])
 
     def contains(self, v):
-        return not self._reduce(_integer_row(v)[0])[0]
+        return not self._reduce(_integer_row(v)[0])
 
     @property
     def rows(self):
-        """pivot column -> dense row with pivot entry 1, in insertion order."""
-        return {c: _normalised(row, c, self._width) for c, row in self._rows.items()}
+        """pivot column -> sparse row with pivot entry 1, in insertion order."""
+        return {c: _normalised(row, c) for c, row in self._rows.items()}
 
     def __len__(self):
         return len(self._rows)
 
 
-def rref(m):
-    """Reduced row echelon form. Returns (rows, pivot_columns); m is not modified."""
-    n_cols = len(m[0]) if m else 0
-    held = Echelon(m)._rows
-    pivots = sorted(held)
-    rows = [_normalised(held[c], c, n_cols) for c in pivots]
-    rows += [[Fraction(0)] * n_cols for _ in range(len(m) - len(pivots))]
-    return rows, pivots
-
-
 def rank(m):
-    """The rank of dense or sparse rows."""
+    """The rank of the rows."""
     return len(Echelon(m))
 
 
 def product_rank(a, b):
-    """rank(a b^T) for dense or sparse rows a and b, on integer rows: scaling
+    """rank(a b^T) for the rows a and b, on integer rows: scaling
     a row of a or of b scales a row or a column of the product, which keeps
     its rank."""
     a, b = ([_integer_row(r)[0] for r in m] for m in (a, b))
@@ -188,7 +162,7 @@ def product_rank(a, b):
 
 
 def kernel(rows, columns):
-    """Integer basis of {x : rows x = 0}, for sparse rows and the ordered
+    """Integer basis of {x : rows x = 0}, for the rows and the ordered
     column keys: one primitive sparse vector per free column, taken in
     increasing column order.  Its free column is its last key and holds a
     positive entry, and the other free columns hold 0.  With no rows it is
@@ -206,28 +180,19 @@ def kernel(rows, columns):
     return basis
 
 
-def nullspace(m, columns=None):
-    """Deterministic basis of {x : m x = 0}: the `kernel`, each vector in
-    Fractions with 1 in its own free column (and 0 in the other ones).
-
-    Given the ordered column keys, the rows may be sparse and the basis
-    vectors are sparse; an empty m then has the unit vectors as basis.
-    """
-    if columns is None:
-        if not m:
-            return []
-        n_cols = len(m[0])
-        return [[v.get(c, Fraction(0)) for c in range(n_cols)]
-                for v in nullspace(m, range(n_cols))]
-    return [{c: Fraction(x, v[fc]) for c, x in v.items()}
-            for v in kernel(m, columns) for fc in [next(reversed(v))]]
+def nullspace(rows, columns):
+    """Deterministic basis of {x : rows x = 0}: the `kernel`, each vector a
+    list of Fractions over the columns, with 1 in its own free column and 0
+    in the other ones."""
+    return [[Fraction(v.get(c, 0), v[fc]) for c in columns]
+            for v in kernel(rows, columns) for fc in [next(reversed(v))]]
 
 
 def _integer_matrix(m):
-    """(A, l): A = l * m in ints, for l the lcm of the denominators of m."""
-    n = len(m)
-    flat, scale = _integer_row([x for row in m for x in row])
-    return [[flat.get(i * n + j, 0) for j in range(n)] for i in range(n)], scale
+    """(A, l): A = l * m in ints, of the shape of m, for l the lcm of the
+    denominators of m."""
+    flat, scale = _integer_row({(i, j): x for i, row in enumerate(m) for j, x in enumerate(row)})
+    return [[flat.get((i, j), 0) for j in range(len(row))] for i, row in enumerate(m)], scale
 
 
 def _integer_inverse(m):
@@ -237,15 +202,10 @@ def _integer_inverse(m):
     a, scale = _integer_matrix(m)
     n = len(a)
     held = Echelon(row + [scale * (i == j) for j in range(n)] for i, row in enumerate(a))._rows
-    if sorted(held) != list(range(n)):
+    if any(len(row) != n for row in a) or sorted(held) != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     s = lcm(*(held[c][c] for c in range(n)))
     return [[held[c].get(n + j, 0) * (s // held[c][c]) for j in range(n)] for c in range(n)], s
-
-
-def inverse(m):
-    n_mat, s = _integer_inverse(m)
-    return [[Fraction(x, s) for x in row] for row in n_mat]
 
 
 # -- alternating tensors ------------------------------------------------------

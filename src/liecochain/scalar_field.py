@@ -716,10 +716,6 @@ class ScalarExpr:
             return _new(_p_partial(self.num, coord), ())
         num, (mono, factors) = self.num, _split(self.den)
         den = [(f, e) for f, e in self.den if _depends(f, coord)]
-        if not den:
-            dn = _p_partial(num, coord)
-            _partial_work(self, coord, dn, [])
-            return _fraction(dn, mono, factors)
         polys = [num] + [f for f, _ in den]
         variables = dict.fromkeys(v for p in polys for v in p.vs)
         derivatives = _moving(variables, coord)

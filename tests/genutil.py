@@ -9,6 +9,7 @@ from math import prod
 from types import SimpleNamespace
 from unittest import mock
 
+import reference as ref
 from liecochain import action_analysis as aa
 from liecochain import chart_calculus as cc
 from liecochain import lie_cohomology as lc
@@ -171,11 +172,8 @@ def random_altform(rng, dim, degree):
 def random_invertible(rng, n, span=2):
     while True:
         m = [[Fraction(rng.randint(-span, span)) for _ in range(n)] for _ in range(n)]
-        try:
-            linalg.inverse(m)
+        if ref.inverse(m) is not None:
             return m
-        except linalg.SingularMatrix:
-            continue
 
 
 _TEMPLATES = {
@@ -215,7 +213,7 @@ def so(n):
 def transport_algebra(algebra, matrix):
     """Structure constants in the basis f_i = matrix * e_i (columns)."""
     n = algebra.dim
-    inv = linalg.inverse(matrix)
+    inv = ref.inverse(matrix)
     cols = [[matrix[r][c] for r in range(n)] for c in range(n)]
     brackets = {}
     for i in range(n):
@@ -253,15 +251,15 @@ def random_so3_automorphism(rng):
     flip = [[Fraction(1), Fraction(0), Fraction(0)],
             [Fraction(0), Fraction(-1), Fraction(0)],
             [Fraction(0), Fraction(0), Fraction(-1)]]
-    out = linalg.identity(3)
+    out = ref.identity(3)
     for _ in range(rng.randint(1, 4)):
         piece = rng.choice(["rot", "cyc", "flip"])
         if piece == "rot":
-            out = linalg.matmul(out, rational_rotation(rng, rng.randrange(3)))
+            out = ref.matmul(out, rational_rotation(rng, rng.randrange(3)))
         elif piece == "cyc":
-            out = linalg.matmul(out, cyc)
+            out = ref.matmul(out, cyc)
         else:
-            out = linalg.matmul(out, flip)
+            out = ref.matmul(out, flip)
     return out
 
 

@@ -11,6 +11,7 @@ from liecochain import chart_calculus as cc
 from liecochain import lie_cohomology as lc
 from liecochain import linalg
 
+import reference as ref
 from genutil import (random_altform, random_form, random_lie_algebra,
                      random_multivector, random_vectorfield, transport_algebra)
 
@@ -153,7 +154,7 @@ def suite_abelian_binomial(cases, seed=139):
     trivial = lc.SubgroupSpec.trivial()
     for i in range(cases):
         p = rng.randint(1, 5)
-        alg = transport_algebra(lc.LieAlgebra(p), linalg.identity(p))
+        alg = transport_algebra(lc.LieAlgebra(p), ref.identity(p))
         r = rng.randint(0, p)
         res = lc.relative_cohomology(alg, trivial, r)
         # brute-force oracle: ranks of the full differential matrices

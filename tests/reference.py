@@ -1,5 +1,5 @@
 """Reference implementations for oracle tests: Gauss-Jordan elimination in
-Fractions, the CE operators evaluated form by form from their defining
+Fractions with the identity matrix and the matrix product, the CE operators evaluated form by form from their defining
 formulas, relative CE cohomology in Fractions on those operators, subgroup
 validation in Fractions, the interior product of a chart form by one vector
 field, the Lie bracket of two vector fields component by component, the
@@ -46,6 +46,14 @@ def rref(m):
     return rows, pivots
 
 
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
 def rank(m):
     if not m or not m[0]:
         return 0
@@ -70,7 +78,7 @@ def nullspace(m):
 def inverse(m):
     """Inverse, or None for a singular matrix."""
     n = len(m)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    aug = [list(row) + unit for row, unit in zip(m, identity(n))]
     rows, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         return None

@@ -159,7 +159,6 @@ def test_evaluate_and_jacobian():
     P2 = cc.Chart(("x", "y"))
     rot = cc.vector_field(P2, [-sf.coordinate("y"), sf.coordinate("x")])
     assert evaluate_vectorfield_at(rot, (1, 0)) == [0, 1]
-    assert cc.jacobian_at(rot, (0, 0)) == [[0, -1], [1, 0]]
     assert evaluate_vectorfield_at(basis_vector(M3, "y"), (5, 5, 5)) == [0, 1, 0]
 
 

@@ -8,6 +8,7 @@ import pytest
 from liecochain import lie_cohomology as lc
 from liecochain import linalg
 
+import reference as ref
 from genutil import (AltMultiVec, basis_covector, pairing, random_altform, random_lie_algebra,
                      random_so3_automorphism, satisfies_relative_constraints, so,
                      subgroup_unchecked, transport_algebra)
@@ -29,7 +30,7 @@ def test_jacobi_so3_and_solvable():
     assert not lc.validate_lie_algebra(SO3)
     assert not lc.validate_lie_algebra(SOLV2)
     # brute-force oracle on so(3), all triples by direct expansion
-    e = linalg.identity(3)
+    e = ref.identity(3)
     for i, j, k in combinations(range(3), 3):
         total = [sum(t) for t in zip(
             SO3.bracket(SO3.bracket(e[i], e[j]), e[k]),
@@ -94,7 +95,7 @@ def test_coadjoint_action():
     a12 = a(1).wedge(a(2))
     acted = lc.coadjoint_matrix_action(REFLECTION, a12)
     assert acted == -a12
-    assert lc.coadjoint_matrix_action(linalg.identity(3), a12) == a12
+    assert lc.coadjoint_matrix_action(ref.identity(3), a12) == a12
     assert lc.coadjoint_matrix_action(REFLECTION, a(2)) == a(2)
     with pytest.raises(linalg.SingularMatrix):
         lc.coadjoint_matrix_action([[0, 0, 0], [0, 1, 0], [0, 0, 1]], a12)
@@ -194,8 +195,34 @@ def test_conjugate_subgroup_relabeling():
     assert moved.basis == ((Fraction(1), Fraction(0), Fraction(0)),)
     h2 = lc.relative_cohomology(SO3, moved, 2)
     assert h2.dimension == 1
-    same = lc.conjugate_subgroup(SO3, SO2, linalg.identity(3))
+    same = lc.conjugate_subgroup(SO3, SO2, ref.identity(3))
     assert same == SO2
+
+
+# (subgroup data of a wrong size on so(3), the one problem reported)
+WRONG_SIZES = [
+    ([[0, 1]], [], "subalgebra vector 0 has 2 entries, not 3"),
+    ([[0, 0, 1, 5]], [], "subalgebra vector 0 has 4 entries, not 3"),
+    ([], [ref.identity(4)], "component matrix 0 is 4x4, not 3x3"),
+    ([[0, 0, 1]], [[[1, 0], [0, 1], [0, 0]]], "component matrix 0 is 3x2, not 3x3"),
+]
+
+
+@pytest.mark.parametrize("vectors,matrices,problem", WRONG_SIZES,
+                         ids=["short vector", "long vector", "4x4 component", "3x2 component"])
+def test_subgroup_of_the_wrong_size_is_invalid(vectors, matrices, problem):
+    """A wrong size is reported before any other check, and the complex
+    refuses the subgroup in every degree."""
+    sub = lc.SubgroupSpec.from_vectors(vectors, matrices)
+    assert lc.validate_subgroup(SO3, sub) == [problem]
+    for r in range(SO3.dim + 1):
+        with pytest.raises(lc.InvalidSubgroup, match=problem):
+            lc.relative_cohomology(SO3, sub, r)
+
+
+def test_conjugating_matrix_of_the_wrong_size():
+    with pytest.raises(lc.NotAutomorphism, match="conjugating matrix is 2x3, not 3x3"):
+        lc.conjugate_subgroup(SO3, SO2, [[1, 0, 0], [0, 1, 0]])
 
 
 def test_conjugate_requires_automorphism():
@@ -220,7 +247,7 @@ def test_abelian_dims_binomial():
     rng = random.Random(13)
     for _ in range(30):
         p = rng.randint(1, 5)
-        alg = transport_algebra(lc.LieAlgebra(p), linalg.identity(p))
+        alg = transport_algebra(lc.LieAlgebra(p), ref.identity(p))
         r = rng.randint(0, p)
         res = lc.relative_cohomology(alg, TRIVIAL, r)
         assert res.dimension == comb(p, r)
@@ -375,18 +402,19 @@ def test_no_constraint_pass_without_a_subgroup(monkeypatch):
 
 
 def test_no_fraction_inverse_or_rref_in_the_complex(monkeypatch):
-    """Validation and the relative complex invert no matrix in Fractions
-    and take no rref, for valid subgroups with rational components and
-    for invalid ones."""
+    """Validation builds no Fraction and the relative complex builds them
+    only for its representatives, for valid subgroups with rational
+    components and for a singular one: no matrix is inverted and no row
+    reduced in Fractions (`linalg` has no Fraction inverse or rref; see
+    test_linalg_surface)."""
     moved = lc.conjugate_subgroup(SO3, O2, [[1, 0, 0], [0, Fraction(3, 5), Fraction(-4, 5)],
                                             [0, Fraction(4, 5), Fraction(3, 5)]])
-    calls = []
-    for name in ("inverse", "rref"):
-        monkeypatch.setattr(linalg, name, lambda *args, name=name: calls.append(name))
     for alg, sub in ((SO3, O2), (SO3, moved), (so(4), SO4_CIRCLE)):
-        assert lc.validate_subgroup(alg, sub) == []
+        assert _fractions_built(monkeypatch, lambda: lc.validate_subgroup(alg, sub)) == ([], 0)
         for r in range(alg.dim + 1):
-            lc.relative_cohomology(alg, sub, r)
+            res, count = _fractions_built(monkeypatch,
+                                          lambda: lc.relative_cohomology(alg, sub, r))
+            assert count == 2 * sum(len(rep.coeffs) for rep in res.representatives)
     singular = lc.SubgroupSpec.from_vectors([[0, 0, 1]], [[[1, 0, 0], [0, 1, 0], [1, 0, 0]]])
-    assert lc.validate_subgroup(SO3, singular) == ["component matrix 0 is singular"]
-    assert calls == []
+    assert _fractions_built(monkeypatch, lambda: lc.validate_subgroup(SO3, singular)) == \
+        (["component matrix 0 is singular"], 0)

@@ -65,17 +65,28 @@ def square_matrix(rng):
     return m
 
 
-def test_rref_rank_nullspace_match_gauss_jordan():
+def sparse_rows(m):
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def echelon_as_rref(rows, n_rows, n_cols):
+    """`Echelon.rows` as Gauss-Jordan's (rows, pivots): dense, pivots in
+    column order, zero rows below."""
+    pivots = sorted(rows)
+    dense = [[rows[c].get(j, Fraction(0)) for j in range(n_cols)] for c in pivots]
+    return dense + [[Fraction(0)] * n_cols] * (n_rows - len(pivots)), pivots
+
+
+def test_echelon_rank_nullspace_match_gauss_jordan():
     rng = random.Random(23)
     for _ in range(400):
         m = random_matrix(rng)
-        assert linalg.rref(m) == ref.rref(m)
-        assert linalg.rank(m) == ref.rank(m)
-        assert linalg.nullspace(m) == ref.nullspace(m)
         n_cols = len(m[0]) if m else rng.randint(0, 3)
-        sparse = [{c: x for c, x in enumerate(row) if x} for row in m]
-        assert linalg.nullspace(sparse, range(n_cols)) == \
-            [{c: x for c, x in enumerate(v) if x} for v in ref.nullspace(m or [[0] * n_cols])]
+        sparse = sparse_rows(m)
+        for rows in (m, sparse):
+            assert echelon_as_rref(linalg.Echelon(rows).rows, len(m), n_cols) == ref.rref(m)
+            assert linalg.rank(rows) == ref.rank(m)
+            assert linalg.nullspace(rows, range(n_cols)) == ref.nullspace(m or [[0] * n_cols])
         # the integer kernel: primitive, positive in its free column (its last
         # key), and the nullspace vector times that entry
         kernel = linalg.kernel(sparse, range(n_cols))
@@ -83,10 +94,12 @@ def test_rref_rank_nullspace_match_gauss_jordan():
             free = next(reversed(k))
             assert all(type(x) is int for x in k.values())
             assert math.gcd(*k.values()) == 1 and k[free] > 0 and v[free] == 1
-            assert k == {c: x * k[free] for c, x in v.items()}
+            assert k == {c: x * k[free] for c, x in enumerate(v) if x}
 
 
-def test_inverse_matches_gauss_jordan():
+def test_integer_inverse_matches_gauss_jordan():
+    """N / s = m^-1 for (N, s) = `_integer_inverse(m)`, s the lcm of the
+    denominators of m^-1."""
     rng = random.Random(29)
     singular = 0
     for _ in range(300):
@@ -95,13 +108,17 @@ def test_inverse_matches_gauss_jordan():
         if expected is None:
             singular += 1
             with pytest.raises(linalg.SingularMatrix):
-                linalg.inverse(m)
+                linalg._integer_inverse(m)
         else:
-            assert linalg.inverse(m) == expected
+            n, s = linalg._integer_inverse(m)
+            assert all(type(x) is int for row in n for x in row)
+            assert [[Fraction(x, s) for x in row] for row in n] == expected
+            assert s == math.lcm(*(x.denominator for row in expected for x in row))
     assert 20 < singular < 280
 
 
 def test_echelon_matches_gauss_jordan_dense_and_sparse():
+    """A dense and a sparse row give the same sparse row back."""
     rng = random.Random(31)
     for _ in range(100):
         n = rng.randint(1, 6)
@@ -109,10 +126,11 @@ def test_echelon_matches_gauss_jordan_dense_and_sparse():
         for _ in range(rng.randint(1, 8)):
             v = random_matrix_row(rng, n, expected)
             want = expected.insert(v)
+            want = None if want is None else {c: x for c, x in enumerate(want) if x}
             assert ech.insert(v) == want
-            got = sparse.insert({c: x for c, x in enumerate(v) if x})
-            assert got == (None if want is None else {c: x for c, x in enumerate(want) if x})
-            assert ech.rows == expected.rows
+            assert sparse.insert({c: x for c, x in enumerate(v) if x}) == want
+            assert ech.rows == sparse.rows == {c: {j: x for j, x in enumerate(row) if x}
+                                               for c, row in expected.rows.items()}
             w = random_matrix_row(rng, n, expected)
             assert ech.contains(w) == all(x == 0 for x in expected.reduce(w))
 
@@ -128,7 +146,7 @@ def random_matrix_row(rng, n, space):
     return [random_rational(rng, 4) if rng.random() < 0.6 else Fraction(0) for _ in range(n)]
 
 
-def test_rref_matches_sympy():
+def test_echelon_rows_match_sympy_rref():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(37)
     for _ in range(150):
@@ -136,7 +154,7 @@ def test_rref_matches_sympy():
         if not m or not m[0]:
             continue
         expected, pivots = sympy.Matrix(m).rref()
-        rows, got_pivots = linalg.rref(m)
+        rows, got_pivots = echelon_as_rref(linalg.Echelon(m).rows, len(m), len(m[0]))
         assert got_pivots == list(pivots)
         assert rows == [[Fraction(int(x.p), int(x.q)) for x in expected.row(i)]
                         for i in range(expected.rows)]
@@ -364,7 +382,7 @@ def test_basis_contraction_signs_match_inversion_count():
 def _transported_so4_circle():
     m = [[Fraction(int(i == j)) + (Fraction(1, 2) if j == i + 1 else 0)
           - (Fraction(2, 3) if (i, j) == (5, 0) else 0) for j in range(6)] for i in range(6)]
-    v = linalg.matvec(linalg.inverse(m), [Fraction(1)] + [Fraction(0)] * 5)
+    v = linalg.matvec(ref.inverse(m), [Fraction(1)] + [Fraction(0)] * 5)
     return transport_algebra(so(4), m), lc.SubgroupSpec.from_vectors([v])
 
 
@@ -435,7 +453,7 @@ def moved_case(name, kind, rng, broken=False):
                 for d in diagonals]
     sub = lc.SubgroupSpec.from_vectors(
         [linalg.matvec(p_inv, v) for v in vectors],
-        [linalg.matmul(linalg.matmul(p_inv, m), p) for m in matrices])
+        [ref.matmul(ref.matmul(p_inv, m), p) for m in matrices])
     return transport_algebra(alg, p), sub
 
 
