@@ -6,8 +6,9 @@ the checks in Fractions, pinned representatives, the
 contraction signs of basis monomials against inversion counts, scalar
 arithmetic on factored denominators against expanded denominators (and
 sympy), the value and partials of a scalar at a point against sympy's
-`diff` and `subs`, the one-pass tokenizer against the line-by-line one, and
-the dimensions of the fixed spaces at a point against sympy's ranks."""
+`diff` and `subs`, the one-pass tokenizer against the line-by-line one, the
+dimensions of the fixed spaces at a point against sympy's ranks, and the
+linear relations among generator fields against sympy's `linsolve`."""
 
 import math
 import operator
@@ -237,6 +238,80 @@ def test_fixed_space_dimensions_match_sympy_ranks():
         assert len(basis) == len(aa.isotropy_algebra_at(action, point)) == len(isotropy)
         assert all((g.T * sympy.Matrix(xi)).is_zero_matrix for xi in basis)
         assert (tangent_dim, vertical_dim) == (dim_t, dim_tv)
+    check()
+
+
+# -- linear relations among generators -------------------------------------------
+
+def test_generator_kernel_matches_sympy_linsolve():
+    """On p fields over an abelian algebra, each a rational combination of
+    a few drawn fields or drawn itself, with components that are fractions
+    of polynomials in x, y, z and the function symbols K(z), K'(z) and
+    h(x, y): every relation xi the kernel returns has sum_j xi_j v_j[i]
+    equal to 0 in every component i, the relations are independent, and
+    there are as many as the dimension of the solutions that sympy's
+    `linsolve` finds for constant c_j with sum_j c_j v_j identically 0.
+    sympy sees each function symbol as an indeterminate of its own, as the
+    kernel does."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    chart = cc.Chart(("x", "y", "z"))
+    gens = sympy.symbols("x y z K Kz h")
+    K, h = sf.function("K", ("z",)), sf.function("h", ("x", "y"))
+    # (scalar, the same in sympy) for each atom and each denominator
+    atoms = list(zip([sf.coordinate(c) for c in "xyz"] + [K, sf.partial(K, "z"), h], gens))
+    x, y, z, k, _, _ = gens
+    dens = [(sf.ONE, sympy.Integer(1)), (sf.coordinate("x"), x), (K + 1, k + 1), (K + sf.coordinate("z"), k + z),
+            ((sf.coordinate("x") ** 2 + 1) * (sf.coordinate("y") + sf.coordinate("z")),
+             (x ** 2 + 1) * (y + z))]
+    terms = st.tuples(st.integers(-3, 3), st.lists(st.sampled_from(atoms), max_size=2))
+    scalars = st.tuples(st.lists(terms, min_size=1, max_size=3), st.sampled_from(dens))
+    vectors = st.lists(st.one_of(st.just(None), scalars), min_size=3, max_size=3)
+    weights = st.lists(st.fractions(-2, 2, max_denominator=3), min_size=3, max_size=3)
+
+    def scalar(drawn):
+        """The drawn scalar as (ScalarExpr, sympy expression); None is 0."""
+        if drawn is None:
+            return sf.ZERO, sympy.Integer(0)
+        ts, (d, sym_d) = drawn
+        e = sum((math.prod((a for a, _ in t), start=sf.rational(c)) for c, t in ts), sf.ZERO)
+        u = sum(sympy.Integer(c) * math.prod(s for _, s in t) for c, t in ts)
+        return e / d, u / sym_d
+
+    @st.composite
+    def cases(draw):
+        base = [[scalar(c) for c in draw(vectors)] for _ in range(draw(st.integers(1, 3)))]
+        planted = []
+        for _ in range(draw(st.integers(0, 4 - len(base)))):
+            qs = draw(weights)[:len(base)]
+            planted.append([(sum((q * v[i][0] for q, v in zip(qs, base)), sf.ZERO),
+                             sum(sympy.Rational(q.numerator, q.denominator) * v[i][1]
+                                 for q, v in zip(qs, base))) for i in range(3)])
+        return draw(st.permutations(base + planted))
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(cases())
+    def check(vecs):
+        p = len(vecs)
+        fields = tuple(cc.vector_field(chart, [e for e, _ in v]) for v in vecs)
+        kernel = aa.generator_kernel(aa.ActionSpec(chart, lc.LieAlgebra(p), fields, 1))
+        for xi in kernel:
+            for i in range(3):
+                assert sf.equals(sum((c * f.components[i] for c, f in zip(xi, fields)), sf.ZERO),
+                                 0)
+        assert linalg.rank(kernel) == len(kernel)
+        cs = sympy.symbols(f"c0:{p}")
+        eqs = []
+        for i in range(3):
+            num = sympy.numer(sympy.together(sum(c * v[i][1] for c, v in zip(cs, vecs))))
+            eqs += [e for e in sympy.Poly(sympy.expand(num), *gens).coeffs() if e != 0]
+        if eqs:
+            solution, = sympy.linsolve(eqs, cs)
+            free = set().union(*(sympy.sympify(s).free_symbols for s in solution)) & set(cs)
+        else:
+            free = cs
+        assert len(kernel) == len(free)
     check()
 
 
