@@ -108,14 +108,7 @@ def rank_failures(action, sample_points):
 def generator_kernel(action):
     """Rational vectors xi with sum_i xi_i * generator_i identically zero;
     none for an effective action."""
-    p = len(action.generators)
-    rows = {}  # (component, term key) -> sparse row {generator: coefficient}
-    for comp_idx in range(action.chart.dim):
-        cleared = sf.cleared_numerators([g.components[comp_idx] for g in action.generators])
-        for gi, poly in enumerate(cleared):
-            for key, c in poly:
-                rows.setdefault((comp_idx, key), {})[gi] = c
-    return linalg.nullspace(list(rows.values()), range(p))
+    return sf.linear_relations([g.components for g in action.generators])
 
 
 def isotropy_algebra_at(action, point):
@@ -179,20 +172,10 @@ def check_invariant_multivector(action, chi):
 
 
 def _factor(chi, w):
-    """chi's coefficient over w's, at w's first nonzero coefficient."""
-    base_idx = next((idx for idx, c in w.coeffs.items() if not c.is_zero()), None)
-    if base_idx is None:
-        raise sf.DivisionByZeroExpr("proportionality against the zero multivector")
+    """chi's coefficient over w's, at w's first nonzero coefficient: the
+    factor lambda of chi = lambda * w once `sf.proportional` has found one."""
+    base_idx = next(idx for idx, c in w.coeffs.items() if not c.is_zero())
     return chi.coefficient(base_idx) / w.coefficient(base_idx)
-
-
-def multivector_proportionality(chi, w):
-    """Single scalar factor lambda with chi = lambda * w, or None."""
-    lam = _factor(chi, w)
-    residual = chi - w.scaled(lam)
-    if not residual.is_zero():
-        return None
-    return lam
 
 
 def _vanishes_at(w, pt):
@@ -231,10 +214,7 @@ def check_vertical(action, chi, sample_points=(), factor=True):
         if w.is_zero() or (values is None and all(_vanishes_at(w, pt) for pt in pts)):
             continue
         degenerate = False
-        multiple = sf.proportional(chi.coeffs, w.coeffs)
-        if multiple is None:   # the decision declined: the exact residual decides
-            multiple = multivector_proportionality(chi, w) is not None
-        if multiple:
+        if sf.proportional(chi.coeffs, w.coeffs):
             return subset, _factor(chi, w) if factor else None
     if degenerate:
         raise NoFrameFound("every generator subset of orbit size is degenerate")
@@ -377,9 +357,9 @@ def scaling_factor_unchecked(action, chi, lr):
     vertical chain."""
     if lr.is_zero():
         return sf.ZERO
-    lam = multivector_proportionality(lr, chi)
-    if lam is None:
+    if not sf.proportional(lr.coeffs, chi.coeffs):
         raise NotProportional("derivative of the chain is not a multiple of the chain")
+    lam = _factor(lr, chi)
     if not _invariant_scalar(action, lam):
         raise InvalidInput("scaling factor is not invariant")
     return lam

@@ -151,6 +151,8 @@ def _bracket(brackets, u, v):
 def is_automorphism(algebra, matrix):
     """Does the matrix preserve brackets: [Mu, Mv] = M[u, v] on the basis?
     In integers, for M = A / l: [A e_i, A e_j] = l A [e_i, e_j]."""
+    if size := _wrong_size(matrix, algebra.dim):
+        raise NotAutomorphism(f"matrix is {size}")
     a, scale = _integer_matrix(matrix)
     n, table, cols = len(a), algebra.integer_brackets, list(zip(*a))
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -166,6 +168,14 @@ def _wrong_size(m, n):
     return None if shape == f"{n}x{n}" else f"{shape}, not {n}x{n}"
 
 
+def _size_problems(n, sub):
+    """A violation string for each vector and matrix of sub not of size n."""
+    problems = [f"subalgebra vector {i} has {len(v)} entries, not {n}"
+                for i, v in enumerate(sub.basis) if len(v) != n]
+    return problems + [f"component matrix {i} is {size}"
+                       for i, m in enumerate(sub.component_reps) if (size := _wrong_size(m, n))]
+
+
 def validate_subgroup(algebra, sub):
     """Violation strings for an invalid SubgroupSpec; empty list when valid.
     Vectors and matrices of the wrong size are the only problems reported
@@ -173,11 +183,7 @@ def validate_subgroup(algebra, sub):
     of the matrices and the integer bracket table change no span, rank or
     bracket direction."""
     n = algebra.dim
-    problems = [f"subalgebra vector {i} has {len(v)} entries, not {n}"
-                for i, v in enumerate(sub.basis) if len(v) != n]
-    problems += [f"component matrix {i} is {size}"
-                 for i, m in enumerate(sub.component_reps) if (size := _wrong_size(m, n))]
-    if problems:
+    if problems := _size_problems(n, sub):
         return problems
     basis = [_primitive_vector(v) for v in sub.basis]
     span = linalg.Echelon(basis)
@@ -380,6 +386,8 @@ def infinitesimal_action(algebra, v, alpha):
 def coadjoint_matrix_action(matrix, alpha):
     """(M.a)(v_1..v_r) = a(M^-1 v_1, ..., M^-1 v_r), for M^-1 = N / s: the
     pullback by N, divided once by s^r."""
+    if size := _wrong_size(matrix, alpha.dim):
+        raise NotAutomorphism(f"matrix is {size}")
     minv, s = _integer_inverse(matrix)
     form = AltForm(alpha.dim, alpha.degree,
                    _apply(alpha.coeffs, lambda t: _pullback_image(minv, t)))
@@ -457,6 +465,8 @@ def conjugate_subgroup(algebra, sub, auto):
     """Transport a subgroup along a bracket-preserving invertible matrix A:
     vectors v to A v, components M to A M A^-1, whose column j is
     A M N e_j / s for A^-1 = N / s."""
+    if problems := _size_problems(algebra.dim, sub):
+        raise InvalidSubgroup("; ".join(problems))
     auto = [list(row) for row in auto]
     if size := _wrong_size(auto, algebra.dim):
         raise NotAutomorphism(f"conjugating matrix is {size}")

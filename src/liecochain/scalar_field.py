@@ -10,7 +10,7 @@ product multiplies the contents once and then adds ints and multiplies
 ints.  A field that an exponent would overflow is widened, never wrapped.
 The form is canonical, so structural equality is meaningful and the zero
 test is syntactic; Fraction appears only in contents, in `jet_at`, in
-rendering and in the term tuples of `_terms` and `cleared_numerators`.
+rendering and in the term tuples of `_terms`.
 
 The denominator is kept factored, as a sorted tuple of (factor, exponent)
 pairs; a polynomial has none.  At most one factor is a monomial (one term,
@@ -19,11 +19,13 @@ terms, no monomial content and lead coefficient 1.  Products add exponents,
 sums take the lcm of the factor multisets, and the quotient rule raises the
 exponent of each factor it differentiates by one, so only numerators grow.
 Fractions are never reduced by polynomial gcd; mathematical equality is
-decided by cross multiplication (`equals`).  Two decisions run on cleared
+decided by cross multiplication (`equals`).  Three decisions run on cleared
 numerators, as bare integer terms of one packed layout with the same
-product, partial and sum loops as the polynomials: whether a Lie derivative
-of a tensor of such values vanishes (`operator_vanishes`), and whether one
-tensor is a multiple of another (`proportional`).
+product, partial and sum loops as the polynomials: which rational
+combinations of vectors of such values vanish (`linear_relations`), whether
+one tensor is a multiple of another (`proportional`), and whether a Lie
+derivative of a tensor vanishes (`operator_vanishes`).  Only the last
+declines, with None, where it leaves the verdict to the exact derivative.
 
 All values are immutable; every operation returns a new canonical value.
 """
@@ -37,7 +39,7 @@ from math import comb, gcd, lcm, prod
 from operator import or_
 from types import SimpleNamespace
 
-from .linalg import _combine, _integer_row, _primitive
+from .linalg import _combine, _integer_row, _primitive, nullspace
 
 # Largest n * t * C(n+t-1, t-1) -- term products in raising a t-term
 # numerator to the n-th power -- that `**` starts.
@@ -868,18 +870,6 @@ def equals(e1, e2):
     return _p_mul(e1.num, c1) == _p_mul(e2.num, c2)
 
 
-def cleared_numerators(exprs):
-    """Numerator polynomials after clearing denominators across the list.
-
-    Returns term tuples (`_terms`) P_i = num_i * (L / den_i), L the lcm of the
-    factored denominators; a rational combination of the expressions
-    vanishes iff the same combination of the P_i does, which reduces linear
-    dependence over Q to coefficient matching.
-    """
-    exprs = [normalize(e) for e in exprs]
-    return [_terms(_p_mul(e.num, c)) for e, c in zip(exprs, _lcm(exprs)[2])]
-
-
 # -- decisions on bare terms ----------------------------------------------------
 #
 # A decision clears its expressions once into bare terms of one layout of
@@ -919,30 +909,46 @@ def _clear(exprs, polys=(), spare=0):
         + [(_repack(f.terms, f.vs, f.w, vs, w), k) for f, k in factors.items()])
 
 
+def linear_relations(vectors):
+    """Deterministic basis of the rational xi with sum_j xi_j v_j = 0, for
+    vectors v_j of expressions of one length (`linalg.nullspace`).  Each
+    entry is cleared across the vectors (`_clear`), which scales every
+    vector's entry by one nonzero rational, so the relations are those of
+    the cleared numerators: one row per entry and term key."""
+    rows = {}  # (entry, packed key) -> {vector: coefficient}
+    for i, entry in enumerate(zip(*vectors)):
+        for j, terms in enumerate(_clear([normalize(e) for e in entry])[2]):
+            for k, x in terms.items():
+                rows.setdefault((i, k), {})[j] = x
+    return nullspace(list(rows.values()), range(len(vectors)))
+
+
 def proportional(a, b):
     """Whether a = lambda * b for some expression lambda, a and b {key:
     expression}, a missing key meaning zero, b not all zero.  With both
     cleared over one denominator, a = (a_0 / b_0) b exactly when A_k B_0 =
-    A_0 B_k for every key k, b_0 being b's first nonzero coefficient.  None
-    when the clearing or those products would take over MAX_SUM_WORK term
-    products."""
+    A_0 B_k for every key k, b_0 being b's first nonzero coefficient.  When
+    the clearing or those products would take over MAX_SUM_WORK term
+    products, a_k = lambda b_k is decided key by key with `equals`, for
+    lambda = a_0 / b_0, each pair under the limit of its own sum."""
     base = next((k for k, c in b.items() if c.num), None)
     if base is None:
         raise DivisionByZeroExpr("proportionality against zero")
-    if a.keys() | b.keys() == {base}:
+    keys = a.keys() | b.keys()
+    if keys == {base}:
         return True
     try:
         _, _, numerators, _ = _clear(list(a.values()) + list(b.values()))
+        big_a, big_b = dict(zip(a, numerators)), dict(zip(b, numerators[len(a):]))
+        a0, b0 = big_a.get(base, {}), big_b[base]
+        if sum(len(big_a.get(k, ())) * len(b0) + len(a0) * len(big_b.get(k, ())) for k in keys) \
+                > MAX_SUM_WORK:
+            raise SumTooLarge
+        return all(_mul_terms(big_a.get(k, {}), b0) == _mul_terms(a0, big_b.get(k, {}))
+                   for k in keys)
     except SumTooLarge:
-        return None
-    big_a, big_b = dict(zip(a, numerators)), dict(zip(b, numerators[len(a):]))
-    a0, b0 = big_a.get(base, {}), big_b[base]
-    keys = big_a.keys() | big_b.keys()
-    if sum(len(big_a.get(k, ())) * len(b0) + len(a0) * len(big_b.get(k, ())) for k in keys) \
-            > MAX_SUM_WORK:
-        return None
-    return all(_mul_terms(big_a.get(k, {}), b0) == _mul_terms(a0, big_b.get(k, {}))
-               for k in keys)
+        lam = a.get(base, ZERO) / b[base]
+        return all(equals(a.get(k, ZERO), lam * b.get(k, ZERO)) for k in keys)
 
 
 def operator_vanishes(coeffs, generators, names, factor_terms):

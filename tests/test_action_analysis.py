@@ -857,9 +857,15 @@ def test_invariance_verdicts_match_the_exact_kernel():
     check()
 
 
+def _residual(a, b):
+    """a - (a_0 / b_0) b, b_0 being b's first nonzero coefficient: zero
+    exactly when a is a multiple of b."""
+    base = next(idx for idx, c in b.coeffs.items() if not c.is_zero())
+    return a - b.scaled(a.coefficient(base) / b.coefficient(base))
+
+
 def test_proportionality_decision_matches_the_residual():
-    """sf.proportional decides what the exact residual of
-    multivector_proportionality decides, wherever it does not decline."""
+    """sf.proportional decides what the exact residual decides."""
     hypothesis = pytest.importorskip("hypothesis")
     gen = invariance_strategies(hypothesis.strategies)
 
@@ -867,16 +873,15 @@ def test_proportionality_decision_matches_the_residual():
     @hypothesis.given(gen.pairs)
     def check(pair):
         a, b = pair
-        decision = sf.proportional(a.coeffs, b.coeffs)
-        hypothesis.assume(decision is not None)
-        assert decision == (aa.multivector_proportionality(a, b) is not None)
+        assert sf.proportional(a.coeffs, b.coeffs) == _residual(a, b).is_zero()
     check()
 
 
-def test_proportionality_over_the_sum_limit_is_declined(monkeypatch):
+def test_proportionality_over_the_sum_limit_is_decided_key_by_key(monkeypatch):
     """A pair the strategy of the property above draws: the products
     A_k B_0 and A_0 B_k take 31,104 term products, over MAX_SUM_WORK, so
-    the decision is None; with the limit lifted it is the residual's."""
+    each coefficient is compared on its own, and the answer is the
+    residual's, as it is with the limit lifted."""
     x, y, z = (sf.coordinate(c) for c in "xyz")
     K, h = sf.function("K", ("z",)), sf.function("h", ("x", "y"))
     hy = sf.partial(h, "y")
@@ -885,12 +890,27 @@ def test_proportionality_over_the_sum_limit_is_declined(monkeypatch):
     b = cc.DiffForm(M3, 1, {(0,): (3 * x * h - 3 * x - z ** 131) / (K + z) ** 2,
                             (1,): 3 - 2 * sf.partial(K, "z"),
                             (2,): sf.rational(-3) / (x ** 2 + y ** 2 + z ** 2)})
-    assert sf.proportional(a.coeffs, b.coeffs) is None
+    assert not _residual(a, b).is_zero()
+    assert sf.proportional(a.coeffs, b.coeffs) is False
     monkeypatch.setattr(sf, "MAX_SUM_WORK", 31_104)
     assert sf.proportional(a.coeffs, b.coeffs) is False
-    assert aa.multivector_proportionality(a, b) is None
-    monkeypatch.setattr(sf, "MAX_SUM_WORK", 31_103)
-    assert sf.proportional(a.coeffs, b.coeffs) is None
+
+
+def test_proportionality_past_a_refused_clearing_is_the_residuals(monkeypatch):
+    """Below the work of clearing a and b over one denominator, 24 term
+    products, the clearing is refused, and each coefficient pair, over one
+    denominator already, is compared on its own: a multiple of b is found,
+    and one changed coefficient is not."""
+    x, y, z = (sf.coordinate(c) for c in "xyz")
+    b = cc.MultiVectorField(M3, 1, {(0,): 1 / (x + 1), (1,): 1 / (y + 1), (2,): 1 / (z + 1)})
+    a = b.scaled(x)
+    changed = cc.MultiVectorField(M3, 1, {**a.coeffs, (2,): a.coefficient((2,)) + 1})
+    monkeypatch.setattr(sf, "MAX_SUM_WORK", 23)
+    with pytest.raises(sf.SumTooLarge, match="needs up to 24 term products"):
+        sf.linear_relations([[c] for c in (*a.coeffs.values(), *b.coeffs.values())])
+    for t, multiple in ((a, True), (changed, False)):
+        assert _residual(t, b).is_zero() is multiple
+        assert sf.proportional(t.coeffs, b.coeffs) is multiple
 
 
 def test_generators_are_decided_in_order_one_at_a_time():
@@ -926,7 +946,7 @@ def test_common_denominator_over_the_sum_limit_is_decided_by_the_kernel():
         coeffs[(i,)] = (sf.ONE / sum((c ** k for k in range(10)), sf.ZERO)) ** 3
     omega = cc.DiffForm(chart, 1, coeffs)
     with pytest.raises(sf.SumTooLarge):
-        sf.cleared_numerators(list(omega.coeffs.values()))
+        sf.linear_relations([[c] for c in omega.coeffs.values()])
     turn = cc.vector_field(chart, [-yc, xc, sf.ZERO, sf.ZERO, sf.ZERO])
     for generators in ((turn,), (turn, basis_vector(chart, "u"))):
         verdict = _check(generators, omega)

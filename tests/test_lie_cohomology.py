@@ -205,24 +205,40 @@ WRONG_SIZES = [
     ([[0, 0, 1, 5]], [], "subalgebra vector 0 has 4 entries, not 3"),
     ([], [ref.identity(4)], "component matrix 0 is 4x4, not 3x3"),
     ([[0, 0, 1]], [[[1, 0], [0, 1], [0, 0]]], "component matrix 0 is 3x2, not 3x3"),
+    ([[0, 0, 1]], [ref.identity(2)], "component matrix 0 is 2x2, not 3x3"),
 ]
 
 
 @pytest.mark.parametrize("vectors,matrices,problem", WRONG_SIZES,
-                         ids=["short vector", "long vector", "4x4 component", "3x2 component"])
+                         ids=["short vector", "long vector", "4x4 component", "3x2 component",
+                              "2x2 component"])
 def test_subgroup_of_the_wrong_size_is_invalid(vectors, matrices, problem):
-    """A wrong size is reported before any other check, and the complex
-    refuses the subgroup in every degree."""
+    """A wrong size is reported before any other check, the complex
+    refuses the subgroup in every degree, and conjugation refuses it."""
     sub = lc.SubgroupSpec.from_vectors(vectors, matrices)
     assert lc.validate_subgroup(SO3, sub) == [problem]
     for r in range(SO3.dim + 1):
         with pytest.raises(lc.InvalidSubgroup, match=problem):
             lc.relative_cohomology(SO3, sub, r)
+    with pytest.raises(lc.InvalidSubgroup, match=problem):
+        lc.conjugate_subgroup(SO3, sub, ref.identity(3))
 
 
 def test_conjugating_matrix_of_the_wrong_size():
     with pytest.raises(lc.NotAutomorphism, match="conjugating matrix is 2x3, not 3x3"):
         lc.conjugate_subgroup(SO3, SO2, [[1, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_automorphism_check_of_the_wrong_size(n):
+    with pytest.raises(lc.NotAutomorphism, match=f"matrix is {n}x{n}, not 3x3"):
+        lc.is_automorphism(SO3, ref.identity(n))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_coadjoint_action_of_the_wrong_size(n):
+    with pytest.raises(lc.NotAutomorphism, match=f"matrix is {n}x{n}, not 3x3"):
+        lc.coadjoint_matrix_action(ref.identity(n), a(1).wedge(a(2)))
 
 
 def test_conjugate_requires_automorphism():

@@ -116,13 +116,13 @@ def test_sum_work_limit():
     """Bringing fractions to a common denominator is refused before any
     product when each numerator's terms times the product of its cofactor's
     factor lengths add up to over MAX_SUM_WORK: in sums, `equals` and
-    `cleared_numerators` alike."""
+    `linear_relations` alike."""
     other = 1 / (x + y ** 2 + 2) / (x + y ** 3 + 3) / (x ** 2 + y ** 3 + 5)
     small = (x + y + 1) ** 30 / (x ** 2 + y + 1)  # 496 terms: 496 * 27 + 1 * 3 products
     large = (x + y + 1) ** 60 / (x ** 2 + y + 1)  # 1891 terms: 1891 * 27 + 1 * 3
     point = {"x": 2, "y": 3}
     assert (small + other).eval_at(point) == small.eval_at(point) + other.eval_at(point)
-    for op in (lambda e, f: e + f, sf.equals, lambda e, f: sf.cleared_numerators([e, f])):
+    for op in (lambda e, f: e + f, sf.equals, lambda e, f: sf.linear_relations([[e], [f]])):
         with pytest.raises(sf.SumTooLarge,
                            match="needs up to 51060 term products, over the limit of 30000"):
             op(large, other)
@@ -233,23 +233,22 @@ def test_leibniz_rule_randomized():
                          sf.partial(a, coord) * b + a * sf.partial(b, coord))
 
 
-def test_cleared_numerators():
-    # 1/x and 1/y clear to y and x; a rational dependency of the originals
-    # is exactly a dependency of the cleared polynomials
-    e1, e2 = 1 / x, 1 / y
-    p1, p2 = sf.cleared_numerators([e1, e2])
-    assert sf.ScalarExpr(p1) == y
-    assert sf.ScalarExpr(p2) == x
+def test_linear_relations():
+    # 1/x and 1/y clear to y and x, which have no relation
+    assert sf.linear_relations([[1 / x], [1 / y]]) == []
     # denominator-disguised multiples stay dependent after clearing
-    f1 = (y + 1) / (x + 1)
-    f2 = (2 * y + 2) / (x + 1)
-    q1, q2 = sf.cleared_numerators([f1, f2])
-    assert sf.equals(2 * sf.ScalarExpr(q1) - sf.ScalarExpr(q2), 0)
-    # exact rationals at this boundary, one per term
-    r1, r2 = sf.cleared_numerators([x / 3 + y / 2, sf.rational(-5, 7) / (x + 1)])
-    assert r1 == ((((("x", 1),), ()), Fraction(1, 3)), (((("y", 1),), ()), Fraction(1, 2)),
-                  (((("x", 1), ("y", 1)), ()), Fraction(1, 2)), (((("x", 2),), ()), Fraction(1, 3)))
-    assert r2 == ((((), ()), Fraction(-5, 7)),)
+    f1, f2 = (y + 1) / (x + 1), (2 * y + 2) / (x + 1)
+    assert sf.linear_relations([[f1], [f2]]) == [[Fraction(-2), Fraction(1)]]
+    # vectors of length 2: a relation holds in every entry, each cleared on
+    # its own, or it is none
+    u = [x / 3 + y / 2, sf.rational(-5, 7) / (x + 1)]
+    v = [2 * x + 3 * y, sf.rational(-30, 7) / (x + 1)]
+    assert sf.linear_relations([u, v]) == [[Fraction(-6), Fraction(1)]]
+    assert sf.linear_relations([u, [v[0], v[1] + 1]]) == []
+    # a zero vector is a relation of its own; ints are read as constants
+    assert sf.linear_relations([u, [sf.ZERO, 0]]) == [[Fraction(0), Fraction(1)]]
+    assert sf.linear_relations([[1, x], [3, 3 * x], [0, 1 / x]]) == [
+        [Fraction(-3), Fraction(1), Fraction(0)]]
 
 
 def test_dsl_rendering_deterministic():
