@@ -11,13 +11,13 @@ algebra at user-supplied sample points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import chart_calculus as cc
 from . import linalg
 from . import scalar_field as sf
-from .lie_cohomology import LieAlgebra, SubgroupSpec, relative_cohomology
+from .lie_cohomology import SubgroupSpec, relative_cohomology
+from .linalg import _Record
 
 
 class ActionError(Exception):
@@ -43,30 +43,28 @@ class NonInvariantField(ActionError):
 SCALING_NEEDS_INVARIANT_FIELD = "scaling factor requires an invariant field"
 
 
-@dataclass
-class ActionSpec:
+class ActionSpec(_Record):
     """Chart + algebra + generators; generator i realizes basis vector e_i."""
 
-    chart: cc.Chart
-    algebra: LieAlgebra
-    generators: tuple
-    orbit_dim: int
-
-    def __post_init__(self):
-        if len(self.generators) != self.algebra.dim:
+    def __init__(self, chart, algebra, generators, orbit_dim):
+        if len(generators) != algebra.dim:
             raise ValueError("one generator per algebra basis vector")
-        for g in self.generators:
-            if g.chart != self.chart:
+        for g in generators:
+            if g.chart != chart:
                 raise cc.ChartMismatch("generator lives on a different chart")
-        if not 1 <= self.orbit_dim <= min(self.algebra.dim, self.chart.dim):
+        if not 1 <= orbit_dim <= min(algebra.dim, chart.dim):
             raise ValueError("orbit dimension out of range")
+        self.chart = chart
+        self.algebra = algebra
+        self.generators = generators
+        self.orbit_dim = orbit_dim
 
 
-@dataclass
-class Verdict:
-    ok: bool
-    generator: int | None = None   # index of the failing generator, if any
-    witness: object = None         # residual tensor/expression on failure
+class Verdict(_Record):
+    def __init__(self, ok, generator=None, witness=None):
+        self.ok = ok
+        self.generator = generator   # index of the failing generator, if any
+        self.witness = witness       # residual tensor/expression on failure
 
 
 def _generators_at(action, point, jets=False):
@@ -255,12 +253,12 @@ def _require_invariant_vertical_chain(action, chi, sample_points):
         raise InvalidInput("chain is not vertical")
 
 
-@dataclass
-class RhoResult:
-    form: cc.DiffForm
-    sign: int
-    semibasic: Verdict
-    invariant: Verdict
+class RhoResult(_Record):
+    def __init__(self, form, sign, semibasic, invariant):
+        self.form = form
+        self.sign = sign
+        self.semibasic = semibasic
+        self.invariant = invariant
 
     @property
     def basic(self):
@@ -287,10 +285,10 @@ def evaluation_map(action, chi, omega, sample_points=()):
                      invariant=check_invariant_form(action, result))
 
 
-@dataclass
-class ConditionResult:
-    ok: bool
-    residual: cc.DiffForm
+class ConditionResult(_Record):
+    def __init__(self, ok, residual):
+        self.ok = ok
+        self.residual = residual
 
 
 def cochain_condition_check(action, chi, omega, sample_points=()):
@@ -316,15 +314,15 @@ def cochain_condition_unchecked(action, chi, omega):
     return ConditionResult(residual.is_zero(), residual)
 
 
-@dataclass
-class StabilityEntry:
-    ok: bool
-    residual: cc.MultiVectorField
+class StabilityEntry(_Record):
+    def __init__(self, ok, residual):
+        self.ok = ok
+        self.residual = residual
 
 
-@dataclass
-class StabilityResult:
-    entries: list
+class StabilityResult(_Record):
+    def __init__(self, entries):
+        self.entries = entries
 
     @property
     def ok(self):
@@ -365,9 +363,9 @@ def scaling_factor_unchecked(action, chi, lr):
     return lam
 
 
-@dataclass
-class IntegrabilityResult:
-    pairs: list   # (s, t, residual ScalarExpr)
+class IntegrabilityResult(_Record):
+    def __init__(self, pairs):
+        self.pairs = pairs   # (s, t, residual ScalarExpr)
 
     @property
     def ok(self):
@@ -412,11 +410,11 @@ def rescale_verify(action, chi0, k_candidate, fields, sample_points=()):
     return stability_check(action, chi0.scaled(k), fields)
 
 
-@dataclass
-class SurjectivityResult:
-    ok: bool
-    pairing: object
-    invariance: Verdict
+class SurjectivityResult(_Record):
+    def __init__(self, ok, pairing, invariance):
+        self.ok = ok
+        self.pairing = pairing
+        self.invariance = invariance
 
 
 def surjectivity_certificate(action, chi, alpha, sample_points=()):
@@ -435,17 +433,17 @@ NO_INVARIANT_CHAIN = "no invariant chain can exist"
 NO_COCHAIN_MAP = "no cochain map can exist"
 
 
-@dataclass
-class PointObstruction:
-    isotropy_dim: int
-    relative_dim: int      # dim of degree-q relative forms for the isotropy subgroup
-    cohomology_dim: int    # dim of degree-q relative cohomology
+class PointObstruction(_Record):
+    def __init__(self, isotropy_dim, relative_dim, cohomology_dim):
+        self.isotropy_dim = isotropy_dim
+        self.relative_dim = relative_dim      # dim of degree-q relative forms of the isotropy
+        self.cohomology_dim = cohomology_dim  # dim of degree-q relative cohomology
 
 
-@dataclass
-class CochainReport:
-    points: list
-    verdict: str
+class CochainReport(_Record):
+    def __init__(self, points, verdict):
+        self.points = points
+        self.verdict = verdict
 
     @property
     def ok(self):

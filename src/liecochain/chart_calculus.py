@@ -20,7 +20,6 @@ of a failing generator, and decides where that declines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalar_field as sf
@@ -43,15 +42,26 @@ class DegreeUnderflow(ChartError):
     pass
 
 
-@dataclass(frozen=True)
 class Chart:
-    """An ordered tuple of distinct coordinate names (one global chart)."""
+    """An ordered tuple of distinct coordinate names (one global chart).
+    Never changed once made; compared and hashed by its coordinates."""
 
-    coordinates: tuple
+    __slots__ = ("coordinates",)
 
-    def __post_init__(self):
-        if not self.coordinates or len(set(self.coordinates)) != len(self.coordinates):
+    def __init__(self, coordinates):
+        if not coordinates or len(set(coordinates)) != len(coordinates):
             raise ValueError("chart needs at least one coordinate, all distinct")
+        object.__setattr__(self, "coordinates", coordinates)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to Chart.{name}")
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is Chart
+                                 and self.coordinates == other.coordinates)
+
+    def __hash__(self):
+        return hash(self.coordinates)
 
     @property
     def dim(self):

@@ -55,16 +55,17 @@ def _verdict(check, subject, ok, **extra):
 def _load_workspace(path, kind):
     """The workspace at `path` (- for stdin), loaded: `validate` builds every
     declaration at once, every other command only what it reads."""
-    if path == "-":
-        text = sys.stdin.read()
-        name = "<stdin>"
-    else:
-        try:
+    name = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-        name = path
+    except OSError as exc:
+        raise InputError(f"cannot read {name}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:   # names the byte and its offset
+        raise InputError(f"cannot read {name}: {exc}") from exc
     return (dsl.parse if kind == "validate" else dsl.load)(text, name)
 
 

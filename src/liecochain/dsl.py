@@ -24,22 +24,35 @@ from __future__ import annotations
 import functools
 import operator
 import re
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 from . import chart_calculus as cc
 from . import scalar_field as sf
 from .action_analysis import ActionSpec
 from .lie_cohomology import AltForm, LieAlgebra, SubgroupSpec
-from .linalg import _accumulate
+from .linalg import _accumulate, _Record
 
 
-@dataclass(frozen=True)
 class SourceSpan:
-    file: str
-    line: int      # 1-based
-    column: int    # 1-based
-    length: int
+    """Never changed once made; compared and hashed by its four fields."""
+
+    __slots__ = ("file", "line", "column", "length")   # line and column are 1-based
+
+    def __init__(self, file, line, column, length):
+        for name, value in zip(self.__slots__, (file, line, column, length)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to SourceSpan.{name}")
+
+    def _key(self):
+        return self.file, self.line, self.column, self.length
+
+    def __eq__(self, other):
+        return other.__class__ is SourceSpan and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"
@@ -216,19 +229,23 @@ class _Store(dict):
         return value
 
 
-@dataclass
-class SubgroupDecl:
-    algebra: str
-    spec: SubgroupSpec           # its basis holds the span's unit vectors as written
+class SubgroupDecl(_Record):
+    def __init__(self, algebra, spec):
+        self.algebra = algebra
+        self.spec = spec             # its basis holds the span's unit vectors as written
 
 
-@dataclass
-class ActionDecl:
-    algebra: str
-    chart: str
-    generators: tuple            # vector field names
-    orbit_dim: int
-    build: object = dfield(repr=False, compare=False)   # () -> `spec`
+class ActionDecl(_Record):
+    """Compared by what was written: not by `build`, or `spec` once read."""
+
+    _uncompared = ("build", "spec")
+
+    def __init__(self, algebra, chart, generators, orbit_dim, build):
+        self.algebra = algebra
+        self.chart = chart
+        self.generators = generators     # vector field names
+        self.orbit_dim = orbit_dim
+        self.build = build               # () -> `spec`
 
     @functools.cached_property
     def spec(self):
@@ -236,11 +253,15 @@ class ActionDecl:
         return self.build()
 
 
-@dataclass
-class CheckDecl:
-    kind: str
-    values: dict                 # slot name -> name, integer or tuple of names
-    where: object = dfield(compare=False, repr=False)   # () -> the span of the kind
+class CheckDecl(_Record):
+    """Compared by what was written, not by `where`."""
+
+    _uncompared = ("where",)
+
+    def __init__(self, kind, values, where):
+        self.kind = kind
+        self.values = values     # slot name -> name, integer or tuple of names
+        self.where = where       # () -> the span of the kind
 
     @property
     def span(self):
@@ -252,21 +273,29 @@ _STORES = {"lie_algebra": "lie_algebras", "subgroup": "subgroups", "action": "ac
            "point": "points", "form": "forms", "field": "vector_fields", "chain": "chains"}
 
 
-@dataclass
-class Workspace:
-    source_name: str = dfield(compare=False, default="<input>")
-    charts: dict = dfield(default_factory=dict)
-    functions: dict = dfield(default_factory=dict)  # name -> argument names
-    lie_algebras: dict = dfield(default_factory=dict)
-    subgroups: dict = dfield(default_factory=dict)
-    vector_fields: dict = dfield(default_factory=dict)
-    forms: dict = dfield(default_factory=dict)
-    chains: dict = dfield(default_factory=dict)
-    actions: dict = dfield(default_factory=dict)
-    points: dict = dfield(default_factory=dict)    # name -> (chart name, tuple)
-    tensor_charts: dict = dfield(default_factory=dict)  # field, form or chain -> chart name
-    checks: list = dfield(default_factory=list)
-    order: list = dfield(default_factory=list)     # (kind, name-or-index)
+class Workspace(_Record):
+    """Every store starts empty unless given.  Compared by the stores, not
+    by `source_name`."""
+
+    _uncompared = ("source_name",)
+
+    def __init__(self, source_name="<input>", charts=None, functions=None, lie_algebras=None,
+                 subgroups=None, vector_fields=None, forms=None, chains=None, actions=None,
+                 points=None, tensor_charts=None, checks=None, order=None):
+        self.source_name = source_name
+        self.charts = {} if charts is None else charts
+        self.functions = {} if functions is None else functions  # name -> argument names
+        self.lie_algebras = {} if lie_algebras is None else lie_algebras
+        self.subgroups = {} if subgroups is None else subgroups
+        self.vector_fields = {} if vector_fields is None else vector_fields
+        self.forms = {} if forms is None else forms
+        self.chains = {} if chains is None else chains
+        self.actions = {} if actions is None else actions
+        self.points = {} if points is None else points    # name -> (chart name, tuple)
+        # field, form or chain -> chart name
+        self.tensor_charts = {} if tensor_charts is None else tensor_charts
+        self.checks = [] if checks is None else checks
+        self.order = [] if order is None else order       # (kind, name-or-index)
 
     def store(self, kind):
         """The declarations of a reference kind of `CHECKS`, by name."""
@@ -288,23 +317,24 @@ class Workspace:
 # the checks
 
 
-@dataclass(frozen=True)
 class Slot:
     """One argument of a check: the command line's `--name` flag, and in a
     `check` directive a positional argument or the keyword list `name=[...]`."""
-    name: str
-    ref: str          # lie_algebra, subgroup, int, action, point, object, chain, form or field
-    count: str = "1"  # "1" exactly one, "?" at most one, "*" any number, "+" at least one
+
+    def __init__(self, name, ref, count="1"):
+        self.name = name
+        self.ref = ref  # lie_algebra, subgroup, int, action, point, object, chain, form or field
+        self.count = count  # "1" exactly one, "?" at most one, "*" any number, "+" at least one
 
     @property
     def many(self):
         return self.count in "*+"
 
 
-@dataclass(frozen=True)
 class Check:
-    slots: tuple
-    command: tuple = ()   # the command-line words; () for a check with no command
+    def __init__(self, slots, command=()):
+        self.slots = slots
+        self.command = command   # the command-line words; () for a check with no command
 
     @functools.cached_property
     def positional(self):

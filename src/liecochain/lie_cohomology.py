@@ -21,7 +21,6 @@ Differential convention, on basis tuples x_0..x_r:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -29,7 +28,7 @@ from math import comb
 
 from . import linalg
 from .linalg import (SingularMatrix, _accumulate, _contract, _integer_inverse, _integer_matrix,
-                     _integer_row, _primitive, _replace_sign)
+                     _integer_row, _primitive, _Record, _replace_sign)
 
 
 class CohomologyError(Exception):
@@ -90,13 +89,26 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, brackets={self.brackets!r})"
 
 
-@dataclass(frozen=True)
 class SubgroupSpec:
     """A subgroup: subalgebra basis vectors plus the adjoint matrix of one
-    representative per non-identity connected component."""
+    representative per non-identity connected component.  Never changed
+    once made; compared and hashed by both."""
 
-    basis: tuple = ()
-    component_reps: tuple = ()
+    __slots__ = ("basis", "component_reps")
+
+    def __init__(self, basis=(), component_reps=()):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "component_reps", component_reps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to SubgroupSpec.{name}")
+
+    def __eq__(self, other):
+        return other.__class__ is SubgroupSpec and (
+            self.basis, self.component_reps) == (other.basis, other.component_reps)
+
+    def __hash__(self):
+        return hash((self.basis, self.component_reps))
 
     @staticmethod
     def trivial():
@@ -411,11 +423,11 @@ def relative_basis(algebra, sub, degree):
             for v in linalg.nullspace(rows, tuples)]
 
 
-@dataclass
-class CohomologyResult:
-    dimension: int
-    representatives: list
-    relative_dims: dict  # degree -> dim of the relative space, for degrees r - 1 and r
+class CohomologyResult(_Record):
+    def __init__(self, dimension, representatives, relative_dims):
+        self.dimension = dimension
+        self.representatives = representatives
+        self.relative_dims = relative_dims  # degree -> dim of the relative space, r - 1 and r
 
 
 def relative_cohomology(algebra, sub, degree):

@@ -39,6 +39,19 @@ class SingularMatrix(ValueError):
     pass
 
 
+class _Record:
+    """A plain record of values, equal to a record of its own class whose
+    attributes are equal, but those named in `_uncompared`; not hashable."""
+
+    _uncompared = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self._compared() == other._compared()
+
+    def _compared(self):
+        return {k: v for k, v in vars(self).items() if k not in self._uncompared}
+
+
 def matvec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 

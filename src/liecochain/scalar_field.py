@@ -32,7 +32,6 @@ All values are immutable; every operation returns a new canonical value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm, prod
@@ -88,24 +87,37 @@ class PartialTooLarge(ScalarError):
     pass
 
 
-@dataclass(frozen=True, order=True)
 class FunctionSymbol:
     """A formal derivative of a named function of some coordinates.
 
     `orders` counts formal derivatives taken in each argument; the plain
     symbol has all orders zero.  K(z) differentiated twice in z is
-    FunctionSymbol("K", ("z",), (2,)).
+    FunctionSymbol("K", ("z",), (2,)).  Never changed once made; compared,
+    hashed and sorted by (name, args, orders), its `_key`.
     """
 
-    name: str
-    args: tuple
-    orders: tuple
+    __slots__ = ("name", "args", "orders", "_key", "_hash")
 
-    def __post_init__(self):
-        if not self.args or len(set(self.args)) != len(self.args):
+    def __init__(self, name, args, orders):
+        if not args or len(set(args)) != len(args):
             raise ValueError("function arguments must be nonempty and distinct")
-        if len(self.orders) != len(self.args) or any(o < 0 for o in self.orders):
+        if len(orders) != len(args) or any(o < 0 for o in orders):
             raise ValueError("one non-negative derivative order per argument")
+        key = (name, args, orders)
+        for slot, value in zip(self.__slots__, (*key, key, hash(key))):
+            object.__setattr__(self, slot, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to FunctionSymbol.{name}")
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is FunctionSymbol and self._key == other._key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __lt__(self, other):
+        return self._key < other._key
 
     def differentiate(self, coord):
         i = self.args.index(coord)

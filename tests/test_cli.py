@@ -1,3 +1,4 @@
+import io
 import json
 import time
 from pathlib import Path
@@ -138,6 +139,49 @@ def test_exit_codes_for_input_errors(capsys):
     assert main(["cohomology", "--input", fixture("so3")]) == 2
     assert main(["check", "cochain", "--input", fixture("intro"),
                  "--action", "act"]) == 2
+
+
+def test_input_that_is_not_utf8_is_an_input_error(tmp_path, capsys, monkeypatch):
+    """A byte that is not UTF-8 is reported with its offset, exit 2, from a
+    file and from standard input alike."""
+    data = b"chart M { coords = [x] }\n# caf\xe9\n"
+    bad = tmp_path / "bad.lch"
+    bad.write_bytes(data)
+    assert main(["validate", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot read {bad}: 'utf-8' codec can't decode "
+                                       "byte 0xe9 in position 30: invalid continuation byte\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert main(["validate", "--input", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read <stdin>: 'utf-8' codec")
+
+
+def _fixture_commands():
+    """Each fixture's commands from GOLDEN_RUNS, reading standard input, and
+    `validate` for every fixture."""
+    commands = {}
+    for _, _, argv in GOLDEN_RUNS:
+        at = argv.index("--input") + 1
+        name = Path(argv[at]).stem
+        commands.setdefault(name, [["validate", "--input", "-"]]).append(
+            argv[:at] + ["-"] + argv[at + 1:])
+    return commands
+
+
+def test_main_never_escapes_on_mutated_fixtures(capsys, monkeypatch):
+    """On seeded single-edit mutants of the fixtures, each of the fixture's
+    commands returns 0, 1 or 2 within a second, raises nothing and prints no
+    traceback (ROADMAP item 5)."""
+    from test_dsl import _mutants
+    commands = _fixture_commands()
+    for fixture_name, text in _mutants(150, seed=28):
+        for argv in commands[fixture_name]:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            start = time.perf_counter()
+            code = main(argv + ["--format", "json"])
+            elapsed = time.perf_counter() - start
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2) and elapsed < 1.0, (argv, text)
+            assert "Traceback" not in out + err, (argv, text)
 
 
 def test_cohomology_degree_out_of_range_is_input_error(capsys):

@@ -324,28 +324,29 @@ def test_mixed_kind_rendering(text, last):
     assert dsl.parse(dsl.render(ws)) == ws
 
 
-def _mutants():
-    """400 random single-edit mutations of the fixtures."""
+def _mutants(count=400, seed=99):
+    """`count` random single-edit mutations of the fixtures, each as (the
+    fixture's name, the mutant)."""
     import random
-    rng = random.Random(99)
-    texts = [(FIXTURES / f"{n}.lch").read_text() for n in FIXTURE_NAMES]
+    rng = random.Random(seed)
+    fixtures = [(n, (FIXTURES / f"{n}.lch").read_text()) for n in FIXTURE_NAMES]
     alphabet = "abcxyz0123(){}[]=,+-*/^#_ "
-    for _ in range(400):
-        text = rng.choice(texts)
+    for _ in range(count):
+        name, text = rng.choice(fixtures)
         pos = rng.randrange(len(text))
         op = rng.choice(("replace", "delete", "insert"))
         if op == "replace":
-            yield text[:pos] + rng.choice(alphabet) + text[pos + 1:]
+            yield name, text[:pos] + rng.choice(alphabet) + text[pos + 1:]
         elif op == "delete":
-            yield text[:pos] + text[pos + 1:]
+            yield name, text[:pos] + text[pos + 1:]
         else:
-            yield text[:pos] + rng.choice(alphabet) + text[pos:]
+            yield name, text[:pos] + rng.choice(alphabet) + text[pos:]
 
 
 def test_fuzzed_mutations_never_escape_parse_errors():
     """Random single-edit mutations of valid fixtures either still parse or
     raise a ParseError subclass with a span, never a bare exception."""
-    for mutant in _mutants():
+    for _, mutant in _mutants():
         try:
             dsl.parse(mutant, "fuzz.lch")
         except dsl.ParseError as err:
@@ -383,7 +384,7 @@ def test_parse_outcomes_match_golden():
     change that came with them."""
     expected = (GOLDEN / "parse_outcomes.txt").read_text().splitlines()
     keys = {line.split()[0] for line in expected}
-    texts = [text for text, _, _ in ERROR_CORPUS] + list(_mutants()) + [
+    texts = [text for text, _, _ in ERROR_CORPUS] + [text for _, text in _mutants()] + [
         (FIXTURES / f"{n}.lch").read_text() for n in [*FIXTURE_NAMES, "rotations"]]
     assert [line for line in map(_outcome_line, texts) if line.split()[0] in keys] == expected
 
