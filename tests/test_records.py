@@ -3,6 +3,8 @@ compared, `hash` and immutability where they are hashed, `<` where they are
 sorted, and the checks their constructors make.  Nothing here depends on
 how the classes are written."""
 
+import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from liecochain import scalar_field as sf
 from liecochain.lie_cohomology import LieAlgebra, SubgroupSpec, relative_cohomology
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 M = cc.Chart(("x", "y"))
 SO3 = LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}})
 
@@ -39,6 +42,23 @@ def _hashed_values():
     assert hash(SubgroupSpec.from_vectors([[1, 0]])) == hash(SubgroupSpec(((1, 0),)))
     assert len({dsl.SourceSpan("f", 1, 2, 3), dsl.SourceSpan("f", 1, 2, 3)}) == 1
     assert dsl.SourceSpan("f", 1, 2, 3) != dsl.SourceSpan("f", 1, 3, 3)
+    assert hash(dsl.SourceSpan("f", 1, 2, 3)) == hash(dsl.SourceSpan("f", 1, 2, 3))
+    reps = (((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(1))),)
+    spec = SubgroupSpec.from_vectors([[1, 0]], [[[-1, 0], [0, 1]]])
+    assert spec == SubgroupSpec(((1, 0),), reps) and hash(spec) == hash(SubgroupSpec(((1, 0),), reps))
+    assert spec != SubgroupSpec(((1, 0),))
+
+
+def _lie_algebras():
+    """Algebras are equal when their dimension and brackets are, whatever
+    type the constants were written in; zero constants are not brackets."""
+    half = LieAlgebra(2, {(0, 1): {0: Fraction(1, 2)}})
+    assert half == LieAlgebra(2, {(0, 1): {0: Fraction(2, 4), 1: 0}})
+    assert SO3 == LieAlgebra(3, {(0, 1): {2: Fraction(1)}, (0, 2): {1: Fraction(-1)},
+                                 (1, 2): {0: Fraction(1)}})
+    assert SO3 != LieAlgebra(3, {(0, 1): {2: 2}, (0, 2): {1: -2}, (1, 2): {0: 2}})
+    assert half != LieAlgebra(2, {(0, 1): {1: Fraction(1, 2)}}) != LieAlgebra(2)
+    assert LieAlgebra(2) != LieAlgebra(3) and LieAlgebra(2) == LieAlgebra(2, {(0, 1): {}})
 
 
 def _assign(make, attribute):
@@ -76,6 +96,17 @@ def _results():
     assert aa.Verdict(True) == aa.Verdict(True) != aa.Verdict(False)
 
 
+def _residuals():
+    """A condition holds exactly when its residual is zero."""
+    ws = _fixture("intro")
+    act, chi, r1 = ws.actions["act"].spec, ws.chains["chi"], ws.vector_fields["R1"]
+    x_chi = chi.scaled(sf.coordinate("x"))
+    for c, holds in ((chi, True), (x_chi, False)):
+        res = aa.cochain_condition_check(act, c, ws.forms["alpha"])
+        entry = aa.stability_check(act, c, [r1]).entries[0]
+        assert res.ok == res.residual.is_zero() == entry.ok == entry.residual.is_zero() == holds
+
+
 def _action_spec(generators, orbit_dim):
     return lambda: aa.ActionSpec(M, LieAlgebra(2), generators, orbit_dim)
 
@@ -91,6 +122,8 @@ CASES = {
         lambda: sf.FunctionSymbol("K", ("z",), (0,)), "orders"),
     "subgroup-spec-immutable": lambda: _assign(SubgroupSpec, "basis"),
     "source-span-immutable": lambda: _assign(lambda: dsl.SourceSpan("f", 1, 2, 3), "line"),
+    "scalar-expr-immutable": lambda: _assign(lambda: sf.coordinate("x"), "num"),
+    "lie-algebras": _lie_algebras,
     "hashed-values": _hashed_values,
     "chart-empty": lambda: pytest.raises(ValueError, cc.Chart, ()),
     "chart-repeated": lambda: pytest.raises(ValueError, cc.Chart, ("x", "x")),
@@ -110,9 +143,24 @@ CASES = {
         cc.ChartMismatch, _action_spec((DX, DZ), 1)),
     "declarations": _decls,
     "results": _results,
+    "residuals": _residuals,
 }
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_record_behaviour(case):
     CASES[case]()
+
+
+@pytest.mark.parametrize("workload", ["ce_spectrum", "chart_swell", "cli_workspaces"])
+def test_benchmark_rounds_agree_and_pass_their_check(workload, monkeypatch):
+    """The benchmark's own rules of correctness, which `bench/run.py` applies:
+    for seed 12 each job's output in a second round is equal to its first,
+    compared with `!=` as there, and the workload's check finds no fault."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    module = importlib.import_module(workload)
+    texts, plan = module.generate(12)
+    jobs = module.make_jobs({name: dsl.parse(text, name) for name, text in texts.items()}, plan)
+    first = [job.run() for job in jobs]
+    assert [job.name for job, out in zip(jobs, first) if job.run() != out] == []
+    assert module.check(jobs, first, plan) == {}
