@@ -285,10 +285,13 @@ def evaluation_map(action, chi, omega, sample_points=()):
                      invariant=check_invariant_form(action, result))
 
 
-class ConditionResult(_Record):
-    def __init__(self, ok, residual):
-        self.ok = ok
+class Residual(_Record):
+    def __init__(self, residual):
         self.residual = residual
+
+    @property
+    def ok(self):
+        return self.residual.is_zero()
 
 
 def cochain_condition_check(action, chi, omega, sample_points=()):
@@ -310,14 +313,7 @@ def cochain_condition_unchecked(action, chi, omega):
     rhs = cc.d_exterior(cc.interior_multivector(chi, omega)) if q <= k else zero
     if q % 2:
         rhs = -rhs
-    residual = lhs - rhs
-    return ConditionResult(residual.is_zero(), residual)
-
-
-class StabilityEntry(_Record):
-    def __init__(self, ok, residual):
-        self.ok = ok
-        self.residual = residual
+    return Residual(lhs - rhs)
 
 
 class StabilityResult(_Record):
@@ -334,8 +330,7 @@ def stability_check(action, chi, fields):
     entries = []
     for i, r in enumerate(fields):
         _require_invariant_field(action, r, f"field #{i} is not invariant")
-        residual = cc.lie_derivative_multivector(r, chi)
-        entries.append(StabilityEntry(residual.is_zero(), residual))
+        entries.append(Residual(cc.lie_derivative_multivector(r, chi)))
     return StabilityResult(entries)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalar_field as sf
-from .linalg import AltTensor, _accumulate, _contract, _replace_sign
+from .linalg import AltTensor, _accumulate, _contract, _Frozen, _replace_sign
 
 
 class ChartError(Exception):
@@ -42,7 +42,7 @@ class DegreeUnderflow(ChartError):
     pass
 
 
-class Chart:
+class Chart(_Frozen):
     """An ordered tuple of distinct coordinate names (one global chart).
     Never changed once made; compared and hashed by its coordinates."""
 
@@ -51,17 +51,13 @@ class Chart:
     def __init__(self, coordinates):
         if not coordinates or len(set(coordinates)) != len(coordinates):
             raise ValueError("chart needs at least one coordinate, all distinct")
-        object.__setattr__(self, "coordinates", coordinates)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to Chart.{name}")
+        super().__init__(coordinates)
 
     def __eq__(self, other):
         return self is other or (other.__class__ is Chart
                                  and self.coordinates == other.coordinates)
 
-    def __hash__(self):
-        return hash(self.coordinates)
+    __hash__ = _Frozen.__hash__
 
     @property
     def dim(self):

@@ -30,29 +30,13 @@ from . import chart_calculus as cc
 from . import scalar_field as sf
 from .action_analysis import ActionSpec
 from .lie_cohomology import AltForm, LieAlgebra, SubgroupSpec
-from .linalg import _accumulate, _Record
+from .linalg import _accumulate, _Frozen, _Record
 
 
-class SourceSpan:
+class SourceSpan(_Frozen):
     """Never changed once made; compared and hashed by its four fields."""
 
     __slots__ = ("file", "line", "column", "length")   # line and column are 1-based
-
-    def __init__(self, file, line, column, length):
-        for name, value in zip(self.__slots__, (file, line, column, length)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to SourceSpan.{name}")
-
-    def _key(self):
-        return self.file, self.line, self.column, self.length
-
-    def __eq__(self, other):
-        return other.__class__ is SourceSpan and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"
@@ -104,14 +88,11 @@ def _tokenize(text, file):
     return tokens
 
 
-class _Source:
-    """A workspace text and its file name: where each token is, found only
-    when an error needs a span."""
+class _Source(_Frozen):
+    """_Source(text, file): a workspace text and its file name; where each
+    token is, found only when an error needs a span."""
 
     __slots__ = ("text", "file")
-
-    def __init__(self, text, file):
-        self.text, self.file = text, file
 
     def span(self, i):
         """The span of token i; the end of the text is placed just after
@@ -274,28 +255,25 @@ _STORES = {"lie_algebra": "lie_algebras", "subgroup": "subgroups", "action": "ac
 
 
 class Workspace(_Record):
-    """Every store starts empty unless given.  Compared by the stores, not
-    by `source_name`."""
+    """Every store starts empty; fields, forms and chains are `_Store`s.
+    Compared by the stores, not by `source_name`."""
 
     _uncompared = ("source_name",)
 
-    def __init__(self, source_name="<input>", charts=None, functions=None, lie_algebras=None,
-                 subgroups=None, vector_fields=None, forms=None, chains=None, actions=None,
-                 points=None, tensor_charts=None, checks=None, order=None):
+    def __init__(self, source_name="<input>"):
         self.source_name = source_name
-        self.charts = {} if charts is None else charts
-        self.functions = {} if functions is None else functions  # name -> argument names
-        self.lie_algebras = {} if lie_algebras is None else lie_algebras
-        self.subgroups = {} if subgroups is None else subgroups
-        self.vector_fields = {} if vector_fields is None else vector_fields
-        self.forms = {} if forms is None else forms
-        self.chains = {} if chains is None else chains
-        self.actions = {} if actions is None else actions
-        self.points = {} if points is None else points    # name -> (chart name, tuple)
-        # field, form or chain -> chart name
-        self.tensor_charts = {} if tensor_charts is None else tensor_charts
-        self.checks = [] if checks is None else checks
-        self.order = [] if order is None else order       # (kind, name-or-index)
+        self.charts = {}
+        self.functions = {}      # name -> argument names
+        self.lie_algebras = {}
+        self.subgroups = {}
+        self.vector_fields = _Store()
+        self.forms = _Store()
+        self.chains = _Store()
+        self.actions = {}
+        self.points = {}         # name -> (chart name, tuple)
+        self.tensor_charts = {}  # field, form or chain -> chart name
+        self.checks = []
+        self.order = []          # (kind, name-or-index)
 
     def store(self, kind):
         """The declarations of a reference kind of `CHECKS`, by name."""
@@ -446,8 +424,7 @@ class _Parser:
         self.tokens = _tokenize(text, file)
         self.i = self.depth = 0   # depth: the atoms being read
         self.source = _Source(text, file)
-        self.ws = Workspace(source_name=file, vector_fields=_Store(), forms=_Store(),
-                            chains=_Store())
+        self.ws = Workspace(file)
         self.names = {}  # declared name or chart coordinate -> its kind
         self.symbols = {}   # function name -> its FunctionSymbol
         self.chart = self.rhs_start = None   # of the tensor being declared

@@ -27,8 +27,8 @@ from itertools import combinations
 from math import comb
 
 from . import linalg
-from .linalg import (SingularMatrix, _accumulate, _contract, _integer_inverse, _integer_matrix,
-                     _integer_row, _primitive, _Record, _replace_sign)
+from .linalg import (SingularMatrix, _accumulate, _contract, _Frozen, _integer_inverse,
+                     _integer_matrix, _integer_row, _primitive, _Record, _replace_sign)
 
 
 class CohomologyError(Exception):
@@ -51,7 +51,7 @@ class RelativeComplexNotClosed(CohomologyError):
     pass
 
 
-class LieAlgebra:
+class LieAlgebra(_Record):
     """Structure constants c[i][j][k] for [e_i, e_j] = sum_k c_k e_k, i < j.
 
     Brackets are stored sparsely for 0-based i < j; antisymmetry and
@@ -81,15 +81,8 @@ class LieAlgebra:
         """[u, v] for dense rational coordinate vectors."""
         return [Fraction(x, self.scale) for x in _bracket(self.integer_brackets, u, v)]
 
-    def __eq__(self, other):
-        return (isinstance(other, LieAlgebra) and self.dim == other.dim
-                and self.brackets == other.brackets)
 
-    def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={self.brackets!r})"
-
-
-class SubgroupSpec:
+class SubgroupSpec(_Frozen):
     """A subgroup: subalgebra basis vectors plus the adjoint matrix of one
     representative per non-identity connected component.  Never changed
     once made; compared and hashed by both."""
@@ -97,18 +90,7 @@ class SubgroupSpec:
     __slots__ = ("basis", "component_reps")
 
     def __init__(self, basis=(), component_reps=()):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "component_reps", component_reps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to SubgroupSpec.{name}")
-
-    def __eq__(self, other):
-        return other.__class__ is SubgroupSpec and (
-            self.basis, self.component_reps) == (other.basis, other.component_reps)
-
-    def __hash__(self):
-        return hash((self.basis, self.component_reps))
+        super().__init__(basis, component_reps)
 
     @staticmethod
     def trivial():

@@ -52,6 +52,30 @@ class _Record:
         return {k: v for k, v in vars(self).items() if k not in self._uncompared}
 
 
+class _Frozen:
+    """A value never changed once made, whose constructor sets its class's
+    `__slots__` in order; equal within its class, and hashed, by them."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {self.__class__.__name__}.{name}")
+
+    def _values(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is self.__class__
+                                 and self._values() == other._values())
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 def matvec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 

@@ -38,7 +38,7 @@ from math import comb, gcd, lcm, prod
 from operator import or_
 from types import SimpleNamespace
 
-from .linalg import _combine, _integer_row, _primitive, nullspace
+from .linalg import _combine, _Frozen, _integer_row, _primitive, nullspace
 
 # Largest n * t * C(n+t-1, t-1) -- term products in raising a t-term
 # numerator to the n-th power -- that `**` starts.
@@ -87,7 +87,7 @@ class PartialTooLarge(ScalarError):
     pass
 
 
-class FunctionSymbol:
+class FunctionSymbol(_Frozen):
     """A formal derivative of a named function of some coordinates.
 
     `orders` counts formal derivatives taken in each argument; the plain
@@ -104,11 +104,7 @@ class FunctionSymbol:
         if len(orders) != len(args) or any(o < 0 for o in orders):
             raise ValueError("one non-negative derivative order per argument")
         key = (name, args, orders)
-        for slot, value in zip(self.__slots__, (*key, key, hash(key))):
-            object.__setattr__(self, slot, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to FunctionSymbol.{name}")
+        super().__init__(*key, key, hash(key))
 
     def __eq__(self, other):
         return self is other or (other.__class__ is FunctionSymbol and self._key == other._key)
@@ -587,7 +583,7 @@ def _lcm(exprs):
     return mono, factors, cofactors
 
 
-class ScalarExpr:
+class ScalarExpr(_Frozen):
     """Canonical fraction of differential polynomials with a factored
     denominator (see the module docstring).
 
@@ -606,9 +602,6 @@ class ScalarExpr:
         e = _fraction(_from_terms((c, m + s) for (m, s), c in num), *_split(den))
         object.__setattr__(self, "num", e.num)
         object.__setattr__(self, "den", e.den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ScalarExpr is immutable")
 
     # -- ring/field operations ------------------------------------------
 
