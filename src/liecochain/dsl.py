@@ -24,12 +24,13 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import sys
 from fractions import Fraction
 
 from . import chart_calculus as cc
 from . import scalar_field as sf
 from .action_analysis import ActionSpec
-from .lie_cohomology import AltForm, LieAlgebra, SubgroupSpec
+from .lie_cohomology import MAX_COCHAINS, AltForm, LieAlgebra, SubgroupSpec
 from .linalg import _accumulate, _Frozen, _Record
 
 
@@ -79,12 +80,20 @@ _BAD_RE = re.compile(r"[^A-Za-z_0-9{}\[\]()=,+\-*/^]")
 def _tokenize(text, file):
     """The token texts of `text`, then at least two "" for its end, so that
     a look one token ahead stays in range.  A name is a token that
-    `str.isidentifier` accepts, an integer one that `str.isdigit` does."""
+    `str.isidentifier` accepts, an integer one that `str.isdigit` does; an
+    integer has at most the digits that `int` reads, which only a text
+    longer than that can exceed."""
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")
     if _BAD_RE.search("".join(tokens)):
         i = next(i for i, t in enumerate(tokens) if _BAD_RE.match(t))
         raise ParseError(f"unexpected character {tokens[i]!r}", _Source(text, file).span(i))
+    limit = getattr(sys, "get_int_max_str_digits", int)()   # 0: no limit, as before 3.10.7
+    if limit and len(text) > limit and max(map(len, tokens)) > limit:
+        i = next((i for i, t in enumerate(tokens) if len(t) > limit and t.isdigit()), None)
+        if i is not None:
+            raise ParseError(f"integer of {len(tokens[i])} digits, over the limit of {limit}",
+                             _Source(text, file).span(i))
     return tokens
 
 
@@ -553,8 +562,9 @@ class _Parser:
                 coeff = self.rational()
                 self.expect("*", what="'*' before the basis symbol")
             at = self.expect_name("a basis symbol e1..e%d" % dim)
-            m = re.fullmatch(r"e([0-9]+)", self.tokens[at])
-            if not m or not 1 <= int(m.group(1)) <= dim:
+            # an index with more digits than dim is out of range and never read
+            m = re.fullmatch(r"e0*([1-9][0-9]*)", self.tokens[at])
+            if not m or len(m.group(1)) > len(str(dim)) or int(m.group(1)) > dim:
                 self.error(f"expected a basis symbol e1..e{dim}", at)
             k = int(m.group(1)) - 1
             out[k] = out.get(k, Fraction(0)) + (-coeff if sign == "-" else coeff)
@@ -569,6 +579,9 @@ class _Parser:
         self.expect("of")
         alg_at = self.expect_name("an algebra name")
         algebra = self.lookup(self.ws.lie_algebras, alg_at, "lie_algebra")
+        if algebra.dim > MAX_COCHAINS:   # one of C(dim, r - 1..r + 1) is at least dim
+            self.error(f"{self.tokens[alg_at]!r} takes no subgroup: at dimension {algebra.dim} "
+                       f"each degree of cohomology needs over {MAX_COCHAINS} cochains", alg_at)
         self.expect("{", "span", "=")
         indices = []
 
@@ -1002,7 +1015,10 @@ def parse(text, filename="<input>"):
 def _coeff_prefix(expr, style):
     """(negative, text) for a scalar coefficient in front of a tensor atom,
     a ScalarExpr or, on an algebra, a Fraction; the text is None for a unit."""
-    s = str(expr) if isinstance(expr, Fraction) else sf.render(expr, style)
+    if isinstance(expr, Fraction):
+        negative, s = sf._scaled(expr, "", style)
+        return negative, None if s == "1" else s
+    s = sf.render(expr, style)
     if s in ("1", "-1"):
         return s == "-1", None
     if s.startswith("-") and " " not in s:

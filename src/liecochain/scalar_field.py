@@ -32,6 +32,7 @@ All values are immutable; every operation returns a new canonical value.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import comb, gcd, lcm, prod
@@ -1095,17 +1096,25 @@ def _signed_sum(terms):
 
 
 def _scaled(coef, body, style):
-    """(negative, text) for the rational coef times body; a unit is left out."""
+    """(negative, text) for the rational coef times body, a unit left out,
+    or for coef alone when body is empty.  The one place where the printer
+    writes the digits of a number: past the interpreter's limit on them,
+    which guards against quadratic conversions, a ScalarError."""
     a = abs(coef)
-    return coef < 0, body if a == 1 else f"{a}{style.times}{body}"
+    if a == 1 and body:
+        return coef < 0, body
+    try:
+        digits = str(a)
+    except ValueError:
+        raise ScalarError(f"cannot print a number of over {sys.get_int_max_str_digits()} "
+                          f"digits") from None
+    return coef < 0, f"{digits}{style.times}{body}" if body else digits
 
 
 def _term(key, coef, style):
     mono, syms = key
     factors = [name + style.power(e) for name, e in mono]
     factors += [style.symbol(sym) + style.power(e) for sym, e in syms]
-    if not factors:
-        return coef < 0, str(abs(coef))
     return _scaled(coef, style.times.join(factors), style)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -723,6 +724,50 @@ def test_validate_large_abelian_algebra_at_once(tmp_path, capsys):
     assert main(["validate", "--input", str(path)]) == 0
     assert time.perf_counter() - start < 1
     assert "[pass] jacobi ab" in capsys.readouterr().out
+
+
+def test_subgroup_of_an_algebra_too_large_for_cohomology_is_refused(tmp_path, capsys):
+    """Over MAX_COCHAINS = 10,000 dimensions every degree of cohomology is
+    refused, so a subgroup is refused at the algebra's name, before any of
+    its vectors is built."""
+    path = tmp_path / "big.lch"
+    path.write_text("lie_algebra big { dim 10001 }\nsubgroup s of big { span = [1] }\n")
+    assert main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:2:15: 'big' takes no subgroup: at dimension 10001 each degree of "
+        "cohomology needs over 10000 cochains\n")
+    path.write_text("lie_algebra big { dim 10000 }\nsubgroup s of big { span = [1] }\n")
+    assert main(["validate", "--input", str(path)]) == 0
+
+
+DIGITS = sys.get_int_max_str_digits()   # what `int` reads and `str` writes of an integer
+BIG = "9" * (DIGITS + 700)
+
+
+@pytest.mark.parametrize("edit,span,message", [
+    (lambda t: t + f"point Q on M = ({BIG}, 0, 0)\n", "23:17",
+     f"integer of {DIGITS + 700} digits, over the limit of {DIGITS}"),
+    (lambda t: t.replace("cert on M = d(y)", f"cert on M = {BIG}*d(y)"), "13:18",
+     f"integer of {DIGITS + 700} digits, over the limit of {DIGITS}"),
+    (lambda t: t.replace("lie_algebra ab2 { dim 2 }",
+                         f"lie_algebra ab2 {{ dim 2 bracket [1,2] = e{BIG} }}"), "7:41",
+     "expected a basis symbol e1..e2"),
+], ids=["point", "coefficient", "basis_index"])
+def test_integer_over_the_digit_limit_is_a_parse_error(edit, span, message, tmp_path, capsys):
+    path = tmp_path / "big.lch"
+    path.write_text(edit((FIXTURES / "intro.lch").read_text()))
+    assert main(["validate", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{span}: {message}\n"
+
+
+def test_value_over_the_digit_limit_is_refused_when_printed(tmp_path, capsys):
+    """3^9100 has 4,342 digits: the failing generator's witness cannot be
+    written, which is an error, exit 2, with nothing on standard output."""
+    path = tmp_path / "big.lch"
+    path.write_text((FIXTURES / "intro.lch").read_text() + "form f on M = 3^9100*y*d(x)\n")
+    assert main(["check", "invariant", "--input", str(path), "--action", "act",
+                 "--object", "f"]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot print a number of over {DIGITS} digits\n")
 
 
 REJECTED = [
