@@ -45,7 +45,8 @@ def _hashed_values():
     assert hash(dsl.SourceSpan("f", 1, 2, 3)) == hash(dsl.SourceSpan("f", 1, 2, 3))
     reps = (((Fraction(-1), Fraction(0)), (Fraction(0), Fraction(1))),)
     spec = SubgroupSpec.from_vectors([[1, 0]], [[[-1, 0], [0, 1]]])
-    assert spec == SubgroupSpec(((1, 0),), reps) and hash(spec) == hash(SubgroupSpec(((1, 0),), reps))
+    same = SubgroupSpec(((1, 0),), reps)
+    assert spec == same and hash(spec) == hash(same)
     assert spec != SubgroupSpec(((1, 0),))
 
 
