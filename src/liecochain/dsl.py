@@ -824,7 +824,7 @@ class _Parser:
                 self.error("power of a scalar needs an integer exponent", i)
             e, i = sign * int(toks[i]), i + 1
             if value.__class__ is list and len(value) == 1 and value[0][0] in (1, -1) \
-                    and 0 <= e <= sf.MAX_POWER_WORK:   # `**` would take e products
+                    and 0 <= e <= sf.MAX_POWER_WORK:   # as `**`, whose bound on a monomial is e
                 (c, m), = value
                 value = [(c ** e, tuple((v, k * e) for v, k in m) if e else ())]
             else:

@@ -221,7 +221,14 @@ MAX_COCHAINS = 10_000
 
 
 def _check_size(p, *degrees):
+    """DegreeOverflow for the first degree r with C(p, r) over MAX_COCHAINS.
+    Past MAX_COCHAINS dimensions C(p, r) >= p for 0 < r < p, so it is
+    neither computed nor printed there."""
     for r in degrees:
+        if 0 < r < p and p > MAX_COCHAINS:
+            raise DegreeOverflow(
+                f"degree {r} on a {p}-dimensional algebra has C({p}, {r}) >= {p} "
+                f"basis forms, over the limit of {MAX_COCHAINS}")
         if 0 <= r <= p and comb(p, r) > MAX_COCHAINS:
             raise DegreeOverflow(
                 f"degree {r} on a {p}-dimensional algebra has C({p}, {r}) = {comb(p, r)} "

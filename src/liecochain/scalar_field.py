@@ -41,8 +41,9 @@ from types import SimpleNamespace
 
 from .linalg import _combine, _Frozen, _integer_row, _primitive, nullspace
 
-# Largest n * t * C(n+t-1, t-1) -- term products in raising a t-term
-# numerator to the n-th power -- that `**` starts.
+# Largest n * t * C(n+t-1, t-1) -- the term products of raising a t-term
+# numerator to the n-th power by n successive products -- that `**` starts.
+# A bound kept, not a count: `_p_pow` takes far fewer.
 MAX_POWER_WORK = 1_000_000
 
 # Largest number of term products -- each numerator's terms times the terms
@@ -335,6 +336,37 @@ def _p_mul(p, q):
     return _make(vs, w, p.content * q.content, _mul_terms(a, b))
 
 
+def _p_pow(p, n):
+    """p^n for n >= 1 by binomial expansion (Fateman, 1974): with m the term
+    of p's largest key and q the rest, p^n = sum_i C(n, i) m^(n - i) q^i,
+    the powers of q by successive products, on bare terms of one layout
+    wide enough for n * _top(p), and one `_make` at the end.  A monomial or
+    a binomial has its power in closed form."""
+    if n == 1 or not p.terms:
+        return p
+    w = _width(n * _top(p))
+    terms = _repack(p.terms, p.vs, p.w, p.vs, w)
+    km = max(terms)
+    xm = terms[km]
+    q = {k: x for k, x in terms.items() if k != km}
+    if not q:
+        out = {n * km: xm ** n}
+    elif len(q) == 1:
+        (kq, xq), = q.items()
+        out = {(n - i) * km + i * kq: comb(n, i) * xm ** (n - i) * xq ** i for i in range(n + 1)}
+    else:
+        out, qi = {}, {0: 1}
+        get = out.get
+        for i in range(n + 1):
+            c, shift = comb(n, i) * xm ** (n - i), (n - i) * km
+            for k, x in qi.items():
+                out[k + shift] = get(k + shift, 0) + c * x
+            if i < n:
+                qi = _mul_terms(qi, q) if i else q
+        out = {k: x for k, x in out.items() if x}
+    return _make(p.vs, w, p.content ** n, out)
+
+
 def _p_partial(p, coord):
     """Each variable that depends on coord -- the coordinate, and function
     symbols with coord among their arguments -- loses one from its exponent,
@@ -578,8 +610,8 @@ def _lcm(exprs):
     for m, fs in splits:
         c = _monomial(rest) if (rest := _mono_div(mono, m)) else _P_ONE
         for f, e in factors.items():
-            for _ in range(e - fs.get(f, 0)):
-                c = _p_mul(c, f)
+            if (k := e - fs.get(f, 0)) > 0:
+                c = _p_mul(c, _p_pow(f, k))
         cofactors.append(c)
     return mono, factors, cofactors
 
@@ -661,17 +693,18 @@ class ScalarExpr(_Frozen):
             cancelled = min(e, factors.get(f, 0))
             if cancelled:
                 factors[f] -= cancelled
-            for _ in range(e - cancelled):
-                num = _p_mul(num, f)
+            if e > cancelled:
+                num = _p_mul(num, _p_pow(f, e - cancelled))
         return _fraction(num, mono, factors)
 
     def __rtruediv__(self, other):
         return normalize(other) / self
 
     def __pow__(self, n):
-        """Integer power: the numerator by n successive products (refused
-        over `MAX_POWER_WORK`), the denominator and a one-term numerator by
-        scaling their exponents."""
+        """Integer power: the numerator by binomial expansion (`_p_pow`),
+        refused where n * t * C(n + t - 1, t - 1) for its t terms, a bound
+        kept from raising it by n successive products, is over
+        `MAX_POWER_WORK`; the denominator by scaling its exponents."""
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
@@ -685,16 +718,8 @@ class ScalarExpr(_Frozen):
             raise PowerTooLarge(
                 f"raising a {t}-term numerator to the power {n} needs "
                 f"{n} * {t} * C({n + t - 1}, {t - 1}) term products, over the limit of {MAX_POWER_WORK}")
-        if t == 1:
-            p = self.num
-            num = _monomial({v: e * n for v, e in _exps(p, next(iter(p.terms))).items()},
-                            p.content ** n)
-        else:
-            num = _P_ONE
-            for _ in range(n):
-                num = _p_mul(num, self.num)
         mono, factors = _split(self.den)
-        return _fraction(num, {v: e * n for v, e in mono.items()},
+        return _fraction(_p_pow(self.num, n), {v: e * n for v, e in mono.items()},
                          {f: e * n for f, e in factors.items()})
 
     # -- predicates ------------------------------------------------------

@@ -5,11 +5,12 @@ validation in Fractions, the interior product of a chart form by one vector
 field, the Lie bracket of two vector fields component by component, the
 sign of a permutation by counting inversions, scalar fractions with
 expanded denominators over polynomials held as sorted (term, Fraction)
-tuples, and the workspace tokenizer that scans line by line and character
-by character.  All are deliberately naive and independent of `liecochain`'s
-fraction-free elimination, assembled operators, integer subgroup checks,
-signed monomial rules, Lie derivative, factored denominators, packed
-integer polynomials and one-pass scanner."""
+tuples, integer powers of scalars by repeated products, and the workspace
+tokenizer that scans line by line and character by character.  All are
+deliberately naive and independent of `liecochain`'s fraction-free
+elimination, assembled operators, integer subgroup checks, signed monomial
+rules, Lie derivative, factored denominators, packed integer polynomials,
+binomial powers and one-pass scanner."""
 
 import re
 from fractions import Fraction
@@ -582,6 +583,37 @@ class ExpandedFraction:
 
     def eval_at(self, point):
         return _p_eval(self.num, point) / _p_eval(self.den, point)
+
+
+def power_by_products(e, n):
+    """The ScalarExpr e to the integer power n, each power of a polynomial an
+    n-fold product of `*` on values with no denominator: the numerator's,
+    over the denominator with each exponent, and the monomial's, times n.
+    A negative power is the power of the reciprocal, the product of the
+    denominator's factors divided by the numerator."""
+    if n == 0:
+        return sf.ONE
+    num, factors = view(e)
+    if n < 0:
+        if not num:
+            raise sf.DivisionByZeroExpr("negative power of zero")
+        den = sf.ONE
+        for f, k in factors:
+            for _ in range(k):
+                den = den * sf.ScalarExpr(f)
+        return power_by_products(den / sf.ScalarExpr(num), -n)
+    p = sf.ONE
+    for _ in range(n):
+        p = p * sf.ScalarExpr(num)
+    den = []
+    for f, k in factors:
+        if len(f) == 1:   # the monomial, first and with exponent 1
+            ((mono, syms), c), = f
+            mono, syms = tuple((v, d * n) for v, d in mono), tuple((s, d * n) for s, d in syms)
+            den.append(((((mono, syms), c),), 1))
+        else:
+            den.append((f, k * n))
+    return sf.ScalarExpr(view(p)[0], tuple(den))
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|[{}\[\]()=,+\-*/^]")

@@ -202,6 +202,23 @@ def test_oversized_cochain_space_refused_at_once(tmp_path, capsys):
     assert elapsed < 1
 
 
+@pytest.mark.parametrize("dim,degree", [("1000000", "200000"), ("1" + "0" * 4000, "100000")],
+                         ids=["million", "4001_digits"])
+def test_cochain_space_of_a_huge_algebra_refused_at_once(dim, degree, tmp_path, capsys):
+    """Past MAX_COCHAINS dimensions C(p, r) >= p for 0 < r < p: the refusal
+    neither computes C(p, r) nor prints it."""
+    ws = tmp_path / "huge.lch"
+    ws.write_text(f"lie_algebra g {{ dim {dim} }}\n")
+    start = time.perf_counter()
+    code = main(["cohomology", "--input", str(ws), "--algebra", "g", "--degree", degree])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"C({dim}, " in err and "over the limit of 10000" in err
+    assert elapsed < 1
+
+
 def test_oversized_power_refused_at_once(tmp_path, capsys):
     ws = tmp_path / "pow.lch"
     ws.write_text("chart M { coords = [x, y] }\nform w on M = (x + y + 1)^3000*d(x)\n")

@@ -740,6 +740,83 @@ def test_factored_denominators_against_sympy_cancel():
         assert sympy.cancel(got - want) == 0
 
 
+POWER_VARIABLES = ("x", "y", sf.FunctionSymbol("K", ("z",), (0,)),
+                   sf.FunctionSymbol("K", ("z",), (1,)))
+
+
+def test_power_matches_repeated_products():
+    """e ** n equals `reference.power_by_products(e, n)`, an n-fold product
+    of `*`, by == and by its text, for n in -4..12.  The bases have function
+    symbols, rational contents and factored denominators, and include zero,
+    binomials (a rest of one term), and sums and quotients over one factor
+    whose exponents differ by 2 or more; each base is checked against the
+    same operations on expanded denominators first."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefficient = st.fractions(-3, 3, max_denominator=4)
+    terms = st.lists(st.tuples(coefficient, st.tuples(*[st.integers(0, 2)] * 4)), max_size=3)
+    seen = Counter()
+
+    def poly(draw, min_terms=0):
+        """A random polynomial of at least min_terms terms, with its
+        expanded-denominator mirror."""
+        p = sf.polynomial([(c, tuple((v, k) for v, k in zip(POWER_VARIABLES, mono) if k))
+                           for c, mono in draw(terms)])
+        if len(p.num) < min_terms:
+            hypothesis.reject()
+        return p, ref.ExpandedFraction(ref.view(p)[0])
+
+    @st.composite
+    def bases(draw):
+        shape = draw(st.sampled_from(["poly", "fraction", "sum", "quotient"]))
+        e, mirror = poly(draw)
+        if shape == "fraction":
+            for _ in range(draw(st.integers(1, 2))):
+                f, mf = poly(draw, 1)
+                k = draw(st.integers(1, 3))
+                e, mirror = e / f ** k, mirror / mf ** k
+        elif shape != "poly":
+            f, mf = poly(draw, 2)
+            i = draw(st.integers(0, 2))
+            j = i + draw(st.integers(2, 3))
+            b, mb = poly(draw, 1)
+            if shape == "sum":
+                if draw(st.booleans()):
+                    i, j = j, i
+                e, mirror = e / f ** i + b / f ** j, mirror / mf ** i + mb / mf ** j
+            else:
+                e, mirror = e / f ** i / (b / f ** j), mirror / mf ** i / (mb / mf ** j)
+        assert mirror.equals(ref.ExpandedFraction.of(e))
+        return shape, e
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(bases(), st.integers(-4, 12))
+    def check(base, n):
+        shape, e = base
+        if e.is_zero() and n < 0:
+            with pytest.raises(sf.DivisionByZeroExpr):
+                ref.power_by_products(e, n)
+            with pytest.raises(sf.DivisionByZeroExpr):
+                e ** n
+            seen["zero"] += 1
+            return
+        try:
+            got = e ** n
+        except sf.PowerTooLarge:
+            hypothesis.reject()
+        want = ref.power_by_products(e, n)
+        assert got == want
+        assert sf.dsl_str(got) == sf.dsl_str(want)
+        seen[shape] += 1
+        seen["zero"] += e.is_zero()
+        seen["binomial"] += len(e.num) == 2 and n > 1
+        seen["negative"] += n < 0
+        seen["symbols"] += any(v.__class__ is sf.FunctionSymbol for v in e.num.vs)
+    check()
+    assert min(seen[k] for k in ("poly", "fraction", "sum", "quotient", "zero", "binomial",
+                                 "negative", "symbols")) >= 5, seen
+
+
 def _outcome(call):
     """A call's value, or the class and message of the scalar error it raises."""
     try:

@@ -168,6 +168,20 @@ def test_power_work_limit():
     assert (1 / base) ** 3000 == sf.ScalarExpr(ref.view(sf.ONE)[0], ((ref.view(base)[0], 3000),))
 
 
+def test_power_term_products(monkeypatch):
+    """Binomial expansion raises (x + y + 1) to the 30th power in under 1,000
+    term products, counted as len(a) * len(b) over `_mul_terms`; 30
+    successive products took 14,877."""
+    products, mul_terms = [], sf._mul_terms
+
+    def counted(a, b):
+        products.append(len(a) * len(b))
+        return mul_terms(a, b)
+    monkeypatch.setattr(sf, "_mul_terms", counted)
+    assert len(((x + y + 1) ** 30).num) == 496
+    assert sum(products) <= 1_000
+
+
 def test_power_negative_and_zero():
     assert sf.equals(x ** 0, 1)
     assert sf.equals(x ** -2 * x ** 2, 1)
