@@ -340,8 +340,8 @@ def _p_pow(p, n):
     """p^n for n >= 1 by binomial expansion (Fateman, 1974): with m the term
     of p's largest key and q the rest, p^n = sum_i C(n, i) m^(n - i) q^i,
     the powers of q by successive products, on bare terms of one layout
-    wide enough for n * _top(p), and one `_make` at the end.  A monomial or
-    a binomial has its power in closed form."""
+    wide enough for n * _top(p), and one `_make` at the end.  A monomial has
+    its power in closed form."""
     if n == 1 or not p.terms:
         return p
     w = _width(n * _top(p))
@@ -351,9 +351,6 @@ def _p_pow(p, n):
     q = {k: x for k, x in terms.items() if k != km}
     if not q:
         out = {n * km: xm ** n}
-    elif len(q) == 1:
-        (kq, xq), = q.items()
-        out = {(n - i) * km + i * kq: comb(n, i) * xm ** (n - i) * xq ** i for i in range(n + 1)}
     else:
         out, qi = {}, {0: 1}
         get = out.get
