@@ -408,12 +408,15 @@ def main(argv=None):
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:   # --help, or a usage error
         return _written(exc.code if isinstance(exc.code, int) else 2)
+    sf.hold_meter(True)   # one work meter for the command
     try:
         code, out = run(args)
     except (InputError, dsl.ParseError, aa.ActionError, CohomologyError, sf.ScalarError,
             cc.ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sf.hold_meter(False)
     return _written(code, out)
 
 

@@ -603,8 +603,9 @@ class _Parser:
             self.i += 1
             components.append(self.parse_matrix(algebra.dim))
         self.expect("}")
-        basis = [[int(k == idx) for k in range(1, algebra.dim + 1)] for idx in indices]
-        spec = SubgroupSpec.from_vectors(basis, components)
+        # unit vectors of ints: a Fraction per entry would cost span * dim of them
+        basis = tuple(tuple(int(k == idx) for k in range(1, algebra.dim + 1)) for idx in indices)
+        spec = SubgroupSpec(basis, tuple(tuple(map(tuple, m)) for m in components))
         self.declare(self.ws.subgroups, name_at, SubgroupDecl(self.tokens[alg_at], spec),
                      "subgroup")
 
@@ -824,7 +825,7 @@ class _Parser:
                 self.error("power of a scalar needs an integer exponent", i)
             e, i = sign * int(toks[i]), i + 1
             if value.__class__ is list and len(value) == 1 and value[0][0] in (1, -1) \
-                    and 0 <= e <= sf.MAX_POWER_WORK:   # as `**`, whose bound on a monomial is e
+                    and 0 <= e <= sf.MAX_EXPONENT:   # the bound of `**` on a monomial
                 (c, m), = value
                 value = [(c ** e, tuple((v, k * e) for v, k in m) if e else ())]
             else:

@@ -223,15 +223,17 @@ MAX_COCHAINS = 10_000
 def _check_size(p, *degrees):
     """DegreeOverflow for the first degree r with C(p, r) over MAX_COCHAINS.
     Past MAX_COCHAINS dimensions C(p, r) >= p for 0 < r < p, so it is
-    neither computed nor printed there."""
+    neither computed nor printed there; below, it is printed only when it
+    has under 20 digits."""
     for r in degrees:
         if 0 < r < p and p > MAX_COCHAINS:
             raise DegreeOverflow(
                 f"degree {r} on a {p}-dimensional algebra has C({p}, {r}) >= {p} "
                 f"basis forms, over the limit of {MAX_COCHAINS}")
-        if 0 <= r <= p and comb(p, r) > MAX_COCHAINS:
+        if 0 <= r <= p and (size := comb(p, r)) > MAX_COCHAINS:
+            shown = f"= {size}" if size < 10 ** 19 else f"> {MAX_COCHAINS}"
             raise DegreeOverflow(
-                f"degree {r} on a {p}-dimensional algebra has C({p}, {r}) = {comb(p, r)} "
+                f"degree {r} on a {p}-dimensional algebra has C({p}, {r}) {shown} "
                 f"basis forms, over the limit of {MAX_COCHAINS}")
 
 

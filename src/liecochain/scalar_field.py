@@ -25,7 +25,17 @@ product, partial and sum loops as the polynomials: which rational
 combinations of vectors of such values vanish (`linear_relations`), whether
 one tensor is a multiple of another (`proportional`), and whether a Lie
 derivative of a tensor vanishes (`operator_vanishes`).  Only the last
-declines, with None, where it leaves the verdict to the exact derivative.
+declines, with None, for a generator with rational components, where it
+leaves the verdict to the exact derivative.
+
+Work is counted, not estimated: the product and partial loops charge one
+meter with the term products they form, and past MAX_WORK raise
+`WorkLimit`.  A command holds the meter for all its work (`hold_meter`);
+outside one, each kernel -- a product, quotient or power, a common
+denominator, a quotient rule, a decision -- starts its own count.  The
+meter is module state, one per process, so commands run on several threads
+at once would share it.  A monomial's power, formed in closed form, is
+bounded by MAX_EXPONENT instead.
 
 All values are immutable; every operation returns a new canonical value.
 """
@@ -35,26 +45,24 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import or_
 from types import SimpleNamespace
 
 from .linalg import _combine, _Frozen, _integer_row, _primitive, nullspace
 
-# Largest n * t * C(n+t-1, t-1) -- the term products of raising a t-term
-# numerator to the n-th power by n successive products -- that `**` starts.
-# A bound kept, not a count: `_p_pow` takes far fewer.
-MAX_POWER_WORK = 1_000_000
+# The most term products that one command, or outside a command one metered
+# kernel, may form: `_mul_terms`, `_partial_terms` and `_p_pow` charge them.
+MAX_WORK = 100_000
 
-# Largest number of term products -- each numerator's terms times the terms
-# of its cofactor, at most the product of the cofactor's factor lengths --
-# that bringing fractions to their common denominator starts.
-MAX_SUM_WORK = 30_000
+# The largest exponent of a monomial's power, which `_p_pow` forms in closed
+# form, with no term product to count.
+MAX_EXPONENT = 1_000_000
 
-# Largest number of term products that the quotient rule of `partial`
-# starts: for each product it forms, the terms of its first operand times
-# the product of the lengths of the factors that multiply it.
-MAX_PARTIAL_WORK = 30_000
+# The work meter: term products charged since its last reset (`_begin`), and
+# whether a command holds it (`hold_meter`).
+_work = 0
+_held = False
 
 
 class ScalarError(Exception):
@@ -77,16 +85,30 @@ class PoleAtPoint(ScalarError):
     pass
 
 
-class PowerTooLarge(ScalarError):
+class WorkLimit(ScalarError):
     pass
 
 
-class SumTooLarge(ScalarError):
-    pass
+def hold_meter(held):
+    """Reset the work meter, and hold it for one command while held is true:
+    its kernels then add up to one count instead of resetting it."""
+    global _work, _held
+    _work, _held = 0, held
 
 
-class PartialTooLarge(ScalarError):
-    pass
+def _begin():
+    """Start a metered kernel: outside a held meter, its count starts at 0."""
+    global _work
+    if not _held:
+        _work = 0
+
+
+def _charge(n):
+    global _work
+    _work += n
+    if _work > MAX_WORK:
+        raise WorkLimit(f"the work limit is reached: {_work} term products counted, "
+                        f"over the limit of {MAX_WORK}")
 
 
 class FunctionSymbol(_Frozen):
@@ -308,7 +330,7 @@ def _factor_order(factor_exp):
 def _p_scale(p, f):
     if f == 0 or not p.terms:
         return _P_ZERO
-    return _Poly(p.vs, p.w, p.content * f, p.terms)
+    return p if f == 1 else _Poly(p.vs, p.w, p.content * f, p.terms)
 
 
 def _p_add(p, q):
@@ -327,23 +349,34 @@ def _p_add(p, q):
 
 
 def _p_mul(p, q):
-    """The contents multiply once; packed keys add, integers multiply."""
+    """The contents multiply once; packed keys add, integers multiply.  The
+    product of two canonical polynomials is canonical as it comes whenever
+    its exponents fit the joined width: it is primitive (Gauss's lemma), its
+    lead is the product of the positive leads, and every variable occurs."""
     if not q.vs:
         return _p_scale(p, q.content)
     if not p.vs:
         return _p_scale(q, p.content)
     vs, w, a, b = _join(p, q)
-    return _make(vs, w, p.content * q.content, _mul_terms(a, b))
+    cp, cq = p.content, q.content
+    content = cp if cq == 1 else cq if cp == 1 else cp * cq
+    canonical = _Poly if _width(_top(p) + _top(q)) <= w else _make
+    return canonical(vs, w, content, _mul_terms(a, b))
 
 
 def _p_pow(p, n):
     """p^n for n >= 1 by binomial expansion (Fateman, 1974): with m the term
     of p's largest key and q the rest, p^n = sum_i C(n, i) m^(n - i) q^i,
     the powers of q by successive products, on bare terms of one layout
-    wide enough for n * _top(p), and one `_make` at the end.  A monomial has
-    its power in closed form."""
+    wide enough for n * _top(p), and one `_make` at the end.  The
+    coefficients of C(n, i) m^(n - i) q^i grow with n, so each of its terms
+    is charged one term product per 64-bit word of the product of that
+    coefficient and q^i's largest.  A monomial has its power in closed
+    form, its exponent at most MAX_EXPONENT."""
     if n == 1 or not p.terms:
         return p
+    if len(p) == 1 and n > MAX_EXPONENT:
+        raise WorkLimit(f"the exponent {n} of a monomial is over the limit of {MAX_EXPONENT}")
     w = _width(n * _top(p))
     terms = _repack(p.terms, p.vs, p.w, p.vs, w)
     km = max(terms)
@@ -352,14 +385,18 @@ def _p_pow(p, n):
     if not q:
         out = {n * km: xm ** n}
     else:
-        out, qi = {}, {0: 1}
+        _charge(n * (xm.bit_length() - 1) // 64)   # the words of xm^n, before it is formed
+        out, qi, c = {}, {0: 1}, xm ** n   # c = C(n, i) xm^(n - i)
         get = out.get
         for i in range(n + 1):
-            c, shift = comb(n, i) * xm ** (n - i), (n - i) * km
+            bits = c.bit_length() + max(map(int.bit_length, qi.values()))
+            _charge(len(qi) * (bits // 64 + 1))
+            shift = (n - i) * km
             for k, x in qi.items():
                 out[k + shift] = get(k + shift, 0) + c * x
             if i < n:
                 qi = _mul_terms(qi, q) if i else q
+                c = c * (n - i) // ((i + 1) * xm)
         out = {k: x for k, x in out.items() if x}
     return _make(p.vs, w, p.content ** n, out)
 
@@ -388,7 +425,9 @@ def _p_partial(p, coord):
 
 
 def _mul_terms(a, b):
-    """The product of two bare terms dicts of one layout."""
+    """The product of two bare terms dicts of one layout, charged to the
+    work meter as len(a) * len(b) term products."""
+    _charge(len(a) * len(b))
     if len(a) < len(b):
         a, b = b, a
     out = {}
@@ -426,7 +465,9 @@ def _depends(p, coord):
 
 
 def _partial_terms(terms, w, steps):
-    """The partial of bare terms of width w, by the `_steps` of a coordinate."""
+    """The partial of bare terms of width w, by the `_steps` of a coordinate,
+    charged to the work meter as one term product per term and step."""
+    _charge(len(terms) * len(steps))
     mask = (1 << w) - 1
     out = {}
     get = out.get
@@ -557,19 +598,23 @@ def _fraction(num, mono, factors):
     `factors` holds monic multi-term factors with no monomial content; it is
     consumed.  A numerator exactly proportional to a factor lowers that
     factor's exponent, then monomial content common to the numerator and
-    `mono` cancels: the only reductions, both syntactic.
+    `mono` cancels: the only reductions, both syntactic.  Both integer parts
+    are primitive with a positive lead, so such a numerator has the factor's
+    integer coefficients, as a multiset: only then is it divided.
     """
     if not num:
         return _new(_P_ZERO, ())
     den = []
     if factors:
-        if any(len(f) == len(num) for f in factors):
+        same = [f for f, e in factors.items() if e and len(f) == len(num)
+                and sorted(f.terms.values()) == sorted(num.terms.values())]
+        if same:
             # num over its content has the integer part of the monic factor
             # it is proportional to, if any
             content = _content(num)
             rest = _p_div_mono(num, content)
-            for f, e in factors.items():
-                if e and f.terms == rest.terms and f.vs == rest.vs and f.w == rest.w:
+            for f in same:
+                if f.terms == rest.terms and f.vs == rest.vs and f.w == rest.w:
                     factors[f] -= 1
                     num = _monomial(content, num.content / f.content)
                     break
@@ -586,9 +631,7 @@ def _fraction(num, mono, factors):
 
 def _lcm(exprs):
     """The lcm of the expressions' factored denominators as (mono, factors),
-    with the cofactor polynomial lcm / den of each; refused when multiplying
-    the numerators by their cofactors could take over MAX_SUM_WORK term
-    products."""
+    with the cofactor polynomial lcm / den of each."""
     splits = [_split(e.den) for e in exprs]
     mono, factors = {}, {}
     for m, fs in splits:
@@ -596,13 +639,6 @@ def _lcm(exprs):
         for f, e in fs.items():
             if e > factors.get(f, 0):
                 factors[f] = e
-    work = sum(len(e.num) * prod(len(f) ** (k - fs.get(f, 0)) for f, k in factors.items())
-               for e, (_, fs) in zip(exprs, splits))
-    if work > MAX_SUM_WORK:
-        raise SumTooLarge(
-            f"bringing {len(exprs)} fractions to the common denominator of their "
-            f"{len(factors)} factors needs up to {work} term products, "
-            f"over the limit of {MAX_SUM_WORK}")
     cofactors = []
     for m, fs in splits:
         c = _monomial(rest) if (rest := _mono_div(mono, m)) else _P_ONE
@@ -641,6 +677,7 @@ class ScalarExpr(_Frozen):
             return self if other.is_zero() else other
         if self.den == other.den:
             return _fraction(_p_add(self.num, other.num), *_split(self.den))
+        _begin()
         mono, factors, (c1, c2) = _lcm((self, other))
         return _fraction(_p_add(_p_mul(self.num, c1), _p_mul(other.num, c2)), mono, factors)
 
@@ -657,6 +694,7 @@ class ScalarExpr(_Frozen):
 
     def __mul__(self, other):
         other = normalize(other)
+        _begin()
         num = _p_mul(self.num, other.num)
         if not self.den and not other.den:
             return _new(num, ())
@@ -674,6 +712,7 @@ class ScalarExpr(_Frozen):
         other = normalize(other)
         if other.is_zero():
             raise DivisionByZeroExpr("division by an expression that normalizes to zero")
+        _begin()
         content = _content(other.num)
         f = _p_div_mono(other.num, content)
         lead = _terms(f)[-1][1]  # of the last term in _term_order
@@ -698,10 +737,8 @@ class ScalarExpr(_Frozen):
         return normalize(other) / self
 
     def __pow__(self, n):
-        """Integer power: the numerator by binomial expansion (`_p_pow`),
-        refused where n * t * C(n + t - 1, t - 1) for its t terms, a bound
-        kept from raising it by n successive products, is over
-        `MAX_POWER_WORK`; the denominator by scaling its exponents."""
+        """Integer power: the numerator by binomial expansion (`_p_pow`), the
+        denominator by scaling its exponents."""
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")
         if n < 0:
@@ -710,11 +747,7 @@ class ScalarExpr(_Frozen):
             return (ONE / self) ** (-n)
         if n == 0:
             return ONE
-        t = len(self.num)
-        if t and n * t * comb(n + t - 1, t - 1) > MAX_POWER_WORK:
-            raise PowerTooLarge(
-                f"raising a {t}-term numerator to the power {n} needs "
-                f"{n} * {t} * C({n + t - 1}, {t - 1}) term products, over the limit of {MAX_POWER_WORK}")
+        _begin()
         mono, factors = _split(self.den)
         return _fraction(_p_pow(self.num, n), {v: e * n for v, e in mono.items()},
                          {f: e * n for f, e in factors.items()})
@@ -740,8 +773,9 @@ class ScalarExpr(_Frozen):
         """Quotient rule on the factored denominator D: with F the product
         of the factors f_i^e_i that depend on `coord` and g = sum_i e_i f_i'
         F / f_i (`_quotient_parts`), (F N' - g N) / (D F), each exponent in F
-        raised by one; refused before any product over `MAX_PARTIAL_WORK`.
-        N, the f_i and their partials are bare terms of one layout."""
+        raised by one.  N, the f_i and their partials are bare terms of one
+        layout."""
+        _begin()
         if not self.den:
             return _new(_p_partial(self.num, coord), ())
         num, (mono, factors) = self.num, _split(self.den)
@@ -760,12 +794,12 @@ class ScalarExpr(_Frozen):
             bare = _repack(f.terms, f.vs, f.w, vs, w)
             if df := _partial_terms(bare, w, steps):
                 moving.append((bare, e, df))
-                content *= f.content
+                if f.content != 1:
+                    content *= f.content
                 if len(f) == 1:
                     mono = _mono_mul(mono, mono)
                 else:
                     factors[f] = e + 1
-        _partial_work(self, coord, dn, moving)
         if not moving:
             return _fraction(_make(vs, w, content, dn), mono, factors)
         big_f, g = _quotient_parts(moving)
@@ -798,31 +832,6 @@ class ScalarExpr(_Frozen):
 
     def __str__(self):
         return pretty(self)
-
-
-def _partial_work(e, coord, dn=None, moving=None):
-    """PartialTooLarge when the quotient rule of `partial` by coord on e
-    would take over MAX_PARTIAL_WORK term products.  dn is the partial of
-    the numerator, and moving the factors of the denominator that depend on
-    coord, as (f, exponent, partial of f).  Without them, the work is first
-    bounded by lengths alone, a term giving at most one term per variable of
-    its polynomial, and both are formed only when that bound is over."""
-    if not e.den:
-        return
-    if moving is None:
-        size = prod(len(f) for f, _ in e.den)
-        if len(e.num) * (len(e.num.vs) + sum(len(f.vs) for f, _ in e.den)) * size \
-                <= MAX_PARTIAL_WORK:
-            return
-        dn = _p_partial(e.num, coord)
-        moving = [(f, k, df) for f, k in e.den if (df := _p_partial(f, coord))]
-    size = prod(len(f) for f, _, _ in moving)
-    work = len(dn) * size + sum(len(e.num) * len(df) * size // len(f) for f, _, df in moving)
-    if work > MAX_PARTIAL_WORK:
-        raise PartialTooLarge(
-            f"differentiating by {coord}, with {len(moving)} denominator factors that "
-            f"depend on it, needs up to {work} term products, over the limit of "
-            f"{MAX_PARTIAL_WORK}")
 
 
 def _quotient_parts(moving):
@@ -894,6 +903,7 @@ def equals(e1, e2):
     e1, e2 = normalize(e1), normalize(e2)
     if e1.den == e2.den:
         return e1.num == e2.num
+    _begin()
     _, _, (c1, c2) = _lcm((e1, e2))
     return _p_mul(e1.num, c1) == _p_mul(e2.num, c2)
 
@@ -914,9 +924,8 @@ def _clear(exprs, polys=(), spare=0):
     its own, all bare terms.  With top a bound on the exponents of a
     numerator plus those of every factor, w holds exponents up to 2 * top +
     spare; an invariance check passes every generator's components as polys,
-    and one more than their largest exponent as spare.  Refused by `_lcm`'s
-    limit.  Without denominators L is 1: no `_lcm`, no cofactor, and the
-    numerators as they are."""
+    and one more than their largest exponent as spare.  Without denominators
+    L is 1: no `_lcm`, no cofactor, and the numerators as they are."""
     if not any(e.den for e in exprs):
         mono, factors, cofactors = {}, {}, [_P_ONE] * len(exprs)
     else:
@@ -943,6 +952,7 @@ def linear_relations(vectors):
     entry is cleared across the vectors (`_clear`), which scales every
     vector's entry by one nonzero rational, so the relations are those of
     the cleared numerators: one row per entry and term key."""
+    _begin()
     rows = {}  # (entry, packed key) -> {vector: coefficient}
     for i, entry in enumerate(zip(*vectors)):
         for j, terms in enumerate(_clear([normalize(e) for e in entry])[2]):
@@ -955,28 +965,19 @@ def proportional(a, b):
     """Whether a = lambda * b for some expression lambda, a and b {key:
     expression}, a missing key meaning zero, b not all zero.  With both
     cleared over one denominator, a = (a_0 / b_0) b exactly when A_k B_0 =
-    A_0 B_k for every key k, b_0 being b's first nonzero coefficient.  When
-    the clearing or those products would take over MAX_SUM_WORK term
-    products, a_k = lambda b_k is decided key by key with `equals`, for
-    lambda = a_0 / b_0, each pair under the limit of its own sum."""
+    A_0 B_k for every key k, b_0 being b's first nonzero coefficient."""
     base = next((k for k, c in b.items() if c.num), None)
     if base is None:
         raise DivisionByZeroExpr("proportionality against zero")
     keys = a.keys() | b.keys()
     if keys == {base}:
         return True
-    try:
-        _, _, numerators, _ = _clear(list(a.values()) + list(b.values()))
-        big_a, big_b = dict(zip(a, numerators)), dict(zip(b, numerators[len(a):]))
-        a0, b0 = big_a.get(base, {}), big_b[base]
-        if sum(len(big_a.get(k, ())) * len(b0) + len(a0) * len(big_b.get(k, ())) for k in keys) \
-                > MAX_SUM_WORK:
-            raise SumTooLarge
-        return all(_mul_terms(big_a.get(k, {}), b0) == _mul_terms(a0, big_b.get(k, {}))
-                   for k in keys)
-    except SumTooLarge:
-        lam = a.get(base, ZERO) / b[base]
-        return all(equals(a.get(k, ZERO), lam * b.get(k, ZERO)) for k in keys)
+    _begin()
+    _, _, numerators, _ = _clear(list(a.values()) + list(b.values()))
+    big_a, big_b = dict(zip(a, numerators)), dict(zip(b, numerators[len(a):]))
+    a0, b0 = big_a.get(base, {}), big_b[base]
+    return all(_mul_terms(big_a.get(k, {}), b0) == _mul_terms(a0, big_b.get(k, {}))
+               for k in keys)
 
 
 def operator_vanishes(coeffs, generators, names, factor_terms):
@@ -994,25 +995,18 @@ def operator_vanishes(coeffs, generators, names, factor_terms):
     fields wide enough for every product formed, and one more field holds
     the derivative by each of `names` of each function symbol among them.
     The partials of P and of D's factors are taken once per check.  The
-    verdicts are yielded one at a time, so a refusal fires at the generator
-    whose decision meets it.  None leaves the decision to the exact kernel:
-    for a rational X, a t whose clearing the sum limit refuses, or F L P
-    and g P over that limit.  The kernel's budget on the partials of t's
-    coefficients is applied once per coefficient and coordinate, in its
-    order, so a refusal reads the same."""
+    verdicts are yielded one at a time, and each is one metered kernel, the
+    first with the clearing.  None, for a rational X, leaves the decision to
+    the exact kernel."""
+    _begin()
     polys = [c.num for x in generators for c in x.values()]
-    try:
-        vs, w, numerators, factors = _clear(list(coeffs.values()), polys,
-                                            max(map(_top, polys), default=0) + 1)
-    except SumTooLarge:
-        for _ in generators:
-            yield None
-        return
+    vs, w, numerators, factors = _clear(list(coeffs.values()), polys,
+                                        max(map(_top, polys), default=0) + 1)
     movings = [_moving(vs, coord) for coord in names]
     vs += tuple(dict.fromkeys(dv for moving in movings for _, dv in moving
                               if dv is not None and dv not in vs))
     steps = [_steps(vs, w, moving) for moving in movings]
-    P, partials, budgeted = dict(zip(coeffs, numerators)), {}, set()
+    P, partials = dict(zip(coeffs, numerators)), {}
 
     def along(comps, terms, ref):
         """X(terms), for P's numerator at key ref or D's factor number ref:
@@ -1028,11 +1022,6 @@ def operator_vanishes(coeffs, generators, names, factor_terms):
     def decide(n, components):
         if any(c.den for c in components.values()):
             return None
-        for key, a in coeffs.items():
-            for m in components:
-                if (key, m) not in budgeted:
-                    _partial_work(a, names[m])
-                    budgeted.add((key, m))
         scales = iter(_common_scale([c.num.content for c in components.values() if c.num.terms]))
         comps = {m: _times(_repack(c.num.terms, c.num.vs, c.num.w, vs, w), next(scales))
                  for m, c in components.items() if c.num.terms}
@@ -1051,13 +1040,12 @@ def operator_vanishes(coeffs, generators, names, factor_terms):
         if not moving:
             return not any(lp.values())
         big_f, g = _quotient_parts(moving)
-        if len(big_f) * sum(map(len, lp.values())) + len(g) * sum(map(len, P.values())) \
-                > MAX_SUM_WORK:
-            return None
         return all(_mul_terms(big_f, lp.get(key, {})) == _mul_terms(g, P.get(key, {}))
                    for key in lp.keys() | P.keys())
 
     for n, components in enumerate(generators):
+        if n:
+            _begin()
         yield decide(n, components)
 
 

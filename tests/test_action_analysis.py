@@ -7,7 +7,7 @@ import pytest
 
 from liecochain import action_analysis as aa
 from liecochain import chart_calculus as cc
-from liecochain import dsl
+from liecochain import cli, dsl
 from liecochain import scalar_field as sf
 from liecochain.lie_cohomology import LieAlgebra
 
@@ -782,6 +782,49 @@ def test_adding_zero_builds_nothing(swell_counts):
     assert e + sf.ZERO is e and sf.ZERO + e is e
 
 
+def test_work_is_counted_and_canonical_products_skip_make(monkeypatch, capsys):
+    """Deterministic counts, with `_mul_terms` and `_make` wrapped, on
+    chart_swell's scaling factor along R1 (seed 12) and on a fixture's
+    `check cochain`, each under one meter: the meter's reading, the
+    `_mul_terms` calls and term products, which the shortcuts of canonical
+    products leave as they were, and the `_make` calls, which those
+    shortcuts cut from 88 and 14."""
+    counts = Counter()
+    mul_terms, make = sf._mul_terms, sf._make
+
+    def counted_mul_terms(a, b):
+        counts["mul_terms"] += 1
+        counts["products"] += len(a) * len(b)
+        return mul_terms(a, b)
+
+    def counted_make(*args):
+        counts["make"] += 1
+        return make(*args)
+    readings, hold = [], sf.hold_meter
+    monkeypatch.setattr(sf, "hold_meter", lambda held: hold(held) if held else (
+        readings.append(sf._work), hold(held)))
+    monkeypatch.syspath_prepend(str(BENCH))
+    import chart_swell
+
+    texts, _ = chart_swell.generate(12)
+    ws = dsl.parse(next(iter(texts.values())))
+    monkeypatch.setattr(sf, "_mul_terms", counted_mul_terms)
+    monkeypatch.setattr(sf, "_make", counted_make)
+    sf.hold_meter(True)
+    lam = aa.scaling_factor(ws.actions["rot"].spec, ws.chains["chi"], ws.vector_fields["R1"])
+    sf.hold_meter(False)
+    assert sf.dsl_str(lam) == "-3/(x^2 + y^2 + z^2)"
+    assert (readings, dict(counts)) == ([315], {"mul_terms": 123, "products": 183, "make": 44})
+    readings.clear()
+    counts.clear()
+    fixture = Path(__file__).resolve().parent / "fixtures" / "solvable.lch"
+    assert cli.main(["check", "cochain", "--input", str(fixture), "--action", "act",
+                     "--chain", "chi", "--forms", "omega", "--fields", "Z1", "Z2",
+                     "--points", "P"]) == 1
+    capsys.readouterr()
+    assert (readings, dict(counts)) == ([37], {"mul_terms": 13, "products": 12, "make": 12})
+
+
 def test_a_tensor_without_denominators_is_cleared_without_an_lcm(monkeypatch):
     """K(y) D(x) under the shears D(x), y D(x), y^2 D(x): its clearing takes
     the numerators as they are, with no `_lcm`, no cofactor product and no
@@ -829,16 +872,17 @@ def _check(generators, t):
 
 
 def _outcome(run, *args):
-    """run(*args), or the kind and message of the scalar budget it hit."""
+    """run(*args), or "refused" past the work limit, whose count differs
+    between the decision and the kernel."""
     try:
         return run(*args)
-    except (sf.PartialTooLarge, sf.SumTooLarge) as err:
-        return type(err).__name__, str(err)
+    except sf.WorkLimit:
+        return "refused"
 
 
 def test_invariance_verdicts_match_the_exact_kernel():
     """Same verdict, failing generator and witness as differentiating with
-    the exact kernel along each generator in turn, or the same refusal."""
+    the exact kernel along each generator in turn, or a refusal by both."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     gen = invariance_strategies(st)
@@ -877,11 +921,10 @@ def test_proportionality_decision_matches_the_residual():
     check()
 
 
-def test_proportionality_over_the_sum_limit_is_decided_key_by_key(monkeypatch):
-    """A pair the strategy of the property above draws: the products
-    A_k B_0 and A_0 B_k take 31,104 term products, over MAX_SUM_WORK, so
-    each coefficient is compared on its own, and the answer is the
-    residual's, as it is with the limit lifted."""
+def test_proportionality_of_a_large_pair_is_decided_on_one_clearing():
+    """A pair the strategy of the property above draws, whose products
+    A_k B_0 and A_0 B_k were over the former sum estimate: decided on one
+    clearing, with the residual's answer."""
     x, y, z = (sf.coordinate(c) for c in "xyz")
     K, h = sf.function("K", ("z",)), sf.function("h", ("x", "y"))
     hy = sf.partial(h, "y")
@@ -892,52 +935,54 @@ def test_proportionality_over_the_sum_limit_is_decided_key_by_key(monkeypatch):
                             (2,): sf.rational(-3) / (x ** 2 + y ** 2 + z ** 2)})
     assert not _residual(a, b).is_zero()
     assert sf.proportional(a.coeffs, b.coeffs) is False
-    monkeypatch.setattr(sf, "MAX_SUM_WORK", 31_104)
-    assert sf.proportional(a.coeffs, b.coeffs) is False
 
 
-def test_proportionality_past_a_refused_clearing_is_the_residuals(monkeypatch):
-    """Below the work of clearing a and b over one denominator, 24 term
-    products, the clearing is refused, and each coefficient pair, over one
-    denominator already, is compared on its own: a multiple of b is found,
-    and one changed coefficient is not."""
+def test_proportionality_past_the_work_limit_is_refused(monkeypatch):
+    """A multiple of b is found, and one changed coefficient is not; below
+    the 24 term products of clearing a and b over one denominator, the
+    clearing and the decision are refused, with no fallback."""
     x, y, z = (sf.coordinate(c) for c in "xyz")
     b = cc.MultiVectorField(M3, 1, {(0,): 1 / (x + 1), (1,): 1 / (y + 1), (2,): 1 / (z + 1)})
     a = b.scaled(x)
     changed = cc.MultiVectorField(M3, 1, {**a.coeffs, (2,): a.coefficient((2,)) + 1})
-    monkeypatch.setattr(sf, "MAX_SUM_WORK", 23)
-    with pytest.raises(sf.SumTooLarge, match="needs up to 24 term products"):
-        sf.linear_relations([[c] for c in (*a.coeffs.values(), *b.coeffs.values())])
     for t, multiple in ((a, True), (changed, False)):
         assert _residual(t, b).is_zero() is multiple
         assert sf.proportional(t.coeffs, b.coeffs) is multiple
+    monkeypatch.setattr(sf, "MAX_WORK", 23)
+    with pytest.raises(sf.WorkLimit, match="24 term products counted, over the limit of 23"):
+        sf.linear_relations([[c] for c in (*a.coeffs.values(), *b.coeffs.values())])
+    with pytest.raises(sf.WorkLimit):
+        sf.proportional(a.coeffs, b.coeffs)
 
 
-def test_generators_are_decided_in_order_one_at_a_time():
-    """(x + 1) over the twelve factors x + y_i and x - y_i: its partial by x
-    is over the limit, its partial by y0 is not.  A check that fails at
-    D(y0) never reaches D(x), so it raises nothing; D(x) first raises the
-    kernel's refusal before D(y0) is looked at."""
+def test_generators_are_decided_in_order_one_at_a_time(monkeypatch):
+    """(x + 1) over the twelve factors x + y_i and x - y_i: outside a
+    command each generator's decision is metered on its own, and along D(x)
+    it takes 9,353 term products, along D(y0) 38.  Under a limit of 1,000,
+    a check that fails at D(y0) never reaches D(x), so it raises nothing;
+    D(x) first is refused before D(y0) is looked at."""
     chart = cc.Chart(("x",) + tuple(f"y{i}" for i in range(6)))
     e = x + 1
     for name in chart.coordinates[1:]:
         e = e / (x + sf.coordinate(name)) / (x - sf.coordinate(name))
     t = cc.DiffForm(chart, 0, {(): e})
     along_x, along_y0 = basis_vector(chart, "x"), basis_vector(chart, "y0")
+    verdicts = cc.lie_derivatives_vanish([along_y0, along_x], t)
+    assert next(verdicts) is False and sf._work == 38
+    assert next(verdicts) is False and sf._work == 9_353
+    monkeypatch.setattr(sf, "MAX_WORK", 1_000)
     ok, generator, witness = _check((along_y0, along_x), t)
     assert (ok, generator) == (False, 0)
     assert witness == cc._lie_derivative(along_y0, t)
-    with pytest.raises(sf.PartialTooLarge) as kernel:
-        e.partial("x")
-    with pytest.raises(sf.PartialTooLarge) as err:
+    with pytest.raises(sf.WorkLimit):
         _check((along_x, along_y0), t)
-    assert str(err.value) == str(kernel.value)
 
 
-def test_common_denominator_over_the_sum_limit_is_decided_by_the_kernel():
-    """Each coefficient 1/f_c^3, f_c = 1 + c + ... + c^9, fits; their common
-    denominator is over the sum limit, so the check differentiates with the
-    exact kernel and reaches the same verdicts."""
+def test_common_denominator_of_long_factors_is_decided_by_the_clearing(monkeypatch):
+    """Each coefficient 1/f_c^3, f_c = 1 + c + ... + c^9: their common
+    denominator, over the former sum estimate, is cleared in 6,420 term
+    products, and the check decides without the exact kernel, with its
+    verdicts."""
     chart = cc.Chart(("x", "y", "u", "v", "w"))
     xc, yc = sf.coordinate("x"), sf.coordinate("y")
     coeffs = {}
@@ -945,12 +990,18 @@ def test_common_denominator_over_the_sum_limit_is_decided_by_the_kernel():
         c = sf.coordinate(name)
         coeffs[(i,)] = (sf.ONE / sum((c ** k for k in range(10)), sf.ZERO)) ** 3
     omega = cc.DiffForm(chart, 1, coeffs)
-    with pytest.raises(sf.SumTooLarge):
-        sf.linear_relations([[c] for c in omega.coeffs.values()])
+    assert sf.linear_relations([[c] for c in omega.coeffs.values()]) == []
+    assert sf._work == 6_420
     turn = cc.vector_field(chart, [-yc, xc, sf.ZERO, sf.ZERO, sf.ZERO])
     for generators in ((turn,), (turn, basis_vector(chart, "u"))):
+        want = _kernel_verdict(generators, omega)
+        kernel, calls = cc._lie_derivative, []
+        monkeypatch.setattr(cc, "_lie_derivative",
+                            lambda *args: calls.append(args) or kernel(*args))
         verdict = _check(generators, omega)
-        assert verdict == _kernel_verdict(generators, omega)
+        monkeypatch.setattr(cc, "_lie_derivative", kernel)
+        assert verdict == want
+        assert len(calls) == (not verdict[0])   # the witness of a failing generator
     assert verdict[:2] == (False, 1)
 
 

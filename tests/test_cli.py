@@ -219,6 +219,20 @@ def test_cochain_space_of_a_huge_algebra_refused_at_once(dim, degree, tmp_path, 
     assert elapsed < 1
 
 
+def test_cochain_space_of_a_large_degree_refused_in_one_short_line(tmp_path, capsys):
+    """C(10000, 4999), the first size checked, has 3,009 digits: the
+    refusal says that it is over the limit instead of printing it."""
+    ws = tmp_path / "wide.lch"
+    ws.write_text("lie_algebra g { dim 10000 }\n")
+    start = time.perf_counter()
+    code = main(["cohomology", "--input", str(ws), "--algebra", "g", "--degree", "5000"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("error: ") and "C(10000, 4999) > 10000 basis forms" in err
+    assert elapsed < 1
+
+
 def test_oversized_power_refused_at_once(tmp_path, capsys):
     ws = tmp_path / "pow.lch"
     ws.write_text("chart M { coords = [x, y] }\nform w on M = (x + y + 1)^3000*d(x)\n")
@@ -227,6 +241,28 @@ def test_oversized_power_refused_at_once(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert elapsed < 1
+
+
+BIG = "1" + "0" * 3998 + "7"   # 4,000 digits, under the digit limit
+
+
+@pytest.mark.parametrize("form", [f"(x + {BIG})^2000", f"x + 1/(x + {BIG})^2000",
+                                  f"x + (1/(x + {BIG}))^2000", f"x/(1/(x + {BIG}))^2000"],
+                         ids=["power", "sum_of_power", "common_denominator", "quotient"])
+def test_power_with_large_coefficients_refused_at_once(form, tmp_path, capsys):
+    """The coefficients of (x + BIG)^i grow by 4,000 digits with each i:
+    the power, and a common denominator or quotient that forms it as a
+    cofactor, count the words of those coefficients and stop within the
+    first few dozen powers, before their memory grows."""
+    ws = tmp_path / "big.lch"
+    ws.write_text(f"chart M {{ coords = [x, y] }}\nform w on M = ({form})*d(x)\n")
+    start = time.perf_counter()
+    code = main(["validate", "--input", str(ws)])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "over the limit of 100000" in err
     assert elapsed < 1
 
 
@@ -245,10 +281,10 @@ def _sum_workspace(n):
 
 
 def test_oversized_sum_refused_at_once(tmp_path, capsys):
-    # ten coordinates are refused when the check reads the form, by the sum
-    # limit; eight build, and a partial derivative in the check is refused
+    # one work meter serves the command: ten coordinates are refused while
+    # the form is read, eight and seven while the check decides
     argv = ["check", "invariant", "--action", "act", "--object", "w"]
-    for n, refused in ((10, "bringing"), (8, "differentiating")):
+    for n, refused in ((10, ".lch:15:"), (8, "error: the work limit"), (7, "error: the work")):
         ws = tmp_path / f"sum{n}.lch"
         ws.write_text(_sum_workspace(n))
         start = time.perf_counter()
@@ -256,7 +292,7 @@ def test_oversized_sum_refused_at_once(tmp_path, capsys):
         elapsed = time.perf_counter() - start
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and refused in err and "over the limit of 30000" in err
+        assert err.startswith("error: ") and refused in err and "over the limit of 100000" in err
         assert elapsed < 1
     ws = tmp_path / "sum4.lch"
     ws.write_text(_sum_workspace(4))
@@ -674,7 +710,7 @@ def test_unread_power_is_refused_only_when_read(tmp_path, capsys, monkeypatch):
     assert [_built(ws) for ws in loaded] == [[], ["v"]]
     with pytest.raises(dsl.ParseError) as parsed:
         dsl.parse(UNREAD_POWER_WS, str(path))
-    assert str(parsed.value).startswith(f"{path}:6:31: raising a 3-term numerator")
+    assert str(parsed.value).startswith(f"{path}:6:31: the work limit is reached")
     assert main(["check", "invariant", "--input", str(path), "--action", "act",
                  "--object", "w"]) == 2
     assert capsys.readouterr().err == f"error: {parsed.value}\n"
@@ -755,6 +791,22 @@ def test_subgroup_of_an_algebra_too_large_for_cohomology_is_refused(tmp_path, ca
         "cohomology needs over 10000 cochains\n")
     path.write_text("lie_algebra big { dim 10000 }\nsubgroup s of big { span = [1] }\n")
     assert main(["validate", "--input", str(path)]) == 0
+
+
+def test_subgroup_span_is_held_as_int_unit_vectors(tmp_path, capsys):
+    """A span of 40 on a 10,000-dimensional algebra holds 400,000 entries,
+    each the int 0 or 1, not a Fraction: `validate` answers at once."""
+    span = ", ".join(str(i) for i in range(1, 41))
+    text = f"lie_algebra big {{ dim 10000 }}\nsubgroup s of big {{ span = [{span}] }}\n"
+    basis = dsl.parse(text).subgroups["s"].spec.basis
+    assert len(basis) == 40 and {type(x) for v in basis for x in v} == {int}
+    assert [v.index(1) for v in basis] == list(range(40))
+    path = tmp_path / "big.lch"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["validate", "--input", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    assert dsl.render(dsl.parse(text)) == dsl.render(dsl.parse(dsl.render(dsl.parse(text))))
 
 
 DIGITS = sys.get_int_max_str_digits()   # what `int` reads and `str` writes of an integer

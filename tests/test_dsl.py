@@ -520,14 +520,15 @@ def test_load_keeps_no_walk_alive(monkeypatch):
     assert ws == dsl.parse(text)
 
 def test_load_defers_only_value_errors():
-    """A zero divisor, a power over its budget and a sum over its budget are
+    """A zero divisor, and a power and a sum over the work limit, are
     reported when the declaration is read, with parse's message and span;
     an error of kind or degree is reported by the walk itself."""
     for rhs, message in (("x/(y - y)*d(x)", "3:16: division by zero"),
-                         ("(x + y + 1)^3000*d(x)", "3:31: raising a 3-term numerator"),
+                         ("(x + y + 1)^3000*d(x)", "3:31: the work limit is reached"),
                          ("(x - x)^-1", "4:1: negative power of zero"),
-                         (" + ".join(f"1/(x^2 + y + {i})" for i in range(1, 12)),
-                          "4:1: bringing 2 fractions")):
+                         ("(x + y + 1)^120/(x^2 + y + 1)"
+                          " + 1/(x + y^2 + 2)/(x + y^3 + 3)/(x^2 + y^3 + 5)",
+                          "4:1: the work limit is reached: 140272 term products")):
         text = GOOD_HEADER + f"form f on M = {rhs}\nform g on M = 2*f\n"
         with pytest.raises(dsl.ParseError, match=message):
             dsl.parse(text, "w.lch")

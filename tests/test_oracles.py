@@ -740,8 +740,9 @@ def test_factored_denominators_against_sympy_cancel():
         assert sympy.cancel(got - want) == 0
 
 
-# The most term products, by the bound of `sf.MAX_POWER_WORK`, that one drawn
-# power may take: the n-fold products of the reference dominate the run.
+# The most term products, by the bound n * t * C(n + t - 1, t - 1) of raising
+# a t-term numerator by n successive products, that one drawn power may
+# take: the n-fold products of the reference dominate the run.
 POWER_TEST_WORK = 5_000
 POWER_VARIABLES = ("x", "y", sf.FunctionSymbol("K", ("z",), (0,)),
                    sf.FunctionSymbol("K", ("z",), (1,)))
@@ -834,7 +835,7 @@ def point_jet(e, point):
     value, grad = e.jet_at(point, COORDS)
     try:
         symbolic = [sf.partial(e, c).eval_at(point) for c in COORDS]
-    except sf.PartialTooLarge:   # over the symbolic budget; sympy still checks the jet
+    except sf.WorkLimit:   # over the work limit; sympy still checks the jet
         symbolic = grad
     assert (value, grad) == (e.eval_at(point), symbolic)
     return value, tuple(grad)
@@ -877,7 +878,7 @@ def test_point_jets_match_sympy():
                     den = den * f ** draw(st.integers(1, 3))
             try:
                 e = e + poly(draw, point) / den
-            except sf.SumTooLarge:   # a common denominator over the sum budget
+            except sf.WorkLimit:   # a common denominator over the work limit
                 hypothesis.reject()
         if draw(st.integers(0, 7)) == 0:
             del point["z"]
@@ -1033,7 +1034,7 @@ def reader_workspaces(st):
             return out + ((draw(st.sampled_from([-2, -1, 2, 3])),) if op == "divpow" else ())
         if op == "pow":
             return ("pow", expr(draw, kind, 0, names, sub), draw(st.integers(-2, 3)))
-        if op == "big":   # over MAX_POWER_WORK unless the base has one term or none
+        if op == "big":   # over the work limit unless the base has one term or none
             return ("pow", ("add", expr(draw, kind, 0, names, sub), ("coord", "y")), 3000)
         if op == "partial":
             return ("partial", expr(draw, kind, 0, names, sub), draw(st.sampled_from(COORDS)))
@@ -1172,7 +1173,7 @@ def reader_fold(decls, marks):
 def test_reader_matches_a_fold_of_public_operations():
     """`dsl.parse` gives each declaration the value of the fold of its tree,
     or, where the fold fails on a value (a zero divisor, a negative power of
-    zero, a power over MAX_POWER_WORK), raises at the same span."""
+    zero, a power over the work limit), raises at the same span."""
     hypothesis = pytest.importorskip("hypothesis")
     seen = Counter()
 

@@ -112,36 +112,39 @@ def test_partial_chain_adds_one_factor_per_derivative():
     assert sf.equals(e, (-960 * y * z * (r2 - 14 * x ** 2)) / r2 ** 8)
 
 
-def test_sum_work_limit():
-    """Bringing fractions to a common denominator is refused before any
-    product when each numerator's terms times the product of its cofactor's
-    factor lengths add up to over MAX_SUM_WORK: in sums, `equals` and
-    `linear_relations` alike."""
+def test_common_denominator_is_metered():
+    """Bringing fractions to a common denominator charges the work meter
+    with the products it forms, and is refused past MAX_WORK: in sums,
+    `equals` and `linear_relations` alike.  (x + y + 1)^60 over one factor,
+    refused by the former estimate of 51,060, takes 35,962."""
     other = 1 / (x + y ** 2 + 2) / (x + y ** 3 + 3) / (x ** 2 + y ** 3 + 5)
-    small = (x + y + 1) ** 30 / (x ** 2 + y + 1)  # 496 terms: 496 * 27 + 1 * 3 products
-    large = (x + y + 1) ** 60 / (x ** 2 + y + 1)  # 1891 terms: 1891 * 27 + 1 * 3
+    large = (x + y + 1) ** 60 / (x ** 2 + y + 1)  # 1891 terms, times a 19-term cofactor
+    huge = (x + y + 1) ** 120 / (x ** 2 + y + 1)  # 7381 terms
     point = {"x": 2, "y": 3}
-    assert (small + other).eval_at(point) == small.eval_at(point) + other.eval_at(point)
+    total = large + other
+    assert sf._work == 35_962
+    assert total.eval_at(point) == large.eval_at(point) + other.eval_at(point)
+    assert not sf.equals(large, other)
     for op in (lambda e, f: e + f, sf.equals, lambda e, f: sf.linear_relations([[e], [f]])):
-        with pytest.raises(sf.SumTooLarge,
-                           match="needs up to 51060 term products, over the limit of 30000"):
-            op(large, other)
+        with pytest.raises(sf.WorkLimit, match="term products counted, over the limit of 100000"):
+            op(huge, other)
 
 
-def test_partial_work_limit():
-    """The quotient rule is refused before any product when the products it
-    forms -- each at most its first operand's terms times the product of
-    the moving factors' lengths -- add up to over MAX_PARTIAL_WORK."""
+def test_quotient_rule_is_metered():
+    """The quotient rule charges the products and partials it forms:
+    (x + y + 1)^40 over three moving factors, refused by the former
+    estimate of 45,387, takes 31,897; the 80th power is over the limit."""
     inv = 1 / (x ** 2 + y + 1) / (x + y ** 2 + 2) / (x ** 2 + y ** 3 + 5)
-    num = (x + y + 1) ** 30  # 465 * 27 + 496 * 3 * 9 = 25947 products
     point = {"x": 2, "y": 3}
     d = 1 / inv
-    want = (num.partial("x").eval_at(point) * d.eval_at(point)
-            - num.eval_at(point) * d.partial("x").eval_at(point)) / d.eval_at(point) ** 2
-    assert sf.partial(num * inv, "x").eval_at(point) == want
-    with pytest.raises(sf.PartialTooLarge,
-                       match="needs up to 45387 term products, over the limit of 30000"):
-        sf.partial((x + y + 1) ** 40 * inv, "x")
+    for n in (30, 40):
+        num = (x + y + 1) ** n
+        want = (num.partial("x").eval_at(point) * d.eval_at(point)
+                - num.eval_at(point) * d.partial("x").eval_at(point)) / d.eval_at(point) ** 2
+        assert sf.partial(num * inv, "x").eval_at(point) == want
+    assert sf._work == 31_897
+    with pytest.raises(sf.WorkLimit, match="over the limit of 100000"):
+        sf.partial((x + y + 1) ** 80 * inv, "x")
 
 
 def test_quotient_rule_representation_over_several_moving_factors():
@@ -160,10 +163,17 @@ def test_quotient_rule_representation_over_several_moving_factors():
 
 
 def test_power_work_limit():
+    """A power past the work limit is refused while it is formed, the
+    fast-growing binomial coefficients charged by their size; a monomial's
+    power in closed form is refused past MAX_EXPONENT."""
     base = x + y + 1
-    assert len((base ** 30).num) == 496  # 30 * 3 * C(32, 2) = 44640 term products
-    with pytest.raises(sf.PowerTooLarge, match="over the limit of"):
-        base ** 3000
+    assert len((base ** 30).num) == 496
+    for big, n in ((base, 3000), (x + 1, 10 ** 7)):
+        with pytest.raises(sf.WorkLimit, match="over the limit of 100000"):
+            big ** n
+    assert x ** sf.MAX_EXPONENT == _x_to(sf.MAX_EXPONENT)
+    with pytest.raises(sf.WorkLimit, match="exponent 1000001 of a monomial"):
+        x ** (sf.MAX_EXPONENT + 1)
     # exponents of denominator factors only multiply
     assert (1 / base) ** 3000 == sf.ScalarExpr(ref.view(sf.ONE)[0], ((ref.view(base)[0], 3000),))
 
@@ -502,3 +512,110 @@ def test_proportional():
     assert sf.proportional({(1,): y ** 3}, {(1,): sf.ONE / r})
     with pytest.raises(sf.DivisionByZeroExpr):
         sf.proportional(b, {(0,): sf.ZERO})
+
+
+# -- shortcuts of canonical operands, against the unconditional path ------------
+
+SHORTCUT_VARIABLES = ("x", "y", sf.FunctionSymbol("K", ("z",), (0,)),
+                      sf.FunctionSymbol("K", ("z",), (1,)))
+
+
+def _shortcut_polys(st, min_terms=1):
+    """Random canonical polynomials over coordinates and function symbols,
+    each with small exponents or exponents around the field boundaries
+    63/64 and 127/128."""
+    @st.composite
+    def polys(draw):
+        exponent = st.sampled_from(draw(st.sampled_from([(0, 1, 2), (0, 1, 63, 64),
+                                                         (0, 126, 127, 128, 129)])))
+        term = st.tuples(st.integers(-5, 5).filter(bool),
+                         st.tuples(*[exponent] * len(SHORTCUT_VARIABLES)))
+        return sf.polynomial([(c, tuple((v, k) for v, k in zip(SHORTCUT_VARIABLES, mono) if k))
+                              for c, mono in draw(st.lists(term, min_size=min_terms,
+                                                           max_size=4))]).num
+    return polys()
+
+
+def _fraction_unconditional(num, mono, factors):
+    """`_fraction` with its factor-proportionality test run whenever a
+    factor has num's length, with no multiset test first."""
+    for f, e in factors.items():
+        if e and len(f) == len(num):
+            content = sf._content(num)
+            rest = sf._p_div_mono(num, content)
+            if f.terms == rest.terms and f.vs == rest.vs and f.w == rest.w:
+                factors[f] -= 1
+                num = sf._monomial(content, num.content / f.content)
+                break
+    return sf._fraction(num, mono, factors)
+
+
+def _monic(p):
+    """p over its monomial content, its last term in _term_order made 1, as
+    `__truediv__` makes a denominator factor."""
+    f = sf._p_div_mono(p, sf._content(p))
+    return sf._p_scale(f, 1 / sf._terms(f)[-1][1])
+
+
+def _fields(p):
+    return p.vs, p.w, p.content, p.terms
+
+
+def test_product_of_canonical_polynomials_is_built_as_make_builds_it():
+    """`_p_mul` equals `_make` of the same terms, in every field of the
+    representation, whether its exponents fit the joined width or not."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {"fits": 0, "widens": 0}
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_shortcut_polys(st), _shortcut_polys(st),
+                      st.sampled_from([Fraction(1), Fraction(-2, 3)]))
+    def check(p, q, scale):
+        p = sf._p_scale(p, scale)
+        if not (p.vs and q.vs):
+            hypothesis.reject()
+        vs, w, a, b = sf._join(p, q)
+        want = sf._make(vs, w, p.content * q.content, sf._mul_terms(a, b))
+        assert _fields(sf._p_mul(p, q)) == _fields(want)
+        seen["fits" if sf._width(sf._top(p) + sf._top(q)) <= w else "widens"] += 1
+    check()
+    assert min(seen.values()) >= 20, seen
+
+
+def test_numerator_proportional_to_a_factor_is_still_reduced():
+    """c * m * f over f^e and another factor loses one power of f, as the
+    unconditional path finds.  A numerator of f's length is kept whole, as
+    it finds too: f with one coefficient changed, f's coefficients moved
+    among its keys (the same multiset), or a random one."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {"reduced": 0, "kept": 0}
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(_shortcut_polys(st, 2), _shortcut_polys(st, 2), _shortcut_polys(st),
+                      st.integers(1, 3))
+    def check(f, g, other, e):
+        if len(f) < 2 or len(g) < 2 or not other.terms:
+            hypothesis.reject()
+        f, g = _monic(f), _monic(g)
+        if f == g:
+            hypothesis.reject()
+        (mono, syms), c = sf._terms(other)[0]
+        m = sf._monomial(dict(mono + syms), c)
+        keys, xs = list(f.terms), list(f.terms.values())
+        numerators = {"proportional": xs, "changed": [xs[0] + 1] + xs[1:],
+                      "moved": xs[1:] + xs[:1]}
+        numerators = {kind: sf._p_mul(m, sf._make(f.vs, f.w, Fraction(1), dict(zip(keys, ys))))
+                      for kind, ys in numerators.items() if all(ys)}
+        if len(other) == len(f):
+            numerators["random"] = other
+        for kind, num in numerators.items():
+            got = sf._fraction(num, {"y": 1}, {f: e, g: 1})
+            want = _fraction_unconditional(num, {"y": 1}, {f: e, g: 1})
+            assert (got.num, got.den) == (want.num, want.den)
+            reduced = dict(got.den).get(f, 0) == e - 1
+            assert reduced or kind != "proportional"
+            seen["reduced" if reduced else "kept"] += 1
+    check()
+    assert min(seen.values()) >= 50, seen

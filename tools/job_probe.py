@@ -10,7 +10,9 @@ with `bench/run.py`'s own loop for --seconds, at least its MIN_ROUNDS
 rounds, keeping each job's fastest round.  The pairs alternate which side
 runs first.  It prints, for each job and for their sum, each side's median
 over the pairs in milliseconds as measured, and in how many pairs the
-change was faster.  A job that raised reads inf.
+change was faster; then, for the sum, each side's quartiles and the median
+over the pairs of the change's sum over the parent's.  A job that raised
+reads inf.
 """
 
 from __future__ import annotations
@@ -88,7 +90,19 @@ def main(argv=None):
         wins = sum(c < p for p, c in zip(parent, change))
         print(f"{1000 * statistics.median(parent):11.3f} {1000 * statistics.median(change):11.3f}"
               f"  {wins:>3} of {args.pairs:<3}  {name}")
+    print(f"{'sum':<7} {'q1 ms':>11} {'median ms':>11} {'q3 ms':>11}")
+    for side in sides:
+        print(f"{side:<7}" + "".join(f" {1000 * q:11.3f}" for q in quartiles(times[side][-1])))
+    ratio = statistics.median(c / p for p, c in zip(times["parent"][-1], times["change"][-1]))
+    print(f"median per-pair ratio, change / parent: {ratio:.4f}")
     return 0
+
+
+def quartiles(values):
+    """The first quartile, the median and the third quartile of values."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 if __name__ == "__main__":
