@@ -584,7 +584,7 @@ class _Parser:
         self.expect("of")
         alg_at = self.expect_name("an algebra name")
         algebra = self.lookup(self.ws.lie_algebras, alg_at, "lie_algebra")
-        if algebra.dim > MAX_COCHAINS:   # one of C(dim, r - 1..r + 1) is at least dim
+        if algebra.dim > MAX_COCHAINS:   # for k = 0 one of C(dim, r - 1..r + 1) is at least dim
             self.error(f"{self.tokens[alg_at]!r} takes no subgroup: at dimension {algebra.dim} "
                        f"each degree of cohomology needs over {MAX_COCHAINS} cochains", alg_at)
         self.expect("{", "span", "=")

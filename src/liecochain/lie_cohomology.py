@@ -15,6 +15,18 @@ rows; the relative forms and the kernel of d are primitive integer vectors
 (`linalg.kernel`).  Fractions appear only in the representatives, and the
 public per-form operators divide by the scale once at the end.
 
+The relative cochains C^r(g, K) = (Lambda^r (g/k)*)^K are built on g/k
+(Chevalley-Eilenberg 1948; Hochschild-Serre 1953), in an adapted basis: the
+subalgebra vectors in reduced echelon form, and the unit vectors of the
+other columns, which span a complement m.  The monomials in the dual
+covectors of m, C(dim g - dim k, r) of them, are the forms the subalgebra
+annihilates; only the coadjoint action of k and the components constrain
+them, and above dim g - dim k there are none.  For a subalgebra spanned by
+unit vectors the adapted basis is the standard one and nothing is moved;
+otherwise the bracket and component tables are moved to it and the forms
+moved back (`_Constraints`).  Either way the relative forms are the reduced
+basis `linalg.kernel` gives for their space in the standard basis.
+
 Differential convention, on basis tuples x_0..x_r:
     (d a)(x_0,...,x_r) = sum_{i<j} (-1)^{i+j} a([x_i,x_j], ..no x_i, x_j..)
 """
@@ -22,9 +34,8 @@ Differential convention, on basis tuples x_0..x_r:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from . import linalg
 from .linalg import (SingularMatrix, _accumulate, _contract, _Frozen, _integer_inverse,
@@ -176,11 +187,20 @@ def validate_subgroup(algebra, sub):
     when there are any.  In integers: primitive vectors, integer multiples
     of the matrices and the integer bracket table change no span, rank or
     bracket direction."""
+    return _subgroup_problems(algebra, sub, *_primitive_basis(sub))
+
+
+def _primitive_basis(sub):
+    """The subalgebra vectors as primitive integer vectors, and their span."""
+    basis = [_primitive_vector(v) for v in sub.basis]
+    return basis, linalg.Echelon(basis)
+
+
+def _subgroup_problems(algebra, sub, basis, span):
+    """`validate_subgroup`, given `_primitive_basis(sub)`."""
     n = algebra.dim
     if problems := _size_problems(n, sub):
         return problems
-    basis = [_primitive_vector(v) for v in sub.basis]
-    span = linalg.Echelon(basis)
     if len(span) != len(basis):
         problems.append("subalgebra basis vectors are linearly dependent")
     for a, b in combinations(range(len(basis)), 2):
@@ -215,25 +235,28 @@ class AltForm(linalg.AltTensor):
 # sparse {index tuple: coefficient} map.  A map acts on a form by summing
 # the images of its monomials; its matrix has the images as columns.
 
-# Largest cochain space C(p, r) a cohomology computation may build: far
-# above so(5) (C(10, 5) = 252) and refused at once beyond.
+# Largest relative cochain space C(p - k, r) a cohomology computation may
+# build, for a k-dimensional subalgebra of a p-dimensional algebra: far above
+# so(5) (C(10, 5) = 252) and refused at once beyond.
 MAX_COCHAINS = 10_000
 
 
-def _check_size(p, *degrees):
-    """DegreeOverflow for the first degree r with C(p, r) over MAX_COCHAINS.
-    Past MAX_COCHAINS dimensions C(p, r) >= p for 0 < r < p, so it is
-    neither computed nor printed there; below, it is printed only when it
-    has under 20 digits."""
+def _check_size(p, k, *degrees):
+    """DegreeOverflow for the first degree r with C(n, r) over MAX_COCHAINS,
+    n = p - k the dimension of g/k.  Past MAX_COCHAINS dimensions C(n, r) >= n
+    for 0 < r < n, so it is neither computed nor printed there; below, it is
+    printed only when it has under 20 digits."""
+    n = p - k
+    where = f"on a {p}-dimensional algebra" + (f" over a {k}-dimensional subalgebra" if k else "")
     for r in degrees:
-        if 0 < r < p and p > MAX_COCHAINS:
+        if 0 < r < n and n > MAX_COCHAINS:
             raise DegreeOverflow(
-                f"degree {r} on a {p}-dimensional algebra has C({p}, {r}) >= {p} "
+                f"degree {r} {where} has C({n}, {r}) >= {n} "
                 f"basis forms, over the limit of {MAX_COCHAINS}")
-        if 0 <= r <= p and (size := comb(p, r)) > MAX_COCHAINS:
+        if 0 <= r <= n and (size := comb(n, r)) > MAX_COCHAINS:
             shown = f"= {size}" if size < 10 ** 19 else f"> {MAX_COCHAINS}"
             raise DegreeOverflow(
-                f"degree {r} on a {p}-dimensional algebra has C({p}, {r}) {shown} "
+                f"degree {r} {where} has C({n}, {r}) {shown} "
                 f"basis forms, over the limit of {MAX_COCHAINS}")
 
 
@@ -298,13 +321,49 @@ def _action_image(table, t):
 
 def _pullback_image(minv, t):
     """M.a^t = (a^{t1} o M^-1) ^ ... ^ (a^{tr} o M^-1), the factors, rows of
-    M^-1, wedged on in turn."""
+    M^-1 as a sparse matrix (`_sparse`), wedged on in turn."""
     out = {(): 1}
     for i in t:
         out = _accumulate((u + (j,), c * x) for u, c in out.items()
-                          for j, x in enumerate(minv[i]) if x)
+                          for j, x in minv.get(i, {}).items())
         out = {u: x for u, x in out.items() if x}
     return out
+
+
+def _sparse(m):
+    """A dense matrix as {row: {column: entry}}, zero entries and rows dropped."""
+    return {i: r for i, row in enumerate(m) if (r := {j: x for j, x in enumerate(row) if x})}
+
+
+def _product(a, b):
+    """The product of two sparse matrices {row: {column: entry}}."""
+    out = {}
+    for i, row in a.items():
+        acc = {}
+        for k, x in row.items():
+            for j, y in b.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + x * y
+        if acc := {j: z for j, z in acc.items() if z}:
+            out[i] = acc
+    return out
+
+
+def _moved(m, coeffs, p):
+    """The form with these coefficients on a p-dimensional algebra pulled back
+    by the sparse matrix m (`_pullback_image`).  DegreeOverflow, before any
+    work, when the result could have more than MAX_COCHAINS terms: when C(p, r)
+    in its degree r and the products of its monomials' row lengths in m,
+    summed, both pass the limit.  No partial wedge holds more terms than
+    either bound allows its result, since each row of L or B in a free column
+    holds that column and pivot columns only."""
+    if coeffs:
+        degree = len(next(iter(coeffs)))
+        terms = min(comb(p, degree), sum(prod(len(m.get(i, ())) for i in t) for t in coeffs))
+        if terms > MAX_COCHAINS:
+            raise DegreeOverflow(
+                f"a degree-{degree} form in the basis adapted to the subalgebra expands to up to "
+                f"{terms} terms in the algebra's basis, over the limit of {MAX_COCHAINS}")
+    return _apply(coeffs, lambda t: _pullback_image(m, t))
 
 
 def _primitive_vector(v):
@@ -315,28 +374,60 @@ def _primitive_vector(v):
 
 
 class _Constraints:
-    """The conditions cutting the relative forms out of the cochains, as
-    maps on basis monomials: the interior product and the coadjoint action
-    of each subalgebra vector, and M - 1 for each component matrix M.  Each
-    map is scaled to integers: the vectors are primitive, the bracket table
-    is the algebra's integer table, and for M^-1 = N / s the map is N - s^r
-    in degree r.  A trivial subgroup has no conditions and no images."""
+    """The conditions cutting the relative forms out of the cochains, built
+    on g/k.
 
-    def __init__(self, algebra, sub):
-        self.dim = algebra.dim
-        self.vectors = [_primitive_vector(v) for v in sub.basis]
-        self.tables = [_coadjoint_table(algebra.integer_brackets, v) for v in self.vectors]
-        self.inverses = [_integer_inverse(m) for m in sub.component_reps]
-        self.trivial = not (self.vectors or self.inverses)
+    The subalgebra vectors in reduced echelon form, as primitive integer
+    rows w_i with pivot columns c_i, and the unit vectors e_f of the other
+    columns f, which span a complement m, make the adapted basis: f_{c_i} =
+    w_i and f_f = e_f, the columns of an integer matrix B.  In its dual
+    basis b the forms the subalgebra annihilates (the horizontal ones) are
+    those on the monomials b^t with t among the columns f: C(p - k, r) of
+    them in degree r, the columns of the constraint matrix, so the interior
+    conditions hold by construction.  Two kinds of condition remain, as maps
+    on those monomials: the coadjoint action of each w_i and M - 1 for each
+    component matrix M, both written in b.  With B^-1 = L / d, a^j = sum_m
+    B_jm b^m and d b^f = sum_l L_fl a^l: the action of w_i, whose table on
+    the a^j is T (`_coadjoint_table`), is L T B / d on the b^f, and M^-1 =
+    N / s is L N B / (d s), with its map N' - s'^r in degree r.  Each map is
+    scaled to integers: the bracket table is the algebra's integer table,
+    and d and s clear the denominators.
+
+    When the subalgebra is spanned by unit vectors, B is the identity and
+    none of this is moved: b is a.  Otherwise L writes the relative forms
+    found on b back in a.  A trivial subgroup has no conditions and no
+    images."""
+
+    def __init__(self, algebra, sub, span):
+        p = self.dim = algebra.dim
+        held = sorted(span._rows.items())
+        self.pivots = {c for c, _ in held}
+        self.free = [f for f in range(p) if f not in self.pivots]
+        self.tables = [_coadjoint_table(algebra.integer_brackets, [row.get(j, 0) for j in range(p)])
+                       for _, row in held]
+        self.inverses = [(_sparse(n), s) for n, s in map(_integer_inverse, sub.component_reps)]
+        self.to_adapted = self.from_adapted = None   # B and L, for a basis of no unit vectors
+        if any(len(row) > 1 for _, row in held):
+            b = [[int(i == j) for j in range(p)] for i in range(p)]
+            for c, row in held:
+                for j in range(p):
+                    b[j][c] = row.get(j, 0)
+            l, d = _integer_inverse(b)
+            self.to_adapted, self.from_adapted = _sparse(b), _sparse(l)
+            self.tables = [_product(_product(self.from_adapted, table), self.to_adapted)
+                           for table in self.tables]
+            self.inverses = [(_product(_product(self.from_adapted, n), self.to_adapted), d * s)
+                             for n, s in self.inverses]
+        self.trivial = not (held or self.inverses)
         self._images = {}
 
     def images(self, t):
-        """The images of a^t under the maps, numbered in a fixed order, as one
-        sparse map {(number, monomial): coefficient}; built once per t."""
+        """The images of b^t under the maps, numbered in a fixed order (the
+        actions by pivot column, then the components), as one sparse map
+        {(number, monomial): coefficient}; built once per t."""
         images = self._images.get(t)
         if images is None:
-            maps = [_interior_image(v, t) for v in self.vectors] if t else []
-            maps += [_action_image(table, t) for table in self.tables]
+            maps = [_action_image(table, t) for table in self.tables]
             for minv, s in self.inverses:
                 image = _pullback_image(minv, t)
                 image[t] = image.get(t, 0) - s ** len(t)
@@ -346,18 +437,37 @@ class _Constraints:
         return images
 
     def rows(self, degree):
-        """The constraint matrix on the monomials of the degree, as sparse
-        rows, and those monomials in order: the columns."""
-        tuples = list(combinations(range(self.dim), degree))
+        """The constraint matrix on the horizontal monomials of the degree,
+        as sparse rows, and those monomials in order: the columns."""
+        columns = list(combinations(self.free, degree))
         rows = {}
-        for t in () if self.trivial else tuples:
+        for t in () if self.trivial else columns:
             for key, x in self.images(t).items():
                 rows.setdefault(key, {})[t] = x
-        return list(rows.values()), tuples
+        return list(rows.values()), columns
+
+    def forms(self, degree):
+        """The relative forms of the degree in a, as `linalg.kernel` gives
+        them: one primitive integer vector per free column, in increasing
+        order.  Written back in a by L, b^t is d^r a^t plus
+        monomials that hold a pivot column, each before t in column order
+        (L_fc is 0 for c > f), so each form keeps its last key, and its 0 in
+        the other free columns: it only needs dividing by its content."""
+        forms = linalg.kernel(*self.rows(degree))
+        if self.from_adapted is None:
+            return forms
+        return [dict(sorted(_primitive(_moved(self.from_adapted, v, self.dim),
+                                       next(reversed(v))).items()))
+                for v in forms]
 
     def hold(self, coeffs):
-        """Does the form with these coefficients satisfy every condition?"""
-        return self.trivial or not _apply(coeffs, self.images)
+        """Does the form with these coefficients in a satisfy every
+        condition: written in b, is it horizontal with no image?"""
+        if self.trivial:
+            return True
+        if self.to_adapted is not None:
+            coeffs = _moved(self.to_adapted, coeffs, self.dim)
+        return all(self.pivots.isdisjoint(t) for t in coeffs) and not _apply(coeffs, self.images)
 
 
 def ce_differential(algebra, alpha):
@@ -392,26 +502,34 @@ def coadjoint_matrix_action(matrix, alpha):
     if size := _wrong_size(matrix, alpha.dim):
         raise NotAutomorphism(f"matrix is {size}")
     minv, s = _integer_inverse(matrix)
+    minv = _sparse(minv)
     form = AltForm(alpha.dim, alpha.degree,
                    _apply(alpha.coeffs, lambda t: _pullback_image(minv, t)))
     return form if s == 1 else form.scaled(Fraction(1, s ** alpha.degree))
 
 
-def _require_valid_subgroup(algebra, sub):
-    problems = validate_subgroup(algebra, sub)
-    if problems:
+def _require_valid_subgroup(algebra, sub, basis, span):
+    if problems := _subgroup_problems(algebra, sub, basis, span):
         raise InvalidSubgroup("; ".join(problems))
+
+
+def _relative_constraints(algebra, sub, *degrees):
+    """The constraints of a valid subgroup, once its relative cochain spaces
+    in the degrees pass the size check; the span of its vectors is found
+    once, for all three."""
+    basis, span = _primitive_basis(sub)
+    _check_size(algebra.dim, len(span), *degrees)
+    _require_valid_subgroup(algebra, sub, basis, span)
+    return _Constraints(algebra, sub, span)
 
 
 def relative_basis(algebra, sub, degree):
     """Deterministic basis of the relative forms in the given degree:
     annihilated by the subalgebra, infinitesimally invariant under it, and
-    fixed by every component matrix."""
-    _check_size(algebra.dim, degree)
-    _require_valid_subgroup(algebra, sub)
-    rows, tuples = _Constraints(algebra, sub).rows(degree)
-    return [AltForm(algebra.dim, degree, dict(zip(tuples, v)))
-            for v in linalg.nullspace(rows, tuples)]
+    fixed by every component matrix.  Each form has 1 in its free column."""
+    forms = _relative_constraints(algebra, sub, degree).forms(degree)
+    return [AltForm(algebra.dim, degree, {t: Fraction(x, v[fc]) for t, x in v.items()})
+            for v in forms for fc in [next(reversed(v))]]
 
 
 class CohomologyResult(_Record):
@@ -427,13 +545,17 @@ def relative_cohomology(algebra, sub, degree):
     p = algebra.dim
     if not 0 <= degree <= p:
         raise DegreeOverflow(f"degree {degree} out of range 0..{p}")
-    _check_size(p, degree - 1, degree, degree + 1)
-    _require_valid_subgroup(algebra, sub)
-    constraints = _Constraints(algebra, sub)
-    basis = linalg.kernel(*constraints.rows(degree))
-    below = linalg.kernel(*constraints.rows(degree - 1)) if degree >= 1 else []
-    dual = _dual_table(algebra.integer_brackets)
-    d_image = cache(lambda t: _d_image(dual, t))
+    constraints = _relative_constraints(algebra, sub, degree - 1, degree, degree + 1)
+    # above dim g - dim k no monomial is horizontal: no row is built and H = 0
+    basis = constraints.forms(degree)
+    below = constraints.forms(degree - 1) if degree >= 1 else []
+    dual, d_images = _dual_table(algebra.integer_brackets), {}
+
+    def d_image(t):
+        image = d_images.get(t)
+        if image is None:
+            image = d_images[t] = _d_image(dual, t)
+        return image
 
     def differential(b):
         """d b from the images of its monomials, each built once; d b must

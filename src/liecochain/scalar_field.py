@@ -25,8 +25,9 @@ product, partial and sum loops as the polynomials: which rational
 combinations of vectors of such values vanish (`linear_relations`), whether
 one tensor is a multiple of another (`proportional`), and whether a Lie
 derivative of a tensor vanishes (`operator_vanishes`).  Only the last
-declines, with None, for a generator with rational components, where it
-leaves the verdict to the exact derivative.
+declines, with None, for a generator with rational components or, outside
+a command, past the work limit, where it leaves the verdict to the exact
+derivative.
 
 Work is counted, not estimated: the product and partial loops charge one
 meter with the term products they form, and past MAX_WORK raise
@@ -997,11 +998,19 @@ def operator_vanishes(coeffs, generators, names, factor_terms):
     The partials of P and of D's factors are taken once per check.  The
     verdicts are yielded one at a time, and each is one metered kernel, the
     first with the clearing.  None, for a rational X, leaves the decision to
-    the exact kernel."""
+    the exact kernel; so does a verdict whose kernel meets the work limit
+    outside a held meter, every verdict if the clearing does, since each
+    partial of the exact kernel is then metered on its own."""
     _begin()
     polys = [c.num for x in generators for c in x.values()]
-    vs, w, numerators, factors = _clear(list(coeffs.values()), polys,
-                                        max(map(_top, polys), default=0) + 1)
+    try:
+        vs, w, numerators, factors = _clear(list(coeffs.values()), polys,
+                                            max(map(_top, polys), default=0) + 1)
+    except WorkLimit:
+        if _held:
+            raise
+        yield from (None for _ in generators)
+        return
     movings = [_moving(vs, coord) for coord in names]
     vs += tuple(dict.fromkeys(dv for moving in movings for _, dv in moving
                               if dv is not None and dv not in vs))
@@ -1046,7 +1055,13 @@ def operator_vanishes(coeffs, generators, names, factor_terms):
     for n, components in enumerate(generators):
         if n:
             _begin()
-        yield decide(n, components)
+        try:
+            verdict = decide(n, components)
+        except WorkLimit:
+            if _held:
+                raise
+            verdict = None
+        yield verdict
 
 
 # -- rendering -------------------------------------------------------------

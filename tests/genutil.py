@@ -68,7 +68,7 @@ def subgroup_unchecked():
     """Within the `with` block, `relative_basis` and `relative_cohomology`
     skip subgroup validation, so inconsistent data reaches the check that
     d keeps the relative forms."""
-    return mock.patch.object(lc, "_require_valid_subgroup", lambda algebra, sub: None)
+    return mock.patch.object(lc, "_require_valid_subgroup", lambda *args: None)
 
 
 class HomomorphismViolation(aa.ActionError):
@@ -188,26 +188,107 @@ _TEMPLATES = {
 }
 
 
-def so(n):
+# -- matrix Lie algebras --------------------------------------------------------
+#
+# A matrix with Gaussian-rational entries is a sparse map {(row, column):
+# (re, im)}; a real matrix Lie algebra is a list of such matrices, its basis,
+# with a function reading a matrix of their span back as coordinates.
+
+_ZERO = (Fraction(0), Fraction(0))
+
+
+def gaussian_mul(x, y):
+    """The product of two sparse Gaussian-rational matrices."""
+    rows = {}
+    for (k, j), v in y.items():
+        rows.setdefault(k, []).append((j, v))
+    out = {}
+    for (i, k), (a, b) in x.items():
+        for j, (c, d) in rows.get(k, ()):
+            re, im = out.get((i, j), _ZERO)
+            out[i, j] = (re + a * c - b * d, im + a * d + b * c)
+    return {key: v for key, v in out.items() if v != _ZERO}
+
+
+def _commutator(x, y):
+    out = dict(gaussian_mul(x, y))
+    for key, (re, im) in gaussian_mul(y, x).items():
+        a, b = out.get(key, _ZERO)
+        out[key] = (a - re, b - im)
+    return {key: v for key, v in out.items() if v != _ZERO}
+
+
+def _entry(x, i, j, part=0):
+    return x.get((i, j), _ZERO)[part]
+
+
+def so_matrices(n):
     """so(n) on the basis E_ab = e_a e_b^T - e_b e_a^T, pairs a < b in order."""
     pairs = list(combinations(range(n), 2))
+    one = (Fraction(1), Fraction(0))
+    return ([{(a, b): one, (b, a): (-one[0], one[1])} for a, b in pairs],
+            lambda x: [_entry(x, a, b) for a, b in pairs])
 
-    def mat(a, b):
-        m = [[0] * n for _ in range(n)]
-        m[a][b], m[b][a] = 1, -1
-        return m
 
-    def mul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+def su3_matrices():
+    """su(3) on the basis E_jk - E_kj, then i(E_jk + E_kj), for the pairs
+    j < k in order, then i(E_00 - E_11) and i(E_11 - E_22): its structure
+    constants are integers."""
+    pairs = list(combinations(range(3), 2))
+    one, minus, i, minus_i = ((Fraction(a), Fraction(b)) for a, b in
+                              ((1, 0), (-1, 0), (0, 1), (0, -1)))
+    mats = [{(j, k): one, (k, j): minus} for j, k in pairs]
+    mats += [{(j, k): i, (k, j): i} for j, k in pairs]
+    mats += [{(j, j): i, (j + 1, j + 1): minus_i} for j in range(2)]
+    return mats, lambda x: ([_entry(x, j, k) for j, k in pairs]
+                            + [_entry(x, j, k, 1) for j, k in pairs]
+                            + [_entry(x, 0, 0, 1), -_entry(x, 2, 2, 1)])
 
-    mats = [mat(a, b) for a, b in pairs]
+
+def matrix_algebra(mats, coordinates):
+    """The LieAlgebra of the basis, its brackets the commutators."""
     brackets = {}
-    for i, j in combinations(range(len(pairs)), 2):
-        xy, yx = mul(mats[i], mats[j]), mul(mats[j], mats[i])
-        rhs = {k: xy[a][b] - yx[a][b] for k, (a, b) in enumerate(pairs) if xy[a][b] != yx[a][b]}
-        if rhs:
-            brackets[(i, j)] = rhs
-    return LieAlgebra(len(pairs), brackets)
+    for i, j in combinations(range(len(mats)), 2):
+        rhs = coordinates(_commutator(mats[i], mats[j]))
+        if any(rhs):
+            brackets[(i, j)] = {k: c for k, c in enumerate(rhs) if c}
+    return LieAlgebra(len(mats), brackets)
+
+
+def adjoint(mats, coordinates, g, g_inv):
+    """The matrix of Ad g: X -> g X g^-1 on the basis, column j the image of
+    basis matrix j."""
+    cols = [coordinates(gaussian_mul(gaussian_mul(g, x), g_inv)) for x in mats]
+    return [list(row) for row in zip(*cols)]
+
+
+def real_matrix(m):
+    """A dense rational matrix as a sparse Gaussian-rational one."""
+    return {(i, j): (Fraction(x), Fraction(0)) for i, row in enumerate(m)
+            for j, x in enumerate(row) if x}
+
+
+def random_rotation(rng, n):
+    """A rational orthogonal n x n matrix and its transpose, sparse: random
+    plane rotations (at `rational_rotation`'s angles), a permutation and a
+    sign."""
+    g = ref.identity(n)
+    for _ in range(rng.randint(1, 3)):
+        t = random_rational(rng, 2)
+        c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+        a, b = rng.sample(range(n), 2)
+        r = ref.identity(n)
+        r[a][a], r[a][b], r[b][a], r[b][b] = c, -s, s, c
+        g = ref.matmul(g, r)
+    perm = rng.sample(range(n), n)
+    g, sign = [g[i] for i in perm], rng.choice((-1, 1))
+    g[0] = [sign * x for x in g[0]]
+    return real_matrix(g), real_matrix(list(zip(*g)))
+
+
+def so(n):
+    """so(n) on the basis E_ab = e_a e_b^T - e_b e_a^T, pairs a < b in order."""
+    return matrix_algebra(*so_matrices(n))
 
 
 def transport_algebra(algebra, matrix):

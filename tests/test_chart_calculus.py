@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -362,14 +363,17 @@ def _oversized_sum(n):
     return v, cc.DiffForm(chart, 0, {(): total})
 
 
-def test_oversized_sum_is_refused_under_a_command_meter():
-    """Outside a command the decision on the sum over eight coordinates is
-    metered on its own and refused, while the exact kernel's partials, each
-    metered on its own, answer.  Under one meter, as in a command of
-    `cli.main`, both are refused."""
+def test_oversized_sum_is_refused_under_a_command_meter(monkeypatch):
+    """Outside a command the decision's clearing of the sum over eight
+    coordinates meets the work limit, so it leaves the verdict to the exact
+    kernel, whose partials, each metered on its own, answer False.  Under
+    one meter, as in a command of `cli.main`, both are refused."""
     v, w = _oversized_sum(8)
-    with pytest.raises(sf.WorkLimit, match="over the limit of 100000"):
-        next(cc.lie_derivatives_vanish([v], w))
+    kernel, calls = cc._lie_derivative, []
+    monkeypatch.setattr(cc, "_lie_derivative", lambda *args: calls.append(args) or kernel(*args))
+    start = time.perf_counter()
+    assert next(cc.lie_derivatives_vanish([v], w)) is False
+    assert time.perf_counter() - start < 1 and len(calls) == 1
     assert not w.coefficient(()).partial("c0").is_zero() and sf._work == 91_939
     assert not cc._lie_derivative(v, w).is_zero()
     for run in (lambda: cc._lie_derivative(v, w), lambda: next(cc.lie_derivatives_vanish([v], w))):
@@ -379,6 +383,41 @@ def test_oversized_sum_is_refused_under_a_command_meter():
                 run()
         finally:
             sf.hold_meter(False)
+
+
+def test_decision_leaves_the_verdict_to_the_kernel_when_its_clearing_meets_the_limit(
+        monkeypatch):
+    """The 1-form sum_j (s + j)^-3 d(c_j), s = c0 + ... + c4: clearing its five
+    denominators passes the work limit before any verdict, so outside a
+    command every verdict is left to the exact kernel, which answers False
+    at once; under a command's meter the clearing is refused."""
+    chart = cc.Chart(tuple(f"c{i}" for i in range(5)))
+    cs = [sf.coordinate(c) for c in chart.coordinates]
+    s = sum(cs, sf.ZERO)
+    w = cc.DiffForm(chart, 1, {(j,): 1 / (s + j + 1) ** 3 for j in range(5)})
+    v = cc.vector_field(chart, [-cs[1], cs[0]] + [sf.ZERO] * 3)
+    clear, refused = sf._clear, []
+
+    def clearing(*args):
+        try:
+            return clear(*args)
+        except sf.WorkLimit:
+            refused.append(args)
+            raise
+
+    monkeypatch.setattr(sf, "_clear", clearing)
+    kernel, calls = cc._lie_derivative, []
+    monkeypatch.setattr(cc, "_lie_derivative", lambda *args: calls.append(args) or kernel(*args))
+    start = time.perf_counter()
+    assert next(cc.lie_derivatives_vanish([v], w)) is False
+    assert time.perf_counter() - start < 1 and len(refused) == len(calls) == 1
+    sf.hold_meter(True)
+    try:
+        with pytest.raises(sf.WorkLimit):
+            next(cc.lie_derivatives_vanish([v], w))
+    finally:
+        sf.hold_meter(False)
+    assert len(refused) == 2 and len(calls) == 1
 
 
 def test_decision_and_kernel_agree_over_twelve_moving_factors():

@@ -1,5 +1,7 @@
+import importlib
 import io
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -183,6 +185,85 @@ def test_main_never_escapes_on_mutated_fixtures(capsys, monkeypatch):
             out, err = capsys.readouterr()
             assert code in (0, 1, 2) and elapsed < 1.0, (argv, text)
             assert "Traceback" not in out + err, (argv, text)
+
+
+# A second algebra, with a subgroup and a component, whose names the argument
+# fuzz passes where the workspace's own algebra is meant.
+OTHER_ALGEBRA = ("lie_algebra h { dim 2 }\nsubgroup hs of h { span = [1] }\n"
+                 "subgroup hc of h { span = [] component [[1, 0], [0, -1]] }\n")
+
+
+def _argument_fuzz_runs(monkeypatch):
+    """(workspace text, argv) on so3.lch, rotations.lch and the benchmark's
+    rotations of R^n for n = 3..8, each with OTHER_ALGEBRA: `cohomology` in
+    every degree from -1 to dim + 1 and one huge degree, relative to each
+    subgroup (and to none, up to so(5)); subgroups and components of the
+    other algebra; and `report` on repeated points."""
+    monkeypatch.syspath_prepend(str(HERE.parent / "bench"))
+    rotations = importlib.import_module("cli_workspaces")._rotations
+    texts = [(FIXTURES / f"{name}.lch").read_text() for name in ("so3", "rotations")]
+    texts += [rotations(n, random.Random(n)) for n in range(3, 9)]
+    for text in texts:
+        text += OTHER_ALGEBRA
+        ws = dsl.parse(text, "fuzz.lch")
+        for alg, algebra in ws.lie_algebras.items():
+            own = [name for name, decl in ws.subgroups.items() if decl.algebra == alg]
+            other = [name for name, decl in ws.subgroups.items() if decl.algebra != alg]
+            subs = [[]] * (algebra.dim <= 10) + [["--subgroup", name] for name in own]
+            for sub in subs:
+                for degree in [*range(-1, algebra.dim + 2), 10 ** 30]:
+                    yield text, ["cohomology", "--algebra", alg, *sub, "--degree", str(degree)]
+            for name in other:
+                yield text, ["cohomology", "--algebra", alg, "--subgroup", name, "--degree", "1"]
+        points = sorted(ws.points)
+        for action in ws.actions:
+            for name in ("hs", "hc"):
+                yield text, ["report", "--action", action, "--points", points[0],
+                             "--components", name]
+            for repeated in ([points[0]] * 2, points + points[::-1]):
+                yield text, ["report", "--action", action, "--points", *repeated]
+
+
+def test_main_never_escapes_on_mutated_arguments(capsys, monkeypatch):
+    """On mutated arguments each command returns 0, 1 or 2 within a second
+    and prints no traceback; an input error prints exactly one `error:`
+    line (ROADMAP item 5)."""
+    codes = []
+    for text, argv in _argument_fuzz_runs(monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        start = time.perf_counter()
+        code = main(argv + ["--input", "-", "--format", "json"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2) and elapsed < 1.0, (argv, elapsed)
+        assert "Traceback" not in out + err, argv
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and not out, (argv, err)
+        codes.append(code)
+    assert {0, 1, 2} <= set(codes) and len(codes) > 300
+
+
+def test_report_at_a_point_off_every_axis_answers_or_refuses_at_once(capsys, monkeypatch):
+    """At a point with every coordinate nonzero the isotropy so(n - 1) is
+    spanned by no unit vectors, so its relative forms are moved to and from an
+    adapted basis.  On R^6 that answers; on R^7 and R^8 the volume form of g/k
+    would expand to 6^6 and 7^7 terms in the algebra's basis, and the command
+    is refused at once instead."""
+    monkeypatch.syspath_prepend(str(HERE.parent / "bench"))
+    rotations = importlib.import_module("cli_workspaces")._rotations
+    for n, expected in [(6, 0), (7, 2), (8, 2)]:
+        coords = ", ".join(str((-1) ** i * (i + 1)) for i in range(n))
+        text = rotations(n, random.Random(n)) + f"point G on R{n} = ({coords})\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        start = time.perf_counter()
+        code = main(["report", "--action", "rot", "--points", "G", "--input", "-"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == expected and elapsed < 1.0, (n, code, elapsed, err)
+        if code == 0:
+            assert "A_rel=1 H=1" in out and "locally unobstructed" in out
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1 and "10000" in err, err
 
 
 def test_cohomology_degree_out_of_range_is_input_error(capsys):

@@ -1,6 +1,7 @@
 """`tools/job_probe.py` times each job of a benchmark workload in both
-checkouts of a pair and prints per-job medians and wins, and the sum's
-quartiles and median per-pair ratio."""
+checkouts of a pair, at the reference speed of `bench/calibrate.py`, and
+prints per-job medians and wins, and the sum's quartiles and median
+per-pair ratio."""
 
 import subprocess
 import sys
@@ -16,7 +17,7 @@ def test_job_probe_compares_a_checkout_with_itself(tmp_path):
                           capture_output=True, text=True, check=True, timeout=120)
     lines = proc.stdout.splitlines()
     assert lines[0] == ("chart_swell seed 12, 1 alternating pairs, "
-                        "fastest round of each job per process")
+                        "fastest round of each job per process, at the reference speed")
     assert lines[1].split() == ["parent", "ms", "change", "ms", "faster", "job"]
     rows = [line.split(None, 5) for line in lines[2:-4]]
     names = [row[5] for row in rows]

@@ -325,12 +325,32 @@ def assert_integers(image):
     assert all(type(x) is int for x in image.values())
 
 
+def adapted_basis(vectors, p):
+    """(B, pivots): the columns of B are the adapted basis of the span of
+    the vectors, found by Gauss-Jordan in Fractions: at each pivot column
+    of the reduced echelon form its row, scaled to a primitive integer
+    vector, and elsewhere the unit vector."""
+    rows, pivots = ref.rref(vectors) if vectors else ([], [])
+    b = ref.identity(p)
+    for row, c in zip(rows, pivots):
+        lam = math.lcm(*(x.denominator for x in row))
+        for j in range(p):
+            b[j][c] = lam * row[j]
+    return b, pivots
+
+
 def assert_assembly_matches(alg, sub):
-    """The integer images of each basis monomial are the images from the
-    per-form definitions times one nonzero constant per map and degree:
-    the bracket scale for d, lam for the interior product by the primitive
-    multiple lam * v of v, lam times the bracket scale for the action of v,
-    and s^r for M - 1 when M^-1 = N / s, s the lcm of its denominators."""
+    """On g/k: in the adapted basis f = B e (`adapted_basis`) and its dual
+    basis b, the integer images of each horizontal monomial b^t, t among
+    the free columns, are the images from the per-form definitions on the
+    algebra moved to f, times one nonzero constant per map and degree: d
+    times the bracket scale for the action of each f_c, c a pivot column,
+    and (d s)^r for M - 1, when B^-1 = L / d and M^-1 = N / s, s the lcm of
+    its denominators.  They have no interior image.  The constraint rows
+    are those images as a multiset, on C(p - k, r) columns; the relative
+    forms, written back in a, are the Fraction path's; a form satisfies the
+    constraints exactly when the Fraction path finds no image; and every
+    image of d is the reference's."""
     p = alg.dim
     vectors = [list(v) for v in sub.basis]
     matrices = [[list(row) for row in m] for m in sub.component_reps]
@@ -340,32 +360,41 @@ def assert_assembly_matches(alg, sub):
     assert {ijk: Fraction(c, scale) for ijk, c in brackets.items()} == \
         {(i, j, k): c for (i, j), rhs in alg.brackets.items() for k, c in rhs.items()}
     assert_integers(brackets)
-    constraints = lc._Constraints(alg, sub)
-    lams = []
-    for w, v in zip(constraints.vectors, vectors):
-        assert_integers(dict(enumerate(w)))
-        assert math.gcd(*w) == (1 if any(v) else 0)
-        lams.append(next((Fraction(x) / y for x, y in zip(w, v) if y), 1))
-        assert w == [lams[-1] * y for y in v]
-    for (n, s), m in zip(constraints.inverses, matrices):
-        assert_integers({(i, j): x for i, row in enumerate(n) for j, x in enumerate(row)})
-        assert n == [[s * x for x in row] for row in ref.inverse(m)]
-        assert s == math.lcm(*(x.denominator for row in ref.inverse(m) for x in row))
+    b, pivots = adapted_basis(vectors, p)
+    b_inv = ref.inverse(b)
+    d = math.lcm(*(x.denominator for row in b_inv for x in row))
+    moved = transport_algebra(alg, b)
+    units = [[Fraction(int(i == c)) for i in range(p)] for c in sorted(pivots)]
+    moved_matrices = [ref.matmul(ref.matmul(b_inv, m), b) for m in matrices]
+    inverse_lcms = [math.lcm(*(x.denominator for row in ref.inverse(m) for x in row))
+                    for m in matrices]
+    free = [f for f in range(p) if f not in pivots]
+    constraints = lc._Constraints(alg, sub, lc._primitive_basis(sub)[1])
+    assert constraints.free == free and constraints.pivots == set(pivots)
+    assert (constraints.to_adapted is None) == (b == ref.identity(p))
+    for table in constraints.tables:
+        assert_integers({(k, j): x for k, row in table.items() for j, x in row.items()})
+    for n, s in constraints.inverses:
+        assert_integers({(i, j): x for i, row in n.items() for j, x in row.items()})
+        assert type(s) is int
     dual = lc._dual_table(brackets)
     for r in range(p + 1):
-        factors = (lams if r else []) + [lam * scale for lam in lams]
-        factors += [s ** r for _, s in constraints.inverses]
-        tuples = list(combinations(range(p), r))
+        factors = [d * scale] * len(units) + [(d * s) ** r for s in inverse_lcms]
+        columns = list(combinations(free, r))
         expected_rows = Counter()
-        for t in tuples:
+        for t in combinations(range(p), r):
             if r < p:
                 image = lc._d_image(dual, t)
                 assert_integers(image)
                 assert {u: Fraction(x, scale) for u, x in image.items()} == \
                     ref.ce_differential(alg.brackets, p, monomial(t), r)
-            images = [{u: f * x for u, x in image.items()}
-                      for f, image in zip(factors, ref.relative_constraints(
-                          alg.brackets, p, vectors, matrices, monomial(t), r))]
+        for t in columns:
+            images = ref.relative_constraints(moved.brackets, p, units, moved_matrices,
+                                              monomial(t), r)
+            if r:
+                assert not any(images[:len(units)])
+                images = images[len(units):]
+            images = [{u: f * x for u, x in image.items()} for f, image in zip(factors, images)]
             assert_integers(constraints.images(t))
             assert constraints.images(t) == {(n, u): x for n, image in enumerate(images)
                                              for u, x in image.items()}
@@ -375,10 +404,17 @@ def assert_assembly_matches(alg, sub):
         by_target = {}
         for (n, u, t), x in expected_rows.items():
             by_target.setdefault((n, u), {})[t] = x
-        rows, columns = constraints.rows(r)
-        assert columns == tuples
+        rows, got_columns = constraints.rows(r)
+        assert got_columns == columns and len(columns) == math.comb(p - len(pivots), r)
         assert (Counter(tuple(sorted(row.items())) for row in rows)
                 == Counter(tuple(sorted(row.items())) for row in by_target.values()))
+        forms = constraints.forms(r)
+        assert [{t: Fraction(x, v[fc]) for t, x in v.items()}
+                for v in forms for fc in [next(reversed(v))]] == \
+            ref.relative_forms(alg.brackets, p, vectors, matrices, r)
+        for v in forms + [{t: 1} for t in combinations(range(p), r)]:
+            assert constraints.hold(v) == (
+                not any(ref.relative_constraints(alg.brackets, p, vectors, matrices, v, r)))
 
 
 def assert_per_form_matches(rng, alg, sub):
@@ -404,8 +440,12 @@ def test_assembled_operators_on_random_algebras():
     for _ in range(25):
         alg = random_lie_algebra(rng, 4)
         p = alg.dim
-        # the maps need no subalgebra: any vectors and invertible matrices do
+        # the maps need no subalgebra: any vectors and invertible matrices do,
+        # unit vectors (B = 1) or not
         vectors = [[random_rational(rng) for _ in range(p)] for _ in range(rng.randint(0, 2))]
+        if rng.random() < 0.3:
+            vectors = [[int(i == c) for i in range(p)]
+                       for c in rng.sample(range(p), min(p, len(vectors)))]
         matrices = [random_invertible(rng, p) for _ in range(rng.randint(0, 1))]
         sub = lc.SubgroupSpec.from_vectors(vectors, matrices)
         assert_assembly_matches(alg, sub)
@@ -492,26 +532,32 @@ def _so_signs(n, signs):
     return [signs[a] * signs[b] for a, b in combinations(range(n), 2)]
 
 
-# name -> (algebra, index of a circle's basis vector, diagonal of an
-# automorphism that flips that circle: an O(2)-type component)
+# name -> (algebra, the basis vectors that span a subgroup, diagonal of an
+# automorphism that keeps their span: a component).  Besides circles, and
+# O(2) on so(3), so(4) gives S^3 = SO(4)/SO(3) and S^2 x S^2 =
+# SO(4)/(SO(2) x SO(2)); the other pairs of `test_homogeneous_spaces` take
+# the Fraction path 14 s (CP^2) to minutes (so(5) and up) per example.
 COMPLEX_CASES = {
-    "so3": (so(3), 0, _so_signs(3, (1, -1, -1))),
-    "so4": (so(4), 0, _so_signs(4, (1, -1, -1, 1))),
-    "h3": (lc.LieAlgebra(3, {(0, 1): {2: 1}}), 2, [1, -1, -1]),
-    "aff1": (lc.LieAlgebra(2, {(0, 1): {1: -1}}), 1, [1, -1]),
-    **{f"ab{k}": (lc.LieAlgebra(k), 0, [-1] + [1] * (k - 1)) for k in (1, 2, 3, 4)},
+    "so3": (so(3), (0,), _so_signs(3, (1, -1, -1))),
+    "so4": (so(4), (0,), _so_signs(4, (1, -1, -1, 1))),
+    "so4/so3": (so(4), (0, 1, 3), _so_signs(4, (1, -1, -1, 1))),
+    "so4/torus": (so(4), (0, 5), _so_signs(4, (1, -1, -1, 1))),
+    "h3": (lc.LieAlgebra(3, {(0, 1): {2: 1}}), (2,), [1, -1, -1]),
+    "aff1": (lc.LieAlgebra(2, {(0, 1): {1: -1}}), (1,), [1, -1]),
+    **{f"ab{k}": (lc.LieAlgebra(k), (0,), [-1] + [1] * (k - 1)) for k in (1, 2, 3, 4)},
 }
 ENTRIES = [Fraction(1, 2), Fraction(-3, 5), Fraction(2), Fraction(-1), Fraction(3, 4),
            Fraction(-5, 3), Fraction(1), Fraction(2, 7)]
 
 
 def moved_case(name, kind, rng, broken=False):
-    """The algebra and a trivial, circle or O(2)-type subgroup in the basis
-    f_i = P e_i for a seeded rational P: non-unit diagonal entries and up to
-    2 dim more anywhere.  `broken` puts in the component diag(1, .., 1, 2)
-    instead, which fixes the circle and, unless the algebra is abelian, is
-    no automorphism."""
-    alg, circle, signs = COMPLEX_CASES[name]
+    """The algebra and its trivial subgroup, the connected one of its span,
+    or that with its component (kind "trivial", "span" or "component"), in
+    the basis f_i = P e_i for a seeded rational P: non-unit diagonal entries
+    and up to 2 dim more anywhere.  `broken` puts in the component diag(1,
+    .., 1, 2) instead, which keeps the span and, unless the algebra is
+    abelian, is no automorphism."""
+    alg, span, signs = COMPLEX_CASES[name]
     n = alg.dim
     while True:
         p = [[rng.choice(ENTRIES) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -520,8 +566,8 @@ def moved_case(name, kind, rng, broken=False):
         p_inv = ref.inverse(p)
         if p_inv is not None:
             break
-    vectors = [[Fraction(int(i == circle)) for i in range(n)]] if kind != "trivial" else []
-    diagonals = [signs] if kind == "o2" else []
+    vectors = [[Fraction(int(i == k)) for i in range(n)] for k in span if kind != "trivial"]
+    diagonals = [signs] if kind == "component" else []
     if broken:
         diagonals = [[1] * (n - 1) + [2]]
     matrices = [[[Fraction(d[i]) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -568,7 +614,7 @@ def test_integer_complex_matches_fraction_path():
 
     @hypothesis.settings(max_examples=40, deadline=None, database=None)
     @hypothesis.given(st.sampled_from(sorted(COMPLEX_CASES)),
-                      st.sampled_from(["trivial", "circle", "o2"]),
+                      st.sampled_from(["trivial", "span", "component"]),
                       st.booleans(), st.integers(0, 2 ** 32 - 1))
     def check(name, kind, broken, seed):
         alg, sub = moved_case(name, kind, random.Random(seed), broken)
@@ -633,7 +679,7 @@ def test_subgroup_validation_matches_the_fraction_checks():
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
     @hypothesis.given(st.sampled_from(sorted(COMPLEX_CASES)),
-                      st.sampled_from(["trivial", "circle", "o2"]), st.booleans(),
+                      st.sampled_from(["trivial", "span", "component"]), st.booleans(),
                       st.sampled_from([None] + DEFECTS), st.integers(0, 2 ** 32 - 1))
     def check(name, kind, broken, defect, seed):
         rng = random.Random(seed)

@@ -7,12 +7,15 @@ Each side of a pair is a fresh interpreter that builds the workload's jobs
 with `bench/` of the checkout that holds this file (read only: no bytecode
 is written) and the side's `src/`, then runs whole rounds of the job list
 with `bench/run.py`'s own loop for --seconds, at least its MIN_ROUNDS
-rounds, keeping each job's fastest round.  The pairs alternate which side
-runs first.  It prints, for each job and for their sum, each side's median
-over the pairs in milliseconds as measured, and in how many pairs the
-change was faster; then, for the sum, each side's quartiles and the median
-over the pairs of the change's sum over the parent's.  A job that raised
-reads inf.
+rounds, keeping each job's fastest round.  Like `bench/run.py`, it reports
+each time at the reference speed: scaled by how fast the host ran
+`bench/calibrate.py`'s kernel during that process's rounds, so that a
+switch of the host's speed between processes does not read as a change.
+The pairs alternate which side runs first.  It prints, for each job and for
+their sum, each side's median over the pairs in milliseconds, and in how
+many pairs the change was faster; then, for the sum, each side's quartiles
+and the median over the pairs of the change's sum over the parent's.  A
+job that raised reads inf.
 """
 
 from __future__ import annotations
@@ -41,12 +44,13 @@ workload = importlib.import_module(name)
 texts, plan = workload.generate(int(seed))
 jobs = workload.make_jobs({n: dsl.parse(t, n) for n, t in texts.items()}, plan)
 rounds = run._rounds(jobs, float(seconds), run.MIN_ROUNDS)
-print(json.dumps([[job.name, best] for job, best in zip(jobs, rounds.best)]))
+print(json.dumps([[job.name, best * rounds.speed] for job, best in zip(jobs, rounds.best)]))
 """
 
 
 def probe(root, workload, seed, seconds):
-    """[(job name, fastest seconds)] of one fresh process on `root`/src."""
+    """[(job name, fastest seconds at the reference speed)] of one fresh
+    process on `root`/src."""
     done = subprocess.run([sys.executable, "-c", CHILD, BENCH, os.path.join(root, "src"),
                            workload, str(seed), str(seconds)],
                           cwd=root, check=True, capture_output=True, text=True, timeout=600)
@@ -83,7 +87,7 @@ def main(argv=None):
              + [[sum(t for _, t in run) for run in side_runs]]
              for side, side_runs in runs.items()}
     print(f"{args.workload} seed {args.seed}, {args.pairs} alternating pairs, "
-          f"fastest round of each job per process")
+          f"fastest round of each job per process, at the reference speed")
     print(f"{'parent ms':>11} {'change ms':>11}  {'faster':>9}  job")
     for j, name in enumerate(names + ["sum"]):
         parent, change = times["parent"][j], times["change"][j]
