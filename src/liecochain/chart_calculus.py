@@ -9,7 +9,7 @@ form in order: for decomposable chi = X1^...^Xq,
 of a form or a chain: X on each coefficient, and in each basis factor
 [X, d/dx_j] = -sum_m d_j(X^m) d/dx_m for a chain, L_X dx_j = sum_m
 d_m(X^j) dx_m for a form.  The bracket [X, Y] is L_X Y, the Lie derivative
-of a degree-1 chain; every sign comes from `linalg`'s rules.
+of a degree-1 chain; every sign comes from `linalg._merge`.
 
 An invariance check needs only whether L_X t = 0 for each generator X
 (`lie_derivatives_vanish`).  `scalar_field.operator_vanishes` decides it on
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalar_field as sf
-from .linalg import AltTensor, _accumulate, _contract, _Frozen, _replace_sign
+from .linalg import AltTensor, _accumulate, _Frozen, _merge, _wedge
 
 
 class ChartError(Exception):
@@ -145,11 +145,9 @@ def d_exterior(omega):
         raise DegreeOverflow("exterior derivative of a top-degree form")
     terms = []
     for idx, f in omega.coeffs.items():
-        for j, name in enumerate(chart.coordinates):
-            if j not in idx:
-                g = sf.partial(f, name)
-                if not g.is_zero():
-                    terms.append(((j,) + idx, g))
+        df = {(j,): g for j, name in enumerate(chart.coordinates)
+              if j not in idx and not (g := sf.partial(f, name)).is_zero()}
+        terms += _wedge(df, {idx: sf.ONE}).items()
     return DiffForm(chart, omega.degree + 1, _accumulate(terms))
 
 
@@ -178,9 +176,9 @@ def interior_multivector(chi, omega):
     terms = []
     for j, a in chi.coeffs.items():
         for idx, c in omega.coeffs.items():
-            s = _contract(idx, j)
-            if s is not None:
-                terms.append((s[1], a * c if s[0] > 0 else a * -c))
+            rest = tuple(i for i in idx if i not in j)
+            if len(rest) + len(j) == len(idx):   # e^idx = sign * e^j ^ e^rest
+                terms.append((rest, a * c if _merge(j, rest)[0] > 0 else a * -c))
     return DiffForm(chart, omega.degree - chi.degree, _accumulate(terms))
 
 
@@ -217,13 +215,14 @@ def _factor_terms(r, idx, form):
     """L_R on the basis factors of e_idx, one rule for forms and chains:
     (sign, sorted index tuple, i, k) for each term sign * d_k R^i * e_tuple.
     A form's factor dx_j gains d_m R^j dx_m; a chain's factor D(x_j) loses
-    d_j R^m D(x_m)."""
+    d_j R^m D(x_m).  Replacing slot s by m signs a term by (-1)^s and
+    `_merge((m,), rest)`, rest being idx without slot s."""
     for s, j in enumerate(idx):
+        rest, slot = idx[:s] + idx[s + 1:], (1 if form else -1) * (-1 if s & 1 else 1)
         for m in range(r.dim):
             i, k = (j, m) if form else (m, j)
-            if (i,) in r.coeffs and (m == j or m not in idx):
-                sign, key = _replace_sign(idx, s, (m,))
-                yield (sign if form else -sign), key, i, k
+            if (i,) in r.coeffs and (merged := _merge((m,), rest)):
+                yield slot * merged[0], merged[1], i, k
 
 
 def lie_derivatives_vanish(xs, t):

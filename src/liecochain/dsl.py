@@ -31,7 +31,7 @@ from . import chart_calculus as cc
 from . import scalar_field as sf
 from .action_analysis import ActionSpec
 from .lie_cohomology import MAX_COCHAINS, AltForm, LieAlgebra, SubgroupSpec
-from .linalg import _accumulate, _Frozen, _Record
+from .linalg import _Frozen, _Record, _wedge
 
 
 class SourceSpan(_Frozen):
@@ -173,13 +173,13 @@ def _operand(x, values):
 # scalar joins a sum as the map of degree 0.  Each rule computes what the
 # AltTensor operation computes, coefficient by coefficient, in its order,
 # but not as one: an AltTensor sorts its terms and drops zeros after every
-# operation, and multiplies by the unit coefficient of each d(x) or D(x);
-# these rules skip both, and the tensor is made once.  A tape of AltTensor
+# operation; these rules skip that, and the tensor is made once.  A wedge is
+# `linalg._wedge`, the loop of `AltTensor.wedge`.  A tape of AltTensor
 # operations made `cli_workspaces` about 9 % slower in process (best-of
 # sums of 62.3/64.9/64.5 ms against 56.9/58.9/58.8 ms, 2-vCPU host).
 
 def _scale(f, t):
-    return {idx: f if c is sf.ONE else f * c for idx, c in t.items()}
+    return {idx: f * c for idx, c in t.items()}
 
 
 def _add(a, b):
@@ -198,12 +198,6 @@ def _negate(v, _):
 
 def _subtract(a, b):
     return _add(a, _negate(b, None))
-
-
-def _wedge(s, t):
-    return _accumulate((i + j, x if y is sf.ONE else y if x is sf.ONE else x * y)
-                       for i, x in sorted(s.items()) for j, y in sorted(t.items())
-                       if set(i).isdisjoint(j))
 
 
 def _invert(f, _):

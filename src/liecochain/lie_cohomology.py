@@ -38,8 +38,8 @@ from itertools import combinations
 from math import comb, prod
 
 from . import linalg
-from .linalg import (SingularMatrix, _accumulate, _contract, _Frozen, _integer_inverse,
-                     _integer_matrix, _integer_row, _primitive, _Record, _replace_sign)
+from .linalg import (SingularMatrix, _Frozen, _integer_inverse, _integer_matrix, _integer_row,
+                     _merge, _primitive, _Record, _wedge)
 
 
 class CohomologyError(Exception):
@@ -115,33 +115,20 @@ class SubgroupSpec(_Frozen):
 
 
 def validate_lie_algebra(algebra):
-    """The violations of the Jacobi identity, as (i, j, k, residual vector),
-    on the basis triples where it can fail: those with a term
-    [[e_i, e_j], e_k] whose inner bracket has a component e_m with a
-    declared bracket [e_m, e_k].  They are visited in sorted order; each
-    residual is summed in integers from `integer_brackets`, scale^2 times
-    the true one, and divided only when it is reported.  An empty list
-    means the identity holds."""
-    rows = {}       # (a, b) -> {c: scaled coefficient of e_c in [e_a, e_b]}, a != b
-    for (i, j, k), c in algebra.integer_brackets.items():
-        rows.setdefault((i, j), {})[k] = c
-        rows.setdefault((j, i), {})[k] = -c
-    partners = {}   # m -> every k with a declared bracket [e_m, e_k]
-    for m, k in rows:
-        partners.setdefault(m, set()).add(k)
-    triples = {tuple(sorted((i, j, k))) for (i, j), rhs in algebra.brackets.items()
-               for m in rhs for k in partners.get(m, ()) if k != i and k != j}
-    violations, square = [], algebra.scale ** 2
-    for i, j, k in sorted(triples):
-        res = {}
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, x in rows.get((a, b), {}).items():
-                for n, y in rows.get((m, c), {}).items():
-                    res[n] = res.get(n, 0) + x * y
-        if any(res.values()):
-            violations.append((i, j, k, [Fraction(res.get(n, 0), square)
-                                         for n in range(algebra.dim)]))
-    return violations
+    """The violations of the Jacobi identity, as (i, j, k, residual vector)
+    for i < j < k in sorted order.  The residual [[e_i, e_j], e_k] +
+    [[e_j, e_k], e_i] + [[e_k, e_i], e_j] has, as its e_n-component, the
+    coefficient of a^i ^ a^j ^ a^k in d(d a^n), so the identity is d o d = 0
+    on 1-forms (Chevalley-Eilenberg 1948).  It is taken from the integer
+    table, scale^2 times the true one, and divided only when it is
+    reported.  An empty list means the identity holds."""
+    dual, residuals = _dual_table(algebra.integer_brackets), {}
+    for n in dual:
+        for t, x in _apply(_d_image(dual, (n,)), lambda t: _d_image(dual, t)).items():
+            residuals.setdefault(t, {})[n] = x
+    square = algebra.scale ** 2
+    return [(*t, [Fraction(res.get(n, 0), square) for n in range(algebra.dim)])
+            for t, res in sorted(residuals.items())]
 
 
 def _bracket(brackets, u, v):
@@ -278,27 +265,36 @@ def _dual_table(brackets):
 
 
 def _replaced(t, terms):
-    """{sorted tuple: sum} over the terms (m, new, c): c times a^t with its
-    slot m replaced by the increasing tuple new, signed; zeros dropped."""
+    """{sorted tuple: sum} over the slots m of t and the pairs (new, c) of
+    terms(m, t[m]): c times a^t with its slot m replaced by the increasing
+    tuple new, signed by (-1)^(m len(new)) and `_merge(new, rest)`, rest
+    being t without slot m; zeros dropped."""
     out = {}
-    for m, new, c in terms:
-        if s := _replace_sign(t, m, new):
-            sign, u = s
-            out[u] = out.get(u, 0) + (c if sign > 0 else -c)
+    for m, k in enumerate(t):
+        rest = t[:m] + t[m + 1:]
+        for new, c in terms(m, k):
+            if s := _merge(new, rest):
+                sign, u = s
+                if m * len(new) & 1:
+                    sign = -sign
+                out[u] = out.get(u, 0) + (c if sign > 0 else -c)
     return {u: x for u, x in out.items() if x}
 
 
 def _d_image(dual, t):
     """d a^t = sum over slots m of (-1)^m a^{t1} ^ .. (d a^{tm}) .. ^ a^{tr}, with
     d a^k = -sum_{i<j} c^k_ij a^i ^ a^j in the slot of a^k."""
-    return _replaced(t, ((m, (i, j), c if m & 1 else -c)
-                         for m, k in enumerate(t) for i, j, c in dual.get(k, ())))
+    return _replaced(t, lambda m, k: (((i, j), c if m & 1 else -c) for i, j, c in dual.get(k, ())))
 
 
 def _interior_image(v, t):
     """i_v a^t = sum over k in t of s v_k a^rest, where a^t = s a^k ^ a^rest."""
-    return {rest: v[k] if sign > 0 else -v[k]
-            for k in t if v[k] for sign, rest in [_contract(t, (k,))]}
+    out = {}
+    for m, k in enumerate(t):
+        if v[k]:
+            rest = t[:m] + t[m + 1:]
+            out[rest] = v[k] if _merge((k,), rest)[0] > 0 else -v[k]
+    return out
 
 
 def _coadjoint_table(brackets, v):
@@ -315,8 +311,7 @@ def _coadjoint_table(brackets, v):
 
 def _action_image(table, t):
     """v.a^t: v acts on each slot in turn."""
-    return _replaced(t, ((m, (j,), c) for m, k in enumerate(t)
-                         for j, c in table.get(k, {}).items()))
+    return _replaced(t, lambda m, k: (((j,), c) for j, c in table.get(k, {}).items()))
 
 
 def _pullback_image(minv, t):
@@ -324,8 +319,7 @@ def _pullback_image(minv, t):
     M^-1 as a sparse matrix (`_sparse`), wedged on in turn."""
     out = {(): 1}
     for i in t:
-        out = _accumulate((u + (j,), c * x) for u, c in out.items()
-                          for j, x in minv.get(i, {}).items())
+        out = _wedge(out, {(j,): x for j, x in minv.get(i, {}).items()})
         out = {u: x for u, x in out.items() if x}
     return out
 

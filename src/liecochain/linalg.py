@@ -21,10 +21,12 @@ multivectors on a chart, with ScalarExpr coefficients, and forms on a Lie
 algebra, with rational coefficients.  Its constructor checks and normalises
 what it is given; its operations build their results with `_of`, which only
 sorts and drops zeros.  Every sign of a basis monomial comes
-from `_sort_sign` through two rules: `_accumulate` sums terms on unsorted
-index tuples, and `_contract` splits e^I = sign * e^J ^ e^rest; where one
-slot of a sorted tuple is replaced by a short sorted tuple, `_replace_sign`
-gives the same sign by counting.
+from `_merge`, which writes e^a ^ e^b = sign * e^union for increasing a
+and b: a wedge is `_merge(i, j)` (`_wedge`, the one wedge loop), a
+contraction e^I = sign * e^J ^ e^rest is `_merge(J, rest)`, and replacing
+slot m of t by new has sign (-1)^(m len(new)) times that of
+`_merge(new, rest)`, rest being t without slot m.  `_accumulate` sums
+terms whose keys are already sorted.
 """
 
 from __future__ import annotations
@@ -248,58 +250,34 @@ def _integer_inverse(m):
 # -- alternating tensors ------------------------------------------------------
 
 
-def _sort_sign(idx):
-    """Sort an index tuple, returning (sign of the sorting permutation, sorted
-    tuple), or None if an index repeats."""
-    idx = list(idx)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
+def _merge(a, b):
+    """(sign, union) with e^a ^ e^b = sign * e^union, for increasing index
+    tuples a and b, the union increasing; None when an index repeats.  Each
+    index of b passes the indices of a above it, found by bisection."""
+    passed, n = 0, len(a)
+    for x in b:
+        p = bisect_left(a, x)
+        if p < n and a[p] == x:
             return None
-    return sign, tuple(idx)
+        passed += n - p
+    return -1 if passed & 1 else 1, tuple(sorted(a + b))
 
 
 def _accumulate(terms):
-    """{sorted tuple: sum} over the (index tuple, coefficient) pairs in order,
-    each signed by the sort of its tuple; a repeated index adds nothing."""
+    """{sorted tuple: sum} over the (sorted tuple, coefficient) pairs, in order."""
     out = {}
-    for idx, c in terms:
-        s = _sort_sign(idx)
-        if s is not None:
-            sign, key = s
-            c = c if sign > 0 else -c
-            out[key] = out[key] + c if key in out else c
+    for key, c in terms:
+        out[key] = out[key] + c if key in out else c
     return out
 
 
-def _replace_sign(t, m, new):
-    """`_sort_sign` of t with its slot m replaced by new, for strictly
-    increasing t and new, by counting: an index landing at position p among
-    the rest of t passes |p - m| of them.  None if it is among them."""
-    rest = t[:m] + t[m + 1:]
-    out, start, passed = (), 0, 0
-    for x in new:
-        p = bisect_left(rest, x)
-        if p < len(rest) and rest[p] == x:
-            return None
-        out += rest[start:p] + (x,)
-        start, passed = p, passed + p - m
-    return -1 if passed & 1 else 1, out + rest[start:]
-
-
-def _contract(idx, j):
-    """(sign, rest) with e^idx = sign * e^j ^ e^rest, for index tuples idx
-    and j, or None when j is not inside idx."""
-    rest = tuple(i for i in idx if i not in j)
-    if len(rest) + len(j) != len(idx):
-        return None
-    return _sort_sign(j + rest)[0], rest
+def _wedge(s, t):
+    """s ^ t for maps {increasing tuple: coefficient}: {sorted tuple: sum},
+    the products taken in the order of the sorted keys of s, then of t, each
+    signed by `_merge`; one on a repeated index adds nothing."""
+    t = sorted(t.items())
+    return _accumulate((m[1], x * y if m[0] > 0 else -(x * y))
+                       for i, x in sorted(s.items()) for j, y in t if (m := _merge(i, j)))
 
 
 # The rationals as a coefficient ring, named as `scalar_field` names its own:
@@ -395,6 +373,4 @@ class AltTensor:
         degree = self.degree + other.degree
         if degree > self.dim:
             raise self.DegreeOverflow(f"wedge degree exceeds {self.noun} dimension")
-        return self._of(self.space, degree, _accumulate(
-            (i1 + i2, a * b) for i1, a in self.coeffs.items()
-            for i2, b in other.coeffs.items() if set(i1).isdisjoint(i2)))
+        return self._of(self.space, degree, _wedge(self.coeffs, other.coeffs))

@@ -695,6 +695,8 @@ class ScalarExpr(_Frozen):
 
     def __mul__(self, other):
         other = normalize(other)
+        if self is ONE or other is ONE:   # the unit coefficient of a basis tensor
+            return other if self is ONE else self
         _begin()
         num = _p_mul(self.num, other.num)
         if not self.den and not other.den:

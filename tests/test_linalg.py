@@ -1,10 +1,12 @@
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from liecochain import linalg
 
+import reference as ref
 from genutil import frac_matrix
 
 
@@ -139,18 +141,37 @@ def test_tensor_operations_equal_the_validated_construction():
     check()
 
 
-def test_counted_replacement_signs_equal_the_sort():
-    """For every increasing tuple over at most 6 indices, every slot and
-    every increasing 1- or 2-index replacement: `_replace_sign` gives what
-    `_sort_sign` gives for the tuple with that slot replaced, None on a
-    repeated index included."""
-    checked = repeated = 0
-    for r in range(1, 7):
-        for t in combinations(range(6), r):
-            for m in range(r):
-                for new in [*combinations(range(6), 1), *combinations(range(6), 2)]:
-                    want = linalg._sort_sign(t[:m] + new + t[m + 1:])
-                    assert linalg._replace_sign(t, m, new) == want
-                    checked += 1
-                    repeated += want is None
-    assert (checked, 0 < repeated < checked) == (192 * 21, True)
+def test_merge_and_the_signs_derived_from_it_equal_the_inversion_count():
+    """For every pair of increasing tuples a, b over at most 7 indices,
+    overlaps included: `_merge(a, b)` is the sign of a + b counted by
+    `reference.inversion_sign` and the sorted union, None on a repeated index.
+    Replacing slot m of t by new has sign (-1)^(m len(new)) times that of
+    `_merge(new, rest)`, rest being t without slot m; a contraction
+    e^t = sign * e^j ^ e^rest, for j inside t, has the sign of `_merge(j, rest)`."""
+    tuples = [t for r in range(8) for t in combinations(range(7), r)]
+    merged = repeated = replaced = contracted = 0
+    for a in tuples:
+        for b in tuples:
+            if set(b) <= set(a):   # a contraction of a by b
+                rest = tuple(i for i in a if i not in b)
+                assert linalg._merge(b, rest) == (ref.inversion_sign(b + rest), a)
+                contracted += 1
+            got = linalg._merge(a, b)
+            if set(a) & set(b):
+                assert got is None
+                repeated += 1
+                continue
+            assert got == (ref.inversion_sign(a + b), tuple(sorted(a + b)))
+            merged += 1
+        for m in range(len(a)):
+            rest = a[:m] + a[m + 1:]
+            for new in tuples:
+                got = linalg._merge(new, rest)
+                if set(new) & set(rest):
+                    assert got is None
+                    continue
+                sign = -got[0] if m * len(new) & 1 else got[0]
+                assert sign == ref.inversion_sign(a[:m] + new + a[m + 1:])
+                replaced += 1
+    assert (merged + repeated, merged, contracted) == (128 ** 2, 3 ** 7, 3 ** 7)
+    assert replaced == sum(comb(7, r) * r * 2 ** (8 - r) for r in range(1, 8))

@@ -87,13 +87,18 @@ def run_one(root, command, workload, seed):
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def quartiles(values):
+    """[q1, median, q3] of values by statistics.quantiles(values, n=4), its
+    default exclusive method; a single value three times.  The probes in
+    tools/ take their quartiles from here, so their IQRs are a record's."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def summary(runs, units):
     """Median, quartiles and IQR of each metric over the runs."""
     out = {}
     for name, unit in units.items():
-        values = [run["metrics"][name] for run in runs]
-        q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
-                          else values * 3)
+        q1, median, q3 = quartiles([run["metrics"][name] for run in runs])
         out[name] = {"unit": unit, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
     return out
 

@@ -5,7 +5,8 @@
 Runs the import probe of `bench/run.py`'s `setup_s` (the time to import
 liecochain.cli in a fresh interpreter) in the two checkouts, one pair at a
 time and alternating which side runs first, after one untimed import on each
-side.  It prints each side's median and quartiles and in how many pairs the
+side.  It prints each side's median and quartiles (by
+`bench_record.quartiles`, as in a BENCH record) and in how many pairs the
 change was faster.  Set PYTHONDONTWRITEBYTECODE=1 to time the import with
 compilation, as every run on a host that writes no bytecode pays it.
 """
@@ -20,6 +21,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
+from bench_record import quartiles  # noqa: E402  (the records' quartile rule)
 from run import IMPORT_PROBE  # noqa: E402  (the benchmark's own probe)
 
 
@@ -34,7 +36,7 @@ def probe(root):
 def summary(values):
     """(median, lower quartile, upper quartile) in milliseconds."""
     ms = [1000 * v for v in values]
-    q1, _, q3 = statistics.quantiles(ms, n=4) if len(ms) > 1 else ms * 3
+    q1, _, q3 = quartiles(ms)
     return statistics.median(ms), q1, q3
 
 

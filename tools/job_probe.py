@@ -14,8 +14,8 @@ switch of the host's speed between processes does not read as a change.
 The pairs alternate which side runs first.  It prints, for each job and for
 their sum, each side's median over the pairs in milliseconds, and in how
 many pairs the change was faster; then, for the sum, each side's quartiles
-and the median over the pairs of the change's sum over the parent's.  A
-job that raised reads inf.
+(by `bench_record.quartiles`, as in a BENCH record) and the median over the
+pairs of the change's sum over the parent's.  A job that raised reads inf.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 sys.path.insert(0, BENCH)
 sys.dont_write_bytecode = True
+from bench_record import quartiles  # noqa: E402  (the records' quartile rule)
 from run import WORKLOADS  # noqa: E402  (the benchmark's own workload list)
 
 CHILD = """
@@ -100,13 +101,6 @@ def main(argv=None):
     ratio = statistics.median(c / p for p, c in zip(times["parent"][-1], times["change"][-1]))
     print(f"median per-pair ratio, change / parent: {ratio:.4f}")
     return 0
-
-
-def quartiles(values):
-    """The first quartile, the median and the third quartile of values."""
-    if len(values) < 2:
-        return values * 3
-    return statistics.quantiles(values, n=4, method="inclusive")
 
 
 if __name__ == "__main__":
